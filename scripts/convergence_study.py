@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
-from certlap import approximate, catalog, estimate_constants, integrate
+from certlap import catalog_names
+from certlap.cli import run_checks
+from certlap.config import RunConfig
 
 
 def main():
@@ -23,17 +25,17 @@ def main():
 
     print(f"{'problem':<12}{'N':>6}  {'leading':>13}  {'oracle':>13}  "
           f"{'|err|':>10}  {'remainder':>10}  ok")
-    for spec in catalog():
-        consts = estimate_constants(spec, grid_res=args.grid_res, n_sweep=sweep)
+    for name in catalog_names():
+        cfg = RunConfig(problem=name, n_sweep=sweep, grid_res=args.grid_res, tol=args.tol,
+                        checks=("laplace",))
+        _, report = run_checks(cfg)
         rels = []
-        for n in sweep:
-            r = approximate(spec, consts, n)
-            o = integrate(spec, n, tol=args.tol)
-            ok = r.contains(o.value, slack=r.oracle_slack(o))
-            rels.append(r.relative_remainder)
-            print(f"{spec.name:<12}{n:>6}  {r.leading:>13.6e}  {o.value:>13.6e}  "
-                  f"{abs(o.value - r.leading):>10.3e}  {r.remainder_magnitude:>10.3e}  "
-                  f"{'yes' if ok else 'NO'}")
+        for r in report["checks"]["laplace"]["rows"]:
+            lead, orc, rem = r["leading"], r["oracle"], r["remainder_magnitude"]
+            rels.append(rem / abs(lead) if lead else math.inf)
+            print(f"{name:<12}{r['N']:>6}  {lead:>13.6e}  {orc:>13.6e}  "
+                  f"{abs(orc - lead):>10.3e}  {rem:>10.3e}  "
+                  f"{'yes' if r['bound_ok'] else 'NO'}")
         slope = float(np.polyfit(np.log(sweep), np.log(rels), 1)[0])
         print(f"{'':<12}certified relative remainder ~ N^{slope:+.2f}")
         print()

@@ -225,31 +225,38 @@ def _build_boundary3d() -> ProblemSpec:
                           x_star=[0.0, 0.0, 0.0], axis=0, exact=exact)
 
 
+_BUILDERS: dict[str, Callable[[], ProblemSpec]] = {
+    "gauss1d": _build_gauss1d,
+    "exp1d": _build_exp1d,
+    "cubic1d": _build_cubic1d,
+    "quartic1d": _build_quartic1d,
+    "iso2d": _build_iso2d,
+    "mixed2d": _build_mixed2d,
+    "tilt2d": _build_tilt2d,
+    "gauss3d": _build_gauss3d,
+    "boundary3d": _build_boundary3d,
+    "drift1d": lambda: _drifting_gauss(
+        "drift1d", EpsilonSchedule(lambda n: 1.0 / n, "o_one_over_sqrtN"), 0.5
+    ),
+    "eps1d": lambda: _drifting_gauss("eps1d", power_epsilon(-0.75), 0.5),
+    "viol1d": lambda: _drifting_gauss("viol1d", power_epsilon(-0.25), 0.85),
+}
+
+
 def catalog() -> list[ProblemSpec]:
     """Built-in problems spanning 1D/2D/3D, interior and boundary maxima,
     and drifting-maximizer perturbations."""
-    return [
-        _build_gauss1d(),
-        _build_exp1d(),
-        _build_cubic1d(),
-        _build_quartic1d(),
-        _build_iso2d(),
-        _build_mixed2d(),
-        _build_tilt2d(),
-        _build_gauss3d(),
-        _build_boundary3d(),
-        _drifting_gauss("drift1d", EpsilonSchedule(lambda n: 1.0 / n, "o_one_over_sqrtN"), 0.5),
-        _drifting_gauss("eps1d", power_epsilon(-0.75), 0.5),
-        _drifting_gauss("viol1d", power_epsilon(-0.25), 0.85),
-    ]
+    return [build() for build in _BUILDERS.values()]
 
 
 def get_problem(name: str) -> ProblemSpec:
-    for spec in catalog():
-        if spec.name == name:
-            return spec
-    raise DomainError(f"unknown catalog problem {name!r}")
+    """Build the one catalog problem called ``name``."""
+    try:
+        build = _BUILDERS[name]
+    except KeyError:
+        raise DomainError(f"unknown catalog problem {name!r}") from None
+    return build()
 
 
 def catalog_names() -> list[str]:
-    return [spec.name for spec in catalog()]
+    return list(_BUILDERS)

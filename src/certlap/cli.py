@@ -74,9 +74,12 @@ from .errors import (
     ToolkitError,
 )
 from .gibbs import (
+    RESIDUAL_FLOOR,
     build_fluctuation_model,
     empirical_limit_test,
+    fluctuation_verdict,
     gibbs_measure,
+    measure_of,
     mgf_X,
     mgf_Y,
     sample,
@@ -84,7 +87,7 @@ from .gibbs import (
 )
 from .laplace import approximate
 from .oracle import integrate
-from .problems import BOUNDARY, INTERIOR
+from .problems import BOUNDARY, INTERIOR, BoxDomain
 
 CSV_HEADER = [
     "N", "leading", "oracle", "abs_error", "remainder_magnitude", "bound_ok",
@@ -113,6 +116,102 @@ def _default_xi(spec) -> np.ndarray:
     return xi
 
 
+def _check_laplace(spec, consts, config, sweep) -> tuple[dict, bool]:
+    out = []
+    all_ok = True
+    for n in sweep:
+        res = approximate(spec, consts, n)
+        orc = integrate(spec, n, tol=config.tol)
+        ok = res.contains(orc.value, slack=res.oracle_slack(orc))
+        all_ok &= ok
+        d = res.to_dict()
+        d["oracle"] = orc.value
+        d["oracle_error_estimate"] = orc.abs_error_estimate
+        d["bound_ok"] = ok
+        out.append(d)
+    return {"rows": out, "all_bounds_ok": all_ok}, all_ok
+
+
+def _check_constants(spec, consts, config, sweep) -> tuple[dict, bool]:
+    audit = audit_constants(spec, consts, n_points=1000, seed=config.seed)
+    return audit, audit["ok"]
+
+
+def _check_lln(spec, consts, config, sweep) -> tuple[dict, bool]:
+    xi = _default_xi(spec) * 0.5 / max(1e-12, np.max(np.abs(_default_xi(spec))))
+    out = []
+    residuals = []
+    for n in sweep:
+        rep = mgf_X(gibbs_measure(spec, n, tol=config.tol), xi)
+        residuals.append(rep.residual)
+        out.append(rep.to_dict())
+    decay_ok = all(
+        b <= a * (1 + 1e-9) + RESIDUAL_FLOOR for a, b in zip(residuals, residuals[1:])
+    )
+    ratios = [r / max(x.get("expected_decay", 1.0), 1e-300) for r, x in zip(residuals, out)]
+    span = max(ratios) / max(min(ratios), 1e-300) if ratios else 1.0
+    block = {"rows": out, "residual_nonincreasing": decay_ok, "tracking_span": span}
+    return block, decay_ok
+
+
+def _check_fluctuations(spec, consts, config, sweep) -> tuple[dict, bool]:
+    xi = _default_xi(spec)
+    out = []
+    reports = []
+    ks_all_ok = True
+    model = build_fluctuation_model(spec)
+    # mgf_Y then sample at each N, so a sampler failure stops the sweep at
+    # the first N instead of after every normaliser and MGF
+    for n in sweep:
+        meas = gibbs_measure(spec, n, tol=config.tol)
+        rep = mgf_Y(meas, xi)
+        reports.append(rep)
+        entry = rep.to_dict()
+        batch = sample(meas, config.sample_count, seed=config.seed, consts=consts)
+        ks = empirical_limit_test(batch, model)
+        entry["ks"] = ks
+        entry["acceptance_rate"] = batch.acceptance_rate
+        ks_all_ok &= ks["max_ks"] <= config.ks_threshold
+        out.append(entry)
+    verdict = fluctuation_verdict(reports)
+    # a flagged hypothesis violation is a detection, not a failure; residuals
+    # that refuse to decay although the schedule claims they should are a
+    # soundness failure; otherwise the KS tests decide
+    ok = verdict["hypothesis_violated"] if verdict["flagged"] else ks_all_ok
+    return {"rows": out, **verdict, "ks_all_ok": ks_all_ok}, ok
+
+
+def _check_preposition1(spec, consts, config, sweep) -> tuple[dict, bool]:
+    if spec.maximum.kind != INTERIOR:
+        return {"skipped": "boundary maximum"}, True
+    tbl = tilted_maximizer_check(spec, consts, np.ones(spec.dimension), sweep)
+    first = tbl[0]
+    ok = all(
+        r[k] <= 3.0 * first[k] + 1e-9
+        for r in tbl
+        for k in ("stat_drift", "stat_value", "stat_det")
+    )
+    return {"rows": tbl, "bounded": ok}, ok
+
+
+def _check_sampler(spec, consts, config, sweep) -> tuple[dict, bool]:
+    meas = gibbs_measure(spec, sweep[-1], tol=config.tol)
+    batch = sample(meas, min(config.sample_count, 20000), seed=config.seed, consts=consts)
+    audit = _sampler_audit(meas, batch, seed=config.seed)
+    return audit, audit["ok"]
+
+
+# one entry per name in KNOWN_CHECKS, run in that order
+CHECKS = {
+    "laplace": _check_laplace,
+    "constants": _check_constants,
+    "lln": _check_lln,
+    "fluctuations": _check_fluctuations,
+    "preposition1": _check_preposition1,
+    "sampler": _check_sampler,
+}
+
+
 def run_checks(config: RunConfig) -> tuple[int, dict]:
     """Execute the configured checks; returns (status, report dict)."""
     config.validate()
@@ -135,123 +234,16 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
         "maximum_kind": spec.maximum.kind,
         "checks": {},
     }
-    passed = True
-    rows = {n: {"N": n} for n in sweep}
-
     consts = estimate_constants(
         spec, grid_res=config.grid_res, n_sweep=sweep, safety_factor=config.safety_factor
     )
     report["constants"] = consts.to_dict()
 
-    if "laplace" in config.checks:
-        out = []
-        all_ok = True
-        for n in sweep:
-            res = approximate(spec, consts, n)
-            orc = integrate(spec, n, tol=config.tol)
-            ok = res.contains(orc.value, slack=res.oracle_slack(orc))
-            all_ok &= ok
-            rows[n].update(
-                leading=res.leading,
-                oracle=orc.value,
-                abs_error=abs(orc.value - res.leading),
-                remainder_magnitude=res.remainder_magnitude,
-                bound_ok=ok,
-            )
-            d = res.to_dict()
-            d["oracle"] = orc.value
-            d["oracle_error_estimate"] = orc.abs_error_estimate
-            d["bound_ok"] = ok
-            out.append(d)
-        report["checks"]["laplace"] = {"rows": out, "all_bounds_ok": all_ok}
-        passed &= all_ok
-
-    if "constants" in config.checks:
-        audit = audit_constants(spec, consts, n_points=1000, seed=config.seed)
-        report["checks"]["constants"] = audit
-        passed &= audit["ok"]
-
-    if "lln" in config.checks:
-        xi = _default_xi(spec) * 0.5 / max(1e-12, np.max(np.abs(_default_xi(spec))))
-        out = []
-        residuals = []
-        for n in sweep:
-            meas = gibbs_measure(spec, n, tol=config.tol)
-            rep = mgf_X(meas, xi)
-            residuals.append(rep.residual)
-            rows[n]["mgf_x_residual"] = rep.residual
-            out.append(rep.to_dict())
-        decay_ok = all(b <= a * (1 + 1e-9) + 1e-12 for a, b in zip(residuals, residuals[1:]))
-        ratios = [r / max(x.get("expected_decay", 1.0), 1e-300) for r, x in zip(residuals, out)]
-        span = max(ratios) / max(min(ratios), 1e-300) if ratios else 1.0
-        report["checks"]["lln"] = {
-            "rows": out,
-            "residual_nonincreasing": decay_ok,
-            "tracking_span": span,
-        }
-        passed &= decay_ok
-
-    if "fluctuations" in config.checks:
-        xi = _default_xi(spec)
-        out = []
-        residuals = []
-        ks_all_ok = True
-        model = build_fluctuation_model(spec)
-        for n in sweep:
-            meas = gibbs_measure(spec, n, tol=config.tol)
-            rep = mgf_Y(meas, xi)
-            residuals.append(rep.residual)
-            rows[n]["mgf_y_residual"] = rep.residual
-            entry = rep.to_dict()
-            batch = sample(meas, config.sample_count, seed=config.seed, consts=consts)
-            ks = empirical_limit_test(batch, model)
-            entry["ks"] = ks
-            entry["acceptance_rate"] = batch.acceptance_rate
-            rows[n]["ks_stat"] = ks["max_ks"]
-            ks_ok = ks["max_ks"] <= config.ks_threshold
-            ks_all_ok &= ks_ok
-            out.append(entry)
-        nondecay = len(residuals) >= 2 and residuals[-1] >= residuals[0]
-        violated = any(e["hypothesis_violated"] for e in out)
-        flagged = nondecay or violated
-        report["checks"]["fluctuations"] = {
-            "rows": out,
-            "residual_nondecaying": nondecay,
-            "hypothesis_violated": violated,
-            "flagged": flagged,
-            "ks_all_ok": ks_all_ok,
-        }
-        # a flagged hypothesis violation is a *detection*, not a failure;
-        # soundness here means the KS tests pass when the hypothesis holds
-        passed &= ks_all_ok if not flagged else True
-        if flagged and not violated:
-            # residuals refuse to decay although the schedule claims they
-            # should: that is a soundness failure
-            passed = False
-
-    if "preposition1" in config.checks:
-        if spec.maximum.kind == INTERIOR:
-            xi = np.ones(spec.dimension)
-            tbl = tilted_maximizer_check(spec, consts, xi, sweep)
-            first = tbl[0]
-            ok = all(
-                r[k] <= 3.0 * first[k] + 1e-9
-                for r in tbl
-                for k in ("stat_drift", "stat_value", "stat_det")
-            )
-            report["checks"]["preposition1"] = {"rows": tbl, "bounded": ok}
+    passed = True
+    for name in KNOWN_CHECKS:
+        if name in config.checks:
+            report["checks"][name], ok = CHECKS[name](spec, consts, config, sweep)
             passed &= ok
-        else:
-            report["checks"]["preposition1"] = {"skipped": "boundary maximum"}
-
-    if "sampler" in config.checks:
-        n = sweep[-1]
-        meas = gibbs_measure(spec, n, tol=config.tol)
-        batch = sample(meas, min(config.sample_count, 20000), seed=config.seed, consts=consts)
-        audit = _sampler_audit(meas, batch, seed=config.seed)
-        report["checks"]["sampler"] = audit
-        passed &= audit["ok"]
-
     report["passed"] = bool(passed)
     report["status"] = 0 if passed else 1
     return report["status"], report
@@ -260,9 +252,6 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
 def _sampler_audit(meas, batch, seed: int, n_boxes: int = 10) -> dict:
     """Empirical box probabilities vs the quadrature measure, within five
     standard errors."""
-    from .gibbs import measure_of
-    from .problems import BoxDomain
-
     spec = meas.spec
     rng = np.random.default_rng([seed, 104729])
     z = spec.domain.to_box(batch.draws)
@@ -293,6 +282,26 @@ def _sampler_audit(meas, batch, seed: int, n_boxes: int = 10) -> dict:
     }
 
 
+def _per_n_columns(checks: dict) -> dict[int, dict]:
+    """Per-N values of the convergence columns, read from a report's
+    ``checks`` block; shared by the CSV and plotdata writers."""
+    per_n: dict[int, dict] = {}
+    for r in checks.get("laplace", {}).get("rows", []):
+        per_n.setdefault(int(r["N"]), {}).update(
+            leading=r["leading"], oracle=r["oracle"],
+            abs_error=abs(r["oracle"] - r["leading"]),
+            remainder_magnitude=r["remainder_magnitude"], bound_ok=r["bound_ok"],
+        )
+    for r in checks.get("lln", {}).get("rows", []):
+        per_n.setdefault(int(r["N"]), {})["mgf_x_residual"] = r["residual"]
+    for r in checks.get("fluctuations", {}).get("rows", []):
+        row = per_n.setdefault(int(r["N"]), {})
+        row["mgf_y_residual"] = r["residual"]
+        if "ks" in r:
+            row["ks_stat"] = r["ks"]["max_ks"]
+    return per_n
+
+
 def write_outputs(report: dict, out_dir: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
@@ -300,27 +309,13 @@ def write_outputs(report: dict, out_dir: str) -> tuple[str, str]:
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-    sweep = report["config"]["n_sweep"]
-    per_n = {int(n): {"N": int(n)} for n in sweep}
-    laplace_rows = report.get("checks", {}).get("laplace", {}).get("rows", [])
-    for r in laplace_rows:
-        per_n[int(r["N"])].update(
-            leading=r["leading"], oracle=r["oracle"],
-            abs_error=abs(r["oracle"] - r["leading"]),
-            remainder_magnitude=r["remainder_magnitude"], bound_ok=r["bound_ok"],
-        )
-    for r in report.get("checks", {}).get("lln", {}).get("rows", []):
-        per_n[int(r["N"])]["mgf_x_residual"] = r["residual"]
-    for r in report.get("checks", {}).get("fluctuations", {}).get("rows", []):
-        per_n[int(r["N"])]["mgf_y_residual"] = r["residual"]
-        if "ks" in r:
-            per_n[int(r["N"])]["ks_stat"] = r["ks"]["max_ks"]
+    per_n = _per_n_columns(report.get("checks", {}))
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for n in sweep:
-            row = per_n[int(n)]
-            writer.writerow([_fmt(row.get(k)) if k != "N" else str(int(n)) for k in CSV_HEADER])
+        for n in report["config"]["n_sweep"]:
+            row = per_n.get(int(n), {})
+            writer.writerow([str(int(n))] + [_fmt(row.get(k)) for k in CSV_HEADER[1:]])
     return report_path, csv_path
 
 
@@ -350,28 +345,17 @@ def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> 
         v = float(v)
         return _fmt(math.log(v)) if v > 0 else ""
 
-    per_n: dict[int, dict] = {}
-    for r in checks.get("laplace", {}).get("rows", []):
-        n = int(r["N"])
-        d = per_n.setdefault(n, {})
-        if r["oracle"]:
-            d["rel_error"] = abs(r["oracle"] - r["leading"]) / abs(r["oracle"])
-        if r["leading"]:
-            d["rel_remainder"] = r["remainder_magnitude"] / abs(r["leading"])
-    for r in checks.get("lln", {}).get("rows", []):
-        per_n.setdefault(int(r["N"]), {})["mgf_x_residual"] = r["residual"]
-    for r in checks.get("fluctuations", {}).get("rows", []):
-        per_n.setdefault(int(r["N"]), {})["mgf_y_residual"] = r["residual"]
-
+    per_n = _per_n_columns(checks)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PLOT_HEADER)
         for n in sorted(per_n):
             d = per_n[n]
+            oracle, leading = d.get("oracle"), d.get("leading")
             writer.writerow([
                 _fmt(math.log(n)),
-                _log(d.get("rel_error")),
-                _log(d.get("rel_remainder")),
+                _log(d["abs_error"] / abs(oracle) if oracle else None),
+                _log(d["remainder_magnitude"] / abs(leading) if leading else None),
                 _log(d.get("mgf_x_residual")),
                 _log(d.get("mgf_y_residual")),
             ])
@@ -413,45 +397,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# coercions for the RunConfig fields a config file or flag may set; the
+# dataclass supplies the defaults of the others
+_RUN_FIELD_TYPES = {
+    "n_sweep": lambda v: tuple(int(n) for n in v),
+    "grid_res": int,
+    "tol": float,
+    "safety_factor": float,
+    "seed": int,
+    "checks": tuple,
+    "output_path": str,
+    "sample_count": int,
+    "ks_threshold": float,
+}
+
+
 def _config_from_args(args) -> RunConfig:
-    base: dict = {}
-    if args.config:
-        base = load_json(args.config)
-    merged = dict(base)
-    if args.problem is not None:
-        merged["problem"] = args.problem
+    merged = dict(load_json(args.config)) if args.config else {}
+    for key in ("problem", "grid_res", "tol", "safety_factor", "seed", "sample_count",
+                "ks_threshold", "output_path"):
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     if args.n_sweep is not None:
         merged["n_sweep"] = [int(t) for t in args.n_sweep.split(",") if t.strip()]
-    for key, val in (
-        ("grid_res", args.grid_res),
-        ("tol", args.tol),
-        ("safety_factor", args.safety_factor),
-        ("seed", args.seed),
-        ("sample_count", args.sample_count),
-        ("ks_threshold", args.ks_threshold),
-    ):
-        if val is not None:
-            merged[key] = val
     if args.checks is not None:
         merged["checks"] = [t.strip() for t in args.checks.split(",") if t.strip()]
-    if args.output_path is not None:
-        merged["output_path"] = args.output_path
     merged.setdefault("output_path", os.environ.get("CERTLAP_OUTPUT_DIR", "."))
     if "problem" not in merged:
         raise ConfigError("a problem is required (--problem or config file)")
     try:
-        cfg = RunConfig(
-            problem=merged["problem"],
-            n_sweep=tuple(int(n) for n in merged.get("n_sweep", (25, 100, 400, 1600))),
-            grid_res=int(merged.get("grid_res", 64)),
-            tol=float(merged.get("tol", 1e-10)),
-            safety_factor=float(merged.get("safety_factor", 1.1)),
-            seed=int(merged.get("seed", 0)),
-            checks=tuple(merged.get("checks", ("laplace",))),
-            output_path=str(merged["output_path"]),
-            sample_count=int(merged.get("sample_count", 100_000)),
-            ks_threshold=float(merged.get("ks_threshold", 0.02)),
-        )
+        given = {k: conv(merged[k]) for k, conv in _RUN_FIELD_TYPES.items() if k in merged}
+        cfg = RunConfig(problem=merged["problem"], **given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
     cfg.validate()

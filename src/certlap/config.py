@@ -8,18 +8,20 @@ field expressions are polynomial / exponential terms with coefficient lists
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-
+from dataclasses import dataclass, replace
 
 from .catalog import catalog_names, get_problem
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .problems import (
+    INTERIOR,
     BoxDomain,
     EpsilonSchedule,
+    MaximumInfo,
     ProblemSpec,
     ScalarField,
     classify_maximum,
     constant_field,
+    default_n_zero,
     exponential_field,
     polynomial_field,
     power_epsilon,
@@ -101,7 +103,7 @@ def problem_from_config(cfg) -> ProblemSpec:
     if isinstance(cfg, str):
         try:
             return get_problem(cfg)
-        except Exception as exc:
+        except DomainError as exc:
             raise ConfigError(
                 f"unknown catalog problem {cfg!r}; available: {catalog_names()}"
             ) from exc
@@ -139,11 +141,7 @@ def problem_from_config(cfg) -> ProblemSpec:
     if "neighborhood" in cfg:
         nb_cfg = cfg["neighborhood"]
         nb = BoxDomain(nb_cfg["lower"], nb_cfg["upper"], box.rotation)
-        from dataclasses import replace
-
         info = replace(info, neighborhood=nb)
-    from .problems import default_n_zero
-
     n0 = default_n_zero(
         box, info.neighborhood, info.kind, lambda n: box.to_box(info.x_star_of_N(n))
     )
@@ -161,8 +159,6 @@ def problem_from_config(cfg) -> ProblemSpec:
 
 
 def _placeholder_maximum(box: BoxDomain):
-    from .problems import INTERIOR, MaximumInfo
-
     center = 0.5 * (box.lower + box.upper)
     return MaximumInfo(
         kind=INTERIOR,

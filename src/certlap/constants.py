@@ -18,14 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .derivatives import default_fd_step, gradients_on, hessians_on, third_norms_on
+from .derivatives import default_fd_step, field_values, gradients_on, hessians_on, third_norms_on
 from .errors import AssumptionViolationError, DefinitenessError, FieldEvaluationError
-from .problems import (
-    BOUNDARY,
-    ProblemSpec,
-    field_values,
-    locate_maximum,
-)
+from .problems import BOUNDARY, ProblemSpec, locate_maximum
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Gradients, Hessians and third-derivative tensors (analytic passthrough or
-second-order finite differences), plus the norm machinery the remainder
-constants are built from.
+"""Field evaluation, gradients, Hessians and third-derivative tensors
+(analytic passthrough or second-order finite differences), plus the norm
+machinery the remainder constants are built from.
 
-The third-tensor "norm" here is the Frobenius upper bound of the injective
+This module holds the only difference stencils in the package.  The
+third-tensor "norm" here is the Frobenius upper bound of the injective
 norm: cheap, deterministic, and conservative, so every bound assembled from
 it stays a bound.  Everything in this module is a pure function, safe for
 concurrent use.
@@ -12,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import FieldEvaluationError, StepSizeError, SymmetryError
-from .problems import BoxDomain, ScalarField, field_values
+
+if TYPE_CHECKING:
+    from .problems import BoxDomain, ScalarField
 
 # second-order accurate one-dimensional stencils: offsets (in units of h) and
 # coefficients for the first and second derivative, per side
@@ -47,6 +50,21 @@ def default_fd_step(box: BoxDomain, order: int = 1) -> float:
     the third tensor (differences of Hessians lose one order)."""
     edge = float(np.min(box.edges))
     return (1e-4 if order < 3 else 1e-3) * edge
+
+
+def field_values(fld: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """Evaluate a field on points of shape (..., m); returns shape (...).
+
+    ``fld.evaluate`` must honour the batch contract of ScalarField; a result
+    of any other shape raises FieldEvaluationError."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.asarray(fld.evaluate(pts), dtype=float)
+    if out.shape != pts.shape[:-1]:
+        raise FieldEvaluationError(
+            f"field {fld.name!r} returned shape {out.shape} for points of shape "
+            f"{pts.shape}; evaluate must map (..., m) to (...)"
+        )
+    return out
 
 
 def _pick_side(x_i: float, lo: float, hi: float, room: float) -> str:
@@ -81,29 +99,49 @@ def _apply_stencils(fld: ScalarField, x: np.ndarray, specs) -> float:
     return float(np.dot(np.asarray(weights), vals))
 
 
-def _fd_gradient_hessian(fld, x, h, box):
+def _fd_gradient(fld, x, h, box):
+    sides = _sides(x, box, 2 * h)
+    return np.array([_apply_stencils(fld, x, {i: (h, *_D1[sides[i]])}) for i in range(x.size)])
+
+
+def _fd_hessian(fld, x, h, box):
     m = x.size
     sides = _sides(x, box, 2 * h)
-    grad = np.empty(m)
     hess = np.empty((m, m))
     for i in range(m):
-        offs, coefs = _D1[sides[i]]
-        grad[i] = _apply_stencils(fld, x, {i: (h, offs, coefs)})
         offs2, coefs2 = _D2[sides[i]]
         # _apply_stencils divides by h once; pre-divide so the diagonal
         # second derivative carries the full 1/h^2
         hess[i, i] = _apply_stencils(fld, x, {i: (h, offs2, tuple(c / h for c in coefs2))})
     for i in range(m):
-        offs_i, coefs_i = _D1[sides[i]]
         for j in range(i + 1, m):
-            offs_j, coefs_j = _D1[sides[j]]
-            v = _apply_stencils(fld, x, {i: (h, offs_i, coefs_i), j: (h, offs_j, coefs_j)})
+            v = _apply_stencils(fld, x, {i: (h, *_D1[sides[i]]), j: (h, *_D1[sides[j]])})
             hess[i, j] = hess[j, i] = v
-    return grad, 0.5 * (hess + hess.T)
+    return 0.5 * (hess + hess.T)
 
 
-def _fd_hessian_only(fld, x, h, box):
-    return _fd_gradient_hessian(fld, x, h, box)[1]
+def gradient_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) -> np.ndarray:
+    """Gradient at one point: the analytic handle when the field has one,
+    otherwise the stencils above with step ``h`` (default 1e-6 of the
+    smallest box edge), one-sided near a face."""
+    z = np.asarray(z, dtype=float)
+    if fld.gradient is not None:
+        return np.asarray(fld.gradient(z), dtype=float)
+    if h is None:
+        h = 1e-6 * float(np.min(box.edges))
+    return _fd_gradient(fld, z, h, box)
+
+
+def hessian_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) -> np.ndarray:
+    """Hessian at one point: the analytic handle when the field has one,
+    otherwise the stencils above with step ``h`` (default 1e-4 of the
+    smallest box edge), one-sided near a face."""
+    z = np.asarray(z, dtype=float)
+    if fld.hessian is not None:
+        return np.asarray(fld.hessian(z), dtype=float)
+    if h is None:
+        h = default_fd_step(box)
+    return _fd_hessian(fld, z, h, box)
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:
@@ -148,7 +186,8 @@ def bundle_at(
                 raise SymmetryError("analytic third tensor is not permutation symmetric")
         return DerivativeBundle(g, 0.5 * (H + H.T), _symmetrize3(T), fd_step, "analytic")
 
-    grad, hess = _fd_gradient_hessian(fld, x, fd_step, box)
+    grad = _fd_gradient(fld, x, fd_step, box)
+    hess = _fd_hessian(fld, x, fd_step, box)
     m = x.size
     third = np.empty((m, m, m))
     h3 = third_step
@@ -161,7 +200,7 @@ def bundle_at(
                 continue
             xp = x.copy()
             xp[k] += o * h3
-            acc += (c / h3) * _fd_hessian_only(fld, xp, fd_step, box)
+            acc += (c / h3) * _fd_hessian(fld, xp, fd_step, box)
         third[k] = acc
     return DerivativeBundle(grad, hess, _symmetrize3(third), fd_step, "finite_difference")
 
@@ -208,7 +247,7 @@ def gradients_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) ->
         return np.asarray(fld.gradient(pts), dtype=float)
     out = np.empty_like(pts)
     for idx, p in enumerate(pts):
-        out[idx] = _fd_gradient_hessian(fld, p, h, box)[0]
+        out[idx] = _fd_gradient(fld, p, h, box)
     return out
 
 
@@ -218,7 +257,7 @@ def hessians_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> 
     m = pts.shape[-1]
     out = np.empty(pts.shape[:-1] + (m, m))
     for idx, p in enumerate(pts.reshape(-1, m)):
-        out.reshape(-1, m, m)[idx] = _fd_gradient_hessian(fld, p, h, box)[1]
+        out.reshape(-1, m, m)[idx] = _fd_hessian(fld, p, h, box)
     return out
 
 

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import ConstantsReport
+from .derivatives import gradient_at, hessian_at
 from .errors import (
     DegenerateHessianError,
     MissingConstantError,
@@ -138,8 +139,6 @@ def _boundary_geometry(spec: ProblemSpec, N: int, z_n: np.ndarray):
     boundary maximizer, in the box frame."""
     axis = spec.maximum.boundary_axis
     f_n = spec.f_of_box(N)
-    from .problems import gradient_at, hessian_at
-
     fval = float(np.asarray(f_n.evaluate(z_n)))
     grad = gradient_at(f_n, z_n, spec.domain)
     side = boundary_side(spec)
@@ -212,8 +211,6 @@ def approx_interior(spec: ProblemSpec, consts: ConstantsReport, N: int) -> Lapla
     m = spec.dimension
     z_n = _require_window(spec, N)
     f_n = spec.f_of_box(N)
-    from .problems import hessian_at
-
     fval = float(np.asarray(f_n.evaluate(z_n)))
     H = hessian_at(f_n, z_n, spec.domain)
     det = abs(float(np.linalg.det(H)))

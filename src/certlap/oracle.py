@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import QuadratureBudgetError, UnsupportedDimensionError
-from .problems import BoxDomain, ProblemSpec, ScalarField, field_values
+from .derivatives import field_values
+from .problems import BoxDomain, ProblemSpec, ScalarField, rotated_view
 
 MAX_PANEL_DEPTH = 40
 _GAUSS_ORDER = {1: 32, 2: 20, 3: 12, 4: 8}
@@ -117,8 +118,6 @@ def integrate(
     box = domain if domain is not None else spec.domain
     f_box = spec.f_of_box(N)
     w_field = weight if weight is not None else spec.g
-    from .problems import rotated_view
-
     w_box = rotated_view(w_field, box.rotation)
     if center is None:
         center = spec.z_star_of_N(N)

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import optimize
 
+from .derivatives import field_values, gradient_at, hessian_at
 from .errors import (
     AmbiguousMaximumError,
     DefinitenessError,
@@ -80,10 +81,6 @@ class BoxDomain:
     def volume(self) -> float:
         return float(np.prod(self.edges))
 
-    @property
-    def has_identity_rotation(self) -> bool:
-        return bool(np.array_equal(self.rotation, np.eye(self.dimension)))
-
     def to_ambient(self, z):
         z = np.asarray(z, dtype=float)
         return z @ self.rotation.T
@@ -143,26 +140,6 @@ class ScalarField:
             and self.hessian is not None
             and self.third_tensor is not None
         )
-
-
-def field_values(fld: ScalarField, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a field on a batch of points, falling back to a python loop
-    for callables that only accept single points."""
-    pts = np.asarray(pts, dtype=float)
-    try:
-        out = np.asarray(fld.evaluate(pts), dtype=float)
-        if out.shape == pts.shape[:-1]:
-            return out
-    except Exception:
-        pass
-    flat = pts.reshape(-1, pts.shape[-1])
-    out = np.array([float(fld.evaluate(p)) for p in flat])
-    return out.reshape(pts.shape[:-1])
-
-
-def field_value(fld: ScalarField, x) -> float:
-    val = float(np.asarray(fld.evaluate(np.asarray(x, dtype=float))))
-    return val
 
 
 def constant_field(c: float, name: str = "const") -> ScalarField:
@@ -431,9 +408,6 @@ class ProblemSpec:
     def z_star_of_N(self, N: int) -> np.ndarray:
         return self.domain.to_box(self.maximum.x_star_of_N(int(N)))
 
-    def f_of(self, N: int) -> ScalarField:
-        return assemble_f(self, N)
-
     def f_of_box(self, N: int, check_range: bool = False) -> ScalarField:
         return rotated_view(
             assemble_f(self, N, check_range=check_range), self.domain.rotation
@@ -466,50 +440,6 @@ def assemble_f(spec: ProblemSpec, N: int, check_range: bool = True) -> ScalarFie
 # numeric maximization helpers (box frame)
 # ---------------------------------------------------------------------------
 
-def _fd_gradient(fld: ScalarField, z, box: BoxDomain, h: float) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    m = z.size
-    g = np.zeros(m)
-    for i in range(m):
-        room_up = box.upper[i] - z[i]
-        room_dn = z[i] - box.lower[i]
-        e = np.zeros(m)
-        e[i] = 1.0
-        if room_up >= h and room_dn >= h:
-            g[i] = (field_value(fld, z + h * e) - field_value(fld, z - h * e)) / (2 * h)
-        elif room_up >= 2 * h:
-            g[i] = (
-                -1.5 * field_value(fld, z)
-                + 2.0 * field_value(fld, z + h * e)
-                - 0.5 * field_value(fld, z + 2 * h * e)
-            ) / h
-        else:
-            g[i] = (
-                1.5 * field_value(fld, z)
-                - 2.0 * field_value(fld, z - h * e)
-                + 0.5 * field_value(fld, z - 2 * h * e)
-            ) / h
-    return g
-
-
-def gradient_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) -> np.ndarray:
-    if fld.gradient is not None:
-        return np.asarray(fld.gradient(np.asarray(z, dtype=float)), dtype=float)
-    if h is None:
-        h = 1e-6 * float(np.min(box.edges))
-    return _fd_gradient(fld, z, box, h)
-
-
-def hessian_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) -> np.ndarray:
-    if fld.hessian is not None:
-        return np.asarray(fld.hessian(np.asarray(z, dtype=float)), dtype=float)
-    from .derivatives import bundle_at  # local import to avoid a cycle
-
-    if h is None:
-        h = 1e-4 * float(np.min(box.edges))
-    return bundle_at(fld, np.asarray(z, dtype=float), h, box=box).hessian
-
-
 def locate_maximum(
     fld: ScalarField,
     box: BoxDomain,
@@ -536,7 +466,7 @@ def locate_maximum(
 
     if free:
         def neg(zf):
-            return -field_value(fld, embed(zf))
+            return -float(field_values(fld, embed(zf)))
 
         jac = None
         if fld.gradient is not None:
@@ -554,7 +484,6 @@ def locate_maximum(
         z = z0
 
     # Newton polish on coordinates that are strictly inside the box.
-    h_g = 1e-6 * float(np.min(box.edges))
     for _ in range(40):
         inner = [
             i for i in free
@@ -562,7 +491,7 @@ def locate_maximum(
         ]
         if not inner:
             break
-        g = gradient_at(fld, z, box, h_g)[inner]
+        g = gradient_at(fld, z, box)[inner]
         if np.max(np.abs(g)) <= gtol:
             break
         H = hessian_at(fld, z, box)[np.ix_(inner, inner)]
@@ -579,13 +508,13 @@ def locate_maximum(
         z_new = z.copy()
         z_new[inner] = z[inner] + step
         z_new = box.clip(z_new)
-        if field_value(fld, z_new) < field_value(fld, z) - 1e-9:
+        if field_values(fld, z_new) < field_values(fld, z) - 1e-9:
             break
         if np.max(np.abs(z_new - z)) < 1e-15:
             z = z_new
             break
         z = z_new
-    return z, field_value(fld, z)
+    return z, float(field_values(fld, z))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +680,6 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
             near.append((j, 1))
 
     scale = max(1.0, float(np.max(np.abs(vals))))
-    h_g = 1e-6 * float(np.min(box.edges))
 
     def make_info(kind, z_at, axis=None, side=None):
         nb = default_neighborhood(box, z_at, axis, side)
@@ -771,10 +699,10 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
             boundary_axis=axis,
         )
         _verify_per_n(spec, info, n0, side)
-        return info, n0
+        return info
 
     if not near:
-        g = gradient_at(fld, z, box, h_g)
+        g = gradient_at(fld, z, box)
         if np.linalg.norm(g) > _GRAD_TOL * scale:
             raise AmbiguousMaximumError(
                 f"interior maximizer with gradient norm {np.linalg.norm(g):.3e}"
@@ -782,8 +710,7 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
         H = hessian_at(fld, z, box)
         if np.max(np.linalg.eigvalsh(0.5 * (H + H.T))) >= 0:
             raise DefinitenessError("Hessian at the interior maximizer is not negative definite")
-        info, _ = make_info(INTERIOR, z)
-        return info
+        return make_info(INTERIOR, z)
 
     if len(near) > 1:
         raise AmbiguousMaximumError(
@@ -796,7 +723,7 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
     z_face[axis] = face_val
     z_face, _ = locate_maximum(fld, box, z_face, fixed_axes={axis: face_val})
 
-    g = gradient_at(fld, z_face, box, h_g)
+    g = gradient_at(fld, z_face, box)
     tang = np.delete(g, axis)
     inward_sign = 1.0 if side == 0 else -1.0
     inward = inward_sign * g[axis]
@@ -812,11 +739,10 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
                 raise DefinitenessError(
                     "tangent Hessian at the boundary maximizer is not negative definite"
                 )
-        info, _ = make_info(BOUNDARY, z_face, axis, side)
-        return info
+        return make_info(BOUNDARY, z_face, axis, side)
     # not boundary-critical; accept interior only if the free maximizer is
     # critical and clearly detached from the face
-    g_free = gradient_at(fld, z, box, h_g)
+    g_free = gradient_at(fld, z, box)
     if (
         np.linalg.norm(g_free) <= _GRAD_TOL * scale
         and abs(z[axis] - face_val) > 1e-6 * box.edges[axis]
@@ -824,8 +750,7 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
         H = hessian_at(fld, z, box)
         if np.max(np.linalg.eigvalsh(0.5 * (H + H.T))) >= 0:
             raise DefinitenessError("Hessian at the interior maximizer is not negative definite")
-        info, _ = make_info(INTERIOR, z)
-        return info
+        return make_info(INTERIOR, z)
     raise AmbiguousMaximumError(
         "maximizer within one grid cell of a face but the gradient test is inconclusive"
     )
@@ -837,7 +762,6 @@ def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, n0: int, side) -> None:
     kind-specific derivative signature."""
     box = spec.domain
     nb = info.neighborhood
-    h_g = 1e-6 * float(np.min(box.edges))
     for n in (n0 + 1, 4 * (n0 + 1)):
         z_n = box.to_box(info.x_star_of_N(n))
         if not nb.contains_z(z_n, tol=1e-9):
@@ -845,7 +769,7 @@ def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, n0: int, side) -> None:
                 f"maximizer at N={n} escapes the default neighborhood"
             )
         f_n = spec.f_of_box(n)
-        g = gradient_at(f_n, z_n, box, h_g)
+        g = gradient_at(f_n, z_n, box)
         scale = max(1.0, abs(float(np.asarray(f_n.evaluate(z_n)))))
         if info.kind == INTERIOR:
             if np.linalg.norm(g) > _GRAD_TOL * scale:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from certlap.cli import (
+    CHECKS,
     CSV_HEADER,
     PLOT_HEADER,
     emit_convergence_plotdata,
@@ -14,7 +15,7 @@ from certlap.cli import (
     run_checks,
     write_outputs,
 )
-from certlap.config import RunConfig
+from certlap.config import KNOWN_CHECKS, RunConfig
 
 
 def read_csv(path):
@@ -152,6 +153,10 @@ class TestRun:
         p2 = write_outputs(rep2, str(tmp_path / "b"))
         assert open(p1[0]).read() == open(p2[0]).read()
         assert open(p1[1]).read() == open(p2[1]).read()
+
+
+def test_one_check_function_per_known_check():
+    assert tuple(CHECKS) == KNOWN_CHECKS
 
 
 class TestListProblems:

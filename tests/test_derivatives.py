@@ -15,13 +15,25 @@ from certlap import (
     third_tensor_norm_bound,
 )
 from certlap.catalog import catalog
-from certlap.derivatives import DerivativeBundle
-from certlap.errors import StepSizeError, SymmetryError
+from certlap.derivatives import DerivativeBundle, field_values
+from certlap.errors import FieldEvaluationError, StepSizeError, SymmetryError
 from certlap.problems import ScalarField
 
 
 def strip_analytic(field):
     return ScalarField(field.evaluate, name=field.name + "_fd_only")
+
+
+class TestFieldValues:
+    def test_batch_shape(self):
+        f = polynomial_field([(1.0, (1, 1))])
+        assert field_values(f, np.ones((4, 3, 2))).shape == (4, 3)
+
+    def test_pointwise_callable_is_refused(self):
+        # a callable written for single points silently sums over a batch
+        f = ScalarField(lambda x: float(np.sum(np.asarray(x) ** 2)), name="pointwise")
+        with pytest.raises(FieldEvaluationError):
+            field_values(f, np.zeros((5, 2)))
 
 
 class TestBundleAt:

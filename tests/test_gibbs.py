@@ -21,6 +21,7 @@ from certlap import (
     tilted_maximizer_check,
     transform_to_fluctuations,
 )
+from certlap.gibbs import MgfReport, fluctuation_verdict
 from certlap.errors import (
     DomainError,
     InsufficientSampleError,
@@ -151,6 +152,18 @@ class TestMgfY:
         r1 = mgf_Y(m1, R @ xi_box)
         assert r1.mgf_value == pytest.approx(r0.mgf_value, rel=1e-8)
         assert r1.limit_prediction == pytest.approx(r0.limit_prediction, rel=1e-12)
+
+    def test_verdict_ignores_round_off(self):
+        def reports(residuals, violated=False):
+            return [MgfReport(np.ones(1), n, 1.0, 1.0, r, 0.1, "fluctuation_interior", violated)
+                    for n, r in zip((25, 100, 400, 1600), residuals)]
+
+        # exact MGF: residuals at quadrature round-off count as decayed
+        assert not fluctuation_verdict(reports([3.3e-16, 1.7e-15]))["flagged"]
+        grown = fluctuation_verdict(reports([8.0, 22.6, 86.5, 557.0]))
+        assert grown["residual_nondecaying"] and grown["flagged"]
+        assert not grown["hypothesis_violated"]
+        assert fluctuation_verdict(reports([0.1, 0.01], violated=True))["flagged"]
 
     def test_fluctuation_decay_and_violation_flag(self, specs):
         ok = fluctuation_sweep(specs["eps1d"], (25, 100, 400), [1.0], tol=1e-10)

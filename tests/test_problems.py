@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from certlap import (
     MaximumInfo,
     ProblemSpec,
     assemble_f,
+    catalog_names,
     classify_maximum,
     constant_field,
     get_problem,
@@ -212,6 +214,24 @@ class TestCatalog:
             s.sigma is not None and abs(s.epsilon.evaluate(16) - 16 ** -0.75) < 1e-15
             for s in specs.values()
         )
+
+    def test_get_problem_builds_only_the_named_entry(self, monkeypatch):
+        # the package's ``catalog`` attribute is the function; patch the module
+        module = importlib.import_module("certlap.catalog")
+        calls = []
+        real = module.default_n_zero
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "default_n_zero", counting)
+        assert get_problem("gauss3d").name == "gauss3d"
+        assert len(calls) == 1
+
+    def test_names_match_entries(self, specs):
+        assert catalog_names() == list(specs)
+        assert [get_problem(name).name for name in catalog_names()] == catalog_names()
 
     def test_gauss1d_entry(self, specs):
         s = specs["gauss1d"]
