@@ -10,6 +10,7 @@ import argparse
 import numpy as np
 
 from certlap import (
+    BOUNDARY,
     build_fluctuation_model,
     empirical_limit_test,
     estimate_constants,
@@ -43,7 +44,7 @@ def main():
               f"sqrt(n) KS = {marg['sqrt_n_ks']:.3f}")
 
     xi = np.zeros(spec.dimension)
-    xi[spec.maximum.boundary_axis or 0] = 0.5 if spec.maximum.kind == "boundary_b" else 1.0
+    xi[spec.maximum.boundary_axis or 0] = 0.5 if spec.maximum.kind == BOUNDARY else 1.0
     out = fluctuation_sweep(spec, (args.n // 16, args.n // 4, args.n), xi)
     print(f"  mgf residual sweep: {['%.3g' % r for r in out['residuals']]}"
           f"{'  [hypothesis-violation flag]' if out['flagged'] else ''}")

@@ -87,7 +87,7 @@ from .gibbs import (
 )
 from .laplace import approximate
 from .oracle import integrate
-from .problems import BOUNDARY, INTERIOR, BoxDomain
+from .problems import INTERIOR, BoxDomain, limit_axes
 
 CSV_HEADER = [
     "N", "leading", "oracle", "abs_error", "remainder_magnitude", "bound_ok",
@@ -107,12 +107,12 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _default_xi(spec) -> np.ndarray:
+def _tilt(spec, interior: float, boundary: float) -> np.ndarray:
+    """xi with ``interior`` on the first axis of an interior problem, or
+    ``boundary`` on the exponential axis."""
+    axis, _, _ = limit_axes(spec)
     xi = np.zeros(spec.dimension)
-    if spec.maximum.kind == BOUNDARY:
-        xi[spec.maximum.boundary_axis] = 0.5
-    else:
-        xi[0] = 1.0
+    xi[axis or 0] = interior if axis is None else boundary
     return xi
 
 
@@ -138,7 +138,7 @@ def _check_constants(spec, consts, config, sweep) -> tuple[dict, bool]:
 
 
 def _check_lln(spec, consts, config, sweep) -> tuple[dict, bool]:
-    xi = _default_xi(spec) * 0.5 / max(1e-12, np.max(np.abs(_default_xi(spec))))
+    xi = _tilt(spec, 0.5, 0.5)
     out = []
     residuals = []
     for n in sweep:
@@ -155,7 +155,7 @@ def _check_lln(spec, consts, config, sweep) -> tuple[dict, bool]:
 
 
 def _check_fluctuations(spec, consts, config, sweep) -> tuple[dict, bool]:
-    xi = _default_xi(spec)
+    xi = _tilt(spec, 1.0, 0.5)  # clear of the exponential pole at xi_1 = rate
     out = []
     reports = []
     ks_all_ok = True

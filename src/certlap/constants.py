@@ -20,7 +20,7 @@ import numpy as np
 
 from .derivatives import default_fd_step, field_values, gradients_on, hessians_on, third_norms_on
 from .errors import AssumptionViolationError, DefinitenessError, FieldEvaluationError
-from .problems import BOUNDARY, ProblemSpec, locate_maximum
+from .problems import ProblemSpec, gauss_block, limit_axes, locate_maximum
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,47 @@ class ConstantsReport:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
-def _tangent(H: np.ndarray, axis: int) -> np.ndarray:
-    return np.delete(np.delete(H, axis, axis=-2), axis, axis=-1)
-
-
 def _check_finite(arr, what):
     if not np.all(np.isfinite(arr)):
         raise FieldEvaluationError(f"non-finite {what} on the constants grid")
+
+
+def _neighborhood_extremes(f_n, pts, box, h, axis, gauss) -> dict:
+    """Extremes over ``pts`` of the pointwise quantities behind the
+    neighborhood constants, keyed by constant name, plus ``top``, the largest
+    eigenvalue of the Hessian block on the Gaussian axes.  An empty block
+    (one-dimensional boundary problem) has determinant 1 and no eigenvalues."""
+    H = hessians_on(f_n, pts, box, h)
+    _check_finite(H, "Hessian")
+    eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
+    T = third_norms_on(f_n, pts, box, 10 * h)
+    _check_finite(T, "third tensor")
+    Hg = gauss_block(H, gauss)
+    # at an interior maximum the block is H itself
+    eig_g = eigs if Hg is H else np.linalg.eigvalsh(0.5 * (Hg + np.swapaxes(Hg, -1, -2)))
+    dets = np.abs(np.linalg.det(Hg))
+    ext = {
+        "F2": float(np.max(np.abs(eigs))),
+        "F3": float(np.max(T)),
+        "top": float(np.max(eig_g, initial=-math.inf)),
+        "F2_prime": float(np.min(np.abs(eig_g), initial=math.inf)),
+        "lambda": float(np.min(dets)),
+        "Lambda": float(np.max(dets)),
+    }
+    if axis is not None:
+        grads = gradients_on(f_n, pts, box, h)
+        _check_finite(grads, "gradient")
+        ext["F1_prime"] = float(np.min(np.abs(grads[..., axis])))
+    return ext
+
+
+def _complement_drop(spec: ProblemSpec, N: int, f_n, out_pts, axis):
+    """(f(x*(N)) - f, |x - x*(N)|) at the complement points, with x*(N)
+    re-solved on the maximizing face when there is an exponential axis."""
+    z_star_n = spec.z_star_of_N(N)
+    fixed = None if axis is None else {axis: z_star_n[axis]}
+    z_opt, f_star = locate_maximum(f_n, spec.domain, z_star_n, fixed_axes=fixed)
+    return f_star - field_values(f_n, out_pts), np.linalg.norm(out_pts - z_opt, axis=1)
 
 
 def estimate_constants(
@@ -68,10 +102,10 @@ def estimate_constants(
 ) -> ConstantsReport:
     """Certified bounds on the derivative constants of one problem.
 
-    Boundary problems use the tangent Hessian (coordinates of the maximizing
-    face) for the inverse-Hessian and determinant constants and the inward
-    orthogonal first derivative for F1_prime; the full Hessian norm backs F2
-    in both cases.
+    The inverse-Hessian and determinant constants use the Hessian block on
+    the Gaussian axes of ``limit_axes`` (the coordinates of the maximizing
+    face at a boundary maximum) and F1_prime the inward derivative along
+    the exponential axis; the full Hessian norm backs F2 in both cases.
     """
     if grid_res < 16:
         raise ValueError("grid_res must be at least 16 per axis")
@@ -85,9 +119,7 @@ def estimate_constants(
 
     box = spec.domain
     nb = spec.maximum.neighborhood
-    m = box.dimension
-    boundary = spec.maximum.kind == BOUNDARY
-    axis = spec.maximum.boundary_axis
+    axis, gauss, _ = limit_axes(spec)
     h = default_fd_step(box)
 
     nb_pts = nb.grid_points(grid_res)
@@ -114,52 +146,29 @@ def estimate_constants(
     gap2 = gap1 = math.inf
 
     for N in sweep_eval:
-        f_n = spec.f_of_box(N)
-        H = hessians_on(f_n, nb_pts, box, h)
-        _check_finite(H, "Hessian")
-        eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
-        F2 = max(F2, float(np.max(np.abs(eigs))))
-        T = third_norms_on(f_n, nb_pts, box, 10 * h)
-        _check_finite(T, "third tensor")
-        F3 = max(F3, float(np.max(T)))
+        ext = _neighborhood_extremes(spec.f_of_box(N), nb_pts, box, h, axis, gauss)
+        if ext["top"] >= 0.0:
+            raise DefinitenessError(
+                f"Hessian on the Gaussian axes not negative definite on the neighborhood "
+                f"grid (N={N})"
+            )
+        F2 = max(F2, ext["F2"])
+        F3 = max(F3, ext["F3"])
+        F2p = min(F2p, ext["F2_prime"])
+        lam = min(lam, ext["lambda"])
+        Lam = max(Lam, ext["Lambda"])
+        F1p = min(F1p, ext.get("F1_prime", math.inf))
 
-        Ht = _tangent(H, axis) if boundary else H
-        if Ht.shape[-1] > 0:
-            eig_t = np.linalg.eigvalsh(0.5 * (Ht + np.swapaxes(Ht, -1, -2)))
-            if float(np.max(eig_t)) >= 0.0:
-                where = "tangent Hessian" if boundary else "Hessian"
-                raise DefinitenessError(
-                    f"{where} not negative definite on the neighborhood grid (N={N})"
-                )
-            F2p = min(F2p, float(np.min(np.abs(eig_t))))
-            dets = np.abs(np.linalg.det(Ht))
-            lam = min(lam, float(np.min(dets)))
-            Lam = max(Lam, float(np.max(dets)))
-        else:
-            # one-dimensional boundary problem: empty tangent space
-            lam = min(lam, 1.0)
-            Lam = max(Lam, 1.0)
-
-        if boundary:
-            grads = gradients_on(f_n, nb_pts, box, h)
-            _check_finite(grads, "gradient")
-            F1p = min(F1p, float(np.min(np.abs(grads[..., axis]))))
-
-    for N in n_sweep:
-        f_n = spec.f_of_box(N)
-        z_star_n = spec.z_star_of_N(N)
-        fixed = {axis: z_star_n[axis]} if boundary else None
-        z_opt, f_star = locate_maximum(f_n, box, z_star_n, fixed_axes=fixed)
-        if has_outside:
-            f_out = field_values(f_n, out_pts)
-            _check_finite(f_out, "f on the complement grid")
-            gap = f_star - float(np.max(f_out))
-            dists = np.linalg.norm(out_pts - z_opt, axis=1)
-            dmax = float(np.max(dists))
+    if has_outside:
+        for N in n_sweep:
+            drop, dists = _complement_drop(spec, N, spec.f_of_box(N), out_pts, axis)
+            _check_finite(drop, "f on the complement grid")
+            # min(f* - f_out) == f* - max(f_out): rounding is monotone
+            gap, dmax = float(np.min(drop)), float(np.max(dists))
             gap2 = min(gap2, gap / dmax**2)
             gap1 = min(gap1, gap / dmax)
-        if n_independent:
-            break  # the gap is N-independent too
+            if n_independent:
+                break  # the gap is N-independent too
 
     sf = float(safety_factor)
     F2 *= sf
@@ -170,11 +179,11 @@ def estimate_constants(
     F2p /= sf
     lam /= sf
     F2pO = min(F2p, gap2 / sf) if has_outside else F2p
-    if boundary:
+    if axis is None:
+        F1p = F1pO = None
+    else:
         F1p /= sf
         F1pO = min(F1p, gap1 / sf) if has_outside else F1p
-    else:
-        F1p = F1pO = None
 
     for name, val in (
         ("F2_prime", F2p),
@@ -201,7 +210,7 @@ def estimate_constants(
         n_sweep=n_sweep,
         safety_factor=sf,
         fd_step=h,
-        boundary_axis=axis if boundary else None,
+        boundary_axis=axis,
         problem=spec.name,
     )
 
@@ -234,8 +243,7 @@ def audit_constants(
     box = spec.domain
     nb = spec.maximum.neighborhood
     m = box.dimension
-    boundary = spec.maximum.kind == BOUNDARY
-    axis = report.boundary_axis
+    axis, gauss, _ = limit_axes(spec)
     h = report.fd_step
 
     pts = rng.uniform(nb.lower, nb.upper, size=(n_points, m))
@@ -256,42 +264,22 @@ def audit_constants(
 
     for N in report.n_sweep:
         f_n = spec.f_of_box(N)
-        H = hessians_on(f_n, pts, box, h)
-        eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
-        check(float(np.max(np.abs(eigs))) <= report.F2 * slack, f"F2@N={N}")
-        T = third_norms_on(f_n, pts, box, 10 * h)
-        check(float(np.max(T)) <= report.F3 * slack + 1e-12, f"F3@N={N}")
-
-        Ht = _tangent(H, axis) if boundary else H
-        if Ht.shape[-1] > 0:
-            eig_t = np.linalg.eigvalsh(0.5 * (Ht + np.swapaxes(Ht, -1, -2)))
-            check(
-                float(np.min(np.abs(eig_t))) >= report.F2_prime / slack,
-                f"F2_prime@N={N}",
-            )
-            dets = np.abs(np.linalg.det(Ht))
-            check(float(np.min(dets)) >= report.lambda_det / slack, f"lambda@N={N}")
-            check(float(np.max(dets)) <= report.Lambda_det * slack, f"Lambda@N={N}")
-
-        if boundary:
-            grads = gradients_on(f_n, pts, box, h)
-            check(
-                float(np.min(np.abs(grads[..., axis]))) >= report.F1_prime / slack,
-                f"F1_prime@N={N}",
-            )
+        ext = _neighborhood_extremes(f_n, pts, box, h, axis, gauss)
+        check(ext["F2"] <= report.F2 * slack, f"F2@N={N}")
+        check(ext["F3"] <= report.F3 * slack + 1e-12, f"F3@N={N}")
+        check(ext["F2_prime"] >= report.F2_prime / slack, f"F2_prime@N={N}")
+        check(ext["lambda"] >= report.lambda_det / slack, f"lambda@N={N}")
+        check(ext["Lambda"] <= report.Lambda_det * slack, f"Lambda@N={N}")
+        if axis is not None:
+            check(ext["F1_prime"] >= report.F1_prime / slack, f"F1_prime@N={N}")
 
         if len(out_pts):
-            z_star_n = spec.z_star_of_N(N)
-            fixed = {axis: z_star_n[axis]} if boundary else None
-            z_opt, f_star = locate_maximum(f_n, box, z_star_n, fixed_axes=fixed)
-            f_out = field_values(f_n, out_pts)
-            d = np.linalg.norm(out_pts - z_opt, axis=1)
-            drop = f_star - f_out
+            drop, d = _complement_drop(spec, N, f_n, out_pts, axis)
             check(
                 bool(np.all(drop >= report.F2_prime_Omega * d**2 / slack)),
                 f"F2_prime_Omega@N={N}",
             )
-            if boundary:
+            if axis is not None:
                 check(
                     bool(np.all(drop >= report.F1_prime_Omega * d / slack)),
                     f"F1_prime_Omega@N={N}",

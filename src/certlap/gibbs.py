@@ -3,12 +3,20 @@ exp(N f(x, N)) on the domain: moment-generating-function checks for the law
 of large numbers and for the fluctuation limits, the maximizer drift bound,
 the tilted-maximizer estimates, and an exact rejection sampler.
 
+The limit law has one shape.  At a boundary maximum the fluctuation is
+exponential along the boundary axis (scaled by N, measured inward) and
+Gaussian along the other axes (scaled by sqrt(N)); at an interior maximum
+it is the same law with no exponential axis.  ``problems.limit_axes``
+decides the exponential axis, the Gaussian axes and the inward sign; every
+function here indexes by the Gaussian axes and adds the exponential-axis
+term only when there is one.
+
 Sign conventions (the source formulas leave two ambiguous):
-  * the limiting covariance is (-D^2 f(x*))^{-1}, the only positive definite
-    reading at a maximum;
-  * the boundary fluctuation coordinate is N * (X_1 - x_1*) measured inward
-    (nonnegative), so its limit is a standard exponential with rate
-    |f'(x*)| and MGF rate / (rate - xi_1).
+  * the limiting covariance is (-D^2 f(x*))^{-1} on the Gaussian axes, the
+    only positive definite reading at a maximum;
+  * the exponential coordinate is N * (X_1 - x_1*) measured inward
+    (nonnegative), so its limit is an exponential with rate |f'(x*)| and
+    MGF rate / (rate - xi_1).
 """
 
 from __future__ import annotations
@@ -35,13 +43,13 @@ from .errors import (
 from .laplace import _complement_distance
 from .oracle import integrate
 from .problems import (
-    BOUNDARY,
     INTERIOR,
     BoxDomain,
     ProblemSpec,
     add_fields,
-    boundary_side,
     constant_field,
+    gauss_block,
+    limit_axes,
     locate_maximum,
     polynomial_field,
 )
@@ -110,20 +118,15 @@ class MgfReport:
 
 
 def _limit_covariance(spec: ProblemSpec) -> np.ndarray:
-    """(-D^2 f_limit(x*))^{-1} in the box frame, tangent coordinates only
-    for boundary problems."""
-    H = hessian_at(spec.f_limit_box, spec.z_star, spec.domain)
-    if spec.maximum.kind == BOUNDARY:
-        a = spec.maximum.boundary_axis
-        H = np.delete(np.delete(H, a, 0), a, 1)
-    if H.size == 0:
-        return np.zeros((0, 0))
+    """(-D^2 f_limit(x*))^{-1} on the Gaussian axes, box frame."""
+    _, gauss, _ = limit_axes(spec)
+    H = gauss_block(hessian_at(spec.f_limit_box, spec.z_star, spec.domain), gauss)
     return np.linalg.inv(-H)
 
 
-def _limit_rate(spec: ProblemSpec) -> float:
+def _limit_rate(spec: ProblemSpec, axis: int) -> float:
     g = gradient_at(spec.f_limit_box, spec.z_star, spec.domain)
-    return abs(float(g[spec.maximum.boundary_axis]))
+    return abs(float(g[axis]))
 
 
 def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, what: str):
@@ -137,9 +140,10 @@ def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, wha
     )
     tilted = add_fields(f_n, lin, 1.0, name="tilted")
     z0 = spec.z_star_of_N(N)
+    axis, _, _ = limit_axes(spec)
     fixed = None
-    if spec.maximum.kind == BOUNDARY and abs(tilt_gradient[spec.maximum.boundary_axis]) < 1e-15:
-        fixed = {spec.maximum.boundary_axis: z0[spec.maximum.boundary_axis]}
+    if axis is not None and abs(tilt_gradient[axis]) < 1e-15:
+        fixed = {axis: z0[axis]}
     z_t, _ = locate_maximum(tilted, spec.domain, z0, fixed_axes=fixed)
     nb = spec.maximum.neighborhood
     margin = 1e-9 * np.min(spec.domain.edges)
@@ -192,12 +196,11 @@ def mgf_X(measure: GibbsMeasure, xi) -> MgfReport:
 
 
 def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
-    """MGF of the rescaled fluctuation vector.
-
-    Interior: Y = sqrt(N) (X - x*), prediction exp(xi' Sigma xi / 2) with
-    Sigma = (-D^2 f(x*))^{-1}.  Boundary: the boundary coordinate is scaled
-    by N and measured inward; prediction rate/(rate - xi_1) times the
-    tangential Gaussian factor."""
+    """MGF of the rescaled fluctuation vector: sqrt(N) (X - x*) on the
+    Gaussian axes, predicted exp(xi' Sigma xi / 2) with
+    Sigma = (-D^2 f(x*))^{-1}; at a boundary maximum the exponential
+    coordinate is scaled by N and measured inward, and the prediction gains
+    the factor rate / (rate - xi_1)."""
     spec = measure.spec
     N = measure.N
     m = spec.dimension
@@ -210,54 +213,40 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
     eps_n = float(spec.epsilon.evaluate(N))
     expected = max(1.0 / sqrtN, eps_n * sqrtN)
     z_star = spec.z_star
+    axis, gauss, s = limit_axes(spec)
 
-    if spec.maximum.kind == INTERIOR:
-        tilt_grad = xi_box / sqrtN
-        z_t, _ = _check_tilt_inside(spec, N, tilt_grad, "mgf_Y")
-
-        def log_w(pts):
-            pts = np.asarray(pts, dtype=float)
-            return sqrtN * ((pts - z_star) @ xi_box)
-
-        num = integrate(spec, N, tol=measure.tol, weight=constant_field(1.0),
-                        log_weight=log_w, center=z_t)
-        mgf = math.exp(num.log_abs_value - measure.log_normalizer)
-        Sigma = _limit_covariance(spec)
-        pred = math.exp(0.5 * float(xi_box @ Sigma @ xi_box))
-        return MgfReport(xi, N, mgf, pred, abs(mgf / pred - 1.0), expected,
-                         "fluctuation_interior", violated)
-
-    axis = spec.maximum.boundary_axis
-    side = boundary_side(spec)
-    s = 1.0 if side == 0 else -1.0
-    rate = _limit_rate(spec)
-    xi1 = float(xi_box[axis])
-    if abs(xi1) >= rate * (1.0 - 1e-3):
-        raise MgfPoleError(
-            f"boundary tilt xi_1={xi1} at or beyond the exponential pole (rate {rate})"
-        )
-    tilt_grad = np.array(xi_box, dtype=float) / sqrtN
-    tilt_grad[axis] = xi1 * s  # N-scaled on the boundary axis: gradient xi1 * s
+    xi_gauss = xi_box.copy()  # the Gaussian tilt, zero on the exponential axis
+    tilt_grad = xi_box / sqrtN
+    if axis is not None:
+        rate = _limit_rate(spec, axis)
+        xi1 = float(xi_box[axis])
+        if abs(xi1) >= rate * (1.0 - 1e-3):
+            raise MgfPoleError(
+                f"boundary tilt xi_1={xi1} at or beyond the exponential pole (rate {rate})"
+            )
+        tilt_grad[axis] = xi1 * s  # N-scaled on the exponential axis
+        xi_gauss[axis] = 0.0
     z_t, _ = _check_tilt_inside(spec, N, tilt_grad, "mgf_Y")
-    if abs(z_t[axis] - spec.z_star[axis]) > 1e-7 * spec.domain.edges[axis]:
+    if axis is not None and abs(z_t[axis] - z_star[axis]) > 1e-7 * spec.domain.edges[axis]:
         raise TiltTooLargeError("boundary tilt pushed the maximizer off the face")
-
-    xi_hat = np.delete(xi_box, axis)
 
     def log_w(pts):
         pts = np.asarray(pts, dtype=float)
-        t = s * (pts[..., axis] - z_star[axis])
-        d_hat = np.delete(pts - z_star, axis, axis=-1)
-        return N * xi1 * t + sqrtN * (d_hat @ xi_hat)
+        w = sqrtN * ((pts - z_star) @ xi_gauss)
+        if axis is not None:
+            w = N * xi1 * (s * (pts[..., axis] - z_star[axis])) + w
+        return w
 
     num = integrate(spec, N, tol=measure.tol, weight=constant_field(1.0),
                     log_weight=log_w, center=z_t)
     mgf = math.exp(num.log_abs_value - measure.log_normalizer)
-    Sigma_hat = _limit_covariance(spec)
-    gauss = math.exp(0.5 * float(xi_hat @ Sigma_hat @ xi_hat)) if xi_hat.size else 1.0
-    pred = rate / (rate - xi1) * gauss
-    return MgfReport(xi, N, mgf, pred, abs(mgf / pred - 1.0), expected,
-                     "fluctuation_boundary", violated)
+    xi_hat = xi_box[gauss]
+    pred = math.exp(0.5 * float(xi_hat @ _limit_covariance(spec) @ xi_hat))
+    kind = "fluctuation_interior"
+    if axis is not None:
+        pred = rate / (rate - xi1) * pred
+        kind = "fluctuation_boundary"
+    return MgfReport(xi, N, mgf, pred, abs(mgf / pred - 1.0), expected, kind, violated)
 
 
 # Residuals at or below this floor are round-off of the quadrature ratios,
@@ -301,28 +290,20 @@ def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> 
     box = spec.domain
     nb = spec.maximum.neighborhood
     z_star = spec.z_star
-    axis = spec.maximum.boundary_axis
-    boundary = spec.maximum.kind == BOUNDARY
-
-    dsig = gradient_at(spec.sigma_box, z_star, box)
-    if boundary:
-        dsig = np.delete(dsig, axis)
-    dsig_norm = float(np.linalg.norm(dsig))
+    axis, gauss, _ = limit_axes(spec)
+    fixed = None if axis is None else {axis: z_star[axis]}
+    dsig_norm = float(np.linalg.norm(gradient_at(spec.sigma_box, z_star, box)[gauss]))
 
     rows = []
     for N in n_sweep:
         N = int(N)
         f_n = spec.f_of_box(N)
-        fixed = {axis: z_star[axis]} if boundary else None
         z_n, _ = locate_maximum(f_n, box, z_star, fixed_axes=fixed)
         if not (np.all(z_n >= nb.lower - 1e-9) and np.all(z_n <= nb.upper + 1e-9)):
             raise AssumptionViolationError(
                 "maximizer_drift", f"x*(N) left the certified neighborhood at N={N}"
             )
-        drift_vec = z_n - z_star
-        if boundary:
-            drift_vec = np.delete(drift_vec, axis)
-        drift = float(np.linalg.norm(drift_vec))
+        drift = float(np.linalg.norm((z_n - z_star)[gauss]))
         bound = float(spec.epsilon.evaluate(N)) * dsig_norm / consts.F2_prime
         rows.append(
             {
@@ -426,10 +407,11 @@ class FluctuationModel:
 
 
 def build_fluctuation_model(spec: ProblemSpec) -> FluctuationModel:
+    axis, _, _ = limit_axes(spec)
     cov = _limit_covariance(spec)
-    if spec.maximum.kind == INTERIOR:
+    if axis is None:
         return FluctuationModel(GAUSSIAN_INTERIOR, cov)
-    return FluctuationModel(EXP_TIMES_GAUSSIAN_BOUNDARY, cov, rate=_limit_rate(spec))
+    return FluctuationModel(EXP_TIMES_GAUSSIAN_BOUNDARY, cov, rate=_limit_rate(spec, axis))
 
 
 def _farthest_corner(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
@@ -441,11 +423,12 @@ class _Envelope:
     """Certified dominating bound for rejection sampling, assembled from the
     constants report plus pointwise quantities at x*(N).
 
-    Proposal: Gaussian at x*(N) with covariance 4 (-H)^{-1} / N (interior),
-    or inward exponential with rate N F1'/2 times the tangential Gaussian
-    (boundary), mixed with a uniform component on the domain.  The log bound
-    is a closed-form supremum of certified exponent estimates, so the
-    accept test is exact."""
+    Proposal: Gaussian at x*(N) on the Gaussian axes with covariance
+    4 (-H)^{-1} / N, H the Hessian block on those axes, times an inward
+    exponential with rate N F1'/2 on the exponential axis when there is one,
+    mixed with a uniform component on the domain.  The log bound is a
+    closed-form supremum of certified exponent estimates, so the accept
+    test is exact."""
 
     UNIFORM_WEIGHT = 0.05
 
@@ -454,54 +437,38 @@ class _Envelope:
         self.N = int(N)
         self.c = consts
         box = spec.domain
-        m = box.dimension
-        self.m = m
-        self.boundary = spec.maximum.kind == BOUNDARY
-        self.axis = spec.maximum.boundary_axis
-        self.side = boundary_side(spec) if self.boundary else None
+        self.axis, self.gauss, self.sign = limit_axes(spec)
         self.z_n = spec.z_star_of_N(N)
         f_n = spec.f_of_box(N)
         self.f_n = f_n
         self.f_star = float(np.asarray(f_n.evaluate(self.z_n)))
-        H = hessian_at(f_n, self.z_n, box)
         self.w = self.UNIFORM_WEIGHT
         self.log_vol = math.log(box.volume)
         nb = spec.maximum.neighborhood
         self.nb = nb
 
-        if self.boundary:
-            Ht = np.delete(np.delete(H, self.axis, 0), self.axis, 1)
-            self.neg_Ht = -Ht
+        gauss = self.gauss
+        self.neg_H = -gauss_block(hessian_at(f_n, self.z_n, box), gauss)
+        self.chol = np.linalg.cholesky(np.linalg.inv(self.neg_H) * 4.0 / N)
+        # an empty block (one-dimensional boundary problem) has no eigenvalues
+        lam_max = float(np.max(np.linalg.eigvalsh(self.neg_H), initial=0.0))
+        _, logdet = np.linalg.slogdet(self.neg_H * N / (8.0 * math.pi))
+        self.log_cg = 0.5 * logdet
+        S = _farthest_corner(self.z_n[gauss], nb.lower[gauss], nb.upper[gauss])
+        if self.axis is None:
+            sup = max(0.0, lam_max / 8.0 - consts.F2_prime / 2.0) * S**2
+            log_core_norm = self.log_cg
+        else:
             self.rate_t = N * consts.F1_prime / 2.0
             # certified exponent bound inside the neighborhood:
             #   f - f* <= -F1' t + M_cross t s - (F2'/2) s^2
             self.cross = self._cross_bound()
-            if m > 1:
-                self.chol_t = np.linalg.cholesky(np.linalg.inv(self.neg_Ht) * 4.0 / N)
-                lam_max = float(np.max(np.linalg.eigvalsh(self.neg_Ht)))
-                _, logdet = np.linalg.slogdet(self.neg_Ht * N / (8.0 * math.pi))
-                self.log_cg = 0.5 * logdet
-            else:
-                self.chol_t = np.zeros((0, 0))
-                lam_max = 0.0
-                self.log_cg = 0.0
-            T = nb.edges[self.axis]
-            tang = [i for i in range(m) if i != self.axis]
-            S = _farthest_corner(self.z_n[tang], nb.lower[tang], nb.upper[tang])
             cs = consts.F2_prime / 2.0 - lam_max / 8.0
-            sup = self._sup_boundary_core(consts.F1_prime / 2.0, self.cross, cs, T, S)
+            sup = self._sup_boundary_core(
+                consts.F1_prime / 2.0, self.cross, cs, nb.edges[self.axis], S
+            )
             log_core_norm = math.log(self.rate_t) + self.log_cg
-            self.log_m_core = N * sup - math.log(1.0 - self.w) - log_core_norm
-        else:
-            self.neg_H = -H
-            self.chol = np.linalg.cholesky(np.linalg.inv(self.neg_H) * 4.0 / N)
-            lam_max = float(np.max(np.linalg.eigvalsh(self.neg_H)))
-            _, logdet = np.linalg.slogdet(self.neg_H * N / (8.0 * math.pi))
-            self.log_cg = 0.5 * logdet
-            kappa = lam_max / 8.0 - consts.F2_prime / 2.0
-            r_max = _farthest_corner(self.z_n, nb.lower, nb.upper)
-            sup = max(0.0, kappa) * r_max**2
-            self.log_m_core = N * sup - math.log(1.0 - self.w) - self.log_cg
+        self.log_m_core = N * sup - math.log(1.0 - self.w) - log_core_norm
 
         self.log_m_out = -math.inf
         R = _complement_distance(spec)
@@ -509,25 +476,24 @@ class _Envelope:
             # the certified drop is measured from x*(N); shrink the
             # limit-based face distance by the maximizer drift
             R_n = max(0.0, R - float(np.linalg.norm(self.z_n - spec.z_star)))
-            if self.boundary:
-                drop = consts.F1_prime_Omega * R_n
-            else:
-                drop = consts.F2_prime_Omega * R_n**2
+            # quadratic drop at an interior maximum, linear along an exponential axis
+            drop = (consts.F2_prime_Omega * R_n**2 if self.axis is None
+                    else consts.F1_prime_Omega * R_n)
             self.log_m_out = -N * drop - math.log(self.w) + self.log_vol
         self.log_m = max(self.log_m_core, self.log_m_out)
 
     # -- geometry helpers --------------------------------------------------
     def _cross_bound(self) -> float:
         """Certified sup of the mixed second derivatives coupling the
-        boundary axis to the tangent block (grid + safety, like the report
-        constants)."""
+        exponential axis to the Gaussian axes (grid + safety, like the
+        report constants)."""
         spec, c = self.spec, self.c
         pts = self.nb.grid_points(min(c.grid_res, 32))
         sup = 0.0
         sweep = c.n_sweep if (spec.sigma is not None and spec.epsilon.decay_class != "zero") else c.n_sweep[:1]
         for N in sweep:
             H = hessians_on(spec.f_of_box(N), pts, spec.domain, c.fd_step)
-            row = np.delete(H[..., self.axis, :], self.axis, axis=-1)
+            row = H[..., self.axis, self.gauss]
             if row.shape[-1]:
                 sup = max(sup, float(np.max(np.linalg.norm(row, axis=-1))))
         return sup * c.safety_factor
@@ -558,45 +524,32 @@ class _Envelope:
     def log_q(self, z: np.ndarray) -> np.ndarray:
         """Log mixture proposal density at box-frame points (k, m)."""
         z = np.atleast_2d(z)
-        if self.boundary:
-            t = (1.0 if self.side == 0 else -1.0) * (z[:, self.axis] - self.z_n[self.axis])
-            log_exp = np.where(
-                t >= 0, math.log(self.rate_t) - self.rate_t * t, -np.inf
-            )
-            if self.m > 1:
-                d = np.delete(z - self.z_n, self.axis, axis=1)
-                quad = np.einsum("ki,ij,kj->k", d, self.neg_Ht, d)
-                log_gauss = self.log_cg - (self.N / 8.0) * quad
-            else:
-                log_gauss = 0.0
-            log_core = log_exp + log_gauss
-        else:
-            d = z - self.z_n
-            quad = np.einsum("ki,ij,kj->k", d, self.neg_H, d)
-            log_core = self.log_cg - (self.N / 8.0) * quad
+        d = (z - self.z_n)[:, self.gauss]
+        quad = np.einsum("ki,ij,kj->k", d, self.neg_H, d)
+        log_core = self.log_cg - (self.N / 8.0) * quad
+        if self.axis is not None:
+            t = self.sign * (z[:, self.axis] - self.z_n[self.axis])
+            log_exp = np.where(t >= 0, math.log(self.rate_t) - self.rate_t * t, -np.inf)
+            log_core = log_exp + log_core
         log_unif = math.log(self.w) - self.log_vol
         return np.logaddexp(math.log(1.0 - self.w) + log_core, log_unif)
 
     def propose(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Mixture draws; the random streams are consumed in a fixed order:
+        the mixture pick, the uniform draws, the exponential draws, then the
+        normal draws."""
         box = self.spec.domain
-        m = self.m
+        m = box.dimension
         out = np.empty((k, m))
         pick_unif = rng.uniform(size=k) < self.w
         n_unif = int(np.sum(pick_unif))
         out[pick_unif] = rng.uniform(box.lower, box.upper, size=(n_unif, m))
         n_core = k - n_unif
-        if self.boundary:
-            t = rng.exponential(1.0 / self.rate_t, size=n_core)
-            core = np.tile(self.z_n, (n_core, 1))
-            sgn = 1.0 if self.side == 0 else -1.0
-            core[:, self.axis] += sgn * t
-            if m > 1:
-                zhat = rng.standard_normal(size=(n_core, m - 1)) @ self.chol_t.T
-                tang_axes = [i for i in range(m) if i != self.axis]
-                core[:, tang_axes] += zhat
-            out[~pick_unif] = core
-        else:
-            out[~pick_unif] = self.z_n + rng.standard_normal(size=(n_core, m)) @ self.chol.T
+        core = np.tile(self.z_n, (n_core, 1))
+        if self.axis is not None:
+            core[:, self.axis] += self.sign * rng.exponential(1.0 / self.rate_t, size=n_core)
+        core[:, self.gauss] += rng.standard_normal(size=(n_core, len(self.gauss))) @ self.chol.T
+        out[~pick_unif] = core
         return out
 
 
@@ -699,46 +652,40 @@ def ks_statistic(values, cdf) -> float:
 
 
 def transform_to_fluctuations(batch: SampleBatch) -> np.ndarray:
-    """Case-appropriate rescaling of draws: sqrt(N) in Gaussian directions,
-    N (inward) on the boundary axis.  Box-frame output, boundary axis first
-    for boundary problems."""
+    """Case-appropriate rescaling of draws: sqrt(N) on the Gaussian axes,
+    N (inward) on the exponential axis.  Box-frame output, exponential axis
+    first when there is one."""
     spec = batch.spec
     z = spec.domain.to_box(batch.draws)
     z_star = spec.z_star
     N = batch.N
-    if spec.maximum.kind == INTERIOR:
-        return math.sqrt(N) * (z - z_star)
-    axis = spec.maximum.boundary_axis
-    s = 1.0 if boundary_side(spec) == 0 else -1.0
-    y1 = N * s * (z[:, axis] - z_star[axis])
-    yhat = math.sqrt(N) * np.delete(z - z_star, axis, axis=1)
-    return np.column_stack([y1, yhat]) if yhat.size else y1[:, None]
+    axis, gauss, s = limit_axes(spec)
+    Y = math.sqrt(N) * (z - z_star)[:, gauss]
+    if axis is not None:
+        Y = np.column_stack([N * s * (z[:, axis] - z_star[axis]), Y])
+    return Y
 
 
 def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
     """Kolmogorov-Smirnov statistics of the rescaled draws against the
-    marginals of the limit model (whitened normal; unit-rate exponential on
-    the boundary axis)."""
+    marginals of the limit model (unit-rate exponential on the exponential
+    axis, whitened normal on the Gaussian axes)."""
     if batch.count < 100:
         raise InsufficientSampleError("need at least 100 samples")
     Y = transform_to_fluctuations(batch)
     n = batch.count
     stats = []
-    if model.kind == GAUSSIAN_INTERIOR:
-        L = np.linalg.cholesky(model.covariance)
-        Z = np.linalg.solve(L, Y.T).T
-        for j in range(Z.shape[1]):
-            stats.append(("normal", ks_statistic(Z[:, j], ndtr)))
-    else:
+    if model.kind == EXP_TIMES_GAUSSIAN_BOUNDARY:
         if model.rate is None or model.rate <= 0:
             raise ValueError("boundary model needs a positive rate")
         e = model.rate * Y[:, 0]
         stats.append(("exponential", ks_statistic(e, lambda t: -np.expm1(-np.maximum(t, 0.0)))))
-        if Y.shape[1] > 1:
-            L = np.linalg.cholesky(model.covariance)
-            Z = np.linalg.solve(L, Y[:, 1:].T).T
-            for j in range(Z.shape[1]):
-                stats.append(("normal", ks_statistic(Z[:, j], ndtr)))
+        Y = Y[:, 1:]
+    if Y.shape[1]:
+        L = np.linalg.cholesky(model.covariance)
+        Z = np.linalg.solve(L, Y.T).T
+        for j in range(Z.shape[1]):
+            stats.append(("normal", ks_statistic(Z[:, j], ndtr)))
     return {
         "count": n,
         "marginals": [

@@ -30,7 +30,8 @@ from .problems import (
     BOUNDARY,
     INTERIOR,
     ProblemSpec,
-    boundary_side,
+    gauss_block,
+    limit_axes,
     window_fits,
 )
 
@@ -123,7 +124,13 @@ def _result(theorem, N, exp_arg, poly, gterm, omega, rem_poly):
     )
 
 
-def _require_window(spec: ProblemSpec, N: int) -> np.ndarray:
+def _local_model(spec: ProblemSpec, N: int):
+    """Leading-term ingredients at the maximizer z*(N), in the frame of
+    ``limit_axes``: (N f(z*(N), N), poly, gterm, g(z*(N))) with leading term
+    exp(N f) * poly * gterm, where poly = (2 pi / N)^{k/2} over the k
+    Gaussian axes, times 1/N for an exponential axis, and
+    gterm = g / sqrt(|det H|), H the Hessian block on the Gaussian axes,
+    divided by |f'| the inward derivative along an exponential axis."""
     if N <= spec.n_zero:
         raise SweepRangeError(f"N={N} must exceed n_zero={spec.n_zero}")
     z_n = spec.z_star_of_N(N)
@@ -131,22 +138,25 @@ def _require_window(spec: ProblemSpec, N: int) -> np.ndarray:
         raise SweepRangeError(
             f"shrinking window at N={N} does not fit inside the certified neighborhood"
         )
-    return z_n
-
-
-def _boundary_geometry(spec: ProblemSpec, N: int, z_n: np.ndarray):
-    """(f value, inward first derivative, tangent Hessian, g value) at the
-    boundary maximizer, in the box frame."""
-    axis = spec.maximum.boundary_axis
+    axis, gauss, s = limit_axes(spec)
+    box = spec.domain
     f_n = spec.f_of_box(N)
     fval = float(np.asarray(f_n.evaluate(z_n)))
-    grad = gradient_at(f_n, z_n, spec.domain)
-    side = boundary_side(spec)
-    inward = (1.0 if side == 0 else -1.0) * grad[axis]
-    H = hessian_at(f_n, z_n, spec.domain)
-    Ht = np.delete(np.delete(H, axis, 0), axis, 1)
+    poly = (2.0 * math.pi / N) ** (len(gauss) / 2.0)
+    scale = 1.0
+    if axis is not None:
+        inward = s * gradient_at(f_n, z_n, box)[axis]
+        if abs(inward) < 1e-14:
+            raise DegenerateHessianError("inward first derivative vanishes at the maximizer")
+        poly = (1.0 / N) * poly
+        scale = abs(inward)
+    det = abs(float(np.linalg.det(gauss_block(hessian_at(f_n, z_n, box), gauss))))
+    if det < 1e-300:
+        raise DegenerateHessianError(
+            "Hessian block on the Gaussian axes is numerically singular at the maximizer"
+        )
     gval = float(np.asarray(spec.g_box.evaluate(z_n)))
-    return fval, inward, Ht, gval
+    return N * fval, poly, gval / (scale * math.sqrt(det)), gval
 
 
 def _omega_interior(m: int, N: int, c: ConstantsReport, g_star_abs: float) -> float:
@@ -193,12 +203,9 @@ def approx_1d_boundary(spec: ProblemSpec, consts: ConstantsReport, N: int) -> La
     if spec.maximum.kind != BOUNDARY:
         raise TheoremMismatchError("approx_1d_boundary requires a boundary maximum")
     N = int(N)
-    z_n = _require_window(spec, N)
-    fval, inward, _, gval = _boundary_geometry(spec, N, z_n)
-    if abs(inward) < 1e-14:
-        raise DegenerateHessianError("inward first derivative vanishes at the maximizer")
+    exp_arg, poly, gterm, gval = _local_model(spec, N)
     omega = _omega_1d_boundary(N, consts, abs(gval))
-    return _result(T1, N, N * fval, 1.0 / N, gval / abs(inward), omega, 1.0 / N**2)
+    return _result(T1, N, exp_arg, poly, gterm, omega, 1.0 / N**2)
 
 
 def approx_interior(spec: ProblemSpec, consts: ConstantsReport, N: int) -> LaplaceResult:
@@ -208,20 +215,9 @@ def approx_interior(spec: ProblemSpec, consts: ConstantsReport, N: int) -> Lapla
     if spec.maximum.kind != INTERIOR:
         raise TheoremMismatchError("approx_interior requires an interior maximum")
     N = int(N)
-    m = spec.dimension
-    z_n = _require_window(spec, N)
-    f_n = spec.f_of_box(N)
-    fval = float(np.asarray(f_n.evaluate(z_n)))
-    H = hessian_at(f_n, z_n, spec.domain)
-    det = abs(float(np.linalg.det(H)))
-    if det < 1e-300:
-        raise DegenerateHessianError("Hessian at the maximizer is numerically singular")
-    gval = float(np.asarray(spec.g_box.evaluate(z_n)))
-    omega = _omega_interior(m, N, consts, abs(gval))
-    poly = (2.0 * math.pi / N) ** (m / 2.0)
-    return _result(
-        T2, N, N * fval, poly, gval / math.sqrt(det), omega, poly / math.sqrt(N)
-    )
+    exp_arg, poly, gterm, gval = _local_model(spec, N)
+    omega = _omega_interior(spec.dimension, N, consts, abs(gval))
+    return _result(T2, N, exp_arg, poly, gterm, omega, poly / math.sqrt(N))
 
 
 def _complement_distance(spec: ProblemSpec) -> Optional[float]:
@@ -259,13 +255,7 @@ def approx_boundary_md(spec: ProblemSpec, consts: ConstantsReport, N: int) -> La
         raise MissingConstantError("boundary constants F1_prime/F1_prime_Omega are required")
     N = int(N)
     m = spec.dimension
-    z_n = _require_window(spec, N)
-    fval, inward, Ht, gval = _boundary_geometry(spec, N, z_n)
-    if abs(inward) < 1e-14:
-        raise DegenerateHessianError("inward first derivative vanishes at the maximizer")
-    det_t = abs(float(np.linalg.det(Ht)))
-    if det_t < 1e-300:
-        raise DegenerateHessianError("tangent Hessian at the maximizer is singular")
+    exp_arg, poly, gterm, gval = _local_model(spec, N)
 
     sqrtN = math.sqrt(N)
     sqrt_lam = math.sqrt(c.lambda_det)
@@ -300,10 +290,7 @@ def approx_boundary_md(spec: ProblemSpec, consts: ConstantsReport, N: int) -> La
             * math.exp(-N * c.F2_prime_Omega * R**2)
         )
     omega = omega_b1 / sqrtN + omega_i * (1.0 / c.F1_prime + omega_b2 / N) + outer_tail
-
-    poly = (1.0 / N) * (2.0 * math.pi / N) ** ((m - 1) / 2.0)
-    gterm = gval / (abs(inward) * math.sqrt(det_t))
-    return _result(T3, N, N * fval, poly, gterm, omega, poly / sqrtN)
+    return _result(T3, N, exp_arg, poly, gterm, omega, poly / sqrtN)
 
 
 def approximate(spec: ProblemSpec, consts: ConstantsReport, N: int) -> LaplaceResult:

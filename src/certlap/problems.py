@@ -702,14 +702,7 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
         return info
 
     if not near:
-        g = gradient_at(fld, z, box)
-        if np.linalg.norm(g) > _GRAD_TOL * scale:
-            raise AmbiguousMaximumError(
-                f"interior maximizer with gradient norm {np.linalg.norm(g):.3e}"
-            )
-        H = hessian_at(fld, z, box)
-        if np.max(np.linalg.eigvalsh(0.5 * (H + H.T))) >= 0:
-            raise DefinitenessError("Hessian at the interior maximizer is not negative definite")
+        _check_signature(fld, z, box, scale)
         return make_info(INTERIOR, z)
 
     if len(near) > 1:
@@ -723,37 +716,40 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
     z_face[axis] = face_val
     z_face, _ = locate_maximum(fld, box, z_face, fixed_axes={axis: face_val})
 
-    g = gradient_at(fld, z_face, box)
-    tang = np.delete(g, axis)
-    inward_sign = 1.0 if side == 0 else -1.0
-    inward = inward_sign * g[axis]
-    if tang.size and np.linalg.norm(tang) > _GRAD_TOL * scale:
-        raise AmbiguousMaximumError(
-            f"tangential gradient {np.linalg.norm(tang):.3e} at the face maximizer"
-        )
+    inward = (1.0 if side == 0 else -1.0) * gradient_at(fld, z_face, box)[axis]
     if inward < -_GRAD_TOL * scale:
         # strictly decreasing into the domain: genuine boundary maximum
-        if m > 1:
-            Ht = np.delete(np.delete(hessian_at(fld, z_face, box), axis, 0), axis, 1)
-            if np.max(np.linalg.eigvalsh(0.5 * (Ht + Ht.T))) >= 0:
-                raise DefinitenessError(
-                    "tangent Hessian at the boundary maximizer is not negative definite"
-                )
+        _check_signature(fld, z_face, box, scale, axis)
         return make_info(BOUNDARY, z_face, axis, side)
     # not boundary-critical; accept interior only if the free maximizer is
-    # critical and clearly detached from the face
-    g_free = gradient_at(fld, z, box)
-    if (
-        np.linalg.norm(g_free) <= _GRAD_TOL * scale
-        and abs(z[axis] - face_val) > 1e-6 * box.edges[axis]
-    ):
-        H = hessian_at(fld, z, box)
-        if np.max(np.linalg.eigvalsh(0.5 * (H + H.T))) >= 0:
-            raise DefinitenessError("Hessian at the interior maximizer is not negative definite")
-        return make_info(INTERIOR, z)
-    raise AmbiguousMaximumError(
-        "maximizer within one grid cell of a face but the gradient test is inconclusive"
-    )
+    # clearly detached from the face and critical
+    if abs(z[axis] - face_val) <= 1e-6 * box.edges[axis]:
+        raise AmbiguousMaximumError(
+            "maximizer within one grid cell of a face but the gradient test is inconclusive"
+        )
+    _check_signature(fld, z, box, scale)
+    return make_info(INTERIOR, z)
+
+
+def _check_signature(fld, z, box, scale, axis=None, side=None, where="the maximizer") -> None:
+    """Derivative signature of a maximum at z: the gradient vanishes off the
+    exponential axis ``axis`` (every axis at an interior maximum) and the
+    Hessian is negative definite on the other axes.  With ``side`` (0 for
+    the lower face of ``axis``, 1 for the upper) the inward derivative must
+    also be strictly negative."""
+    g = gradient_at(fld, z, box)
+    gauss = [i for i in range(box.dimension) if i != axis]
+    if np.linalg.norm(g[gauss]) > _GRAD_TOL * scale:
+        raise AmbiguousMaximumError(
+            f"gradient {np.linalg.norm(g[gauss]):.3e} off the exponential axis at {where}"
+        )
+    if side is not None and (1.0 if side == 0 else -1.0) * g[axis] >= -_GRAD_TOL * scale:
+        raise AmbiguousMaximumError(f"inward derivative is not strictly negative at {where}")
+    H = gauss_block(hessian_at(fld, z, box), gauss)
+    if np.max(np.linalg.eigvalsh(0.5 * (H + H.T)), initial=-np.inf) >= 0:
+        raise DefinitenessError(
+            f"Hessian on the Gaussian axes is not negative definite at {where}"
+        )
 
 
 def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, n0: int, side) -> None:
@@ -769,38 +765,35 @@ def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, n0: int, side) -> None:
                 f"maximizer at N={n} escapes the default neighborhood"
             )
         f_n = spec.f_of_box(n)
-        g = gradient_at(f_n, z_n, box)
         scale = max(1.0, abs(float(np.asarray(f_n.evaluate(z_n)))))
-        if info.kind == INTERIOR:
-            if np.linalg.norm(g) > _GRAD_TOL * scale:
-                raise AmbiguousMaximumError(
-                    f"maximizer at N={n} is not a critical point"
-                )
-            H = hessian_at(f_n, z_n, box)
-            if np.max(np.linalg.eigvalsh(0.5 * (H + H.T))) >= 0:
-                raise DefinitenessError(
-                    f"Hessian at the N={n} maximizer is not negative definite"
-                )
-        else:
-            tang = np.delete(g, info.boundary_axis)
-            inward = (1.0 if side == 0 else -1.0) * g[info.boundary_axis]
-            if tang.size and np.linalg.norm(tang) > _GRAD_TOL * scale:
-                raise AmbiguousMaximumError(
-                    f"tangential gradient does not vanish at the N={n} maximizer"
-                )
-            if inward >= -_GRAD_TOL * scale:
-                raise AmbiguousMaximumError(
-                    f"inward derivative is not strictly negative at N={n}"
-                )
+        _check_signature(f_n, z_n, box, scale, info.boundary_axis, side, f"the N={n} maximizer")
 
 
-def boundary_side(spec: ProblemSpec) -> int:
-    """0 if the maximizing face is the lower bound of the boundary axis."""
+def limit_axes(spec: ProblemSpec) -> tuple[Optional[int], list[int], float]:
+    """The frame of the limit law at the maximum: (exponential axis,
+    Gaussian axes, inward sign).
+
+    At a boundary maximum the fluctuation is exponential along the boundary
+    axis (scaled by N, measured inward: the inward sign is +1 on the lower
+    face and -1 on the upper one) and Gaussian along the other axes (scaled
+    by sqrt(N)).  An interior maximum is the same law with no exponential
+    axis: (None, all axes, 1.0)."""
+    m = spec.dimension
+    if spec.maximum.kind == INTERIOR:
+        return None, list(range(m)), 1.0
     axis = spec.maximum.boundary_axis
-    z = spec.z_star
-    if abs(z[axis] - spec.domain.lower[axis]) <= abs(z[axis] - spec.domain.upper[axis]):
-        return 0
-    return 1
+    z = spec.z_star[axis]
+    lower_face = abs(z - spec.domain.lower[axis]) <= abs(z - spec.domain.upper[axis])
+    return axis, [i for i in range(m) if i != axis], 1.0 if lower_face else -1.0
+
+
+def gauss_block(H: np.ndarray, gauss_axes) -> np.ndarray:
+    """The (..., k, k) block of a (..., m, m) array on the Gaussian axes; H
+    itself when every axis is Gaussian, so a Hessian grid is not copied."""
+    if len(gauss_axes) == H.shape[-1]:
+        return H
+    idx = np.asarray(gauss_axes, dtype=np.intp)
+    return H[..., idx[:, None], idx]
 
 
 def rotate_problem(spec: ProblemSpec, R) -> ProblemSpec:

@@ -21,7 +21,10 @@ from certlap import (
     tilted_maximizer_check,
     transform_to_fluctuations,
 )
+from certlap import approximate, integrate
+from certlap.config import problem_from_config
 from certlap.gibbs import MgfReport, fluctuation_verdict
+from certlap.problems import limit_axes
 from certlap.errors import (
     DomainError,
     InsufficientSampleError,
@@ -363,3 +366,48 @@ class TestEmpiricalLimits:
         b = sample(m, 50, seed=1, consts=consts_cache("gauss1d"))
         with pytest.raises(InsufficientSampleError):
             empirical_limit_test(b, build_fluctuation_model(spec))
+
+
+class TestUpperFace:
+    """The mirror of exp1d, f = x - 1 on [0, 1]: a boundary maximum on the
+    upper face, so the inward sign is -1.  Its integral, its fluctuation
+    MGF and its fluctuation law are exp1d's."""
+
+    N_SWEEP = (100, 400)
+
+    @pytest.fixture(scope="class")
+    def mirror(self):
+        return problem_from_config({
+            "name": "exp1d_mirror",
+            "domain": {"lower": [0.0], "upper": [1.0]},
+            "f": {"type": "polynomial", "terms": [
+                {"coeff": 1.0, "powers": [1]}, {"coeff": -1.0, "powers": [0]},
+            ]},
+        })
+
+    def test_limit_axes(self, mirror, specs):
+        assert limit_axes(mirror) == (0, [], -1.0)
+        assert limit_axes(specs["exp1d"]) == (0, [], 1.0)
+        assert limit_axes(specs["gauss3d"]) == (None, [0, 1, 2], 1.0)
+
+    def test_oracle_and_enclosure(self, mirror):
+        consts = estimate_constants(mirror, n_sweep=self.N_SWEEP)
+        for n in self.N_SWEEP:
+            exact = -math.expm1(-n) / n
+            assert integrate(mirror, n, tol=1e-12).value == pytest.approx(exact, rel=1e-12)
+            assert approximate(mirror, consts, n).contains(exact)
+
+    def test_mgf_y_matches_exp1d(self, mirror, specs):
+        for n in self.N_SWEEP:
+            rep = mgf_Y(gibbs_measure(mirror, n), [0.5])
+            ref = mgf_Y(gibbs_measure(specs["exp1d"], n), [0.5])
+            assert rep.limit_prediction == 2.0
+            assert abs(rep.mgf_value - 2.0) <= 1e-12
+            assert abs(rep.mgf_value - ref.mgf_value) <= 1e-12
+
+    def test_fluctuations_are_inward(self, mirror):
+        batch = sample(gibbs_measure(mirror, 400), 100_000, seed=0)
+        Y = transform_to_fluctuations(batch)
+        assert Y.shape == (100_000, 1)
+        assert np.all(Y >= 0.0)
+        assert abs(float(np.mean(Y)) - 1.0) <= 4.0 / math.sqrt(batch.count)

@@ -20,3 +20,25 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_one_limit_frame():
+    """problems.limit_axes is the one place that picks the exponential axis
+    and the inward sign: no np.delete tangent extraction and no
+    boundary_side helper remain."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "delete"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                found.append(f"{path.name}:{node.lineno}: np.delete")
+            if isinstance(node, ast.FunctionDef) and node.name == "boundary_side":
+                found.append(f"{path.name}:{node.lineno}: def boundary_side")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "boundary_side":
+                found.append(f"{path.name}:{node.lineno}: boundary_side()")
+    assert found == []
+    assert not hasattr(certlap.problems, "boundary_side")
