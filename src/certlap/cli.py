@@ -287,9 +287,11 @@ def _per_n_columns(checks: dict) -> dict[int, dict]:
     ``checks`` block; shared by the CSV and plotdata writers."""
     per_n: dict[int, dict] = {}
     for r in checks.get("laplace", {}).get("rows", []):
+        # a written report has null where a value was not finite
+        known = r["oracle"] is not None and r["leading"] is not None
         per_n.setdefault(int(r["N"]), {}).update(
             leading=r["leading"], oracle=r["oracle"],
-            abs_error=abs(r["oracle"] - r["leading"]),
+            abs_error=abs(r["oracle"] - r["leading"]) if known else None,
             remainder_magnitude=r["remainder_magnitude"], bound_ok=r["bound_ok"],
         )
     for r in checks.get("lln", {}).get("rows", []):
@@ -307,7 +309,7 @@ def write_outputs(report: dict, out_dir: str) -> tuple[str, str]:
     report_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "convergence.csv")
     with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_strict_json(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     per_n = _per_n_columns(report.get("checks", {}))
     with open(csv_path, "w", newline="") as fh:
@@ -319,12 +321,20 @@ def write_outputs(report: dict, out_dir: str) -> tuple[str, str]:
     return report_path, csv_path
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_, np.floating, np.integer)):
-        return obj.item()
+def _strict_json(obj):
+    """The report as plain JSON values, with None (null) for every
+    non-finite float (an infinite F2_prime, an overflowed enclosure)."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> str:
@@ -345,6 +355,9 @@ def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> 
         v = float(v)
         return _fmt(math.log(v)) if v > 0 else ""
 
+    def _rel(v, ref):
+        return v / abs(ref) if v is not None and ref else None
+
     per_n = _per_n_columns(checks)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -354,8 +367,8 @@ def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> 
             oracle, leading = d.get("oracle"), d.get("leading")
             writer.writerow([
                 _fmt(math.log(n)),
-                _log(d["abs_error"] / abs(oracle) if oracle else None),
-                _log(d["remainder_magnitude"] / abs(leading) if leading else None),
+                _log(_rel(d.get("abs_error"), oracle)),
+                _log(_rel(d.get("remainder_magnitude"), leading)),
                 _log(d.get("mgf_x_residual")),
                 _log(d.get("mgf_y_residual")),
             ])

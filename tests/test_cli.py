@@ -155,6 +155,49 @@ class TestRun:
         assert open(p1[1]).read() == open(p2[1]).read()
 
 
+def _strict_loads(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_exp1d_report(self, tmp_path):
+        # the one-dimensional boundary problem has an empty tangent block,
+        # so F2_prime is infinite in the constants report
+        code = main([
+            "run", "--problem", "exp1d", "--checks", "laplace,constants",
+            "--n-sweep", "100,400", "--output-path", str(tmp_path),
+        ])
+        assert code == 0
+        report = _strict_loads((tmp_path / "report.json").read_text())
+        assert report["constants"]["F2_prime"] is None
+        assert report["constants"]["F2_prime_Omega"] is None
+
+    def test_overflowing_leading_term(self, tmp_path):
+        # f = x on [0, 1]: N f* = 1600 overflows exp, so the linear-space
+        # leading term and enclosure are not finite
+        cfg = {
+            "problem": {
+                "name": "rising",
+                "domain": {"lower": [0.0], "upper": [1.0]},
+                "f": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+            },
+            "checks": ["laplace"],
+            "n_sweep": [1600],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        main(["run", "--config", str(cfg_path), "--output-path", str(tmp_path)])
+        report = _strict_loads((tmp_path / "report.json").read_text())
+        row = report["checks"]["laplace"]["rows"][0]
+        assert row["leading"] is None
+        assert math.isfinite(row["log_abs_leading"])
+        rows = read_csv(emit_convergence_plotdata(str(tmp_path / "report.json")))
+        assert rows[0] == PLOT_HEADER and len(rows) == 2
+
+
 def test_one_check_function_per_known_check():
     assert tuple(CHECKS) == KNOWN_CHECKS
 
