@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -64,7 +65,7 @@ import sys
 import numpy as np
 
 from .catalog import catalog
-from .config import KNOWN_CHECKS, RunConfig, load_json, problem_from_config
+from .config import KNOWN_CHECKS, RunConfig, load_json, problem_from_config, strict_json
 from .constants import audit_constants, estimate_constants
 from .errors import (
     AssumptionViolationError,
@@ -116,13 +117,13 @@ def _tilt(spec, interior: float, boundary: float) -> np.ndarray:
     return xi
 
 
-def _check_laplace(spec, consts, config, sweep) -> tuple[dict, bool]:
+def _check_laplace(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
     out = []
     all_ok = True
     for n in sweep:
         res = approximate(spec, consts, n)
         orc = integrate(spec, n, tol=config.tol)
-        ok = res.contains(orc.value, slack=res.oracle_slack(orc))
+        ok = res.contains_oracle(orc)
         all_ok &= ok
         d = res.to_dict()
         d["oracle"] = orc.value
@@ -132,17 +133,17 @@ def _check_laplace(spec, consts, config, sweep) -> tuple[dict, bool]:
     return {"rows": out, "all_bounds_ok": all_ok}, all_ok
 
 
-def _check_constants(spec, consts, config, sweep) -> tuple[dict, bool]:
+def _check_constants(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
     audit = audit_constants(spec, consts, n_points=1000, seed=config.seed)
     return audit, audit["ok"]
 
 
-def _check_lln(spec, consts, config, sweep) -> tuple[dict, bool]:
+def _check_lln(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
     xi = _tilt(spec, 0.5, 0.5)
     out = []
     residuals = []
     for n in sweep:
-        rep = mgf_X(gibbs_measure(spec, n, tol=config.tol), xi)
+        rep = mgf_X(measure(n), xi)
         residuals.append(rep.residual)
         out.append(rep.to_dict())
     decay_ok = all(
@@ -154,7 +155,7 @@ def _check_lln(spec, consts, config, sweep) -> tuple[dict, bool]:
     return block, decay_ok
 
 
-def _check_fluctuations(spec, consts, config, sweep) -> tuple[dict, bool]:
+def _check_fluctuations(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
     xi = _tilt(spec, 1.0, 0.5)  # clear of the exponential pole at xi_1 = rate
     out = []
     reports = []
@@ -163,7 +164,7 @@ def _check_fluctuations(spec, consts, config, sweep) -> tuple[dict, bool]:
     # mgf_Y then sample at each N, so a sampler failure stops the sweep at
     # the first N instead of after every normaliser and MGF
     for n in sweep:
-        meas = gibbs_measure(spec, n, tol=config.tol)
+        meas = measure(n)
         rep = mgf_Y(meas, xi)
         reports.append(rep)
         entry = rep.to_dict()
@@ -181,7 +182,7 @@ def _check_fluctuations(spec, consts, config, sweep) -> tuple[dict, bool]:
     return {"rows": out, **verdict, "ks_all_ok": ks_all_ok}, ok
 
 
-def _check_preposition1(spec, consts, config, sweep) -> tuple[dict, bool]:
+def _check_preposition1(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
     if spec.maximum.kind != INTERIOR:
         return {"skipped": "boundary maximum"}, True
     tbl = tilted_maximizer_check(spec, consts, np.ones(spec.dimension), sweep)
@@ -194,14 +195,16 @@ def _check_preposition1(spec, consts, config, sweep) -> tuple[dict, bool]:
     return {"rows": tbl, "bounded": ok}, ok
 
 
-def _check_sampler(spec, consts, config, sweep) -> tuple[dict, bool]:
-    meas = gibbs_measure(spec, sweep[-1], tol=config.tol)
+def _check_sampler(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
+    meas = measure(sweep[-1])
     batch = sample(meas, min(config.sample_count, 20000), seed=config.seed, consts=consts)
     audit = _sampler_audit(meas, batch, seed=config.seed)
     return audit, audit["ok"]
 
 
-# one entry per name in KNOWN_CHECKS, run in that order
+# one entry per name in KNOWN_CHECKS, run in that order; each takes
+# (spec, consts, config, sweep, measure), where measure(N) is the run's
+# Gibbs measure at N
 CHECKS = {
     "laplace": _check_laplace,
     "constants": _check_constants,
@@ -239,10 +242,14 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
     )
     report["constants"] = consts.to_dict()
 
+    # the run owns the Gibbs measures of its sweep: each normaliser Z(N) is
+    # computed once, by the first check that asks for N
+    measure = functools.cache(lambda n: gibbs_measure(spec, n, tol=config.tol))
+
     passed = True
     for name in KNOWN_CHECKS:
         if name in config.checks:
-            report["checks"][name], ok = CHECKS[name](spec, consts, config, sweep)
+            report["checks"][name], ok = CHECKS[name](spec, consts, config, sweep, measure)
             passed &= ok
     report["passed"] = bool(passed)
     report["status"] = 0 if passed else 1
@@ -309,7 +316,7 @@ def write_outputs(report: dict, out_dir: str) -> tuple[str, str]:
     report_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "convergence.csv")
     with open(report_path, "w") as fh:
-        json.dump(_strict_json(report), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(strict_json(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     per_n = _per_n_columns(report.get("checks", {}))
     with open(csv_path, "w", newline="") as fh:
@@ -319,22 +326,6 @@ def write_outputs(report: dict, out_dir: str) -> tuple[str, str]:
             row = per_n.get(int(n), {})
             writer.writerow([str(int(n))] + [_fmt(row.get(k)) for k in CSV_HEADER[1:]])
     return report_path, csv_path
-
-
-def _strict_json(obj):
-    """The report as plain JSON values, with None (null) for every
-    non-finite float (an infinite F2_prime, an overflowed enclosure)."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _strict_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict_json(v) for v in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> str:

@@ -8,7 +8,10 @@ field expressions are polynomial / exponential terms with coefficient lists
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .catalog import catalog_names, get_problem
 from .errors import ConfigError, DomainError
@@ -174,3 +177,20 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+
+
+def strict_json(obj):
+    """``obj`` as plain JSON values, with None (null) for every non-finite
+    float (an infinite F2_prime, an overflowed enclosure); the reports write
+    it with ``allow_nan=False``."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [strict_json(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj

@@ -3,6 +3,11 @@ exp(N f(x, N)) on the domain: moment-generating-function checks for the law
 of large numbers and for the fluctuation limits, the maximizer drift bound,
 the tilted-maximizer estimates, and an exact rejection sampler.
 
+A ``GibbsMeasure`` holds one N's log normaliser log Z(N); build it once per
+N and pass it on.  Every probability of the measure is one quadrature
+ratio against Z(N): ``measure_of`` (a box), ``mgf_X`` and ``mgf_Y`` all
+go through ``_expectation``, the one place that forms that ratio.
+
 The limit law has one shape.  At a boundary maximum the fluctuation is
 exponential along the boundary axis (scaled by N, measured inward) and
 Gaussian along the other axes (scaled by sqrt(N)); at an interior maximum
@@ -54,10 +59,6 @@ from .problems import (
     polynomial_field,
 )
 
-GAUSSIAN_INTERIOR = "gaussian_interior"
-EXP_TIMES_GAUSSIAN_BOUNDARY = "exp_times_gaussian_boundary"
-
-
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -75,18 +76,23 @@ def gibbs_measure(spec: ProblemSpec, N: int, tol: float = 1e-10) -> GibbsMeasure
     return GibbsMeasure(spec=spec, N=int(N), log_normalizer=z.log_abs_value, tol=tol)
 
 
+def _expectation(measure: GibbsMeasure, log_weight=None, domain=None, center=None) -> float:
+    """Expectation of exp(log_weight) times the indicator of ``domain``
+    (default: the whole domain) under the measure, as the quadrature ratio
+    exp(log numerator - log Z(N)).  Box probabilities and both MGFs are
+    such ratios; the measure carries no g-weight, hence the unit weight."""
+    num = integrate(
+        measure.spec, measure.N, tol=measure.tol, weight=constant_field(1.0),
+        log_weight=log_weight, domain=domain, center=center,
+    )
+    return math.exp(num.log_abs_value - measure.log_normalizer)
+
+
 def measure_of(measure: GibbsMeasure, box: BoxDomain) -> float:
     """Probability of a sub-box under the Gibbs measure (oracle ratio)."""
-    spec = measure.spec
-    if not spec.domain.contains_box(box):
+    if not measure.spec.domain.contains_box(box):
         raise DomainError("box escapes the problem domain")
-    num = integrate(
-        spec, measure.N, tol=measure.tol, weight=constant_field(1.0),
-        domain=box, center=spec.z_star_of_N(measure.N),
-    )
-    if num.value == 0.0:
-        return 0.0
-    return math.exp(num.log_abs_value - measure.log_normalizer)
+    return _expectation(measure, domain=box)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, wha
         raise TiltTooLargeError(
             f"{what}: tilted maximizer {z_t} leaves the certified neighborhood"
         )
-    return z_t, tilted
+    return z_t
 
 
 def _eps_sqrt_n_violated(spec: ProblemSpec, N: int) -> bool:
@@ -171,17 +177,8 @@ def mgf_X(measure: GibbsMeasure, xi) -> MgfReport:
     N = measure.N
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     xi_box = spec.domain.to_box(xi)
-    z_t, _ = _check_tilt_inside(spec, N, xi_box / N, "mgf_X")
-
-    def log_w(pts):
-        pts = np.asarray(pts, dtype=float)
-        return pts @ xi_box
-
-    # the measure carries no g-weight, hence the explicit constant weight
-    num = integrate(
-        spec, N, tol=measure.tol, weight=constant_field(1.0), log_weight=log_w, center=z_t,
-    )
-    mgf = math.exp(num.log_abs_value - measure.log_normalizer)
+    z_t = _check_tilt_inside(spec, N, xi_box / N, "mgf_X")
+    mgf = _expectation(measure, lambda pts: np.asarray(pts, dtype=float) @ xi_box, center=z_t)
     pred = math.exp(float(xi @ spec.maximum.x_star))
     eps_n = float(spec.epsilon.evaluate(N))
     return MgfReport(
@@ -226,7 +223,7 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
             )
         tilt_grad[axis] = xi1 * s  # N-scaled on the exponential axis
         xi_gauss[axis] = 0.0
-    z_t, _ = _check_tilt_inside(spec, N, tilt_grad, "mgf_Y")
+    z_t = _check_tilt_inside(spec, N, tilt_grad, "mgf_Y")
     if axis is not None and abs(z_t[axis] - z_star[axis]) > 1e-7 * spec.domain.edges[axis]:
         raise TiltTooLargeError("boundary tilt pushed the maximizer off the face")
 
@@ -237,9 +234,7 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
             w = N * xi1 * (s * (pts[..., axis] - z_star[axis])) + w
         return w
 
-    num = integrate(spec, N, tol=measure.tol, weight=constant_field(1.0),
-                    log_weight=log_w, center=z_t)
-    mgf = math.exp(num.log_abs_value - measure.log_normalizer)
+    mgf = _expectation(measure, log_w, center=z_t)
     xi_hat = xi_box[gauss]
     pred = math.exp(0.5 * float(xi_hat @ _limit_covariance(spec) @ xi_hat))
     kind = "fluctuation_interior"
@@ -349,8 +344,9 @@ def tilted_maximizer_check(
     for N in sweep:
         sqrtN = math.sqrt(N)
         f_n = spec.f_of_box(N)
-        z_n, f_star_n = locate_maximum(f_n, box, spec.z_star_of_N(N))
-        z_t, tilted = _check_tilt_inside(spec, N, xi_box / sqrtN, "tilted estimates")
+        z_n = spec.z_star_of_N(N)
+        f_star_n = float(field_values(f_n, z_n))
+        z_t = _check_tilt_inside(spec, N, xi_box / sqrtN, "tilted estimates")
         # tilt value relative to x*: f~ = f + xi.(x - x*)/sqrt(N)
         f_tilde_val = float(np.asarray(f_n.evaluate(z_t))) + float(
             xi_box @ (z_t - z_star)
@@ -378,7 +374,6 @@ class SampleBatch:
     draws: np.ndarray  # (count, m) ambient coordinates
     N: int
     seed: int
-    workers: int
     proposed: int
     acceptance_rate: float
     mean: np.ndarray
@@ -401,17 +396,16 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class FluctuationModel:
-    kind: str
+    """Limit law of the rescaled draws: covariance on the Gaussian axes and
+    the exponential rate (None at an interior maximum)."""
     covariance: np.ndarray
     rate: Optional[float] = None
 
 
 def build_fluctuation_model(spec: ProblemSpec) -> FluctuationModel:
     axis, _, _ = limit_axes(spec)
-    cov = _limit_covariance(spec)
-    if axis is None:
-        return FluctuationModel(GAUSSIAN_INTERIOR, cov)
-    return FluctuationModel(EXP_TIMES_GAUSSIAN_BOUNDARY, cov, rate=_limit_rate(spec, axis))
+    rate = None if axis is None else _limit_rate(spec, axis)
+    return FluctuationModel(_limit_covariance(spec), rate)
 
 
 def _farthest_corner(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
@@ -554,82 +548,57 @@ class _Envelope:
 
 
 def sample(
-    measure_or_spec,
-    count: int,
-    seed: int,
-    consts: Optional[ConstantsReport] = None,
-    N: Optional[int] = None,
-    workers: int = 1,
+    measure: GibbsMeasure, count: int, seed: int, consts: Optional[ConstantsReport] = None
 ) -> SampleBatch:
     """Exact i.i.d. draws from the Gibbs measure by rejection against a
-    certified envelope.  Deterministic for a fixed (seed, workers): the
-    count splits across worker streams seeded from (seed, worker index)."""
-    if isinstance(measure_or_spec, GibbsMeasure):
-        spec = measure_or_spec.spec
-        N = measure_or_spec.N
-    else:
-        spec = measure_or_spec
-        if N is None:
-            raise ValueError("sampling from a ProblemSpec needs N")
+    certified envelope.  Deterministic for a fixed seed: the draws come from
+    the stream seeded with (seed, 0)."""
     if count < 1:
         raise ValueError("count must be at least 1")
+    spec, N = measure.spec, measure.N
     if consts is None:
-        consts = estimate_constants(spec, grid_res=32, n_sweep=(int(N),))
-    env = _Envelope(spec, consts, int(N))
+        consts = estimate_constants(spec, grid_res=32, n_sweep=(N,))
+    env = _Envelope(spec, consts, N)
     box = spec.domain
 
-    counts = [count // workers] * workers
-    for i in range(count % workers):
-        counts[i] += 1
-
-    chunks = []
-    proposed_total = 0
-    for widx, want in enumerate(counts):
-        if want == 0:
-            continue
-        rng = np.random.default_rng([seed, widx])
-        got: list[np.ndarray] = []
-        n_have = 0
-        proposed = 0
-        while n_have < want:
-            k = max(1024, 2 * (want - n_have))
-            z = env.propose(rng, k)
-            u = rng.uniform(size=k)
-            inside = np.all((z >= box.lower) & (z <= box.upper), axis=1)
-            proposed += k
-            zi = z[inside]
-            if len(zi):
-                log_target = env.N * (field_values(env.f_n, zi) - env.f_star)
-                log_ratio = log_target - env.log_q(zi)
-                if np.any(log_ratio > env.log_m + 1e-9):
-                    raise EnvelopeFailureError(
-                        "certified envelope exceeded by a drawn point",
-                        acceptance_rate=n_have / max(proposed, 1),
-                    )
-                acc = np.log(u[inside]) <= log_ratio - env.log_m
-                sel = zi[acc]
-                got.append(sel)
-                n_have += len(sel)
-            if proposed >= 4096 and n_have / proposed < 1e-4:
+    rng = np.random.default_rng([seed, 0])
+    got: list[np.ndarray] = []
+    n_have = 0
+    proposed = 0
+    while n_have < count:
+        k = max(1024, 2 * (count - n_have))
+        z = env.propose(rng, k)
+        u = rng.uniform(size=k)
+        inside = np.all((z >= box.lower) & (z <= box.upper), axis=1)
+        proposed += k
+        zi = z[inside]
+        if len(zi):
+            log_target = env.N * (field_values(env.f_n, zi) - env.f_star)
+            log_ratio = log_target - env.log_q(zi)
+            if np.any(log_ratio > env.log_m + 1e-9):
                 raise EnvelopeFailureError(
-                    f"acceptance rate {n_have / proposed:.2e} below 1e-4",
+                    "certified envelope exceeded by a drawn point",
                     acceptance_rate=n_have / proposed,
                 )
-        chunks.append(np.concatenate(got)[:want])
-        proposed_total += proposed
+            acc = np.log(u[inside]) <= log_ratio - env.log_m
+            sel = zi[acc]
+            got.append(sel)
+            n_have += len(sel)
+        if proposed >= 4096 and n_have / proposed < 1e-4:
+            raise EnvelopeFailureError(
+                f"acceptance rate {n_have / proposed:.2e} below 1e-4",
+                acceptance_rate=n_have / proposed,
+            )
 
-    z_draws = np.concatenate(chunks)
-    x_draws = box.to_ambient(z_draws)
-    acc_rate = count / proposed_total
+    x_draws = box.to_ambient(np.concatenate(got)[:count])
     mean = np.mean(x_draws, axis=0)
     cov = np.cov(x_draws.T) if count > 1 else np.zeros((spec.dimension, spec.dimension))
     return SampleBatch(
         draws=x_draws,
-        N=int(N),
+        N=N,
         seed=seed,
-        workers=workers,
-        proposed=proposed_total,
-        acceptance_rate=acc_rate,
+        proposed=proposed,
+        acceptance_rate=count / proposed,
         mean=np.atleast_1d(mean),
         cov=np.atleast_2d(cov),
         problem=spec.name,
@@ -675,7 +644,8 @@ def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
     Y = transform_to_fluctuations(batch)
     n = batch.count
     stats = []
-    if model.kind == EXP_TIMES_GAUSSIAN_BOUNDARY:
+    axis, _, _ = limit_axes(batch.spec)
+    if axis is not None:
         if model.rate is None or model.rate <= 0:
             raise ValueError("boundary model needs a positive rate")
         e = model.rate * Y[:, 0]

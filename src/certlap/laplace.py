@@ -65,6 +65,21 @@ class LaplaceResult:
             abs(oracle.value) + abs(self.leading)
         )
 
+    def contains_oracle(self, oracle) -> bool:
+        """Whether an OracleValue lies in the enclosure within its own
+        resolution.  When the leading term or the oracle value overflows,
+        the same test runs on the log-space fields, scaled by the larger of
+        the two, with the oracle's relative error for its capped absolute one."""
+        if math.isfinite(self.leading) and math.isfinite(oracle.value):
+            return self.contains(oracle.value, slack=self.oracle_slack(oracle))
+        ref = max(self.log_abs_leading, oracle.log_abs_value)
+        value = math.copysign(math.exp(oracle.log_abs_value - ref), oracle.value)
+        leading = self.leading_sign * math.exp(self.log_abs_leading - ref)
+        rem = math.exp(min(self.log_remainder - ref, 700.0))
+        slack = oracle.rel_error_estimate * abs(value) if value else 0.0
+        slack += 64.0 * 2.3e-16 * (abs(value) + abs(leading))
+        return abs(value - leading) <= rem + slack
+
     @property
     def relative_remainder(self) -> float:
         return self.remainder_magnitude / abs(self.leading) if self.leading else math.inf

@@ -33,6 +33,9 @@ class OracleValue:
     evaluations: int
     converged: bool
     log_abs_value: float = float("-inf")
+    # error estimate relative to the value (nan where not known); unlike
+    # abs_error_estimate it is not capped where the value overflows
+    rel_error_estimate: float = float("nan")
 
 
 @lru_cache(maxsize=64)
@@ -163,11 +166,11 @@ def integrate(
 
 def _finish(shifted: float, delta: float, evals: int, ok: bool, log_offset: float) -> OracleValue:
     if shifted == 0.0:
-        return OracleValue(0.0, delta, evals, ok, float("-inf"))
+        return OracleValue(0.0, delta, evals, ok, float("-inf"), math.inf)
     log_abs = math.log(abs(shifted)) + log_offset
     value = math.copysign(math.exp(log_abs), shifted) if log_abs < 700 else math.copysign(float("inf"), shifted)
     err = delta * math.exp(min(log_offset, 700.0)) if math.isfinite(delta) else delta
-    return OracleValue(value, err, evals, ok, log_abs)
+    return OracleValue(value, err, evals, ok, log_abs, delta / abs(shifted))
 
 
 def tail_integral(m: int, k: int, a: float, N: int, R: float, tol: float = 1e-10) -> OracleValue:

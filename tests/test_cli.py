@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import certlap.cli
+import certlap.gibbs
 from certlap.cli import (
     CHECKS,
     CSV_HEADER,
@@ -198,8 +200,53 @@ class TestStrictJson:
         assert rows[0] == PLOT_HEADER and len(rows) == 2
 
 
+# f = x on [0, 1]: at N = 1600 the leading term exp(N f*) overflows
+RISING_CONFIG = {
+    "problem": {
+        "name": "rising",
+        "domain": {"lower": [0.0], "upper": [1.0]},
+        "f": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+    },
+    "checks": ["laplace"],
+    "n_sweep": [1600],
+}
+
+
+def test_overflowing_leading_term_is_contained(tmp_path):
+    # the enclosure is (nan, inf) in linear space, but its log-space fields
+    # contain the oracle value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(RISING_CONFIG))
+    code = main(["run", "--config", str(cfg_path), "--output-path", str(tmp_path)])
+    assert code == 0
+    report = _strict_loads((tmp_path / "report.json").read_text())
+    assert report["checks"]["laplace"]["rows"][0]["bound_ok"] is True
+
+
 def test_one_check_function_per_known_check():
     assert tuple(CHECKS) == KNOWN_CHECKS
+
+
+def test_one_gibbs_measure_per_n(monkeypatch):
+    """A full-check run builds each sweep N's Gibbs measure once and shares
+    it: 4 normalisers plus 4 laplace oracles, 4 mgf_X, 4 mgf_Y and 10 sampler
+    box probabilities make 26 integrate calls."""
+    measures, integrals = [], []
+
+    def counting(calls, real):
+        def wrapper(spec, N, *args, **kwargs):
+            calls.append(N)
+            return real(spec, N, *args, **kwargs)
+
+        return wrapper
+
+    for module in (certlap.cli, certlap.gibbs):
+        monkeypatch.setattr(module, "gibbs_measure", counting(measures, module.gibbs_measure))
+        monkeypatch.setattr(module, "integrate", counting(integrals, module.integrate))
+    cfg = RunConfig(problem="gauss1d", checks=KNOWN_CHECKS, sample_count=20_000, seed=1)
+    run_checks(cfg)
+    assert sorted(measures) == [25, 100, 400, 1600]
+    assert len(integrals) == 26
 
 
 class TestListProblems:

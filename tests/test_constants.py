@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,18 @@ def with_neighborhood(spec, lower, upper):
 
     nb = BoxDomain(lower, upper, spec.domain.rotation)
     return replace(spec, maximum=replace(spec.maximum, neighborhood=nb))
+
+
+class TestStrictJson:
+    def test_to_json_writes_null_for_infinity(self):
+        # exp1d's empty tangent block leaves F2_prime infinite
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = estimate_constants(get_problem("exp1d"), n_sweep=(100,)).to_json()
+        d = json.loads(text, parse_constant=refuse)
+        assert d["F2_prime"] is None
+        assert d["F2_prime_Omega"] is None
 
 
 class TestEstimate:

@@ -271,13 +271,6 @@ class TestSampler:
         b3 = sample(m, 4000, seed=10, consts=c)
         assert not np.array_equal(b1.draws, b3.draws)
 
-    def test_worker_split_reproducible(self, specs, consts_cache):
-        m = gibbs_measure(specs["gauss1d"], 100)
-        c = consts_cache("gauss1d")
-        b1 = sample(m, 4000, seed=9, consts=c, workers=4)
-        b2 = sample(m, 4000, seed=9, consts=c, workers=4)
-        assert np.array_equal(b1.draws, b2.draws)
-
     def test_gauss1d_mean(self, specs, consts_cache):
         m = gibbs_measure(specs["gauss1d"], 100)
         b = sample(m, 100_000, seed=0, consts=consts_cache("gauss1d"))

@@ -42,3 +42,22 @@ def test_one_limit_frame():
                 found.append(f"{path.name}:{node.lineno}: boundary_side()")
     assert found == []
     assert not hasattr(certlap.problems, "boundary_side")
+
+
+def test_one_expectation_path():
+    """Outside the oracle, integrate is called only by the laplace check, by
+    gibbs_measure (the normaliser) and by the one expectation helper that
+    every box probability and MGF goes through."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) == "integrate"
+                        or getattr(node.func, "attr", None) == "integrate"
+                    ):
+                        callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"cli._check_laplace", "gibbs.gibbs_measure", "gibbs._expectation"}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,38 @@ from certlap import (
     integrate,
     tail_integral,
 )
+from certlap.config import problem_from_config
 from certlap.errors import SweepRangeError, TheoremMismatchError
 
 SWEEP = (25, 100, 400, 1600)
+
+
+class TestOverflow:
+    """f = x on [0, 1] at N = 1600: the linear leading term and enclosure
+    overflow, and containment is decided on the log-space fields."""
+
+    @pytest.fixture(scope="class")
+    def rising(self):
+        spec = problem_from_config({
+            "name": "rising",
+            "domain": {"lower": [0.0], "upper": [1.0]},
+            "f": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+        })
+        r = approximate(spec, estimate_constants(spec, n_sweep=(1600,)), 1600)
+        return r, integrate(spec, 1600)
+
+    def test_contains_oracle_in_log_space(self, rising):
+        r, o = rising
+        assert r.leading == math.inf and math.isnan(r.enclosure[0])
+        assert not r.contains(o.value, slack=r.oracle_slack(o))
+        assert r.contains_oracle(o)
+
+    def test_log_space_edges_follow_the_remainder(self, rising):
+        r, o = rising
+        rel = math.exp(r.log_remainder - r.log_abs_leading)  # about 3e-4
+        for factor, inside in ((0.5, True), (2.0, False), (-0.5, True), (-2.0, False)):
+            moved = replace(o, log_abs_value=r.log_abs_leading + math.log1p(factor * rel))
+            assert r.contains_oracle(moved) is inside, factor
 
 
 class TestBoundary1d:
