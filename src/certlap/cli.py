@@ -117,7 +117,7 @@ def _tilt(spec, interior: float, boundary: float) -> np.ndarray:
     return xi
 
 
-def _check_laplace(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
+def _check_laplace(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
     out = []
     all_ok = True
     for n in sweep:
@@ -133,12 +133,12 @@ def _check_laplace(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
     return {"rows": out, "all_bounds_ok": all_ok}, all_ok
 
 
-def _check_constants(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
+def _check_constants(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
     audit = audit_constants(spec, consts, n_points=1000, seed=config.seed)
     return audit, audit["ok"]
 
 
-def _check_lln(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
+def _check_lln(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
     xi = _tilt(spec, 0.5, 0.5)
     out = []
     residuals = []
@@ -155,7 +155,7 @@ def _check_lln(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
     return block, decay_ok
 
 
-def _check_fluctuations(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
+def _check_fluctuations(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
     xi = _tilt(spec, 1.0, 0.5)  # clear of the exponential pole at xi_1 = rate
     out = []
     reports = []
@@ -164,14 +164,13 @@ def _check_fluctuations(spec, consts, config, sweep, measure) -> tuple[dict, boo
     # mgf_Y then sample at each N, so a sampler failure stops the sweep at
     # the first N instead of after every normaliser and MGF
     for n in sweep:
-        meas = measure(n)
-        rep = mgf_Y(meas, xi)
+        rep = mgf_Y(measure(n), xi)
         reports.append(rep)
         entry = rep.to_dict()
-        batch = sample(meas, config.sample_count, seed=config.seed, consts=consts)
-        ks = empirical_limit_test(batch, model)
+        draws = batch(n, config.sample_count)
+        ks = empirical_limit_test(draws, model)
         entry["ks"] = ks
-        entry["acceptance_rate"] = batch.acceptance_rate
+        entry["acceptance_rate"] = draws.acceptance_rate
         ks_all_ok &= ks["max_ks"] <= config.ks_threshold
         out.append(entry)
     verdict = fluctuation_verdict(reports)
@@ -182,7 +181,7 @@ def _check_fluctuations(spec, consts, config, sweep, measure) -> tuple[dict, boo
     return {"rows": out, **verdict, "ks_all_ok": ks_all_ok}, ok
 
 
-def _check_preposition1(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
+def _check_preposition1(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
     if spec.maximum.kind != INTERIOR:
         return {"skipped": "boundary maximum"}, True
     tbl = tilted_maximizer_check(spec, consts, np.ones(spec.dimension), sweep)
@@ -195,16 +194,16 @@ def _check_preposition1(spec, consts, config, sweep, measure) -> tuple[dict, boo
     return {"rows": tbl, "bounded": ok}, ok
 
 
-def _check_sampler(spec, consts, config, sweep, measure) -> tuple[dict, bool]:
-    meas = measure(sweep[-1])
-    batch = sample(meas, min(config.sample_count, 20000), seed=config.seed, consts=consts)
-    audit = _sampler_audit(meas, batch, seed=config.seed)
+def _check_sampler(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
+    n = sweep[-1]
+    audit = _sampler_audit(measure(n), batch(n, min(config.sample_count, 20000)), seed=config.seed)
     return audit, audit["ok"]
 
 
 # one entry per name in KNOWN_CHECKS, run in that order; each takes
-# (spec, consts, config, sweep, measure), where measure(N) is the run's
-# Gibbs measure at N
+# (spec, consts, config, sweep, measure, batch), where measure(N) is the
+# run's Gibbs measure at N and batch(N, count) its sample batch of count
+# draws from it
 CHECKS = {
     "laplace": _check_laplace,
     "constants": _check_constants,
@@ -242,14 +241,18 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
     )
     report["constants"] = consts.to_dict()
 
-    # the run owns the Gibbs measures of its sweep: each normaliser Z(N) is
-    # computed once, by the first check that asks for N
+    # the run owns the Gibbs measures of its sweep and the sample batches
+    # drawn from them: each normaliser Z(N) and each batch of a given size
+    # is computed once, by the first check that asks for it
     measure = functools.cache(lambda n: gibbs_measure(spec, n, tol=config.tol))
+    batch = functools.cache(
+        lambda n, count: sample(measure(n), count, seed=config.seed, consts=consts)
+    )
 
     passed = True
     for name in KNOWN_CHECKS:
         if name in config.checks:
-            report["checks"][name], ok = CHECKS[name](spec, consts, config, sweep, measure)
+            report["checks"][name], ok = CHECKS[name](spec, consts, config, sweep, measure, batch)
             passed &= ok
     report["passed"] = bool(passed)
     report["status"] = 0 if passed else 1

@@ -69,7 +69,7 @@ class LaplaceResult:
         """Whether an OracleValue lies in the enclosure within its own
         resolution.  When the leading term or the oracle value overflows,
         the same test runs on the log-space fields, scaled by the larger of
-        the two, with the oracle's relative error for its capped absolute one."""
+        the two, with the oracle's relative error for its absolute one."""
         if math.isfinite(self.leading) and math.isfinite(oracle.value):
             return self.contains(oracle.value, slack=self.oracle_slack(oracle))
         ref = max(self.log_abs_leading, oracle.log_abs_value)

@@ -223,6 +223,18 @@ def test_overflowing_leading_term_is_contained(tmp_path):
     assert report["checks"]["laplace"]["rows"][0]["bound_ok"] is True
 
 
+def test_overflowing_oracle_error_is_null(tmp_path):
+    # the oracle value e^1592.6 overflows, and so does its absolute error
+    # estimate (about e^1561); a capped figure of e^700 times the shifted
+    # error would be finite and wrong
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(RISING_CONFIG))
+    main(["run", "--config", str(cfg_path), "--output-path", str(tmp_path)])
+    row = _strict_loads((tmp_path / "report.json").read_text())["checks"]["laplace"]["rows"][0]
+    assert row["oracle"] is None
+    assert row["oracle_error_estimate"] is None
+
+
 def test_one_check_function_per_known_check():
     assert tuple(CHECKS) == KNOWN_CHECKS
 
@@ -305,3 +317,19 @@ class TestPlotdata:
         out = emit_convergence_plotdata(str(empty))
         rows = read_csv(out)
         assert rows == [PLOT_HEADER]
+
+
+def test_one_sample_batch_per_n(monkeypatch):
+    """The fluctuations check and the sampler check share the last sweep N's
+    batch: a full-check run draws one batch per sweep N."""
+    calls = []
+    real = certlap.cli.sample
+
+    def counting(meas, count, **kwargs):
+        calls.append((meas.N, count))
+        return real(meas, count, **kwargs)
+
+    monkeypatch.setattr(certlap.cli, "sample", counting)
+    cfg = RunConfig(problem="gauss1d", checks=KNOWN_CHECKS, sample_count=20_000, seed=1)
+    run_checks(cfg)
+    assert sorted(calls) == [(n, 20_000) for n in cfg.n_sweep]

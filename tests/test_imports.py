@@ -61,3 +61,19 @@ def test_one_expectation_path():
                     ):
                         callers.add(f"{path.stem}.{fn.name}")
     assert callers == {"cli._check_laplace", "gibbs.gibbs_measure", "gibbs._expectation"}
+
+
+def test_oracle_builds_no_meshgrid_copies():
+    """The oracle fills one point buffer by broadcasting each axis's nodes:
+    it calls neither np.meshgrid nor np.stack."""
+    path = SRC / "oracle.py"
+    found = [
+        f"{path.name}:{node.lineno}: np.{node.func.attr}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("meshgrid", "stack")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
+    assert found == []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from certlap import BoxDomain, get_problem, integrate, tail_integral
+from certlap import BoxDomain, catalog, get_problem, integrate, oracle, tail_integral
+from certlap.config import problem_from_config
 from certlap.errors import UnsupportedDimensionError
 from certlap.problems import rotate_problem
 
@@ -92,6 +93,104 @@ class TestIntegrate:
         v = integrate(spec, 64, tol=1e-10)
         assert v.converged
         assert v.abs_error_estimate <= 1e-10 * max(1.0, abs(v.value))
+
+
+CLOSED_FORM_PROBLEMS = (
+    "gauss1d", "exp1d", "iso2d", "mixed2d", "tilt2d", "gauss3d", "boundary3d",
+    "drift1d", "eps1d", "viol1d",
+)
+
+
+def _meshgrid_sum(axes_nodes, axes_weights, exponent, weight_fn):
+    """Naive reference for oracle._tensor_sum: the whole tensor grid and its
+    weights as flat meshgrid copies, summed with fsum."""
+    pts = np.stack([g.reshape(-1) for g in np.meshgrid(*axes_nodes, indexing="ij")], axis=-1)
+    wts = np.ones(len(pts))
+    for g in np.meshgrid(*axes_weights, indexing="ij"):
+        wts = wts * g.reshape(-1)
+    vals = np.exp(exponent(pts))
+    if weight_fn is not None:
+        vals = vals * weight_fn(pts)
+    return math.fsum(wts * vals), len(pts)
+
+
+class TestPanelPair:
+    """One panel set per depth, checked by Gauss order n - 2 on the same
+    panels, with a relative stopping rule."""
+
+    def test_closed_form_list_is_complete(self):
+        assert {s.name for s in catalog() if s.exact_integral} == set(CLOSED_FORM_PROBLEMS)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_PROBLEMS)
+    def test_closed_forms(self, name):
+        spec = get_problem(name)
+        for n in (25, 100, 400, 1600):
+            v = integrate(spec, n, tol=1e-10)
+            ref = spec.exact_integral(n)
+            assert v.converged
+            assert abs(v.value - ref) <= 1e-13 * abs(ref), (name, n)
+
+    def test_boundary_estimate_is_relative(self):
+        # the shifted value of a boundary problem is << 1, so an absolute
+        # rule would stop with a relative error estimate far above tol
+        v = integrate(get_problem("mixed2d"), 1600, tol=1e-10)
+        assert v.converged
+        assert v.rel_error_estimate <= 1e-10
+
+    def test_repeat_is_bit_identical(self):
+        spec = get_problem("gauss3d")
+        assert integrate(spec, 100, tol=1e-10) == integrate(spec, 100, tol=1e-10)
+
+    def test_gauss3d_evaluations(self):
+        # the two-depth comparison took 6,469,632 evaluations per call
+        v = integrate(get_problem("gauss3d"), 1600, tol=1e-10)
+        assert v.converged
+        assert v.evaluations < 6_469_632 // 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_tensor_sum_matches_meshgrid(self, m, monkeypatch):
+        rng = np.random.default_rng(m)
+        sizes = (7, 5, 4, 3)[:m]
+        nodes = [rng.uniform(-1.0, 1.0, k) for k in sizes]
+        weights = [rng.uniform(0.1, 1.0, k) for k in sizes]
+        a = rng.uniform(-3.0, -0.5, m)
+
+        def exponent(pts):
+            return (pts**2) @ a + 0.3 * pts[..., -1]
+
+        def weight_fn(pts):
+            return 1.5 + pts[..., 0]
+
+        inner = math.prod(sizes[1:])
+        for w_fn in (weight_fn, None):
+            ref, n_ref = _meshgrid_sum(nodes, weights, exponent, w_fn)
+            # one block, then the first axis split into blocks of 2, 2, 2, 1
+            for chunk in (oracle._CHUNK, 2 * inner):
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                got, n = oracle._tensor_sum(nodes, weights, exponent, w_fn)
+                assert n == n_ref
+                assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
+# f = x on [0, 1]: N f* = N, so the shifted value is scaled by exp(N)
+RISING = {
+    "name": "rising",
+    "domain": {"lower": [0.0], "upper": [1.0]},
+    "f": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+}
+
+
+class TestErrorEstimateScale:
+    def test_not_capped_below_overflow(self):
+        # log offset 705 > 700 while the value e^705 / 705 stays finite
+        v = integrate(problem_from_config(RISING), 705, tol=1e-10)
+        assert math.isfinite(v.value) and v.abs_error_estimate > 0
+        assert v.abs_error_estimate == pytest.approx(v.rel_error_estimate * v.value, rel=1e-12)
+
+    def test_infinite_only_where_the_value_overflows(self):
+        v = integrate(problem_from_config(RISING), 1600, tol=1e-10)
+        assert v.value == math.inf and v.abs_error_estimate == math.inf
+        assert v.rel_error_estimate <= 1e-10
 
 
 class TestTailIntegral:
