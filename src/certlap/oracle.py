@@ -2,14 +2,19 @@
 
 Tensor-product Gauss-Legendre on dyadic panels that shrink geometrically
 toward the maximizer (the integrand localizes at scale 1/sqrt(N), so uniform
-panels would need O(sqrt(N)) nodes per axis).  At each panel depth the
-integral is evaluated twice on the same panels, with the dimension's Gauss
-order n and with order n - 2; the call has converged when the two agree to
-tol relative to the order-n value, which it returns.  Otherwise the panels
-are refined by two dyadic levels.  All exponents are evaluated relative to
-f(x*(N), N): individual factors can over/underflow wildly while the shifted
-products stay representable.  Summation order is fixed (blocked partial
-sums combined with fsum), so values are reproducible bit for bit.
+panels would need O(sqrt(N)) nodes per axis).  Each panel set is evaluated
+twice, with Gauss order n and with order n - 2 on the same panels; the call
+has converged when the two agree to tol times the integral of |integrand|
+(the order-n sum of |w| e^(...)), and returns the order-n value.  Otherwise
+the axes whose own order pair, on the line through the centre, misses tol
+are refined by two dyadic levels (every axis, if none does).  A deeper
+level only splits the panels next to the centre, so once one fails to cut
+the disagreement by 4 the order pair is raised by 2 on the same panels
+instead; once that fails to cut it too, the call gives up.  All exponents are
+evaluated relative to f(x*(N), N): individual factors can over/underflow
+wildly while the shifted products stay representable.  Summation order is
+fixed (blocked partial sums combined with fsum), so values are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import QuadratureBudgetError, UnsupportedDimensionError
+from .errors import FieldEvaluationError, QuadratureBudgetError, UnsupportedDimensionError
 from .derivatives import field_values
 from .problems import BoxDomain, ProblemSpec, ScalarField, rotated_view
 
 MAX_PANEL_DEPTH = 40
 # Gauss order n per dimension.  Each depth is checked against order n - 2,
-# whose error on the panels that refinement leaves alone must sit below tol:
-# on a 4-D Gaussian an 8/6 pair stalls at 2e-8 to 1e-7, a 12/10 pair at 7e-13
+# whose error on the panels that deepening leaves alone should sit below the
+# default tol: on a 4-D Gaussian an 8/6 pair stalls at 2e-8 to 1e-7, a 12/10
+# pair at 7e-13.  Raising the order on a stall goes up to twice these.
 _GAUSS_ORDER = {1: 32, 2: 20, 3: 12, 4: 12}
 _CHUNK = 2_000_000  # max tensor nodes evaluated at once
 
@@ -78,7 +84,8 @@ def _tensor_sum(
     axes_nodes, axes_weights, exponent: Callable[[np.ndarray], np.ndarray],
     weight_fn: Optional[Callable[[np.ndarray], np.ndarray]],
 ):
-    """Deterministic blocked tensor-product sum of w(x) * exp(exponent(x)).
+    """Deterministic blocked tensor-product sums of w(x) * exp(exponent(x))
+    and of its absolute value; returns (sum, abs_sum, evaluations).
 
     Each block of first-axis nodes is evaluated on one preallocated
     (block, n_1, ..., n_{m-1}, m) point buffer, filled by broadcasting each
@@ -94,7 +101,7 @@ def _tensor_sum(
     buf = np.empty((block,) + trailing + (m,))
     for i in range(1, m):
         buf[..., i] = axes_nodes[i].reshape((-1,) + (1,) * (m - 1 - i))
-    partials = []
+    partials, abs_partials = [], []
     for start in range(0, n0, block):
         x0 = axes_nodes[0][start:start + block]
         pts = buf[:len(x0)]
@@ -102,9 +109,14 @@ def _tensor_sum(
         vals = np.exp(exponent(pts))
         if weight_fn is not None:
             vals *= weight_fn(pts)
-        inner_sums = vals.reshape(len(x0), inner) @ w_inner
-        partials.append(float(np.dot(axes_weights[0][start:start + block], inner_sums)))
-    return math.fsum(partials), n0 * inner
+        flat = vals.reshape(len(x0), inner)
+        w0 = axes_weights[0][start:start + block]
+        partials.append(float(np.dot(w0, flat @ w_inner)))
+        if flat.min() < 0:
+            abs_partials.append(float(np.dot(w0, np.abs(flat) @ w_inner)))
+        else:
+            abs_partials.append(partials[-1])
+    return math.fsum(partials), math.fsum(abs_partials), n0 * inner
 
 
 def integrate(
@@ -120,14 +132,24 @@ def integrate(
 
     ``weight`` replaces the problem's g (multiplicative); ``log_weight`` is
     added inside the exponent (used for exponential tilts, where a
-    multiplicative weight would overflow).  From panel depth 4, each depth
-    is evaluated with Gauss orders n and n - 2 on the same panels; converged
-    when |Q_n - Q_{n-2}| <= tol * |Q_n|, otherwise the depth grows by 2 up
-    to MAX_PANEL_DEPTH.  The value returned is Q_n, and |Q_n - Q_{n-2}| is
-    its error estimate (an over-estimate: it is the error of Q_{n-2}).
-    A deeper level only splits the panels next to the centre, so a tol below
-    Q_{n-2}'s error on the other panels (about 6e-13 relative for a 3-D
-    Gaussian at N = 1600) is not reached before the depth budget runs out.
+    multiplicative weight would overflow).  ``log_weight``, like a field,
+    must map points of shape (..., m) to values of shape (...).
+
+    From panel depth 4 on every axis, each panel set is evaluated with
+    Gauss orders n and n - 2; converged when |Q_n - Q_{n-2}| <= tol * A_n,
+    where A_n is the order-n sum of the integrand's absolute value (|Q_n|
+    for a positive integrand; for a sign-changing weight it keeps a
+    cancelling integral from demanding round-off).  Otherwise the same pair
+    is formed on the line through the centre along each axis, and the axes
+    whose line misses tol get two more dyadic levels (every axis, if no line
+    misses), up to MAX_PANEL_DEPTH.  A deeper level only splits the panels
+    next to the centre; once one fails to cut the disagreement by 4, the
+    rest sits on panels it leaves alone, and the pair is raised to orders
+    n + 2 and n on the same panels, up to twice the dimension's order.  Once
+    a raise fails to cut it by 4 too (round-off, or an integrand that is
+    not smooth), the call raises QuadratureBudgetError.  The value returned
+    is Q_n, and |Q_n - Q_{n-2}| is its error estimate (an over-estimate: it
+    is the error of Q_{n-2}).
     """
     N = int(N)
     m = spec.dimension
@@ -143,38 +165,77 @@ def integrate(
         center = spec.z_star_of_N(N)
     c = box.clip(np.asarray(center, dtype=float))
 
+    def log_w(pts):
+        lw = np.asarray(log_weight(pts), dtype=float)
+        if lw.shape != pts.shape[:-1]:
+            raise FieldEvaluationError(
+                f"log_weight returned shape {lw.shape} for points of shape "
+                f"{pts.shape}; it must map (..., m) to (...)"
+            )
+        return lw
+
     f_peak = float(np.asarray(f_box.evaluate(c)))
-    lw_peak = float(log_weight(c)) if log_weight is not None else 0.0
+    lw_peak = float(log_w(c)) if log_weight is not None else 0.0
     log_offset = N * f_peak + lw_peak
 
     def exponent(pts):
         e = N * (field_values(f_box, pts) - f_peak)
         if log_weight is not None:
-            e = e + (np.asarray(log_weight(pts), dtype=float) - lw_peak)
+            e = e + (log_w(pts) - lw_peak)
         return e
 
     def wfn(pts):
         return field_values(w_box, pts)
 
-    def panel_sum(depth: int, order: int):
+    def panel_sum(depths, order: int, line: Optional[int] = None):
+        """The order-``order`` sums on the panels of ``depths``; with
+        ``line``, only on the line through the centre along that axis."""
         axes = [
-            _axis_nodes(box.lower[i], box.upper[i], c[i], depth, order)
+            _axis_nodes(box.lower[i], box.upper[i], c[i], depths[i], order)
+            if line in (None, i) else (c[i:i + 1], np.ones(1))
             for i in range(m)
         ]
         return _tensor_sum([a[0] for a in axes], [a[1] for a in axes], exponent, wfn)
 
-    order = _GAUSS_ORDER[m]
-    evals = 0
-    for depth in range(4, MAX_PANEL_DEPTH + 1, 2):
-        val, cnt = panel_sum(depth, order)
-        low, cnt_low = panel_sum(depth, order - 2)
-        evals += cnt + cnt_low
+    depths, order = [4] * m, _GAUSS_ORDER[m]
+    val, scale, evals = panel_sum(depths, order)
+    low, _, cnt = panel_sum(depths, order - 2)
+    evals += cnt
+    deepen = True
+    last = math.inf
+    while True:
         delta = abs(val - low)
-        if delta <= tol * abs(val):
+        if delta <= tol * scale:
             return _finish(val, delta, evals, True, log_offset)
+        if delta > last / 4:
+            if not deepen:
+                break
+            deepen = False
+        last = delta
+        if deepen and max(depths) < MAX_PANEL_DEPTH:
+            flagged = []
+            for i in range(m):
+                hi, line_scale, k_hi = panel_sum(depths, order, line=i)
+                lo, _, k_lo = panel_sum(depths, order - 2, line=i)
+                evals += k_hi + k_lo
+                if abs(hi - lo) > tol * line_scale:
+                    flagged.append(i)
+            for i in flagged or range(m):
+                depths[i] += 2
+            val, scale, cnt = panel_sum(depths, order)
+            low, _, cnt_low = panel_sum(depths, order - 2)
+            evals += cnt + cnt_low
+        elif not deepen and order < 2 * _GAUSS_ORDER[m]:
+            order += 2
+            low = val
+            val, scale, cnt = panel_sum(depths, order)
+            evals += cnt
+        else:
+            break
     best = _finish(val, delta, evals, False, log_offset)
     raise QuadratureBudgetError(
-        f"panel budget exhausted before reaching tol={tol}", best=best
+        f"no panel depths up to {depths} and Gauss order up to {order} reached "
+        f"tol={tol}", best=best
     )
 
 

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from certlap import BoxDomain, catalog, get_problem, integrate, oracle, tail_integral
+from certlap import (
+    BoxDomain, catalog, get_problem, integrate, oracle, polynomial_field, tail_integral,
+)
 from certlap.config import problem_from_config
-from certlap.errors import UnsupportedDimensionError
+from certlap.errors import (
+    FieldEvaluationError, QuadratureBudgetError, UnsupportedDimensionError,
+)
 from certlap.problems import rotate_problem
 
 
@@ -111,7 +115,7 @@ def _meshgrid_sum(axes_nodes, axes_weights, exponent, weight_fn):
     vals = np.exp(exponent(pts))
     if weight_fn is not None:
         vals = vals * weight_fn(pts)
-    return math.fsum(wts * vals), len(pts)
+    return math.fsum(wts * vals), math.fsum(wts * np.abs(vals)), len(pts)
 
 
 class TestPanelPair:
@@ -159,17 +163,106 @@ class TestPanelPair:
             return (pts**2) @ a + 0.3 * pts[..., -1]
 
         def weight_fn(pts):
-            return 1.5 + pts[..., 0]
+            return 0.5 + pts[..., 0]  # changes sign on the nodes
 
         inner = math.prod(sizes[1:])
         for w_fn in (weight_fn, None):
-            ref, n_ref = _meshgrid_sum(nodes, weights, exponent, w_fn)
+            ref, abs_ref, n_ref = _meshgrid_sum(nodes, weights, exponent, w_fn)
             # one block, then the first axis split into blocks of 2, 2, 2, 1
             for chunk in (oracle._CHUNK, 2 * inner):
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
-                got, n = oracle._tensor_sum(nodes, weights, exponent, w_fn)
+                got, abs_got, n = oracle._tensor_sum(nodes, weights, exponent, w_fn)
                 assert n == n_ref
-                assert abs(got - ref) <= 1e-15 * abs(ref)
+                assert abs(got - ref) <= 1e-15 * abs_ref
+                assert abs(abs_got - abs_ref) <= 1e-15 * abs_ref
+
+
+def _gaussian_config(m: int) -> dict:
+    # f = -|x|^2 / 2 on [-1, 1]^m
+    return {
+        "name": f"gauss{m}d_inline",
+        "domain": {"lower": [-1.0] * m, "upper": [1.0] * m},
+        "f": {"type": "polynomial", "terms": [
+            {"coeff": -0.5, "powers": [2 if j == i else 0 for j in range(m)]}
+            for i in range(m)
+        ]},
+    }
+
+
+class TestRefinement:
+    """A failing pair deepens the axes whose line through the centre misses
+    tol.  Deeper levels only split the panels next to the centre; when that
+    stops cutting the pair's disagreement, the order is raised on the same
+    panels, and when that stops too the call raises at once."""
+
+    def test_gauss3d_below_the_pair_floor(self):
+        # the 12/10 pair stalls at about 6e-13 on gauss3d at N = 1600, where
+        # deepening leaves the panels carrying it alone; a 14/12 pair on the
+        # depth-6 panels converges
+        spec = get_problem("gauss3d")
+        v = integrate(spec, 1600, tol=1e-13)
+        assert v.converged
+        assert v.rel_error_estimate <= 1e-13
+        assert abs(v.value - spec.exact_integral(1600)) <= 1e-13 * v.value
+        # depth 4 with orders 12 and 10; every axis's line through the centre
+        # misses tol, so depth 6 on every axis; that does not cut the pair's
+        # difference, so order 14 at depth 6
+        cuts = 3 * (120 + 100)
+        assert v.evaluations == 120**3 + 100**3 + cuts + 168**3 + 140**3 + 196**3
+
+    def test_boundary3d_deepens_only_its_exponential_axis(self):
+        # at N = 1600 the exponential axis 0 has scale 1/N, the Gaussian
+        # axes 1/sqrt(N): only axis 0's line through the centre misses tol,
+        # so depths go (4, 4, 4) -> (6, 4, 4) -> (8, 4, 4)
+        spec = get_problem("boundary3d")
+        v = integrate(spec, 1600, tol=1e-10)
+        assert v.converged
+        assert abs(v.value - spec.exact_integral(1600)) <= 1e-14 * v.value
+        panels = (
+            (60 * 120**2 + 50 * 100**2)
+            + (84 * 120**2 + 70 * 100**2)
+            + (108 * 120**2 + 90 * 100**2)
+        )
+        cuts = (60 + 50 + 2 * 220) + (84 + 70 + 2 * 220)
+        assert v.evaluations == panels + cuts
+
+    def test_kink_raises_at_once(self):
+        # a kink in the exponent away from the centre: neither deeper panels
+        # nor higher orders cut the error geometrically
+        spec = get_problem("gauss1d")
+        with pytest.raises(QuadratureBudgetError) as info:
+            integrate(spec, 100, tol=1e-12, log_weight=lambda p: 5.0 * np.abs(p[..., 0] - 0.3))
+        assert not info.value.best.converged
+        assert info.value.best.evaluations < 10_000
+
+    def test_zero_integral_converges(self):
+        # g = x on gauss1d integrates to zero: Q_n and Q_{n-2} are both
+        # round-off, and the rule scales tol by the integral of |g| e^(N f)
+        spec = get_problem("gauss1d")
+        x = polynomial_field([(1.0, (1,))])
+        for n in (25, 1600):
+            v = integrate(spec, n, tol=1e-10, weight=x)
+            assert v.converged
+            assert abs(v.value) <= 1e-10 * integrate(spec, n).value
+
+    def test_log_weight_shape_is_checked(self):
+        spec = get_problem("gauss3d")
+        with pytest.raises(FieldEvaluationError):
+            integrate(spec, 25, log_weight=lambda p: p[..., :1])
+
+
+class TestFourDimensions:
+    @pytest.mark.parametrize("n", [25, 1600])
+    def test_gaussian_orthant(self, n):
+        # exp(-N |x|^2 / 2) on [0, 1]^4, centre at the corner: 5 panels per
+        # axis at depth 4, converged there with orders 12 and 10
+        spec = problem_from_config(_gaussian_config(4))
+        v = integrate(spec, n, tol=1e-10, domain=BoxDomain([0.0] * 4, [1.0] * 4),
+                      center=np.zeros(4))
+        ref = (math.sqrt(math.pi / (2 * n)) * math.erf(math.sqrt(n / 2))) ** 4
+        assert v.converged
+        assert abs(v.value - ref) <= 1e-12 * ref
+        assert v.evaluations == 60**4 + 50**4
 
 
 # f = x on [0, 1]: N f* = N, so the shifted value is scaled by exp(N)
