@@ -17,12 +17,12 @@ from .errors import DomainError
 from .problems import (
     BOUNDARY,
     INTERIOR,
+    UNIT_WEIGHT,
     BoxDomain,
     EpsilonSchedule,
     MaximumInfo,
     ProblemSpec,
     ScalarField,
-    constant_field,
     default_n_zero,
     default_neighborhood,
     polynomial_field,
@@ -99,7 +99,7 @@ def _drifting_gauss(name: str, epsilon: EpsilonSchedule, half_width: float) -> P
         return math.exp(n * eps * eps / 2.0) * _segment_gauss(n, -1.0, 1.0, shift=eps)
 
     return _interior_spec(
-        name, box, f, constant_field(1.0), sigma, epsilon, nb,
+        name, box, f, UNIT_WEIGHT, sigma, epsilon, nb,
         x_star=[0.0], x_star_of_N=x_star_of_N, exact=exact,
     )
 
@@ -113,7 +113,7 @@ def _build_gauss1d() -> ProblemSpec:
         return _segment_gauss(n, -1.0, 1.0)
 
     return _interior_spec(
-        "gauss1d", box, f, constant_field(1.0), None, zero_epsilon(), nb,
+        "gauss1d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
         x_star=[0.0], x_star_of_N=_const_point([0.0]), exact=exact,
     )
 
@@ -126,7 +126,7 @@ def _build_exp1d() -> ProblemSpec:
     def exact(n: int) -> float:
         return -math.expm1(-n) / n
 
-    return _boundary_spec("exp1d", box, f, constant_field(1.0), nb,
+    return _boundary_spec("exp1d", box, f, UNIT_WEIGHT, nb,
                           x_star=[0.0], axis=0, exact=exact)
 
 
@@ -137,7 +137,7 @@ def _build_cubic1d() -> ProblemSpec:
     f = polynomial_field([(-0.5, (2,)), (-1.0 / 6.0, (3,))], name="cubic_well")
     nb = BoxDomain([-0.9], [0.9])
     return _interior_spec(
-        "cubic1d", box, f, constant_field(1.0), None, zero_epsilon(), nb,
+        "cubic1d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
         x_star=[0.0], x_star_of_N=_const_point([0.0]), exact=None,
     )
 
@@ -147,7 +147,7 @@ def _build_quartic1d() -> ProblemSpec:
     f = polynomial_field([(-0.5, (2,)), (-0.25, (4,))], name="quartic_well")
     nb = BoxDomain([-1.0], [1.0])
     return _interior_spec(
-        "quartic1d", box, f, constant_field(1.0), None, zero_epsilon(), nb,
+        "quartic1d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
         x_star=[0.0], x_star_of_N=_const_point([0.0]), exact=None,
     )
 
@@ -161,7 +161,7 @@ def _build_iso2d() -> ProblemSpec:
         return _segment_gauss(n, -1.0, 1.0) ** 2
 
     return _interior_spec(
-        "iso2d", box, f, constant_field(1.0), None, zero_epsilon(), nb,
+        "iso2d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
         x_star=[0.0, 0.0], x_star_of_N=_const_point([0.0, 0.0]), exact=exact,
     )
 
@@ -175,7 +175,7 @@ def _build_gauss3d() -> ProblemSpec:
         return _segment_gauss(n, -1.0, 1.0) ** 3
 
     return _interior_spec(
-        "gauss3d", box, f, constant_field(1.0), None, zero_epsilon(), nb,
+        "gauss3d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
         x_star=[0.0] * 3, x_star_of_N=_const_point([0.0] * 3), exact=exact,
     )
 
@@ -191,7 +191,7 @@ def _build_mixed2d() -> ProblemSpec:
     def exact(n: int) -> float:
         return (-math.expm1(-n) / n) * _segment_gauss(n, -1.0, 1.0)
 
-    return _boundary_spec("mixed2d", box, f, constant_field(1.0), nb,
+    return _boundary_spec("mixed2d", box, f, UNIT_WEIGHT, nb,
                           x_star=[0.0, 0.0], axis=0, exact=exact)
 
 
@@ -221,7 +221,7 @@ def _build_boundary3d() -> ProblemSpec:
     def exact(n: int) -> float:
         return (-math.expm1(-n) / n) * _segment_gauss(n, -1.0, 1.0) ** 2
 
-    return _boundary_spec("boundary3d", box, f, constant_field(1.0), nb,
+    return _boundary_spec("boundary3d", box, f, UNIT_WEIGHT, nb,
                           x_star=[0.0, 0.0, 0.0], axis=0, exact=exact)
 
 

@@ -88,7 +88,7 @@ from .gibbs import (
 )
 from .laplace import approximate
 from .oracle import integrate
-from .problems import INTERIOR, BoxDomain, limit_axes
+from .problems import INTERIOR, UNIT_WEIGHT, BoxDomain, limit_axes
 
 CSV_HEADER = [
     "N", "leading", "oracle", "abs_error", "remainder_magnitude", "bound_ok",
@@ -122,7 +122,8 @@ def _check_laplace(spec, consts, config, sweep, measure, batch) -> tuple[dict, b
     all_ok = True
     for n in sweep:
         res = approximate(spec, consts, n)
-        orc = integrate(spec, n, tol=config.tol)
+        orc = (measure(n).normalizer if spec.g is UNIT_WEIGHT  # with g = 1 it is Z(N)
+               else integrate(spec, n, tol=config.tol))
         ok = res.contains_oracle(orc)
         all_ok &= ok
         d = res.to_dict()
@@ -167,7 +168,7 @@ def _check_fluctuations(spec, consts, config, sweep, measure, batch) -> tuple[di
         rep = mgf_Y(measure(n), xi)
         reports.append(rep)
         entry = rep.to_dict()
-        draws = batch(n, config.sample_count)
+        draws = batch(n)
         ks = empirical_limit_test(draws, model)
         entry["ks"] = ks
         entry["acceptance_rate"] = draws.acceptance_rate
@@ -196,14 +197,14 @@ def _check_preposition1(spec, consts, config, sweep, measure, batch) -> tuple[di
 
 def _check_sampler(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
     n = sweep[-1]
-    audit = _sampler_audit(measure(n), batch(n, min(config.sample_count, 20000)), seed=config.seed)
+    audit = _sampler_audit(measure(n), batch(n), seed=config.seed)
     return audit, audit["ok"]
 
 
 # one entry per name in KNOWN_CHECKS, run in that order; each takes
 # (spec, consts, config, sweep, measure, batch), where measure(N) is the
-# run's Gibbs measure at N and batch(N, count) its sample batch of count
-# draws from it
+# run's Gibbs measure at N and batch(N) its batch of sample_count draws
+# from it
 CHECKS = {
     "laplace": _check_laplace,
     "constants": _check_constants,
@@ -242,11 +243,11 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
     report["constants"] = consts.to_dict()
 
     # the run owns the Gibbs measures of its sweep and the sample batches
-    # drawn from them: each normaliser Z(N) and each batch of a given size
-    # is computed once, by the first check that asks for it
+    # drawn from them: each normaliser Z(N) and each N's batch is computed
+    # once, by the first check that asks for it
     measure = functools.cache(lambda n: gibbs_measure(spec, n, tol=config.tol))
     batch = functools.cache(
-        lambda n, count: sample(measure(n), count, seed=config.seed, consts=consts)
+        lambda n: sample(measure(n), config.sample_count, seed=config.seed, consts=consts)
     )
 
     passed = True

@@ -17,6 +17,7 @@ from .catalog import catalog_names, get_problem
 from .errors import ConfigError, DomainError
 from .problems import (
     INTERIOR,
+    UNIT_WEIGHT,
     BoxDomain,
     EpsilonSchedule,
     MaximumInfo,
@@ -61,7 +62,7 @@ class RunConfig:
 
 def field_from_config(cfg, dimension: int) -> ScalarField:
     if cfg is None:
-        return constant_field(1.0)
+        return UNIT_WEIGHT
     if isinstance(cfg, (int, float)):
         return constant_field(float(cfg))
     if not isinstance(cfg, dict) or "type" not in cfg:
@@ -148,17 +149,7 @@ def problem_from_config(cfg) -> ProblemSpec:
     n0 = default_n_zero(
         box, info.neighborhood, info.kind, lambda n: box.to_box(info.x_star_of_N(n))
     )
-    return ProblemSpec(
-        name=name,
-        dimension=m,
-        domain=box,
-        f_limit=f,
-        g=g,
-        maximum=info,
-        sigma=sigma,
-        epsilon=eps,
-        n_zero=max(n0, int(cfg.get("n_zero", 1))),
-    )
+    return replace(draft, maximum=info, n_zero=max(n0, int(cfg.get("n_zero", 1))))
 
 
 def _placeholder_maximum(box: BoxDomain):

@@ -65,6 +65,7 @@ def _neighborhood_extremes(f_n, pts, box, h, axis, gauss) -> dict:
     H = hessians_on(f_n, pts, box, h)
     _check_finite(H, "Hessian")
     eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
+    # Hessians at 10h (1e-3 of the smallest edge), differenced at 100h (1e-2)
     T = third_norms_on(f_n, pts, box, 10 * h)
     _check_finite(T, "third tensor")
     Hg = gauss_block(H, gauss)

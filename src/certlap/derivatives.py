@@ -2,11 +2,13 @@
 (analytic passthrough or second-order finite differences), plus the norm
 machinery the remainder constants are built from.
 
-This module holds the only difference stencils in the package.  The
-third-tensor "norm" here is the Frobenius upper bound of the injective
-norm: cheap, deterministic, and conservative, so every bound assembled from
-it stays a bound.  Everything in this module is a pure function, safe for
-concurrent use.
+This module holds the only difference stencils in the package and the one
+function that applies them, ``_stencil``: a tensor product of 1-d stencils
+on a whole batch of points, evaluated in one ``field_values`` call, so a
+field without analytic derivatives is practical on a grid.  The third-tensor
+"norm" is the Frobenius upper bound of the injective norm: cheap and
+conservative, so every bound assembled from it stays a bound.  Everything
+in this module is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -22,18 +24,20 @@ from .errors import FieldEvaluationError, StepSizeError, SymmetryError
 if TYPE_CHECKING:
     from .problems import BoxDomain, ScalarField
 
-# second-order accurate one-dimensional stencils: offsets (in units of h) and
-# coefficients for the first and second derivative, per side
-_D1 = {
-    "central": ((-1, 1), (-0.5, 0.5)),
-    "forward": ((0, 1, 2), (-1.5, 2.0, -0.5)),
-    "backward": ((-2, -1, 0), (0.5, -2.0, 1.5)),
-}
-_D2 = {
-    "central": ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    "forward": ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)),
-    "backward": ((-3, -2, -1, 0), (-1.0, 4.0, -5.0, 2.0)),
-}
+# second-order 1-d stencils for the first and second derivative: offsets (in
+# units of h), coefficients and the power of h they divide by, one row per
+# side (central, forward, backward); central rows are padded with zero weights
+_D1 = (
+    np.array([[-1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [-2.0, -1.0, 0.0]]),
+    np.array([[-0.5, 0.0, 0.5], [-1.5, 2.0, -0.5], [0.5, -2.0, 1.5]]),
+    1,
+)
+_D2 = (
+    np.array([[-1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0], [-3.0, -2.0, -1.0, 0.0]]),
+    np.array([[1.0, -2.0, 1.0, 0.0], [2.0, -5.0, 4.0, -1.0], [-1.0, 4.0, -5.0, 2.0]]),
+    2,
+)
+_CHUNK = 16_384  # points differenced at once; bounds the stencil buffers
 
 
 @dataclass(frozen=True)
@@ -45,11 +49,9 @@ class DerivativeBundle:
     source: str  # analytic | finite_difference
 
 
-def default_fd_step(box: BoxDomain, order: int = 1) -> float:
-    """1e-4 of the smallest box edge for gradient/Hessian stencils, 1e-3 for
-    the third tensor (differences of Hessians lose one order)."""
-    edge = float(np.min(box.edges))
-    return (1e-4 if order < 3 else 1e-3) * edge
+def default_fd_step(box: BoxDomain) -> float:
+    """1e-4 of the smallest box edge: the gradient and Hessian step."""
+    return 1e-4 * float(np.min(box.edges))
 
 
 def field_values(fld: ScalarField, pts: np.ndarray) -> np.ndarray:
@@ -67,57 +69,102 @@ def field_values(fld: ScalarField, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pick_side(x_i: float, lo: float, hi: float, room: float) -> str:
-    if x_i - lo >= room and hi - x_i >= room:
-        return "central"
-    return "forward" if hi - x_i >= x_i - lo else "backward"
-
-
-def _sides(x: np.ndarray, box: Optional[BoxDomain], room: float) -> list[str]:
-    m = x.size
+def _sides(pts: np.ndarray, box: Optional[BoxDomain], room: float) -> np.ndarray:
+    """Stencil row per point and axis: central with ``room`` to both faces,
+    otherwise one-sided toward the farther face."""
     if box is None:
-        return ["central"] * m
-    return [_pick_side(x[i], box.lower[i], box.upper[i], room) for i in range(m)]
+        return np.zeros(pts.shape, dtype=int)
+    below, above = pts - box.lower, box.upper - pts
+    return np.where((below >= room) & (above >= room), 0, np.where(above >= below, 1, 2))
 
 
-def _apply_stencils(fld: ScalarField, x: np.ndarray, specs) -> float:
-    """Tensor composition of per-axis 1-d stencils; ``specs`` maps axis ->
-    (h, offsets, coeffs)."""
-    pts, weights = [x.copy()], [1.0]
-    for axis, (h, offs, coefs) in specs.items():
-        new_pts, new_w = [], []
-        for p, w in zip(pts, weights):
-            for o, c in zip(offs, coefs):
-                q = p.copy()
-                q[axis] += o * h
-                new_pts.append(q)
-                new_w.append(w * c / h)
-        pts, weights = new_pts, new_w
-    vals = field_values(fld, np.array(pts))
+def _stencil(fld: ScalarField, pts: np.ndarray, h: float, sides: np.ndarray, terms) -> np.ndarray:
+    """Tensor product of the (axis, table) pairs in ``terms`` at each point
+    of ``pts`` (k, m), with the row per point and axis that ``sides`` picks;
+    one field_values call on the points repeated per node.  Shape (k,)."""
+    k = len(pts)
+    x, weights = pts, []
+    for depth, (axis, (offs, coefs, power)) in enumerate(terms):
+        row = sides[:, axis]
+        shape = (k,) + (1,) * depth + (offs.shape[1],)
+        x = np.repeat(x[..., None, :], offs.shape[1], axis=-2)
+        x[..., axis] += (offs[row] * h).reshape(shape)
+        weights.append((coefs[row] / h**power).reshape(shape))
+    vals = field_values(fld, x)
     if not np.all(np.isfinite(vals)):
         raise FieldEvaluationError("non-finite field value in a difference stencil")
-    return float(np.dot(np.asarray(weights), vals))
+    # each row's weights sum to zero, so taking the first node's values off
+    # keeps the sum and shrinks the round-off of the weighted terms
+    vals = vals - vals[:, :1]
+    for w in reversed(weights):
+        vals = np.sum(w * vals, axis=-1)
+    return vals
 
 
-def _fd_gradient(fld, x, h, box):
-    sides = _sides(x, box, 2 * h)
-    return np.array([_apply_stencils(fld, x, {i: (h, *_D1[sides[i]])}) for i in range(x.size)])
+def _gradients(fld, pts, box, h):
+    sides = _sides(pts, box, 2 * h)
+    return np.stack([_stencil(fld, pts, h, sides, [(i, _D1)]) for i in range(pts.shape[-1])], -1)
 
 
-def _fd_hessian(fld, x, h, box):
-    m = x.size
-    sides = _sides(x, box, 2 * h)
-    hess = np.empty((m, m))
+def _hessians(fld, pts, box, h):
+    """D2 on the diagonal and D1 x D1 off it."""
+    sides = _sides(pts, box, 2 * h)
+    m = pts.shape[-1]
+    out = np.empty((len(pts), m, m))
     for i in range(m):
-        offs2, coefs2 = _D2[sides[i]]
-        # _apply_stencils divides by h once; pre-divide so the diagonal
-        # second derivative carries the full 1/h^2
-        hess[i, i] = _apply_stencils(fld, x, {i: (h, offs2, tuple(c / h for c in coefs2))})
-    for i in range(m):
+        out[:, i, i] = _stencil(fld, pts, h, sides, [(i, _D2)])
         for j in range(i + 1, m):
-            v = _apply_stencils(fld, x, {i: (h, *_D1[sides[i]]), j: (h, *_D1[sides[j]])})
-            hess[i, j] = hess[j, i] = v
-    return 0.5 * (hess + hess.T)
+            out[:, i, j] = out[:, j, i] = _stencil(fld, pts, h, sides, [(i, _D1), (j, _D1)])
+    return out
+
+
+def _symmetrize3(t: np.ndarray) -> np.ndarray:
+    """Mean over the permutations of the last three axes."""
+    lead = tuple(range(t.ndim - 3))
+    perms = itertools.permutations(range(t.ndim - 3, t.ndim))
+    return sum(np.transpose(t, lead + p) for p in perms) / 6.0
+
+
+def _thirds(fld, pts, box, h, h3):
+    """Symmetrised third tensors at ``pts`` (k, m): D1 differences with step
+    ``h3`` of the step-``h`` Hessians at the shifted points."""
+    m = pts.shape[-1]
+    offs, coefs, _ = _D1
+    row = _sides(pts, box, 2 * h3 + 2 * h)
+    # shifted[p, a, n] is point p moved by node n of its axis-a stencil
+    shifted = pts[:, None, None, :] + (offs[row] * h3)[..., None] * np.eye(m)[:, None, :]
+    H = _hessians(fld, shifted.reshape(-1, m), box, h).reshape(shifted.shape + (m,))
+    return _symmetrize3(np.sum((coefs[row] / h3)[..., None, None] * H, axis=2))
+
+
+def _chunked(fn, fld, pts, box, *steps) -> np.ndarray:
+    """``fn`` on points of shape (..., m), _CHUNK points at a time."""
+    flat = np.asarray(pts, dtype=float).reshape(-1, pts.shape[-1])
+    parts = [fn(fld, flat[s:s + _CHUNK], box, *steps) for s in range(0, len(flat) or 1, _CHUNK)]
+    out = np.concatenate(parts)
+    return out.reshape(pts.shape[:-1] + out.shape[1:])
+
+
+def gradients_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> np.ndarray:
+    if fld.gradient is not None:
+        return np.asarray(fld.gradient(pts), dtype=float)
+    return _chunked(_gradients, fld, pts, box, h)
+
+
+def hessians_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> np.ndarray:
+    if fld.hessian is not None:
+        return np.asarray(fld.hessian(pts), dtype=float)
+    return _chunked(_hessians, fld, pts, box, h)
+
+
+def third_norms_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> np.ndarray:
+    """Frobenius norms of the third tensors at ``pts``: the analytic handle,
+    or D1 differences with step 10h of Hessians taken at step h."""
+    if fld.third_tensor is not None:
+        T = np.asarray(fld.third_tensor(pts), dtype=float)
+    else:
+        T = _chunked(_thirds, fld, pts, box, h, 10 * h)
+    return np.sqrt(np.sum(T * T, axis=(-3, -2, -1)))
 
 
 def gradient_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) -> np.ndarray:
@@ -129,7 +176,7 @@ def gradient_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) 
         return np.asarray(fld.gradient(z), dtype=float)
     if h is None:
         h = 1e-6 * float(np.min(box.edges))
-    return _fd_gradient(fld, z, h, box)
+    return _gradients(fld, z[None], box, h)[0]
 
 
 def hessian_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) -> np.ndarray:
@@ -141,14 +188,7 @@ def hessian_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) -
         return np.asarray(fld.hessian(z), dtype=float)
     if h is None:
         h = default_fd_step(box)
-    return _fd_hessian(fld, z, h, box)
-
-
-def _symmetrize3(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for perm in itertools.permutations(range(3)):
-        out += np.transpose(t, perm)
-    return out / 6.0
+    return _hessians(fld, z[None], box, h)[0]
 
 
 def bundle_at(
@@ -186,23 +226,11 @@ def bundle_at(
                 raise SymmetryError("analytic third tensor is not permutation symmetric")
         return DerivativeBundle(g, 0.5 * (H + H.T), _symmetrize3(T), fd_step, "analytic")
 
-    grad = _fd_gradient(fld, x, fd_step, box)
-    hess = _fd_hessian(fld, x, fd_step, box)
-    m = x.size
-    third = np.empty((m, m, m))
-    h3 = third_step
-    sides = _sides(x, box, 2 * h3 + 2 * fd_step)
-    for k in range(m):
-        offs, coefs = _D1[sides[k]]
-        acc = np.zeros((m, m))
-        for o, c in zip(offs, coefs):
-            if c == 0.0:
-                continue
-            xp = x.copy()
-            xp[k] += o * h3
-            acc += (c / h3) * _fd_hessian(fld, xp, fd_step, box)
-        third[k] = acc
-    return DerivativeBundle(grad, hess, _symmetrize3(third), fd_step, "finite_difference")
+    pts = x[None]
+    grad = _gradients(fld, pts, box, fd_step)[0]
+    hess = _hessians(fld, pts, box, fd_step)[0]
+    third = _thirds(fld, pts, box, fd_step, third_step)[0]
+    return DerivativeBundle(grad, hess, third, fd_step, "finite_difference")
 
 
 def operator_norm_hessian(h) -> float:
@@ -236,38 +264,3 @@ def taylor_cubic_bound(t, radius: float) -> float:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     return third_tensor_norm_bound(t) * float(radius) ** 3
-
-
-# ---------------------------------------------------------------------------
-# batched helpers used by the grid sweeps
-# ---------------------------------------------------------------------------
-
-def gradients_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> np.ndarray:
-    if fld.gradient is not None:
-        return np.asarray(fld.gradient(pts), dtype=float)
-    out = np.empty_like(pts)
-    for idx, p in enumerate(pts):
-        out[idx] = _fd_gradient(fld, p, h, box)
-    return out
-
-
-def hessians_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> np.ndarray:
-    if fld.hessian is not None:
-        return np.asarray(fld.hessian(pts), dtype=float)
-    m = pts.shape[-1]
-    out = np.empty(pts.shape[:-1] + (m, m))
-    for idx, p in enumerate(pts.reshape(-1, m)):
-        out.reshape(-1, m, m)[idx] = _fd_hessian(fld, p, h, box)
-    return out
-
-
-def third_norms_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> np.ndarray:
-    if fld.third_tensor is not None:
-        T = np.asarray(fld.third_tensor(pts), dtype=float)
-        return np.sqrt(np.sum(T * T, axis=(-3, -2, -1)))
-    m = pts.shape[-1]
-    vals = []
-    for p in pts.reshape(-1, m):
-        b = bundle_at(fld, p, h, box=box)
-        vals.append(third_tensor_norm_bound(b.third))
-    return np.array(vals).reshape(pts.shape[:-1])

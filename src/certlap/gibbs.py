@@ -46,13 +46,13 @@ from .errors import (
     TiltTooLargeError,
 )
 from .laplace import _complement_distance
-from .oracle import integrate
+from .oracle import OracleValue, integrate
 from .problems import (
     INTERIOR,
+    UNIT_WEIGHT,
     BoxDomain,
     ProblemSpec,
     add_fields,
-    constant_field,
     gauss_block,
     limit_axes,
     locate_maximum,
@@ -67,13 +67,17 @@ from .problems import (
 class GibbsMeasure:
     spec: ProblemSpec
     N: int
-    log_normalizer: float
+    normalizer: OracleValue  # Z(N)
     tol: float = 1e-10
+
+    @property
+    def log_normalizer(self) -> float:
+        return self.normalizer.log_abs_value
 
 
 def gibbs_measure(spec: ProblemSpec, N: int, tol: float = 1e-10) -> GibbsMeasure:
-    z = integrate(spec, N, tol=tol, weight=constant_field(1.0))
-    return GibbsMeasure(spec=spec, N=int(N), log_normalizer=z.log_abs_value, tol=tol)
+    z = integrate(spec, N, tol=tol, weight=UNIT_WEIGHT)
+    return GibbsMeasure(spec=spec, N=int(N), normalizer=z, tol=tol)
 
 
 def _expectation(measure: GibbsMeasure, log_weight=None, domain=None, center=None) -> float:
@@ -82,7 +86,7 @@ def _expectation(measure: GibbsMeasure, log_weight=None, domain=None, center=Non
     exp(log numerator - log Z(N)).  Box probabilities and both MGFs are
     such ratios; the measure carries no g-weight, hence the unit weight."""
     num = integrate(
-        measure.spec, measure.N, tol=measure.tol, weight=constant_field(1.0),
+        measure.spec, measure.N, tol=measure.tol, weight=UNIT_WEIGHT,
         log_weight=log_weight, domain=domain, center=center,
     )
     return math.exp(num.log_abs_value - measure.log_normalizer)

@@ -8,6 +8,7 @@ deterministic regardless of the caller's worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -162,6 +163,10 @@ def constant_field(c: float, name: str = "const") -> ScalarField:
         return np.zeros(pts.shape[:-1] + (m, m, m))
 
     return ScalarField(ev, gr, he, th, name=name)
+
+
+# the weight g = 1; the laplace check reuses Z(N) for a problem whose g is it
+UNIT_WEIGHT = constant_field(1.0)
 
 
 def polynomial_field(terms, name: str = "poly") -> ScalarField:
@@ -684,11 +689,12 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
     def make_info(kind, z_at, axis=None, side=None):
         nb = default_neighborhood(box, z_at, axis, side)
         fixed = {axis: z_at[axis]} if kind == BOUNDARY else None
+        z0 = np.array(z_at)
 
-        def x_star_of_N(N, _fixed=fixed, _z=np.array(z_at)):
-            f_n = spec.f_of_box(int(N))
-            zn, _ = locate_maximum(f_n, box, _z, fixed_axes=_fixed)
-            return box.to_ambient(zn)
+        @functools.cache  # one solve per N; the result is read-only
+        def x_star_of_N(N):
+            zn, _ = locate_maximum(spec.f_of_box(int(N)), box, z0, fixed_axes=fixed)
+            return _freeze(box.to_ambient(zn))
 
         n0 = default_n_zero(box, nb, kind, lambda n: box.to_box(x_star_of_N(n)))
         info = MaximumInfo(

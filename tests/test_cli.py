@@ -241,8 +241,8 @@ def test_one_check_function_per_known_check():
 
 def test_one_gibbs_measure_per_n(monkeypatch):
     """A full-check run builds each sweep N's Gibbs measure once and shares
-    it: 4 normalisers plus 4 laplace oracles, 4 mgf_X, 4 mgf_Y and 10 sampler
-    box probabilities make 26 integrate calls."""
+    it: 4 normalisers, which with g = 1 are also the laplace oracles, 4 mgf_X,
+    4 mgf_Y and 10 sampler box probabilities make 22 integrate calls."""
     measures, integrals = [], []
 
     def counting(calls, real):
@@ -258,7 +258,47 @@ def test_one_gibbs_measure_per_n(monkeypatch):
     cfg = RunConfig(problem="gauss1d", checks=KNOWN_CHECKS, sample_count=20_000, seed=1)
     run_checks(cfg)
     assert sorted(measures) == [25, 100, 400, 1600]
+    assert len(integrals) == 22
+
+
+def test_non_unit_weight_keeps_its_laplace_oracle(monkeypatch):
+    """With g other than the unit weight the laplace check integrates g
+    itself: 4 oracles beside the 4 normalisers, 26 integrate calls."""
+    integrals = []
+    real = certlap.gibbs.integrate
+
+    def counting(spec, N, *args, **kwargs):
+        integrals.append(N)
+        return real(spec, N, *args, **kwargs)
+
+    for module in (certlap.cli, certlap.gibbs):
+        monkeypatch.setattr(module, "integrate", counting)
+    problem = {
+        "name": "tiltg1d",
+        "domain": {"lower": [-1.0], "upper": [1.0]},
+        "f": {"type": "polynomial", "terms": [{"coeff": -0.5, "powers": [2]}]},
+        "g": {"type": "exponential", "linear": [0.3]},
+    }
+    run_checks(RunConfig(problem=problem, checks=KNOWN_CHECKS, sample_count=20_000, seed=1))
     assert len(integrals) == 26
+
+
+def test_sampler_shares_the_batch_at_any_count(monkeypatch):
+    """At the CLI default of 100000 draws too, the sampler check audits the
+    fluctuations check's batch: 4 sample calls for 4 N."""
+    counts = []
+    real = certlap.cli.sample
+
+    def counting(meas, count, *args, **kwargs):
+        counts.append(count)
+        return real(meas, count, *args, **kwargs)
+
+    monkeypatch.setattr(certlap.cli, "sample", counting)
+    cfg = RunConfig(problem="gauss1d", checks=KNOWN_CHECKS, sample_count=100_000, seed=1)
+    status, report = run_checks(cfg)
+    assert status == 0
+    assert counts == [100_000] * 4
+    assert report["checks"]["sampler"]["count"] == 100_000
 
 
 class TestListProblems:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 from certlap import (
     BoxDomain,
     bundle_at,
+    default_fd_step,
+    derivatives,
+    estimate_constants,
     min_singular_value,
     operator_norm_hessian,
     polynomial_field,
@@ -15,7 +20,15 @@ from certlap import (
     third_tensor_norm_bound,
 )
 from certlap.catalog import catalog
-from certlap.derivatives import DerivativeBundle, field_values
+from certlap.derivatives import (
+    DerivativeBundle,
+    field_values,
+    gradient_at,
+    gradients_on,
+    hessian_at,
+    hessians_on,
+    third_norms_on,
+)
 from certlap.errors import FieldEvaluationError, StepSizeError, SymmetryError
 from certlap.problems import ScalarField
 
@@ -195,3 +208,67 @@ class TestFdConsistency:
         scale = max(1.0, np.max(np.abs(b.third)))
         for p in itertools.permutations(range(3)):
             assert np.max(np.abs(b.third - np.transpose(b.third, p))) / scale <= 1e-8
+
+
+class TestStencilPath:
+    """Fields without analytic handles: one batched stencil path."""
+
+    def test_evaluate_calls_do_not_grow_with_the_points(self):
+        f = polynomial_field([(-0.5, (2, 0)), (0.25, (1, 2)), (-0.125, (0, 4))])
+        box = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+        rng = np.random.default_rng(0)
+
+        def calls(fn, k):
+            count = []
+
+            def ev(pts):
+                count.append(1)
+                return f.evaluate(pts)
+
+            fn(ScalarField(ev, name="counted"), rng.uniform(-1, 1, size=(k, 2)), box, 1e-4)
+            return len(count)
+
+        for fn in (gradients_on, hessians_on, third_norms_on):
+            assert calls(fn, 10) == calls(fn, 1000)
+
+    @pytest.mark.parametrize("name", [s.name for s in catalog()])
+    def test_matches_analytic_on_the_grid(self, specs, name):
+        spec = specs[name]
+        box = spec.domain
+        pts = box.grid_points(8)  # the faces need the one-sided stencils
+        h = default_fd_step(box)
+        for f in (spec.f_limit_box, spec.sigma_box, spec.g_box):
+            if f is None:
+                continue
+            bare = strip_analytic(f)
+            for fn, step, tol in (
+                (gradients_on, h, 1e-6), (hessians_on, h, 1e-5), (third_norms_on, 10 * h, 1e-2)
+            ):
+                assert np.max(np.abs(fn(bare, pts, box, step) - fn(f, pts, box, step))) <= tol
+
+    @pytest.mark.parametrize("name", ["quartic1d", "mixed2d", "boundary3d"])
+    def test_point_helpers_are_rows_of_the_batch(self, specs, name):
+        spec = specs[name]
+        box = spec.domain
+        bare = strip_analytic(spec.f_limit_box)
+        pts = box.grid_points(4)
+        h = default_fd_step(box)
+        grads = gradients_on(bare, pts, box, h)
+        hess = hessians_on(bare, pts, box, h)
+        thirds = derivatives._thirds(bare, pts, box, h, 10 * h)
+        for i, p in enumerate(pts):
+            b = bundle_at(bare, p, h, box=box)
+            assert np.array_equal(gradient_at(bare, p, box, h), grads[i])
+            assert np.array_equal(hessian_at(bare, p, box, h), hess[i])
+            assert np.array_equal(b.gradient, grads[i])
+            assert np.array_equal(b.hessian, hess[i])
+            assert np.array_equal(b.third, thirds[i])
+
+    def test_opaque_3d_constants_are_practical(self, specs):
+        spec = specs["gauss3d"]
+        opaque = dataclasses.replace(
+            spec, f_limit=strip_analytic(spec.f_limit), g=strip_analytic(spec.g)
+        )
+        start = time.perf_counter()
+        estimate_constants(opaque, grid_res=16)
+        assert time.perf_counter() - start < 2.0

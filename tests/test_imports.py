@@ -77,3 +77,25 @@ def test_oracle_builds_no_meshgrid_copies():
         and node.func.value.id in ("np", "numpy")
     ]
     assert found == []
+
+
+def test_one_stencil_path():
+    """derivatives.py differences fields through the one batched stencil
+    function: the per-point helpers are gone, and no other function calls
+    field_values."""
+    path = SRC / "derivatives.py"
+    tree = ast.parse(path.read_text())
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if fn.name in ("_fd_gradient", "_fd_hessian", "_pick_side"):
+            found.append(f"{path.name}:{fn.lineno}: def {fn.name}")
+        if fn.name == "_stencil":
+            continue
+        found += [
+            f"{path.name}:{node.lineno}: field_values() in {fn.name}"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field_values"
+        ]
+    assert found == []

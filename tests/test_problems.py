@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import certlap.problems
 from certlap import (
     BOUNDARY,
     INTERIOR,
@@ -27,6 +28,7 @@ from certlap.errors import (
     NonUniqueMaximumError,
     SweepRangeError,
 )
+from certlap.config import problem_from_config
 from certlap.problems import field_values
 
 
@@ -201,6 +203,28 @@ class TestClassify:
         spec = make_1d_problem([(-0.5, (2,))])
         with pytest.raises(ValueError):
             classify_maximum(spec, 4)
+
+    def test_x_star_of_n_solved_once_per_n(self, monkeypatch):
+        spec = problem_from_config({
+            "name": "drift2d",
+            "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "f": {"type": "polynomial",
+                  "terms": [{"coeff": -0.5, "powers": [2, 0]}, {"coeff": -1.0, "powers": [0, 2]}]},
+            "sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+            "epsilon": {"class": "power", "exponent": -0.75},
+        })
+        calls = []
+        real = certlap.problems.locate_maximum
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certlap.problems, "locate_maximum", counting)
+        first = spec.z_star_of_N(400)
+        assert np.array_equal(spec.z_star_of_N(400), first)
+        assert len(calls) == 1
+        assert not spec.maximum.x_star_of_N(400).flags.writeable
 
 
 class TestCatalog:
