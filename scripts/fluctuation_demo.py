@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Fluctuation-limit demo: draw exact Gibbs samples for one problem, compare
-the rescaled marginals against the limit law, and sweep the MGF residuals.
+the rescaled marginals against the second-order law at x*(N), and sweep the
+MGF residuals.
 
 Usage: python scripts/fluctuation_demo.py [--problem exp1d] [--count 100000]
 """

@@ -16,6 +16,20 @@ decides the exponential axis, the Gaussian axes and the inward sign; every
 function here indexes by the Gaussian axes and adds the exponential-axis
 term only when there is one.
 
+The sampler rejects against ``_Envelope``, a mixture that dominates
+exp(N (f_N - f_N*)): a core built from the certified curvature (and the
+certified inward slope at a boundary maximum) covers the neighborhood, and
+one constant bound per cell covers the rest of the domain.  Its mass gives
+the predicted acceptance, which sizes the proposal blocks; every proposal
+inside the domain is checked against the envelope.
+
+``mgf_Y`` tests the N -> infinity law.  The draws are tested against the
+law at finite N instead: ``empirical_limit_test`` rescales them about
+x*(N) and compares them with the second-order expansion of f_N there.
+That law tends to the limit law, and it carries the maximizer drift and
+the finite-N curvature that a fixed KS threshold would otherwise read as a
+failure; the third-order (skew) term of order 1/sqrt(N) is not modelled.
+
 Sign conventions (the source formulas leave two ambiguous):
   * the limiting covariance is (-D^2 f(x*))^{-1} on the Gaussian axes, the
     only positive definite reading at a maximum;
@@ -32,10 +46,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 
 from .constants import ConstantsReport, estimate_constants
-from .derivatives import field_values, gradient_at, hessian_at, hessians_on
+from .derivatives import field_values, gradient_at, gradients_on, hessian_at
 from .errors import (
     AssumptionViolationError,
     DomainError,
@@ -45,7 +59,6 @@ from .errors import (
     TheoremMismatchError,
     TiltTooLargeError,
 )
-from .laplace import _complement_distance
 from .oracle import OracleValue, integrate
 from .problems import (
     INTERIOR,
@@ -412,142 +425,127 @@ def build_fluctuation_model(spec: ProblemSpec) -> FluctuationModel:
     return FluctuationModel(_limit_covariance(spec), rate)
 
 
-def _farthest_corner(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    """Distance from z to the farthest corner of the box [lower, upper]."""
-    return float(np.linalg.norm(np.maximum(np.abs(z - lower), np.abs(upper - z))))
+# proposals drawn at once: bounds the sampler's temporaries, as
+# oracle._CHUNK bounds the quadrature's
+_BLOCK = 1 << 16
+# complement cells over the domain, about _CELLS ** (1/m) per edge
+_CELLS = 1 << 14
+
+
+def _cell_breaks(lo: float, nb_lo: float, nb_up: float, up: float, n: int) -> np.ndarray:
+    """Cell walls along one axis: the neighborhood's faces plus about n
+    equal cells over the domain edge, so no cell straddles a face."""
+    h = (up - lo) / n
+    parts = [np.linspace(a, b, max(1, math.ceil((b - a) / h)) + 1)[:-1]
+             for a, b in ((lo, nb_lo), (nb_lo, nb_up), (nb_up, up)) if b - a > 1e-12 * (up - lo)]
+    return np.append(np.concatenate(parts), up)
 
 
 class _Envelope:
-    """Certified dominating bound for rejection sampling, assembled from the
-    constants report plus pointwise quantities at x*(N).
+    """Certified dominating function E >= exp(N (f_N - f_N*)) on the domain
+    for rejection sampling, f_N* = f_N(x*(N)); box frame throughout.
 
-    Proposal: Gaussian at x*(N) on the Gaussian axes with covariance
-    4 (-H)^{-1} / N, H the Hessian block on those axes, times an inward
-    exponential with rate N F1'/2 on the exponential axis when there is one,
-    mixed with a uniform component on the domain.  The log bound is a
-    closed-form supremum of certified exponent estimates, so the accept
-    test is exact."""
+    E is a mixture.  The core is a closed-form density from the certified
+    constants; it covers the neighborhood:
+      * interior maximum: grad f_N(x*(N)) = 0 and -D^2 f_N >= F2' on the
+        (convex) neighborhood give f_N - f_N* <= -(F2'/2) |z - x*(N)|^2;
+      * boundary maximum: on the face x*(N) maximises f_N, so the same bound
+        holds for the tangential offset d, and the inward derivative is at
+        most -F1' over the whole neighborhood, so moving t inward from the
+        face lowers f_N by at least F1' t:
+          f_N - f_N* <= -F1' t - (F2'/2) |d|^2,
+        an inward exponential times a Gaussian.
+    The rest of the domain is split into cells whose walls include the
+    neighborhood's faces.  A cell outside the neighborhood carries the
+    constant exp(N B_c), where B_c bounds f_N - f_N* on the cell: the
+    largest value at its corners plus L times its half-diagonal, L the
+    gradient norm's maximum over every cell corner times the safety factor
+    (grid + safety, like the report constants).
 
-    UNIFORM_WEIGHT = 0.05
+    The envelope's mass M is the core mass plus the cell masses
+    vol(c) exp(N B_c).  Proposals pick a component by its share of M, then
+    draw from it (uniform within a cell); the acceptance probability is
+    Z(N) exp(-N f_N*) / M.  Drawn points are accepted with probability
+    exp(N (f_N - f_N*)) / E, so the accept test is exact wherever E
+    dominates, and ``sample`` checks that it does at every proposal."""
 
     def __init__(self, spec: ProblemSpec, consts: ConstantsReport, N: int):
-        self.spec = spec
-        self.N = int(N)
-        self.c = consts
-        box = spec.domain
+        N = int(N)
+        box, nb = spec.domain, spec.maximum.neighborhood
+        m = box.dimension
         self.axis, self.gauss, self.sign = limit_axes(spec)
         self.z_n = spec.z_star_of_N(N)
-        f_n = spec.f_of_box(N)
-        self.f_n = f_n
-        self.f_star = float(np.asarray(f_n.evaluate(self.z_n)))
-        self.w = self.UNIFORM_WEIGHT
-        self.log_vol = math.log(box.volume)
-        nb = spec.maximum.neighborhood
-        self.nb = nb
+        self.f_n = f_n = spec.f_of_box(N)
+        self.f_star = float(field_values(f_n, self.z_n))
 
-        gauss = self.gauss
-        self.neg_H = -gauss_block(hessian_at(f_n, self.z_n, box), gauss)
-        self.chol = np.linalg.cholesky(np.linalg.inv(self.neg_H) * 4.0 / N)
-        # an empty block (one-dimensional boundary problem) has no eigenvalues
-        lam_max = float(np.max(np.linalg.eigvalsh(self.neg_H), initial=0.0))
-        _, logdet = np.linalg.slogdet(self.neg_H * N / (8.0 * math.pi))
-        self.log_cg = 0.5 * logdet
-        S = _farthest_corner(self.z_n[gauss], nb.lower[gauss], nb.upper[gauss])
-        if self.axis is None:
-            sup = max(0.0, lam_max / 8.0 - consts.F2_prime / 2.0) * S**2
-            log_core_norm = self.log_cg
-        else:
-            self.rate_t = N * consts.F1_prime / 2.0
-            # certified exponent bound inside the neighborhood:
-            #   f - f* <= -F1' t + M_cross t s - (F2'/2) s^2
-            self.cross = self._cross_bound()
-            cs = consts.F2_prime / 2.0 - lam_max / 8.0
-            sup = self._sup_boundary_core(
-                consts.F1_prime / 2.0, self.cross, cs, nb.edges[self.axis], S
-            )
-            log_core_norm = math.log(self.rate_t) + self.log_cg
-        self.log_m_core = N * sup - math.log(1.0 - self.w) - log_core_norm
+        # core: precision N F2' on the Gaussian axes (a one-dimensional
+        # boundary problem has none, and F2' = inf), inward rate N F1'
+        self.prec = N * consts.F2_prime if self.gauss else 1.0
+        self.log_m_core = 0.5 * len(self.gauss) * math.log(2.0 * math.pi / self.prec)
+        if self.axis is not None:
+            self.rate = N * consts.F1_prime
+            self.log_m_core -= math.log(self.rate)
 
-        self.log_m_out = -math.inf
-        R = _complement_distance(spec)
-        if R is not None:
-            # the certified drop is measured from x*(N); shrink the
-            # limit-based face distance by the maximizer drift
-            R_n = max(0.0, R - float(np.linalg.norm(self.z_n - spec.z_star)))
-            # quadratic drop at an interior maximum, linear along an exponential axis
-            drop = (consts.F2_prime_Omega * R_n**2 if self.axis is None
-                    else consts.F1_prime_Omega * R_n)
-            self.log_m_out = -N * drop - math.log(self.w) + self.log_vol
-        self.log_m = max(self.log_m_core, self.log_m_out)
+        # complement cells, flattened in C order
+        self.breaks = [
+            _cell_breaks(box.lower[i], nb.lower[i], nb.upper[i], box.upper[i],
+                         round(_CELLS ** (1.0 / m)))
+            for i in range(m)
+        ]
+        self.shape = tuple(len(b) - 1 for b in self.breaks)
+        nodes = np.stack(np.meshgrid(*self.breaks, indexing="ij"), axis=-1)
+        vals = field_values(f_n, nodes) - self.f_star
+        lip = consts.safety_factor * float(np.max(np.linalg.norm(
+            gradients_on(f_n, nodes.reshape(-1, m), box, consts.fd_step), axis=-1)))
+        top = np.full(self.shape, -math.inf)
+        for corner in np.ndindex(*(2,) * m):
+            top = np.maximum(top, vals[tuple(slice(c, c + n) for c, n in zip(corner, self.shape))])
+        lower, width = (
+            np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+            for axes in ([b[:-1] for b in self.breaks], [np.diff(b) for b in self.breaks])
+        )
+        mid = lower + 0.5 * width
+        out = ~np.all((mid > nb.lower) & (mid < nb.upper), axis=1)
+        bound = top.ravel() + lip * 0.5 * np.linalg.norm(width, axis=1)
+        self.log_top = np.where(out, N * bound, -math.inf)
+        self.cell_lower, self.cell_width = lower[out], width[out]
+        log_m_cells = self.log_top[out] + np.sum(np.log(self.cell_width), axis=1)
+        self.log_m_cells = float(np.logaddexp.reduce(log_m_cells, initial=-math.inf))
+        self.log_m = float(np.logaddexp(self.log_m_core, self.log_m_cells))
+        # component 0 is the core, component j >= 1 the complement cell j - 1
+        self.cum = np.cumsum(np.exp(np.append(self.log_m_core, log_m_cells) - self.log_m))
 
-    # -- geometry helpers --------------------------------------------------
-    def _cross_bound(self) -> float:
-        """Certified sup of the mixed second derivatives coupling the
-        exponential axis to the Gaussian axes (grid + safety, like the
-        report constants)."""
-        spec, c = self.spec, self.c
-        pts = self.nb.grid_points(min(c.grid_res, 32))
-        sup = 0.0
-        sweep = c.n_sweep if (spec.sigma is not None and spec.epsilon.decay_class != "zero") else c.n_sweep[:1]
-        for N in sweep:
-            H = hessians_on(spec.f_of_box(N), pts, spec.domain, c.fd_step)
-            row = H[..., self.axis, self.gauss]
-            if row.shape[-1]:
-                sup = max(sup, float(np.max(np.linalg.norm(row, axis=-1))))
-        return sup * c.safety_factor
-
-    @staticmethod
-    def _sup_boundary_core(half_rate, cross, cs, T, S) -> float:
-        """max over 0<=t<=T, 0<=s<=S of -half_rate*t + cross*t*s - cs*s^2."""
-        if S <= 0.0 or not math.isfinite(cs):
-            # no tangential extent (or infinitely strong certified curvature):
-            # the profile reduces to -half_rate * t <= 0
-            return 0.0
-
-        def val(t, s):
-            return -half_rate * t + cross * t * s - cs * s * s
-
-        best = 0.0
-        for t in (0.0, T):
-            cands = [0.0, S]
-            if cs > 0:
-                cands.append(min(S, max(0.0, cross * t / (2.0 * cs))))
-            for s in cands:
-                best = max(best, val(t, s))
-        # the maximum over t of the s-maximized profile is at an endpoint
-        # (convex quadratic in t when cs > 0), already covered above
-        return best
-
-    # -- densities ----------------------------------------------------------
-    def log_q(self, z: np.ndarray) -> np.ndarray:
-        """Log mixture proposal density at box-frame points (k, m)."""
-        z = np.atleast_2d(z)
+    def log_envelope(self, z: np.ndarray) -> np.ndarray:
+        """log E at box-frame points (k, m)."""
         d = (z - self.z_n)[:, self.gauss]
-        quad = np.einsum("ki,ij,kj->k", d, self.neg_H, d)
-        log_core = self.log_cg - (self.N / 8.0) * quad
+        log_core = -0.5 * self.prec * np.einsum("ki,ki->k", d, d)
         if self.axis is not None:
             t = self.sign * (z[:, self.axis] - self.z_n[self.axis])
-            log_exp = np.where(t >= 0, math.log(self.rate_t) - self.rate_t * t, -np.inf)
-            log_core = log_exp + log_core
-        log_unif = math.log(self.w) - self.log_vol
-        return np.logaddexp(math.log(1.0 - self.w) + log_core, log_unif)
+            log_core = np.where(t >= 0, log_core - self.rate * t, -np.inf)
+        idx = tuple(
+            np.clip(np.searchsorted(b, z[:, i], side="right") - 1, 0, len(b) - 2)
+            for i, b in enumerate(self.breaks)
+        )
+        return np.logaddexp(log_core, self.log_top[np.ravel_multi_index(idx, self.shape)])
 
     def propose(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """Mixture draws; the random streams are consumed in a fixed order:
-        the mixture pick, the uniform draws, the exponential draws, then the
-        normal draws."""
-        box = self.spec.domain
-        m = box.dimension
+        """k draws from E / M; the random streams are consumed in a fixed
+        order: the component pick, the in-cell uniforms, the exponential
+        draws, then the normal draws."""
+        m = len(self.z_n)
+        comp = np.minimum(np.searchsorted(self.cum, rng.uniform(size=k), side="right"),
+                          len(self.cum) - 1)
         out = np.empty((k, m))
-        pick_unif = rng.uniform(size=k) < self.w
-        n_unif = int(np.sum(pick_unif))
-        out[pick_unif] = rng.uniform(box.lower, box.upper, size=(n_unif, m))
-        n_core = k - n_unif
+        cells = comp > 0
+        c = comp[cells] - 1
+        out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.uniform(size=(len(c), m))
+        n_core = k - len(c)
         core = np.tile(self.z_n, (n_core, 1))
         if self.axis is not None:
-            core[:, self.axis] += self.sign * rng.exponential(1.0 / self.rate_t, size=n_core)
-        core[:, self.gauss] += rng.standard_normal(size=(n_core, len(self.gauss))) @ self.chol.T
-        out[~pick_unif] = core
+            core[:, self.axis] += self.sign * rng.exponential(1.0 / self.rate, size=n_core)
+        normal = rng.standard_normal(size=(n_core, len(self.gauss)))
+        core[:, self.gauss] += normal / math.sqrt(self.prec)
+        out[~cells] = core
         return out
 
 
@@ -556,7 +554,9 @@ def sample(
 ) -> SampleBatch:
     """Exact i.i.d. draws from the Gibbs measure by rejection against a
     certified envelope.  Deterministic for a fixed seed: the draws come from
-    the stream seeded with (seed, 0)."""
+    the stream seeded with (seed, 0).  Proposals come in blocks sized from
+    the envelope's predicted acceptance Z(N) exp(-N f_N*) / M, at most
+    _BLOCK at once."""
     if count < 1:
         raise ValueError("count must be at least 1")
     spec, N = measure.spec, measure.N
@@ -564,28 +564,33 @@ def sample(
         consts = estimate_constants(spec, grid_res=32, n_sweep=(N,))
     env = _Envelope(spec, consts, N)
     box = spec.domain
+    p_hat = math.exp(min(0.0, measure.log_normalizer - N * env.f_star - env.log_m))
+    if p_hat < 1e-4:
+        raise EnvelopeFailureError(
+            f"predicted acceptance {p_hat:.2e} below 1e-4 at N={N} (log core mass "
+            f"{env.log_m_core:.3g}, log complement mass {env.log_m_cells:.3g})",
+            acceptance_rate=p_hat,
+        )
 
     rng = np.random.default_rng([seed, 0])
     got: list[np.ndarray] = []
     n_have = 0
     proposed = 0
     while n_have < count:
-        k = max(1024, 2 * (count - n_have))
+        k = min(_BLOCK, math.ceil(1.2 * (count - n_have) / p_hat))
         z = env.propose(rng, k)
         u = rng.uniform(size=k)
         inside = np.all((z >= box.lower) & (z <= box.upper), axis=1)
         proposed += k
         zi = z[inside]
         if len(zi):
-            log_target = env.N * (field_values(env.f_n, zi) - env.f_star)
-            log_ratio = log_target - env.log_q(zi)
-            if np.any(log_ratio > env.log_m + 1e-9):
+            log_ratio = N * (field_values(env.f_n, zi) - env.f_star) - env.log_envelope(zi)
+            if np.any(log_ratio > 1e-9):
                 raise EnvelopeFailureError(
                     "certified envelope exceeded by a drawn point",
                     acceptance_rate=n_have / proposed,
                 )
-            acc = np.log(u[inside]) <= log_ratio - env.log_m
-            sel = zi[acc]
+            sel = zi[np.log(u[inside]) <= log_ratio]
             got.append(sel)
             n_have += len(sel)
         if proposed >= 4096 and n_have / proposed < 1e-4:
@@ -625,38 +630,65 @@ def ks_statistic(values, cdf) -> float:
 
 
 def transform_to_fluctuations(batch: SampleBatch) -> np.ndarray:
-    """Case-appropriate rescaling of draws: sqrt(N) on the Gaussian axes,
-    N (inward) on the exponential axis.  Box-frame output, exponential axis
-    first when there is one."""
+    """Case-appropriate rescaling of draws about the finite-N maximizer
+    x*(N): sqrt(N) on the Gaussian axes, N (inward) on the exponential
+    axis.  Box-frame output, exponential axis first when there is one."""
     spec = batch.spec
     z = spec.domain.to_box(batch.draws)
-    z_star = spec.z_star
+    z_n = spec.z_star_of_N(batch.N)
     N = batch.N
     axis, gauss, s = limit_axes(spec)
-    Y = math.sqrt(N) * (z - z_star)[:, gauss]
+    Y = math.sqrt(N) * (z - z_n)[:, gauss]
     if axis is not None:
-        Y = np.column_stack([N * s * (z[:, axis] - z_star[axis]), Y])
+        Y = np.column_stack([N * s * (z[:, axis] - z_n[axis]), Y])
     return Y
+
+
+def _exp_gauss_cdf(u: np.ndarray, c: float) -> np.ndarray:
+    """CDF of the density proportional to exp(-u - c u^2) on u >= 0:
+    1 - exp(-u - c u^2) erfcx(sqrt(c) u + w0) / erfcx(w0), w0 = 1/(2 sqrt(c));
+    Exp(1) when c <= 0."""
+    u = np.maximum(u, 0.0)
+    if c <= 0.0:
+        return -np.expm1(-u)
+    r = math.sqrt(c)
+    w0 = 0.5 / r
+    return 1.0 - np.exp(-u - c * u * u) * erfcx(r * u + w0) / erfcx(w0)
 
 
 def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
     """Kolmogorov-Smirnov statistics of the rescaled draws against the
-    marginals of the limit model (unit-rate exponential on the exponential
-    axis, whitened normal on the Gaussian axes)."""
+    marginals of the second-order law at x*(N), N = batch.N.
+
+    With K = -D^2 f_N(x*(N)) and a = |d f_N / d t| at x*(N) along the
+    exponential axis t, N (f_N - f_N*) ~ -N a t - (N/2) [t, s]' K [t, s].
+    The Gaussian axes are whitened with K_ss.  Integrating out s leaves
+    u = N a t with density proportional to exp(-u - c u^2),
+    c = b / (2 N a^2) and b = K_tt - K_ts K_ss^{-1} K_st.  As N grows, x*(N)
+    tends to x*, K to the limit Hessian and c to 0, so these laws tend to
+    ``model``, the N -> infinity law (whose rate must be positive at a
+    boundary maximum)."""
     if batch.count < 100:
         raise InsufficientSampleError("need at least 100 samples")
+    spec, N, n = batch.spec, batch.N, batch.count
     Y = transform_to_fluctuations(batch)
-    n = batch.count
+    z_n = spec.z_star_of_N(N)
+    f_n = spec.f_of_box(N)
+    K = -hessian_at(f_n, z_n, spec.domain)
+    axis, gauss, _ = limit_axes(spec)
+    K_ss = gauss_block(K, gauss)
     stats = []
-    axis, _, _ = limit_axes(batch.spec)
     if axis is not None:
         if model.rate is None or model.rate <= 0:
             raise ValueError("boundary model needs a positive rate")
-        e = model.rate * Y[:, 0]
-        stats.append(("exponential", ks_statistic(e, lambda t: -np.expm1(-np.maximum(t, 0.0)))))
+        a = abs(float(gradient_at(f_n, z_n, spec.domain)[axis]))
+        k_ts = K[axis, gauss]
+        b = K[axis, axis] - (k_ts @ np.linalg.solve(K_ss, k_ts) if gauss else 0.0)
+        c = b / (2.0 * N * a * a)
+        stats.append(("exponential", ks_statistic(a * Y[:, 0], lambda u: _exp_gauss_cdf(u, c))))
         Y = Y[:, 1:]
     if Y.shape[1]:
-        L = np.linalg.cholesky(model.covariance)
+        L = np.linalg.cholesky(np.linalg.inv(K_ss))
         Z = np.linalg.solve(L, Y.T).T
         for j in range(Z.shape[1]):
             stats.append(("normal", ks_statistic(Z[:, j], ndtr)))

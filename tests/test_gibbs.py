@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.special import erf
 from certlap import (
     BoxDomain,
     build_fluctuation_model,
+    catalog,
     empirical_limit_test,
     estimate_constants,
     fluctuation_sweep,
@@ -23,10 +25,12 @@ from certlap import (
 )
 from certlap import approximate, integrate
 from certlap.config import problem_from_config
+from certlap.derivatives import field_values
 from certlap.gibbs import MgfReport, fluctuation_verdict
 from certlap.problems import limit_axes
 from certlap.errors import (
     DomainError,
+    EnvelopeFailureError,
     InsufficientSampleError,
     MgfPoleError,
     TheoremMismatchError,
@@ -404,3 +408,164 @@ class TestUpperFace:
         assert Y.shape == (100_000, 1)
         assert np.all(Y >= 0.0)
         assert abs(float(np.mean(Y)) - 1.0) <= 4.0 / math.sqrt(batch.count)
+
+
+# ---------------------------------------------------------------------------
+# the KS gate against the finite-N law, and the sampler's envelope
+# ---------------------------------------------------------------------------
+
+def _poly(*terms):
+    return {"type": "polynomial", "terms": [{"coeff": c, "powers": list(p)} for c, p in terms]}
+
+
+def _inline(name, lower, upper, f):
+    return {
+        "name": name,
+        "domain": {"lower": lower, "upper": upper},
+        "f": f,
+        "g": {"type": "exponential", "linear": [0.3, -0.2]},
+        "sigma": _poly((1.0, (1, 0))),
+        "epsilon": {"class": "power", "exponent": -0.75},
+    }
+
+
+# the benchmark's inline problems: a tilted quadratic, a cubic and a boundary maximum
+INLINE = {
+    "quad2d": _inline("quad2d", [-1.0, -1.0], [1.0, 1.0],
+                      _poly((-0.5, (2, 0)), (-1.0, (0, 2)), (0.1, (1, 1)))),
+    "cub2d": _inline("cub2d", [-1.0, -1.0], [1.0, 1.0],
+                     _poly((-0.5, (2, 0)), (-1.0, (0, 2)), (0.2, (3, 0)), (0.1, (1, 1)))),
+    "bnd2d": _inline("bnd2d", [0.0, -1.0], [1.0, 1.0],
+                     _poly((-1.0, (1, 0)), (-0.3, (2, 0)), (-0.5, (0, 2)))),
+}
+
+
+def _scaled(batch, factor):
+    """The batch with its draws scaled by ``factor`` about x*(N)."""
+    spec = batch.spec
+    z_n = spec.z_star_of_N(batch.N)
+    z = z_n + factor * (spec.domain.to_box(batch.draws) - z_n)
+    return dataclasses.replace(batch, draws=spec.domain.to_ambient(z))
+
+
+class TestFiniteNLaw:
+    @pytest.mark.parametrize("name, law", [
+        ("gauss1d", "normal"), ("drift1d", "normal"), ("exp1d", "exponential"),
+    ])
+    def test_draws_scaled_by_1_1_fail(self, specs, consts_cache, name, law):
+        # true KS distance 0.023 (normal) and 0.035 (exponential)
+        spec = specs[name]
+        b = sample(gibbs_measure(spec, 1600), 100_000, seed=1, consts=consts_cache(name))
+        model = build_fluctuation_model(spec)
+        assert empirical_limit_test(b, model)["max_ks"] <= 0.02
+        bad = empirical_limit_test(_scaled(b, 1.1), model)
+        assert bad["marginals"][0]["law"] == law
+        assert bad["max_ks"] > 0.02
+
+    @pytest.mark.parametrize("name", ["gauss1d", "exp1d", "mixed2d"])
+    def test_draws_scaled_by_1_25_fail(self, specs, consts_cache, name):
+        # true KS distance 0.054 for a normal marginal
+        spec = specs[name]
+        b = sample(gibbs_measure(spec, 1600), 20_000, seed=1, consts=consts_cache(name))
+        model = build_fluctuation_model(spec)
+        assert empirical_limit_test(_scaled(b, 1.25), model)["max_ks"] > 0.02
+
+    @pytest.mark.parametrize("c", [1e-4, 0.05, 1.0, 30.0])
+    def test_exponential_axis_cdf(self, c):
+        from scipy.integrate import quad
+
+        from certlap.gibbs import _exp_gauss_cdf
+
+        def density(v):
+            return math.exp(-v - c * v * v)
+
+        total = quad(density, 0.0, math.inf)[0]
+        for u in (0.0, 0.1, 0.7, 2.0, 6.0):
+            ref = quad(density, 0.0, u)[0] / total
+            assert _exp_gauss_cdf(np.array([u]), c)[0] == pytest.approx(ref, abs=1e-12)
+        assert _exp_gauss_cdf(np.array([-1.0, 1.0]), 0.0).tolist() == [0.0, -math.expm1(-1.0)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("problem", ["drift1d", "eps1d", INLINE["bnd2d"]],
+                             ids=["drift1d", "eps1d", "bnd2d"])
+    def test_drifting_and_boundary_problems_pass(self, problem, seed):
+        from certlap.cli import run_checks
+        from certlap.config import RunConfig
+
+        cfg = RunConfig(problem=problem, checks=("fluctuations", "sampler"),
+                        sample_count=20_000, seed=seed)
+        status, report = run_checks(cfg)
+        assert report["checks"]["fluctuations"]["ks_all_ok"]
+        assert report["checks"]["sampler"]["ok"]
+        assert status == 0
+
+    def test_viol1d_still_exits_3(self, tmp_path):
+        from certlap.cli import main
+
+        code = main(["run", "--problem", "viol1d", "--sample-count", "20000",
+                     "--checks", "fluctuations,preposition1", "--output-path", str(tmp_path)])
+        assert code == 3
+
+
+class TestEnvelope:
+    SAMPLE_GRID = {1: 2001, 2: 201, 3: 41}
+
+    @pytest.mark.parametrize("name", [s.name for s in catalog()] + list(INLINE))
+    def test_dominates_and_accepts(self, name, specs, consts_cache):
+        """log target - log envelope <= 1e-9 on a grid over the domain,
+        faces included, and acceptance >= 5%, at every sweep N."""
+        from certlap.gibbs import _Envelope
+
+        if name in INLINE:
+            spec = problem_from_config(INLINE[name])
+            consts = estimate_constants(spec, n_sweep=SWEEP)
+        else:
+            spec, consts = specs[name], consts_cache(name)
+        pts = spec.domain.grid_points(self.SAMPLE_GRID[spec.dimension])
+        for n in SWEEP:
+            env = _Envelope(spec, consts, n)
+            gap = n * (field_values(env.f_n, pts) - env.f_star) - env.log_envelope(pts)
+            assert float(np.max(gap)) <= 1e-9
+            batch = sample(gibbs_measure(spec, n), 2000, seed=1, consts=consts)
+            assert batch.acceptance_rate >= 0.05
+
+    @pytest.mark.parametrize("problem", ["cubic1d", INLINE["cub2d"]], ids=["cubic1d", "cub2d"])
+    def test_curved_problems_complete(self, problem):
+        from certlap.cli import run_checks
+        from certlap.config import RunConfig
+
+        cfg = RunConfig(problem=problem, checks=("fluctuations", "sampler"),
+                        sample_count=20_000, seed=1)
+        _, report = run_checks(cfg)
+        assert all(r["acceptance_rate"] >= 0.05 for r in report["checks"]["fluctuations"]["rows"])
+        assert report["checks"]["sampler"]["ok"]
+
+    def test_fewer_proposal_blocks(self, monkeypatch):
+        """A full-check gauss1d run draws one block per N (101 before the
+        blocks were sized from the predicted acceptance)."""
+        import certlap.gibbs
+        from certlap.cli import run_checks
+        from certlap.config import KNOWN_CHECKS, RunConfig
+
+        blocks = []
+        real = certlap.gibbs._Envelope.propose
+
+        def counting(env, rng, k):
+            blocks.append(k)
+            return real(env, rng, k)
+
+        monkeypatch.setattr(certlap.gibbs._Envelope, "propose", counting)
+        status, _ = run_checks(RunConfig(problem="gauss1d", checks=KNOWN_CHECKS,
+                                         sample_count=20_000, seed=1))
+        assert status == 0
+        assert len(blocks) == 4
+
+    def test_low_predicted_acceptance_raises_before_drawing(self, specs, consts_cache, monkeypatch):
+        import certlap.gibbs
+
+        spec = specs["gauss1d"]
+        loose = dataclasses.replace(consts_cache("gauss1d"), F2_prime=1e-9)
+        monkeypatch.setattr(certlap.gibbs._Envelope, "propose",
+                            lambda *a: pytest.fail("drew from a failing envelope"))
+        with pytest.raises(EnvelopeFailureError, match=r"predicted acceptance .* N=100"):
+            sample(gibbs_measure(spec, 100), 1000, seed=1, consts=loose)
