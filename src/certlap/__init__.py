@@ -57,6 +57,7 @@ from .problems import (
     constant_field,
     default_neighborhood,
     exponential_field,
+    linear_field,
     locate_maximum,
     polynomial_field,
     power_epsilon,

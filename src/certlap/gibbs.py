@@ -68,8 +68,8 @@ from .problems import (
     add_fields,
     gauss_block,
     limit_axes,
+    linear_field,
     locate_maximum,
-    polynomial_field,
 )
 
 # ---------------------------------------------------------------------------
@@ -156,12 +156,7 @@ def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, wha
     """The tilted exponent must still peak strictly inside the certified
     neighborhood; returns the tilted maximizer (box frame)."""
     f_n = spec.f_of_box(N)
-    lin = polynomial_field(
-        [(float(tilt_gradient[i]), tuple(1 if j == i else 0 for j in range(spec.dimension)))
-         for i in range(spec.dimension)],
-        name="tilt",
-    )
-    tilted = add_fields(f_n, lin, 1.0, name="tilted")
+    tilted = add_fields(f_n, linear_field(tilt_gradient, name="tilt"), 1.0, name="tilted")
     z0 = spec.z_star_of_N(N)
     axis, _, _ = limit_axes(spec)
     fixed = None
@@ -195,7 +190,7 @@ def mgf_X(measure: GibbsMeasure, xi) -> MgfReport:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     xi_box = spec.domain.to_box(xi)
     z_t = _check_tilt_inside(spec, N, xi_box / N, "mgf_X")
-    mgf = _expectation(measure, lambda pts: np.asarray(pts, dtype=float) @ xi_box, center=z_t)
+    mgf = _expectation(measure, linear_field(xi_box, name="tilt"), center=z_t)
     pred = math.exp(float(xi @ spec.maximum.x_star))
     eps_n = float(spec.epsilon.evaluate(N))
     return MgfReport(
@@ -244,14 +239,12 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
     if axis is not None and abs(z_t[axis] - z_star[axis]) > 1e-7 * spec.domain.edges[axis]:
         raise TiltTooLargeError("boundary tilt pushed the maximizer off the face")
 
-    def log_w(pts):
-        pts = np.asarray(pts, dtype=float)
-        w = sqrtN * ((pts - z_star) @ xi_gauss)
-        if axis is not None:
-            w = N * xi1 * (s * (pts[..., axis] - z_star[axis])) + w
-        return w
-
-    mgf = _expectation(measure, log_w, center=z_t)
+    # the tilt of the rescaled fluctuation: sqrt(N) xi_gauss . (x - z*), and
+    # N xi_1 times the inward distance from the face on the exponential axis
+    tilt = sqrtN * xi_gauss
+    if axis is not None:
+        tilt[axis] = N * xi1 * s
+    mgf = _expectation(measure, linear_field(tilt, at=z_star, name="tilt"), center=z_t)
     xi_hat = xi_box[gauss]
     pred = math.exp(0.5 * float(xi_hat @ _limit_covariance(spec) @ xi_hat))
     kind = "fluctuation_interior"

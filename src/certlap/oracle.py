@@ -15,6 +15,17 @@ evaluated relative to f(x*(N), N): individual factors can over/underflow
 wildly while the shifted products stay representable.  Summation order is
 fixed (blocked partial sums combined with fsum), so values are reproducible
 bit for bit.
+
+Where the integrand factorises, so does each tensor sum (the product rule,
+Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984,
+§5.6).  The axes are split into blocks: the coupling of f(., N) and of the
+log weight (``ScalarField.coupling``), joined, plus one block holding every
+axis a non-constant weight reads.  A plain callable, an opaque field and a
+rotated view couple every axis.  Each block is summed on its own, with the
+other axes pinned at the centre, and Q_n, Q_{n-2} and the |integrand| sum
+are products over blocks, so the refinement path is the one the full tensor
+sum would take.  ``evaluations`` counts the integrand evaluations made,
+summed over blocks: sum_B prod_{i in B} n_i in place of prod_i n_i.
 """
 
 from __future__ import annotations
@@ -26,9 +37,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FieldEvaluationError, QuadratureBudgetError, UnsupportedDimensionError
+from .errors import QuadratureBudgetError, UnsupportedDimensionError
 from .derivatives import field_values
-from .problems import BoxDomain, ProblemSpec, ScalarField, rotated_view
+from .problems import BoxDomain, ProblemSpec, ScalarField, join_coupling, rotated_view
 
 MAX_PANEL_DEPTH = 40
 # Gauss order n per dimension.  Each depth is checked against order n - 2,
@@ -48,6 +59,9 @@ class OracleValue:
     log_abs_value: float = float("-inf")
     # error estimate relative to the value (nan where not known)
     rel_error_estimate: float = float("nan")
+    # panel depth per axis and Gauss order n the refinement ended at
+    depths: tuple[int, ...] = ()
+    order: int = 0
 
 
 @lru_cache(maxsize=64)
@@ -119,12 +133,27 @@ def _tensor_sum(
     return math.fsum(partials), math.fsum(abs_partials), n0 * inner
 
 
+def _blocks(m: int, f: ScalarField, log_weight: Optional[ScalarField], weight: ScalarField):
+    """The sorted axis blocks the integrand factorises over, and the index of
+    the block the weight is applied in.  The couplings of f and of the log
+    weight are joined with one block of every axis the weight reads (the
+    weight multiplies the integrand); an axis nothing reads is a block of
+    its own."""
+    w_axes = set(range(m)) if weight.coupling is None else {i for b in weight.coupling for i in b}
+    lw_coupling = () if log_weight is None else log_weight.coupling
+    joined = join_coupling(f.coupling, lw_coupling, (tuple(w_axes),))
+    blocks = [tuple(range(m))] if joined is None else list(joined)
+    read = {i for b in blocks for i in b}
+    blocks = sorted(blocks + [(i,) for i in range(m) if i not in read])
+    return blocks, next(k for k, b in enumerate(blocks) if w_axes <= set(b))
+
+
 def integrate(
     spec: ProblemSpec,
     N: int,
     tol: float = 1e-10,
     weight: Optional[ScalarField] = None,
-    log_weight: Optional[Callable] = None,
+    log_weight: Optional[ScalarField | Callable] = None,
     domain: Optional[BoxDomain] = None,
     center: Optional[np.ndarray] = None,
 ) -> OracleValue:
@@ -132,8 +161,17 @@ def integrate(
 
     ``weight`` replaces the problem's g (multiplicative); ``log_weight`` is
     added inside the exponent (used for exponential tilts, where a
-    multiplicative weight would overflow).  ``log_weight``, like a field,
-    must map points of shape (..., m) to values of shape (...).
+    multiplicative weight would overflow).  ``log_weight`` is a ScalarField
+    or a plain callable; either must map points of shape (..., m) to values
+    of shape (...).
+
+    The axes are split into blocks that nothing couples: the coupling of
+    f(., N) joined with that of the log weight, plus one block holding every
+    axis a non-constant weight reads (a plain callable, an opaque or a
+    rotated field couples every axis; an axis nothing reads is a block of
+    its own).  Each panel sum is the product over blocks of the tensor sum
+    over the block's axes, with the other axes pinned at the centre, and the
+    weight applied in one block; with one block it is the full tensor sum.
 
     From panel depth 4 on every axis, each panel set is evaluated with
     Gauss orders n and n - 2; converged when |Q_n - Q_{n-2}| <= tol * A_n,
@@ -149,7 +187,9 @@ def integrate(
     a raise fails to cut it by 4 too (round-off, or an integrand that is
     not smooth), the call raises QuadratureBudgetError.  The value returned
     is Q_n, and |Q_n - Q_{n-2}| is its error estimate (an over-estimate: it
-    is the error of Q_{n-2}).
+    is the error of Q_{n-2}).  ``evaluations`` counts the integrand
+    evaluations made, summed over blocks; ``depths`` and ``order`` are the
+    panel depths and Gauss order n the call ended at.
     """
     N = int(N)
     m = spec.dimension
@@ -161,41 +201,41 @@ def integrate(
     f_box = spec.f_of_box(N)
     w_field = weight if weight is not None else spec.g
     w_box = rotated_view(w_field, box.rotation)
+    if log_weight is not None and not isinstance(log_weight, ScalarField):
+        log_weight = ScalarField(log_weight, name="log_weight")
     if center is None:
         center = spec.z_star_of_N(N)
     c = box.clip(np.asarray(center, dtype=float))
 
-    def log_w(pts):
-        lw = np.asarray(log_weight(pts), dtype=float)
-        if lw.shape != pts.shape[:-1]:
-            raise FieldEvaluationError(
-                f"log_weight returned shape {lw.shape} for points of shape "
-                f"{pts.shape}; it must map (..., m) to (...)"
-            )
-        return lw
-
+    blocks, w_block = _blocks(m, f_box, log_weight, w_box)
     f_peak = float(np.asarray(f_box.evaluate(c)))
-    lw_peak = float(log_w(c)) if log_weight is not None else 0.0
+    lw_peak = float(field_values(log_weight, c)) if log_weight is not None else 0.0
     log_offset = N * f_peak + lw_peak
 
     def exponent(pts):
         e = N * (field_values(f_box, pts) - f_peak)
         if log_weight is not None:
-            e = e + (log_w(pts) - lw_peak)
+            e = e + (field_values(log_weight, pts) - lw_peak)
         return e
 
     def wfn(pts):
         return field_values(w_box, pts)
 
     def panel_sum(depths, order: int, line: Optional[int] = None):
-        """The order-``order`` sums on the panels of ``depths``; with
-        ``line``, only on the line through the centre along that axis."""
-        axes = [
-            _axis_nodes(box.lower[i], box.upper[i], c[i], depths[i], order)
-            if line in (None, i) else (c[i:i + 1], np.ones(1))
-            for i in range(m)
-        ]
-        return _tensor_sum([a[0] for a in axes], [a[1] for a in axes], exponent, wfn)
+        """The order-``order`` sums on the panels of ``depths``, as products
+        over blocks; with ``line``, only on the line through the centre along
+        that axis."""
+        total, scale, evals = 1.0, 1.0, 0
+        for k, block in enumerate(blocks):
+            axes = [
+                _axis_nodes(box.lower[i], box.upper[i], c[i], depths[i], order)
+                if i in block and line in (None, i) else (c[i:i + 1], np.ones(1))
+                for i in range(m)
+            ]
+            s, a, n = _tensor_sum([x[0] for x in axes], [x[1] for x in axes], exponent,
+                                  wfn if k == w_block else None)
+            total, scale, evals = total * s, scale * a, evals + n
+        return total, scale, evals
 
     depths, order = [4] * m, _GAUSS_ORDER[m]
     val, scale, evals = panel_sum(depths, order)
@@ -206,7 +246,7 @@ def integrate(
     while True:
         delta = abs(val - low)
         if delta <= tol * scale:
-            return _finish(val, delta, evals, True, log_offset)
+            return _finish(val, delta, evals, True, log_offset, depths, order)
         if delta > last / 4:
             if not deepen:
                 break
@@ -232,7 +272,7 @@ def integrate(
             evals += cnt
         else:
             break
-    best = _finish(val, delta, evals, False, log_offset)
+    best = _finish(val, delta, evals, False, log_offset, depths, order)
     raise QuadratureBudgetError(
         f"no panel depths up to {depths} and Gauss order up to {order} reached "
         f"tol={tol}", best=best
@@ -243,7 +283,8 @@ def _exp_or_inf(log_abs: float) -> float:
     return math.inf if log_abs >= 700 else math.exp(log_abs)
 
 
-def _finish(shifted: float, delta: float, evals: int, ok: bool, log_offset: float) -> OracleValue:
+def _finish(shifted: float, delta: float, evals: int, ok: bool, log_offset: float,
+            depths, order: int) -> OracleValue:
     """Undo the shift by exp(log_offset).  The value and its absolute error
     estimate are both formed in log space, so either is inf only where its
     own logarithm passes 700."""
@@ -251,7 +292,7 @@ def _finish(shifted: float, delta: float, evals: int, ok: bool, log_offset: floa
     log_err = math.log(delta) + log_offset if delta else -math.inf
     rel = delta / abs(shifted) if shifted else math.inf
     value = math.copysign(_exp_or_inf(log_abs), shifted)
-    return OracleValue(value, _exp_or_inf(log_err), evals, ok, log_abs, rel)
+    return OracleValue(value, _exp_or_inf(log_err), evals, ok, log_abs, rel, tuple(depths), order)
 
 
 def tail_integral(m: int, k: int, a: float, N: int, R: float, tol: float = 1e-10) -> OracleValue:

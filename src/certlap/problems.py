@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,6 +119,30 @@ class BoxDomain:
         return np.clip(np.asarray(z, dtype=float), self.lower, self.upper)
 
 
+# sorted, disjoint blocks of axes (see ScalarField.coupling); None couples
+# every axis
+Coupling = Optional[tuple[tuple[int, ...], ...]]
+
+
+def join_coupling(*couplings: Coupling) -> Coupling:
+    """The coupling of a sum of fields with these couplings: their blocks,
+    with overlapping ones merged.  None if any input is None."""
+    if any(c is None for c in couplings):
+        return None
+    blocks: list[set] = []
+    for coupling in couplings:
+        for b in coupling:
+            merged = set(b)
+            rest = []
+            for other in blocks:
+                if merged & other:
+                    merged |= other
+                else:
+                    rest.append(other)
+            blocks = rest + [merged] if merged else rest
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar function with optional analytic derivative handles.
@@ -126,6 +150,13 @@ class ScalarField:
     ``evaluate`` takes a point of shape (m,) or a batch (..., m) and returns
     a scalar / (...) array.  ``gradient`` maps to (..., m), ``hessian`` to
     (..., m, m) and ``third_tensor`` to (..., m, m, m).
+
+    ``coupling`` lists blocks of axes such that the field is a sum of
+    functions that each read one block: () for a constant, the connected
+    components of the monomials' supports for a polynomial, the support for
+    the exponential of a linear form, joined by ``add_fields``.  None (the
+    default, for an opaque field) couples every axis.  The oracle sums
+    exp(N f) block by block when f's coupling splits.
     """
 
     evaluate: Callable
@@ -133,6 +164,7 @@ class ScalarField:
     hessian: Optional[Callable] = None
     third_tensor: Optional[Callable] = None
     name: str = ""
+    coupling: Coupling = None
 
     @property
     def has_analytic(self) -> bool:
@@ -162,7 +194,7 @@ def constant_field(c: float, name: str = "const") -> ScalarField:
         m = pts.shape[-1]
         return np.zeros(pts.shape[:-1] + (m, m, m))
 
-    return ScalarField(ev, gr, he, th, name=name)
+    return ScalarField(ev, gr, he, th, name=name, coupling=())
 
 
 # the weight g = 1; the laplace check reuses Z(N) for a problem whose g is it
@@ -231,7 +263,34 @@ def polynomial_field(terms, name: str = "poly") -> ScalarField:
             planes.append(np.stack(rows, axis=-2))
         return np.stack(planes, axis=-3)
 
-    return ScalarField(ev, gr, he, th, name=name)
+    supports = tuple(tuple(i for i, e in enumerate(p) if e) for c, p in terms if c != 0.0)
+    return ScalarField(ev, gr, he, th, name=name, coupling=join_coupling(supports))
+
+
+def linear_field(a, at=None, name: str = "linear") -> ScalarField:
+    """The degree-1 polynomial field x -> a . (x - at) (``at`` defaults to
+    the origin), summed axis by axis like ``polynomial_field``."""
+    a = np.asarray(a, dtype=float)
+    at = np.zeros(a.size) if at is None else np.asarray(at, dtype=float)
+    support = [i for i in range(a.size) if a[i] != 0.0]
+
+    def ev(pts):
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros(pts.shape[:-1])
+        for i in support:
+            out = out + a[i] * (pts[..., i] - at[i])
+        return out
+
+    def gr(pts):
+        return np.zeros(np.shape(pts)) + a
+
+    def he(pts):
+        return np.zeros(np.shape(pts)[:-1] + (a.size, a.size))
+
+    def th(pts):
+        return np.zeros(np.shape(pts)[:-1] + (a.size,) * 3)
+
+    return ScalarField(ev, gr, he, th, name=name, coupling=tuple((i,) for i in support))
 
 
 def exponential_field(scale: float, linear, offset: float = 0.0, name: str = "exp") -> ScalarField:
@@ -254,16 +313,15 @@ def exponential_field(scale: float, linear, offset: float = 0.0, name: str = "ex
         v = ev(pts)
         return v[..., None, None, None] * np.einsum("i,j,k->ijk", a, a, a)
 
-    return ScalarField(ev, gr, he, th, name=name)
+    support = tuple(i for i in range(a.size) if a[i] != 0.0)
+    return ScalarField(ev, gr, he, th, name=name, coupling=(support,) if support else ())
 
 
 def add_fields(f1: ScalarField, f2: Optional[ScalarField], w2: float, name: str = "") -> ScalarField:
     """f1 + w2 * f2 with derivative handles composed linearly when both
     components provide them."""
     if f2 is None or w2 == 0.0:
-        return ScalarField(
-            f1.evaluate, f1.gradient, f1.hessian, f1.third_tensor, name or f1.name
-        )
+        return replace(f1, name=name or f1.name)
 
     def combine(h1, h2):
         if h1 is None or h2 is None:
@@ -283,11 +341,14 @@ def add_fields(f1: ScalarField, f2: Optional[ScalarField], w2: float, name: str 
         combine(f1.hessian, f2.hessian),
         combine(f1.third_tensor, f2.third_tensor),
         name=name or f"{f1.name}+{w2}*{f2.name}",
+        coupling=join_coupling(f1.coupling, f2.coupling),
     )
 
 
 def rotated_view(fld: ScalarField, rotation: np.ndarray) -> ScalarField:
-    """Box-frame view z -> fld(R z) with chain-ruled derivative handles."""
+    """Box-frame view z -> fld(R z) with chain-ruled derivative handles.  A
+    rotation other than the identity mixes the axes, so the view's coupling
+    is None."""
     R = np.asarray(rotation, dtype=float)
     if np.array_equal(R, np.eye(R.shape[0])):
         return fld
@@ -433,11 +494,7 @@ def assemble_f(spec: ProblemSpec, N: int, check_range: bool = True) -> ScalarFie
         )
     eps = float(spec.epsilon.evaluate(N))
     if spec.sigma is None or eps == 0.0:
-        base = spec.f_limit
-        return ScalarField(
-            base.evaluate, base.gradient, base.hessian, base.third_tensor,
-            name=f"{spec.name}:f(N={N})",
-        )
+        return replace(spec.f_limit, name=f"{spec.name}:f(N={N})")
     return add_fields(spec.f_limit, spec.sigma, eps, name=f"{spec.name}:f(N={N})")
 
 

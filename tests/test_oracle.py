@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from certlap import (
@@ -11,7 +14,9 @@ from certlap.config import problem_from_config
 from certlap.errors import (
     FieldEvaluationError, QuadratureBudgetError, UnsupportedDimensionError,
 )
-from certlap.problems import rotate_problem
+from certlap.problems import (
+    INTERIOR, UNIT_WEIGHT, MaximumInfo, ProblemSpec, linear_field, rotate_problem,
+)
 
 
 def erf_series(z, terms=40):
@@ -177,6 +182,17 @@ class TestPanelPair:
                 assert abs(abs_got - abs_ref) <= 1e-15 * abs_ref
 
 
+def _opaque(spec):
+    """The same problem with the coupling of each field dropped: the oracle
+    then sums the integrand as one block, the full tensor product."""
+    def hide(fld):
+        return None if fld is None else dataclasses.replace(fld, coupling=None)
+
+    return dataclasses.replace(
+        spec, f_limit=hide(spec.f_limit), sigma=hide(spec.sigma), g=hide(spec.g)
+    )
+
+
 def _gaussian_config(m: int) -> dict:
     # f = -|x|^2 / 2 on [-1, 1]^m
     return {
@@ -206,15 +222,47 @@ class TestRefinement:
         assert abs(v.value - spec.exact_integral(1600)) <= 1e-13 * v.value
         # depth 4 with orders 12 and 10; every axis's line through the centre
         # misses tol, so depth 6 on every axis; that does not cut the pair's
-        # difference, so order 14 at depth 6
+        # difference, so order 14 at depth 6.  Each axis is a block: a panel
+        # sum costs the sum of the axes' node counts, and a line probe the
+        # line's nodes plus one pinned node for each of the other two blocks
+        cuts = 3 * ((120 + 2) + (100 + 2))
+        assert v.evaluations == 3 * (120 + 100) + cuts + 3 * (168 + 140) + 3 * 196
+        assert v.depths == (6, 6, 6) and v.order == 14
+
+    def test_gauss3d_below_the_pair_floor_opaque(self):
+        # the same integrand as one block takes the same path at the cost of
+        # the full tensor product
+        spec = _opaque(get_problem("gauss3d"))
+        v = integrate(spec, 1600, tol=1e-13)
+        assert v.converged
+        assert v.rel_error_estimate <= 1e-13
+        assert abs(v.value - spec.exact_integral(1600)) <= 1e-13 * v.value
         cuts = 3 * (120 + 100)
         assert v.evaluations == 120**3 + 100**3 + cuts + 168**3 + 140**3 + 196**3
+        assert v.depths == (6, 6, 6) and v.order == 14
 
     def test_boundary3d_deepens_only_its_exponential_axis(self):
         # at N = 1600 the exponential axis 0 has scale 1/N, the Gaussian
         # axes 1/sqrt(N): only axis 0's line through the centre misses tol,
         # so depths go (4, 4, 4) -> (6, 4, 4) -> (8, 4, 4)
         spec = get_problem("boundary3d")
+        v = integrate(spec, 1600, tol=1e-10)
+        assert v.converged
+        assert abs(v.value - spec.exact_integral(1600)) <= 1e-14 * v.value
+        # each axis is a block, so a panel sum costs the sum of the axes'
+        # node counts, and each of the 6 line probes per depth one pinned
+        # node for each of the other two blocks
+        panels = (
+            (60 + 2 * 120 + 50 + 2 * 100)
+            + (84 + 2 * 120 + 70 + 2 * 100)
+            + (108 + 2 * 120 + 90 + 2 * 100)
+        )
+        cuts = (60 + 50 + 2 * 220 + 6 * 2) + (84 + 70 + 2 * 220 + 6 * 2)
+        assert v.evaluations == panels + cuts
+        assert v.depths == (8, 4, 4) and v.order == 12
+
+    def test_boundary3d_deepens_only_its_exponential_axis_opaque(self):
+        spec = _opaque(get_problem("boundary3d"))
         v = integrate(spec, 1600, tol=1e-10)
         assert v.converged
         assert abs(v.value - spec.exact_integral(1600)) <= 1e-14 * v.value
@@ -225,6 +273,7 @@ class TestRefinement:
         )
         cuts = (60 + 50 + 2 * 220) + (84 + 70 + 2 * 220)
         assert v.evaluations == panels + cuts
+        assert v.depths == (8, 4, 4) and v.order == 12
 
     def test_kink_raises_at_once(self):
         # a kink in the exponent away from the centre: neither deeper panels
@@ -262,7 +311,89 @@ class TestFourDimensions:
         ref = (math.sqrt(math.pi / (2 * n)) * math.erf(math.sqrt(n / 2))) ** 4
         assert v.converged
         assert abs(v.value - ref) <= 1e-12 * ref
+        # one block per axis: 4 axes of 60 nodes at order 12 and 50 at 10
+        assert v.evaluations == 4 * 60 + 4 * 50
+        assert v.depths == (4, 4, 4, 4) and v.order == 12
+
+    @pytest.mark.parametrize("n", [25, 1600])
+    def test_gaussian_orthant_opaque(self, n):
+        spec = _opaque(problem_from_config(_gaussian_config(4)))
+        v = integrate(spec, n, tol=1e-10, domain=BoxDomain([0.0] * 4, [1.0] * 4),
+                      center=np.zeros(4))
+        ref = (math.sqrt(math.pi / (2 * n)) * math.erf(math.sqrt(n / 2))) ** 4
+        assert v.converged
+        assert abs(v.value - ref) <= 1e-12 * ref
         assert v.evaluations == 60**4 + 50**4
+        assert v.depths == (4, 4, 4, 4) and v.order == 12
+
+
+@st.composite
+def _separable_integrals(draw):
+    """A random exponent that is a sum of polynomials of disjoint axis
+    blocks, with a centre, an optional sub-box and an optional linear tilt.
+    An interior axis spans [-1, 1] and carries a concave quartic peaked near
+    0; a face axis spans [0, 1] and peaks at its lower face, with a linear
+    (exponential) decay in 1-3 D.  In 4-D every axis is a face axis with a
+    Gaussian-type decay and N = 25, so the full tensor product the test
+    compares against stays at 60^4 + 50^4 nodes; in 3-D N stays <= 100."""
+    m = draw(st.sampled_from([1, 2, 3, 4]))
+    faces = [True] * m if m == 4 else draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    coef = st.floats(-0.2, 0.2)
+    terms = []
+
+    def power(i, e):
+        return tuple(e if j == i else 0 for j in range(m))
+
+    for i, face in enumerate(faces):
+        a = draw(st.floats(0.7, 2.0))
+        terms += [(-a, power(i, 2)), (-draw(st.floats(0.0, 0.5)), power(i, 4))]
+        if face and m < 4:
+            terms.append((-draw(st.floats(1.0, 3.0)), power(i, 1)))
+        elif not face:
+            terms.append((draw(coef), power(i, 3)))
+    # a cross term couples consecutive axes into one block
+    for i in range(m - 1):
+        if draw(st.booleans()):
+            terms.append((draw(coef), tuple(1 if j in (i, i + 1) else 0 for j in range(m))))
+    lower = np.array([0.0 if face else -1.0 for face in faces])
+    box = BoxDomain(lower, np.ones(m))
+    centre = np.array([0.0 if face else draw(st.floats(-0.1, 0.1)) for face in faces])
+    domain = None
+    if draw(st.booleans()):
+        sub_lower = [0.0 if face else draw(st.floats(-1.0, -0.05)) for face in faces]
+        domain = BoxDomain(sub_lower, [draw(st.floats(0.2, 1.0)) for _ in range(m)])
+    tilt = None
+    if draw(st.booleans()):
+        tilt = linear_field([draw(st.floats(-3.0, 3.0)) for _ in range(m)], at=centre)
+    n = draw(st.sampled_from([25, 100, 400, 1600][:{1: 4, 2: 4, 3: 2, 4: 1}[m]]))
+    return polynomial_field(terms), box, centre, domain, tilt, n
+
+
+def _integrate_or_best(spec, n, **kw):
+    try:
+        return integrate(spec, n, tol=1e-10, **kw)
+    except QuadratureBudgetError as exc:
+        return exc.best
+
+
+class TestBlockProduct:
+    @settings(max_examples=10, deadline=None)
+    @given(_separable_integrals())
+    def test_matches_the_full_tensor_product(self, case):
+        # the same integrand with its blocks and as one opaque block
+        f, box, centre, domain, tilt, n = case
+        m = centre.size
+        info = MaximumInfo(INTERIOR, centre, lambda _: centre, box)
+        spec = ProblemSpec("separable", m, box, f, UNIT_WEIGHT, info)
+        kw = dict(domain=domain, center=centre)
+        split = _integrate_or_best(spec, n, log_weight=tilt, **kw)
+        whole = _integrate_or_best(
+            _opaque(spec), n, log_weight=tilt and dataclasses.replace(tilt, coupling=None), **kw
+        )
+        assert abs(split.value - whole.value) <= 1e-13 * abs(whole.value)
+        assert (split.converged, split.depths, split.order) == (
+            whole.converged, whole.depths, whole.order)
+        assert split.evaluations <= whole.evaluations
 
 
 # f = x on [0, 1]: N f* = N, so the shifted value is scaled by exp(N)

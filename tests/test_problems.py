@@ -17,8 +17,11 @@ from certlap import (
     assemble_f,
     catalog_names,
     classify_maximum,
+    ScalarField,
     constant_field,
+    exponential_field,
     get_problem,
+    linear_field,
     polynomial_field,
     rotate_problem,
     verify_unique_maximum,
@@ -29,7 +32,7 @@ from certlap.errors import (
     SweepRangeError,
 )
 from certlap.config import problem_from_config
-from certlap.problems import field_values
+from certlap.problems import add_fields, field_values, rotated_view
 
 
 def make_1d_problem(terms, lower=-1.0, upper=1.0, name="adhoc"):
@@ -100,6 +103,56 @@ class TestAssembleF:
         eps = n ** -0.75
         lhs = float(f.evaluate(pt)) - float(spec.f_limit.evaluate(pt))
         assert lhs == pytest.approx(eps * x, abs=1e-15, rel=1e-12)
+
+
+class TestCoupling:
+    """Blocks of axes such that a field is a sum of functions of one block
+    each; None couples every axis."""
+
+    def test_separable_polynomial_splits(self):
+        f = polynomial_field([(-1.0, (2, 0)), (-1.0, (0, 2))])
+        assert f.coupling == ((0,), (1,))
+
+    def test_cross_term_couples(self):
+        # quad2d's f: the xy term joins the axes
+        f = polynomial_field([(-0.5, (2, 0)), (-1.0, (0, 2)), (0.1, (1, 1))])
+        assert f.coupling == ((0, 1),)
+
+    def test_constant_reads_no_axis(self):
+        assert constant_field(2.0).coupling == ()
+        assert polynomial_field([(3.0, (0, 0)), (0.0, (1, 1))]).coupling == ()
+
+    def test_add_fields_joins_overlapping_blocks(self):
+        f1 = polynomial_field([(1.0, (1, 1, 0, 0)), (1.0, (0, 0, 2, 0)), (1.0, (0, 0, 0, 2))])
+        f2 = polynomial_field([(1.0, (0, 1, 1, 0))])
+        assert f1.coupling == ((0, 1), (2,), (3,))
+        assert add_fields(f1, f2, 0.5).coupling == ((0, 1, 2), (3,))
+        assert add_fields(f1, f2, 0.0).coupling == f1.coupling
+
+    def test_exponential_reads_its_support(self):
+        assert exponential_field(1.0, [0.3, 0.0, -0.2]).coupling == ((0, 2),)
+
+    def test_linear_field(self):
+        a, at = np.array([2.0, 0.0, -1.0]), np.array([0.5, 9.0, 1.0])
+        lin = linear_field(a, at=at)
+        assert lin.coupling == ((0,), (2,))
+        pts = np.array([[1.0, 3.0, 2.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(field_values(lin, pts), (pts - at) @ a)
+        assert np.array_equal(lin.gradient(pts), np.tile(a, (2, 1)))
+        assert float(linear_field(a).evaluate(np.array([1.0, 3.0, 2.0]))) == 0.0
+
+    def test_assemble_f_passes_it_through(self):
+        spec = _drifting(lambda n: 1.0 / n)
+        assert assemble_f(spec, 100).coupling == ((0,),)
+
+    def test_rotation_couples_every_axis(self):
+        f = polynomial_field([(-1.0, (2, 0)), (-1.0, (0, 2))])
+        c, s = math.cos(0.3), math.sin(0.3)
+        assert rotated_view(f, np.array([[c, -s], [s, c]])).coupling is None
+        assert rotated_view(f, np.eye(2)).coupling == ((0,), (1,))
+
+    def test_opaque_field_couples_every_axis(self):
+        assert ScalarField(lambda p: -np.sum(np.asarray(p) ** 2, axis=-1)).coupling is None
 
 
 def _drifting(eps, n_zero=19):
