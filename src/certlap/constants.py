@@ -7,6 +7,33 @@ is replaced by the finite sweep actually certified (recorded in the report),
 and grids nest under doubling so refinement is monotone by construction.
 Grid sweeps reduce through order-independent max/min, so results do not
 depend on how a caller partitions the work.
+
+The neighborhood extremes are taken block by block over the coupling of
+f(., N) (``ScalarField.coupling``, with every axis no block reads a block of
+its own).  f is a sum of functions of one block each, so its Hessian and
+third tensor are block diagonal and each block's entries depend on that
+block's coordinates only.  The eigenvalues of a block-diagonal matrix are
+those of its blocks, and its determinant is the product of theirs (Horn &
+Johnson, *Matrix Analysis*, 2nd ed., 2013, §0.9).  The neighborhood grid is
+the product of its blocks' sub-grids, and each pointwise quantity is
+monotone in each block's term, so its extreme over the grid is a
+combination of per-block extremes, each taken on the block's own nodes with
+the other axes pinned at the neighborhood centre: F2, the top eigenvalue
+and F2_prime are the max / min over blocks, lambda and Lambda the products
+of the blocks' least / largest |det| (exp of the summed log |det|, as
+``np.linalg.det`` forms a determinant), F3 the root of the sum of the
+blocks' largest squared norms, and F1_prime comes from the block holding
+the exponential axis.  The sums run in axis order, as the full grid's do at
+each node, so with one-axis blocks the result is the full grid's bit for
+bit.  With blocks of several axes they are the same quantities rounded in
+another order and can differ from the full grid's in the last bits: such a
+block adds its log |det| and squared norm as one term where the full grid
+adds them axis by axis, and LAPACK reduces a block whose axes are not
+consecutive in another order.
+
+A coupled, opaque or rotated field is one block: the full grid.  G and G1
+are taken on the axes g reads.  The complement gap and ``audit_constants``
+stay pointwise.
 """
 
 from __future__ import annotations
@@ -21,7 +48,7 @@ import numpy as np
 from .config import strict_json
 from .derivatives import default_fd_step, field_values, gradients_on, hessians_on, third_norms_on
 from .errors import AssumptionViolationError, DefinitenessError, FieldEvaluationError
-from .problems import ProblemSpec, gauss_block, limit_axes
+from .problems import ProblemSpec, axis_blocks, gauss_block, limit_axes
 
 
 @dataclass(frozen=True)
@@ -57,34 +84,65 @@ def _check_finite(arr, what):
         raise FieldEvaluationError(f"non-finite {what} on the constants grid")
 
 
-def _neighborhood_extremes(f_n, pts, box, h, axis, gauss) -> dict:
+def _neighborhood_extremes(f_n, pts, box, h, axis, gauss, axes=None) -> dict:
     """Extremes over ``pts`` of the pointwise quantities behind the
-    neighborhood constants, keyed by constant name, plus ``top``, the largest
-    eigenvalue of the Hessian block on the Gaussian axes.  An empty block
-    (one-dimensional boundary problem) has determinant 1 and no eigenvalues."""
+    neighborhood constants, on the block ``axes`` (default every axis) of
+    the Hessian and third tensor, keyed by constant name: ``top``, the
+    largest eigenvalue on the block's Gaussian axes, and ``log_lambda`` /
+    ``log_Lambda``, the least / largest log |det| there.  A block with no
+    Gaussian axis (the exponential axis alone, or a one-dimensional
+    boundary problem) has determinant 1 and no such eigenvalues."""
+    axes = list(range(pts.shape[-1])) if axes is None else list(axes)
     H = hessians_on(f_n, pts, box, h)
     _check_finite(H, "Hessian")
+    H = gauss_block(H, axes)
     eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
     # Hessians at 10h (1e-3 of the smallest edge), differenced at 100h (1e-2)
-    T = third_norms_on(f_n, pts, box, 10 * h)
+    T = third_norms_on(f_n, pts, box, 10 * h, axes)
     _check_finite(T, "third tensor")
-    Hg = gauss_block(H, gauss)
-    # at an interior maximum the block is H itself
+    Hg = gauss_block(H, [k for k, i in enumerate(axes) if i in gauss])
+    # on a block of Gaussian axes only, Hg is H itself
     eig_g = eigs if Hg is H else np.linalg.eigvalsh(0.5 * (Hg + np.swapaxes(Hg, -1, -2)))
-    dets = np.abs(np.linalg.det(Hg))
+    # |det| = exp(log |det|), as np.linalg.det forms it
+    log_dets = np.linalg.slogdet(Hg)[1]
     ext = {
         "F2": float(np.max(np.abs(eigs))),
         "F3": float(np.max(T)),
         "top": float(np.max(eig_g, initial=-math.inf)),
         "F2_prime": float(np.min(np.abs(eig_g), initial=math.inf)),
-        "lambda": float(np.min(dets)),
-        "Lambda": float(np.max(dets)),
+        "log_lambda": float(np.min(log_dets)),
+        "log_Lambda": float(np.max(log_dets)),
     }
-    if axis is not None:
+    if axis in axes:
         grads = gradients_on(f_n, pts, box, h)
         _check_finite(grads, "gradient")
         ext["F1_prime"] = float(np.min(np.abs(grads[..., axis])))
     return ext
+
+
+def _fold(values) -> float:
+    """Left-to-right float sum from 0: the order in which the full grid adds
+    the blocks' terms at each node (``sum`` compensates on Python 3.12+)."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def _combine(exts) -> dict:
+    """The extremes over a product of block grids from each block's
+    extremes (``_neighborhood_extremes``, in axis order): every pointwise
+    quantity is monotone in each block's term, so its extreme is that of
+    the blocks' extremes."""
+    return {
+        "F2": max(e["F2"] for e in exts),
+        "F3": math.sqrt(_fold(e["F3"] * e["F3"] for e in exts)),
+        "top": max(e["top"] for e in exts),
+        "F2_prime": min(e["F2_prime"] for e in exts),
+        "lambda": math.exp(_fold(e["log_lambda"] for e in exts)),
+        "Lambda": math.exp(_fold(e["log_Lambda"] for e in exts)),
+        "F1_prime": min((e["F1_prime"] for e in exts if "F1_prime" in e), default=math.inf),
+    }
 
 
 def _complement_drop(spec: ProblemSpec, N: int, f_n, out_pts):
@@ -106,6 +164,17 @@ def estimate_constants(
     the Gaussian axes of ``limit_axes`` (the coordinates of the maximizing
     face at a boundary maximum) and F1_prime the inward derivative along
     the exponential axis; the full Hessian norm backs F2 in both cases.
+
+    The neighborhood extremes are taken on each block of the coupling of
+    f(., N): on the block's axes the nodes are the neighborhood grid's, and
+    the other axes are pinned at its centre.  Entries across blocks vanish
+    identically and the node set is the full grid's, so combining the
+    blocks' extremes (module docstring) is exact.  A coupled, opaque or
+    rotated field is one block, the full grid.  G (on the domain grid) and
+    G1 (on the neighborhood grid) are taken on the axes g reads, the other
+    axes pinned at the centre: one point for a constant g.  The complement
+    gap is taken at every domain node outside the neighborhood, and the
+    full domain grid is built only when there is such a node.
     """
     if grid_res < 16:
         raise ValueError("grid_res must be at least 16 per axis")
@@ -119,22 +188,22 @@ def estimate_constants(
 
     box = spec.domain
     nb = spec.maximum.neighborhood
+    m = box.dimension
     axis, gauss, _ = limit_axes(spec)
     h = default_fd_step(box)
 
-    nb_pts = nb.grid_points(grid_res)
-    om_pts = box.grid_points(grid_res)
-    outside = ~np.all(
-        (om_pts >= nb.lower - 1e-12) & (om_pts <= nb.upper + 1e-12), axis=1
+    # a domain node lies outside the neighborhood iff one of its coordinates does
+    has_outside = any(
+        np.any((nodes < nb.lower[i] - 1e-12) | (nodes > nb.upper[i] + 1e-12))
+        for i, nodes in enumerate(box.grid_axes(grid_res))
     )
-    has_outside = bool(np.any(outside))
-    out_pts = om_pts[outside]
-
     g_box = spec.g_box
-    g_abs = np.abs(field_values(g_box, om_pts))
+    # the axes g reads; None for every axis
+    g_axes = None if g_box.coupling is None else sorted({i for b in g_box.coupling for i in b})
+    g_abs = np.abs(field_values(g_box, box.grid_points(grid_res, g_axes)))
     _check_finite(g_abs, "g")
     G = float(np.max(g_abs))
-    g_grads = gradients_on(g_box, nb_pts, box, h)
+    g_grads = gradients_on(g_box, nb.grid_points(grid_res, g_axes), box, h)
     _check_finite(g_grads, "grad g")
     G1 = float(np.max(np.linalg.norm(g_grads, axis=-1)))
 
@@ -146,7 +215,11 @@ def estimate_constants(
     gap2 = gap1 = math.inf
 
     for N in sweep_eval:
-        ext = _neighborhood_extremes(spec.f_of_box(N), nb_pts, box, h, axis, gauss)
+        f_n = spec.f_of_box(N)
+        ext = _combine([
+            _neighborhood_extremes(f_n, nb.grid_points(grid_res, b), box, h, axis, gauss, b)
+            for b in axis_blocks(f_n.coupling, m)
+        ])
         if ext["top"] >= 0.0:
             raise DefinitenessError(
                 f"Hessian on the Gaussian axes not negative definite on the neighborhood "
@@ -157,9 +230,12 @@ def estimate_constants(
         F2p = min(F2p, ext["F2_prime"])
         lam = min(lam, ext["lambda"])
         Lam = max(Lam, ext["Lambda"])
-        F1p = min(F1p, ext.get("F1_prime", math.inf))
+        F1p = min(F1p, ext["F1_prime"])
 
     if has_outside:
+        om_pts = box.grid_points(grid_res)
+        inside = np.all((om_pts >= nb.lower - 1e-12) & (om_pts <= nb.upper + 1e-12), axis=1)
+        out_pts = om_pts[~inside]
         for N in n_sweep:
             drop, dists = _complement_drop(spec, N, spec.f_of_box(N), out_pts)
             _check_finite(drop, "f on the complement grid")
@@ -264,7 +340,7 @@ def audit_constants(
 
     for N in report.n_sweep:
         f_n = spec.f_of_box(N)
-        ext = _neighborhood_extremes(f_n, pts, box, h, axis, gauss)
+        ext = _combine([_neighborhood_extremes(f_n, pts, box, h, axis, gauss)])
         check(ext["F2"] <= report.F2 * slack, f"F2@N={N}")
         check(ext["F3"] <= report.F3 * slack + 1e-12, f"F3@N={N}")
         check(ext["F2_prime"] >= report.F2_prime / slack, f"F2_prime@N={N}")

@@ -157,14 +157,23 @@ def hessians_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> 
     return _chunked(_hessians, fld, pts, box, h)
 
 
-def third_norms_on(fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float) -> np.ndarray:
-    """Frobenius norms of the third tensors at ``pts``: the analytic handle,
-    or D1 differences with step 10h of Hessians taken at step h."""
+def third_norms_on(
+    fld: ScalarField, pts: np.ndarray, box: BoxDomain, h: float, axes=None
+) -> np.ndarray:
+    """Frobenius norms of the third tensors at ``pts``, restricted to the
+    entries on ``axes`` (default every axis): the analytic handle, or D1
+    differences with step 10h of Hessians taken at step h.  The squares are
+    summed one index at a time, the last first, so where only the (i, i, i)
+    entries are nonzero the squared norm is the sum of their squares in
+    axis order."""
     if fld.third_tensor is not None:
         T = np.asarray(fld.third_tensor(pts), dtype=float)
     else:
         T = _chunked(_thirds, fld, pts, box, h, 10 * h)
-    return np.sqrt(np.sum(T * T, axis=(-3, -2, -1)))
+    if axes is not None and len(axes) < T.shape[-1]:
+        idx = np.asarray(axes, dtype=np.intp)
+        T = T[..., idx[:, None, None], idx[:, None], idx]
+    return np.sqrt(np.sum(np.sum(np.sum(T * T, axis=-1), axis=-1), axis=-1))
 
 
 def gradient_at(fld: ScalarField, z, box: BoxDomain, h: Optional[float] = None) -> np.ndarray:

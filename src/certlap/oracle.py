@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import QuadratureBudgetError, UnsupportedDimensionError
 from .derivatives import field_values
-from .problems import BoxDomain, ProblemSpec, ScalarField, join_coupling, rotated_view
+from .problems import BoxDomain, ProblemSpec, ScalarField, axis_blocks, join_coupling, rotated_view
 
 MAX_PANEL_DEPTH = 40
 # Gauss order n per dimension.  Each depth is checked against order n - 2,
@@ -141,10 +141,7 @@ def _blocks(m: int, f: ScalarField, log_weight: Optional[ScalarField], weight: S
     its own."""
     w_axes = set(range(m)) if weight.coupling is None else {i for b in weight.coupling for i in b}
     lw_coupling = () if log_weight is None else log_weight.coupling
-    joined = join_coupling(f.coupling, lw_coupling, (tuple(w_axes),))
-    blocks = [tuple(range(m))] if joined is None else list(joined)
-    read = {i for b in blocks for i in b}
-    blocks = sorted(blocks + [(i,) for i in range(m) if i not in read])
+    blocks = axis_blocks(join_coupling(f.coupling, lw_coupling, (tuple(w_axes),)), m)
     return blocks, next(k for k, b in enumerate(blocks) if w_axes <= set(b))
 
 

@@ -9,6 +9,7 @@ deterministic regardless of the caller's worker count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -110,10 +111,17 @@ class BoxDomain:
             for i in range(self.dimension)
         ]
 
-    def grid_points(self, grid_res: int) -> np.ndarray:
-        axes = self.grid_axes(grid_res)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    def grid_points(self, grid_res: int, axes=None) -> np.ndarray:
+        """The ``grid_axes`` nodes on ``axes`` (default every axis), in
+        row-major order, with the other coordinates pinned at the centre."""
+        nodes = self.grid_axes(grid_res)
+        axes = range(self.dimension) if axes is None else axes
+        mesh = np.meshgrid(*(nodes[i] for i in axes), indexing="ij")
+        pts = np.empty((mesh[0].size if mesh else 1, self.dimension))
+        pts[:] = 0.5 * (self.lower + self.upper)
+        for i, coord in zip(axes, mesh):
+            pts[:, i] = coord.reshape(-1)
+        return pts
 
     def clip(self, z):
         return np.clip(np.asarray(z, dtype=float), self.lower, self.upper)
@@ -141,6 +149,16 @@ def join_coupling(*couplings: Coupling) -> Coupling:
                     rest.append(other)
             blocks = rest + [merged] if merged else rest
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def axis_blocks(coupling: Coupling, m: int) -> list[tuple[int, ...]]:
+    """Sorted blocks that partition the m axes: one block of every axis for
+    None, otherwise the coupling's blocks plus one block for each axis none
+    of them reads."""
+    if coupling is None:
+        return [tuple(range(m))]
+    read = {i for b in coupling for i in b}
+    return sorted(list(coupling) + [(i,) for i in range(m) if i not in read])
 
 
 @dataclass(frozen=True)
@@ -233,38 +251,41 @@ def polynomial_field(terms, name: str = "poly") -> ScalarField:
                 out.append((c * powers[axis], tuple(q)))
         return out
 
-    grads = [_diff(terms, i) for i in range(m)]
-    hesss = [[_diff(grads[i], j) for j in range(m)] for i in range(m)]
-    thirds = [[[_diff(hesss[i][j], k) for k in range(m)] for j in range(m)] for i in range(m)]
+    # term list of the derivative along each sorted index tuple, differenced
+    # in index order
+    derivs = {(): terms}
+    for order in (1, 2, 3):
+        for idx in itertools.combinations_with_replacement(range(m), order):
+            derivs[idx] = _diff(derivs[idx[:-1]], idx[-1])
+
+    def derivative(order):
+        # each nonzero symmetric entry is evaluated once and written to
+        # every permutation of its index; the rest stay zero
+        entries = [
+            (derivs[idx], set(itertools.permutations(idx)))
+            for idx in itertools.combinations_with_replacement(range(m), order)
+            if derivs[idx]
+        ]
+
+        def handle(pts):
+            pts = np.asarray(pts, dtype=float)
+            out = np.zeros(pts.shape[:-1] + (m,) * order)
+            for tms, perms in entries:
+                val = _eval_terms(tms, pts)
+                for perm in perms:
+                    out[(...,) + perm] = val
+            return out
+
+        return handle
 
     def ev(pts):
         return _eval_terms(terms, pts)
 
-    def gr(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.stack([_eval_terms(grads[i], pts) for i in range(m)], axis=-1)
-
-    def he(pts):
-        pts = np.asarray(pts, dtype=float)
-        rows = [
-            np.stack([_eval_terms(hesss[i][j], pts) for j in range(m)], axis=-1)
-            for i in range(m)
-        ]
-        return np.stack(rows, axis=-2)
-
-    def th(pts):
-        pts = np.asarray(pts, dtype=float)
-        planes = []
-        for i in range(m):
-            rows = [
-                np.stack([_eval_terms(thirds[i][j][k], pts) for k in range(m)], axis=-1)
-                for j in range(m)
-            ]
-            planes.append(np.stack(rows, axis=-2))
-        return np.stack(planes, axis=-3)
-
     supports = tuple(tuple(i for i, e in enumerate(p) if e) for c, p in terms if c != 0.0)
-    return ScalarField(ev, gr, he, th, name=name, coupling=join_coupling(supports))
+    return ScalarField(
+        ev, derivative(1), derivative(2), derivative(3),
+        name=name, coupling=join_coupling(supports),
+    )
 
 
 def linear_field(a, at=None, name: str = "linear") -> ScalarField:

@@ -1,7 +1,11 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certlap import (
     BOUNDARY,
@@ -10,13 +14,17 @@ from certlap import (
     MaximumInfo,
     ProblemSpec,
     audit_constants,
+    catalog,
     constant_field,
     estimate_constants,
+    exponential_field,
     get_problem,
     polynomial_field,
     refine_constants,
 )
-from certlap.errors import DefinitenessError
+from certlap.config import problem_from_config
+from certlap.errors import AssumptionViolationError, DefinitenessError, ToolkitError
+from certlap.problems import UNIT_WEIGHT, power_epsilon
 
 SWEEP = (25, 100, 400, 1600)
 
@@ -188,3 +196,188 @@ class TestAudit:
         rep = consts_cache(name)
         audit = audit_constants(specs[name], rep, n_points=1000, seed=1)
         assert audit["ok"], audit["failures"]
+
+
+# ---------------------------------------------------------------------------
+# block-wise neighborhood extremes against the full grid
+
+
+def _drop_coupling(spec):
+    """The same problem with the coupling of each field dropped: the
+    constants are then taken on the full grid, as one block."""
+    def hide(fld):
+        return None if fld is None else dataclasses.replace(fld, coupling=None)
+
+    return dataclasses.replace(
+        spec, f_limit=hide(spec.f_limit), sigma=hide(spec.sigma), g=hide(spec.g)
+    )
+
+
+def _outcome(spec, **kw):
+    """Every report field, or the error raised (class and message)."""
+    try:
+        return dataclasses.asdict(estimate_constants(spec, **kw))
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def _poly(*terms):
+    return {"type": "polynomial", "terms": [{"coeff": c, "powers": list(p)} for c, p in terms]}
+
+
+def _inline(name, lower, upper, f):
+    return {
+        "name": name,
+        "domain": {"lower": lower, "upper": upper},
+        "f": f,
+        "g": {"type": "exponential", "linear": [0.3, -0.2]},
+        "sigma": _poly((1.0, (1, 0))),
+        "epsilon": {"class": "power", "exponent": -0.75},
+    }
+
+
+# the benchmark's inline problems: a tilted quadratic, a cubic and a boundary maximum
+INLINE = [
+    _inline("quad2d", [-1.0, -1.0], [1.0, 1.0],
+            _poly((-0.5, (2, 0)), (-1.0, (0, 2)), (0.1, (1, 1)))),
+    _inline("cub2d", [-1.0, -1.0], [1.0, 1.0],
+            _poly((-0.5, (2, 0)), (-1.0, (0, 2)), (0.2, (3, 0)), (0.1, (1, 1)))),
+    _inline("bnd2d", [0.0, -1.0], [1.0, 1.0],
+            _poly((-1.0, (1, 0)), (-0.3, (2, 0)), (-0.5, (0, 2)))),
+]
+EQUIVALENCE_PROBLEMS = [s.name for s in catalog()] + INLINE
+
+
+@st.composite
+def _separable_problems(draw, cross=False):
+    """A problem whose exponent is a sum of one-axis polynomials in 2-4 D,
+    with consecutive axes joined by small xy terms when ``cross``.  An
+    interior axis spans [-1, 1] and carries -a x^2 + b x^3 + c x^4 with
+    a >= 0.7, |b| <= 0.2 and c <= 0, so 0 is the maximum and the Hessian is
+    negative definite; at a boundary maximum axis 0 spans [0, 1] and
+    decays linearly from its lower face.  The neighborhood is the domain
+    or its half about the maximum, the weight is 1, a linear polynomial or
+    an exponential of one axis, and sigma is absent or a one-axis
+    polynomial with epsilon(N) = N^-0.75."""
+    m = draw(st.integers(2, 4))
+    boundary = draw(st.booleans())
+    terms = []
+
+    def power(i, e):
+        return tuple(e if j == i else 0 for j in range(m))
+
+    for i in range(m):
+        if boundary and i == 0:
+            terms += [(-draw(st.floats(0.5, 2.0)), power(0, 1)),
+                      (-draw(st.floats(0.0, 0.5)), power(0, 2))]
+        else:
+            terms += [(-draw(st.floats(0.7, 2.0)), power(i, 2)),
+                      (draw(st.floats(-0.2, 0.2)), power(i, 3)),
+                      (-draw(st.floats(0.0, 0.5)), power(i, 4))]
+    for i in range(m - 1 if cross else 0):
+        if draw(st.booleans()):
+            terms.append((draw(st.floats(-0.2, 0.2)),
+                          tuple(1 if j in (i, i + 1) else 0 for j in range(m))))
+    lower = [0.0 if boundary and i == 0 else -1.0 for i in range(m)]
+    box = BoxDomain(lower, [1.0] * m)
+    scale = draw(st.sampled_from([0.5, 1.0]))
+    nb = BoxDomain(np.array(lower) * scale, np.full(m, scale))
+    j = draw(st.integers(0, m - 1))
+    g = draw(st.sampled_from([
+        UNIT_WEIGHT,
+        polynomial_field([(1.0, (0,) * m), (0.3, power(j, 1))]),
+        exponential_field(1.0, [0.4 if i == j else 0.0 for i in range(m)]),
+    ]))
+    sigma = None
+    if draw(st.booleans()):
+        sigma = polynomial_field([(draw(st.floats(-1.0, 1.0)), power(j, draw(st.integers(1, 2))))])
+    zero = np.zeros(m)
+    info = (MaximumInfo(BOUNDARY, zero, lambda n: zero, nb, boundary_axis=0) if boundary
+            else MaximumInfo(INTERIOR, zero, lambda n: zero, nb))
+    spec = ProblemSpec("separable", m, box, polynomial_field(terms), g, info, sigma=sigma,
+                       **({"epsilon": power_epsilon(-0.75)} if sigma else {}))
+    return spec
+
+
+class TestBlockExtremes:
+    """The neighborhood extremes taken per block of f's coupling, with the
+    other axes pinned, against the same problem with every coupling
+    dropped, which takes them on the full grid."""
+
+    @pytest.mark.parametrize("grid_res", [32, 64])
+    @pytest.mark.parametrize(
+        "problem", EQUIVALENCE_PROBLEMS,
+        ids=[p if isinstance(p, str) else p["name"] for p in EQUIVALENCE_PROBLEMS],
+    )
+    def test_catalog_and_inline_match_the_full_grid(self, problem, grid_res):
+        spec = get_problem(problem) if isinstance(problem, str) else problem_from_config(problem)
+        kw = dict(grid_res=grid_res)
+        assert _outcome(spec, **kw) == _outcome(_drop_coupling(spec), **kw)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_separable_problems())
+    def test_separable_exponents_match_bit_for_bit(self, spec):
+        kw = dict(grid_res=16, n_sweep=(25, 100))
+        assert _outcome(spec, **kw) == _outcome(_drop_coupling(spec), **kw)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_separable_problems(cross=True))
+    def test_multi_axis_blocks_match_to_rounding(self, spec):
+        # a block of several axes after another one sums its log|det| and
+        # squared third-tensor norm as one term, where the full grid adds
+        # them axis by axis: the same quantity, rounded in another order
+        kw = dict(grid_res=16, n_sweep=(25, 100))
+        split, whole = _outcome(spec, **kw), _outcome(_drop_coupling(spec), **kw)
+        assert isinstance(split, dict) == isinstance(whole, dict)
+        if not isinstance(split, dict):
+            assert split == whole
+            return
+        for key, value in whole.items():
+            if isinstance(value, float):
+                assert split[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+            else:
+                assert split[key] == value, key
+
+    @pytest.mark.parametrize("kind, error", [
+        (BOUNDARY, AssumptionViolationError), (INTERIOR, DefinitenessError)])
+    def test_an_axis_f_does_not_read(self, kind, error):
+        # f = -y^2 / 2 on [0, 1] x [-1, 1] leaves x unread: at a boundary
+        # maximum on x's face F1_prime is 0, at an interior one the zero
+        # Hessian row is not negative definite
+        box = BoxDomain([0.0, -1.0], [1.0, 1.0])
+        f = polynomial_field([(-0.5, (0, 2))])
+        assert f.coupling == ((1,),)
+        x_star = np.array([0.0 if kind == BOUNDARY else 0.5, 0.0])
+        info = MaximumInfo(kind, x_star, lambda n: x_star, box,
+                           boundary_axis=0 if kind == BOUNDARY else None)
+        spec = ProblemSpec("unread", 2, box, f, constant_field(1.0), info)
+        split = _outcome(spec, grid_res=16, n_sweep=(25,))
+        assert split[0] is error
+        assert split == _outcome(_drop_coupling(spec), grid_res=16, n_sweep=(25,))
+
+
+def _count_points(spec):
+    """gauss3d with its f's Hessian handle wrapped to record how many points
+    each call sees; the coupling is kept."""
+    seen = []
+    f = spec.f_limit
+
+    def hessian(pts):
+        seen.append(math.prod(np.shape(pts)[:-1]))
+        return f.hessian(pts)
+
+    return dataclasses.replace(spec, f_limit=dataclasses.replace(f, hessian=hessian)), seen
+
+
+class TestBlockCost:
+    def test_gauss3d_hessians_on_three_lines(self):
+        # gauss3d's f is N-independent, so one N of the sweep is evaluated;
+        # its three one-axis blocks take 65 Hessians each at grid_res 64
+        spec, seen = _count_points(get_problem("gauss3d"))
+        estimate_constants(spec, grid_res=64, n_sweep=SWEEP)
+        assert sum(seen) == 3 * 65
+
+    def test_coupling_dropped_takes_the_full_grid(self):
+        spec, seen = _count_points(_drop_coupling(get_problem("gauss3d")))
+        estimate_constants(spec, grid_res=64, n_sweep=SWEEP)
+        assert sum(seen) == 65**3

@@ -70,6 +70,21 @@ class TestBoxDomain:
         fine = box.grid_axes(32)[0]
         assert set(np.round(coarse, 12)).issubset(set(np.round(fine, 12)))
 
+    def test_grid_points_on_some_axes(self):
+        box = BoxDomain([0.0, -1.0, 2.0], [1.0, 1.0, 4.0])
+        nodes = box.grid_axes(4)
+        full = box.grid_points(4)
+        mesh = np.meshgrid(*nodes, indexing="ij")
+        assert np.array_equal(full, np.stack([m.reshape(-1) for m in mesh], axis=-1))
+        # the other axes sit at the centre (0.5, 0.0, 3.0)
+        line = box.grid_points(4, axes=(1,))
+        assert np.array_equal(line[:, 1], nodes[1])
+        assert np.all(line[:, [0, 2]] == [0.5, 3.0])
+        plane = box.grid_points(4, axes=(0, 2))
+        assert plane.shape == (25, 3) and np.all(plane[:, 1] == 0.0)
+        assert np.array_equal(plane[:, [0, 2]], full[full[:, 1] == nodes[1][2]][:, [0, 2]])
+        assert np.array_equal(box.grid_points(4, axes=()), [[0.5, 0.0, 3.0]])
+
 
 class TestAssembleF:
     def test_linear_perturbation_at_zero(self):
@@ -153,6 +168,32 @@ class TestCoupling:
 
     def test_opaque_field_couples_every_axis(self):
         assert ScalarField(lambda p: -np.sum(np.asarray(p) ** 2, axis=-1)).coupling is None
+
+
+class TestPolynomialDerivatives:
+    """Each symmetric entry is evaluated once, at its sorted index, and
+    mirrored; entries with no terms stay zero."""
+
+    def test_closed_form_and_exact_symmetry(self):
+        # f = 0.1 x^3 y^5 - 2 x z^2: d2f/dxdy = 1.5 x^2 y^4, d3f/dxdzdz = -4
+        f = polynomial_field([(0.1, (3, 5, 0)), (-2.0, (1, 0, 2))])
+        pts = np.array([[0.5, -2.0, 3.0], [1.0, 1.0, 1.0]])
+        x, y, z = pts.T
+        H, T = f.hessian(pts), f.third_tensor(pts)
+        assert H.shape == (2, 3, 3) and T.shape == (2, 3, 3, 3)
+        assert np.allclose(H[:, 0, 1], 1.5 * x**2 * y**4, rtol=1e-15)
+        assert np.allclose(T[:, 0, 2, 2], -4.0, rtol=0.0)
+        assert np.array_equal(H, np.swapaxes(H, -1, -2))
+        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            assert np.array_equal(T, np.transpose(T, (0,) + tuple(p + 1 for p in perm)))
+        assert np.array_equal(f.gradient(pts[0]), f.gradient(pts)[0])
+
+    def test_quadratic_third_tensor_is_zero(self):
+        f = polynomial_field([(-0.5, (2, 0, 0)), (-0.5, (0, 2, 0)), (0.1, (0, 1, 1))])
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 5, 3))
+        T = f.third_tensor(pts)
+        assert T.shape == (4, 5, 3, 3, 3) and not np.any(T)
+        assert np.array_equal(f.hessian(pts)[..., 1, 2], np.full((4, 5), 0.1))
 
 
 def _drifting(eps, n_zero=19):
