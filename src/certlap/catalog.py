@@ -11,7 +11,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DomainError
 from .problems import (
@@ -49,7 +48,7 @@ def _const_point(x) -> Callable[[int], np.ndarray]:
 def _segment_gauss(N: float, a: float, b: float, shift: float = 0.0) -> float:
     """integral over [a, b] of exp(-N (x - shift)^2 / 2)."""
     s = math.sqrt(N / 2.0)
-    return math.sqrt(math.pi / (2.0 * N)) * float(erf(s * (b - shift)) - erf(s * (a - shift)))
+    return math.sqrt(math.pi / (2.0 * N)) * (math.erf(s * (b - shift)) - math.erf(s * (a - shift)))
 
 
 def _interior_spec(

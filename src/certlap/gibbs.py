@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
 from .constants import ConstantsReport, estimate_constants
 from .derivatives import field_values, gradient_at, gradients_on, hessian_at
@@ -637,6 +636,65 @@ def transform_to_fluctuations(batch: SampleBatch) -> np.ndarray:
     return Y
 
 
+# Cody, Math. Comp. 23 (1969), netlib CALERF: erf(y) = y A(y^2) for y up to
+# 0.46875, and erfcx(y) = C(y) up to 4 and (1/sqrt(pi) - t P(t)) / y, t = 1/y^2,
+# beyond; each lists its numerator, then its monic denominator, highest first.
+_CODY_A = (1.85777706184603153e-1, 3.16112374387056560, 1.13864154151050156e2,
+           3.77485237685302021e2, 3.20937758913846947e3, 2.36012909523441209e1,
+           2.44024637934444173e2, 1.28261652607737228e3, 2.84423683343917062e3)
+_CODY_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594,
+           6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+           1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3,
+           1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+           1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+           3.43936767414372164e3, 1.23033935480374942e3)
+_CODY_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4,
+           2.56852019228982242, 1.87295284992346725, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def _rational(x: np.ndarray, coefs) -> np.ndarray:
+    """Horner's rule, in place, for a Cody rational; zip ends with the denominator."""
+    num, den = np.full_like(x, coefs[0]), np.ones_like(x)
+    for a, b in zip(coefs[1:], coefs[len(coefs) // 2 + 1:]):
+        num *= x
+        num += a
+        den *= x
+        den += b
+    num /= den
+    return num
+
+
+def _erfcx_tail(y: np.ndarray) -> np.ndarray:
+    """exp(y^2) erfc(y) for y > 0.46875; np.piecewise skips an empty range."""
+    return np.piecewise(y, [y <= 4.0], [
+        lambda v: _rational(v, _CODY_C),
+        lambda v: (1.0 / math.sqrt(math.pi) - v**-2 * _rational(v**-2, _CODY_P)) / v,
+    ])
+
+
+def _erfcx(x) -> np.ndarray:
+    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0."""
+    x = np.array(x, dtype=float, ndmin=1)
+    return np.piecewise(x, [x <= 0.46875], [
+        lambda v: np.exp(v * v) * (1.0 - v * _rational(v * v, _CODY_A)), _erfcx_tail,
+    ])
+
+
+def _ndtr(z) -> np.ndarray:
+    """Standard normal CDF.  With a = |z| and y = a / sqrt(2), Phi(-a) =
+    erfc(y) / 2 is 1/2 - erf(y) / 2 on the small range and
+    exp(-a^2 / 2) erfcx(y) / 2 beyond it; Phi(z) = 1 - Phi(-a) for z > 0."""
+    z = np.array(z, dtype=float, ndmin=1)
+    a, r = np.abs(z), math.sqrt(0.5)
+    low = np.piecewise(a, [a <= 0.46875 / r], [
+        lambda v: 0.5 - 0.5 * r * v * _rational(0.5 * v * v, _CODY_A),
+        lambda v: 0.5 * np.exp(-0.5 * v * v) * _erfcx_tail(r * v),
+    ])
+    return np.where(z > 0, 1.0 - low, low)
+
+
 def _exp_gauss_cdf(u: np.ndarray, c: float) -> np.ndarray:
     """CDF of the density proportional to exp(-u - c u^2) on u >= 0:
     1 - exp(-u - c u^2) erfcx(sqrt(c) u + w0) / erfcx(w0), w0 = 1/(2 sqrt(c));
@@ -646,7 +704,7 @@ def _exp_gauss_cdf(u: np.ndarray, c: float) -> np.ndarray:
         return -np.expm1(-u)
     r = math.sqrt(c)
     w0 = 0.5 / r
-    return 1.0 - np.exp(-u - c * u * u) * erfcx(r * u + w0) / erfcx(w0)
+    return 1.0 - np.exp(-u - c * u * u) * _erfcx(r * u + w0) / _erfcx(w0)
 
 
 def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
@@ -684,7 +742,7 @@ def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
         L = np.linalg.cholesky(np.linalg.inv(K_ss))
         Z = np.linalg.solve(L, Y.T).T
         for j in range(Z.shape[1]):
-            stats.append(("normal", ks_statistic(Z[:, j], ndtr)))
+            stats.append(("normal", ks_statistic(Z[:, j], _ndtr)))
     return {
         "count": n,
         "marginals": [

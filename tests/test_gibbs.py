@@ -569,3 +569,65 @@ class TestEnvelope:
                             lambda *a: pytest.fail("drew from a failing envelope"))
         with pytest.raises(EnvelopeFailureError, match=r"predicted acceptance .* N=100"):
             sample(gibbs_measure(spec, 100), 1000, seed=1, consts=loose)
+
+
+def _mp_reference(fn, xs):
+    """fn at each float of xs, in mpmath at 40 digits, rounded to float."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return np.array([float(fn(mpmath.mpf(float(x)))) for x in xs])
+
+
+def _with_neighbours(*points):
+    return [q for p in points for q in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+class TestSpecialFunctions:
+    """The numpy erfcx and normal CDF against mpmath at 40 digits; joints of
+    Cody's ranges are tested with their float neighbours."""
+
+    def test_erfcx_relative(self):
+        import mpmath
+
+        from certlap.gibbs import _erfcx
+
+        x = np.concatenate([
+            np.linspace(0.0, 10.0, 1001), np.geomspace(1e-12, 1e3, 600),
+            _with_neighbours(0.46875, 4.0), [0.0, 1e3],
+        ])
+        ref = _mp_reference(lambda v: mpmath.exp(v * v) * mpmath.erfc(v), x)
+        assert np.max(np.abs(_erfcx(x) - ref) / ref) <= 2e-15
+        assert _erfcx(0.0).tolist() == [1.0]
+
+    def test_ndtr_absolute_and_relative(self):
+        import mpmath
+
+        from certlap.gibbs import _ndtr
+
+        joint = 0.46875 * math.sqrt(2.0)
+        z = np.concatenate([
+            np.linspace(-40.0, 10.0, 2001), np.linspace(-8.0, 8.0, 1601),
+            _with_neighbours(-joint, joint, -4.0 * math.sqrt(2.0)),
+        ])
+        ref = _mp_reference(mpmath.ncdf, z)
+        got = _ndtr(z)
+        assert np.max(np.abs(got - ref)) <= 2e-16
+        inner = np.abs(z) <= 8.0
+        assert np.max(np.abs(got - ref)[inner] / ref[inner]) <= 2e-14
+        assert _ndtr(np.array([0.0, -np.inf, np.inf])).tolist() == [0.5, 0.0, 1.0]
+
+    @pytest.mark.parametrize("c", [1e-4, 0.1, 3.0])
+    def test_exp_gauss_cdf_against_quadrature(self, c):
+        import mpmath
+
+        from certlap.gibbs import _exp_gauss_cdf
+
+        u = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+        with mpmath.workdps(40):
+            def density(v):
+                return mpmath.exp(-v - c * v * v)
+
+            total = mpmath.quad(density, [0, mpmath.inf])
+            ref = np.array([float(mpmath.quad(density, [0, mpmath.mpf(x)]) / total) for x in u])
+        assert np.max(np.abs(_exp_gauss_cdf(u, c) - ref)) <= 1e-15

@@ -1,7 +1,12 @@
 """Every certlap module does its imports at module level, so the import
-graph of the package is visible at the top of each file."""
+graph of the package is visible at the top of each file, and numpy is the
+only third-party package it reaches."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import certlap
@@ -99,3 +104,50 @@ def test_one_stencil_path():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field_values"
         ]
     assert found == []
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports certlap from this
+    source tree; returns its stdout."""
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.stdout
+
+
+def test_cli_imports_no_scipy():
+    loaded = _fresh_python(
+        "import json, sys\n"
+        "import certlap.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert [m for m in json.loads(loaded) if m.split(".")[0] == "scipy"] == []
+
+
+def test_full_checks_run_without_scipy():
+    """With every scipy import failing, full-check runs of an interior, a
+    3-D boundary and an inline boundary problem end as they do with scipy
+    installed: status 0."""
+    bnd2d = {
+        "name": "bnd2d",
+        "domain": {"lower": [0.0, -1.0], "upper": [1.0, 1.0]},
+        "f": {"type": "polynomial", "terms": [
+            {"coeff": -1.0, "powers": [1, 0]}, {"coeff": -0.3, "powers": [2, 0]},
+            {"coeff": -0.5, "powers": [0, 2]},
+        ]},
+        "g": {"type": "exponential", "linear": [0.3, -0.2]},
+        "sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+        "epsilon": {"class": "power", "exponent": -0.75},
+    }
+    out = _fresh_python(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from certlap.cli import run_checks\n"
+        "from certlap.config import KNOWN_CHECKS, RunConfig\n"
+        f"problems = ['gauss1d', 'boundary3d', {bnd2d!r}]\n"
+        "print(json.dumps([run_checks(RunConfig(problem=p, checks=KNOWN_CHECKS, seed=1,\n"
+        "                                       sample_count=20_000))[0] for p in problems]))\n"
+    )
+    assert json.loads(out) == [0, 0, 0]

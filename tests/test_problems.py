@@ -385,3 +385,142 @@ class TestCatalog:
                 z = s.z_star_of_N(n)
                 assert np.all(z >= nb.lower - 1e-9) and np.all(z <= nb.upper + 1e-9), (
                     s.name, n)
+
+
+def _lbfgsb_then_newton(fld, box, start):
+    """Reference maximiser: scipy's L-BFGS-B on the box, then Newton steps
+    on the coordinates strictly inside it until a step stops moving z (a
+    gradient tolerance would leave an error of gtol over the curvature)."""
+    from scipy import optimize
+
+    from certlap.derivatives import gradient_at, hessian_at
+
+    res = optimize.minimize(
+        lambda z: -float(field_values(fld, z)), np.asarray(start, dtype=float),
+        jac=lambda z: -np.asarray(fld.gradient(z), dtype=float), method="L-BFGS-B",
+        bounds=list(zip(box.lower, box.upper)),
+        options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-11},
+    )
+    z = res.x
+    for _ in range(40):
+        inner = [i for i in range(box.dimension)
+                 if box.lower[i] + 1e-13 < z[i] < box.upper[i] - 1e-13]
+        if not inner:
+            break
+        g = gradient_at(fld, z, box)[inner]
+        step = np.linalg.solve(hessian_at(fld, z, box)[np.ix_(inner, inner)], -g)
+        z_new = z.copy()
+        z_new[inner] += step
+        z_new = box.clip(z_new)
+        if np.max(np.abs(z_new - z)) < 1e-15:
+            break
+        z = z_new
+    return z
+
+
+class TestLocateMaximum:
+    locate = staticmethod(certlap.problems.locate_maximum)
+
+    def test_axis_at_a_bound_with_outward_gradient_is_held(self):
+        # f = x - y^2 + 0.5 x y: df/dx > 0 on the whole box, so x ends at its
+        # upper bound and y maximises -y^2 + 0.5 y there; -H is indefinite
+        box = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+        f = polynomial_field([(1.0, (1, 0)), (-1.0, (0, 2)), (0.5, (1, 1))])
+        z, value = self.locate(f, box, [0.0, 0.0])
+        assert z[0] == 1.0
+        assert z[1] == pytest.approx(0.25, abs=1e-12)
+        assert value == pytest.approx(1.0625, abs=1e-14)
+
+    def test_axis_rounded_just_inside_its_bound_is_held(self):
+        # capped Newton steps carry y from -1 towards 0.5, and the last one
+        # lands an ulp short of the bound, where the gradient still points
+        # out; y must be held there so that x can reach its own optimum
+        K = np.array([[0.2 + 0.046875**2, 0.046875], [0.046875, 1.2]])
+        f = polynomial_field([(-0.5 * K[0, 0], (2, 0)), (-K[0, 1], (1, 1)),
+                              (-0.5 * K[1, 1], (0, 2)), (1.0, (0, 1))])
+        box = BoxDomain([-1.0, -1.0], [1.0, 0.5])
+        z, _ = self.locate(f, box, [0.0, -1.0])
+        np.testing.assert_allclose(z, [-0.5 * K[0, 1] / K[0, 0], 0.5], rtol=0, atol=1e-12)
+
+    def test_fixed_axis_pins_a_face(self):
+        # at x = -1 the gradient points into the box, but the axis is pinned:
+        # the maximum of -(y - 0.2)^2 - 0.5 y over y is y = -0.05
+        box = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+        f = polynomial_field([(-1.0, (2, 0)), (0.6, (1, 0)), (-1.0, (0, 2)), (0.4, (0, 1)),
+                              (0.5, (1, 1))])
+        assert f.gradient(np.array([-1.0, 0.0]))[0] > 0
+        z, _ = self.locate(f, box, [0.5, 0.5], fixed_axes={0: -1.0})
+        assert z[0] == -1.0
+        assert z[1] == pytest.approx(-0.05, abs=1e-12)
+
+    def test_indefinite_start_takes_gradient_steps(self):
+        # f = x^2 / 2 - x^4 / 4 has a local minimum at 0 and its maximum on
+        # [-0.5, 2] at 1; at the start -f'' < 0, so no Newton step exists
+        box = BoxDomain([-0.5], [2.0])
+        f = polynomial_field([(0.5, (2,)), (-0.25, (4,))])
+        assert -f.hessian(np.array([0.1]))[0, 0] < 0
+        z, value = self.locate(f, box, [0.1])
+        assert z[0] == pytest.approx(1.0, abs=1e-12)
+        assert value == pytest.approx(0.25, abs=1e-15)
+
+    def test_saddle_start_in_two_dimensions(self):
+        box = BoxDomain([-0.5, -1.0], [2.0, 1.0])
+        f = polynomial_field([(0.5, (2, 0)), (-0.25, (4, 0)), (-1.0, (0, 2)), (0.3, (0, 1))])
+        z, _ = self.locate(f, box, [0.05, 0.9])
+        np.testing.assert_allclose(z, [1.0, 0.15], atol=1e-12)
+
+    @pytest.mark.parametrize("lower, upper, start, expected", [
+        ([-1.0, -1.0], [1.0, 1.0], [0.9, -0.9], None),  # interior maximum
+        ([0.0, -1.0], [1.0, 1.0], [0.5, 0.5], 0.0),     # x held at its lower bound
+    ])
+    def test_opaque_field_uses_the_stencils(self, lower, upper, start, expected):
+        box = BoxDomain(lower, upper)
+        f = polynomial_field([(-1.0, (2, 0)), (0.6, (1, 0)), (-2.0, (0, 2)), (-0.4, (0, 1)),
+                              (0.1, (1, 1)), (0.05, (3, 0))])
+        if expected is not None:
+            f = add_fields(f, linear_field([-3.0, 0.0]), 1.0)
+        evaluations = []
+
+        def counted(pts):
+            evaluations.append(1)
+            return f.evaluate(pts)
+
+        opaque = ScalarField(counted, name="opaque")
+        z_ref, _ = self.locate(f, box, start)
+        z, value = self.locate(opaque, box, start)
+        np.testing.assert_allclose(z, z_ref, atol=1e-8)
+        assert value == pytest.approx(float(f.evaluate(z_ref)), abs=1e-14)
+        if expected is not None:
+            assert z[0] == expected == z_ref[0]
+        assert len(evaluations) < 200
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 2),
+        data=st.data(),
+    )
+    def test_matches_lbfgsb_reference(self, m, data):
+        """A strictly concave quadratic plus a small cubic on a random box:
+        the maximiser agrees with an L-BFGS-B + Newton reference to 1e-12,
+        whether the maximum is interior or on a face."""
+        floats = st.floats(-1.0, 1.0, allow_nan=False)
+        L = np.array(data.draw(st.lists(floats, min_size=m * m, max_size=m * m))).reshape(m, m)
+        K = L @ L.T + (0.2 + data.draw(st.floats(0.0, 1.0))) * np.eye(m)
+        lam = float(np.min(np.linalg.eigvalsh(K)))
+        lower = np.array(data.draw(st.lists(st.floats(-2.0, -0.25), min_size=m, max_size=m)))
+        upper = np.array(data.draw(st.lists(st.floats(0.25, 2.0), min_size=m, max_size=m)))
+        b = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+        # |f'''| times the box radius stays below the curvature, so f is
+        # strictly concave on the box and its maximiser unique
+        cubic = [lam / 40.0 * data.draw(st.floats(-1.0, 1.0)) for _ in range(m)]
+        unit = np.eye(m, dtype=int)
+        terms = [(-0.5 * K[i, j], tuple(unit[i] + unit[j])) for i in range(m) for j in range(m)]
+        terms += [(b[i], tuple(unit[i])) for i in range(m)]
+        terms += [(cubic[i], tuple(3 * unit[i])) for i in range(m)]
+        f = polynomial_field(terms)
+        box = BoxDomain(lower, upper)
+        start = box.clip(np.array(data.draw(st.lists(floats, min_size=m, max_size=m))) * 2.0)
+        z, value = self.locate(f, box, start)
+        z_ref = _lbfgsb_then_newton(f, box, start)
+        np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-12)
+        assert value >= float(f.evaluate(z_ref)) - 1e-13
