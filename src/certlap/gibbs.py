@@ -16,12 +16,12 @@ decides the exponential axis, the Gaussian axes and the inward sign; every
 function here indexes by the Gaussian axes and adds the exponential-axis
 term only when there is one.
 
-The sampler rejects against ``_Envelope``, a mixture that dominates
-exp(N (f_N - f_N*)): a core built from the certified curvature (and the
-certified inward slope at a boundary maximum) covers the neighborhood, and
-one constant bound per cell covers the rest of the domain.  Its mass gives
-the predicted acceptance, which sizes the proposal blocks; every proposal
-inside the domain is checked against the envelope.
+The sampler rejects against ``_Envelope``, a piecewise bound on
+exp(N (f_N - f_N*)): a core from the certified curvature (and inward slope
+at a boundary maximum) on the neighborhood, one constant per cell off it.
+Each proposal is labelled with the piece that drew it and read against
+that piece alone; the mass of the pieces gives the predicted acceptance,
+which sizes the proposal blocks, and every draw read is checked against E'.
 
 ``mgf_Y`` tests the N -> infinity law.  The draws are tested against the
 law at finite N instead: ``empirical_limit_test`` rescales them about
@@ -434,11 +434,11 @@ def _cell_breaks(lo: float, nb_lo: float, nb_up: float, up: float, n: int) -> np
 
 
 class _Envelope:
-    """Certified dominating function E >= exp(N (f_N - f_N*)) on the domain
+    """Certified dominating function E' >= exp(N (f_N - f_N*)) on the domain
     for rejection sampling, f_N* = f_N(x*(N)); box frame throughout.
 
-    E is a mixture.  The core is a closed-form density from the certified
-    constants; it covers the neighborhood:
+    E' is piecewise.  On the closed neighborhood nb it is the core, a
+    closed-form density from the certified constants:
       * interior maximum: grad f_N(x*(N)) = 0 and -D^2 f_N >= F2' on the
         (convex) neighborhood give f_N - f_N* <= -(F2'/2) |z - x*(N)|^2;
       * boundary maximum: on the face x*(N) maximises f_N, so the same bound
@@ -447,23 +447,26 @@ class _Envelope:
         face lowers f_N by at least F1' t:
           f_N - f_N* <= -F1' t - (F2'/2) |d|^2,
         an inward exponential times a Gaussian.
-    The rest of the domain is split into cells whose walls include the
-    neighborhood's faces.  A cell outside the neighborhood carries the
-    constant exp(N B_c), where B_c bounds f_N - f_N* on the cell: the
-    largest value at its corners plus L times its half-diagonal, L the
-    gradient norm's maximum over every cell corner times the safety factor
-    (grid + safety, like the report constants).
+    The domain is split into cells whose walls include nb's faces.  A
+    complement cell c (midpoint outside nb) carries exp(N B_c), B_c bounding
+    f_N - f_N* on c: the largest value at its corners plus L times its
+    half-diagonal, L the gradient norm's maximum over the complement corners
+    times the safety factor (grid + safety, like the report constants).
+    Only those corners are evaluated.  So E' = core 1_nb + sum_c exp(N B_c) 1_c.
 
-    The envelope's mass M is the core mass plus the cell masses
-    vol(c) exp(N B_c).  Proposals pick a component by its share of M, then
-    draw from it (uniform within a cell); the acceptance probability is
-    Z(N) exp(-N f_N*) / M.  Drawn points are accepted with probability
-    exp(N (f_N - f_N*)) / E, so the accept test is exact wherever E
-    dominates, and ``sample`` checks that it does at every proposal."""
+    Proposals come from the mixture of the core over R^m and the cells, of
+    mass M, labelled with the component that drew them (composition-
+    rejection, Devroye 1986, II.3).  A cell draw is read against its cell's
+    constant, a core draw against the core, and a core draw off nb is
+    rejected unread.  The accepted density is then proportional to
+    [core 1_nb + sum_c exp(N B_c) 1_c] t / E' = t, t the target: exact
+    wherever E' dominates, which ``sample`` checks at every draw it reads.
+    The acceptance probability is Z(N) exp(-N f_N*) / M."""
 
     def __init__(self, spec: ProblemSpec, consts: ConstantsReport, N: int):
         N = int(N)
         box, nb = spec.domain, spec.maximum.neighborhood
+        self.nb = nb
         m = box.dimension
         self.axis, self.gauss, self.sign = limit_axes(spec)
         self.z_n = spec.z_star_of_N(N)
@@ -478,58 +481,69 @@ class _Envelope:
             self.rate = N * consts.F1_prime
             self.log_m_core -= math.log(self.rate)
 
-        # complement cells, flattened in C order
-        self.breaks = [
-            _cell_breaks(box.lower[i], nb.lower[i], nb.upper[i], box.upper[i],
-                         round(_CELLS ** (1.0 / m)))
-            for i in range(m)
-        ]
+        # cells, flattened in C order; the complement ones are told from
+        # the walls alone and keep their bounds in that order
+        n = round(_CELLS ** (1.0 / m))
+        self.breaks = [_cell_breaks(*b, n) for b in zip(box.lower, nb.lower, nb.upper, box.upper)]
         self.shape = tuple(len(b) - 1 for b in self.breaks)
-        nodes = np.stack(np.meshgrid(*self.breaks, indexing="ij"), axis=-1)
-        vals = field_values(f_n, nodes) - self.f_star
-        lip = consts.safety_factor * float(np.max(np.linalg.norm(
-            gradients_on(f_n, nodes.reshape(-1, m), box, consts.fd_step), axis=-1)))
-        top = np.full(self.shape, -math.inf)
-        for corner in np.ndindex(*(2,) * m):
-            top = np.maximum(top, vals[tuple(slice(c, c + n) for c, n in zip(corner, self.shape))])
         lower, width = (
             np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
             for axes in ([b[:-1] for b in self.breaks], [np.diff(b) for b in self.breaks])
         )
         mid = lower + 0.5 * width
-        out = ~np.all((mid > nb.lower) & (mid < nb.upper), axis=1)
-        bound = top.ravel() + lip * 0.5 * np.linalg.norm(width, axis=1)
-        self.log_top = np.where(out, N * bound, -math.inf)
+        self.out = out = ~np.all((mid > nb.lower) & (mid < nb.upper), axis=1)
         self.cell_lower, self.cell_width = lower[out], width[out]
-        log_m_cells = self.log_top[out] + np.sum(np.log(self.cell_width), axis=1)
+        self.log_top = np.empty(0)
+        if np.any(out):
+            corners = [tuple(map(slice, c, np.add(c, self.shape))) for c in np.ndindex((2,) * m)]
+            read = np.any([np.pad(out.reshape(self.shape), [(c, 1 - c) for c in corner])
+                           for corner in np.ndindex((2,) * m)], axis=0)
+            nodes = np.stack(np.meshgrid(*self.breaks, indexing="ij"), axis=-1)[read]
+            vals = np.full(read.shape, -math.inf)
+            vals[read] = field_values(f_n, nodes) - self.f_star
+            lip = consts.safety_factor * float(np.max(np.linalg.norm(
+                gradients_on(f_n, nodes, box, consts.fd_step), axis=-1)))
+            top = np.max([vals[s] for s in corners], axis=0).ravel()[out]
+            self.log_top = N * (top + lip * 0.5 * np.linalg.norm(self.cell_width, axis=1))
+        log_m_cells = self.log_top + np.sum(np.log(self.cell_width), axis=1)
         self.log_m_cells = float(np.logaddexp.reduce(log_m_cells, initial=-math.inf))
         self.log_m = float(np.logaddexp(self.log_m_core, self.log_m_cells))
         # component 0 is the core, component j >= 1 the complement cell j - 1
         self.cum = np.cumsum(np.exp(np.append(self.log_m_core, log_m_cells) - self.log_m))
 
-    def log_envelope(self, z: np.ndarray) -> np.ndarray:
-        """log E at box-frame points (k, m)."""
+    def log_labelled(self, z: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """log E' at box-frame draws (k, m) from the component ``cell``: the
+        cell's constant, or the core (-inf off nb) where ``cell`` is -1."""
         d = (z - self.z_n)[:, self.gauss]
-        log_core = -0.5 * self.prec * np.einsum("ki,ki->k", d, d)
+        log_e = -0.5 * self.prec * np.einsum("ki,ki->k", d, d)
         if self.axis is not None:
-            t = self.sign * (z[:, self.axis] - self.z_n[self.axis])
-            log_core = np.where(t >= 0, log_core - self.rate * t, -np.inf)
-        idx = tuple(
+            log_e -= self.rate * self.sign * (z[:, self.axis] - self.z_n[self.axis])
+        log_e[np.any((z < self.nb.lower) | (z > self.nb.upper), axis=1)] = -np.inf
+        log_e[cell >= 0] = self.log_top[cell[cell >= 0]]
+        return log_e
+
+    def log_envelope(self, z: np.ndarray) -> np.ndarray:
+        """log E' at box-frame points (k, m), read by position."""
+        idx = np.ravel_multi_index(tuple(
             np.clip(np.searchsorted(b, z[:, i], side="right") - 1, 0, len(b) - 2)
             for i, b in enumerate(self.breaks)
-        )
-        return np.logaddexp(log_core, self.log_top[np.ravel_multi_index(idx, self.shape)])
+        ), self.shape)
+        top = np.full(len(self.out), -np.inf)
+        top[self.out] = self.log_top
+        return np.logaddexp(self.log_labelled(z, np.full(len(z), -1)), top[idx])
 
-    def propose(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """k draws from E / M; the random streams are consumed in a fixed
-        order: the component pick, the in-cell uniforms, the exponential
-        draws, then the normal draws."""
+    def propose(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k draws from the mixture of mass M and each one's complement cell
+        index, -1 for a core draw.  The random streams are consumed in a
+        fixed order: the component pick, the in-cell uniforms, the
+        exponential draws, then the normal draws."""
         m = len(self.z_n)
-        comp = np.minimum(np.searchsorted(self.cum, rng.uniform(size=k), side="right"),
-                          len(self.cum) - 1)
+        pick = rng.uniform(size=k)
+        cells = pick >= self.cum[0]
+        cell = np.full(k, -1)
+        c = cell[cells] = np.minimum(
+            np.searchsorted(self.cum[1:], pick[cells], side="right"), len(self.cum) - 2)
         out = np.empty((k, m))
-        cells = comp > 0
-        c = comp[cells] - 1
         out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.uniform(size=(len(c), m))
         n_core = k - len(c)
         core = np.tile(self.z_n, (n_core, 1))
@@ -538,7 +552,7 @@ class _Envelope:
         normal = rng.standard_normal(size=(n_core, len(self.gauss)))
         core[:, self.gauss] += normal / math.sqrt(self.prec)
         out[~cells] = core
-        return out
+        return out, cell
 
 
 def sample(
@@ -546,16 +560,17 @@ def sample(
 ) -> SampleBatch:
     """Exact i.i.d. draws from the Gibbs measure by rejection against a
     certified envelope.  Deterministic for a fixed seed: the draws come from
-    the stream seeded with (seed, 0).  Proposals come in blocks sized from
-    the envelope's predicted acceptance Z(N) exp(-N f_N*) / M, at most
-    _BLOCK at once."""
+    the stream seeded with (seed, 0).  With p the envelope's predicted
+    acceptance Z(N) exp(-N f_N*) / M and n draws still missing, a block
+    holds (n + 4 sqrt(n (1 - p)) + 1) / p proposals, at most _BLOCK: four
+    binomial standard deviations over n, so one block almost always ends
+    the batch and few accepted draws are dropped."""
     if count < 1:
         raise ValueError("count must be at least 1")
     spec, N = measure.spec, measure.N
     if consts is None:
         consts = estimate_constants(spec, grid_res=32, n_sweep=(N,))
     env = _Envelope(spec, consts, N)
-    box = spec.domain
     p_hat = math.exp(min(0.0, measure.log_normalizer - N * env.f_star - env.log_m))
     if p_hat < 1e-4:
         raise EnvelopeFailureError(
@@ -568,21 +583,22 @@ def sample(
     got: list[np.ndarray] = []
     n_have = 0
     proposed = 0
-    while n_have < count:
-        k = min(_BLOCK, math.ceil(1.2 * (count - n_have) / p_hat))
-        z = env.propose(rng, k)
+    while (need := count - n_have) > 0:
+        k = min(_BLOCK, math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p_hat)) + 1.0) / p_hat))
+        z, cell = env.propose(rng, k)
         u = rng.uniform(size=k)
-        inside = np.all((z >= box.lower) & (z <= box.upper), axis=1)
+        log_e = env.log_labelled(z, cell)
+        read = log_e > -np.inf
         proposed += k
-        zi = z[inside]
+        zi = z[read]
         if len(zi):
-            log_ratio = N * (field_values(env.f_n, zi) - env.f_star) - env.log_envelope(zi)
+            log_ratio = N * (field_values(env.f_n, zi) - env.f_star) - log_e[read]
             if np.any(log_ratio > 1e-9):
                 raise EnvelopeFailureError(
                     "certified envelope exceeded by a drawn point",
                     acceptance_rate=n_have / proposed,
                 )
-            sel = zi[np.log(u[inside]) <= log_ratio]
+            sel = zi[np.log(u[read]) <= log_ratio]
             got.append(sel)
             n_have += len(sel)
         if proposed >= 4096 and n_have / proposed < 1e-4:
@@ -591,19 +607,12 @@ def sample(
                 acceptance_rate=n_have / proposed,
             )
 
-    x_draws = box.to_ambient(np.concatenate(got)[:count])
+    x_draws = spec.domain.to_ambient(np.concatenate(got)[:count])
     mean = np.mean(x_draws, axis=0)
     cov = np.cov(x_draws.T) if count > 1 else np.zeros((spec.dimension, spec.dimension))
     return SampleBatch(
-        draws=x_draws,
-        N=N,
-        seed=seed,
-        proposed=proposed,
-        acceptance_rate=count / proposed,
-        mean=np.atleast_1d(mean),
-        cov=np.atleast_2d(cov),
-        problem=spec.name,
-        spec=spec,
+        draws=x_draws, N=N, seed=seed, proposed=proposed, acceptance_rate=count / proposed,
+        mean=np.atleast_1d(mean), cov=np.atleast_2d(cov), problem=spec.name, spec=spec,
     )
 
 

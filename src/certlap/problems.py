@@ -759,9 +759,9 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
 
     axis, side = near[0]
     face_val = box.lower[axis] if side == 0 else box.upper[axis]
-    z_face = z.copy()
-    z_face[axis] = face_val
-    z_face, _ = locate_maximum(fld, box, z_face, fixed_axes={axis: face_val})
+    z_face = z
+    if z[axis] != face_val:  # the free solve may already hold the face
+        z_face, _ = locate_maximum(fld, box, z, fixed_axes={axis: face_val})
 
     inward = (1.0 if side == 0 else -1.0) * gradient_at(fld, z_face, box)[axis]
     if inward < -_GRAD_TOL * scale:

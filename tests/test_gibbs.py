@@ -631,3 +631,105 @@ class TestSpecialFunctions:
             total = mpmath.quad(density, [0, mpmath.inf])
             ref = np.array([float(mpmath.quad(density, [0, mpmath.mpf(x)]) / total) for x in u])
         assert np.max(np.abs(_exp_gauss_cdf(u, c) - ref)) <= 1e-15
+
+
+def _spec_and_consts(name, specs, consts_cache):
+    if name in INLINE:
+        spec = problem_from_config(INLINE[name])
+        return spec, estimate_constants(spec, n_sweep=SWEEP)
+    return specs[name], consts_cache(name)
+
+
+class TestLabelledEnvelope:
+    """The piecewise envelope: the core on the closed neighborhood, one
+    constant per complement cell, each proposal read against the piece that
+    drew it."""
+
+    @pytest.mark.parametrize("name, N", [("gauss1d", 25), ("cub2d", 25), ("bnd2d", 100)])
+    def test_sampler_vs_oracle_across_faces(self, name, N, specs, consts_cache):
+        """Box frequencies against the oracle on boxes that straddle the
+        neighborhood's faces, where a draw is accepted against a cell on one
+        side and against the core on the other."""
+        spec, consts = _spec_and_consts(name, specs, consts_cache)
+        box, nb = spec.domain, spec.maximum.neighborhood
+        m = gibbs_measure(spec, N, tol=1e-10)
+        b = sample(m, 50_000, seed=3, consts=consts)
+        rng = np.random.default_rng(12)
+        faces = [(i, f) for i in range(box.dimension) for f in (nb.lower[i], nb.upper[i])
+                 if box.lower[i] < f < box.upper[i]]
+        assert faces
+        for i, f in faces * 3:
+            lo = rng.uniform(box.lower, spec.z_star)
+            hi = rng.uniform(spec.z_star, box.upper)
+            lo[i] = max(box.lower[i], f - rng.uniform(0.05, 0.3))
+            hi[i] = min(box.upper[i], f + rng.uniform(0.05, 0.3))
+            p = measure_of(m, BoxDomain(lo, hi))
+            emp = float(np.mean(np.all((b.draws >= lo) & (b.draws <= hi), axis=1)))
+            se = math.sqrt(max(p * (1 - p), 1e-12) / b.count)
+            assert abs(emp - p) <= 5 * se + 1e-9
+
+    @pytest.mark.parametrize("name", ["gauss1d", "cubic1d", "cub2d", "bnd2d"])
+    def test_labels_agree_with_positions(self, name, specs, consts_cache):
+        from certlap.gibbs import _Envelope
+
+        spec, consts = _spec_and_consts(name, specs, consts_cache)
+        nb = spec.maximum.neighborhood
+        env = _Envelope(spec, consts, 25)
+        z, cell = env.propose(np.random.default_rng(5), 20_000)
+        labelled = env.log_labelled(z, cell)
+        in_nb = np.all((z >= nb.lower) & (z <= nb.upper), axis=1)
+        read = (cell >= 0) | in_nb
+        assert np.any(cell >= 0) and np.any((cell < 0) & in_nb)
+        assert np.array_equal(labelled[read], env.log_envelope(z)[read])
+        assert np.all(labelled[~read] == -np.inf)
+
+    @pytest.mark.parametrize("name", ["gauss3d", "boundary3d"])
+    def test_no_field_work_without_complement_cells(self, name, specs, consts_cache, monkeypatch):
+        """Where the neighborhood covers the domain the envelope evaluates f
+        only at x*(N), for f_N*, and takes no gradient."""
+        import certlap.gibbs
+
+        evaluated = []
+        real = certlap.gibbs.field_values
+        monkeypatch.setattr(certlap.gibbs, "field_values",
+                            lambda f, pts: evaluated.append(np.shape(pts)) or real(f, pts))
+        monkeypatch.setattr(certlap.gibbs, "gradients_on",
+                            lambda *a: pytest.fail("gradients taken without complement cells"))
+        spec = specs[name]
+        for n in SWEEP:
+            env = certlap.gibbs._Envelope(spec, consts_cache(name), n)
+            assert len(env.log_top) == 0 and env.log_m_cells == -math.inf
+        assert evaluated == [(spec.dimension,)] * len(SWEEP)
+
+    def test_only_complement_corners_are_read(self, specs, consts_cache, monkeypatch):
+        import certlap.gibbs
+
+        evaluated = []
+        real = certlap.gibbs.gradients_on
+        monkeypatch.setattr(certlap.gibbs, "gradients_on",
+                            lambda f, pts, *a: evaluated.append(len(pts)) or real(f, pts, *a))
+        env = certlap.gibbs._Envelope(specs["gauss1d"], consts_cache("gauss1d"), 25)
+        n_out = len(env.log_top)
+        # two runs of complement cells, one beyond each face
+        assert evaluated == [n_out + 2] and n_out + 2 < len(env.breaks[0])
+
+    def test_block_sizing_wastes_few_proposals(self, specs, consts_cache):
+        b = sample(gibbs_measure(specs["gauss1d"], 100), 20_000, seed=1,
+                   consts=consts_cache("gauss1d"))
+        assert b.acceptance_rate >= 0.9
+
+    def test_guard_covers_cell_draws(self, specs, consts_cache, monkeypatch):
+        """Cell constants lowered by 2 (in log) no longer dominate: the
+        exceedance guard must see it at a cell draw."""
+        import certlap.gibbs
+
+        real = certlap.gibbs._Envelope.__init__
+
+        def lowered(env, *a):
+            real(env, *a)
+            env.log_top = env.log_top - 2.0
+
+        monkeypatch.setattr(certlap.gibbs._Envelope, "__init__", lowered)
+        with pytest.raises(EnvelopeFailureError, match="exceeded"):
+            sample(gibbs_measure(specs["gauss1d"], 25), 20_000, seed=1,
+                   consts=consts_cache("gauss1d"))

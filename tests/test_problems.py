@@ -252,6 +252,19 @@ class TestClassify:
         assert info.boundary_axis == 0
         assert np.allclose(info.x_star, [0.0, 0.0], atol=1e-9)
 
+    @pytest.mark.parametrize("name", ["exp1d", "mixed2d", "boundary3d"])
+    def test_boundary_maximum_is_solved_once(self, name, monkeypatch):
+        """The free solve already holds the face, so the limit field is not
+        solved again with the face pinned."""
+        spec = get_problem(name)
+        fields = []
+        real = certlap.problems.locate_maximum
+        monkeypatch.setattr(certlap.problems, "locate_maximum",
+                            lambda fld, *a, **k: fields.append(fld) or real(fld, *a, **k))
+        info = classify_maximum(spec, 64)
+        assert info.kind == BOUNDARY
+        assert sum(f is spec.f_limit_box for f in fields) == 1
+
     @pytest.mark.parametrize("grid_res", [32, 64, 128])
     def test_classification_stability(self, specs, grid_res):
         for spec in specs.values():
