@@ -41,6 +41,7 @@ Sign conventions (the source formulas leave two ambiguous):
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -452,7 +453,15 @@ class _Envelope:
     f_N - f_N* on c: the largest value at its corners plus L times its
     half-diagonal, L the gradient norm's maximum over the complement corners
     times the safety factor (grid + safety, like the report constants).
-    Only those corners are evaluated.  So E' = core 1_nb + sum_c exp(N B_c) 1_c.
+    So E' = core 1_nb + sum_c exp(N B_c) 1_c.
+
+    The cells are never listed whole.  A cell lies in nb when its midpoint
+    does along every axis, so the complement is the negated outer product
+    of one inside mask per axis, and ``np.nonzero`` gives its cells' axis
+    indices in C order.  Each corner of those cells is a grid node found
+    by index; f and its gradient are evaluated once per node that is some
+    complement cell's corner, and nothing is built when nb covers the
+    domain.
 
     Proposals come from the mixture of the core over R^m and the cells, of
     mass M, labelled with the component that drew them (composition-
@@ -481,29 +490,34 @@ class _Envelope:
             self.rate = N * consts.F1_prime
             self.log_m_core -= math.log(self.rate)
 
-        # cells, flattened in C order; the complement ones are told from
-        # the walls alone and keep their bounds in that order
+        # the complement cells' indices along each axis, in C order
         n = round(_CELLS ** (1.0 / m))
         self.breaks = [_cell_breaks(*b, n) for b in zip(box.lower, nb.lower, nb.upper, box.upper)]
         self.shape = tuple(len(b) - 1 for b in self.breaks)
-        lower, width = (
-            np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-            for axes in ([b[:-1] for b in self.breaks], [np.diff(b) for b in self.breaks])
-        )
-        mid = lower + 0.5 * width
-        self.out = out = ~np.all((mid > nb.lower) & (mid < nb.upper), axis=1)
-        self.cell_lower, self.cell_width = lower[out], width[out]
+        lower = [b[:-1] for b in self.breaks]
+        width = [np.diff(b) for b in self.breaks]
+        mid = [a + 0.5 * w for a, w in zip(lower, width)]
+        inside = [(c > lo) & (c < up) for c, lo, up in zip(mid, nb.lower, nb.upper)]
+        self.cells = tuple(np.empty((m, 0), dtype=np.intp))
+        if not all(ins.all() for ins in inside):
+            self.cells = np.nonzero(~functools.reduce(np.logical_and.outer, inside))
+        self.cell_lower = np.stack([a[i] for a, i in zip(lower, self.cells)], axis=-1)
+        self.cell_width = np.stack([w[i] for w, i in zip(width, self.cells)], axis=-1)
         self.log_top = np.empty(0)
-        if np.any(out):
-            corners = [tuple(map(slice, c, np.add(c, self.shape))) for c in np.ndindex((2,) * m)]
-            read = np.any([np.pad(out.reshape(self.shape), [(c, 1 - c) for c in corner])
-                           for corner in np.ndindex((2,) * m)], axis=0)
-            nodes = np.stack(np.meshgrid(*self.breaks, indexing="ij"), axis=-1)[read]
-            vals = np.full(read.shape, -math.inf)
-            vals[read] = field_values(f_n, nodes) - self.f_star
+        if self.cells[0].size:
+            # the nodes at each corner of every complement cell
+            corners = [tuple(i + c for i, c in zip(self.cells, corner))
+                       for corner in np.ndindex((2,) * m)]
+            read = np.zeros(tuple(len(b) for b in self.breaks), dtype=bool)
+            for corner in corners:
+                read[corner] = True
+            at = np.nonzero(read)
+            nodes = np.stack([b[i] for b, i in zip(self.breaks, at)], axis=-1)
+            vals = np.zeros(read.shape)
+            vals[at] = field_values(f_n, nodes) - self.f_star
             lip = consts.safety_factor * float(np.max(np.linalg.norm(
                 gradients_on(f_n, nodes, box, consts.fd_step), axis=-1)))
-            top = np.max([vals[s] for s in corners], axis=0).ravel()[out]
+            top = np.max([vals[corner] for corner in corners], axis=0)
             self.log_top = N * (top + lip * 0.5 * np.linalg.norm(self.cell_width, axis=1))
         log_m_cells = self.log_top + np.sum(np.log(self.cell_width), axis=1)
         self.log_m_cells = float(np.logaddexp.reduce(log_m_cells, initial=-math.inf))
@@ -514,23 +528,32 @@ class _Envelope:
     def log_labelled(self, z: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """log E' at box-frame draws (k, m) from the component ``cell``: the
         cell's constant, or the core (-inf off nb) where ``cell`` is -1."""
+        if not len(self.log_top):
+            return self._log_core(z)
+        core = cell < 0
+        log_e = np.empty(len(z))
+        log_e[core] = self._log_core(z[core])
+        log_e[~core] = self.log_top[cell[~core]]
+        return log_e
+
+    def _log_core(self, z: np.ndarray) -> np.ndarray:
+        """log of the core density at box-frame points (k, m), -inf off nb."""
         d = (z - self.z_n)[:, self.gauss]
         log_e = -0.5 * self.prec * np.einsum("ki,ki->k", d, d)
         if self.axis is not None:
             log_e -= self.rate * self.sign * (z[:, self.axis] - self.z_n[self.axis])
         log_e[np.any((z < self.nb.lower) | (z > self.nb.upper), axis=1)] = -np.inf
-        log_e[cell >= 0] = self.log_top[cell[cell >= 0]]
         return log_e
 
     def log_envelope(self, z: np.ndarray) -> np.ndarray:
         """log E' at box-frame points (k, m), read by position."""
-        idx = np.ravel_multi_index(tuple(
+        idx = tuple(
             np.clip(np.searchsorted(b, z[:, i], side="right") - 1, 0, len(b) - 2)
             for i, b in enumerate(self.breaks)
-        ), self.shape)
-        top = np.full(len(self.out), -np.inf)
-        top[self.out] = self.log_top
-        return np.logaddexp(self.log_labelled(z, np.full(len(z), -1)), top[idx])
+        )
+        top = np.full(self.shape, -np.inf)
+        top[self.cells] = self.log_top
+        return np.logaddexp(self._log_core(z), top[idx])
 
     def propose(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k draws from the mixture of mass M and each one's complement cell
@@ -539,19 +562,24 @@ class _Envelope:
         exponential draws, then the normal draws."""
         m = len(self.z_n)
         pick = rng.uniform(size=k)
-        cells = pick >= self.cum[0]
-        cell = np.full(k, -1)
-        c = cell[cells] = np.minimum(
-            np.searchsorted(self.cum[1:], pick[cells], side="right"), len(self.cum) - 2)
         out = np.empty((k, m))
-        out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.uniform(size=(len(c), m))
-        n_core = k - len(c)
-        core = np.tile(self.z_n, (n_core, 1))
+        cell = np.full(k, -1)
+        cells = None
+        if len(self.log_top):
+            cells = pick >= self.cum[0]
+            c = cell[cells] = np.minimum(
+                np.searchsorted(self.cum[1:], pick[cells], side="right"), len(self.cum) - 2)
+            out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.uniform(size=(len(c), m))
+            core = np.empty((k - len(c), m))
+        else:
+            core = out
+        core[:] = self.z_n
         if self.axis is not None:
-            core[:, self.axis] += self.sign * rng.exponential(1.0 / self.rate, size=n_core)
-        normal = rng.standard_normal(size=(n_core, len(self.gauss)))
+            core[:, self.axis] += self.sign * rng.exponential(1.0 / self.rate, size=len(core))
+        normal = rng.standard_normal(size=(len(core), len(self.gauss)))
         core[:, self.gauss] += normal / math.sqrt(self.prec)
-        out[~cells] = core
+        if cells is not None:
+            out[~cells] = core
         return out, cell
 
 
@@ -664,31 +692,89 @@ _CODY_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-
 
 
 def _rational(x: np.ndarray, coefs) -> np.ndarray:
-    """Horner's rule, in place, for a Cody rational; zip ends with the denominator."""
-    num, den = np.full_like(x, coefs[0]), np.ones_like(x)
-    for a, b in zip(coefs[1:], coefs[len(coefs) // 2 + 1:]):
-        num *= x
-        num += a
-        den *= x
-        den += b
-    num /= den
-    return num
+    """Horner's rule for a Cody rational, with the numerator and the monic
+    denominator as the two rows of one array, so each step is two in-place
+    passes; ``coefs`` lists the numerator, then the denominator without its
+    leading 1, highest first."""
+    half = len(coefs) // 2 + 1
+    steps = np.array([coefs[1:half], coefs[half:]]).T.reshape((-1, 2) + (1,) * x.ndim)
+    nd = np.empty((2,) + x.shape)
+    nd[0] = coefs[0]
+    nd[1] = 1.0
+    for step in steps:
+        nd *= x
+        nd += step
+    nd[0] /= nd[1]
+    return nd[0]
+
+
+def _two_ranges(x: np.ndarray, joint: float, near, far) -> np.ndarray:
+    """``near`` on the values x <= joint and ``far`` on the rest (NaN
+    included), each called only on its own values and only if there are
+    any: np.piecewise's split without its fixed cost."""
+    out = np.empty_like(x)
+    mask = x <= joint
+    for sel, fn in ((mask, near), (~mask, far)):
+        v = x[sel]
+        if v.size:
+            out[sel] = fn(v)
+    return out
+
+
+def _erfcx_far(v: np.ndarray) -> np.ndarray:
+    """(1/sqrt(pi) - t P(t)) / v, t = v^-2: erfcx beyond 4."""
+    t = v**-2
+    q = _rational(t, _CODY_P)
+    q *= t
+    np.subtract(1.0 / math.sqrt(math.pi), q, out=q)
+    q /= v
+    return q
 
 
 def _erfcx_tail(y: np.ndarray) -> np.ndarray:
-    """exp(y^2) erfc(y) for y > 0.46875; np.piecewise skips an empty range."""
-    return np.piecewise(y, [y <= 4.0], [
-        lambda v: _rational(v, _CODY_C),
-        lambda v: (1.0 / math.sqrt(math.pi) - v**-2 * _rational(v**-2, _CODY_P)) / v,
-    ])
+    """exp(y^2) erfc(y) for y > 0.46875."""
+    return _two_ranges(y, 4.0, lambda v: _rational(v, _CODY_C), _erfcx_far)
+
+
+def _erfcx_small(v: np.ndarray) -> np.ndarray:
+    """exp(v^2) (1 - v A(v^2)) for v up to 0.46875."""
+    sq = v * v
+    q = _rational(sq, _CODY_A)
+    q *= v
+    np.subtract(1.0, q, out=q)
+    np.exp(sq, out=sq)
+    sq *= q
+    return sq
 
 
 def _erfcx(x) -> np.ndarray:
     """Scaled complementary error function exp(x^2) erfc(x) for x >= 0."""
-    x = np.array(x, dtype=float, ndmin=1)
-    return np.piecewise(x, [x <= 0.46875], [
-        lambda v: np.exp(v * v) * (1.0 - v * _rational(v * v, _CODY_A)), _erfcx_tail,
-    ])
+    return _two_ranges(np.array(x, dtype=float, ndmin=1), 0.46875, _erfcx_small, _erfcx_tail)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr_small(v: np.ndarray) -> np.ndarray:
+    """1/2 - (r v / 2) A(v^2 / 2), r = sqrt(1/2): Phi(-v) for v up to
+    0.46875 / r."""
+    t = np.multiply(v, 0.5)
+    t *= v
+    q = _rational(t, _CODY_A)
+    np.multiply(v, 0.5 * _SQRT_HALF, out=t)
+    t *= q
+    np.subtract(0.5, t, out=t)
+    return t
+
+
+def _ndtr_tail(v: np.ndarray) -> np.ndarray:
+    """exp(-v^2 / 2) erfcx(r v) / 2: Phi(-v) beyond 0.46875 / r."""
+    e = np.multiply(v, -0.5)
+    e *= v
+    np.exp(e, out=e)
+    e *= 0.5
+    e *= _erfcx_tail(np.multiply(v, _SQRT_HALF))
+    return e
 
 
 def _ndtr(z) -> np.ndarray:
@@ -696,12 +782,9 @@ def _ndtr(z) -> np.ndarray:
     erfc(y) / 2 is 1/2 - erf(y) / 2 on the small range and
     exp(-a^2 / 2) erfcx(y) / 2 beyond it; Phi(z) = 1 - Phi(-a) for z > 0."""
     z = np.array(z, dtype=float, ndmin=1)
-    a, r = np.abs(z), math.sqrt(0.5)
-    low = np.piecewise(a, [a <= 0.46875 / r], [
-        lambda v: 0.5 - 0.5 * r * v * _rational(0.5 * v * v, _CODY_A),
-        lambda v: 0.5 * np.exp(-0.5 * v * v) * _erfcx_tail(r * v),
-    ])
-    return np.where(z > 0, 1.0 - low, low)
+    low = _two_ranges(np.abs(z), 0.46875 / _SQRT_HALF, _ndtr_small, _ndtr_tail)
+    np.subtract(1.0, low, out=low, where=z > 0)
+    return low
 
 
 def _exp_gauss_cdf(u: np.ndarray, c: float) -> np.ndarray:

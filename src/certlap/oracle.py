@@ -210,9 +210,12 @@ def integrate(
     log_offset = N * f_peak + lw_peak
 
     def exponent(pts):
-        e = N * (field_values(f_box, pts) - f_peak)
+        # np.subtract makes the one fresh array the rest works in: a field
+        # may return a view of pts
+        e = np.subtract(field_values(f_box, pts), f_peak)
+        e *= N
         if log_weight is not None:
-            e = e + (field_values(log_weight, pts) - lw_peak)
+            e += np.subtract(field_values(log_weight, pts), lw_peak)
         return e
 
     def wfn(pts):

@@ -205,9 +205,29 @@ def constant_field(c: float, name: str = "const") -> ScalarField:
 UNIT_WEIGHT = constant_field(1.0)
 
 
+def _power(x: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
+    """x ** e for e >= 1 by multiplication: x itself for e = 1, otherwise
+    x * x (bitwise numpy's ``x ** 2``) written to ``out``, times x once more
+    per higher power.  numpy's ``**`` calls libm ``pow`` from e = 3 on: 5.5 ms
+    per 65,536 doubles against 0.09 ms for ``x * x * x`` (numpy 2.4)."""
+    if e == 1:
+        return x
+    np.multiply(x, x, out=out)
+    for _ in range(e - 2):
+        out *= x
+    return out
+
+
 def polynomial_field(terms, name: str = "poly") -> ScalarField:
     """Multivariate polynomial sum(c * prod(x_i ** e_i)) with analytic
-    derivatives; ``terms`` is a list of (coeff, powers) pairs."""
+    derivatives; ``terms`` is a list of (coeff, powers) pairs.
+
+    The value and every derivative entry go through one evaluator.  Each
+    term is c times its powers in axis order, each power formed by
+    multiplication (``_power``), and is added to the sum in place.  Two
+    scratch arrays of the batch shape, one for the term and one for a power,
+    serve every term in turn, so no power outlives its term: a batch can
+    hold about a million quadrature nodes."""
     terms = [(float(c), tuple(int(e) for e in p)) for c, p in terms]
     if not terms:
         raise ValueError("polynomial needs at least one term")
@@ -217,16 +237,23 @@ def polynomial_field(terms, name: str = "poly") -> ScalarField:
 
     def _eval_terms(tms, pts):
         pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1])
+        shape = pts.shape[:-1]
+        out = np.zeros(shape)
+        term, scratch = np.empty(shape), np.empty(shape)
         for c, powers in tms:
             if c == 0.0:
                 continue
-            term = np.full(pts.shape[:-1], c)
-            for i, e in enumerate(powers):
-                if e:
-                    term = term * pts[..., i] ** e
-            out = out + term
-        return out
+            factors = [(pts[..., i], e) for i, e in enumerate(powers) if e]
+            if not factors:
+                out += c
+                continue
+            (x, e), *rest = factors
+            np.multiply(_power(x, e, term), c, out=term)
+            for x, e in rest:
+                term *= _power(x, e, scratch)
+            out += term
+        # a scalar for a single point, as numpy's own operators give
+        return out[()]
 
     def _diff(tms, axis):
         out = []

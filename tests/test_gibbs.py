@@ -733,3 +733,67 @@ class TestLabelledEnvelope:
         with pytest.raises(EnvelopeFailureError, match="exceeded"):
             sample(gibbs_measure(specs["gauss1d"], 25), 20_000, seed=1,
                    consts=consts_cache("gauss1d"))
+
+
+def _full_grid_cells(spec, consts, N):
+    """The complement cells, their constants and the component masses built
+    on the full cell grid: every cell's lower corner and width by meshgrid,
+    the complement told by the midpoints, and each complement cell's corner
+    values read through one padded full-grid mask per corner.  The reference
+    for ``_Envelope``'s per-axis construction."""
+    from certlap.gibbs import _CELLS, _Envelope, _cell_breaks
+    from certlap.derivatives import gradients_on
+
+    env = _Envelope(spec, consts, N)
+    box, nb, m = spec.domain, spec.maximum.neighborhood, spec.dimension
+    n = round(_CELLS ** (1.0 / m))
+    breaks = [_cell_breaks(*b, n) for b in zip(box.lower, nb.lower, nb.upper, box.upper)]
+    shape = tuple(len(b) - 1 for b in breaks)
+    lower, width = (
+        np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+        for axes in ([b[:-1] for b in breaks], [np.diff(b) for b in breaks])
+    )
+    mid = lower + 0.5 * width
+    out = ~np.all((mid > nb.lower) & (mid < nb.upper), axis=1)
+    log_top = np.empty(0)
+    if np.any(out):
+        corners = [tuple(map(slice, c, np.add(c, shape))) for c in np.ndindex((2,) * m)]
+        read = np.any([np.pad(out.reshape(shape), [(c, 1 - c) for c in corner])
+                       for corner in np.ndindex((2,) * m)], axis=0)
+        nodes = np.stack(np.meshgrid(*breaks, indexing="ij"), axis=-1)[read]
+        vals = np.full(read.shape, -math.inf)
+        vals[read] = field_values(env.f_n, nodes) - env.f_star
+        lip = consts.safety_factor * float(np.max(np.linalg.norm(
+            gradients_on(env.f_n, nodes, box, consts.fd_step), axis=-1)))
+        top = np.max([vals[s] for s in corners], axis=0).ravel()[out]
+        log_top = N * (top + lip * 0.5 * np.linalg.norm(width[out], axis=1))
+    log_m_cells = log_top + np.sum(np.log(width[out]), axis=1)
+    log_m = float(np.logaddexp(env.log_m_core,
+                               np.logaddexp.reduce(log_m_cells, initial=-math.inf)))
+    cum = np.cumsum(np.exp(np.append(env.log_m_core, log_m_cells) - log_m))
+    return env, {"cell_lower": lower[out], "cell_width": width[out], "log_top": log_top,
+                 "cum": cum}
+
+
+class TestEnvelopeConstruction:
+    @pytest.mark.parametrize("N", [25, 1600])
+    @pytest.mark.parametrize("name", ["cub2d", "cubic1d", "bnd2d", "gauss3d"])
+    def test_matches_the_full_grid_construction(self, name, N, specs, consts_cache):
+        spec, consts = _spec_and_consts(name, specs, consts_cache)
+        env, ref = _full_grid_cells(spec, consts, N)
+        assert (len(ref["log_top"]) == 0) == (name == "gauss3d")
+        for key, want in ref.items():
+            got = getattr(env, key)
+            assert got.shape == want.shape and np.array_equal(got, want), key
+
+    def test_core_draws_without_cells(self, specs, consts_cache):
+        """With no complement cells every proposal is z_n + normal / sqrt(prec),
+        drawn after the k component picks of the same stream."""
+        from certlap.gibbs import _Envelope
+
+        env = _Envelope(specs["gauss3d"], consts_cache("gauss3d"), 100)
+        z, cell = env.propose(np.random.default_rng(7), 5000)
+        rng = np.random.default_rng(7)
+        rng.uniform(size=5000)
+        assert np.array_equal(z, env.z_n + rng.standard_normal(size=(5000, 3)) / math.sqrt(env.prec))
+        assert np.all(cell == -1)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -194,6 +195,96 @@ class TestPolynomialDerivatives:
         T = f.third_tensor(pts)
         assert T.shape == (4, 5, 3, 3, 3) and not np.any(T)
         assert np.array_equal(f.hessian(pts)[..., 1, 2], np.full((4, 5), 0.1))
+
+
+def _derivative_terms(terms, idx):
+    """The term list of d^k f / dx_idx, differentiated along idx in order
+    with the coefficient multiplied by each power as it drops."""
+    out = []
+    for c, powers in terms:
+        p = list(powers)
+        for axis in idx:
+            c, p[axis] = c * p[axis], p[axis] - 1
+        if min(p) >= 0:
+            out.append((c, tuple(p)))
+    return out
+
+
+def _pow_form(terms, pts):
+    """sum(c * prod(x_i ** e_i)) with numpy's ``**``, term by term."""
+    out = np.zeros(pts.shape[:-1])
+    for c, powers in terms:
+        if c == 0.0:
+            continue
+        term = np.full(pts.shape[:-1], c)
+        for i, e in enumerate(powers):
+            if e:
+                term = term * pts[..., i] ** e
+        out = out + term
+    return out
+
+
+def _handles(f, order):
+    return (f.evaluate, f.gradient, f.hessian, f.third_tensor)[order]
+
+
+@st.composite
+def _polynomials(draw, max_power):
+    """A term list on m <= 3 axes (zero coefficients and a constant term
+    included) and points of batch shape (..., m) with negative bases."""
+    m = draw(st.integers(1, 3))
+    coeff = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_subnormal=False))
+    powers = st.tuples(*[st.integers(0, max_power)] * m)
+    terms = draw(st.lists(st.tuples(coeff, powers), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        terms.append((draw(coeff), (0,) * m))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-2.0, 2.0, batch + (m,))
+    return terms, pts
+
+
+class TestPolynomialKernel:
+    """Powers are formed by multiplication, so a term may differ from
+    numpy's ``**`` (libm pow) by a few ulps from degree 3 on, and not at all
+    up to degree 2."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_polynomials(max_power=6))
+    def test_every_handle_against_mpmath(self, case):
+        import mpmath
+
+        terms, pts = case
+        m = pts.shape[-1]
+        f = polynomial_field(terms)
+        flat = pts.reshape(-1, m)
+        for order in range(4):
+            got = np.asarray(_handles(f, order)(pts)).reshape(len(flat), -1)
+            for col, idx in enumerate(itertools.product(range(m), repeat=order)):
+                live = [(c, p) for c, p in _derivative_terms(terms, sorted(idx)) if c != 0.0]
+                for row, x in enumerate(flat):
+                    with mpmath.workdps(50):
+                        parts = [mpmath.mpf(c) * mpmath.fprod(mpmath.mpf(float(x[i])) ** e
+                                                              for i, e in enumerate(p))
+                                 for c, p in live]
+                        # a rounding per factor of a term and per step of the
+                        # sum, each at most an ulp of the term
+                        tol = mpmath.fsum(abs(t) * (sum(p) + 4 + len(live))
+                                          for t, (_, p) in zip(parts, live))
+                        err = abs(mpmath.mpf(float(got[row, col])) - mpmath.fsum(parts))
+                        assert err <= tol * 2.0**-52
+
+    @settings(max_examples=60, deadline=None)
+    @given(_polynomials(max_power=2))
+    def test_degree_two_per_axis_is_bitwise_the_pow_form(self, case):
+        terms, pts = case
+        m = pts.shape[-1]
+        f = polynomial_field(terms)
+        for order in range(4):
+            got = np.asarray(_handles(f, order)(pts))
+            assert got.shape == pts.shape[:-1] + (m,) * order
+            for idx in itertools.product(range(m), repeat=order):
+                ref = _pow_form(_derivative_terms(terms, sorted(idx)), pts)
+                assert np.array_equal(got[(...,) + idx], ref)
 
 
 def _drifting(eps, n_zero=19):
