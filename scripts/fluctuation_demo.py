@@ -36,7 +36,7 @@ def main():
     batch = sample(meas, args.count, seed=args.seed, consts=consts)
     print(f"{spec.name}: N={args.n}, {batch.count} draws, "
           f"acceptance {batch.acceptance_rate:.3f}")
-    print(f"  empirical mean: {np.array2string(batch.mean, precision=5)}")
+    print(f"  empirical mean: {np.array2string(np.mean(batch.draws, axis=0), precision=5)}")
 
     model = build_fluctuation_model(spec)
     ks = empirical_limit_test(batch, model)

@@ -7,14 +7,11 @@ large numbers, fluctuation limits, drift of the maximizer).
 """
 
 from .catalog import catalog, catalog_names, get_problem
-from .constants import ConstantsReport, audit_constants, estimate_constants, refine_constants
+from .constants import ConstantsReport, audit_constants, estimate_constants
 from .derivatives import (
     DerivativeBundle,
     bundle_at,
     default_fd_step,
-    min_singular_value,
-    operator_norm_hessian,
-    taylor_cubic_bound,
     third_tensor_norm_bound,
 )
 from .gibbs import (
@@ -62,7 +59,6 @@ from .problems import (
     polynomial_field,
     power_epsilon,
     rotate_problem,
-    verify_unique_maximum,
     zero_epsilon,
 )
 

@@ -48,7 +48,7 @@ import numpy as np
 from .config import strict_json
 from .derivatives import default_fd_step, field_values, gradients_on, hessians_on, third_norms_on
 from .errors import AssumptionViolationError, DefinitenessError, FieldEvaluationError
-from .problems import ProblemSpec, axis_blocks, gauss_block, limit_axes
+from .problems import ProblemSpec, axis_blocks, gauss_block, limit_axes, read_axes
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def estimate_constants(
         for i, nodes in enumerate(box.grid_axes(grid_res))
     )
     g_box = spec.g_box
-    # the axes g reads; None for every axis
-    g_axes = None if g_box.coupling is None else sorted({i for b in g_box.coupling for i in b})
+    g_axes = read_axes(g_box.coupling, m)
     g_abs = np.abs(field_values(g_box, box.grid_points(grid_res, g_axes)))
     _check_finite(g_abs, "g")
     G = float(np.max(g_abs))
@@ -288,17 +287,6 @@ def estimate_constants(
         fd_step=h,
         boundary_axis=axis,
         problem=spec.name,
-    )
-
-
-def refine_constants(report: ConstantsReport, spec: ProblemSpec) -> ConstantsReport:
-    """Recompute on a doubled (nested) grid; sup-type estimates can only
-    grow and inf-type estimates can only shrink."""
-    return estimate_constants(
-        spec,
-        grid_res=2 * report.grid_res,
-        n_sweep=report.n_sweep,
-        safety_factor=report.safety_factor,
     )
 
 

@@ -242,34 +242,7 @@ def bundle_at(
     return DerivativeBundle(grad, hess, third, fd_step, "finite_difference")
 
 
-def operator_norm_hessian(h) -> float:
-    """Spectral norm of a symmetric matrix (largest absolute eigenvalue)."""
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    if h.size == 0:
-        return 0.0
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.T)) > 1e-9 * scale:
-        raise SymmetryError("matrix is not symmetric")
-    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (h + h.T)))))
-
-
-def min_singular_value(h) -> float:
-    """Smallest absolute eigenvalue of a symmetric matrix; equals
-    1 / ||h^-1|| when invertible and 0 when singular."""
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    if h.size == 0:
-        return float("inf")
-    return float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (h + h.T)))))
-
-
 def third_tensor_norm_bound(t) -> float:
     """Frobenius norm of a 3-tensor; dominates sup_{|u|=1} |t(u,u,u)|."""
     t = np.asarray(t, dtype=float)
     return float(np.sqrt(np.sum(t * t)))
-
-
-def taylor_cubic_bound(t, radius: float) -> float:
-    """Upper bound on |t(v, v, v)| over |v| <= radius."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return third_tensor_norm_bound(t) * float(radius) ** 3

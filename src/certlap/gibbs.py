@@ -40,7 +40,6 @@ Sign conventions (the source formulas leave two ambiguous):
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -386,22 +385,12 @@ class SampleBatch:
     seed: int
     proposed: int
     acceptance_rate: float
-    mean: np.ndarray
-    cov: np.ndarray
     problem: str
     spec: ProblemSpec
 
     @property
     def count(self) -> int:
         return self.draws.shape[0]
-
-    def to_csv(self, path) -> None:
-        m = self.draws.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(m)])
-            for row in self.draws:
-                writer.writerow([format(v, ".17g") for v in row])
 
 
 @dataclass(frozen=True)
@@ -635,12 +624,9 @@ def sample(
                 acceptance_rate=n_have / proposed,
             )
 
-    x_draws = spec.domain.to_ambient(np.concatenate(got)[:count])
-    mean = np.mean(x_draws, axis=0)
-    cov = np.cov(x_draws.T) if count > 1 else np.zeros((spec.dimension, spec.dimension))
     return SampleBatch(
-        draws=x_draws, N=N, seed=seed, proposed=proposed, acceptance_rate=count / proposed,
-        mean=np.atleast_1d(mean), cov=np.atleast_2d(cov), problem=spec.name, spec=spec,
+        draws=spec.domain.to_ambient(np.concatenate(got)[:count]), N=N, seed=seed,
+        proposed=proposed, acceptance_rate=count / proposed, problem=spec.name, spec=spec,
     )
 
 

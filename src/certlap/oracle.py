@@ -39,7 +39,15 @@ import numpy as np
 
 from .errors import QuadratureBudgetError, UnsupportedDimensionError
 from .derivatives import field_values
-from .problems import BoxDomain, ProblemSpec, ScalarField, axis_blocks, join_coupling, rotated_view
+from .problems import (
+    BoxDomain,
+    ProblemSpec,
+    ScalarField,
+    axis_blocks,
+    join_coupling,
+    read_axes,
+    rotated_view,
+)
 
 MAX_PANEL_DEPTH = 40
 # Gauss order n per dimension.  Each depth is checked against order n - 2,
@@ -139,10 +147,10 @@ def _blocks(m: int, f: ScalarField, log_weight: Optional[ScalarField], weight: S
     weight are joined with one block of every axis the weight reads (the
     weight multiplies the integrand); an axis nothing reads is a block of
     its own."""
-    w_axes = set(range(m)) if weight.coupling is None else {i for b in weight.coupling for i in b}
+    w_axes = read_axes(weight.coupling, m)
     lw_coupling = () if log_weight is None else log_weight.coupling
-    blocks = axis_blocks(join_coupling(f.coupling, lw_coupling, (tuple(w_axes),)), m)
-    return blocks, next(k for k, b in enumerate(blocks) if w_axes <= set(b))
+    blocks = axis_blocks(join_coupling(f.coupling, lw_coupling, (w_axes,)), m)
+    return blocks, next(k for k, b in enumerate(blocks) if set(w_axes) <= set(b))
 
 
 def integrate(

@@ -152,8 +152,16 @@ def axis_blocks(coupling: Coupling, m: int) -> list[tuple[int, ...]]:
     of them reads."""
     if coupling is None:
         return [tuple(range(m))]
-    read = {i for b in coupling for i in b}
+    read = read_axes(coupling, m)
     return sorted(list(coupling) + [(i,) for i in range(m) if i not in read])
+
+
+def read_axes(coupling: Coupling, m: int) -> tuple[int, ...]:
+    """The sorted axes a field with this coupling reads: every one of the m
+    axes for None."""
+    if coupling is None:
+        return tuple(range(m))
+    return tuple(sorted({i for b in coupling for i in b}))
 
 
 @dataclass(frozen=True)
@@ -165,11 +173,13 @@ class ScalarField:
     (..., m, m) and ``third_tensor`` to (..., m, m, m).
 
     ``coupling`` lists blocks of axes such that the field is a sum of
-    functions that each read one block: () for a constant, the connected
-    components of the monomials' supports for a polynomial, the support for
-    the exponential of a linear form, joined by ``add_fields``.  None (the
-    default, for an opaque field) couples every axis.  The oracle sums
+    functions that each read one block: the connected components of the
+    terms' supports for a grammar field, joined by ``add_fields``.  None
+    (the default, for an opaque field) couples every axis.  The oracle sums
     exp(N f) block by block when f's coupling splits.
+
+    ``terms`` is the term list a grammar field was built from (see
+    ``_term_field``); None for an opaque, composed or rotated field.
     """
 
     evaluate: Callable
@@ -178,6 +188,7 @@ class ScalarField:
     third_tensor: Optional[Callable] = None
     name: str = ""
     coupling: Coupling = None
+    terms: Optional[tuple] = None
 
     @property
     def has_analytic(self) -> bool:
@@ -186,23 +197,6 @@ class ScalarField:
             and self.hessian is not None
             and self.third_tensor is not None
         )
-
-
-def constant_field(c: float, name: str = "const") -> ScalarField:
-    def derivative(order):
-        # the value c, or an all-zero gradient, Hessian or third tensor
-        def handle(pts):
-            pts = np.asarray(pts, dtype=float)
-            shape = pts.shape[:-1] + (pts.shape[-1],) * order
-            return np.full(shape, float(c) if order == 0 else 0.0)
-
-        return handle
-
-    return ScalarField(*(derivative(k) for k in range(4)), name=name, coupling=())
-
-
-# the weight g = 1; the laplace check reuses Z(N) for a problem whose g is it
-UNIT_WEIGHT = constant_field(1.0)
 
 
 def _power(x: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
@@ -218,71 +212,91 @@ def _power(x: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def polynomial_field(terms, name: str = "poly") -> ScalarField:
-    """Multivariate polynomial sum(c * prod(x_i ** e_i)) with analytic
-    derivatives; ``terms`` is a list of (coeff, powers) pairs.
+def _eval_terms(terms, pts):
+    """The sum of the terms at pts (..., m), a scalar for a single point.
 
-    The value and every derivative entry go through one evaluator.  Each
-    term is c times its powers in axis order, each power formed by
-    multiplication (``_power``), and is added to the sum in place.  Two
+    Each term is its exp factor times c, or else c times its first power,
+    then times its other powers in axis order, each power formed by
+    multiplication (``_power``); it is added to the sum in place.  Two
     scratch arrays of the batch shape, one for the term and one for a power,
     serve every term in turn, so no power outlives its term: a batch can
     hold about a million quadrature nodes."""
-    terms = [(float(c), tuple(int(e) for e in p)) for c, p in terms]
-    if not terms:
-        raise ValueError("polynomial needs at least one term")
-    m = len(terms[0][1])
-    if any(len(p) != m for _, p in terms):
-        raise ValueError("all power tuples must have the same length")
-
-    def _eval_terms(tms, pts):
-        pts = np.asarray(pts, dtype=float)
-        shape = pts.shape[:-1]
-        out = np.zeros(shape)
-        term, scratch = np.empty(shape), np.empty(shape)
-        for c, powers in tms:
-            if c == 0.0:
-                continue
-            factors = [(pts[..., i], e) for i, e in enumerate(powers) if e]
-            if not factors:
-                out += c
-                continue
-            (x, e), *rest = factors
+    pts = np.asarray(pts, dtype=float)
+    shape = pts.shape[:-1]
+    out = np.zeros(shape)
+    term, scratch = np.empty(shape), np.empty(shape)
+    for c, powers, rate in terms:
+        if c == 0.0:
+            continue
+        factors = [(pts[..., i], e) for i, e in powers]
+        if rate is not None:
+            np.exp(pts @ rate, out=term)
+            term *= c
+        elif factors:
+            (x, e), *factors = factors
             np.multiply(_power(x, e, term), c, out=term)
-            for x, e in rest:
-                term *= _power(x, e, scratch)
-            out += term
-        # a scalar for a single point, as numpy's own operators give
-        return out[()]
+        else:
+            out += c
+            continue
+        for x, e in factors:
+            term *= _power(x, e, scratch)
+        out += term
+    # a scalar for a single point, as numpy's own operators give
+    return out[()]
 
-    def _diff(tms, axis):
-        out = []
-        for c, powers in tms:
-            if powers[axis] > 0:
-                q = list(powers)
-                q[axis] -= 1
-                out.append((c * powers[axis], tuple(q)))
-        return out
 
-    # term list of the derivative along each sorted index tuple, differenced
-    # in index order
+def _diff(terms, axis: int) -> list:
+    """The terms of the derivative along ``axis``, by the product rule: a
+    factor x_axis ** e gives e * x_axis ** (e - 1), an exp factor its rate."""
+    out = []
+    for c, powers, rate in terms:
+        for k, (i, e) in enumerate(powers):
+            if i == axis:
+                lowered = ((i, e - 1),) if e > 1 else ()
+                out.append((c * e, powers[:k] + lowered + powers[k + 1:], rate))
+        if rate is not None and rate[axis] != 0.0:
+            out.append((c * rate[axis], powers, rate))
+    return out
+
+
+def _support(term) -> tuple[int, ...]:
+    """The sorted axes a term reads."""
+    _, powers, rate = term
+    read = {i for i, _ in powers}
+    if rate is not None:
+        read.update(int(i) for i in np.flatnonzero(rate))
+    return tuple(sorted(read))
+
+
+def _term_handles(terms: tuple) -> tuple:
+    """The value and the three derivative handles of a term list, all taken
+    from the one evaluator ``_eval_terms``.
+
+    The term list of the derivative along a sorted index tuple is formed by
+    ``_diff`` in index order, on the first call of a handle of that order.
+    Each nonzero symmetric entry is evaluated once and written to every
+    permutation of its index; the rest stay zero."""
     derivs = {(): terms}
-    for order in (1, 2, 3):
-        for idx in itertools.combinations_with_replacement(range(m), order):
-            derivs[idx] = _diff(derivs[idx[:-1]], idx[-1])
+
+    def deriv(idx):
+        if idx not in derivs:
+            derivs[idx] = _diff(deriv(idx[:-1]), idx[-1])
+        return derivs[idx]
 
     def derivative(order):
-        # each nonzero symmetric entry is evaluated once and written to
-        # every permutation of its index; the rest stay zero
-        entries = [
-            (derivs[idx], set(itertools.permutations(idx)))
-            for idx in itertools.combinations_with_replacement(range(m), order)
-            if derivs[idx]
-        ]
+        entries = None
 
         def handle(pts):
+            nonlocal entries
+            if entries is None:  # two threads may both build it; it is the same
+                axes = sorted({i for t in terms for i in _support(t)})
+                entries = [
+                    (deriv(idx), set(itertools.permutations(idx)))
+                    for idx in itertools.combinations_with_replacement(axes, order)
+                    if deriv(idx)
+                ]
             pts = np.asarray(pts, dtype=float)
-            out = np.zeros(pts.shape[:-1] + (m,) * order)
+            out = np.zeros(pts.shape[:-1] + (pts.shape[-1],) * order)
             for tms, perms in entries:
                 val = _eval_terms(tms, pts)
                 for perm in perms:
@@ -291,71 +305,71 @@ def polynomial_field(terms, name: str = "poly") -> ScalarField:
 
         return handle
 
-    def ev(pts):
-        return _eval_terms(terms, pts)
+    return functools.partial(_eval_terms, terms), derivative(1), derivative(2), derivative(3)
 
-    supports = tuple(tuple(i for i, e in enumerate(p) if e) for c, p in terms if c != 0.0)
+
+def _term_field(terms, name: str = "") -> ScalarField:
+    """The field sum(c * prod(x_i ** e_i) * exp(rate . x)) of a term list.
+
+    A term is (c, powers, rate): ``powers`` the sorted (axis, e >= 1) pairs,
+    so a term without them reads no axis and fits any dimension, and
+    ``rate`` a vector or None.  The coupling is the connected components of
+    the supports of the nonzero terms."""
+    terms = tuple(terms)
+    supports = tuple(_support(t) for t in terms if t[0] != 0.0)
     return ScalarField(
-        ev, derivative(1), derivative(2), derivative(3),
-        name=name, coupling=join_coupling(supports),
+        *_term_handles(terms), name=name, coupling=join_coupling(supports), terms=terms
+    )
+
+
+def constant_field(c: float, name: str = "const") -> ScalarField:
+    return _term_field([(float(c), (), None)], name)
+
+
+# the weight g = 1; the laplace check reuses Z(N) for a problem whose g is it
+UNIT_WEIGHT = constant_field(1.0)
+
+
+def polynomial_field(terms, name: str = "poly") -> ScalarField:
+    """Multivariate polynomial sum(c * prod(x_i ** e_i)); ``terms`` is a
+    list of (coeff, powers) pairs with one power per axis."""
+    terms = [(float(c), tuple(int(e) for e in p)) for c, p in terms]
+    if not terms:
+        raise ValueError("polynomial needs at least one term")
+    if any(len(p) != len(terms[0][1]) for _, p in terms):
+        raise ValueError("all power tuples must have the same length")
+    return _term_field(
+        [(c, tuple((i, e) for i, e in enumerate(p) if e), None) for c, p in terms], name
     )
 
 
 def linear_field(a, at=None, name: str = "linear") -> ScalarField:
     """The degree-1 polynomial field x -> a . (x - at) (``at`` defaults to
-    the origin), summed axis by axis like ``polynomial_field``."""
+    the origin): one term per nonzero a_i, and the constant -a . at."""
     a = np.asarray(a, dtype=float)
-    at = np.zeros(a.size) if at is None else np.asarray(at, dtype=float)
-    support = [i for i in range(a.size) if a[i] != 0.0]
-
-    def ev(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for i in support:
-            out = out + a[i] * (pts[..., i] - at[i])
-        return out
-
-    def gr(pts):
-        return np.zeros(np.shape(pts)) + a
-
-    def he(pts):
-        return np.zeros(np.shape(pts)[:-1] + (a.size, a.size))
-
-    def th(pts):
-        return np.zeros(np.shape(pts)[:-1] + (a.size,) * 3)
-
-    return ScalarField(ev, gr, he, th, name=name, coupling=tuple((i,) for i in support))
+    terms = [(float(a[i]), ((int(i), 1),), None) for i in np.flatnonzero(a)]
+    if at is not None:
+        terms.append((-float(a @ np.asarray(at, dtype=float)), (), None))
+    return _term_field(terms, name)
 
 
 def exponential_field(scale: float, linear, offset: float = 0.0, name: str = "exp") -> ScalarField:
-    """scale * exp(linear . x + offset) with analytic derivatives."""
-    a = np.asarray(linear, dtype=float)
-
-    def ev(pts):
-        pts = np.asarray(pts, dtype=float)
-        return scale * np.exp(pts @ a + offset)
-
-    def gr(pts):
-        v = ev(pts)
-        return v[..., None] * a
-
-    def he(pts):
-        v = ev(pts)
-        return v[..., None, None] * np.outer(a, a)
-
-    def th(pts):
-        v = ev(pts)
-        return v[..., None, None, None] * np.einsum("i,j,k->ijk", a, a, a)
-
-    support = tuple(i for i in range(a.size) if a[i] != 0.0)
-    return ScalarField(ev, gr, he, th, name=name, coupling=(support,) if support else ())
+    """scale * exp(linear . x + offset), one term with c = scale * e^offset."""
+    return _term_field([(scale * math.exp(offset), (), _freeze(linear))], name)
 
 
 def add_fields(f1: ScalarField, f2: Optional[ScalarField], w2: float, name: str = "") -> ScalarField:
-    """f1 + w2 * f2 with derivative handles composed linearly when both
-    components provide them."""
+    """f1 + w2 * f2.  Two term-list fields give the concatenated term list,
+    the second scaled by w2; otherwise the handles are composed linearly when
+    both components provide them."""
     if f2 is None or w2 == 0.0:
         return replace(f1, name=name or f1.name)
+    name = name or f"{f1.name}+{w2}*{f2.name}"
+    coupling = join_coupling(f1.coupling, f2.coupling)
+    if f1.terms is not None and f2.terms is not None:
+        scaled = [(w2 * c, powers, rate) for c, powers, rate in f2.terms]
+        terms = f1.terms + tuple(scaled)
+        return ScalarField(*_term_handles(terms), name=name, coupling=coupling, terms=terms)
 
     def combine(h1, h2):
         if h1 is None or h2 is None:
@@ -366,16 +380,10 @@ def add_fields(f1: ScalarField, f2: Optional[ScalarField], w2: float, name: str 
 
         return handle
 
-    def ev(pts):
-        return np.asarray(f1.evaluate(pts)) + w2 * np.asarray(f2.evaluate(pts))
-
     return ScalarField(
-        ev,
-        combine(f1.gradient, f2.gradient),
-        combine(f1.hessian, f2.hessian),
-        combine(f1.third_tensor, f2.third_tensor),
-        name=name or f"{f1.name}+{w2}*{f2.name}",
-        coupling=join_coupling(f1.coupling, f2.coupling),
+        *(combine(getattr(f1, h), getattr(f2, h))
+          for h in ("evaluate", "gradient", "hessian", "third_tensor")),
+        name=name, coupling=coupling,
     )
 
 
@@ -689,26 +697,6 @@ def default_n_zero(
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
-
-def verify_unique_maximum(spec: ProblemSpec, grid_res: int = 64, N: Optional[int] = None) -> None:
-    """Grid falsification of maximizer uniqueness: no node outside the
-    certified neighborhood may come within 1e-10 of the maximum."""
-    fld = spec.f_limit_box if N is None else spec.f_of_box(N)
-    pts = spec.domain.grid_points(grid_res)
-    vals = field_values(fld, pts)
-    if not np.all(np.isfinite(vals)):
-        raise FieldEvaluationError("non-finite field value on the uniqueness grid")
-    vmax = float(np.max(vals))
-    nb = spec.maximum.neighborhood
-    inside = np.all(
-        (pts >= nb.lower - 1e-12) & (pts <= nb.upper + 1e-12), axis=1
-    )
-    outside_near = (~inside) & (vals >= vmax - _TIE_TOL)
-    if np.any(outside_near):
-        raise NonUniqueMaximumError(
-            f"{int(np.sum(outside_near))} grid nodes outside the neighborhood tie the maximum"
-        )
-
 
 def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
     """Locate and classify the limit maximizer of f over the domain and

@@ -20,7 +20,6 @@ from certlap import (
     exponential_field,
     get_problem,
     polynomial_field,
-    refine_constants,
 )
 from certlap.config import problem_from_config
 from certlap.errors import AssumptionViolationError, DefinitenessError, ToolkitError
@@ -141,7 +140,7 @@ class TestRefinement:
     def test_gauss1d_constant_curvature_stable(self):
         spec = with_neighborhood(get_problem("gauss1d"), [-0.25], [0.25])
         r16 = estimate_constants(spec, grid_res=16, n_sweep=(25, 100), safety_factor=1.0)
-        r32 = refine_constants(r16, spec)
+        r32 = estimate_constants(spec, grid_res=32, n_sweep=(25, 100), safety_factor=1.0)
         assert r32.grid_res == 32
         for fld in ("F2", "F2_prime", "lambda_det", "Lambda_det"):
             assert getattr(r32, fld) == pytest.approx(getattr(r16, fld), rel=1e-12)
@@ -163,13 +162,13 @@ class TestRefinement:
             ),
         )
         r16 = estimate_constants(spec, grid_res=16, n_sweep=(25,))
-        r32 = refine_constants(r16, spec)
+        r32 = estimate_constants(spec, grid_res=32, n_sweep=(25,))
         assert r32.F3 >= r16.F3 - 1e-15
 
     def test_monotone_refinement_mixed2d(self):
         spec = get_problem("mixed2d")
         r16 = estimate_constants(spec, grid_res=16, n_sweep=(25, 100))
-        r32 = refine_constants(r16, spec)
+        r32 = estimate_constants(spec, grid_res=32, n_sweep=(25, 100))
         # sup-type nondecreasing, inf-type nonincreasing
         assert r32.F2 >= r16.F2 - 1e-15
         assert r32.F3 >= r16.F3 - 1e-15
@@ -183,7 +182,7 @@ class TestRefinement:
     def test_monotone_refinement_cubic(self):
         spec = get_problem("cubic1d")
         r16 = estimate_constants(spec, grid_res=16, n_sweep=(25,))
-        r32 = refine_constants(r16, spec)
+        r32 = estimate_constants(spec, grid_res=32, n_sweep=(25,))
         assert r32.F3 >= r16.F3 - 1e-15
         assert r32.F2_prime <= r16.F2_prime + 1e-15
 

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import time
 
 import numpy as np
@@ -13,10 +12,7 @@ from certlap import (
     default_fd_step,
     derivatives,
     estimate_constants,
-    min_singular_value,
-    operator_norm_hessian,
     polynomial_field,
-    taylor_cubic_bound,
     third_tensor_norm_bound,
 )
 from certlap.catalog import catalog
@@ -29,7 +25,7 @@ from certlap.derivatives import (
     hessians_on,
     third_norms_on,
 )
-from certlap.errors import FieldEvaluationError, StepSizeError, SymmetryError
+from certlap.errors import FieldEvaluationError, StepSizeError
 from certlap.problems import ScalarField
 
 
@@ -91,36 +87,6 @@ class TestBundleAt:
             bundle_at(strip_analytic(f), np.zeros(1), 0.5, box=BoxDomain([-1.0], [1.0]))
 
 
-class TestNorms:
-    def test_diagonal(self):
-        assert operator_norm_hessian(np.diag([-1.0, -3.0])) == pytest.approx(3.0)
-        assert min_singular_value(np.diag([-1.0, -3.0])) == pytest.approx(1.0)
-
-    def test_identity(self):
-        assert operator_norm_hessian(np.eye(3)) == pytest.approx(1.0)
-
-    def test_closed_form_2x2(self):
-        h = np.array([[-1.0, -1.0], [-1.0, -2.0]])
-        assert operator_norm_hessian(h) == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-12)
-        assert min_singular_value(h) == pytest.approx((3 - math.sqrt(5)) / 2, rel=1e-12)
-
-    def test_singular(self):
-        assert min_singular_value(np.array([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(0.0, abs=1e-14)
-
-    def test_symmetry_error(self):
-        with pytest.raises(SymmetryError):
-            operator_norm_hessian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_norm_ordering(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 5))
-        a = rng.normal(size=(m, m))
-        h = 0.5 * (a + a.T)
-        assert min_singular_value(h) <= operator_norm_hessian(h) + 1e-12
-
-
 class TestTensorBound:
     def test_zero(self):
         assert third_tensor_norm_bound(np.zeros((2, 2, 2))) == 0.0
@@ -154,18 +120,12 @@ class TestTensorBound:
             u /= np.linalg.norm(u)
             assert abs(np.einsum("ijk,i,j,k", sym, u, u, u)) <= bound + 1e-12
 
-    def test_taylor_cubic(self):
-        assert taylor_cubic_bound(np.zeros((3, 3, 3)), 2.0) == 0.0
-        assert taylor_cubic_bound(np.full((1, 1, 1), 6.0), 0.5) == pytest.approx(0.75)
-        with pytest.raises(ValueError):
-            taylor_cubic_bound(np.zeros((1, 1, 1)), -1.0)
-
     def test_taylor_cubic_quadratic_field(self):
         from certlap import get_problem
 
         spec = get_problem("mixed2d")
         b = bundle_at(spec.f_limit_box, spec.z_star + 0.3, 1e-4)
-        assert taylor_cubic_bound(b.third, 0.1) == pytest.approx(0.0, abs=1e-10)
+        assert third_tensor_norm_bound(b.third) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestFdConsistency:

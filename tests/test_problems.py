@@ -25,7 +25,6 @@ from certlap import (
     linear_field,
     polynomial_field,
     rotate_problem,
-    verify_unique_maximum,
 )
 from certlap.errors import (
     AmbiguousMaximumError,
@@ -33,7 +32,7 @@ from certlap.errors import (
     SweepRangeError,
 )
 from certlap.config import problem_from_config
-from certlap.problems import add_fields, field_values, rotated_view
+from certlap.problems import add_fields, field_values, join_coupling, rotated_view
 
 
 def make_1d_problem(terms, lower=-1.0, upper=1.0, name="adhoc"):
@@ -287,6 +286,97 @@ class TestPolynomialKernel:
                 assert np.array_equal(got[(...,) + idx], ref)
 
 
+@st.composite
+def _exponential_sums(draw):
+    """scale * exp(a . x + offset) on m <= 3 axes, alone (empty polynomial
+    part and w = 1) or added with weight w to a polynomial, and points."""
+    terms, pts = draw(_polynomials(max_power=4))
+    m = pts.shape[-1]
+    # magnitudes below 1e-3 are 0, so no product of a term underflows
+    unit = st.floats(-1.5, 1.5).map(lambda v: v if abs(v) >= 1e-3 else 0.0)
+    a = draw(st.lists(unit, min_size=m, max_size=m))
+    scale, offset = 2.0 * draw(unit), draw(unit)
+    if draw(st.booleans()):
+        return [], (scale, a, offset), 1.0, pts
+    return terms, (scale, a, offset), draw(unit.filter(bool)), pts
+
+
+class TestTermFields:
+    """Every grammar field is a term list c * x^p * exp(rate . x) with one
+    evaluator and one product-rule derivative; add_fields concatenates term
+    lists and composes the handles of any other field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_exponential_sums())
+    def test_exponential_handles_against_mpmath(self, case):
+        import mpmath
+
+        terms, (scale, a, offset), w, pts = case
+        m = pts.shape[-1]
+        exp_f = exponential_field(scale, a, offset)
+        f = exp_f
+        if terms:
+            f = add_fields(polynomial_field(terms), exp_f, w)
+            assert f.coupling == join_coupling(polynomial_field(terms).coupling, exp_f.coupling)
+        flat = pts.reshape(-1, m)
+        for order in range(4):
+            got = np.asarray(_handles(f, order)(pts)).reshape(len(flat), -1)
+            for col, idx in enumerate(itertools.product(range(m), repeat=order)):
+                live = [(c, p) for c, p in _derivative_terms(terms, sorted(idx)) if c != 0.0]
+                for row, x in enumerate(flat):
+                    with mpmath.workdps(50):
+                        xs = [mpmath.mpf(float(v)) for v in x]
+                        parts = [mpmath.mpf(c) * mpmath.fprod(xs[i] ** e for i, e in enumerate(p))
+                                 for c, p in live]
+                        dot = mpmath.fsum(mpmath.mpf(ai) * xi for ai, xi in zip(a, xs))
+                        e_part = (mpmath.mpf(w) * mpmath.mpf(scale) * mpmath.exp(offset)
+                                  * mpmath.fprod(mpmath.mpf(a[i]) for i in idx) * mpmath.exp(dot))
+                        # the polynomial terms as in TestPolynomialKernel; the
+                        # exp term also carries the rounding of a . x and of
+                        # e^offset, relative to its exponent's magnitude
+                        n = len(live) + 1
+                        tol = mpmath.fsum(abs(t) * (sum(p) + 4 + n)
+                                          for t, (_, p) in zip(parts, live))
+                        spread = mpmath.fsum(abs(mpmath.mpf(ai) * xi) for ai, xi in zip(a, xs))
+                        tol += abs(e_part) * ((m + 2) * (spread + abs(offset) + 1) + 4 + n)
+                        err = abs(mpmath.mpf(float(got[row, col])) - mpmath.fsum(parts + [e_part]))
+                        assert err <= tol * 2.0**-52
+
+    @settings(max_examples=60, deadline=None)
+    @given(_polynomials(max_power=4), st.integers(0, 2),
+           st.floats(-2.0, 2.0, allow_subnormal=False).filter(bool))
+    def test_unit_term_sum_is_bitwise_the_composed_sum(self, case, axis, w):
+        # the sigma = x_j of drift1d, eps1d, viol1d and the inline problems
+        terms, pts = case
+        m = pts.shape[-1]
+        f1 = polynomial_field(terms)
+        f2 = polynomial_field([(1.0, tuple(int(i == axis % m) for i in range(m)))])
+        total = add_fields(f1, f2, w)
+        assert total.terms == f1.terms + ((w, ((axis % m, 1),), None),)
+        assert total.coupling == join_coupling(f1.coupling, f2.coupling)
+        for k in range(4):
+            ref = _handles(f1, k)(pts) + w * _handles(f2, k)(pts)
+            assert np.array_equal(_handles(total, k)(pts), ref)
+
+    def test_opaque_operand_composes_the_handles(self):
+        f = polynomial_field([(-0.5, (2, 0)), (0.2, (3, 0)), (0.1, (1, 1))])
+        g = exponential_field(1.0, [0.3, -0.2])
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 2))
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotated = rotated_view(g, np.array([[c, -s], [s, c]]))
+        bare = ScalarField(g.evaluate, name="bare")
+        for total in (add_fields(f, rotated, 0.5), add_fields(rotated, f, 0.5)):
+            assert total.terms is None and total.coupling is None and total.has_analytic
+        total = add_fields(f, rotated, 0.5)
+        for k in range(4):
+            ref = _handles(f, k)(pts) + 0.5 * _handles(rotated, k)(pts)
+            assert np.array_equal(_handles(total, k)(pts), ref)
+        total = add_fields(f, bare, 0.5)
+        assert total.terms is None and total.coupling is None
+        assert total.gradient is None and total.hessian is None and total.third_tensor is None
+        assert np.array_equal(total.evaluate(pts), f.evaluate(pts) + 0.5 * g.evaluate(pts))
+
+
 def _drifting(eps, n_zero=19):
     box = BoxDomain([-1.0], [1.0])
     info = MaximumInfo(
@@ -473,10 +563,6 @@ class TestCatalog:
         tang, _ = quad(lambda t: math.exp(-n * t * t / 2.0), -1.0, 1.0, epsabs=1e-14)
         expected = (1 - math.exp(-n)) / n * tang
         assert s.exact_integral(n) == pytest.approx(expected, rel=1e-12)
-
-    def test_uniqueness_audit(self, specs):
-        for name in ("gauss1d", "cubic1d", "drift1d", "viol1d"):
-            verify_unique_maximum(specs[name], 64)
 
     def test_epsilon_schedules_validate(self, specs):
         for s in specs.values():
