@@ -49,7 +49,6 @@ from .problems import (
     MaximumInfo,
     ProblemSpec,
     ScalarField,
-    assemble_f,
     classify_maximum,
     constant_field,
     default_neighborhood,

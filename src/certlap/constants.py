@@ -31,8 +31,8 @@ block adds its log |det| and squared norm as one term where the full grid
 adds them axis by axis, and LAPACK reduces a block whose axes are not
 consecutive in another order.
 
-A coupled, opaque or rotated field is one block: the full grid.  G and G1
-are taken on the axes g reads.  The complement gap and ``audit_constants``
+A coupled or opaque field is one block: the full grid.  G and G1 are
+taken on the axes g reads.  The complement gap and ``audit_constants``
 stay pointwise.
 """
 
@@ -169,10 +169,10 @@ def estimate_constants(
     f(., N): on the block's axes the nodes are the neighborhood grid's, and
     the other axes are pinned at its centre.  Entries across blocks vanish
     identically and the node set is the full grid's, so combining the
-    blocks' extremes (module docstring) is exact.  A coupled, opaque or
-    rotated field is one block, the full grid.  G (on the domain grid) and
-    G1 (on the neighborhood grid) are taken on the axes g reads, the other
-    axes pinned at the centre: one point for a constant g.  The complement
+    blocks' extremes (module docstring) is exact.  A coupled or opaque
+    field is one block, the full grid.  G (on the domain grid) and G1 (on
+    the neighborhood grid) are taken on the axes g reads, the other axes
+    pinned at the centre: one point for a constant g.  The complement
     gap is taken at every domain node outside the neighborhood, and the
     full domain grid is built only when there is such a node.
     """

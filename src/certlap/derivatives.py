@@ -1,6 +1,7 @@
-"""Field evaluation, gradients, Hessians and third-derivative tensors
-(analytic passthrough or second-order finite differences), plus the norm
-machinery the remainder constants are built from.
+"""Field evaluation, gradients, Hessians and third-derivative tensors (the
+product-rule handles of a term-list field, or second-order finite
+differences of an opaque one), plus the norm machinery the remainder
+constants are built from.
 
 This module holds the only difference stencils in the package and the one
 function that applies them, ``_stencil``: a tensor product of 1-d stencils
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import FieldEvaluationError, StepSizeError, SymmetryError
+from .errors import FieldEvaluationError, StepSizeError
 
 if TYPE_CHECKING:
     from .problems import BoxDomain, ScalarField
@@ -209,11 +210,12 @@ def bundle_at(
 ) -> DerivativeBundle:
     """Derivatives of a scalar field at a point.
 
-    Analytic handles are used when the field provides all of them; otherwise
-    second-order central differences, switching to one-sided stencils on
-    axes that sit within two steps of a box face (pass ``box`` to enable
-    that).  The third tensor is differenced from Hessians with a 10x larger
-    step by default and symmetrized."""
+    The handles of a term-list field are used as they are: the product rule
+    writes one value to every permutation of an index, so they are
+    symmetric.  An opaque field gets second-order central differences,
+    switching to one-sided stencils on axes that sit within two steps of a
+    box face (pass ``box`` to enable that); the third tensor is differenced
+    from Hessians with a 10x larger step by default and symmetrized."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if fd_step <= 0:
         raise StepSizeError("fd_step must be positive")
@@ -222,18 +224,10 @@ def bundle_at(
     if third_step is None:
         third_step = 10.0 * fd_step
 
-    if fld.has_analytic:
-        g = np.asarray(fld.gradient(x), dtype=float)
-        H = np.asarray(fld.hessian(x), dtype=float)
-        T = np.asarray(fld.third_tensor(x), dtype=float)
-        rel = np.max(np.abs(H - H.T)) / max(1.0, np.max(np.abs(H)))
-        if rel > 1e-10:
-            raise SymmetryError(f"analytic Hessian asymmetric (rel {rel:.2e})")
-        scale = max(1.0, float(np.max(np.abs(T))))
-        for perm in itertools.permutations(range(3)):
-            if np.max(np.abs(T - np.transpose(T, perm))) / scale > 1e-8:
-                raise SymmetryError("analytic third tensor is not permutation symmetric")
-        return DerivativeBundle(g, 0.5 * (H + H.T), _symmetrize3(T), fd_step, "analytic")
+    if fld.gradient is not None:
+        return DerivativeBundle(
+            fld.gradient(x), fld.hessian(x), fld.third_tensor(x), fd_step, "analytic"
+        )
 
     pts = x[None]
     grad = _gradients(fld, pts, box, fd_step)[0]

@@ -28,10 +28,6 @@ class FieldEvaluationError(ToolkitError):
     """A field returned a non-finite value inside a stencil or grid."""
 
 
-class SymmetryError(ToolkitError):
-    """Matrix/tensor input violates the required symmetry tolerance."""
-
-
 class DefinitenessError(ToolkitError):
     """Hessian fails to be negative definite on the certified neighborhood."""
 

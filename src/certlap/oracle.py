@@ -20,11 +20,11 @@ Where the integrand factorises, so does each tensor sum (the product rule,
 Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984,
 §5.6).  The axes are split into blocks: the coupling of f(., N) and of the
 log weight (``ScalarField.coupling``), joined, plus one block holding every
-axis a non-constant weight reads.  A plain callable, an opaque field and a
-rotated view couple every axis.  Each block is summed on its own, with the
-other axes pinned at the centre, and Q_n, Q_{n-2} and the |integrand| sum
-are products over blocks, so the refinement path is the one the full tensor
-sum would take.  ``evaluations`` counts the integrand evaluations made,
+axis a non-constant weight reads.  A plain callable and an opaque field
+couple every axis.  Each block is summed on its own, with the other axes
+pinned at the centre, and Q_n, Q_{n-2} and the |integrand| sum are products
+over blocks, so the refinement path is the one the full tensor sum would
+take.  ``evaluations`` counts the integrand evaluations made,
 summed over blocks: sum_B prod_{i in B} n_i in place of prod_i n_i.
 """
 
@@ -172,11 +172,11 @@ def integrate(
 
     The axes are split into blocks that nothing couples: the coupling of
     f(., N) joined with that of the log weight, plus one block holding every
-    axis a non-constant weight reads (a plain callable, an opaque or a
-    rotated field couples every axis; an axis nothing reads is a block of
-    its own).  Each panel sum is the product over blocks of the tensor sum
-    over the block's axes, with the other axes pinned at the centre, and the
-    weight applied in one block; with one block it is the full tensor sum.
+    axis a non-constant weight reads (a plain callable or an opaque field
+    couples every axis; an axis nothing reads is a block of its own).  Each
+    panel sum is the product over blocks of the tensor sum over the block's
+    axes, with the other axes pinned at the centre, and the weight applied
+    in one block; with one block it is the full tensor sum.
 
     From panel depth 4 on every axis, each panel set is evaluated with
     Gauss orders n and n - 2; converged when |Q_n - Q_{n-2}| <= tol * A_n,
@@ -204,8 +204,7 @@ def integrate(
         raise ValueError("tol must be at least 1e-14")
     box = domain if domain is not None else spec.domain
     f_box = spec.f_of_box(N)
-    w_field = weight if weight is not None else spec.g
-    w_box = rotated_view(w_field, box.rotation)
+    w_box = spec.g_box if weight is None else rotated_view(weight, box.rotation)
     if log_weight is not None and not isinstance(log_weight, ScalarField):
         log_weight = ScalarField(log_weight, name="log_weight")
     if center is None:

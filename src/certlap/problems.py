@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     FieldEvaluationError,
     NonUniqueMaximumError,
-    SweepRangeError,
 )
 
 INTERIOR = "interior_a"
@@ -166,37 +165,50 @@ def read_axes(coupling: Coupling, m: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function with optional analytic derivative handles.
+    """Scalar function: a term list, or an opaque callable that only
+    evaluates.
 
     ``evaluate`` takes a point of shape (m,) or a batch (..., m) and returns
-    a scalar / (...) array.  ``gradient`` maps to (..., m), ``hessian`` to
-    (..., m, m) and ``third_tensor`` to (..., m, m, m).
+    a scalar / (...) array.
+
+    ``terms`` is the term list of a grammar field (see ``_term_field``);
+    None for an opaque field.  ``gradient`` (..., m), ``hessian``
+    (..., m, m) and ``third_tensor`` (..., m, m, m) are derived from the
+    terms by the product rule (``_term_handles``) and are None for an
+    opaque field; a ``dataclasses.replace`` copy that keeps the terms keeps
+    the handles, and so the derivative tables they build.
 
     ``coupling`` lists blocks of axes such that the field is a sum of
     functions that each read one block: the connected components of the
     terms' supports for a grammar field, joined by ``add_fields``.  None
     (the default, for an opaque field) couples every axis.  The oracle sums
     exp(N f) block by block when f's coupling splits.
-
-    ``terms`` is the term list a grammar field was built from (see
-    ``_term_field``); None for an opaque, composed or rotated field.
     """
 
     evaluate: Callable
-    gradient: Optional[Callable] = None
-    hessian: Optional[Callable] = None
-    third_tensor: Optional[Callable] = None
     name: str = ""
     coupling: Coupling = None
     terms: Optional[tuple] = None
+    # (terms, handles), rebuilt only when the terms are not the ones the
+    # handles were derived from
+    _derived: tuple = field(default=(None, (None,) * 3), repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._derived[0] is not self.terms:
+            handles = (None,) * 3 if self.terms is None else _term_handles(self.terms)
+            object.__setattr__(self, "_derived", (self.terms, handles))
 
     @property
-    def has_analytic(self) -> bool:
-        return (
-            self.gradient is not None
-            and self.hessian is not None
-            and self.third_tensor is not None
-        )
+    def gradient(self) -> Optional[Callable]:
+        return self._derived[1][0]
+
+    @property
+    def hessian(self) -> Optional[Callable]:
+        return self._derived[1][1]
+
+    @property
+    def third_tensor(self) -> Optional[Callable]:
+        return self._derived[1][2]
 
 
 def _power(x: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
@@ -269,8 +281,8 @@ def _support(term) -> tuple[int, ...]:
 
 
 def _term_handles(terms: tuple) -> tuple:
-    """The value and the three derivative handles of a term list, all taken
-    from the one evaluator ``_eval_terms``.
+    """The three derivative handles of a term list, each entry evaluated by
+    the one evaluator ``_eval_terms``.
 
     The term list of the derivative along a sorted index tuple is formed by
     ``_diff`` in index order, on the first call of a handle of that order.
@@ -305,7 +317,7 @@ def _term_handles(terms: tuple) -> tuple:
 
         return handle
 
-    return functools.partial(_eval_terms, terms), derivative(1), derivative(2), derivative(3)
+    return derivative(1), derivative(2), derivative(3)
 
 
 def _term_field(terms, name: str = "") -> ScalarField:
@@ -318,7 +330,7 @@ def _term_field(terms, name: str = "") -> ScalarField:
     terms = tuple(terms)
     supports = tuple(_support(t) for t in terms if t[0] != 0.0)
     return ScalarField(
-        *_term_handles(terms), name=name, coupling=join_coupling(supports), terms=terms
+        functools.partial(_eval_terms, terms), name, join_coupling(supports), terms
     )
 
 
@@ -360,59 +372,62 @@ def exponential_field(scale: float, linear, offset: float = 0.0, name: str = "ex
 
 def add_fields(f1: ScalarField, f2: Optional[ScalarField], w2: float, name: str = "") -> ScalarField:
     """f1 + w2 * f2.  Two term-list fields give the concatenated term list,
-    the second scaled by w2; otherwise the handles are composed linearly when
-    both components provide them."""
+    the second scaled by w2; a sum with an opaque field only evaluates."""
     if f2 is None or w2 == 0.0:
         return replace(f1, name=name or f1.name)
     name = name or f"{f1.name}+{w2}*{f2.name}"
     coupling = join_coupling(f1.coupling, f2.coupling)
     if f1.terms is not None and f2.terms is not None:
-        scaled = [(w2 * c, powers, rate) for c, powers, rate in f2.terms]
-        terms = f1.terms + tuple(scaled)
-        return ScalarField(*_term_handles(terms), name=name, coupling=coupling, terms=terms)
+        terms = f1.terms + tuple((w2 * c, powers, rate) for c, powers, rate in f2.terms)
+        return ScalarField(functools.partial(_eval_terms, terms), name, coupling, terms)
 
-    def combine(h1, h2):
-        if h1 is None or h2 is None:
-            return None
+    def evaluate(pts):
+        return np.asarray(f1.evaluate(pts)) + w2 * np.asarray(f2.evaluate(pts))
 
-        def handle(pts):
-            return np.asarray(h1(pts)) + w2 * np.asarray(h2(pts))
+    return ScalarField(evaluate, name, coupling)
 
-        return handle
 
-    return ScalarField(
-        *(combine(getattr(f1, h), getattr(f2, h))
-          for h in ("evaluate", "gradient", "hessian", "third_tensor")),
-        name=name, coupling=coupling,
-    )
+def _rotate_terms(terms, R: np.ndarray) -> list:
+    """The term list of z -> sum(terms)(R z): each factor x_i = sum_j R_ij z_j
+    of a monomial multiplied out, an exp factor's rate taken to rate . R,
+    like terms summed and the terms that cancel to zero dropped."""
+    m = R.shape[0]
+    like: dict = {}
+    for c, powers, rate in terms:
+        poly = {(0,) * m: c}  # dense exponents -> coefficient
+        for i, e in powers:
+            for _ in range(e):
+                product: dict = {}
+                for p, a in poly.items():
+                    for j in np.flatnonzero(R[i]):
+                        q = p[:j] + (p[j] + 1,) + p[j + 1:]
+                        product[q] = product.get(q, 0.0) + a * R[i, j]
+                poly = product
+        rate = None if rate is None else _freeze(rate @ R)
+        for p, a in poly.items():
+            sparse = tuple((j, e) for j, e in enumerate(p) if e)
+            key = (sparse, None if rate is None else rate.tobytes())
+            if key in like:
+                a += like[key][0]
+            like[key] = (a, sparse, rate)
+    return [t for t in like.values() if t[0] != 0.0]
 
 
 def rotated_view(fld: ScalarField, rotation: np.ndarray) -> ScalarField:
-    """Box-frame view z -> fld(R z) with chain-ruled derivative handles.  A
-    rotation other than the identity mixes the axes, so the view's coupling
-    is None."""
+    """Box-frame view z -> fld(R z).  A term list is taken through the
+    rotation once (``_rotate_terms``), so the view is a term-list field
+    whose coupling comes from its terms; an opaque field gets a view that
+    only evaluates, at R z."""
     R = np.asarray(rotation, dtype=float)
     if np.array_equal(R, np.eye(R.shape[0])):
         return fld
+    if fld.terms is not None:
+        return _term_field(_rotate_terms(fld.terms, R), f"{fld.name}@box")
 
-    def ev(pts):
+    def evaluate(pts):
         return fld.evaluate(np.asarray(pts, dtype=float) @ R.T)
 
-    gr = he = th = None
-    if fld.gradient is not None:
-        def gr(pts):
-            g = np.asarray(fld.gradient(np.asarray(pts, dtype=float) @ R.T))
-            return g @ R
-    if fld.hessian is not None:
-        def he(pts):
-            H = np.asarray(fld.hessian(np.asarray(pts, dtype=float) @ R.T))
-            return np.einsum("...ab,ai,bj->...ij", H, R, R)
-    if fld.third_tensor is not None:
-        def th(pts):
-            T = np.asarray(fld.third_tensor(np.asarray(pts, dtype=float) @ R.T))
-            return np.einsum("...abc,ai,bj,ck->...ijk", T, R, R, R)
-
-    return ScalarField(ev, gr, he, th, name=f"{fld.name}@box")
+    return ScalarField(evaluate, f"{fld.name}@box")
 
 
 @dataclass(frozen=True)
@@ -486,6 +501,12 @@ class ProblemSpec:
     n_zero: int = 1
     exact_integral: Optional[Callable[[int], float]] = None
 
+    # the fields in the box frame, taken through the rotation once
+    f_limit_box: ScalarField = field(init=False, repr=False, compare=False)
+    sigma_box: Optional[ScalarField] = field(init=False, repr=False, compare=False)
+    g_box: ScalarField = field(init=False, repr=False, compare=False)
+    _f_of_box: dict = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.dimension != self.domain.dimension:
             raise ValueError("dimension mismatch with domain")
@@ -493,21 +514,13 @@ class ProblemSpec:
             raise ValueError("n_zero must be a positive integer")
         if not self.domain.contains_box(self.maximum.neighborhood):
             raise ValueError("neighborhood must be contained in the domain")
-
-    # box-frame views ------------------------------------------------------
-    @property
-    def f_limit_box(self) -> ScalarField:
-        return rotated_view(self.f_limit, self.domain.rotation)
-
-    @property
-    def sigma_box(self) -> Optional[ScalarField]:
-        if self.sigma is None:
-            return None
-        return rotated_view(self.sigma, self.domain.rotation)
-
-    @property
-    def g_box(self) -> ScalarField:
-        return rotated_view(self.g, self.domain.rotation)
+        R = self.domain.rotation
+        object.__setattr__(self, "f_limit_box", rotated_view(self.f_limit, R))
+        object.__setattr__(
+            self, "sigma_box", None if self.sigma is None else rotated_view(self.sigma, R)
+        )
+        object.__setattr__(self, "g_box", rotated_view(self.g, R))
+        object.__setattr__(self, "_f_of_box", {})
 
     @property
     def z_star(self) -> np.ndarray:
@@ -516,28 +529,18 @@ class ProblemSpec:
     def z_star_of_N(self, N: int) -> np.ndarray:
         return self.domain.to_box(self.maximum.x_star_of_N(int(N)))
 
-    def f_of_box(self, N: int, check_range: bool = False) -> ScalarField:
-        return rotated_view(
-            assemble_f(self, N, check_range=check_range), self.domain.rotation
-        )
-
-
-def assemble_f(spec: ProblemSpec, N: int, check_range: bool = True) -> ScalarField:
-    """f(x, N) = f_limit(x) + epsilon(N) * sigma(x); derivative handles
-    compose linearly when both components provide them.
-
-    ``check_range=False`` skips the N > n_zero gate (reference integration
-    and maximizer location are meaningful at any N; the certified
-    approximations are not)."""
-    N = int(N)
-    if check_range and N <= spec.n_zero:
-        raise SweepRangeError(
-            f"N={N} must exceed n_zero={spec.n_zero} for problem {spec.name!r}"
-        )
-    eps = float(spec.epsilon.evaluate(N))
-    if spec.sigma is None or eps == 0.0:
-        return replace(spec.f_limit, name=f"{spec.name}:f(N={N})")
-    return add_fields(spec.f_limit, spec.sigma, eps, name=f"{spec.name}:f(N={N})")
+    def f_of_box(self, N: int) -> ScalarField:
+        """f(., N) = f_limit + epsilon(N) * sigma in the box frame, at any N
+        (the N > n_zero gate belongs to the certified approximations).  One
+        field per N is kept, so its derivative tables are built once; two
+        threads may both build it, and it is the same field."""
+        N = int(N)
+        f = self._f_of_box.get(N)
+        if f is None:
+            eps = float(self.epsilon.evaluate(N))
+            f = add_fields(self.f_limit_box, self.sigma_box, eps, name=f"{self.name}:f(N={N})")
+            self._f_of_box[N] = f
+        return f
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from certlap import (
     get_problem,
     polynomial_field,
 )
+import certlap.constants
 from certlap.config import problem_from_config
 from certlap.errors import AssumptionViolationError, DefinitenessError, ToolkitError
 from certlap.problems import UNIT_WEIGHT, power_epsilon
@@ -355,28 +356,28 @@ class TestBlockExtremes:
         assert split == _outcome(_drop_coupling(spec), grid_res=16, n_sweep=(25,))
 
 
-def _count_points(spec):
-    """gauss3d with its f's Hessian handle wrapped to record how many points
-    each call sees; the coupling is kept."""
+def _count_points(monkeypatch):
+    """Record how many points each Hessian grid of estimate_constants sees."""
     seen = []
-    f = spec.f_limit
+    real = certlap.constants.hessians_on
 
-    def hessian(pts):
+    def hessians_on(fld, pts, *args):
         seen.append(math.prod(np.shape(pts)[:-1]))
-        return f.hessian(pts)
+        return real(fld, pts, *args)
 
-    return dataclasses.replace(spec, f_limit=dataclasses.replace(f, hessian=hessian)), seen
+    monkeypatch.setattr(certlap.constants, "hessians_on", hessians_on)
+    return seen
 
 
 class TestBlockCost:
-    def test_gauss3d_hessians_on_three_lines(self):
+    def test_gauss3d_hessians_on_three_lines(self, monkeypatch):
         # gauss3d's f is N-independent, so one N of the sweep is evaluated;
         # its three one-axis blocks take 65 Hessians each at grid_res 64
-        spec, seen = _count_points(get_problem("gauss3d"))
-        estimate_constants(spec, grid_res=64, n_sweep=SWEEP)
+        seen = _count_points(monkeypatch)
+        estimate_constants(get_problem("gauss3d"), grid_res=64, n_sweep=SWEEP)
         assert sum(seen) == 3 * 65
 
-    def test_coupling_dropped_takes_the_full_grid(self):
-        spec, seen = _count_points(_drop_coupling(get_problem("gauss3d")))
-        estimate_constants(spec, grid_res=64, n_sweep=SWEEP)
+    def test_coupling_dropped_takes_the_full_grid(self, monkeypatch):
+        seen = _count_points(monkeypatch)
+        estimate_constants(_drop_coupling(get_problem("gauss3d")), grid_res=64, n_sweep=SWEEP)
         assert sum(seen) == 65**3

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import certlap.problems
@@ -15,7 +15,6 @@ from certlap import (
     EpsilonSchedule,
     MaximumInfo,
     ProblemSpec,
-    assemble_f,
     catalog_names,
     classify_maximum,
     ScalarField,
@@ -29,7 +28,6 @@ from certlap import (
 from certlap.errors import (
     AmbiguousMaximumError,
     NonUniqueMaximumError,
-    SweepRangeError,
 )
 from certlap.config import problem_from_config
 from certlap.problems import add_fields, field_values, join_coupling, rotated_view
@@ -87,33 +85,35 @@ class TestBoxDomain:
 
 
 class TestAssembleF:
+    """f(x, N) = f_limit + epsilon(N) * sigma, assembled by spec.f_of_box."""
+
     def test_linear_perturbation_at_zero(self):
         spec = _drifting(lambda n: 1.0 / n)
-        f = assemble_f(spec, 100)
+        f = spec.f_of_box(100)
         assert f.evaluate(np.zeros(1)) == pytest.approx(0.0, abs=1e-15)
         assert f.gradient(np.zeros(1))[0] == pytest.approx(0.01, abs=1e-15)
 
     def test_absent_sigma_is_exact_passthrough(self):
         spec = get_problem("gauss1d")
-        f = assemble_f(spec, 50)
+        f = spec.f_of_box(50)
         x = np.array([0.37])
         assert f.evaluate(x) == spec.f_limit.evaluate(x)
 
     def test_direct_substitution(self):
         spec = _drifting(lambda n: 1.0 / n, n_zero=2)
-        f = assemble_f(spec, 4)
+        f = spec.f_of_box(4)
         assert float(f.evaluate(np.array([1.0]))) == pytest.approx(-0.25, abs=1e-15)
 
-    def test_rejects_small_n(self):
-        spec = get_problem("gauss1d")
-        with pytest.raises(SweepRangeError):
-            assemble_f(spec, spec.n_zero)
+    def test_one_field_per_n(self):
+        spec = _drifting(lambda n: 1.0 / n)
+        assert spec.f_of_box(100) is spec.f_of_box(100.0)
+        assert spec.f_of_box(100) is not spec.f_of_box(101)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-1.0, 1.0), st.integers(20, 10_000))
     def test_assembly_linearity(self, x, n):
         spec = _drifting(lambda n: n ** -0.75)
-        f = assemble_f(spec, n)
+        f = spec.f_of_box(n)
         pt = np.array([x])
         eps = n ** -0.75
         lhs = float(f.evaluate(pt)) - float(spec.f_limit.evaluate(pt))
@@ -158,13 +158,18 @@ class TestCoupling:
 
     def test_assemble_f_passes_it_through(self):
         spec = _drifting(lambda n: 1.0 / n)
-        assert assemble_f(spec, 100).coupling == ((0,),)
+        assert spec.f_of_box(100).coupling == ((0,),)
 
-    def test_rotation_couples_every_axis(self):
-        f = polynomial_field([(-1.0, (2, 0)), (-1.0, (0, 2))])
+    def test_rotation_takes_the_coupling_of_its_terms(self):
         c, s = math.cos(0.3), math.sin(0.3)
-        assert rotated_view(f, np.array([[c, -s], [s, c]])).coupling is None
+        R = np.array([[c, -s], [s, c]])
+        # the cross terms of the isotropic form cancel exactly
+        f = polynomial_field([(-1.0, (2, 0)), (-1.0, (0, 2))])
+        assert rotated_view(f, R).coupling == ((0,), (1,))
         assert rotated_view(f, np.eye(2)).coupling == ((0,), (1,))
+        g = polynomial_field([(-1.0, (2, 0)), (-2.0, (0, 2))])
+        assert rotated_view(g, R).coupling == ((0, 1),)
+        assert rotated_view(exponential_field(1.0, [0.3, 0.0]), R).coupling == ((0, 1),)
 
     def test_opaque_field_couples_every_axis(self):
         assert ScalarField(lambda p: -np.sum(np.asarray(p) ** 2, axis=-1)).coupling is None
@@ -223,6 +228,23 @@ def _pow_form(terms, pts):
     return out
 
 
+def _underflow(live, x, n):
+    """The underflow term of the standard rounding model (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, §2.1): a product that
+    comes out subnormal carries an absolute error of up to 2^-1075 in place
+    of a relative one.  Each of the sum(p) + 4 + n roundings of a term may
+    add one, and the factors multiplied in after it scale it by at most
+    prod(max(1, |x_i|) ** e_i); a sum of subnormals is exact.  Next to the
+    relative bound it matters only for terms near or below the smallest
+    normal, 2^-1022."""
+    import mpmath
+
+    return mpmath.mpf(2) ** -1075 * mpmath.fsum(
+        (sum(p) + 4 + n) * mpmath.fprod(max(1.0, abs(float(x[i]))) ** e for i, e in enumerate(p))
+        for _, p in live
+    )
+
+
 def _handles(f, order):
     return (f.evaluate, f.gradient, f.hessian, f.third_tensor)[order]
 
@@ -249,6 +271,8 @@ class TestPolynomialKernel:
 
     @settings(max_examples=40, deadline=None)
     @given(_polynomials(max_power=6))
+    # c * y^3 is subnormal here: its rounding is absolute, not relative
+    @example(([(2.2250738585072014e-308, (0, 3))], np.array([1.2397643242763117, 0.3056087730785637])))
     def test_every_handle_against_mpmath(self, case):
         import mpmath
 
@@ -266,11 +290,12 @@ class TestPolynomialKernel:
                                                               for i, e in enumerate(p))
                                  for c, p in live]
                         # a rounding per factor of a term and per step of the
-                        # sum, each at most an ulp of the term
+                        # sum, each at most an ulp of the term, or an
+                        # absolute underflow where a product is subnormal
                         tol = mpmath.fsum(abs(t) * (sum(p) + 4 + len(live))
                                           for t, (_, p) in zip(parts, live))
                         err = abs(mpmath.mpf(float(got[row, col])) - mpmath.fsum(parts))
-                        assert err <= tol * 2.0**-52
+                        assert err <= tol * 2.0**-52 + _underflow(live, x, len(live))
 
     @settings(max_examples=60, deadline=None)
     @given(_polynomials(max_power=2))
@@ -304,7 +329,7 @@ def _exponential_sums(draw):
 class TestTermFields:
     """Every grammar field is a term list c * x^p * exp(rate . x) with one
     evaluator and one product-rule derivative; add_fields concatenates term
-    lists and composes the handles of any other field."""
+    lists, and a sum with an opaque field only evaluates."""
 
     @settings(max_examples=40, deadline=None)
     @given(_exponential_sums())
@@ -340,7 +365,7 @@ class TestTermFields:
                         spread = mpmath.fsum(abs(mpmath.mpf(ai) * xi) for ai, xi in zip(a, xs))
                         tol += abs(e_part) * ((m + 2) * (spread + abs(offset) + 1) + 4 + n)
                         err = abs(mpmath.mpf(float(got[row, col])) - mpmath.fsum(parts + [e_part]))
-                        assert err <= tol * 2.0**-52
+                        assert err <= tol * 2.0**-52 + _underflow(live, x, n)
 
     @settings(max_examples=60, deadline=None)
     @given(_polynomials(max_power=4), st.integers(0, 2),
@@ -358,23 +383,86 @@ class TestTermFields:
             ref = _handles(f1, k)(pts) + w * _handles(f2, k)(pts)
             assert np.array_equal(_handles(total, k)(pts), ref)
 
-    def test_opaque_operand_composes_the_handles(self):
+    def test_opaque_operand_only_evaluates(self):
         f = polynomial_field([(-0.5, (2, 0)), (0.2, (3, 0)), (0.1, (1, 1))])
         g = exponential_field(1.0, [0.3, -0.2])
         pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 2))
-        c, s = math.cos(0.3), math.sin(0.3)
-        rotated = rotated_view(g, np.array([[c, -s], [s, c]]))
         bare = ScalarField(g.evaluate, name="bare")
-        for total in (add_fields(f, rotated, 0.5), add_fields(rotated, f, 0.5)):
-            assert total.terms is None and total.coupling is None and total.has_analytic
-        total = add_fields(f, rotated, 0.5)
-        for k in range(4):
-            ref = _handles(f, k)(pts) + 0.5 * _handles(rotated, k)(pts)
-            assert np.array_equal(_handles(total, k)(pts), ref)
+        for total in (add_fields(f, bare, 0.5), add_fields(bare, f, 0.5)):
+            assert total.terms is None and total.coupling is None
+            assert total.gradient is None and total.hessian is None and total.third_tensor is None
         total = add_fields(f, bare, 0.5)
-        assert total.terms is None and total.coupling is None
-        assert total.gradient is None and total.hessian is None and total.third_tensor is None
         assert np.array_equal(total.evaluate(pts), f.evaluate(pts) + 0.5 * g.evaluate(pts))
+
+
+@st.composite
+def _rotated_sums(draw):
+    """A polynomial plus w * scale * exp(a . x + offset) on m <= 3 axes, an
+    orthogonal R (the Q of a Gaussian matrix's QR) and box-frame points.
+    Magnitudes below 1e-3 are 0, so no product underflows."""
+    m = draw(st.integers(1, 3))
+    unit = st.floats(-1.5, 1.5).map(lambda v: v if abs(v) >= 1e-3 else 0.0)
+    coeff = st.floats(-10.0, 10.0).map(lambda v: v if abs(v) >= 1e-3 else 0.0)
+    powers = st.tuples(*[st.integers(0, 3)] * m)
+    terms = draw(st.lists(st.tuples(coeff, powers), min_size=1, max_size=4))
+    a = draw(st.lists(unit, min_size=m, max_size=m))
+    scale, offset, w = 2.0 * draw(unit), draw(unit), draw(unit)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    z = rng.uniform(-2.0, 2.0, (draw(st.integers(1, 4)), m))
+    return terms, (scale, a, offset), w, R, z
+
+
+_CHAIN = ("...a,ai->...i", "...ab,ai,bj->...ij", "...abc,ai,bj,ck->...ijk")
+
+
+def _chain_rule(f, R, z, order):
+    """The order-``order`` handle of z -> f(R z), by the chain rule on the
+    handles of f at R z."""
+    v = np.asarray(_handles(f, order)(z @ R.T))
+    return v if order == 0 else np.einsum(_CHAIN[order - 1], v, *[R] * order)
+
+
+class TestRotatedTerms:
+    """rotated_view multiplies a term list out through the rotation once; an
+    opaque field's view only evaluates, at R z."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rotated_sums())
+    def test_handles_against_the_chain_rule(self, case):
+        terms, (scale, a, offset), w, R, z = case
+        m = R.shape[0]
+        f = add_fields(polynomial_field(terms), exponential_field(scale, a, offset), w)
+        rotated = rotated_view(f, R)
+        assert rotated.terms is not None
+        # the majorant: |c|, |rate| and |R| at |z| bound every product that
+        # either side forms, term by term
+        f_abs = add_fields(polynomial_field([(abs(c), p) for c, p in terms]),
+                           exponential_field(abs(scale), np.abs(a), offset), abs(w))
+        d = max(sum(p) for _, p in terms)
+        n = len(rotated.terms) + len(f.terms)
+        spread = np.abs(z) @ np.abs(R).T @ np.abs(a)  # bounds |a . x| and |(a R) . z|
+        for k in range(4):
+            bound = _chain_rule(f_abs, np.abs(R), np.abs(z), k)
+            # roundings, each at most an ulp of the majorant: m + 2 for each
+            # of the d + 3 factors of a term (an m-term sum where a factor
+            # x_i = R_i . z is multiplied out or rounded, the powers, the
+            # coefficient, the product rule), one per term summed on either
+            # side, m^k in the chain rule's sums, and 2m + 2 per unit of the
+            # exponent (a R and R z rounded, then dotted)
+            count = (d + 3) * (m + 2) + n + m**k + (2 * m + 2) * spread
+            tol = bound * count.reshape(count.shape + (1,) * k) * 2.0**-52
+            err = np.abs(np.asarray(_handles(rotated, k)(z)) - _chain_rule(f, R, z, k))
+            assert np.all(err <= tol)
+
+    def test_opaque_field_only_evaluates(self):
+        g = exponential_field(1.0, [0.3, -0.2])
+        c, s = math.cos(0.3), math.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        view = rotated_view(ScalarField(g.evaluate, name="bare"), R)
+        assert view.terms is None and view.coupling is None and view.gradient is None
+        z = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 2))
+        assert np.array_equal(view.evaluate(z), g.evaluate(z @ R.T))
 
 
 def _drifting(eps, n_zero=19):
