@@ -8,12 +8,7 @@ large numbers, fluctuation limits, drift of the maximizer).
 
 from .catalog import catalog, catalog_names, get_problem
 from .constants import ConstantsReport, audit_constants, estimate_constants
-from .derivatives import (
-    DerivativeBundle,
-    bundle_at,
-    default_fd_step,
-    third_tensor_norm_bound,
-)
+from .derivatives import third_tensor_norm_bound
 from .gibbs import (
     FluctuationModel,
     GibbsMeasure,

@@ -31,8 +31,8 @@ block adds its log |det| and squared norm as one term where the full grid
 adds them axis by axis, and LAPACK reduces a block whose axes are not
 consecutive in another order.
 
-A coupled or opaque field is one block: the full grid.  G and G1 are
-taken on the axes g reads.  The complement gap and ``audit_constants``
+A field whose coupling is None is one block: the full grid.  G and G1
+are taken on the axes g reads.  The complement gap and ``audit_constants``
 stay pointwise.
 """
 
@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .config import strict_json
-from .derivatives import default_fd_step, field_values, gradients_on, hessians_on, third_norms_on
+from .derivatives import field_values, gradients_on, hessians_on, third_norms_on
 from .errors import AssumptionViolationError, DefinitenessError, FieldEvaluationError
 from .problems import ProblemSpec, axis_blocks, gauss_block, limit_axes, read_axes
 
@@ -66,6 +66,8 @@ class ConstantsReport:
     grid_res: int
     n_sweep: tuple[int, ...]
     safety_factor: float
+    # 1e-4 of the smallest box edge, kept in the report schema; every
+    # derivative is exact, so nothing reads it
     fd_step: float
     boundary_axis: Optional[int]
     problem: str
@@ -84,7 +86,7 @@ def _check_finite(arr, what):
         raise FieldEvaluationError(f"non-finite {what} on the constants grid")
 
 
-def _neighborhood_extremes(f_n, pts, box, h, axis, gauss, axes=None) -> dict:
+def _neighborhood_extremes(f_n, pts, axis, gauss, axes=None) -> dict:
     """Extremes over ``pts`` of the pointwise quantities behind the
     neighborhood constants, on the block ``axes`` (default every axis) of
     the Hessian and third tensor, keyed by constant name: ``top``, the
@@ -93,12 +95,11 @@ def _neighborhood_extremes(f_n, pts, box, h, axis, gauss, axes=None) -> dict:
     Gaussian axis (the exponential axis alone, or a one-dimensional
     boundary problem) has determinant 1 and no such eigenvalues."""
     axes = list(range(pts.shape[-1])) if axes is None else list(axes)
-    H = hessians_on(f_n, pts, box, h)
+    H = hessians_on(f_n, pts)
     _check_finite(H, "Hessian")
     H = gauss_block(H, axes)
     eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
-    # Hessians at 10h (1e-3 of the smallest edge), differenced at 100h (1e-2)
-    T = third_norms_on(f_n, pts, box, 10 * h, axes)
+    T = third_norms_on(f_n, pts, axes)
     _check_finite(T, "third tensor")
     Hg = gauss_block(H, [k for k, i in enumerate(axes) if i in gauss])
     # on a block of Gaussian axes only, Hg is H itself
@@ -114,7 +115,7 @@ def _neighborhood_extremes(f_n, pts, box, h, axis, gauss, axes=None) -> dict:
         "log_Lambda": float(np.max(log_dets)),
     }
     if axis in axes:
-        grads = gradients_on(f_n, pts, box, h)
+        grads = gradients_on(f_n, pts)
         _check_finite(grads, "gradient")
         ext["F1_prime"] = float(np.min(np.abs(grads[..., axis])))
     return ext
@@ -169,8 +170,8 @@ def estimate_constants(
     f(., N): on the block's axes the nodes are the neighborhood grid's, and
     the other axes are pinned at its centre.  Entries across blocks vanish
     identically and the node set is the full grid's, so combining the
-    blocks' extremes (module docstring) is exact.  A coupled or opaque
-    field is one block, the full grid.  G (on the domain grid) and G1 (on
+    blocks' extremes (module docstring) is exact.  A field whose coupling
+    is None is one block, the full grid.  G (on the domain grid) and G1 (on
     the neighborhood grid) are taken on the axes g reads, the other axes
     pinned at the centre: one point for a constant g.  The complement
     gap is taken at every domain node outside the neighborhood, and the
@@ -190,7 +191,6 @@ def estimate_constants(
     nb = spec.maximum.neighborhood
     m = box.dimension
     axis, gauss, _ = limit_axes(spec)
-    h = default_fd_step(box)
 
     # a domain node lies outside the neighborhood iff one of its coordinates does
     has_outside = any(
@@ -202,7 +202,7 @@ def estimate_constants(
     g_abs = np.abs(field_values(g_box, box.grid_points(grid_res, g_axes)))
     _check_finite(g_abs, "g")
     G = float(np.max(g_abs))
-    g_grads = gradients_on(g_box, nb.grid_points(grid_res, g_axes), box, h)
+    g_grads = gradients_on(g_box, nb.grid_points(grid_res, g_axes))
     _check_finite(g_grads, "grad g")
     G1 = float(np.max(np.linalg.norm(g_grads, axis=-1)))
 
@@ -216,7 +216,7 @@ def estimate_constants(
     for N in sweep_eval:
         f_n = spec.f_of_box(N)
         ext = _combine([
-            _neighborhood_extremes(f_n, nb.grid_points(grid_res, b), box, h, axis, gauss, b)
+            _neighborhood_extremes(f_n, nb.grid_points(grid_res, b), axis, gauss, b)
             for b in axis_blocks(f_n.coupling, m)
         ])
         if ext["top"] >= 0.0:
@@ -284,7 +284,7 @@ def estimate_constants(
         grid_res=grid_res,
         n_sweep=n_sweep,
         safety_factor=sf,
-        fd_step=h,
+        fd_step=1e-4 * float(np.min(box.edges)),
         boundary_axis=axis,
         problem=spec.name,
     )
@@ -308,7 +308,6 @@ def audit_constants(
     nb = spec.maximum.neighborhood
     m = box.dimension
     axis, gauss, _ = limit_axes(spec)
-    h = report.fd_step
 
     pts = rng.uniform(nb.lower, nb.upper, size=(n_points, m))
     om = rng.uniform(box.lower, box.upper, size=(4 * n_points, m))
@@ -323,12 +322,12 @@ def audit_constants(
 
     g_box = spec.g_box
     check(float(np.max(np.abs(field_values(g_box, om)))) <= report.G * slack, "G")
-    gg = gradients_on(g_box, pts, box, h)
+    gg = gradients_on(g_box, pts)
     check(float(np.max(np.linalg.norm(gg, axis=-1))) <= report.G1 * slack, "G1")
 
     for N in report.n_sweep:
         f_n = spec.f_of_box(N)
-        ext = _combine([_neighborhood_extremes(f_n, pts, box, h, axis, gauss)])
+        ext = _combine([_neighborhood_extremes(f_n, pts, axis, gauss)])
         check(ext["F2"] <= report.F2 * slack, f"F2@N={N}")
         check(ext["F3"] <= report.F3 * slack + 1e-12, f"F3@N={N}")
         check(ext["F2_prime"] >= report.F2_prime / slack, f"F2_prime@N={N}")

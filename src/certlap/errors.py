@@ -20,12 +20,9 @@ class NonUniqueMaximumError(ToolkitError):
     """Two non-adjacent grid cells attain the maximum within tolerance."""
 
 
-class StepSizeError(ToolkitError):
-    """Finite-difference step is nonpositive or too large for the box."""
-
-
 class FieldEvaluationError(ToolkitError):
-    """A field returned a non-finite value inside a stencil or grid."""
+    """A field returned a non-finite value on a grid, or a batch of the
+    wrong shape."""
 
 
 class DefinitenessError(ToolkitError):

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import ConstantsReport, estimate_constants
-from .derivatives import field_values, gradient_at, gradients_on, hessian_at
+from .derivatives import field_values, gradients_on
 from .errors import (
     AssumptionViolationError,
     DomainError,
@@ -142,12 +142,12 @@ class MgfReport:
 def _limit_covariance(spec: ProblemSpec) -> np.ndarray:
     """(-D^2 f_limit(x*))^{-1} on the Gaussian axes, box frame."""
     _, gauss, _ = limit_axes(spec)
-    H = gauss_block(hessian_at(spec.f_limit_box, spec.z_star, spec.domain), gauss)
+    H = gauss_block(spec.f_limit_box.hessian(spec.z_star), gauss)
     return np.linalg.inv(-H)
 
 
 def _limit_rate(spec: ProblemSpec, axis: int) -> float:
-    g = gradient_at(spec.f_limit_box, spec.z_star, spec.domain)
+    g = spec.f_limit_box.gradient(spec.z_star)
     return abs(float(g[axis]))
 
 
@@ -296,7 +296,7 @@ def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> 
     z_star = spec.z_star
     axis, gauss, _ = limit_axes(spec)
     fixed = None if axis is None else {axis: z_star[axis]}
-    dsig_norm = float(np.linalg.norm(gradient_at(spec.sigma_box, z_star, box)[gauss]))
+    dsig_norm = float(np.linalg.norm(spec.sigma_box.gradient(z_star)[gauss]))
 
     rows = []
     for N in n_sweep:
@@ -366,8 +366,8 @@ def tilted_maximizer_check(
         eps_n = float(spec.epsilon.evaluate(N))
         scale2 = N**1.5 if eps_n == 0.0 else min(N**1.5, sqrtN / eps_n)
         s2 = abs(f_tilde_val - f_star_n - quad) * scale2
-        H_n = hessian_at(f_n, z_n, box)
-        H_t = hessian_at(f_n, z_t, box)  # tilt is linear: same Hessian field
+        H_n = f_n.hessian(z_n)
+        H_t = f_n.hessian(z_t)  # tilt is linear: same Hessian field
         ratio = math.sqrt(abs(np.linalg.det(H_n)) / abs(np.linalg.det(H_t)))
         s3 = abs(ratio - 1.0) * sqrtN
         rows.append({"N": N, "stat_drift": s1, "stat_value": s2, "stat_det": s3})
@@ -505,7 +505,7 @@ class _Envelope:
             vals = np.zeros(read.shape)
             vals[at] = field_values(f_n, nodes) - self.f_star
             lip = consts.safety_factor * float(np.max(np.linalg.norm(
-                gradients_on(f_n, nodes, box, consts.fd_step), axis=-1)))
+                gradients_on(f_n, nodes), axis=-1)))
             top = np.max([vals[corner] for corner in corners], axis=0)
             self.log_top = N * (top + lip * 0.5 * np.linalg.norm(self.cell_width, axis=1))
         log_m_cells = self.log_top + np.sum(np.log(self.cell_width), axis=1)
@@ -803,14 +803,14 @@ def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
     Y = transform_to_fluctuations(batch)
     z_n = spec.z_star_of_N(N)
     f_n = spec.f_of_box(N)
-    K = -hessian_at(f_n, z_n, spec.domain)
+    K = -f_n.hessian(z_n)
     axis, gauss, _ = limit_axes(spec)
     K_ss = gauss_block(K, gauss)
     stats = []
     if axis is not None:
         if model.rate is None or model.rate <= 0:
             raise ValueError("boundary model needs a positive rate")
-        a = abs(float(gradient_at(f_n, z_n, spec.domain)[axis]))
+        a = abs(float(f_n.gradient(z_n)[axis]))
         k_ts = K[axis, gauss]
         b = K[axis, axis] - (k_ts @ np.linalg.solve(K_ss, k_ts) if gauss else 0.0)
         c = b / (2.0 * N * a * a)

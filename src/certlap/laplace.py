@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .constants import ConstantsReport
-from .derivatives import gradient_at, hessian_at
 from .errors import (
     DegenerateHessianError,
     MissingConstantError,
@@ -154,18 +153,17 @@ def _local_model(spec: ProblemSpec, N: int):
             f"shrinking window at N={N} does not fit inside the certified neighborhood"
         )
     axis, gauss, s = limit_axes(spec)
-    box = spec.domain
     f_n = spec.f_of_box(N)
     fval = float(np.asarray(f_n.evaluate(z_n)))
     poly = (2.0 * math.pi / N) ** (len(gauss) / 2.0)
     scale = 1.0
     if axis is not None:
-        inward = s * gradient_at(f_n, z_n, box)[axis]
+        inward = s * f_n.gradient(z_n)[axis]
         if abs(inward) < 1e-14:
             raise DegenerateHessianError("inward first derivative vanishes at the maximizer")
         poly = (1.0 / N) * poly
         scale = abs(inward)
-    det = abs(float(np.linalg.det(gauss_block(hessian_at(f_n, z_n, box), gauss))))
+    det = abs(float(np.linalg.det(gauss_block(f_n.hessian(z_n), gauss))))
     if det < 1e-300:
         raise DegenerateHessianError(
             "Hessian block on the Gaussian axes is numerically singular at the maximizer"

@@ -20,8 +20,8 @@ Where the integrand factorises, so does each tensor sum (the product rule,
 Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984,
 §5.6).  The axes are split into blocks: the coupling of f(., N) and of the
 log weight (``ScalarField.coupling``), joined, plus one block holding every
-axis a non-constant weight reads.  A plain callable and an opaque field
-couple every axis.  Each block is summed on its own, with the other axes
+axis a non-constant weight reads.  A plain-callable log weight couples
+every axis.  Each block is summed on its own, with the other axes
 pinned at the centre, and Q_n, Q_{n-2} and the |integrand| sum are products
 over blocks, so the refinement path is the one the full tensor sum would
 take.  ``evaluations`` counts the integrand evaluations made,
@@ -141,14 +141,13 @@ def _tensor_sum(
     return math.fsum(partials), math.fsum(abs_partials), n0 * inner
 
 
-def _blocks(m: int, f: ScalarField, log_weight: Optional[ScalarField], weight: ScalarField):
+def _blocks(m: int, f: ScalarField, lw_coupling, weight: ScalarField):
     """The sorted axis blocks the integrand factorises over, and the index of
     the block the weight is applied in.  The couplings of f and of the log
     weight are joined with one block of every axis the weight reads (the
     weight multiplies the integrand); an axis nothing reads is a block of
     its own."""
     w_axes = read_axes(weight.coupling, m)
-    lw_coupling = () if log_weight is None else log_weight.coupling
     blocks = axis_blocks(join_coupling(f.coupling, lw_coupling, (w_axes,)), m)
     return blocks, next(k for k, b in enumerate(blocks) if set(w_axes) <= set(b))
 
@@ -167,13 +166,13 @@ def integrate(
     ``weight`` replaces the problem's g (multiplicative); ``log_weight`` is
     added inside the exponent (used for exponential tilts, where a
     multiplicative weight would overflow).  ``log_weight`` is a ScalarField
-    or a plain callable; either must map points of shape (..., m) to values
-    of shape (...).
+    or a plain callable that only evaluates; either must map points of
+    shape (..., m) to values of shape (...).
 
     The axes are split into blocks that nothing couples: the coupling of
     f(., N) joined with that of the log weight, plus one block holding every
-    axis a non-constant weight reads (a plain callable or an opaque field
-    couples every axis; an axis nothing reads is a block of its own).  Each
+    axis a non-constant weight reads (a plain-callable log weight couples
+    every axis; an axis nothing reads is a block of its own).  Each
     panel sum is the product over blocks of the tensor sum over the block's
     axes, with the other axes pinned at the centre, and the weight applied
     in one block; with one block it is the full tensor sum.
@@ -205,13 +204,12 @@ def integrate(
     box = domain if domain is not None else spec.domain
     f_box = spec.f_of_box(N)
     w_box = spec.g_box if weight is None else rotated_view(weight, box.rotation)
-    if log_weight is not None and not isinstance(log_weight, ScalarField):
-        log_weight = ScalarField(log_weight, name="log_weight")
     if center is None:
         center = spec.z_star_of_N(N)
     c = box.clip(np.asarray(center, dtype=float))
 
-    blocks, w_block = _blocks(m, f_box, log_weight, w_box)
+    lw_coupling = () if log_weight is None else getattr(log_weight, "coupling", None)
+    blocks, w_block = _blocks(m, f_box, lw_coupling, w_box)
     f_peak = float(np.asarray(f_box.evaluate(c)))
     lw_peak = float(field_values(log_weight, c)) if log_weight is not None else 0.0
     log_offset = N * f_peak + lw_peak

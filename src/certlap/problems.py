@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .derivatives import field_values, gradient_at, hessian_at
+from .derivatives import field_values
 from .errors import (
     AmbiguousMaximumError,
     DefinitenessError,
@@ -165,49 +165,49 @@ def read_axes(coupling: Coupling, m: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function: a term list, or an opaque callable that only
-    evaluates.
+    """Scalar function given by a term list: sum(c * prod(x_i ** e_i) *
+    exp(rate . x)) over its terms (see ``_term_field``).
 
     ``evaluate`` takes a point of shape (m,) or a batch (..., m) and returns
-    a scalar / (...) array.
-
-    ``terms`` is the term list of a grammar field (see ``_term_field``);
-    None for an opaque field.  ``gradient`` (..., m), ``hessian``
-    (..., m, m) and ``third_tensor`` (..., m, m, m) are derived from the
-    terms by the product rule (``_term_handles``) and are None for an
-    opaque field; a ``dataclasses.replace`` copy that keeps the terms keeps
-    the handles, and so the derivative tables they build.
+    a scalar / (...) array.  ``gradient`` (..., m), ``hessian`` (..., m, m)
+    and ``third_tensor`` (..., m, m, m) are derived from the terms by the
+    product rule (``_term_handles``); a ``dataclasses.replace`` copy that
+    keeps the terms keeps the handles, and so the derivative tables they
+    build.
 
     ``coupling`` lists blocks of axes such that the field is a sum of
     functions that each read one block: the connected components of the
-    terms' supports for a grammar field, joined by ``add_fields``.  None
-    (the default, for an opaque field) couples every axis.  The oracle sums
-    exp(N f) block by block when f's coupling splits.
+    terms' supports, joined by ``add_fields``.  None (the default) couples
+    every axis.  The oracle sums exp(N f) block by block when f's coupling
+    splits.
     """
 
-    evaluate: Callable
+    terms: tuple
     name: str = ""
     coupling: Coupling = None
-    terms: Optional[tuple] = None
     # (terms, handles), rebuilt only when the terms are not the ones the
     # handles were derived from
-    _derived: tuple = field(default=(None, (None,) * 3), repr=False, compare=False)
+    _derived: tuple = field(default=(None, None), repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.terms, tuple):
+            raise TypeError(f"a ScalarField needs a tuple of terms, not {type(self.terms)}")
         if self._derived[0] is not self.terms:
-            handles = (None,) * 3 if self.terms is None else _term_handles(self.terms)
-            object.__setattr__(self, "_derived", (self.terms, handles))
+            object.__setattr__(self, "_derived", (self.terms, _term_handles(self.terms)))
+
+    def evaluate(self, pts):
+        return _eval_terms(self.terms, pts)
 
     @property
-    def gradient(self) -> Optional[Callable]:
+    def gradient(self) -> Callable:
         return self._derived[1][0]
 
     @property
-    def hessian(self) -> Optional[Callable]:
+    def hessian(self) -> Callable:
         return self._derived[1][1]
 
     @property
-    def third_tensor(self) -> Optional[Callable]:
+    def third_tensor(self) -> Callable:
         return self._derived[1][2]
 
 
@@ -329,9 +329,7 @@ def _term_field(terms, name: str = "") -> ScalarField:
     the supports of the nonzero terms."""
     terms = tuple(terms)
     supports = tuple(_support(t) for t in terms if t[0] != 0.0)
-    return ScalarField(
-        functools.partial(_eval_terms, terms), name, join_coupling(supports), terms
-    )
+    return ScalarField(terms, name, join_coupling(supports))
 
 
 def constant_field(c: float, name: str = "const") -> ScalarField:
@@ -371,20 +369,13 @@ def exponential_field(scale: float, linear, offset: float = 0.0, name: str = "ex
 
 
 def add_fields(f1: ScalarField, f2: Optional[ScalarField], w2: float, name: str = "") -> ScalarField:
-    """f1 + w2 * f2.  Two term-list fields give the concatenated term list,
-    the second scaled by w2; a sum with an opaque field only evaluates."""
+    """f1 + w2 * f2: the concatenated term list, the second scaled by w2."""
     if f2 is None or w2 == 0.0:
         return replace(f1, name=name or f1.name)
-    name = name or f"{f1.name}+{w2}*{f2.name}"
-    coupling = join_coupling(f1.coupling, f2.coupling)
-    if f1.terms is not None and f2.terms is not None:
-        terms = f1.terms + tuple((w2 * c, powers, rate) for c, powers, rate in f2.terms)
-        return ScalarField(functools.partial(_eval_terms, terms), name, coupling, terms)
-
-    def evaluate(pts):
-        return np.asarray(f1.evaluate(pts)) + w2 * np.asarray(f2.evaluate(pts))
-
-    return ScalarField(evaluate, name, coupling)
+    terms = f1.terms + tuple((w2 * c, powers, rate) for c, powers, rate in f2.terms)
+    return ScalarField(
+        terms, name or f"{f1.name}+{w2}*{f2.name}", join_coupling(f1.coupling, f2.coupling)
+    )
 
 
 def _rotate_terms(terms, R: np.ndarray) -> list:
@@ -414,20 +405,12 @@ def _rotate_terms(terms, R: np.ndarray) -> list:
 
 
 def rotated_view(fld: ScalarField, rotation: np.ndarray) -> ScalarField:
-    """Box-frame view z -> fld(R z).  A term list is taken through the
-    rotation once (``_rotate_terms``), so the view is a term-list field
-    whose coupling comes from its terms; an opaque field gets a view that
-    only evaluates, at R z."""
+    """Box-frame view z -> fld(R z): the term list taken through the
+    rotation once (``_rotate_terms``), with the coupling of its terms."""
     R = np.asarray(rotation, dtype=float)
     if np.array_equal(R, np.eye(R.shape[0])):
         return fld
-    if fld.terms is not None:
-        return _term_field(_rotate_terms(fld.terms, R), f"{fld.name}@box")
-
-    def evaluate(pts):
-        return fld.evaluate(np.asarray(pts, dtype=float) @ R.T)
-
-    return ScalarField(evaluate, f"{fld.name}@box")
+    return _term_field(_rotate_terms(fld.terms, R), f"{fld.name}@box")
 
 
 @dataclass(frozen=True)
@@ -501,11 +484,10 @@ class ProblemSpec:
     n_zero: int = 1
     exact_integral: Optional[Callable[[int], float]] = None
 
-    # the fields in the box frame, taken through the rotation once
-    f_limit_box: ScalarField = field(init=False, repr=False, compare=False)
-    sigma_box: Optional[ScalarField] = field(init=False, repr=False, compare=False)
-    g_box: ScalarField = field(init=False, repr=False, compare=False)
-    _f_of_box: dict = field(init=False, repr=False, compare=False)
+    # (inputs, (f_limit_box, sigma_box, g_box), {N: f(., N)}): the fields in
+    # the box frame, taken through the rotation once, and one f(., N) per N.
+    # A dataclasses.replace copy whose inputs are the same objects keeps them.
+    _frame: tuple = field(default=(None,) * 3, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension != self.domain.dimension:
@@ -514,13 +496,25 @@ class ProblemSpec:
             raise ValueError("n_zero must be a positive integer")
         if not self.domain.contains_box(self.maximum.neighborhood):
             raise ValueError("neighborhood must be contained in the domain")
-        R = self.domain.rotation
-        object.__setattr__(self, "f_limit_box", rotated_view(self.f_limit, R))
-        object.__setattr__(
-            self, "sigma_box", None if self.sigma is None else rotated_view(self.sigma, R)
-        )
-        object.__setattr__(self, "g_box", rotated_view(self.g, R))
-        object.__setattr__(self, "_f_of_box", {})
+        inputs = (self.name, self.domain, self.f_limit, self.sigma, self.g, self.epsilon)
+        old = self._frame[0]
+        if old is None or any(a is not b for a, b in zip(old, inputs)):
+            R = self.domain.rotation
+            sigma_box = None if self.sigma is None else rotated_view(self.sigma, R)
+            fields = (rotated_view(self.f_limit, R), sigma_box, rotated_view(self.g, R))
+            object.__setattr__(self, "_frame", (inputs, fields, {}))
+
+    @property
+    def f_limit_box(self) -> ScalarField:
+        return self._frame[1][0]
+
+    @property
+    def sigma_box(self) -> Optional[ScalarField]:
+        return self._frame[1][1]
+
+    @property
+    def g_box(self) -> ScalarField:
+        return self._frame[1][2]
 
     @property
     def z_star(self) -> np.ndarray:
@@ -535,11 +529,12 @@ class ProblemSpec:
         field per N is kept, so its derivative tables are built once; two
         threads may both build it, and it is the same field."""
         N = int(N)
-        f = self._f_of_box.get(N)
+        cache = self._frame[2]
+        f = cache.get(N)
         if f is None:
             eps = float(self.epsilon.evaluate(N))
             f = add_fields(self.f_limit_box, self.sigma_box, eps, name=f"{self.name}:f(N={N})")
-            self._f_of_box[N] = f
+            cache[N] = f
         return f
 
 
@@ -563,7 +558,7 @@ def locate_maximum(
     one shorter than 1e-9 of that cap (the error left is of order its square);
     elsewhere a gradient step, until the gradient is within ``gtol``.  Armijo
     backtracking runs along the projection arc; a full step that loses only
-    round-off is taken.  Derivatives come from gradient_at and hessian_at.
+    round-off is taken.  Derivatives come from the field's handles.
 
     Returns (z, value)."""
     fixed_axes = fixed_axes or {}
@@ -573,11 +568,11 @@ def locate_maximum(
     cap, f = 0.25 * float(np.min(box.edges)), float(field_values(fld, z))
     lower, upper = box.lower + 1e-13 * box.edges, box.upper - 1e-13 * box.edges
     for _ in range(200):
-        g = gradient_at(fld, z, box)
+        g = fld.gradient(z)
         free = ~(pinned | (z <= lower) & (g < 0) | (z >= upper) & (g > 0))
         if not np.any(g[free]):
             break
-        K = -hessian_at(fld, z, box)[np.ix_(free, free)]
+        K = -fld.hessian(z)[np.ix_(free, free)]
         try:
             np.linalg.cholesky(K)
             newton, d_free = True, np.linalg.solve(K, g[free])
@@ -781,7 +776,7 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
     if z[axis] != face_val:  # the free solve may already hold the face
         z_face, _ = locate_maximum(fld, box, z, fixed_axes={axis: face_val})
 
-    inward = (1.0 if side == 0 else -1.0) * gradient_at(fld, z_face, box)[axis]
+    inward = (1.0 if side == 0 else -1.0) * fld.gradient(z_face)[axis]
     if inward < -_GRAD_TOL * scale:
         # strictly decreasing into the domain: genuine boundary maximum
         _check_signature(fld, z_face, box, scale, axis)
@@ -802,7 +797,7 @@ def _check_signature(fld, z, box, scale, axis=None, side=None, where="the maximi
     Hessian is negative definite on the other axes.  With ``side`` (0 for
     the lower face of ``axis``, 1 for the upper) the inward derivative must
     also be strictly negative."""
-    g = gradient_at(fld, z, box)
+    g = fld.gradient(z)
     gauss = [i for i in range(box.dimension) if i != axis]
     if np.linalg.norm(g[gauss]) > _GRAD_TOL * scale:
         raise AmbiguousMaximumError(
@@ -810,7 +805,7 @@ def _check_signature(fld, z, box, scale, axis=None, side=None, where="the maximi
         )
     if side is not None and (1.0 if side == 0 else -1.0) * g[axis] >= -_GRAD_TOL * scale:
         raise AmbiguousMaximumError(f"inward derivative is not strictly negative at {where}")
-    H = gauss_block(hessian_at(fld, z, box), gauss)
+    H = gauss_block(fld.hessian(z), gauss)
     if np.max(np.linalg.eigvalsh(0.5 * (H + H.T)), initial=-np.inf) >= 0:
         raise DefinitenessError(
             f"Hessian on the Gaussian axes is not negative definite at {where}"

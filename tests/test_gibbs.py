@@ -754,7 +754,7 @@ def _full_grid_cells(spec, consts, N):
         vals = np.full(read.shape, -math.inf)
         vals[read] = field_values(env.f_n, nodes) - env.f_star
         lip = consts.safety_factor * float(np.max(np.linalg.norm(
-            gradients_on(env.f_n, nodes, box, consts.fd_step), axis=-1)))
+            gradients_on(env.f_n, nodes), axis=-1)))
         top = np.max([vals[s] for s in corners], axis=0).ravel()[out]
         log_top = N * (top + lip * 0.5 * np.linalg.norm(width[out], axis=1))
     log_m_cells = log_top + np.sum(np.log(width[out]), axis=1)

@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import certlap
 
 SRC = Path(certlap.__file__).parent
@@ -84,26 +87,25 @@ def test_oracle_builds_no_meshgrid_copies():
     assert found == []
 
 
-def test_one_stencil_path():
-    """derivatives.py differences fields through the one batched stencil
-    function: the per-point helpers are gone, and no other function calls
-    field_values."""
-    path = SRC / "derivatives.py"
-    tree = ast.parse(path.read_text())
+def test_no_difference_stencil():
+    """Every field is a term list with exact derivative handles: no function
+    or table in the package is a difference stencil, and a ScalarField
+    cannot be built from a bare callable."""
     found = []
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if fn.name in ("_fd_gradient", "_fd_hessian", "_pick_side"):
-            found.append(f"{path.name}:{fn.lineno}: def {fn.name}")
-        if fn.name == "_stencil":
-            continue
-        found += [
-            f"{path.name}:{node.lineno}: field_values() in {fn.name}"
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field_values"
-        ]
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names
+                      if n in ("_D1", "_D2") or "stencil" in n.lower()]
     assert found == []
+    with pytest.raises(TypeError):
+        certlap.ScalarField(lambda p: -np.sum(p * p, axis=-1), name="bare")
+    with pytest.raises(TypeError):
+        certlap.ScalarField(evaluate=lambda p: -np.sum(p * p, axis=-1))
 
 
 def _fresh_python(code: str) -> str:

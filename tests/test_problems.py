@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from certlap import (
     ProblemSpec,
     catalog_names,
     classify_maximum,
-    ScalarField,
     constant_field,
     exponential_field,
     get_problem,
@@ -109,6 +109,40 @@ class TestAssembleF:
         assert spec.f_of_box(100) is spec.f_of_box(100.0)
         assert spec.f_of_box(100) is not spec.f_of_box(101)
 
+    def test_inline_problem_keeps_the_draft_fields(self, monkeypatch):
+        # problem_from_config classifies a draft spec and returns a copy with
+        # the maximum filled in: the copy reuses the draft's box-frame fields
+        # and every f(., N) the classification built
+        import certlap.config
+
+        drafts = []
+        real = certlap.config.classify_maximum
+        monkeypatch.setattr(certlap.config, "classify_maximum",
+                            lambda spec, **kw: drafts.append(spec) or real(spec, **kw))
+        c, s = math.cos(0.4), math.sin(0.4)
+        spec = problem_from_config({
+            "name": "cub2d_rot",
+            "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0],
+                       "rotation": [[c, -s], [s, c]]},
+            "f": {"type": "polynomial", "terms": [
+                {"coeff": -0.5, "powers": [2, 0]}, {"coeff": -1.0, "powers": [0, 2]},
+                {"coeff": 0.2, "powers": [3, 0]}, {"coeff": 0.1, "powers": [1, 1]}]},
+            "g": {"type": "exponential", "linear": [0.3, -0.2]},
+            "sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+            "epsilon": {"class": "power", "exponent": -0.75},
+        })
+        (draft,) = drafts
+        assert spec is not draft and spec.maximum is not draft.maximum
+        for name in ("f_limit_box", "sigma_box", "g_box"):
+            assert getattr(spec, name) is getattr(draft, name)
+        assert spec.f_limit_box is not spec.f_limit  # taken through the rotation
+        # the classification solved x*(N) at N = n_zero + 1
+        assert draft.f_of_box(spec.n_zero + 1) is spec.f_of_box(spec.n_zero + 1)
+        assert draft.f_of_box(400) is spec.f_of_box(400)
+        # a copy with another field builds its own
+        other = replace(spec, g=constant_field(2.0))
+        assert other.g_box is not spec.g_box and other.f_of_box(400) is not spec.f_of_box(400)
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-1.0, 1.0), st.integers(20, 10_000))
     def test_assembly_linearity(self, x, n):
@@ -170,9 +204,6 @@ class TestCoupling:
         g = polynomial_field([(-1.0, (2, 0)), (-2.0, (0, 2))])
         assert rotated_view(g, R).coupling == ((0, 1),)
         assert rotated_view(exponential_field(1.0, [0.3, 0.0]), R).coupling == ((0, 1),)
-
-    def test_opaque_field_couples_every_axis(self):
-        assert ScalarField(lambda p: -np.sum(np.asarray(p) ** 2, axis=-1)).coupling is None
 
 
 class TestPolynomialDerivatives:
@@ -329,7 +360,7 @@ def _exponential_sums(draw):
 class TestTermFields:
     """Every grammar field is a term list c * x^p * exp(rate . x) with one
     evaluator and one product-rule derivative; add_fields concatenates term
-    lists, and a sum with an opaque field only evaluates."""
+    lists."""
 
     @settings(max_examples=40, deadline=None)
     @given(_exponential_sums())
@@ -383,17 +414,6 @@ class TestTermFields:
             ref = _handles(f1, k)(pts) + w * _handles(f2, k)(pts)
             assert np.array_equal(_handles(total, k)(pts), ref)
 
-    def test_opaque_operand_only_evaluates(self):
-        f = polynomial_field([(-0.5, (2, 0)), (0.2, (3, 0)), (0.1, (1, 1))])
-        g = exponential_field(1.0, [0.3, -0.2])
-        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 2))
-        bare = ScalarField(g.evaluate, name="bare")
-        for total in (add_fields(f, bare, 0.5), add_fields(bare, f, 0.5)):
-            assert total.terms is None and total.coupling is None
-            assert total.gradient is None and total.hessian is None and total.third_tensor is None
-        total = add_fields(f, bare, 0.5)
-        assert np.array_equal(total.evaluate(pts), f.evaluate(pts) + 0.5 * g.evaluate(pts))
-
 
 @st.composite
 def _rotated_sums(draw):
@@ -424,8 +444,7 @@ def _chain_rule(f, R, z, order):
 
 
 class TestRotatedTerms:
-    """rotated_view multiplies a term list out through the rotation once; an
-    opaque field's view only evaluates, at R z."""
+    """rotated_view multiplies a term list out through the rotation once."""
 
     @settings(max_examples=60, deadline=None)
     @given(_rotated_sums())
@@ -454,15 +473,6 @@ class TestRotatedTerms:
             tol = bound * count.reshape(count.shape + (1,) * k) * 2.0**-52
             err = np.abs(np.asarray(_handles(rotated, k)(z)) - _chain_rule(f, R, z, k))
             assert np.all(err <= tol)
-
-    def test_opaque_field_only_evaluates(self):
-        g = exponential_field(1.0, [0.3, -0.2])
-        c, s = math.cos(0.3), math.sin(0.3)
-        R = np.array([[c, -s], [s, c]])
-        view = rotated_view(ScalarField(g.evaluate, name="bare"), R)
-        assert view.terms is None and view.coupling is None and view.gradient is None
-        z = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 2))
-        assert np.array_equal(view.evaluate(z), g.evaluate(z @ R.T))
 
 
 def _drifting(eps, n_zero=19):
@@ -503,9 +513,7 @@ class TestClassify:
         assert info.boundary_axis == 0
         assert info.x_star[0] == pytest.approx(0.0, abs=1e-12)
         # inward derivative is -1
-        from certlap.problems import gradient_at
-
-        g = gradient_at(spec.f_limit_box, info.x_star, box)
+        g = spec.f_limit_box.gradient(info.x_star)
         assert g[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_mixed2d_grid_argmax_then_classifier(self):
@@ -671,8 +679,6 @@ def _lbfgsb_then_newton(fld, box, start):
     gradient tolerance would leave an error of gtol over the curvature)."""
     from scipy import optimize
 
-    from certlap.derivatives import gradient_at, hessian_at
-
     res = optimize.minimize(
         lambda z: -float(field_values(fld, z)), np.asarray(start, dtype=float),
         jac=lambda z: -np.asarray(fld.gradient(z), dtype=float), method="L-BFGS-B",
@@ -685,8 +691,8 @@ def _lbfgsb_then_newton(fld, box, start):
                  if box.lower[i] + 1e-13 < z[i] < box.upper[i] - 1e-13]
         if not inner:
             break
-        g = gradient_at(fld, z, box)[inner]
-        step = np.linalg.solve(hessian_at(fld, z, box)[np.ix_(inner, inner)], -g)
+        g = fld.gradient(z)[inner]
+        step = np.linalg.solve(fld.hessian(z)[np.ix_(inner, inner)], -g)
         z_new = z.copy()
         z_new[inner] += step
         z_new = box.clip(z_new)
@@ -746,31 +752,6 @@ class TestLocateMaximum:
         f = polynomial_field([(0.5, (2, 0)), (-0.25, (4, 0)), (-1.0, (0, 2)), (0.3, (0, 1))])
         z, _ = self.locate(f, box, [0.05, 0.9])
         np.testing.assert_allclose(z, [1.0, 0.15], atol=1e-12)
-
-    @pytest.mark.parametrize("lower, upper, start, expected", [
-        ([-1.0, -1.0], [1.0, 1.0], [0.9, -0.9], None),  # interior maximum
-        ([0.0, -1.0], [1.0, 1.0], [0.5, 0.5], 0.0),     # x held at its lower bound
-    ])
-    def test_opaque_field_uses_the_stencils(self, lower, upper, start, expected):
-        box = BoxDomain(lower, upper)
-        f = polynomial_field([(-1.0, (2, 0)), (0.6, (1, 0)), (-2.0, (0, 2)), (-0.4, (0, 1)),
-                              (0.1, (1, 1)), (0.05, (3, 0))])
-        if expected is not None:
-            f = add_fields(f, linear_field([-3.0, 0.0]), 1.0)
-        evaluations = []
-
-        def counted(pts):
-            evaluations.append(1)
-            return f.evaluate(pts)
-
-        opaque = ScalarField(counted, name="opaque")
-        z_ref, _ = self.locate(f, box, start)
-        z, value = self.locate(opaque, box, start)
-        np.testing.assert_allclose(z, z_ref, atol=1e-8)
-        assert value == pytest.approx(float(f.evaluate(z_ref)), abs=1e-14)
-        if expected is not None:
-            assert z[0] == expected == z_ref[0]
-        assert len(evaluations) < 200
 
     @settings(max_examples=60, deadline=None)
     @given(
