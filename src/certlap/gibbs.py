@@ -22,6 +22,11 @@ at a boundary maximum) on the neighborhood, one constant per cell off it.
 Each proposal is labelled with the piece that drew it and read against
 that piece alone; the mass of the pieces gives the predicted acceptance,
 which sizes the proposal blocks, and every draw read is checked against E'.
+The cells are geometry, fixed by the domain and the neighborhood and built
+once for every N of a sweep; only their bounds are values of N.  A block
+whose picks all fall to the core (at large N the core holds nearly all the
+mass) is drawn and read with no labels gathered or scattered, and gives the
+same draws.
 
 ``mgf_Y`` tests the N -> infinity law.  The draws are tested against the
 law at finite N instead: ``empirical_limit_test`` rescales them about
@@ -423,6 +428,64 @@ def _cell_breaks(lo: float, nb_lo: float, nb_up: float, up: float, n: int) -> np
     return np.append(np.concatenate(parts), up)
 
 
+@dataclass(frozen=True)
+class _CellGeometry:
+    """The part of the envelope fixed by the domain and the neighborhood
+    alone, shared by every N: the cell walls per axis, the complement
+    cells' axis indices (C order), lower corners, widths, diagonals and
+    log volumes, the grid nodes that are some complement cell's corner,
+    and for each corner of each cell its row in ``nodes``."""
+    breaks: tuple
+    shape: tuple
+    cells: tuple
+    cell_lower: np.ndarray
+    cell_width: np.ndarray
+    diagonal: np.ndarray
+    log_volume: np.ndarray
+    nodes: np.ndarray
+    corner_rows: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _cell_geometry(lower: tuple, nb_lower: tuple, nb_upper: tuple, upper: tuple) -> _CellGeometry:
+    """The complement cells of the neighborhood [nb_lower, nb_upper] in the
+    domain [lower, upper].  A sweep builds one envelope per N on the same
+    bounds, so the last geometry is kept; its arrays are read-only."""
+    m = len(lower)
+    n = round(_CELLS ** (1.0 / m))
+    breaks = tuple(_cell_breaks(*b, n) for b in zip(lower, nb_lower, nb_upper, upper))
+    lows = [b[:-1] for b in breaks]
+    widths = [np.diff(b) for b in breaks]
+    mid = [a + 0.5 * w for a, w in zip(lows, widths)]
+    inside = [(c > lo) & (c < up) for c, lo, up in zip(mid, nb_lower, nb_upper)]
+    cells = tuple(np.empty((m, 0), dtype=np.intp))
+    if not all(ins.all() for ins in inside):
+        cells = np.nonzero(~functools.reduce(np.logical_and.outer, inside))
+    cell_width = np.stack([w[i] for w, i in zip(widths, cells)], axis=-1)
+    # the nodes at each corner of every complement cell, numbered in C order
+    corners = [tuple(i + c for i, c in zip(cells, corner)) for corner in np.ndindex((2,) * m)]
+    row = np.zeros(tuple(len(b) for b in breaks), dtype=np.intp)
+    for corner in corners:
+        row[corner] = 1
+    at = np.nonzero(row)
+    row[at] = np.arange(len(at[0]))
+    geo = _CellGeometry(
+        breaks=breaks,
+        shape=tuple(len(b) - 1 for b in breaks),
+        cells=cells,
+        cell_lower=np.stack([a[i] for a, i in zip(lows, cells)], axis=-1),
+        cell_width=cell_width,
+        diagonal=np.linalg.norm(cell_width, axis=1),
+        log_volume=np.sum(np.log(cell_width), axis=1),
+        nodes=np.stack([b[i] for b, i in zip(breaks, at)], axis=-1),
+        corner_rows=np.array([row[corner] for corner in corners]),
+    )
+    for a in (*breaks, *cells, geo.cell_lower, cell_width, geo.diagonal, geo.log_volume,
+              geo.nodes, geo.corner_rows):
+        a.flags.writeable = False
+    return geo
+
+
 class _Envelope:
     """Certified dominating function E' >= exp(N (f_N - f_N*)) on the domain
     for rejection sampling, f_N* = f_N(x*(N)); box frame throughout.
@@ -444,13 +507,15 @@ class _Envelope:
     times the safety factor (grid + safety, like the report constants).
     So E' = core 1_nb + sum_c exp(N B_c) 1_c.
 
-    The cells are never listed whole.  A cell lies in nb when its midpoint
-    does along every axis, so the complement is the negated outer product
-    of one inside mask per axis, and ``np.nonzero`` gives its cells' axis
-    indices in C order.  Each corner of those cells is a grid node found
-    by index; f and its gradient are evaluated once per node that is some
-    complement cell's corner, and nothing is built when nb covers the
-    domain.
+    The cells are geometry: they depend only on the domain and nb, so
+    ``_cell_geometry`` builds them once for all N of a sweep.  They are
+    never listed whole.  A cell lies in nb when its midpoint does along
+    every axis, so the complement is the negated outer product of one
+    inside mask per axis, and ``np.nonzero`` gives its cells' axis indices
+    in C order.  Each corner of those cells is a grid node found by index.
+    The values depend on N: f and its gradient are evaluated once per node
+    that is some complement cell's corner, and nothing is evaluated when nb
+    covers the domain.
 
     Proposals come from the mixture of the core over R^m and the cells, of
     mass M, labelled with the component that drew them (composition-
@@ -459,13 +524,14 @@ class _Envelope:
     rejected unread.  The accepted density is then proportional to
     [core 1_nb + sum_c exp(N B_c) 1_c] t / E' = t, t the target: exact
     wherever E' dominates, which ``sample`` checks at every draw it reads.
-    The acceptance probability is Z(N) exp(-N f_N*) / M."""
+    The acceptance probability is Z(N) exp(-N f_N*) / M.  Once N is large
+    the core holds nearly all of M, and a block whose picks all fall to the
+    core is drawn and read with no labels gathered or scattered."""
 
     def __init__(self, spec: ProblemSpec, consts: ConstantsReport, N: int):
         N = int(N)
         box, nb = spec.domain, spec.maximum.neighborhood
         self.nb = nb
-        m = box.dimension
         self.axis, self.gauss, self.sign = limit_axes(spec)
         self.z_n = spec.z_star_of_N(N)
         self.f_n = f_n = spec.f_of_box(N)
@@ -479,36 +545,17 @@ class _Envelope:
             self.rate = N * consts.F1_prime
             self.log_m_core -= math.log(self.rate)
 
-        # the complement cells' indices along each axis, in C order
-        n = round(_CELLS ** (1.0 / m))
-        self.breaks = [_cell_breaks(*b, n) for b in zip(box.lower, nb.lower, nb.upper, box.upper)]
-        self.shape = tuple(len(b) - 1 for b in self.breaks)
-        lower = [b[:-1] for b in self.breaks]
-        width = [np.diff(b) for b in self.breaks]
-        mid = [a + 0.5 * w for a, w in zip(lower, width)]
-        inside = [(c > lo) & (c < up) for c, lo, up in zip(mid, nb.lower, nb.upper)]
-        self.cells = tuple(np.empty((m, 0), dtype=np.intp))
-        if not all(ins.all() for ins in inside):
-            self.cells = np.nonzero(~functools.reduce(np.logical_and.outer, inside))
-        self.cell_lower = np.stack([a[i] for a, i in zip(lower, self.cells)], axis=-1)
-        self.cell_width = np.stack([w[i] for w, i in zip(width, self.cells)], axis=-1)
+        self.geometry = geo = _cell_geometry(
+            *(tuple(b) for b in (box.lower, nb.lower, nb.upper, box.upper)))
+        self.breaks, self.cell_lower, self.cell_width = geo.breaks, geo.cell_lower, geo.cell_width
         self.log_top = np.empty(0)
-        if self.cells[0].size:
-            # the nodes at each corner of every complement cell
-            corners = [tuple(i + c for i, c in zip(self.cells, corner))
-                       for corner in np.ndindex((2,) * m)]
-            read = np.zeros(tuple(len(b) for b in self.breaks), dtype=bool)
-            for corner in corners:
-                read[corner] = True
-            at = np.nonzero(read)
-            nodes = np.stack([b[i] for b, i in zip(self.breaks, at)], axis=-1)
-            vals = np.zeros(read.shape)
-            vals[at] = field_values(f_n, nodes) - self.f_star
+        if len(geo.nodes):
+            vals = field_values(f_n, geo.nodes) - self.f_star
             lip = consts.safety_factor * float(np.max(np.linalg.norm(
-                gradients_on(f_n, nodes), axis=-1)))
-            top = np.max([vals[corner] for corner in corners], axis=0)
-            self.log_top = N * (top + lip * 0.5 * np.linalg.norm(self.cell_width, axis=1))
-        log_m_cells = self.log_top + np.sum(np.log(self.cell_width), axis=1)
+                gradients_on(f_n, geo.nodes), axis=-1)))
+            top = np.max(vals[geo.corner_rows], axis=0)
+            self.log_top = N * (top + lip * 0.5 * geo.diagonal)
+        log_m_cells = self.log_top + geo.log_volume
         self.log_m_cells = float(np.logaddexp.reduce(log_m_cells, initial=-math.inf))
         self.log_m = float(np.logaddexp(self.log_m_core, self.log_m_cells))
         # component 0 is the core, component j >= 1 the complement cell j - 1
@@ -517,7 +564,7 @@ class _Envelope:
     def log_labelled(self, z: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """log E' at box-frame draws (k, m) from the component ``cell``: the
         cell's constant, or the core (-inf off nb) where ``cell`` is -1."""
-        if not len(self.log_top):
+        if cell.max() < 0:
             return self._log_core(z)
         core = cell < 0
         log_e = np.empty(len(z))
@@ -527,11 +574,21 @@ class _Envelope:
 
     def _log_core(self, z: np.ndarray) -> np.ndarray:
         """log of the core density at box-frame points (k, m), -inf off nb."""
-        d = (z - self.z_n)[:, self.gauss]
-        log_e = -0.5 * self.prec * np.einsum("ki,ki->k", d, d)
+        d = np.subtract(z, self.z_n)
+        g = d if self.axis is None else d[:, self.gauss]
+        log_e = np.einsum("ki,ki->k", g, g)
+        log_e *= -0.5 * self.prec
         if self.axis is not None:
-            log_e -= self.rate * self.sign * (z[:, self.axis] - self.z_n[self.axis])
-        log_e[np.any((z < self.nb.lower) | (z > self.nb.upper), axis=1)] = -np.inf
+            t = d[:, self.axis]
+            t *= self.rate * self.sign
+            log_e -= t
+        # one column at a time: numpy's any(axis=1) over (k, m) costs
+        # several times as much
+        off = np.zeros(len(z), dtype=bool)
+        for i, (lo, up) in enumerate(zip(self.nb.lower, self.nb.upper)):
+            off |= z[:, i] < lo
+            off |= z[:, i] > up
+        log_e[off] = -np.inf
         return log_e
 
     def log_envelope(self, z: np.ndarray) -> np.ndarray:
@@ -540,36 +597,48 @@ class _Envelope:
             np.clip(np.searchsorted(b, z[:, i], side="right") - 1, 0, len(b) - 2)
             for i, b in enumerate(self.breaks)
         )
-        top = np.full(self.shape, -np.inf)
-        top[self.cells] = self.log_top
+        top = np.full(self.geometry.shape, -np.inf)
+        top[self.geometry.cells] = self.log_top
         return np.logaddexp(self._log_core(z), top[idx])
 
     def propose(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k draws from the mixture of mass M and each one's complement cell
         index, -1 for a core draw.  The random streams are consumed in a
         fixed order: the component pick, the in-cell uniforms, the
-        exponential draws, then the normal draws."""
+        exponential draws, then the normal draws.  When no pick reaches a
+        cell the core draws are written straight into the output."""
         m = len(self.z_n)
         pick = rng.uniform(size=k)
         out = np.empty((k, m))
         cell = np.full(k, -1)
-        cells = None
-        if len(self.log_top):
-            cells = pick >= self.cum[0]
-            c = cell[cells] = np.minimum(
-                np.searchsorted(self.cum[1:], pick[cells], side="right"), len(self.cum) - 2)
-            out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.uniform(size=(len(c), m))
-            core = np.empty((k - len(c), m))
-        else:
-            core = out
-        core[:] = self.z_n
-        if self.axis is not None:
-            core[:, self.axis] += self.sign * rng.exponential(1.0 / self.rate, size=len(core))
-        normal = rng.standard_normal(size=(len(core), len(self.gauss)))
-        core[:, self.gauss] += normal / math.sqrt(self.prec)
-        if cells is not None:
-            out[~cells] = core
+        if pick.max() < self.cum[0]:
+            self._draw_core(rng, out)
+            return out, cell
+        cells = pick >= self.cum[0]
+        c = cell[cells] = np.minimum(
+            np.searchsorted(self.cum[1:], pick[cells], side="right"), len(self.cum) - 2)
+        out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.uniform(size=(len(c), m))
+        core = np.empty((k - len(c), m))
+        self._draw_core(rng, core)
+        out[~cells] = core
         return out, cell
+
+    def _draw_core(self, rng: np.random.Generator, core: np.ndarray) -> None:
+        """Fill ``core`` (k, m) with draws from the core: x*(N) plus, on the
+        exponential axis, sign times the exponential draws, then on the
+        Gaussian axes the normal draws over sqrt(prec)."""
+        root = math.sqrt(self.prec)
+        if self.axis is None:
+            rng.standard_normal(out=core)
+            core /= root
+            core += self.z_n
+            return
+        core[:, self.axis] = self.sign * rng.exponential(1.0 / self.rate, size=len(core))
+        core[:, self.axis] += self.z_n[self.axis]
+        normal = rng.standard_normal(size=(len(core), len(self.gauss)))
+        normal /= root
+        normal += self.z_n[self.gauss]
+        core[:, self.gauss] = normal
 
 
 def sample(
@@ -607,15 +676,19 @@ def sample(
         log_e = env.log_labelled(z, cell)
         read = log_e > -np.inf
         proposed += k
-        zi = z[read]
-        if len(zi):
-            log_ratio = N * (field_values(env.f_n, zi) - env.f_star) - log_e[read]
+        if not read.all():
+            z, u, log_e = z[read], u[read], log_e[read]
+        if len(z):
+            log_ratio = field_values(env.f_n, z)
+            log_ratio -= env.f_star
+            log_ratio *= N
+            log_ratio -= log_e
             if np.any(log_ratio > 1e-9):
                 raise EnvelopeFailureError(
                     "certified envelope exceeded by a drawn point",
                     acceptance_rate=n_have / proposed,
                 )
-            sel = zi[np.log(u[read]) <= log_ratio]
+            sel = z[np.log(u, out=u) <= log_ratio]
             got.append(sel)
             n_have += len(sel)
         if proposed >= 4096 and n_have / proposed < 1e-4:
@@ -697,9 +770,14 @@ def _rational(x: np.ndarray, coefs) -> np.ndarray:
 def _two_ranges(x: np.ndarray, joint: float, near, far) -> np.ndarray:
     """``near`` on the values x <= joint and ``far`` on the rest (NaN
     included), each called only on its own values and only if there are
-    any: np.piecewise's split without its fixed cost."""
-    out = np.empty_like(x)
+    any: np.piecewise's split without its fixed cost.  Neither function
+    changes x, so when every value falls on one side that side reads x
+    itself."""
     mask = x <= joint
+    n_near = np.count_nonzero(mask)
+    if x.size and n_near in (0, x.size):
+        return (near if n_near else far)(x)
+    out = np.empty_like(x)
     for sel, fn in ((mask, near), (~mask, far)):
         v = x[sel]
         if v.size:
@@ -735,7 +813,8 @@ def _erfcx_small(v: np.ndarray) -> np.ndarray:
 
 def _erfcx(x) -> np.ndarray:
     """Scaled complementary error function exp(x^2) erfc(x) for x >= 0."""
-    return _two_ranges(np.array(x, dtype=float, ndmin=1), 0.46875, _erfcx_small, _erfcx_tail)
+    return _two_ranges(np.array(x, dtype=float, ndmin=1, copy=None), 0.46875, _erfcx_small,
+                       _erfcx_tail)
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -776,13 +855,27 @@ def _ndtr(z) -> np.ndarray:
 def _exp_gauss_cdf(u: np.ndarray, c: float) -> np.ndarray:
     """CDF of the density proportional to exp(-u - c u^2) on u >= 0:
     1 - exp(-u - c u^2) erfcx(sqrt(c) u + w0) / erfcx(w0), w0 = 1/(2 sqrt(c));
-    Exp(1) when c <= 0."""
-    u = np.maximum(u, 0.0)
+    Exp(1) when c <= 0.  Formed in place in one copy of u and one scratch
+    array, besides erfcx's own."""
+    u = np.array(u, dtype=float)
+    np.maximum(u, 0.0, out=u)
     if c <= 0.0:
-        return -np.expm1(-u)
+        np.negative(u, out=u)
+        np.expm1(u, out=u)
+        return np.negative(u, out=u)
     r = math.sqrt(c)
     w0 = 0.5 / r
-    return 1.0 - np.exp(-u - c * u * u) * _erfcx(r * u + w0) / _erfcx(w0)
+    x = np.multiply(u, r)
+    x += w0
+    e = _erfcx(x)
+    np.multiply(u, c, out=x)
+    x *= u
+    np.negative(u, out=u)
+    u -= x
+    np.exp(u, out=u)
+    u *= e
+    u /= _erfcx(w0)
+    return np.subtract(1.0, u, out=u)
 
 
 def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:

@@ -21,7 +21,8 @@ Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984,
 §5.6).  The axes are split into blocks: the coupling of f(., N) and of the
 log weight (``ScalarField.coupling``), joined, plus one block holding every
 axis a non-constant weight reads.  A plain-callable log weight couples
-every axis.  Each block is summed on its own, with the other axes
+every axis.  The unit weight g = 1 is never evaluated: multiplying by 1.0
+is exact.  Each block is summed on its own, with the other axes
 pinned at the centre, and Q_n, Q_{n-2} and the |integrand| sum are products
 over blocks, so the refinement path is the one the full tensor sum would
 take.  ``evaluations`` counts the integrand evaluations made,
@@ -141,6 +142,14 @@ def _tensor_sum(
     return math.fsum(partials), math.fsum(abs_partials), n0 * inner
 
 
+def _is_unit(weight: ScalarField) -> bool:
+    """True when the weight is the one constant term 1.0 (g = 1)."""
+    if len(weight.terms) != 1:
+        return False
+    c, powers, rate = weight.terms[0]
+    return c == 1.0 and not powers and rate is None
+
+
 def _blocks(m: int, f: ScalarField, lw_coupling, weight: ScalarField):
     """The sorted axis blocks the integrand factorises over, and the index of
     the block the weight is applied in.  The couplings of f and of the log
@@ -210,6 +219,8 @@ def integrate(
 
     lw_coupling = () if log_weight is None else getattr(log_weight, "coupling", None)
     blocks, w_block = _blocks(m, f_box, lw_coupling, w_box)
+    if _is_unit(w_box):
+        w_block = None  # multiplying by 1.0 is exact: the weight is never read
     f_peak = float(np.asarray(f_box.evaluate(c)))
     lw_peak = float(field_values(log_weight, c)) if log_weight is not None else 0.0
     log_offset = N * f_peak + lw_peak

@@ -787,3 +787,89 @@ class TestEnvelopeConstruction:
         rng.uniform(size=5000)
         assert np.array_equal(z, env.z_n + rng.standard_normal(size=(5000, 3)) / math.sqrt(env.prec))
         assert np.all(cell == -1)
+
+
+class TestEnvelopeGeometry:
+    """The cells are built once per domain and neighborhood and shared by
+    every N; the draws follow the documented stream order whether or not a
+    pick lands in a cell."""
+
+    @pytest.mark.parametrize("name, N, in_cells", [
+        ("cub2d", 1600, False), ("cub2d", 25, True), ("bnd2d", 1600, False), ("bnd2d", 25, True),
+    ])
+    def test_draws_follow_the_stream_order(self, name, N, in_cells, specs, consts_cache):
+        """The picks, the in-cell uniforms, the exponentials, then the
+        normals, each core draw built as x*(N) plus its offsets."""
+        from certlap.gibbs import _Envelope
+
+        spec, consts = _spec_and_consts(name, specs, consts_cache)
+        m, k = spec.dimension, 5000
+        env = _Envelope(spec, consts, N)
+        z, cell = env.propose(np.random.default_rng(7), k)
+
+        rng = np.random.default_rng(7)
+        pick = rng.uniform(size=k)
+        drawn = pick >= env.cum[0]
+        assert len(env.log_top) and drawn.any() == in_cells
+        c = np.minimum(np.searchsorted(env.cum[1:], pick[drawn], side="right"), len(env.cum) - 2)
+        want = np.empty((k, m))
+        want[drawn] = env.cell_lower[c] + env.cell_width[c] * rng.uniform(size=(len(c), m))
+        core = np.empty((k - len(c), m))
+        core[:] = env.z_n
+        if env.axis is not None:
+            core[:, env.axis] += env.sign * rng.exponential(1.0 / env.rate, size=len(core))
+        normal = rng.standard_normal(size=(len(core), len(env.gauss)))
+        core[:, env.gauss] += normal / math.sqrt(env.prec)
+        want[~drawn] = core
+        assert np.array_equal(z, want)
+        assert np.array_equal(cell[drawn], c) and np.all(cell[~drawn] == -1)
+
+    def test_geometry_is_shared_across_n(self, specs, consts_cache):
+        from certlap.gibbs import _Envelope
+
+        spec, consts = _spec_and_consts("cub2d", specs, consts_cache)
+        first = _Envelope(spec, consts, 25)
+        assert _Envelope(spec, consts, 1600).geometry is first.geometry
+        assert not first.cell_lower.flags.writeable
+
+        nb = spec.maximum.neighborhood
+        narrow = dataclasses.replace(spec, maximum=dataclasses.replace(
+            spec.maximum, neighborhood=BoxDomain(nb.lower / 2.0, nb.upper / 2.0)))
+        other = _Envelope(narrow, consts, 25)
+        assert other.geometry is not first.geometry
+        assert len(other.cell_lower) > len(first.cell_lower)
+        again = _Envelope(spec, consts, 25)
+        for key in ("cell_lower", "cell_width", "log_top", "cum"):
+            assert np.array_equal(getattr(again, key), getattr(first, key)), key
+
+
+class TestInPlaceSpecialFunctions:
+    @pytest.mark.parametrize("c", [0.0, 1e-3, 0.3])
+    def test_exp_gauss_cdf_matches_the_out_of_place_form(self, c):
+        from certlap.gibbs import _erfcx, _exp_gauss_cdf
+
+        rng = np.random.default_rng(11)
+        u = np.concatenate([rng.exponential(2.0, 19_000), rng.uniform(-3.0, 0.0, 500),
+                            np.geomspace(1.0, 1e6, 500)])
+        v = np.maximum(u, 0.0)
+        if c <= 0.0:
+            want = -np.expm1(-v)
+        else:
+            r = math.sqrt(c)
+            w0 = 0.5 / r
+            want = 1.0 - np.exp(-v - c * v * v) * _erfcx(r * v + w0) / _erfcx(w0)
+        given = u.copy()
+        assert np.array_equal(_exp_gauss_cdf(u, c), want)
+        assert np.array_equal(u, given)
+
+    def test_one_sided_ranges_match_the_split(self):
+        """Values that all fall on one side of a joint are read in place;
+        each must equal its value in a batch split across the joint."""
+        from certlap.gibbs import _erfcx, _ndtr
+
+        rng = np.random.default_rng(4)
+        across = [0.1, 2.0, 10.0]  # on every side of every joint
+        for x in (rng.uniform(0.0, 0.4, 1000), rng.uniform(6.0, 30.0, 1000)):
+            split = np.append(x, across)
+            assert np.array_equal(_erfcx(x), _erfcx(split)[:len(x)])
+            assert np.array_equal(_ndtr(-x), _ndtr(-split)[:len(x)])

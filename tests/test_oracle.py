@@ -454,3 +454,57 @@ class TestTailIntegral:
             tail_integral(1, 0, -1.0, 4, 1.0)
         with pytest.raises(ValueError):
             tail_integral(0, 0, 1.0, 4, 1.0)
+
+
+def _weight_reads(monkeypatch):
+    """Record, for every tensor sum that applies a weight, the points the
+    weight was evaluated at and the evaluations the sum made."""
+    reads, evals = [], []
+    real = oracle._tensor_sum
+
+    def counting(nodes, weights, exponent, weight_fn):
+        if weight_fn is None:
+            return real(nodes, weights, exponent, None)
+
+        def read(pts):
+            reads.append(math.prod(pts.shape[:-1]))
+            return weight_fn(pts)
+
+        s, a, n = real(nodes, weights, exponent, read)
+        evals.append(n)
+        return s, a, n
+
+    monkeypatch.setattr(oracle, "_tensor_sum", counting)
+    return reads, evals
+
+
+class TestUnitWeight:
+    """g = 1 multiplies every node by 1.0, which is exact, so the oracle
+    does not evaluate it; any other weight is read at every node of its
+    block."""
+
+    def test_unit_weight_is_never_evaluated(self, monkeypatch):
+        from certlap.gibbs import gibbs_measure, measure_of, mgf_X, mgf_Y
+
+        spec = get_problem("gauss3d")
+        reads, _ = _weight_reads(monkeypatch)
+        m = gibbs_measure(spec, 100)
+        measure_of(m, BoxDomain([-0.5] * 3, [0.5] * 3))
+        mgf_X(m, [0.1, 0.0, -0.1])
+        mgf_Y(m, [0.1, 0.0, -0.1])
+        integrate(spec, 400, weight=UNIT_WEIGHT)
+        assert reads == []
+
+    def test_skipping_it_changes_no_value(self):
+        # 0.5 + 0.5 is 1.0 at every node, but two terms: it is evaluated
+        halves = dataclasses.replace(UNIT_WEIGHT, terms=((0.5, (), None),) * 2)
+        for name in ("gauss3d", "boundary3d", "mixed2d"):
+            spec = get_problem(name)
+            assert integrate(spec, 400, weight=UNIT_WEIGHT) == integrate(spec, 400, weight=halves)
+
+    def test_exponential_weight_read_at_every_node(self, monkeypatch):
+        spec = problem_from_config({
+            **_gaussian_config(2), "g": {"type": "exponential", "linear": [0.3, -0.2]}})
+        reads, evals = _weight_reads(monkeypatch)
+        integrate(spec, 100)
+        assert evals and sum(reads) == sum(evals)
