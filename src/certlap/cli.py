@@ -280,7 +280,7 @@ def _sampler_audit(meas, batch, seed: int, n_boxes: int = 10) -> dict:
             continue
         box = BoxDomain(lo, hi, spec.domain.rotation)
         p = measure_of(meas, box)
-        emp = float(np.mean(np.all((z >= lo) & (z <= hi), axis=1)))
+        emp = float(np.mean(box.contains_rows(z)))
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         good = abs(emp - p) <= 5.0 * se + 1e-9
         ok &= good

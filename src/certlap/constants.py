@@ -233,7 +233,7 @@ def estimate_constants(
 
     if has_outside:
         om_pts = box.grid_points(grid_res)
-        inside = np.all((om_pts >= nb.lower - 1e-12) & (om_pts <= nb.upper + 1e-12), axis=1)
+        inside = nb.contains_rows(om_pts, tol=1e-12)
         out_pts = om_pts[~inside]
         for N in n_sweep:
             drop, dists = _complement_drop(spec, N, spec.f_of_box(N), out_pts)
@@ -311,7 +311,7 @@ def audit_constants(
 
     pts = rng.uniform(nb.lower, nb.upper, size=(n_points, m))
     om = rng.uniform(box.lower, box.upper, size=(4 * n_points, m))
-    inside = np.all((om >= nb.lower - 1e-12) & (om <= nb.upper + 1e-12), axis=1)
+    inside = nb.contains_rows(om, tol=1e-12)
     out_pts = om[~inside][:n_points]
 
     failures: list[str] = []

@@ -25,8 +25,12 @@ every axis.  The unit weight g = 1 is never evaluated: multiplying by 1.0
 is exact.  Each block is summed on its own, with the other axes
 pinned at the centre, and Q_n, Q_{n-2} and the |integrand| sum are products
 over blocks, so the refinement path is the one the full tensor sum would
-take.  ``evaluations`` counts the integrand evaluations made,
-summed over blocks: sum_B prod_{i in B} n_i in place of prod_i n_i.
+take.  A block sum that recurs within one call (a line probe's own axis at
+the panel depths already summed, a block with every axis pinned) is reused,
+not evaluated again; the products are formed in the same order, so the
+value is the same bit for bit.  ``evaluations`` counts the nodes of every
+block sum on the refinement path, reused or not: sum_B prod_{i in B} n_i
+per panel sum in place of prod_i n_i.
 """
 
 from __future__ import annotations
@@ -82,25 +86,19 @@ def _axis_nodes(lo: float, hi: float, center: float, depth: int, order: int):
     """Panel breakpoints dyadically accumulating toward ``center``; returns
     flat node and weight arrays for one axis."""
     c = min(max(center, lo), hi)
-    breaks = [lo]
-    left = c - lo
-    if left > 0:
-        for j in range(depth, 0, -1):
-            breaks.append(c - left * 0.5 ** (depth - j + 1))
-        breaks.append(c)
-    right = hi - c
-    if right > 0:
-        for j in range(1, depth + 1):
-            breaks.append(c + right * 0.5 ** (depth - j + 1))
-        breaks.append(hi)
-    breaks = np.unique(np.asarray(breaks))
+    steps = 0.5 ** np.arange(1, depth + 1)
+    breaks = np.empty(2 * depth + 3)
+    breaks[0], breaks[depth + 1], breaks[-1] = lo, c, hi
+    breaks[1:depth + 1] = c - (c - lo) * steps
+    breaks[depth + 2:-1] = c + (hi - c) * steps[::-1]
+    # rounding is monotone, so the breaks are sorted; the panels of zero
+    # width (c at lo or hi, or two breaks that round together) are dropped
+    a, b = breaks[:-1], breaks[1:]
+    wide = b > a
+    a, b = a[wide], b[wide]
+    half = (0.5 * (b - a))[:, None]
     xs, ws = _leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return ((0.5 * (a + b))[:, None] + half * xs).ravel(), (half * ws).ravel()
 
 
 def _tensor_sum(
@@ -135,7 +133,7 @@ def _tensor_sum(
         flat = vals.reshape(len(x0), inner)
         w0 = axes_weights[0][start:start + block]
         partials.append(float(np.dot(w0, flat @ w_inner)))
-        if flat.min() < 0:
+        if weight_fn is not None and flat.min() < 0:  # exp is never negative
             abs_partials.append(float(np.dot(w0, np.abs(flat) @ w_inner)))
         else:
             abs_partials.append(partials[-1])
@@ -200,9 +198,11 @@ def integrate(
     a raise fails to cut it by 4 too (round-off, or an integrand that is
     not smooth), the call raises QuadratureBudgetError.  The value returned
     is Q_n, and |Q_n - Q_{n-2}| is its error estimate (an over-estimate: it
-    is the error of Q_{n-2}).  ``evaluations`` counts the integrand
-    evaluations made, summed over blocks; ``depths`` and ``order`` are the
-    panel depths and Gauss order n the call ended at.
+    is the error of Q_{n-2}).  A block sum formed once in the call is
+    reused wherever it recurs, not evaluated again.  ``evaluations`` counts
+    the nodes of every block sum on the refinement path, reused or not;
+    ``depths`` and ``order`` are the panel depths and Gauss order n the call
+    ended at.
     """
     N = int(N)
     m = spec.dimension
@@ -237,19 +237,27 @@ def integrate(
     def wfn(pts):
         return field_values(w_box, pts)
 
+    sums = {}  # the block sums formed so far in this call
+
     def panel_sum(depths, order: int, line: Optional[int] = None):
         """The order-``order`` sums on the panels of ``depths``, as products
         over blocks; with ``line``, only on the line through the centre along
-        that axis."""
+        that axis.  A block's sum depends only on its axes' depths (-1 for
+        a pinned axis) and, unless every axis is pinned, the order, so one
+        formed before in this call is reused, evaluations and all."""
         total, scale, evals = 1.0, 1.0, 0
         for k, block in enumerate(blocks):
-            axes = [
-                _axis_nodes(box.lower[i], box.upper[i], c[i], depths[i], order)
-                if i in block and line in (None, i) else (c[i:i + 1], np.ones(1))
-                for i in range(m)
-            ]
-            s, a, n = _tensor_sum([x[0] for x in axes], [x[1] for x in axes], exponent,
-                                  wfn if k == w_block else None)
+            levels = tuple(depths[i] if line in (None, i) else -1 for i in block)
+            key = (k, order if max(levels) >= 0 else None, levels)
+            if key not in sums:
+                axes = [
+                    _axis_nodes(box.lower[i], box.upper[i], c[i], depths[i], order)
+                    if i in block and line in (None, i) else (c[i:i + 1], np.ones(1))
+                    for i in range(m)
+                ]
+                sums[key] = _tensor_sum([x[0] for x in axes], [x[1] for x in axes],
+                                        exponent, wfn if k == w_block else None)
+            s, a, n = sums[key]
             total, scale, evals = total * s, scale * a, evals + n
         return total, scale, evals
 

@@ -89,6 +89,19 @@ class BoxDomain:
         z = np.asarray(z, dtype=float)
         return bool(np.all(z >= self.lower - tol) and np.all(z <= self.upper + tol))
 
+    def contains_rows(self, z, tol: float = 0.0) -> np.ndarray:
+        """Per row of the (n, m) box-frame points ``z``, whether
+        lower - tol <= z <= upper + tol; tested one column at a time, which
+        is several times faster than ``np.all(..., axis=1)`` over a
+        row-major batch."""
+        z = np.asarray(z, dtype=float)
+        lo, up = self.lower - tol, self.upper + tol
+        inside = np.ones(len(z), dtype=bool)
+        for i in range(self.dimension):
+            inside &= z[:, i] >= lo[i]
+            inside &= z[:, i] <= up[i]
+        return inside
+
     def contains_box(self, other: "BoxDomain", tol: float = 1e-12) -> bool:
         if not np.allclose(other.rotation, self.rotation, atol=1e-14):
             return False
@@ -564,7 +577,8 @@ def locate_maximum(
     fixed_axes = fixed_axes or {}
     z = np.asarray(start, dtype=float).copy()
     z[list(fixed_axes)] = list(fixed_axes.values())
-    pinned = np.isin(np.arange(box.dimension), list(fixed_axes))
+    pinned = np.zeros(box.dimension, dtype=bool)
+    pinned[list(fixed_axes)] = True
     cap, f = 0.25 * float(np.min(box.edges)), float(field_values(fld, z))
     lower, upper = box.lower + 1e-13 * box.edges, box.upper - 1e-13 * box.edges
     for _ in range(200):
@@ -572,7 +586,7 @@ def locate_maximum(
         free = ~(pinned | (z <= lower) & (g < 0) | (z >= upper) & (g > 0))
         if not np.any(g[free]):
             break
-        K = -fld.hessian(z)[np.ix_(free, free)]
+        K = -fld.hessian(z)[free][:, free]
         try:
             np.linalg.cholesky(K)
             newton, d_free = True, np.linalg.solve(K, g[free])

@@ -508,3 +508,121 @@ class TestUnitWeight:
         reads, evals = _weight_reads(monkeypatch)
         integrate(spec, 100)
         assert evals and sum(reads) == sum(evals)
+
+
+def _loop_axis_nodes(lo, hi, center, depth, order):
+    """The panel construction one panel at a time: the reference that
+    ``oracle._axis_nodes`` must match element for element."""
+    c = min(max(center, lo), hi)
+    breaks = [lo]
+    left = c - lo
+    if left > 0:
+        for j in range(depth, 0, -1):
+            breaks.append(c - left * 0.5 ** (depth - j + 1))
+        breaks.append(c)
+    right = hi - c
+    if right > 0:
+        for j in range(1, depth + 1):
+            breaks.append(c + right * 0.5 ** (depth - j + 1))
+        breaks.append(hi)
+    breaks = np.unique(np.asarray(breaks))
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        half = 0.5 * (b - a)
+        nodes.append(0.5 * (a + b) + half * xs)
+        weights.append(half * ws)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+class TestAxisNodes:
+    @pytest.mark.parametrize("depth", [0, 1, 4, 7, 40])
+    @pytest.mark.parametrize("order", [10, 12, 24, 32, 64])
+    def test_matches_the_panel_loop(self, depth, order):
+        rng = np.random.default_rng(depth * 100 + order)
+        for _ in range(20):
+            lo = float(rng.uniform(-3.0, 1.0))
+            hi = lo + float(10.0 ** rng.uniform(-6.0, 1.0))
+            inside = float(rng.uniform(lo, hi))
+            # centre below, at and above the box, inside it, and one ulp
+            # inside either bound
+            for c in (lo - 1.0, lo, inside, hi, hi + 1.0,
+                      np.nextafter(lo, hi), np.nextafter(hi, lo)):
+                args = (np.float64(lo), np.float64(hi), np.float64(c), depth, order)
+                nodes, weights = oracle._axis_nodes(*args)
+                ref_nodes, ref_weights = _loop_axis_nodes(*args)
+                assert np.array_equal(nodes, ref_nodes)
+                assert np.array_equal(weights, ref_weights)
+
+    def test_box_of_two_adjacent_floats(self):
+        lo = 1.0
+        hi = float(np.nextafter(lo, 2.0))
+        for c in (lo, hi, 0.0, 2.0):
+            for depth in (0, 4, 40):
+                nodes, weights = oracle._axis_nodes(lo, hi, c, depth, 12)
+                ref_nodes, ref_weights = _loop_axis_nodes(lo, hi, c, depth, 12)
+                assert np.array_equal(nodes, ref_nodes)
+                assert np.array_equal(weights, ref_weights)
+
+
+def _tensor_sums(monkeypatch):
+    """Count the tensor sums the oracle forms."""
+    calls = []
+    real = oracle._tensor_sum
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_tensor_sum", counting)
+    return calls
+
+
+class TestBlockSumReuse:
+    """A block sum that recurs within one call is formed once: a line
+    probe's own axis at the panel depths already summed, and a block with
+    every axis pinned at the centre.  Every value, the refinement path and
+    the evaluation count are those of TestRefinement."""
+
+    def test_gauss3d(self, monkeypatch):
+        spec = get_problem("gauss3d")
+        calls = _tensor_sums(monkeypatch)
+        v = integrate(spec, 1600, tol=1e-13)
+        # 33 without reuse: 3 blocks in each of 5 panel sums and 6 line
+        # probes.  A probe's own axis repeats a panel sum's block, so only the
+        # panel sums' 15 and one pinned sum per block are formed
+        assert len(calls) == 3 * 5 + 3
+        assert v.converged and abs(v.value - spec.exact_integral(1600)) <= 1e-13 * v.value
+        cuts = 3 * ((120 + 2) + (100 + 2))
+        assert v.evaluations == 3 * (120 + 100) + cuts + 3 * (168 + 140) + 3 * 196
+        assert v.depths == (6, 6, 6) and v.order == 14
+
+    def test_boundary3d(self, monkeypatch):
+        spec = get_problem("boundary3d")
+        calls = _tensor_sums(monkeypatch)
+        v = integrate(spec, 1600, tol=1e-10)
+        # 54 without reuse: the first panel pair forms 6 block sums and its
+        # probes 3 pinned ones; each deeper pair only axis 0's 2
+        assert len(calls) == 6 + 3 + 2 + 2
+        assert v.converged and abs(v.value - spec.exact_integral(1600)) <= 1e-14 * v.value
+        panels = (
+            (60 + 2 * 120 + 50 + 2 * 100)
+            + (84 + 2 * 120 + 70 + 2 * 100)
+            + (108 + 2 * 120 + 90 + 2 * 100)
+        )
+        cuts = (60 + 50 + 2 * 220 + 6 * 2) + (84 + 70 + 2 * 220 + 6 * 2)
+        assert v.evaluations == panels + cuts
+        assert v.depths == (8, 4, 4) and v.order == 12
+
+    def test_one_block(self, monkeypatch):
+        # as one block, gauss3d repeats no sum: 11 calls, as without reuse.
+        # boundary3d's probes along axes 1 and 2 at depths (6, 4, 4) are
+        # those at (4, 4, 4), since only axis 0 deepened: 14 calls, not 18
+        calls = _tensor_sums(monkeypatch)
+        v = integrate(_opaque(get_problem("gauss3d")), 1600, tol=1e-13)
+        assert len(calls) == 11
+        assert v.evaluations == 120**3 + 100**3 + 3 * (120 + 100) + 168**3 + 140**3 + 196**3
+        calls.clear()
+        v = integrate(_opaque(get_problem("boundary3d")), 1600, tol=1e-10)
+        assert len(calls) == 14
+        assert v.depths == (8, 4, 4) and v.order == 12

@@ -83,6 +83,22 @@ class TestBoxDomain:
         assert np.array_equal(plane[:, [0, 2]], full[full[:, 1] == nodes[1][2]][:, [0, 2]])
         assert np.array_equal(box.grid_points(4, axes=()), [[0.5, 0.0, 3.0]])
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_contains_rows_matches_the_row_reduction(self, m):
+        rng = np.random.default_rng(m)
+        lo, hi = rng.uniform(-2.0, -0.5, m), rng.uniform(0.5, 2.0, m)
+        box = BoxDomain(lo, hi)
+        z = rng.uniform(-3.0, 3.0, (2000, m))
+        # points exactly on a bound, on one axis or on every axis
+        z[:200] = np.where(rng.random((200, m)) < 0.5, lo, hi)
+        z[200:400, 0] = lo[0]
+        z[400:600, m - 1] = hi[m - 1]
+        z[600:610, 0] = np.nan
+        for tol in (0.0, 1e-12):
+            got = box.contains_rows(z, tol=tol)
+            ref = np.all((z >= lo - tol) & (z <= hi + tol), axis=1)
+            assert got.dtype == bool and np.array_equal(got, ref)
+
 
 class TestAssembleF:
     """f(x, N) = f_limit + epsilon(N) * sigma, assembled by spec.f_of_box."""
