@@ -12,7 +12,6 @@ import numpy as np
 
 from certlap import (
     BOUNDARY,
-    build_fluctuation_model,
     empirical_limit_test,
     estimate_constants,
     fluctuation_sweep,
@@ -38,8 +37,7 @@ def main():
           f"acceptance {batch.acceptance_rate:.3f}")
     print(f"  empirical mean: {np.array2string(np.mean(batch.draws, axis=0), precision=5)}")
 
-    model = build_fluctuation_model(spec)
-    ks = empirical_limit_test(batch, model)
+    ks = empirical_limit_test(batch)
     for marg in ks["marginals"]:
         print(f"  {marg['law']:<12} KS = {marg['ks']:.5f}  "
               f"sqrt(n) KS = {marg['sqrt_n_ks']:.3f}")

@@ -10,11 +10,9 @@ from .catalog import catalog, catalog_names, get_problem
 from .constants import ConstantsReport, audit_constants, estimate_constants
 from .derivatives import third_tensor_norm_bound
 from .gibbs import (
-    FluctuationModel,
     GibbsMeasure,
     MgfReport,
     SampleBatch,
-    build_fluctuation_model,
     empirical_limit_test,
     fluctuation_sweep,
     gibbs_measure,

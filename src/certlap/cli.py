@@ -9,9 +9,13 @@ list      print the catalog (name, dimension, maximum type, closed form).
 plotdata  convert a report.json into log-log columns for external plotting.
 
 Exit status: 0 all soundness assertions passed; 1 at least one failed;
-2 configuration/parse error (nothing written); 3 an assumption violation
-(a certified constant or structural hypothesis failed, named in the
-message); 4 numerical budget exhaustion.
+2 configuration/parse error, nothing written: an unreadable config file, an
+unknown problem or check, a malformed inline problem (domain, field,
+neighborhood inside the domain, epsilon with a negative exponent), or a run
+setting out of range (N-sweep not increasing or not above the problem's
+n_zero, grid_res < 16, safety_factor < 1, tol < 1e-14, sample_count < 1);
+3 an assumption violation (a certified constant or structural hypothesis
+failed, named in the message); 4 numerical budget exhaustion.
 
 Flags mirror RunConfig fields one-to-one in kebab case; ``--config FILE``
 (JSON) overrides built-in defaults, and explicit flags override the file.
@@ -62,6 +66,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
+
 import numpy as np
 
 from .catalog import catalog
@@ -76,7 +82,6 @@ from .errors import (
 )
 from .gibbs import (
     RESIDUAL_FLOOR,
-    build_fluctuation_model,
     empirical_limit_test,
     fluctuation_verdict,
     gibbs_measure,
@@ -126,7 +131,7 @@ def _check_laplace(spec, consts, config, sweep, measure, batch) -> tuple[dict, b
                else integrate(spec, n, tol=config.tol))
         ok = res.contains_oracle(orc)
         all_ok &= ok
-        d = res.to_dict()
+        d = asdict(res)
         d["oracle"] = orc.value
         d["oracle_error_estimate"] = orc.abs_error_estimate
         d["bound_ok"] = ok
@@ -146,7 +151,7 @@ def _check_lln(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]
     for n in sweep:
         rep = mgf_X(measure(n), xi)
         residuals.append(rep.residual)
-        out.append(rep.to_dict())
+        out.append(asdict(rep))
     decay_ok = all(
         b <= a * (1 + 1e-9) + RESIDUAL_FLOOR for a, b in zip(residuals, residuals[1:])
     )
@@ -161,15 +166,14 @@ def _check_fluctuations(spec, consts, config, sweep, measure, batch) -> tuple[di
     out = []
     reports = []
     ks_all_ok = True
-    model = build_fluctuation_model(spec)
     # mgf_Y then sample at each N, so a sampler failure stops the sweep at
     # the first N instead of after every normaliser and MGF
     for n in sweep:
         rep = mgf_Y(measure(n), xi)
         reports.append(rep)
-        entry = rep.to_dict()
+        entry = asdict(rep)
         draws = batch(n)
-        ks = empirical_limit_test(draws, model)
+        ks = empirical_limit_test(draws)
         entry["ks"] = ks
         entry["acceptance_rate"] = draws.acceptance_rate
         ks_all_ok &= ks["max_ks"] <= config.ks_threshold
@@ -220,27 +224,25 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
     config.validate()
     spec = problem_from_config(config.problem)
     sweep = tuple(int(n) for n in config.n_sweep)
+    settings = asdict(config)
+    del settings["output_path"]
     report: dict = {
         "config": {
+            **settings,
             "problem": config.problem if isinstance(config.problem, str) else "inline",
             "n_sweep": list(sweep),
-            "grid_res": config.grid_res,
-            "tol": config.tol,
-            "safety_factor": config.safety_factor,
-            "seed": config.seed,
-            "checks": list(config.checks),
-            "sample_count": config.sample_count,
-            "ks_threshold": config.ks_threshold,
         },
         "problem": spec.name,
         "n_zero": spec.n_zero,
         "maximum_kind": spec.maximum.kind,
         "checks": {},
     }
+    if sweep[0] <= spec.n_zero:
+        raise ConfigError(f"every sweep N must exceed n_zero={spec.n_zero}")
     consts = estimate_constants(
         spec, grid_res=config.grid_res, n_sweep=sweep, safety_factor=config.safety_factor
     )
-    report["constants"] = consts.to_dict()
+    report["constants"] = asdict(consts)
 
     # the run owns the Gibbs measures of its sweep and the sample batches
     # drawn from them: each normaliser Z(N) and each N's batch is computed

@@ -58,6 +58,11 @@ class RunConfig:
             raise ConfigError(f"unknown checks: {unknown}; known: {list(KNOWN_CHECKS)}")
         if not self.checks:
             raise ConfigError("at least one check is required")
+        for what, value, least in (("grid_res", self.grid_res, 16), ("tol", self.tol, 1e-14),
+                                   ("safety_factor", self.safety_factor, 1.0),
+                                   ("sample_count", self.sample_count, 1)):
+            if not value >= least:
+                raise ConfigError(f"{what} must be at least {least:g}, not {value!r}")
 
 
 def field_from_config(cfg, dimension: int) -> ScalarField:
@@ -96,7 +101,10 @@ def epsilon_from_config(cfg) -> EpsilonSchedule:
     if kind == "zero":
         return zero_epsilon()
     if kind == "power":
-        return power_epsilon(float(cfg["exponent"]), float(cfg.get("scale", 1.0)))
+        try:
+            return power_epsilon(float(cfg["exponent"]), float(cfg.get("scale", 1.0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad epsilon: {exc}") from exc
     raise ConfigError(f"unknown epsilon class {kind!r}")
 
 
@@ -143,8 +151,13 @@ def problem_from_config(cfg) -> ProblemSpec:
     )
     info = classify_maximum(draft, grid_res=int(cfg.get("classify_grid_res", 64)))
     if "neighborhood" in cfg:
-        nb_cfg = cfg["neighborhood"]
-        nb = BoxDomain(nb_cfg["lower"], nb_cfg["upper"], box.rotation)
+        try:
+            nb_cfg = cfg["neighborhood"]
+            nb = BoxDomain(nb_cfg["lower"], nb_cfg["upper"], box.rotation)
+            if not box.contains_box(nb):
+                raise ValueError("it must lie in the domain")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad neighborhood: {exc}") from exc
         info = replace(info, neighborhood=nb)
     n0 = default_n_zero(
         box, info.neighborhood, info.kind, lambda n: box.to_box(info.x_star_of_N(n))

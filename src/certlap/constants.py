@@ -38,14 +38,12 @@ stay pointwise.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import strict_json
 from .derivatives import field_values, gradients_on, hessians_on, third_norms_on
 from .errors import AssumptionViolationError, DefinitenessError, FieldEvaluationError
 from .problems import ProblemSpec, axis_blocks, gauss_block, limit_axes, read_axes
@@ -71,14 +69,6 @@ class ConstantsReport:
     fd_step: float
     boundary_axis: Optional[int]
     problem: str
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_sweep"] = list(self.n_sweep)
-        return d
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(strict_json(self.to_dict()), sort_keys=True, allow_nan=False, **kw)
 
 
 def _check_finite(arr, what):

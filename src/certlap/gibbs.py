@@ -48,11 +48,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .constants import ConstantsReport, estimate_constants
+from .constants import ConstantsReport
 from .derivatives import field_values, gradients_on
 from .errors import (
     AssumptionViolationError,
@@ -131,18 +130,6 @@ class MgfReport:
     kind: str
     hypothesis_violated: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "xi": list(np.atleast_1d(self.xi)),
-            "N": self.N,
-            "mgf_value": self.mgf_value,
-            "limit_prediction": self.limit_prediction,
-            "residual": self.residual,
-            "expected_decay": self.expected_decay,
-            "kind": self.kind,
-            "hypothesis_violated": self.hypothesis_violated,
-        }
-
 
 def _limit_covariance(spec: ProblemSpec) -> np.ndarray:
     """(-D^2 f_limit(x*))^{-1} on the Gaussian axes, box frame."""
@@ -167,10 +154,7 @@ def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, wha
     if axis is not None and abs(tilt_gradient[axis]) < 1e-15:
         fixed = {axis: z0[axis]}
     z_t, _ = locate_maximum(tilted, spec.domain, z0, fixed_axes=fixed)
-    nb = spec.maximum.neighborhood
-    margin = 1e-9 * np.min(spec.domain.edges)
-    inside = np.all(z_t >= nb.lower - margin) and np.all(z_t <= nb.upper + margin)
-    if not inside:
+    if not spec.maximum.neighborhood.contains_z(z_t, tol=1e-9 * np.min(spec.domain.edges)):
         raise TiltTooLargeError(
             f"{what}: tilted maximizer {z_t} leaves the certified neighborhood"
         )
@@ -308,7 +292,7 @@ def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> 
         N = int(N)
         f_n = spec.f_of_box(N)
         z_n, _ = locate_maximum(f_n, box, z_star, fixed_axes=fixed)
-        if not (np.all(z_n >= nb.lower - 1e-9) and np.all(z_n <= nb.upper + 1e-9)):
+        if not nb.contains_z(z_n, tol=1e-9):
             raise AssumptionViolationError(
                 "maximizer_drift", f"x*(N) left the certified neighborhood at N={N}"
             )
@@ -387,29 +371,13 @@ def tilted_maximizer_check(
 class SampleBatch:
     draws: np.ndarray  # (count, m) ambient coordinates
     N: int
-    seed: int
     proposed: int
     acceptance_rate: float
-    problem: str
     spec: ProblemSpec
 
     @property
     def count(self) -> int:
         return self.draws.shape[0]
-
-
-@dataclass(frozen=True)
-class FluctuationModel:
-    """Limit law of the rescaled draws: covariance on the Gaussian axes and
-    the exponential rate (None at an interior maximum)."""
-    covariance: np.ndarray
-    rate: Optional[float] = None
-
-
-def build_fluctuation_model(spec: ProblemSpec) -> FluctuationModel:
-    axis, _, _ = limit_axes(spec)
-    rate = None if axis is None else _limit_rate(spec, axis)
-    return FluctuationModel(_limit_covariance(spec), rate)
 
 
 # proposals drawn at once: bounds the sampler's temporaries, as
@@ -641,21 +609,17 @@ class _Envelope:
         core[:, self.gauss] = normal
 
 
-def sample(
-    measure: GibbsMeasure, count: int, seed: int, consts: Optional[ConstantsReport] = None
-) -> SampleBatch:
-    """Exact i.i.d. draws from the Gibbs measure by rejection against a
-    certified envelope.  Deterministic for a fixed seed: the draws come from
-    the stream seeded with (seed, 0).  With p the envelope's predicted
-    acceptance Z(N) exp(-N f_N*) / M and n draws still missing, a block
-    holds (n + 4 sqrt(n (1 - p)) + 1) / p proposals, at most _BLOCK: four
-    binomial standard deviations over n, so one block almost always ends
-    the batch and few accepted draws are dropped."""
+def sample(measure: GibbsMeasure, count: int, seed: int, consts: ConstantsReport) -> SampleBatch:
+    """Exact i.i.d. draws from the Gibbs measure by rejection against the
+    envelope certified by ``consts``.  Deterministic for a fixed seed: the
+    draws come from the stream seeded with (seed, 0).  With p the envelope's
+    predicted acceptance Z(N) exp(-N f_N*) / M and n draws still missing, a
+    block holds (n + 4 sqrt(n (1 - p)) + 1) / p proposals, at most _BLOCK:
+    four binomial standard deviations over n, so one block almost always
+    ends the batch and few accepted draws are dropped."""
     if count < 1:
         raise ValueError("count must be at least 1")
     spec, N = measure.spec, measure.N
-    if consts is None:
-        consts = estimate_constants(spec, grid_res=32, n_sweep=(N,))
     env = _Envelope(spec, consts, N)
     p_hat = math.exp(min(0.0, measure.log_normalizer - N * env.f_star - env.log_m))
     if p_hat < 1e-4:
@@ -698,8 +662,8 @@ def sample(
             )
 
     return SampleBatch(
-        draws=spec.domain.to_ambient(np.concatenate(got)[:count]), N=N, seed=seed,
-        proposed=proposed, acceptance_rate=count / proposed, problem=spec.name, spec=spec,
+        draws=spec.domain.to_ambient(np.concatenate(got)[:count]), N=N,
+        proposed=proposed, acceptance_rate=count / proposed, spec=spec,
     )
 
 
@@ -878,7 +842,7 @@ def _exp_gauss_cdf(u: np.ndarray, c: float) -> np.ndarray:
     return np.subtract(1.0, u, out=u)
 
 
-def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
+def empirical_limit_test(batch: SampleBatch) -> dict:
     """Kolmogorov-Smirnov statistics of the rescaled draws against the
     marginals of the second-order law at x*(N), N = batch.N.
 
@@ -888,8 +852,7 @@ def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
     u = N a t with density proportional to exp(-u - c u^2),
     c = b / (2 N a^2) and b = K_tt - K_ts K_ss^{-1} K_st.  As N grows, x*(N)
     tends to x*, K to the limit Hessian and c to 0, so these laws tend to
-    ``model``, the N -> infinity law (whose rate must be positive at a
-    boundary maximum)."""
+    the N -> infinity law of ``mgf_Y``.  The slope a must be positive."""
     if batch.count < 100:
         raise InsufficientSampleError("need at least 100 samples")
     spec, N, n = batch.spec, batch.N, batch.count
@@ -901,9 +864,9 @@ def empirical_limit_test(batch: SampleBatch, model: FluctuationModel) -> dict:
     K_ss = gauss_block(K, gauss)
     stats = []
     if axis is not None:
-        if model.rate is None or model.rate <= 0:
-            raise ValueError("boundary model needs a positive rate")
         a = abs(float(f_n.gradient(z_n)[axis]))
+        if not a > 0.0:
+            raise ValueError("the boundary law needs a positive slope at x*(N)")
         k_ts = K[axis, gauss]
         b = K[axis, axis] - (k_ts @ np.linalg.solve(K_ss, k_ts) if gauss else 0.0)
         c = b / (2.0 * N * a * a)

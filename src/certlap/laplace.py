@@ -83,19 +83,6 @@ class LaplaceResult:
     def relative_remainder(self) -> float:
         return self.remainder_magnitude / abs(self.leading) if self.leading else math.inf
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "N": self.N,
-            "leading": self.leading,
-            "omega_bound": self.omega_bound,
-            "remainder_magnitude": self.remainder_magnitude,
-            "enclosure": list(self.enclosure),
-            "log_abs_leading": self.log_abs_leading,
-            "leading_sign": self.leading_sign,
-            "log_remainder": self.log_remainder,
-        }
-
 
 def _signed_exp(log_abs: float, sign: float) -> float:
     if sign == 0.0 or log_abs == -math.inf:

@@ -13,7 +13,6 @@ import numpy as np
 
 from certlap import (
     approximate,
-    build_fluctuation_model,
     audit_constants,
     empirical_limit_test,
     fluctuation_sweep,
@@ -149,7 +148,7 @@ def test_criterion_6_fluctuations_interior(specs, consts_cache):
     rep = mgf_Y(meas, [1.0])
     mgf_ok = abs(rep.mgf_value - math.exp(0.5)) <= 0.06
     batch = sample(meas, 100_000, seed=20240, consts=consts_cache("gauss1d"))
-    ks = empirical_limit_test(batch, build_fluctuation_model(spec))
+    ks = empirical_limit_test(batch)
     ks_ok = ks["max_ks"] <= 0.02
     announce(
         6, mgf_ok and ks_ok,
@@ -164,13 +163,13 @@ def test_criterion_7_fluctuations_boundary(specs, consts_cache):
     rep = mgf_Y(meas, [0.5])
     mgf_ok = abs(rep.mgf_value - 2.0) <= 0.06
     batch = sample(meas, 100_000, seed=20241, consts=consts_cache("exp1d"))
-    ks = empirical_limit_test(batch, build_fluctuation_model(spec))
+    ks = empirical_limit_test(batch)
     exp_ok = ks["marginals"][0]["law"] == "exponential" and ks["max_ks"] <= 0.02
 
     spec2 = specs["mixed2d"]
     meas2 = gibbs_measure(spec2, 400, tol=1e-11)
     batch2 = sample(meas2, 100_000, seed=20242, consts=consts_cache("mixed2d"))
-    ks2 = empirical_limit_test(batch2, build_fluctuation_model(spec2))
+    ks2 = empirical_limit_test(batch2)
     tangent = [mm["ks"] for mm in ks2["marginals"] if mm["law"] == "normal"]
     tangent_ok = bool(tangent) and max(tangent) <= 0.02
     announce(

@@ -373,3 +373,91 @@ def test_one_sample_batch_per_n(monkeypatch):
     cfg = RunConfig(problem="gauss1d", checks=KNOWN_CHECKS, sample_count=20_000, seed=1)
     run_checks(cfg)
     assert sorted(calls) == [(n, 20_000) for n in cfg.n_sweep]
+
+
+def _inline_demo(**extra):
+    return {
+        "name": "demo",
+        "domain": {"lower": [-1.0], "upper": [1.0]},
+        "f": {"type": "polynomial", "terms": [{"coeff": -0.5, "powers": [2]}]},
+        **extra,
+    }
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (["--grid-res", "8"], None),
+    (["--safety-factor", "0.5"], None),
+    (["--tol", "1e-20"], None),
+    (["--n-sweep", "1,2"], None),  # gauss1d has n_zero = 7
+    (["--sample-count", "0", "--checks", "sampler"], None),
+    ([], _inline_demo(neighborhood={"upper": [0.5]})),
+    ([], _inline_demo(neighborhood={"lower": [-2.0], "upper": [0.5]})),
+    ([], _inline_demo(epsilon={"class": "power"})),
+    ([], _inline_demo(epsilon={"class": "power", "exponent": 0.5})),
+], ids=["grid_res", "safety_factor", "tol", "n_zero", "sample_count", "nb_no_lower",
+        "nb_outside", "eps_no_exponent", "eps_exponent_positive"])
+def test_bad_setting_is_config_error(tmp_path, capsys, flags, problem):
+    args = ["run", "--problem", "gauss1d"]
+    if problem is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": problem}))
+        args = ["run", "--config", str(cfg_path)]
+    out = tmp_path / "out"
+    code = main(args + flags + ["--output-path", str(out)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def _key_paths(obj, prefix=""):
+    """Every key path of a JSON value, with [] for a list's elements."""
+    paths = set()
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            p = f"{prefix}.{k}" if prefix else k
+            paths |= {p} | _key_paths(v, p)
+    elif isinstance(obj, list):
+        for v in obj:
+            paths |= _key_paths(v, prefix + "[]")
+    return paths
+
+
+_MGF_ROW = "N expected_decay hypothesis_violated kind limit_prediction mgf_value residual xi"
+REPORT_KEYS = {
+    "": "checks config constants maximum_kind n_zero passed problem status",
+    "config": "checks grid_res ks_threshold n_sweep problem safety_factor sample_count seed tol",
+    "constants": "F1_prime F1_prime_Omega F2 F2_prime F2_prime_Omega F3 G G1 Lambda_det "
+                 "boundary_axis fd_step grid_res lambda_det n_sweep problem safety_factor",
+    "checks": "constants fluctuations laplace lln preposition1 sampler",
+    "checks.constants": "failures n_points ok problem",
+    "checks.fluctuations": "flagged hypothesis_violated ks_all_ok residual_nondecaying rows",
+    "checks.fluctuations.rows[]": _MGF_ROW + " acceptance_rate ks",
+    "checks.fluctuations.rows[].ks": "count marginals max_ks",
+    "checks.fluctuations.rows[].ks.marginals[]": "ks law sqrt_n_ks",
+    "checks.laplace": "all_bounds_ok rows",
+    "checks.laplace.rows[]": "N bound_ok enclosure leading leading_sign log_abs_leading "
+                             "log_remainder omega_bound oracle oracle_error_estimate "
+                             "remainder_magnitude theorem",
+    "checks.lln": "residual_nonincreasing rows tracking_span",
+    "checks.lln.rows[]": _MGF_ROW,
+    "checks.sampler": "acceptance_rate boxes count ok",
+    "checks.sampler.boxes[]": "ok p_empirical p_oracle se",
+}
+PREPOSITION_KEYS = {
+    "interior": {"checks.preposition1": "bounded rows",
+                 "checks.preposition1.rows[]": "N stat_det stat_drift stat_value"},
+    "boundary": {"checks.preposition1": "skipped"},
+}
+
+
+@pytest.mark.parametrize("problem, kind", [("gauss1d", "interior"), ("mixed2d", "boundary")])
+def test_report_schema(tmp_path, problem, kind):
+    """The key paths of an all-checks report.json."""
+    expected = set()
+    for prefix, keys in {**REPORT_KEYS, **PREPOSITION_KEYS[kind]}.items():
+        expected |= {f"{prefix}.{k}" if prefix else k for k in keys.split()}
+    cfg = RunConfig(problem=problem, n_sweep=(25, 100), checks=KNOWN_CHECKS, sample_count=2000)
+    _, report = run_checks(cfg)
+    report_path, _ = write_outputs(report, str(tmp_path))
+    with open(report_path) as fh:
+        assert sorted(_key_paths(json.load(fh))) == sorted(expected)

@@ -22,7 +22,7 @@ from certlap import (
     polynomial_field,
 )
 import certlap.constants
-from certlap.config import problem_from_config
+from certlap.config import problem_from_config, strict_json
 from certlap.errors import AssumptionViolationError, DefinitenessError, ToolkitError
 from certlap.problems import UNIT_WEIGHT, power_epsilon
 
@@ -42,7 +42,8 @@ class TestStrictJson:
         def refuse(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        text = estimate_constants(get_problem("exp1d"), n_sweep=(100,)).to_json()
+        rep = estimate_constants(get_problem("exp1d"), n_sweep=(100,))
+        text = json.dumps(strict_json(dataclasses.asdict(rep)), allow_nan=False)
         d = json.loads(text, parse_constant=refuse)
         assert d["F2_prime"] is None
         assert d["F2_prime_Omega"] is None
@@ -127,10 +128,8 @@ class TestEstimate:
             estimate_constants(spec, grid_res=16, n_sweep=(spec.n_zero,))
 
     def test_serialization_round_trip(self, consts_cache):
-        import json
-
         rep = consts_cache("mixed2d")
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(strict_json(dataclasses.asdict(rep)), allow_nan=False))
         assert d["problem"] == "mixed2d"
         assert d["F1_prime"] == rep.F1_prime
         assert d["n_sweep"] == list(SWEEP)

@@ -7,7 +7,6 @@ from scipy.special import erf
 
 from certlap import (
     BoxDomain,
-    build_fluctuation_model,
     catalog,
     empirical_limit_test,
     estimate_constants,
@@ -328,14 +327,14 @@ class TestEmpiricalLimits:
         spec = specs["gauss1d"]
         m = gibbs_measure(spec, 400)
         b = sample(m, 100_000, seed=5, consts=consts_cache("gauss1d"))
-        out = empirical_limit_test(b, build_fluctuation_model(spec))
+        out = empirical_limit_test(b)
         assert out["max_ks"] <= 0.02
 
     def test_exp1d_exponential_marginal(self, specs, consts_cache):
         spec = specs["exp1d"]
         m = gibbs_measure(spec, 400)
         b = sample(m, 100_000, seed=5, consts=consts_cache("exp1d"))
-        out = empirical_limit_test(b, build_fluctuation_model(spec))
+        out = empirical_limit_test(b)
         assert out["marginals"][0]["law"] == "exponential"
         assert out["max_ks"] <= 0.02
 
@@ -352,7 +351,7 @@ class TestEmpiricalLimits:
         m = gibbs_measure(spec, 100)
         b = sample(m, 50, seed=1, consts=consts_cache("gauss1d"))
         with pytest.raises(InsufficientSampleError):
-            empirical_limit_test(b, build_fluctuation_model(spec))
+            empirical_limit_test(b)
 
 
 class TestUpperFace:
@@ -393,7 +392,8 @@ class TestUpperFace:
             assert abs(rep.mgf_value - ref.mgf_value) <= 1e-12
 
     def test_fluctuations_are_inward(self, mirror):
-        batch = sample(gibbs_measure(mirror, 400), 100_000, seed=0)
+        consts = estimate_constants(mirror, n_sweep=self.N_SWEEP)
+        batch = sample(gibbs_measure(mirror, 400), 100_000, seed=0, consts=consts)
         Y = transform_to_fluctuations(batch)
         assert Y.shape == (100_000, 1)
         assert np.all(Y >= 0.0)
@@ -446,9 +446,8 @@ class TestFiniteNLaw:
         # true KS distance 0.023 (normal) and 0.035 (exponential)
         spec = specs[name]
         b = sample(gibbs_measure(spec, 1600), 100_000, seed=1, consts=consts_cache(name))
-        model = build_fluctuation_model(spec)
-        assert empirical_limit_test(b, model)["max_ks"] <= 0.02
-        bad = empirical_limit_test(_scaled(b, 1.1), model)
+        assert empirical_limit_test(b)["max_ks"] <= 0.02
+        bad = empirical_limit_test(_scaled(b, 1.1))
         assert bad["marginals"][0]["law"] == law
         assert bad["max_ks"] > 0.02
 
@@ -457,8 +456,7 @@ class TestFiniteNLaw:
         # true KS distance 0.054 for a normal marginal
         spec = specs[name]
         b = sample(gibbs_measure(spec, 1600), 20_000, seed=1, consts=consts_cache(name))
-        model = build_fluctuation_model(spec)
-        assert empirical_limit_test(_scaled(b, 1.25), model)["max_ks"] > 0.02
+        assert empirical_limit_test(_scaled(b, 1.25))["max_ks"] > 0.02
 
     @pytest.mark.parametrize("c", [1e-4, 0.05, 1.0, 30.0])
     def test_exponential_axis_cdf(self, c):
