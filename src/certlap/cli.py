@@ -10,10 +10,12 @@ plotdata  convert a report.json into log-log columns for external plotting.
 
 Exit status: 0 all soundness assertions passed; 1 at least one failed;
 2 configuration/parse error, nothing written: an unreadable config file, an
-unknown problem or check, a malformed inline problem (domain, field,
-neighborhood inside the domain, epsilon with a negative exponent), or a run
-setting out of range (N-sweep not increasing or not above the problem's
-n_zero, grid_res < 16, safety_factor < 1, tol < 1e-14, sample_count < 1);
+unknown problem or check, a malformed inline problem (domain, field and its
+numeric values, neighborhood inside the domain, epsilon a definition with a
+negative exponent, classify_grid_res at least 8), or a run setting out of
+range (N-sweep not increasing or not above the problem's n_zero,
+grid_res < 16, safety_factor < 1, tol < 1e-14, sample_count < 1, or
+sample_count < 100 with the fluctuations check);
 3 an assumption violation (a certified constant or structural hypothesis
 failed, named in the message); 4 numerical budget exhaustion.
 

@@ -15,7 +15,9 @@ import numpy as np
 
 from .catalog import catalog_names, get_problem
 from .errors import ConfigError, DomainError
+from .gibbs import KS_MIN_SAMPLES
 from .problems import (
+    CLASSIFY_MIN_GRID_RES,
     INTERIOR,
     UNIT_WEIGHT,
     BoxDomain,
@@ -63,6 +65,11 @@ class RunConfig:
                                    ("sample_count", self.sample_count, 1)):
             if not value >= least:
                 raise ConfigError(f"{what} must be at least {least:g}, not {value!r}")
+        if "fluctuations" in self.checks and self.sample_count < KS_MIN_SAMPLES:
+            raise ConfigError(
+                f"the fluctuations check needs sample_count at least {KS_MIN_SAMPLES}, "
+                f"not {self.sample_count!r}"
+            )
 
 
 def field_from_config(cfg, dimension: int) -> ScalarField:
@@ -73,30 +80,33 @@ def field_from_config(cfg, dimension: int) -> ScalarField:
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError(f"field definition needs a 'type': {cfg!r}")
     kind = cfg["type"]
-    if kind == "constant":
-        return constant_field(float(cfg.get("value", 1.0)))
-    if kind == "polynomial":
-        try:
-            terms = [(float(t["coeff"]), tuple(int(e) for e in t["powers"])) for t in cfg["terms"]]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad polynomial terms: {exc}") from exc
-        if any(len(p) != dimension for _, p in terms):
-            raise ConfigError("polynomial powers must match the problem dimension")
-        return polynomial_field(terms, name=cfg.get("name", "poly"))
-    if kind == "exponential":
-        lin = [float(v) for v in cfg.get("linear", [])]
-        if len(lin) != dimension:
-            raise ConfigError("exponential linear coefficients must match the dimension")
-        return exponential_field(
-            float(cfg.get("scale", 1.0)), lin, float(cfg.get("offset", 0.0)),
-            name=cfg.get("name", "exp"),
-        )
+    try:
+        if kind == "constant":
+            return constant_field(float(cfg.get("value", 1.0)))
+        if kind == "polynomial":
+            terms = [(float(t["coeff"]), tuple(int(e) for e in t["powers"]))
+                     for t in cfg["terms"]]
+            if any(len(p) != dimension for _, p in terms):
+                raise ConfigError("polynomial powers must match the problem dimension")
+            return polynomial_field(terms, name=cfg.get("name", "poly"))
+        if kind == "exponential":
+            lin = [float(v) for v in cfg.get("linear", [])]
+            if len(lin) != dimension:
+                raise ConfigError("exponential linear coefficients must match the dimension")
+            return exponential_field(
+                float(cfg.get("scale", 1.0)), lin, float(cfg.get("offset", 0.0)),
+                name=cfg.get("name", "exp"),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} field: {exc}") from exc
     raise ConfigError(f"unknown field type {kind!r}")
 
 
 def epsilon_from_config(cfg) -> EpsilonSchedule:
     if cfg is None:
         return zero_epsilon()
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"epsilon must be a definition with a 'class': {cfg!r}")
     kind = cfg.get("class", "zero")
     if kind == "zero":
         return zero_epsilon()
@@ -149,7 +159,15 @@ def problem_from_config(cfg) -> ProblemSpec:
         epsilon=eps,
         n_zero=1,
     )
-    info = classify_maximum(draft, grid_res=int(cfg.get("classify_grid_res", 64)))
+    try:
+        grid_res = int(cfg.get("classify_grid_res", 64))
+        n_zero = int(cfg.get("n_zero", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad inline setting: {exc}") from exc
+    if grid_res < CLASSIFY_MIN_GRID_RES:
+        raise ConfigError(
+            f"classify_grid_res must be at least {CLASSIFY_MIN_GRID_RES}, not {grid_res}")
+    info = classify_maximum(draft, grid_res=grid_res)
     if "neighborhood" in cfg:
         try:
             nb_cfg = cfg["neighborhood"]
@@ -162,7 +180,7 @@ def problem_from_config(cfg) -> ProblemSpec:
     n0 = default_n_zero(
         box, info.neighborhood, info.kind, lambda n: box.to_box(info.x_star_of_N(n))
     )
-    return replace(draft, maximum=info, n_zero=max(n0, int(cfg.get("n_zero", 1))))
+    return replace(draft, maximum=info, n_zero=max(n0, n_zero))
 
 
 def _placeholder_maximum(box: BoxDomain):

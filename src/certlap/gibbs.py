@@ -641,7 +641,8 @@ def sample(measure: GibbsMeasure, count: int, seed: int, consts: ConstantsReport
         read = log_e > -np.inf
         proposed += k
         if not read.all():
-            z, u, log_e = z[read], u[read], log_e[read]
+            keep = np.flatnonzero(read)
+            z, u, log_e = z.take(keep, axis=0), u.take(keep), log_e.take(keep)
         if len(z):
             log_ratio = field_values(env.f_n, z)
             log_ratio -= env.f_star
@@ -652,9 +653,11 @@ def sample(measure: GibbsMeasure, count: int, seed: int, consts: ConstantsReport
                     "certified envelope exceeded by a drawn point",
                     acceptance_rate=n_have / proposed,
                 )
-            sel = z[np.log(u, out=u) <= log_ratio]
-            got.append(sel)
-            n_have += len(sel)
+            # the first ``need`` accepted rows, gathered by index like the
+            # rows read above: a boolean row mask costs several times as much
+            hit = np.flatnonzero(np.log(u, out=u) <= log_ratio)
+            got.append(z.take(hit[:need], axis=0))
+            n_have += len(hit)
         if proposed >= 4096 and n_have / proposed < 1e-4:
             raise EnvelopeFailureError(
                 f"acceptance rate {n_have / proposed:.2e} below 1e-4",
@@ -662,7 +665,7 @@ def sample(measure: GibbsMeasure, count: int, seed: int, consts: ConstantsReport
             )
 
     return SampleBatch(
-        draws=spec.domain.to_ambient(np.concatenate(got)[:count]), N=N,
+        draws=spec.domain.to_ambient(got[0] if len(got) == 1 else np.concatenate(got)), N=N,
         proposed=proposed, acceptance_rate=count / proposed, spec=spec,
     )
 
@@ -676,8 +679,11 @@ def ks_statistic(values, cdf) -> float:
     x = np.sort(np.asarray(values, dtype=float))
     n = len(x)
     F = np.asarray(cdf(x), dtype=float)
-    upper = np.max(np.arange(1, n + 1) / n - F)
-    lower = np.max(F - np.arange(0, n) / n)
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n  # i / n
+    gap = np.subtract(steps[1:], F)
+    upper = gap.max()
+    lower = np.subtract(F, steps[:-1], out=gap).max()
     return float(max(upper, lower))
 
 
@@ -685,14 +691,16 @@ def transform_to_fluctuations(batch: SampleBatch) -> np.ndarray:
     """Case-appropriate rescaling of draws about the finite-N maximizer
     x*(N): sqrt(N) on the Gaussian axes, N (inward) on the exponential
     axis.  Box-frame output, exponential axis first when there is one."""
-    spec = batch.spec
-    z = spec.domain.to_box(batch.draws)
-    z_n = spec.z_star_of_N(batch.N)
-    N = batch.N
+    spec, N = batch.spec, batch.N
+    d = spec.domain.to_box(batch.draws)  # a fresh array, offset in place
+    d -= spec.z_star_of_N(N)
     axis, gauss, s = limit_axes(spec)
-    Y = math.sqrt(N) * (z - z_n)[:, gauss]
+    lead = int(axis is not None)
+    Y = np.empty((len(d), lead + len(gauss)))
+    for j, i in enumerate(gauss, start=lead):
+        np.multiply(d[:, i], math.sqrt(N), out=Y[:, j])
     if axis is not None:
-        Y = np.column_stack([N * s * (z[:, axis] - z_n[axis]), Y])
+        np.multiply(d[:, axis], N * s, out=Y[:, 0])
     return Y
 
 
@@ -736,16 +744,29 @@ def _two_ranges(x: np.ndarray, joint: float, near, far) -> np.ndarray:
     included), each called only on its own values and only if there are
     any: np.piecewise's split without its fixed cost.  Neither function
     changes x, so when every value falls on one side that side reads x
-    itself."""
+    itself.  When the near values are one run, as on sorted x (a prefix)
+    or on |x| of sorted x (a middle run), each side is read as slices, with
+    the far side's two ends joined into one call; otherwise each side is a
+    boolean gather and scatter.  Either way each value meets the same
+    operations, so the result does not depend on the order of x."""
+    if not x.size:
+        return np.empty_like(x)
     mask = x <= joint
     n_near = np.count_nonzero(mask)
-    if x.size and n_near in (0, x.size):
+    if n_near in (0, x.size):
         return (near if n_near else far)(x)
     out = np.empty_like(x)
+    a = int(np.argmax(mask))
+    b = a + n_near
+    if mask[a:b].all():
+        out[a:b] = near(x[a:b])
+        rest = x[b:] if a == 0 else x[:a] if b == x.size else np.concatenate((x[:a], x[b:]))
+        r = far(rest)
+        out[:a] = r[:a]
+        out[b:] = r[a:]
+        return out
     for sel, fn in ((mask, near), (~mask, far)):
-        v = x[sel]
-        if v.size:
-            out[sel] = fn(v)
+        out[sel] = fn(x[sel])
     return out
 
 
@@ -810,7 +831,7 @@ def _ndtr(z) -> np.ndarray:
     """Standard normal CDF.  With a = |z| and y = a / sqrt(2), Phi(-a) =
     erfc(y) / 2 is 1/2 - erf(y) / 2 on the small range and
     exp(-a^2 / 2) erfcx(y) / 2 beyond it; Phi(z) = 1 - Phi(-a) for z > 0."""
-    z = np.array(z, dtype=float, ndmin=1)
+    z = np.array(z, dtype=float, ndmin=1, copy=None)
     low = _two_ranges(np.abs(z), 0.46875 / _SQRT_HALF, _ndtr_small, _ndtr_tail)
     np.subtract(1.0, low, out=low, where=z > 0)
     return low
@@ -842,6 +863,21 @@ def _exp_gauss_cdf(u: np.ndarray, c: float) -> np.ndarray:
     return np.subtract(1.0, u, out=u)
 
 
+def _whiten(Y: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """L^-1 y for each row y of Y (n, k), with K^-1 = L L', L the Cholesky
+    factor: rows of law N(0, K^-1) come out standard normal.  One small
+    product with L^-1, where np.linalg.solve(L, Y.T) is a LAPACK gesv with
+    one right-hand side per row and costs several times as much.  On a
+    diagonal K, L^-1 is diag(1 / L_jj), and both multiply column j by it."""
+    L = np.linalg.cholesky(np.linalg.inv(K))
+    return Y @ np.linalg.inv(L).T
+
+
+# the fewest draws a KS test reads; RunConfig.validate rejects a smaller
+# sample_count when the fluctuations check runs
+KS_MIN_SAMPLES = 100
+
+
 def empirical_limit_test(batch: SampleBatch) -> dict:
     """Kolmogorov-Smirnov statistics of the rescaled draws against the
     marginals of the second-order law at x*(N), N = batch.N.
@@ -853,8 +889,8 @@ def empirical_limit_test(batch: SampleBatch) -> dict:
     c = b / (2 N a^2) and b = K_tt - K_ts K_ss^{-1} K_st.  As N grows, x*(N)
     tends to x*, K to the limit Hessian and c to 0, so these laws tend to
     the N -> infinity law of ``mgf_Y``.  The slope a must be positive."""
-    if batch.count < 100:
-        raise InsufficientSampleError("need at least 100 samples")
+    if batch.count < KS_MIN_SAMPLES:
+        raise InsufficientSampleError(f"need at least {KS_MIN_SAMPLES} samples")
     spec, N, n = batch.spec, batch.N, batch.count
     Y = transform_to_fluctuations(batch)
     z_n = spec.z_star_of_N(N)
@@ -873,8 +909,7 @@ def empirical_limit_test(batch: SampleBatch) -> dict:
         stats.append(("exponential", ks_statistic(a * Y[:, 0], lambda u: _exp_gauss_cdf(u, c))))
         Y = Y[:, 1:]
     if Y.shape[1]:
-        L = np.linalg.cholesky(np.linalg.inv(K_ss))
-        Z = np.linalg.solve(L, Y.T).T
+        Z = _whiten(Y, K_ss)
         for j in range(Z.shape[1]):
             stats.append(("normal", ks_statistic(Z[:, j], _ndtr)))
     return {

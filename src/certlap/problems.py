@@ -31,6 +31,8 @@ BOUNDARY = "boundary_b"
 _ORTHO_TOL = 1e-12
 _GRAD_TOL = 1e-8
 _TIE_TOL = 1e-10
+# the coarsest classification grid, per axis
+CLASSIFY_MIN_GRID_RES = 8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -44,7 +46,9 @@ class BoxDomain:
     """Axis-aligned box, optionally rotated into ambient coordinates.
 
     The domain is {rotation @ z : lower <= z <= upper}.  ``lower``/``upper``
-    live in the box frame; all grid machinery works in that frame.
+    live in the box frame; all grid machinery works in that frame.  An
+    identity rotation is not multiplied: ``to_ambient`` and ``to_box`` then
+    return a float copy of their input.
     """
 
     lower: np.ndarray
@@ -68,6 +72,7 @@ class BoxDomain:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "rotation", _freeze(rot))
+        object.__setattr__(self, "_identity", bool(np.array_equal(rot, np.eye(m))))
 
     @property
     def dimension(self) -> int:
@@ -78,12 +83,14 @@ class BoxDomain:
         return self.upper - self.lower
 
     def to_ambient(self, z):
-        z = np.asarray(z, dtype=float)
-        return z @ self.rotation.T
+        if self._identity:
+            return np.array(z, dtype=float)  # a copy, never a view of z
+        return np.asarray(z, dtype=float) @ self.rotation.T
 
     def to_box(self, x):
-        x = np.asarray(x, dtype=float)
-        return x @ self.rotation
+        if self._identity:
+            return np.array(x, dtype=float)
+        return np.asarray(x, dtype=float) @ self.rotation
 
     def contains_z(self, z, tol: float = 1e-12) -> bool:
         z = np.asarray(z, dtype=float)
@@ -717,8 +724,8 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
     Raises AmbiguousMaximumError when the maximizer hugs a face but neither
     the interior nor the boundary criteria hold, and NonUniqueMaximumError
     when non-adjacent grid cells tie."""
-    if grid_res < 8:
-        raise ValueError("grid_res must be at least 8 per axis")
+    if grid_res < CLASSIFY_MIN_GRID_RES:
+        raise ValueError(f"grid_res must be at least {CLASSIFY_MIN_GRID_RES} per axis")
     box = spec.domain
     m = box.dimension
     fld = spec.f_limit_box

@@ -461,3 +461,34 @@ def test_report_schema(tmp_path, problem, kind):
     report_path, _ = write_outputs(report, str(tmp_path))
     with open(report_path) as fh:
         assert sorted(_key_paths(json.load(fh))) == sorted(expected)
+
+
+@pytest.mark.parametrize("extra", [
+    {"epsilon": 0.5},
+    {"classify_grid_res": 4},
+    {"g": {"type": "constant", "value": "one"}},
+    {"g": {"type": "exponential", "linear": ["x"]}},
+], ids=["eps_not_a_dict", "classify_grid_res", "constant_value", "exponential_linear"])
+def test_malformed_inline_is_config_error(tmp_path, capsys, extra):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": _inline_demo(**extra)}))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg_path), "--output-path", str(out)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_fluctuations_need_the_ks_minimum(tmp_path, capsys):
+    """A sample_count below the KS test's minimum is a configuration error
+    when the fluctuations check runs, and only then."""
+    from certlap.gibbs import KS_MIN_SAMPLES
+
+    out = tmp_path / "out"
+    code = main(["run", "--problem", "gauss1d", "--checks", "fluctuations",
+                 "--sample-count", str(KS_MIN_SAMPLES - 1), "--output-path", str(out)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    RunConfig(problem="gauss1d", checks=("fluctuations",), sample_count=KS_MIN_SAMPLES).validate()
+    RunConfig(problem="gauss1d", checks=("sampler",), sample_count=50).validate()

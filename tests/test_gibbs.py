@@ -871,3 +871,85 @@ class TestInPlaceSpecialFunctions:
             split = np.append(x, across)
             assert np.array_equal(_erfcx(x), _erfcx(split)[:len(x)])
             assert np.array_equal(_ndtr(-x), _ndtr(-split)[:len(x)])
+
+
+class TestAcceptedDrawsToKs:
+    """The path from accepted draws to the KS verdict: the draws gathered by
+    index, the whitening as one small product and the special functions on
+    sorted input give the same values as the masks, the solve and unsorted
+    input."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_whiten_matches_the_solve(self, m):
+        from certlap.gibbs import _whiten
+
+        rng = np.random.default_rng(m)
+        Y = rng.standard_normal((20_000, m))
+        for _ in range(5):
+            A = rng.standard_normal((m, m))
+            K = A @ A.T + 0.5 * np.eye(m)
+            L = np.linalg.cholesky(np.linalg.inv(K))
+            assert np.max(np.abs(_whiten(Y, K) - np.linalg.solve(L, Y.T).T)) <= 1e-13
+        K = np.diag(rng.uniform(0.2, 5.0, m))
+        L = np.linalg.cholesky(np.linalg.inv(K))
+        assert np.array_equal(_whiten(Y, K), np.linalg.solve(L, Y.T).T)
+
+    def test_special_functions_ignore_input_order(self):
+        """Sorted input is split into slices, shuffled input by masks; each
+        value comes out bitwise the same."""
+        from certlap.gibbs import _erfcx, _exp_gauss_cdf, _ndtr
+
+        rng = np.random.default_rng(5)
+        joint = 0.46875 * math.sqrt(2.0)
+        z = np.sort(np.concatenate([
+            3.0 * rng.standard_normal(20_000), rng.uniform(-12.0, 12.0, 500),
+            _with_neighbours(-joint, joint, -4.0 * math.sqrt(2.0), 4.0 * math.sqrt(2.0)),
+        ]))
+        u = np.sort(np.concatenate([rng.exponential(2.0, 20_000), np.geomspace(1e-6, 1e3, 200),
+                                    _with_neighbours(0.46875, 4.0)]))
+        cases = [(_ndtr, z), (_erfcx, np.abs(z)), (_erfcx, u)]
+        cases += [(lambda v, c=c: _exp_gauss_cdf(v, c), u) for c in (0.0, 1e-3, 0.3)]
+        for fn, x in cases:
+            perm = rng.permutation(len(x))
+            assert np.array_equal(fn(x)[perm], fn(x[perm]))
+
+    @pytest.mark.parametrize("name, count", [("gauss3d", 20_000), ("boundary3d", 20_000),
+                                             ("cubic1d", 150_000)])
+    def test_draws_match_the_mask_selection(self, name, count, specs, consts_cache):
+        """sample against the same rejection loop that selects with boolean
+        row masks and slices the joined blocks; cubic1d's count needs more
+        than one block."""
+        import hashlib
+
+        from certlap.gibbs import _BLOCK, _Envelope
+
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+        spec, consts = specs[name], consts_cache(name)
+        for N in (25, 1600):
+            measure = gibbs_measure(spec, N)
+            for seed in (1, 2):
+                env = _Envelope(spec, consts, N)
+                p_hat = math.exp(min(0.0, measure.log_normalizer - N * env.f_star - env.log_m))
+                rng = np.random.default_rng([seed, 0])
+                got, n_have, proposed, blocks = [], 0, 0, 0
+                while (need := count - n_have) > 0:
+                    k = min(_BLOCK, math.ceil(
+                        (need + 4.0 * math.sqrt(need * (1.0 - p_hat)) + 1.0) / p_hat))
+                    z, cell = env.propose(rng, k)
+                    u = rng.uniform(size=k)
+                    log_e = env.log_labelled(z, cell)
+                    read = log_e > -np.inf
+                    z, u, log_e = z[read], u[read], log_e[read]
+                    log_ratio = N * (field_values(env.f_n, z) - env.f_star) - log_e
+                    sel = z[np.log(u) <= log_ratio]
+                    got.append(sel)
+                    n_have += len(sel)
+                    proposed += k
+                    blocks += 1
+                want = np.concatenate(got)[:count] @ spec.domain.rotation.T
+                batch = sample(measure, count, seed=seed, consts=consts)
+                assert digest(batch.draws) == digest(want)
+                assert batch.proposed == proposed
+                assert blocks > 1 or name != "cubic1d"

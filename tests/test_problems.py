@@ -62,6 +62,28 @@ class TestBoxDomain:
         z = np.array([0.25, 0.5])
         assert np.allclose(box.to_box(box.to_ambient(z)), z)
 
+    def test_rotated_rows_round_trip(self):
+        th = 0.3
+        R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        box = BoxDomain([0.0, -1.0], [1.0, 1.0], rotation=R)
+        rows = np.array([[0.25, 0.5], [0.75, -0.5], [0.1, 0.9]])
+        assert np.array_equal(box.to_ambient(rows), rows @ R.T)
+        assert np.allclose(box.to_box(box.to_ambient(rows)), rows, rtol=0.0, atol=1e-15)
+
+    def test_identity_frame_is_a_copy(self):
+        """An identity rotation is not multiplied: each map returns a new
+        float array equal to its input, and writing to it leaves the input
+        as it was."""
+        box = BoxDomain([0.0, -1.0], [1.0, 1.0])
+        z = np.array([[0.25, 0.5], [0.75, -0.5]])
+        z.flags.writeable = False
+        for to in (box.to_ambient, box.to_box):
+            out = to(z)
+            assert np.array_equal(out, z) and not np.shares_memory(out, z)
+            out[:] = 7.0
+            assert z.tolist() == [[0.25, 0.5], [0.75, -0.5]]
+        assert box.to_box([1, 0]).dtype == np.float64
+
     def test_grid_nesting(self):
         box = BoxDomain([-1.0], [2.0])
         coarse = box.grid_axes(16)[0]
