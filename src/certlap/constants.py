@@ -34,6 +34,19 @@ consecutive in another order.
 A field whose coupling is None is one block: the full grid.  G and G1
 are taken on the axes g reads.  The complement gap and ``audit_constants``
 stay pointwise.
+
+f(., N) = f + eps(N) sigma is taken at each N of the sweep only where it
+can change with N.  It is the same field at every N when sigma is None or
+eps == 0.  Its curvature, the Hessian and third tensor behind F2, F3, the
+top eigenvalue, F2_prime, lambda and Lambda, is the same at every N also
+when every term of sigma in the box frame has total degree <= 1 and no
+exp factor: the product rule then leaves no sigma term in a second or
+third derivative, so the Hessian and third-tensor term lists are equal at
+every N, and so is every value taken from them.  Such a quantity is taken
+at the first N of the sweep alone, and the max / min over the sweep of
+equal values is that value, bit for bit.  F1_prime (from the gradient)
+and the complement gap (from f itself) are taken at every N unless f(., N)
+is the same at every N.
 """
 
 from __future__ import annotations
@@ -76,9 +89,9 @@ def _check_finite(arr, what):
         raise FieldEvaluationError(f"non-finite {what} on the constants grid")
 
 
-def _neighborhood_extremes(f_n, pts, axis, gauss, axes=None) -> dict:
+def _curvature_extremes(f_n, pts, gauss, axes=None) -> dict:
     """Extremes over ``pts`` of the pointwise quantities behind the
-    neighborhood constants, on the block ``axes`` (default every axis) of
+    curvature constants, on the block ``axes`` (default every axis) of
     the Hessian and third tensor, keyed by constant name: ``top``, the
     largest eigenvalue on the block's Gaussian axes, and ``log_lambda`` /
     ``log_Lambda``, the least / largest log |det| there.  A block with no
@@ -96,7 +109,7 @@ def _neighborhood_extremes(f_n, pts, axis, gauss, axes=None) -> dict:
     eig_g = eigs if Hg is H else np.linalg.eigvalsh(0.5 * (Hg + np.swapaxes(Hg, -1, -2)))
     # |det| = exp(log |det|), as np.linalg.det forms it
     log_dets = np.linalg.slogdet(Hg)[1]
-    ext = {
+    return {
         "F2": float(np.max(np.abs(eigs))),
         "F3": float(np.max(T)),
         "top": float(np.max(eig_g, initial=-math.inf)),
@@ -104,11 +117,27 @@ def _neighborhood_extremes(f_n, pts, axis, gauss, axes=None) -> dict:
         "log_lambda": float(np.min(log_dets)),
         "log_Lambda": float(np.max(log_dets)),
     }
-    if axis in axes:
-        grads = gradients_on(f_n, pts)
-        _check_finite(grads, "gradient")
-        ext["F1_prime"] = float(np.min(np.abs(grads[..., axis])))
-    return ext
+
+
+def _least_slope(f_n, pts, axis) -> float:
+    """min |d f_n / d x_axis| over ``pts``: F1_prime before the safety
+    factor."""
+    grads = gradients_on(f_n, pts)
+    _check_finite(grads, "gradient")
+    return float(np.min(np.abs(grads[..., axis])))
+
+
+def _n_sweeps(spec: ProblemSpec, n_sweep: tuple) -> tuple[tuple, tuple]:
+    """(the N at which f(., N) must be taken, the N at which its curvature
+    must be): the first N alone for a quantity that is the same at every N
+    (module docstring)."""
+    if spec.sigma is None or spec.epsilon.decay_class == "zero":
+        return n_sweep[:1], n_sweep[:1]
+    affine = all(
+        rate is None and sum(e for _, e in powers) <= 1
+        for _, powers, rate in spec.sigma_box.terms
+    )
+    return n_sweep, n_sweep[:1] if affine else n_sweep
 
 
 def _fold(values) -> float:
@@ -122,7 +151,7 @@ def _fold(values) -> float:
 
 def _combine(exts) -> dict:
     """The extremes over a product of block grids from each block's
-    extremes (``_neighborhood_extremes``, in axis order): every pointwise
+    extremes (``_curvature_extremes``, in axis order): every pointwise
     quantity is monotone in each block's term, so its extreme is that of
     the blocks' extremes."""
     return {
@@ -132,7 +161,6 @@ def _combine(exts) -> dict:
         "F2_prime": min(e["F2_prime"] for e in exts),
         "lambda": math.exp(_fold(e["log_lambda"] for e in exts)),
         "Lambda": math.exp(_fold(e["log_Lambda"] for e in exts)),
-        "F1_prime": min((e["F1_prime"] for e in exts if "F1_prime" in e), default=math.inf),
     }
 
 
@@ -166,6 +194,11 @@ def estimate_constants(
     pinned at the centre: one point for a constant g.  The complement
     gap is taken at every domain node outside the neighborhood, and the
     full domain grid is built only when there is such a node.
+
+    The curvature extremes are taken at the first N of the sweep alone
+    when sigma is None, eps == 0 or sigma is affine (no exp factor, total
+    degree <= 1), and F1_prime and the gap when sigma is None or eps == 0:
+    they are then the same at every N (module docstring).
     """
     if grid_res < 16:
         raise ValueError("grid_res must be at least 16 per axis")
@@ -196,19 +229,24 @@ def estimate_constants(
     _check_finite(g_grads, "grad g")
     G1 = float(np.max(np.linalg.norm(g_grads, axis=-1)))
 
-    n_independent = spec.sigma is None or spec.epsilon.decay_class == "zero"
-    sweep_eval = n_sweep[:1] if n_independent else n_sweep
+    f_sweep, curvature_sweep = _n_sweeps(spec, n_sweep)
 
     F2 = F3 = Lam = -math.inf
     F2p = lam = F1p = math.inf
     gap2 = gap1 = math.inf
 
-    for N in sweep_eval:
+    for N in f_sweep:
         f_n = spec.f_of_box(N)
-        ext = _combine([
-            _neighborhood_extremes(f_n, nb.grid_points(grid_res, b), axis, gauss, b)
-            for b in axis_blocks(f_n.coupling, m)
-        ])
+        exts = []
+        for b in axis_blocks(f_n.coupling, m):
+            pts = nb.grid_points(grid_res, b)
+            if N in curvature_sweep:
+                exts.append(_curvature_extremes(f_n, pts, gauss, b))
+            if axis in b:
+                F1p = min(F1p, _least_slope(f_n, pts, axis))
+        if not exts:
+            continue  # the first N's curvature is this N's
+        ext = _combine(exts)
         if ext["top"] >= 0.0:
             raise DefinitenessError(
                 f"Hessian on the Gaussian axes not negative definite on the neighborhood "
@@ -219,21 +257,18 @@ def estimate_constants(
         F2p = min(F2p, ext["F2_prime"])
         lam = min(lam, ext["lambda"])
         Lam = max(Lam, ext["Lambda"])
-        F1p = min(F1p, ext["F1_prime"])
 
     if has_outside:
         om_pts = box.grid_points(grid_res)
         inside = nb.contains_rows(om_pts, tol=1e-12)
         out_pts = om_pts[~inside]
-        for N in n_sweep:
+        for N in f_sweep:
             drop, dists = _complement_drop(spec, N, spec.f_of_box(N), out_pts)
             _check_finite(drop, "f on the complement grid")
             # min(f* - f_out) == f* - max(f_out): rounding is monotone
             gap, dmax = float(np.min(drop)), float(np.max(dists))
             gap2 = min(gap2, gap / dmax**2)
             gap1 = min(gap1, gap / dmax)
-            if n_independent:
-                break  # the gap is N-independent too
 
     sf = float(safety_factor)
     F2 *= sf
@@ -291,8 +326,14 @@ def audit_constants(
 
     Draws points in the neighborhood (and the complement for the gap-type
     constants) and checks the pointwise inequalities each certified constant
-    claims, with multiplicative tolerance ``slack``.  Returns a dict with
-    ``ok`` and any failures."""
+    claims, with multiplicative tolerance ``slack``, at every N of the
+    report's sweep.  Returns a dict with ``ok`` and any failures, labelled
+    by constant and N.
+
+    A quantity the same at every N (module docstring) is taken at the
+    first N and checked against the report at each N: the curvature
+    extremes when sigma is None, eps == 0 or sigma is affine, F1_prime and
+    the complement drop when sigma is None or eps == 0."""
     rng = np.random.default_rng(seed)
     box = spec.domain
     nb = spec.maximum.neighborhood
@@ -315,19 +356,24 @@ def audit_constants(
     gg = gradients_on(g_box, pts)
     check(float(np.max(np.linalg.norm(gg, axis=-1))) <= report.G1 * slack, "G1")
 
+    f_sweep, curvature_sweep = _n_sweeps(spec, report.n_sweep)
     for N in report.n_sweep:
         f_n = spec.f_of_box(N)
-        ext = _combine([_neighborhood_extremes(f_n, pts, axis, gauss)])
+        if N in curvature_sweep:
+            ext = _combine([_curvature_extremes(f_n, pts, gauss)])
         check(ext["F2"] <= report.F2 * slack, f"F2@N={N}")
         check(ext["F3"] <= report.F3 * slack + 1e-12, f"F3@N={N}")
         check(ext["F2_prime"] >= report.F2_prime / slack, f"F2_prime@N={N}")
         check(ext["lambda"] >= report.lambda_det / slack, f"lambda@N={N}")
         check(ext["Lambda"] <= report.Lambda_det * slack, f"Lambda@N={N}")
+        if N in f_sweep:
+            slope = None if axis is None else _least_slope(f_n, pts, axis)
+            if len(out_pts):
+                drop, d = _complement_drop(spec, N, f_n, out_pts)
         if axis is not None:
-            check(ext["F1_prime"] >= report.F1_prime / slack, f"F1_prime@N={N}")
+            check(slope >= report.F1_prime / slack, f"F1_prime@N={N}")
 
         if len(out_pts):
-            drop, d = _complement_drop(spec, N, f_n, out_pts)
             check(
                 bool(np.all(drop >= report.F2_prime_Omega * d**2 / slack)),
                 f"F2_prime_Omega@N={N}",

@@ -576,7 +576,7 @@ class _Envelope:
         exponential draws, then the normal draws.  When no pick reaches a
         cell the core draws are written straight into the output."""
         m = len(self.z_n)
-        pick = rng.uniform(size=k)
+        pick = rng.random(k)
         out = np.empty((k, m))
         cell = np.full(k, -1)
         if pick.max() < self.cum[0]:
@@ -585,7 +585,7 @@ class _Envelope:
         cells = pick >= self.cum[0]
         c = cell[cells] = np.minimum(
             np.searchsorted(self.cum[1:], pick[cells], side="right"), len(self.cum) - 2)
-        out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.uniform(size=(len(c), m))
+        out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.random((len(c), m))
         core = np.empty((k - len(c), m))
         self._draw_core(rng, core)
         out[~cells] = core
@@ -636,7 +636,7 @@ def sample(measure: GibbsMeasure, count: int, seed: int, consts: ConstantsReport
     while (need := count - n_have) > 0:
         k = min(_BLOCK, math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p_hat)) + 1.0) / p_hat))
         z, cell = env.propose(rng, k)
-        u = rng.uniform(size=k)
+        u = rng.random(k)
         log_e = env.log_labelled(z, cell)
         read = log_e > -np.inf
         proposed += k
@@ -665,7 +665,9 @@ def sample(measure: GibbsMeasure, count: int, seed: int, consts: ConstantsReport
             )
 
     return SampleBatch(
-        draws=spec.domain.to_ambient(got[0] if len(got) == 1 else np.concatenate(got)), N=N,
+        # the gathered rows are a fresh array no caller holds: not copied again
+        draws=spec.domain.to_ambient(got[0] if len(got) == 1 else np.concatenate(got), copy=False),
+        N=N,
         proposed=proposed, acceptance_rate=count / proposed, spec=spec,
     )
 

@@ -48,7 +48,9 @@ class BoxDomain:
     The domain is {rotation @ z : lower <= z <= upper}.  ``lower``/``upper``
     live in the box frame; all grid machinery works in that frame.  An
     identity rotation is not multiplied: ``to_ambient`` and ``to_box`` then
-    return a float copy of their input.
+    return a float copy of their input, never a view of it.  A caller that
+    owns a fresh float array may pass ``copy=False`` to ``to_ambient`` to
+    get that array itself back on an identity frame.
     """
 
     lower: np.ndarray
@@ -82,9 +84,9 @@ class BoxDomain:
     def edges(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def to_ambient(self, z):
+    def to_ambient(self, z, copy: bool = True):
         if self._identity:
-            return np.array(z, dtype=float)  # a copy, never a view of z
+            return np.array(z, dtype=float) if copy else np.asarray(z, dtype=float)
         return np.asarray(z, dtype=float) @ self.rotation.T
 
     def to_box(self, x):
@@ -252,8 +254,15 @@ def _eval_terms(terms, pts):
     multiplication (``_power``); it is added to the sum in place.  Two
     scratch arrays of the batch shape, one for the term and one for a power,
     serve every term in turn, so no power outlives its term: a batch can
-    hold about a million quadrature nodes."""
+    hold about a million quadrature nodes.
+
+    A single point of shape (m,) takes ``_eval_point``: the same operations
+    in the same order on Python floats, which round as numpy's elementwise
+    float64 ones do, so it is the batch path's value for ``pts[None]`` bit
+    for bit without its per-term array calls."""
     pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        return _eval_point(terms, pts)
     shape = pts.shape[:-1]
     out = np.zeros(shape)
     term, scratch = np.empty(shape), np.empty(shape)
@@ -273,8 +282,34 @@ def _eval_terms(terms, pts):
         for x, e in factors:
             term *= _power(x, e, scratch)
         out += term
-    # a scalar for a single point, as numpy's own operators give
-    return out[()]
+    return out
+
+
+def _eval_point(terms, pt: np.ndarray) -> np.float64:
+    """``_eval_terms`` at one point (m,).  An exp factor keeps ``np.exp`` of
+    ``pt @ rate``: numpy forms that dot product for (m,) and (1, m) alike,
+    where a Python sum would round differently."""
+    x = pt.tolist()
+    acc = 0.0
+    for c, powers, rate in terms:
+        if c == 0.0:
+            continue
+        if rate is not None:
+            term = float(np.exp(pt @ rate)) * c
+        elif not powers:
+            acc += c
+            continue
+        else:
+            term = None
+        for i, e in powers:
+            xi = v = x[i]
+            if e > 1:  # as _power forms it
+                v = xi * xi
+                for _ in range(e - 2):
+                    v *= xi
+            term = v * c if term is None else term * v
+        acc += term
+    return np.float64(acc)
 
 
 def _diff(terms, axis: int) -> list:

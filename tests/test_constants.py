@@ -36,6 +36,60 @@ def with_neighborhood(spec, lower, upper):
     return replace(spec, maximum=replace(spec.maximum, neighborhood=nb))
 
 
+# ---------------------------------------------------------------------------
+# the sweep against one single-N report or audit per N: a quantity the same
+# at every N is taken once, the others at each N
+
+# sigma = x^2 adds 2 eps(N) to d2f/dx2, so the curvature changes with N
+QUAD_SIGMA = {
+    "name": "quadsig2d",
+    "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    "f": {"type": "polynomial", "terms": [
+        {"coeff": -1.0, "powers": [2, 0]}, {"coeff": -0.5, "powers": [0, 2]},
+        {"coeff": 0.1, "powers": [1, 1]}]},
+    "sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [2, 0]}]},
+    "epsilon": {"class": "power", "exponent": -0.75},
+}
+
+
+def _n_problem(name):
+    inline = {p["name"]: p for p in INLINE + [QUAD_SIGMA]}
+    return problem_from_config(inline[name]) if name in inline else get_problem(name)
+
+
+# how a sweep's constants fold its N's: the safety factor scales monotonically,
+# so folding after it gives the same bits
+_FOLD = {"F2": max, "F3": max, "Lambda_det": max, "F2_prime": min, "F2_prime_Omega": min,
+         "lambda_det": min, "F1_prime": min, "F1_prime_Omega": min}
+# sigma affine (or absent) in all but quadsig2d; the varying constant under
+# test: F2 changes with N only on quadsig2d, F1_prime on bnd2d
+N_CASES = [("quad2d", "F2"), ("drift1d", "F2"), ("bnd2d", "F1_prime"), ("quadsig2d", "F2")]
+DOWN = SWEEP[::-1]
+
+
+def _per_n_reports(spec, n_sweep, **kw):
+    """One report per N, each from a sweep of that N alone, and their fold
+    into the report of the whole sweep."""
+    reps = [dataclasses.asdict(estimate_constants(spec, n_sweep=(N,), **kw)) for N in n_sweep]
+    ref = dict(reps[0], n_sweep=tuple(n_sweep))
+    for key, fold in _FOLD.items():
+        if ref[key] is not None:
+            ref[key] = fold(r[key] for r in reps)
+    return reps, ref
+
+
+def _per_n_audit(spec, report):
+    """The audit of the report's sweep from one audit per N."""
+    per_n = [audit_constants(spec, dataclasses.replace(report, n_sweep=(N,)), seed=1)
+             for N in report.n_sweep]
+    return {
+        "ok": all(a["ok"] for a in per_n),
+        "failures": [f for a in per_n for f in a["failures"]],
+        "n_points": 1000,
+        "problem": spec.name,
+    }
+
+
 class TestStrictJson:
     def test_to_json_writes_null_for_infinity(self):
         # exp1d's empty tangent block leaves F2_prime infinite
@@ -100,6 +154,22 @@ class TestEstimate:
                 assert rep.F1_prime_Omega <= rep.F1_prime + 1e-15
             else:
                 assert rep.F1_prime is None and rep.F1_prime_Omega is None
+
+    @pytest.mark.parametrize("sweep", [SWEEP, DOWN], ids=["up", "down"])
+    @pytest.mark.parametrize("name,varying", N_CASES)
+    def test_sweep_is_the_fold_of_its_n(self, name, varying, sweep):
+        # in a descending sweep the least F1_prime (at N = 25) comes last;
+        # on quadsig2d the largest F2 comes last in an ascending one
+        spec = _n_problem(name)
+        reps, ref = _per_n_reports(spec, sweep, grid_res=32)
+        assert dataclasses.asdict(estimate_constants(spec, grid_res=32, n_sweep=sweep)) == ref
+        if name in ("bnd2d", "quadsig2d"):
+            assert len({r[varying] for r in reps}) == len(sweep)
+
+    def test_quadratic_sigma_changes_the_curvature(self):
+        reps, _ = _per_n_reports(_n_problem("quadsig2d"), SWEEP, grid_res=32)
+        F2 = [r["F2"] for r in reps]
+        assert F2 == sorted(F2) and F2[0] < F2[-1]
 
     def test_definiteness_error(self):
         box = BoxDomain([-1.0], [1.0])
@@ -195,6 +265,26 @@ class TestAudit:
         rep = consts_cache(name)
         audit = audit_constants(specs[name], rep, n_points=1000, seed=1)
         assert audit["ok"], audit["failures"]
+
+    @pytest.mark.parametrize("sweep", [SWEEP, DOWN], ids=["up", "down"])
+    @pytest.mark.parametrize("name,varying", N_CASES)
+    def test_sweep_is_the_audits_of_its_n(self, name, varying, sweep):
+        # the varying constant set between its per-N values, so that some N
+        # fail and some do not; a constant the same at every N set to half
+        # its value, so that every N fails, each under its own label
+        spec = _n_problem(name)
+        reps, _ = _per_n_reports(spec, sweep, grid_res=32, safety_factor=1.0)
+        vals = [r[varying] for r in reps]
+        bar = 0.5 * (min(vals) + max(vals)) if len(set(vals)) > 1 else 0.5 * vals[0]
+        rep = estimate_constants(spec, grid_res=32, n_sweep=sweep, safety_factor=1.0)
+        rep = dataclasses.replace(rep, **{varying: bar})
+        ref = _per_n_audit(spec, rep)
+        assert audit_constants(spec, rep, seed=1) == ref
+        failed = [f for f in ref["failures"] if f.startswith(varying + "@")]
+        if len(set(vals)) > 1:
+            assert 0 < len(failed) < len(sweep)
+        else:
+            assert failed == [f"{varying}@N={N}" for N in sweep]
 
 
 # ---------------------------------------------------------------------------

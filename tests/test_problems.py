@@ -84,6 +84,13 @@ class TestBoxDomain:
             assert z.tolist() == [[0.25, 0.5], [0.75, -0.5]]
         assert box.to_box([1, 0]).dtype == np.float64
 
+    def test_an_owned_array_is_not_copied_again(self):
+        z = np.array([[0.25, 0.5], [0.75, -0.5]])
+        assert BoxDomain([0.0, -1.0], [1.0, 1.0]).to_ambient(z, copy=False) is z
+        R = np.array([[0.6, -0.8], [0.8, 0.6]])
+        out = BoxDomain([0.0, -1.0], [1.0, 1.0], rotation=R).to_ambient(z, copy=False)
+        assert np.array_equal(out, z @ R.T) and not np.shares_memory(out, z)
+
     def test_grid_nesting(self):
         box = BoxDomain([-1.0], [2.0])
         coarse = box.grid_axes(16)[0]
@@ -378,6 +385,49 @@ class TestPolynomialKernel:
             for idx in itertools.product(range(m), repeat=order):
                 ref = _pow_form(_derivative_terms(terms, sorted(idx)), pts)
                 assert np.array_equal(got[(...,) + idx], ref)
+
+
+@st.composite
+def _term_lists(draw):
+    """A term list on m <= 3 axes: monomials, exp factors alone or times
+    powers, zero coefficients and constants, and one point."""
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeff = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_subnormal=False))
+    raw = draw(st.lists(
+        st.tuples(coeff, st.lists(st.integers(0, 4), min_size=m, max_size=m), st.booleans()),
+        min_size=1, max_size=6))
+    # rates from the generator, not hypothesis's round floats, whose
+    # products are often exact and would hide a dot product taken in
+    # another order; a quarter of the entries zero
+    terms = [(c, tuple((i, e) for i, e in enumerate(p) if e),
+              np.where(rng.random(m) < 0.25, 0.0, rng.uniform(-1.5, 1.5, m)) if exp else None)
+             for c, p, exp in raw]
+    if draw(st.booleans()):
+        terms.append((draw(coeff), (), None))
+    return tuple(terms), rng.uniform(-2.0, 2.0, m)
+
+
+class TestPointPath:
+    """A single point (m,) is evaluated on Python floats, not through the
+    batch arrays; every value and handle is still the batch's bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_term_lists())
+    # a sum of the rate's products from the left rounds this exponent 1 ulp
+    # away from numpy's dot product
+    @example((((2.0, ((0, 1),), np.array([-0.275, -1.364, -1.354])),),
+              np.array([1.997, 0.609, -1.062])))
+    def test_a_point_is_bitwise_its_batch_of_one(self, case):
+        terms, pt = case
+        one = certlap.problems._eval_terms(terms, pt)
+        assert type(one) is np.float64
+        assert one.tobytes() == certlap.problems._eval_terms(terms, pt[None])[0].tobytes()
+        f = certlap.problems._term_field(terms)
+        for order in range(4):
+            got, batch = _handles(f, order)(pt), _handles(f, order)(pt[None])
+            assert np.shape(got) == batch.shape[1:]
+            assert np.asarray(got).tobytes() == batch[0].tobytes()
 
 
 @st.composite
