@@ -8,7 +8,6 @@ large numbers, fluctuation limits, drift of the maximizer).
 
 from .catalog import catalog, catalog_names, get_problem
 from .constants import ConstantsReport, audit_constants, estimate_constants
-from .derivatives import third_tensor_norm_bound
 from .gibbs import (
     GibbsMeasure,
     MgfReport,

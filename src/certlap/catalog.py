@@ -1,48 +1,29 @@
 """Built-in test problems.
 
-Each entry carries analytic derivative handles and, where one exists, a
-closed-form value of the integral so the quadrature oracle and the certified
-enclosures can be cross-checked against something independent.
+Each entry is an inline definition in the ``certlap run --config`` grammar,
+so any of them is a template for an inline problem, and it is built and
+classified the way an inline problem is.  Where one exists, a closed-form
+value of the integral sits next to the definition, so the quadrature oracle
+and the certified enclosures can be cross-checked against something
+independent.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError
-from .problems import (
-    BOUNDARY,
-    INTERIOR,
-    UNIT_WEIGHT,
-    BoxDomain,
-    EpsilonSchedule,
-    MaximumInfo,
-    ProblemSpec,
-    ScalarField,
-    default_n_zero,
-    default_neighborhood,
-    polynomial_field,
-    power_epsilon,
-    zero_epsilon,
-)
+from .grammar import problem_from_definition
+from .problems import ProblemSpec
 
 
-def _gauss_f(m: int) -> ScalarField:
-    # -|x|^2 / 2
-    return polynomial_field([(-0.5, tuple(2 if i == j else 0 for i in range(m)))
-                             for j in range(m)], name="neg_half_square")
+def _poly(name: str, *terms) -> dict:
+    return {"type": "polynomial", "name": name,
+            "terms": [{"coeff": c, "powers": list(p)} for c, p in terms]}
 
 
-def _const_point(x) -> Callable[[int], np.ndarray]:
-    arr = np.asarray(x, dtype=float)
-
-    def x_star_of_N(_n: int) -> np.ndarray:
-        return arr.copy()
-
-    return x_star_of_N
+def _box(lower, upper) -> dict:
+    return {"lower": lower, "upper": upper}
 
 
 def _segment_gauss(N: float, a: float, b: float, shift: float = 0.0) -> float:
@@ -51,211 +32,90 @@ def _segment_gauss(N: float, a: float, b: float, shift: float = 0.0) -> float:
     return math.sqrt(math.pi / (2.0 * N)) * (math.erf(s * (b - shift)) - math.erf(s * (a - shift)))
 
 
-def _interior_spec(
-    name, box, f, g, sigma, epsilon, neighborhood, x_star, x_star_of_N, exact
-) -> ProblemSpec:
-    info = MaximumInfo(
-        kind=INTERIOR,
-        x_star=np.asarray(x_star, dtype=float),
-        x_star_of_N=x_star_of_N,
-        neighborhood=neighborhood,
-    )
-    n0 = default_n_zero(box, neighborhood, INTERIOR, lambda n: box.to_box(x_star_of_N(n)))
-    return ProblemSpec(
-        name=name, dimension=box.dimension, domain=box, f_limit=f, g=g,
-        maximum=info, sigma=sigma, epsilon=epsilon, n_zero=n0, exact_integral=exact,
-    )
+def _face(N: float) -> float:
+    """integral over [0, 1] of exp(-N x)."""
+    return -math.expm1(-N) / N
 
 
-def _boundary_spec(name, box, f, g, neighborhood, x_star, axis, exact) -> ProblemSpec:
-    info = MaximumInfo(
-        kind=BOUNDARY,
-        x_star=np.asarray(x_star, dtype=float),
-        x_star_of_N=_const_point(x_star),
-        neighborhood=neighborhood,
-        boundary_axis=axis,
-    )
-    n0 = default_n_zero(box, neighborhood, BOUNDARY, lambda n: np.asarray(x_star, dtype=float))
-    return ProblemSpec(
-        name=name, dimension=box.dimension, domain=box, f_limit=f, g=g,
-        maximum=info, sigma=None, epsilon=zero_epsilon(), n_zero=n0,
-        exact_integral=exact,
-    )
-
-
-def _drifting_gauss(name: str, epsilon: EpsilonSchedule, half_width: float) -> ProblemSpec:
-    """f = -x^2/2 + eps(N) x on [-1, 1]: maximizer x*(N) = eps(N)."""
-    box = BoxDomain([-1.0], [1.0])
-    f = polynomial_field([(-0.5, (2,))], name="neg_half_square")
-    sigma = polynomial_field([(1.0, (1,))], name="identity")
-    nb = BoxDomain([-half_width], [half_width])
-
-    def x_star_of_N(n: int) -> np.ndarray:
-        return np.array([float(epsilon.evaluate(int(n)))])
+def _drifting(exponent: float, half_width: float):
+    """f = -x^2/2 + eps(N) x on [-1, 1] with eps(N) = N^exponent: maximizer
+    x*(N) = eps(N)."""
+    definition = {
+        "domain": _box([-1.0], [1.0]),
+        "f": _poly("neg_half_square", (-0.5, (2,))),
+        "sigma": _poly("identity", (1.0, (1,))),
+        "epsilon": {"class": "power", "exponent": exponent},
+        "neighborhood": _box([-half_width], [half_width]),
+    }
 
     def exact(n: int) -> float:
-        eps = float(epsilon.evaluate(int(n)))
+        eps = float(n) ** exponent
         return math.exp(n * eps * eps / 2.0) * _segment_gauss(n, -1.0, 1.0, shift=eps)
 
-    return _interior_spec(
-        name, box, f, UNIT_WEIGHT, sigma, epsilon, nb,
-        x_star=[0.0], x_star_of_N=x_star_of_N, exact=exact,
-    )
+    return definition, exact
 
 
-def _build_gauss1d() -> ProblemSpec:
-    box = BoxDomain([-1.0], [1.0])
-    f = _gauss_f(1)
-    nb = default_neighborhood(box, np.zeros(1))  # [-0.5, 0.5]
+_GAUSS = [_poly("neg_half_square", *[(-0.5, tuple(2 if i == j else 0 for i in range(m)))
+                                     for j in range(m)]) for m in (1, 2, 3)]
+_CUBE = [_box([-1.0] * m, [1.0] * m) for m in (1, 2, 3)]
+_HALF = _box([0.0, -1.0], [1.0, 1.0])  # the x1 = 0 face is the maximizing one
+_MIXED = _poly("mixed", (-1.0, (1, 0)), (-0.5, (0, 2)))
 
-    def exact(n: int) -> float:
-        return _segment_gauss(n, -1.0, 1.0)
-
-    return _interior_spec(
-        "gauss1d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
-        x_star=[0.0], x_star_of_N=_const_point([0.0]), exact=exact,
-    )
-
-
-def _build_exp1d() -> ProblemSpec:
-    box = BoxDomain([0.0], [1.0])
-    f = polynomial_field([(-1.0, (1,))], name="neg_x")
-    nb = BoxDomain([0.0], [1.0])  # the whole domain certifies |f'| = 1
-
-    def exact(n: int) -> float:
-        return -math.expm1(-n) / n
-
-    return _boundary_spec("exp1d", box, f, UNIT_WEIGHT, nb,
-                          x_star=[0.0], axis=0, exact=exact)
-
-
-def _build_cubic1d() -> ProblemSpec:
-    # Non-quadratic interior problem: nonzero third derivative at the
-    # maximizer drives the constant part of the interior remainder bound.
-    box = BoxDomain([-1.0], [1.0])
-    f = polynomial_field([(-0.5, (2,)), (-1.0 / 6.0, (3,))], name="cubic_well")
-    nb = BoxDomain([-0.9], [0.9])
-    return _interior_spec(
-        "cubic1d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
-        x_star=[0.0], x_star_of_N=_const_point([0.0]), exact=None,
-    )
-
-
-def _build_quartic1d() -> ProblemSpec:
-    box = BoxDomain([-1.0], [1.0])
-    f = polynomial_field([(-0.5, (2,)), (-0.25, (4,))], name="quartic_well")
-    nb = BoxDomain([-1.0], [1.0])
-    return _interior_spec(
-        "quartic1d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
-        x_star=[0.0], x_star_of_N=_const_point([0.0]), exact=None,
-    )
-
-
-def _build_iso2d() -> ProblemSpec:
-    box = BoxDomain([-1.0, -1.0], [1.0, 1.0])
-    f = _gauss_f(2)
-    nb = BoxDomain([-1.0, -1.0], [1.0, 1.0])
-
-    def exact(n: int) -> float:
-        return _segment_gauss(n, -1.0, 1.0) ** 2
-
-    return _interior_spec(
-        "iso2d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
-        x_star=[0.0, 0.0], x_star_of_N=_const_point([0.0, 0.0]), exact=exact,
-    )
-
-
-def _build_gauss3d() -> ProblemSpec:
-    box = BoxDomain([-1.0] * 3, [1.0] * 3)
-    f = _gauss_f(3)
-    nb = BoxDomain([-1.0] * 3, [1.0] * 3)
-
-    def exact(n: int) -> float:
-        return _segment_gauss(n, -1.0, 1.0) ** 3
-
-    return _interior_spec(
-        "gauss3d", box, f, UNIT_WEIGHT, None, zero_epsilon(), nb,
-        x_star=[0.0] * 3, x_star_of_N=_const_point([0.0] * 3), exact=exact,
-    )
-
-
-def _build_mixed2d() -> ProblemSpec:
-    # Boundary maximum in the relative interior of the x1 = 0 face.  The
-    # tangential axis straddles zero so the face carries a full Gaussian
-    # cross-section (a corner placement would halve the leading term).
-    box = BoxDomain([0.0, -1.0], [1.0, 1.0])
-    f = polynomial_field([(-1.0, (1, 0)), (-0.5, (0, 2))], name="mixed")
-    nb = BoxDomain([0.0, -1.0], [1.0, 1.0])
-
-    def exact(n: int) -> float:
-        return (-math.expm1(-n) / n) * _segment_gauss(n, -1.0, 1.0)
-
-    return _boundary_spec("mixed2d", box, f, UNIT_WEIGHT, nb,
-                          x_star=[0.0, 0.0], axis=0, exact=exact)
-
-
-def _build_tilt2d() -> ProblemSpec:
-    # mixed2d geometry with a sloped weight: the nonzero gradient bound of g
-    # keeps the remainder constant from degenerating, giving the clean
-    # 1/sqrt(N) certified-error rate for the boundary case.
-    box = BoxDomain([0.0, -1.0], [1.0, 1.0])
-    f = polynomial_field([(-1.0, (1, 0)), (-0.5, (0, 2))], name="mixed")
-    g = polynomial_field([(1.0, (0, 0)), (2.0, (0, 1))], name="one_plus_2y")
-    nb = BoxDomain([0.0, -1.0], [1.0, 1.0])
-
-    def exact(n: int) -> float:
-        # the odd part of g integrates to zero over the symmetric x2 range
-        return (-math.expm1(-n) / n) * _segment_gauss(n, -1.0, 1.0)
-
-    return _boundary_spec("tilt2d", box, f, g, nb, x_star=[0.0, 0.0], axis=0, exact=exact)
-
-
-def _build_boundary3d() -> ProblemSpec:
-    box = BoxDomain([0.0, -1.0, -1.0], [1.0, 1.0, 1.0])
-    f = polynomial_field(
-        [(-1.0, (1, 0, 0)), (-0.5, (0, 2, 0)), (-0.5, (0, 0, 2))], name="mixed3"
-    )
-    nb = BoxDomain([0.0, -1.0, -1.0], [1.0, 1.0, 1.0])
-
-    def exact(n: int) -> float:
-        return (-math.expm1(-n) / n) * _segment_gauss(n, -1.0, 1.0) ** 2
-
-    return _boundary_spec("boundary3d", box, f, UNIT_WEIGHT, nb,
-                          x_star=[0.0, 0.0, 0.0], axis=0, exact=exact)
-
-
-_BUILDERS: dict[str, Callable[[], ProblemSpec]] = {
-    "gauss1d": _build_gauss1d,
-    "exp1d": _build_exp1d,
-    "cubic1d": _build_cubic1d,
-    "quartic1d": _build_quartic1d,
-    "iso2d": _build_iso2d,
-    "mixed2d": _build_mixed2d,
-    "tilt2d": _build_tilt2d,
-    "gauss3d": _build_gauss3d,
-    "boundary3d": _build_boundary3d,
-    "drift1d": lambda: _drifting_gauss(
-        "drift1d", EpsilonSchedule(lambda n: 1.0 / n, "o_one_over_sqrtN"), 0.5
-    ),
-    "eps1d": lambda: _drifting_gauss("eps1d", power_epsilon(-0.75), 0.5),
-    "viol1d": lambda: _drifting_gauss("viol1d", power_epsilon(-0.25), 0.85),
+# name: (definition, closed form of the integral or None)
+_ENTRIES = {
+    "gauss1d": ({"domain": _CUBE[0], "f": _GAUSS[0], "neighborhood": _box([-0.5], [0.5])},
+                lambda n: _segment_gauss(n, -1.0, 1.0)),
+    # the whole domain certifies |f'| = 1
+    "exp1d": ({"domain": _box([0.0], [1.0]), "f": _poly("neg_x", (-1.0, (1,))),
+               "neighborhood": _box([0.0], [1.0])}, _face),
+    # non-quadratic interior problem: the nonzero third derivative at the
+    # maximizer drives the constant part of the interior remainder bound
+    "cubic1d": ({"domain": _CUBE[0], "f": _poly("cubic_well", (-0.5, (2,)), (-1.0 / 6.0, (3,))),
+                 "neighborhood": _box([-0.9], [0.9])}, None),
+    "quartic1d": ({"domain": _CUBE[0], "f": _poly("quartic_well", (-0.5, (2,)), (-0.25, (4,))),
+                   "neighborhood": _CUBE[0]}, None),
+    "iso2d": ({"domain": _CUBE[1], "f": _GAUSS[1], "neighborhood": _CUBE[1]},
+              lambda n: _segment_gauss(n, -1.0, 1.0) ** 2),
+    # boundary maximum in the relative interior of the x1 = 0 face: the
+    # tangential axis straddles zero, so the face carries a full Gaussian
+    # cross-section (a corner placement would halve the leading term)
+    "mixed2d": ({"domain": _HALF, "f": _MIXED, "neighborhood": _HALF},
+                lambda n: _face(n) * _segment_gauss(n, -1.0, 1.0)),
+    # mixed2d with a sloped weight: the nonzero gradient bound of g keeps the
+    # remainder constant from degenerating, giving the clean 1/sqrt(N)
+    # certified-error rate for the boundary case; the odd part of g
+    # integrates to zero over the symmetric x2 range
+    "tilt2d": ({"domain": _HALF, "f": _MIXED, "neighborhood": _HALF,
+                "g": _poly("one_plus_2y", (1.0, (0, 0)), (2.0, (0, 1)))},
+               lambda n: _face(n) * _segment_gauss(n, -1.0, 1.0)),
+    "gauss3d": ({"domain": _CUBE[2], "f": _GAUSS[2], "neighborhood": _CUBE[2],
+                 "classify_grid_res": 16},
+                lambda n: _segment_gauss(n, -1.0, 1.0) ** 3),
+    "boundary3d": ({"domain": _box([0.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+                    "f": _poly("mixed3", (-1.0, (1, 0, 0)), (-0.5, (0, 2, 0)), (-0.5, (0, 0, 2))),
+                    "neighborhood": _box([0.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+                    "classify_grid_res": 16},
+                   lambda n: _face(n) * _segment_gauss(n, -1.0, 1.0) ** 2),
+    "drift1d": _drifting(-1.0, 0.5),
+    "eps1d": _drifting(-0.75, 0.5),
+    "viol1d": _drifting(-0.25, 0.85),
 }
 
 
 def catalog() -> list[ProblemSpec]:
     """Built-in problems spanning 1D/2D/3D, interior and boundary maxima,
     and drifting-maximizer perturbations."""
-    return [build() for build in _BUILDERS.values()]
+    return [get_problem(name) for name in _ENTRIES]
 
 
 def get_problem(name: str) -> ProblemSpec:
     """Build the one catalog problem called ``name``."""
     try:
-        build = _BUILDERS[name]
+        definition, exact = _ENTRIES[name]
     except KeyError:
         raise DomainError(f"unknown catalog problem {name!r}") from None
-    return build()
+    return problem_from_definition({"name": name, **definition}, exact)
 
 
 def catalog_names() -> list[str]:
-    return list(_BUILDERS)
+    return list(_ENTRIES)

@@ -45,7 +45,12 @@ or an inline definition::
 
 Field types: ``polynomial`` (terms with ``coeff`` and per-axis integer
 ``powers``), ``exponential`` (``scale * exp(linear . x + offset)``),
-``constant``.  The maximum is classified automatically for inline problems.
+``constant``.  Two more optional keys: ``classify_grid_res`` (the
+classification grid per axis, default 64, at least 8) and ``n_zero`` (a
+floor for the admissible threshold).  The maximum is classified
+automatically, on the given neighborhood when there is one.  Every catalog
+entry is such a definition (``certlap.catalog``), so each is a template for
+an inline problem.
 
 Report schema
 -------------

@@ -131,7 +131,7 @@ def _n_sweeps(spec: ProblemSpec, n_sweep: tuple) -> tuple[tuple, tuple]:
     """(the N at which f(., N) must be taken, the N at which its curvature
     must be): the first N alone for a quantity that is the same at every N
     (module docstring)."""
-    if spec.sigma is None or spec.epsilon.decay_class == "zero":
+    if spec.f_same_at_every_n:
         return n_sweep[:1], n_sweep[:1]
     affine = all(
         rate is None and sum(e for _, e in powers) <= 1

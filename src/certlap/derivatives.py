@@ -58,8 +58,3 @@ def third_norms_on(fld: ScalarField, pts: np.ndarray, axes=None) -> np.ndarray:
         T = T[..., idx[:, None, None], idx[:, None], idx]
     return np.sqrt(np.sum(np.sum(np.sum(T * T, axis=-1), axis=-1), axis=-1))
 
-
-def third_tensor_norm_bound(t) -> float:
-    """Frobenius norm of a 3-tensor; dominates sup_{|u|=1} |t(u,u,u)|."""
-    t = np.asarray(t, dtype=float)
-    return float(np.sqrt(np.sum(t * t)))

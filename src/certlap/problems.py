@@ -514,6 +514,9 @@ class MaximumInfo:
     x_star_of_N: Callable[[int], np.ndarray]
     neighborhood: BoxDomain
     boundary_axis: Optional[int] = None
+    # the least threshold whose window fits the neighborhood around x*(N)
+    # (default_n_zero), as classify_maximum found it
+    n_zero: int = 1
 
     def __post_init__(self):
         if self.kind not in (INTERIOR, BOUNDARY):
@@ -570,6 +573,12 @@ class ProblemSpec:
     @property
     def g_box(self) -> ScalarField:
         return self._frame[1][2]
+
+    @property
+    def f_same_at_every_n(self) -> bool:
+        """True when f(., N) is f_limit at every N: sigma is absent or
+        epsilon is of class zero."""
+        return self.sigma is None or self.epsilon.decay_class == "zero"
 
     @property
     def z_star(self) -> np.ndarray:
@@ -752,9 +761,14 @@ def default_n_zero(
 # classification
 # ---------------------------------------------------------------------------
 
-def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
+def classify_maximum(
+    spec: ProblemSpec, grid_res: int = 64, neighborhood: Optional[BoxDomain] = None
+) -> MaximumInfo:
     """Locate and classify the limit maximizer of f over the domain and
-    package it with a default certified neighborhood.
+    package it with ``neighborhood`` (default: ``default_neighborhood``) and
+    the least threshold whose window fits it.  x*(N) is the limit maximizer
+    itself when f(., N) is the same at every N, and otherwise solved once
+    per N.
 
     Raises AmbiguousMaximumError when the maximizer hugs a face but neither
     the interior nor the boundary criteria hold, and NonUniqueMaximumError
@@ -797,24 +811,27 @@ def classify_maximum(spec: ProblemSpec, grid_res: int = 64) -> MaximumInfo:
     scale = max(1.0, float(np.max(np.abs(vals))))
 
     def make_info(kind, z_at, axis=None, side=None):
-        nb = default_neighborhood(box, z_at, axis, side)
+        nb = default_neighborhood(box, z_at, axis, side) if neighborhood is None else neighborhood
         fixed = {axis: z_at[axis]} if kind == BOUNDARY else None
         z0 = np.array(z_at)
+        x_star = _freeze(box.to_ambient(z_at))
 
         @functools.cache  # one solve per N; the result is read-only
         def x_star_of_N(N):
+            if spec.f_same_at_every_n:
+                return x_star
             zn, _ = locate_maximum(spec.f_of_box(int(N)), box, z0, fixed_axes=fixed)
             return _freeze(box.to_ambient(zn))
 
-        n0 = default_n_zero(box, nb, kind, lambda n: box.to_box(x_star_of_N(n)))
         info = MaximumInfo(
             kind=kind,
-            x_star=box.to_ambient(z_at),
+            x_star=x_star,
             x_star_of_N=x_star_of_N,
             neighborhood=nb,
             boundary_axis=axis,
+            n_zero=default_n_zero(box, nb, kind, lambda n: box.to_box(x_star_of_N(n))),
         )
-        _verify_per_n(spec, info, n0, side)
+        _verify_per_n(spec, info, side)
         return info
 
     if not near:
@@ -868,18 +885,16 @@ def _check_signature(fld, z, box, scale, axis=None, side=None, where="the maximi
         )
 
 
-def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, n0: int, side) -> None:
-    """Spot-check the classified maximum at sample N beyond the threshold:
+def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, side) -> None:
+    """Spot-check the classified maximum at sample N beyond its threshold:
     the drifting maximizer stays in the neighborhood and keeps the
     kind-specific derivative signature."""
     box = spec.domain
     nb = info.neighborhood
-    for n in (n0 + 1, 4 * (n0 + 1)):
+    for n in (info.n_zero + 1, 4 * (info.n_zero + 1)):
         z_n = box.to_box(info.x_star_of_N(n))
         if not nb.contains_z(z_n, tol=1e-9):
-            raise AmbiguousMaximumError(
-                f"maximizer at N={n} escapes the default neighborhood"
-            )
+            raise AmbiguousMaximumError(f"maximizer at N={n} escapes the neighborhood")
         f_n = spec.f_of_box(n)
         scale = max(1.0, abs(float(np.asarray(f_n.evaluate(z_n)))))
         _check_signature(f_n, z_n, box, scale, info.boundary_axis, side, f"the N={n} maximizer")
@@ -931,6 +946,7 @@ def rotate_problem(spec: ProblemSpec, R) -> ProblemSpec:
             old_max.neighborhood.lower, old_max.neighborhood.upper, dom.rotation
         ),
         boundary_axis=old_max.boundary_axis,
+        n_zero=old_max.n_zero,
     )
     return ProblemSpec(
         name=spec.name + "_rotated",

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certlap import polynomial_field, third_tensor_norm_bound
+from certlap import polynomial_field
 from certlap.catalog import catalog
-from certlap.derivatives import field_values
+from certlap.derivatives import field_values, third_norms_on
 from certlap.errors import FieldEvaluationError
 
 
@@ -23,19 +23,24 @@ class TestFieldValues:
 
 
 class TestTensorBound:
+    """third_norms_on is the Frobenius norm of the third tensor, which
+    dominates its injective norm sup_{|u|=1} |T(u, u, u)|."""
+
     def test_zero(self):
-        assert third_tensor_norm_bound(np.zeros((2, 2, 2))) == 0.0
+        f = polynomial_field([(1.0, (2, 0)), (-3.0, (1, 1))])
+        assert third_norms_on(f, np.array([0.3, -0.2])) == 0.0
 
     def test_scalar(self):
-        assert third_tensor_norm_bound(np.full((1, 1, 1), 6.0)) == pytest.approx(6.0)
+        f = polynomial_field([(1.0, (3,))])  # f''' = 6
+        assert third_norms_on(f, np.array([0.4])) == pytest.approx(6.0)
 
     def test_axis_tensor(self):
-        t = np.zeros((2, 2, 2))
-        t[0, 0, 0] = 1.0
-        assert third_tensor_norm_bound(t) == pytest.approx(1.0)
+        f = polynomial_field([(1.0 / 6.0, (3, 0))])  # T[0, 0, 0] = 1
+        pt = np.array([0.2, -0.7])
+        assert third_norms_on(f, pt) == pytest.approx(1.0)
         # injective norm of the rank-one axis tensor is also 1
         u = np.array([1.0, 0.0])
-        assert abs(np.einsum("ijk,i,j,k", t, u, u, u)) == pytest.approx(1.0)
+        assert abs(np.einsum("ijk,i,j,k", f.third_tensor(pt), u, u, u)) == pytest.approx(1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -47,18 +52,23 @@ class TestTensorBound:
         for p in itertools.permutations(range(3)):
             sym += np.transpose(t, p)
         sym /= 6.0
-        bound = third_tensor_norm_bound(sym)
+        # the cubic sum_ijk sym_ijk x_i x_j x_k / 6, whose third tensor is sym
+        terms = []
+        for idx in itertools.combinations_with_replacement(range(m), 3):
+            orderings = len(set(itertools.permutations(idx)))
+            terms.append((sym[idx] * orderings / 6.0, tuple(idx.count(i) for i in range(m))))
+        f = polynomial_field(terms)
+        pt = rng.uniform(-1.0, 1.0, size=m)
+        assert np.allclose(f.third_tensor(pt), sym, rtol=1e-12, atol=1e-12)
+        bound = third_norms_on(f, pt)
         for _ in range(100):
             u = rng.normal(size=m)
             u /= np.linalg.norm(u)
             assert abs(np.einsum("ijk,i,j,k", sym, u, u, u)) <= bound + 1e-12
 
-    def test_taylor_cubic_quadratic_field(self):
-        from certlap import get_problem
-
-        spec = get_problem("mixed2d")
-        third = spec.f_limit_box.third_tensor(spec.z_star + 0.3)
-        assert third_tensor_norm_bound(third) == pytest.approx(0.0, abs=1e-10)
+    def test_taylor_cubic_quadratic_field(self, specs):
+        spec = specs["mixed2d"]
+        assert third_norms_on(spec.f_limit_box, spec.z_star + 0.3) == pytest.approx(0.0, abs=1e-10)
 
 
 def _central(values, x, h):

@@ -1,6 +1,6 @@
-import importlib
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import certlap.grammar
 import certlap.problems
 from certlap import (
     BOUNDARY,
@@ -30,7 +31,7 @@ from certlap.errors import (
     NonUniqueMaximumError,
 )
 from certlap.config import problem_from_config
-from certlap.problems import add_fields, field_values, join_coupling, rotated_view
+from certlap.problems import UNIT_WEIGHT, add_fields, field_values, join_coupling, rotated_view
 
 
 def make_1d_problem(terms, lower=-1.0, upper=1.0, name="adhoc"):
@@ -158,11 +159,9 @@ class TestAssembleF:
         # problem_from_config classifies a draft spec and returns a copy with
         # the maximum filled in: the copy reuses the draft's box-frame fields
         # and every f(., N) the classification built
-        import certlap.config
-
         drafts = []
-        real = certlap.config.classify_maximum
-        monkeypatch.setattr(certlap.config, "classify_maximum",
+        real = certlap.grammar.classify_maximum
+        monkeypatch.setattr(certlap.grammar, "classify_maximum",
                             lambda spec, **kw: drafts.append(spec) or real(spec, **kw))
         c, s = math.cos(0.4), math.sin(0.4)
         spec = problem_from_config({
@@ -563,6 +562,57 @@ class TestRotatedTerms:
             assert np.all(err <= tol)
 
 
+# The catalog as it was written by hand before its entries became inline
+# definitions: name -> (kind, boundary_axis, x*, neighbourhood lower and
+# upper, n_zero, decay class, epsilon(N) over SWEEP (None: zero), exact
+# integral over SWEEP (None: no closed form)).  A drifting entry's x*(N) is
+# epsilon(N); every other entry's is x*.
+SWEEP = (25, 100, 400, 1600)
+HAND_WRITTEN = {
+    "gauss1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 7, "zero", None,
+                [0.5013253675146261, 0.25066282746310004, 0.12533141373155002,
+                 0.06266570686577501]),
+    "exp1d": (BOUNDARY, 0, [0.0], [0.0], [1.0], 1, "zero", None,
+              [0.03999999999944449, 0.01, 0.0025, 0.000625]),
+    "cubic1d": (INTERIOR, None, [0.0], [-0.9], [0.9], 1, "zero", None, None),
+    "quartic1d": (INTERIOR, None, [0.0], [-1.0], [1.0], 1, "zero", None, None),
+    "iso2d": (INTERIOR, None, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], 1, "zero", None,
+              [0.2513271241136749, 0.06283185307179585, 0.015707963267948963,
+               0.003926990816987241]),
+    "mixed2d": (BOUNDARY, 0, [0.0, 0.0], [0.0, -1.0], [1.0, 1.0], 1, "zero", None,
+                [0.02005301470030655, 0.0025066282746310006, 0.00031332853432887507,
+                 3.9166066791109384e-05]),
+    "tilt2d": (BOUNDARY, 0, [0.0, 0.0], [0.0, -1.0], [1.0, 1.0], 1, "zero", None,
+               [0.02005301470030655, 0.0025066282746310006, 0.00031332853432887507,
+                3.9166066791109384e-05]),
+    "gauss3d": (INTERIOR, None, [0.0] * 3, [-1.0] * 3, [1.0] * 3, 1, "zero", None,
+                [0.12599666286268213, 0.015749609945722418, 0.0019687012432153023,
+                 0.0002460876554019128]),
+    "boundary3d": (BOUNDARY, 0, [0.0] * 3, [0.0, -1.0, -1.0], [1.0] * 3, 1, "zero", None,
+                   [0.01005308496440738, 0.0006283185307179585, 3.926990816987241e-05,
+                    2.4543692606170254e-06]),
+    "drift1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 13, "o_one_over_sqrtN",
+                [1.0 / n for n in SWEEP],
+                [0.5114526482319859, 0.25191928011443526, 0.12548817595469217,
+                 0.06268529295933829]),
+    "eps1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 17, "o_one_over_sqrtN",
+              [0.08944271909999159, 0.03162277660168379, 0.011180339887498949,
+               0.003952847075210474],
+              [0.5540490535634502, 0.26351458544784734, 0.12850419357566126,
+               0.06345394442284576]),
+    "viol1d": (INTERIOR, None, [0.0], [-0.85], [0.85], 19, "generic",
+               [0.4472135954999579, 0.31622776601683794, 0.22360679774997896,
+                0.15811388300841897],
+               [6.089957264414628, 37.201662093233104, 2760.6080975727555,
+                30403219.917026367]),
+}
+
+
+def _bits(values) -> list:
+    """Each value as its float's hex form, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in np.atleast_1d(np.asarray(values, dtype=float))]
+
+
 def _drifting(eps, n_zero=19):
     box = BoxDomain([-1.0], [1.0])
     info = MaximumInfo(
@@ -698,6 +748,56 @@ class TestClassify:
         assert len(calls) == 1
         assert not spec.maximum.x_star_of_N(400).flags.writeable
 
+    @pytest.mark.parametrize("perturbation", [
+        {},
+        {"sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+         "epsilon": {"class": "zero"}},
+    ])
+    def test_x_star_of_n_is_x_star_when_f_is_the_same_at_every_n(self, perturbation,
+                                                                   monkeypatch):
+        spec = problem_from_config({
+            "name": "still2d",
+            "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "f": {"type": "polynomial", "terms": [
+                {"coeff": -0.5, "powers": [2, 0]}, {"coeff": -1.0, "powers": [0, 2]},
+                {"coeff": 0.3, "powers": [1, 0]}, {"coeff": 0.1, "powers": [1, 1]}]},
+            **perturbation,
+        })
+        assert spec.f_same_at_every_n
+        calls = []
+        real = certlap.problems.locate_maximum
+        monkeypatch.setattr(certlap.problems, "locate_maximum",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        for n in (25, 100, 400, 1600, 12_345):
+            assert _bits(spec.maximum.x_star_of_N(n)) == _bits(spec.maximum.x_star)
+        assert calls == []
+
+    def test_a_given_neighborhood_is_classified_once(self, monkeypatch):
+        """default_n_zero runs once, on the given neighbourhood, wherever
+        the package binds it."""
+        calls = []
+        real = certlap.problems.default_n_zero
+
+        def counting(domain, neighborhood, *args, **kwargs):
+            calls.append(neighborhood)
+            return real(domain, neighborhood, *args, **kwargs)
+
+        for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "certlap"]:
+            if vars(mod).get("default_n_zero") is real:
+                monkeypatch.setattr(mod, "default_n_zero", counting)
+        spec = problem_from_config({
+            "name": "drift2d",
+            "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "f": {"type": "polynomial",
+                  "terms": [{"coeff": -0.5, "powers": [2, 0]}, {"coeff": -1.0, "powers": [0, 2]}]},
+            "sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+            "epsilon": {"class": "power", "exponent": -0.75},
+            "neighborhood": {"lower": [-0.6, -0.7], "upper": [0.8, 0.7]},
+        })
+        assert len(calls) == 1 and calls[0] is spec.maximum.neighborhood
+        assert spec.maximum.neighborhood.lower.tolist() == [-0.6, -0.7]
+        assert spec.n_zero == spec.maximum.n_zero
+
 
 class TestCatalog:
     def test_contract(self, specs):
@@ -712,18 +812,55 @@ class TestCatalog:
         )
 
     def test_get_problem_builds_only_the_named_entry(self, monkeypatch):
-        # the package's ``catalog`` attribute is the function; patch the module
-        module = importlib.import_module("certlap.catalog")
+        # every problem is built (and classified) in the grammar module
         calls = []
-        real = module.default_n_zero
+        real = certlap.grammar.classify_maximum
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(spec, **kwargs):
+            calls.append(spec.name)
+            return real(spec, **kwargs)
 
-        monkeypatch.setattr(module, "default_n_zero", counting)
+        monkeypatch.setattr(certlap.grammar, "classify_maximum", counting)
         assert get_problem("gauss3d").name == "gauss3d"
-        assert len(calls) == 1
+        assert calls == ["gauss3d"]
+
+    @pytest.mark.parametrize("name", list(HAND_WRITTEN))
+    def test_entry_matches_the_hand_written_values(self, name):
+        """The classified entry is bit for bit the hand-written one: an
+        independent reference for the classification of every entry."""
+        kind, axis, x_star, lower, upper, n_zero, decay, eps, exact = HAND_WRITTEN[name]
+        spec = get_problem(name)
+        info = spec.maximum
+        assert (info.kind, info.boundary_axis, spec.n_zero) == (kind, axis, n_zero)
+        assert _bits(info.x_star) == _bits(x_star)
+        assert _bits(info.neighborhood.lower) == _bits(lower)
+        assert _bits(info.neighborhood.upper) == _bits(upper)
+        assert spec.epsilon.decay_class == decay
+        assert (spec.g is UNIT_WEIGHT) == (name != "tilt2d")
+        assert (spec.exact_integral is None) == (exact is None)
+        for i, n in enumerate(SWEEP):
+            eps_n = 0.0 if eps is None else eps[i]
+            assert _bits(spec.epsilon.evaluate(n)) == _bits(eps_n)
+            assert _bits(info.x_star_of_N(n)) == _bits(x_star if eps is None else [eps_n])
+            if exact is not None:
+                assert _bits(spec.exact_integral(n)) == _bits(exact[i])
+
+    def test_every_build_verifies_its_maximum_per_n(self, monkeypatch):
+        """Each catalog build checks x*(N) against the neighbourhood it
+        keeps, at N beyond the threshold it keeps."""
+        checked = []
+        real = certlap.problems._verify_per_n
+
+        def recording(spec, info, side):
+            checked.append((spec.name, info))
+            return real(spec, info, side)
+
+        monkeypatch.setattr(certlap.problems, "_verify_per_n", recording)
+        specs = [get_problem(name) for name in catalog_names()]
+        assert [name for name, _ in checked] == catalog_names()
+        for (_, info), spec in zip(checked, specs):
+            assert info.neighborhood is spec.maximum.neighborhood
+            assert info.n_zero == spec.n_zero
 
     def test_names_match_entries(self, specs):
         assert catalog_names() == list(specs)
