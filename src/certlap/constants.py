@@ -133,11 +133,7 @@ def _n_sweeps(spec: ProblemSpec, n_sweep: tuple) -> tuple[tuple, tuple]:
     (module docstring)."""
     if spec.f_same_at_every_n:
         return n_sweep[:1], n_sweep[:1]
-    affine = all(
-        rate is None and sum(e for _, e in powers) <= 1
-        for _, powers, rate in spec.sigma_box.terms
-    )
-    return n_sweep, n_sweep[:1] if affine else n_sweep
+    return n_sweep, n_sweep[:1] if spec.curvature_same_at_every_n else n_sweep
 
 
 def _fold(values) -> float:

@@ -19,6 +19,9 @@ term only when there is one.
 The sampler rejects against ``_Envelope``, a piecewise bound on
 exp(N (f_N - f_N*)): a core from the certified curvature (and inward slope
 at a boundary maximum) on the neighborhood, one constant per cell off it.
+On a coupling block of several Gaussian axes the core is a matrix Gaussian
+from the local curvature at x*(N), less Gershgorin row bounds on how much
+the Hessian can rise over the neighborhood.
 Each proposal is labelled with the piece that drew it and read against
 that piece alone; the mass of the pieces gives the predicted acceptance,
 which sizes the proposal blocks, and every draw read is checked against E'.
@@ -47,12 +50,14 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .constants import ConstantsReport
-from .derivatives import field_values, gradients_on
+from .derivatives import field_values, gradients_on, hessians_on
 from .errors import (
     AssumptionViolationError,
     DomainError,
@@ -69,6 +74,7 @@ from .problems import (
     BoxDomain,
     ProblemSpec,
     add_fields,
+    axis_blocks,
     gauss_block,
     limit_axes,
     linear_field,
@@ -454,6 +460,46 @@ def _cell_geometry(lower: tuple, nb_lower: tuple, nb_upper: tuple, upper: tuple)
     return geo
 
 
+# The Hessians on the coupled Gaussian blocks' sub-grids, where f(., N) has
+# the same curvature at every N: keyed weakly by the Hessian handle of the
+# field they were taken from, which lives as long as the spec that built it,
+# so a run takes them once and drops them with its spec.
+_BLOCK_HESSIANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _block_hessians(spec: ProblemSpec, consts: ConstantsReport, N: int, blocks) -> tuple:
+    """The (n, k, k) Hessian block of f(., N) on each of ``blocks`` at the
+    nodes of the block's neighborhood sub-grid, the constants grid at
+    ``consts.grid_res`` (the other axes pinned at the centre).  Where the
+    curvature is the same at every N they come from the field at the
+    sweep's first N, as the constants' do, and are taken once per spec."""
+    nb = spec.maximum.neighborhood
+    fixed = spec.curvature_same_at_every_n
+    f = spec.f_of_box(consts.n_sweep[0] if fixed else N)
+    key = (tuple(blocks), tuple(nb.lower), tuple(nb.upper), consts.grid_res)
+    kept = _BLOCK_HESSIANS.setdefault(f.hessian, {}) if fixed else {}
+    if key not in kept:
+        kept[key] = tuple(gauss_block(hessians_on(f, nb.grid_points(consts.grid_res, b)), b)
+                          for b in blocks)
+    return kept[key]
+
+
+def _row_bounds(H: np.ndarray, h_star: np.ndarray) -> np.ndarray:
+    """Delta: Delta_i the largest Gershgorin row bound
+    D_ii + sum_{j != i} |D_ij| over the (n, k, k) stack D = H - h_star.
+    Formed one column of D at a time: numpy's reductions over a last axis
+    of two or three entries cost several times as much."""
+    k = len(h_star)
+    delta = np.empty(k)
+    for i in range(k):
+        row = H[:, i, i] - h_star[i, i]
+        for j in range(k):
+            if j != i:
+                row += np.abs(H[:, i, j] - h_star[i, j])
+        delta[i] = np.max(row)
+    return delta
+
+
 class _Envelope:
     """Certified dominating function E' >= exp(N (f_N - f_N*)) on the domain
     for rejection sampling, f_N* = f_N(x*(N)); box frame throughout.
@@ -468,6 +514,27 @@ class _Envelope:
         face lowers f_N by at least F1' t:
           f_N - f_N* <= -F1' t - (F2'/2) |d|^2,
         an inward exponential times a Gaussian.
+    f_N is a sum of functions of one coupling block each, so the Gaussian
+    bound splits over the blocks, and a block of two or more Gaussian axes
+    that holds no exponential axis takes its local curvature instead of
+    F2'.  With d the block's offset from x*(N), K = -D^2 f_N(x*(N)) and
+    D(z) = D^2 f_N(z) - D^2 f_N(x*(N)) on the block, and Delta_i the largest
+    Gershgorin row bound D_ii + sum_{j != i} |D_ij| over the block's sub-grid
+    of the constants grid, diag Delta - D is diagonally dominant with a
+    nonnegative diagonal at every node, so D <= diag Delta (Gershgorin;
+    Horn & Johnson, *Matrix Analysis*, 2nd ed., 2013, §6.1).  Then
+    -D^2 f_N >= K - diag Delta, and the block's term of f_N - f_N* is at
+    most -(1/2) d' P d with P = (K - diag Delta) / safety factor: grid +
+    safety, like F2'.  On a boundary maximum's tangent block the offset is
+    read on the face, where the block's gradient vanishes at x*(N) as at an
+    interior maximum; a block holding the exponential axis keeps F2'.  A
+    block whose K - diag Delta is not positive definite keeps F2' too.  The
+    core precision on the Gaussian axes is then N P on those blocks and
+    N F2' on every other axis; with U its upper Cholesky factor the core is
+    exp(-(1/2) |U d|^2), drawn as x*(N) + U^-1 normal, of mass
+    (2 pi)^(k/2) / det U.  When no block takes P (every block has one
+    Gaussian axis, as in every catalog problem) U is None and the core is
+    N F2' I, drawn and read by division by sqrt(N F2').
     The domain is split into cells whose walls include nb's faces.  A
     complement cell c (midpoint outside nb) carries exp(N B_c), B_c bounding
     f_N - f_N* on c: the largest value at its corners plus L times its
@@ -506,9 +573,17 @@ class _Envelope:
         self.f_star = float(field_values(f_n, self.z_n))
 
         # core: precision N F2' on the Gaussian axes (a one-dimensional
-        # boundary problem has none, and F2' = inf), inward rate N F1'
+        # boundary problem has none, and F2' = inf), or U'U on the coupled
+        # blocks' local curvature, inward rate N F1'
         self.prec = N * consts.F2_prime if self.gauss else 1.0
-        self.log_m_core = 0.5 * len(self.gauss) * math.log(2.0 * math.pi / self.prec)
+        self.root = self._core_root(spec, consts, N)
+        if self.root is None:
+            self.log_m_core = 0.5 * len(self.gauss) * math.log(2.0 * math.pi / self.prec)
+        else:
+            # each row of a normal draw times unroot is U^-1 times that row
+            self.unroot = np.linalg.inv(self.root).T
+            self.log_m_core = (0.5 * len(self.gauss) * math.log(2.0 * math.pi)
+                               - float(np.sum(np.log(np.diagonal(self.root)))))
         if self.axis is not None:
             self.rate = N * consts.F1_prime
             self.log_m_core -= math.log(self.rate)
@@ -519,8 +594,15 @@ class _Envelope:
         self.log_top = np.empty(0)
         if len(geo.nodes):
             vals = field_values(f_n, geo.nodes) - self.f_star
-            lip = consts.safety_factor * float(np.max(np.linalg.norm(
-                gradients_on(f_n, geo.nodes), axis=-1)))
+            # the squares one column at a time, added in np.linalg.norm's
+            # order (its reduction over a last axis of m entries costs
+            # several times as much); the largest norm is the root of the
+            # largest square
+            grad = gradients_on(f_n, geo.nodes)
+            sq = grad[:, 0] * grad[:, 0]
+            for i in range(1, grad.shape[1]):
+                sq += grad[:, i] * grad[:, i]
+            lip = consts.safety_factor * math.sqrt(float(np.max(sq)))
             top = np.max(vals[geo.corner_rows], axis=0)
             self.log_top = N * (top + lip * 0.5 * geo.diagonal)
         log_m_cells = self.log_top + geo.log_volume
@@ -529,23 +611,54 @@ class _Envelope:
         # component 0 is the core, component j >= 1 the complement cell j - 1
         self.cum = np.cumsum(np.exp(np.append(self.log_m_core, log_m_cells) - self.log_m))
 
-    def log_labelled(self, z: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    def _core_root(self, spec: ProblemSpec, consts: ConstantsReport,
+                   N: int) -> Optional[np.ndarray]:
+        """U, the upper Cholesky factor of the core precision on the
+        Gaussian axes: N P on each coupling block of two or more axes that
+        holds no exponential axis and whose K - diag Delta is positive
+        definite, N F2' on every other Gaussian axis.  None when no block
+        takes P, so the core is N F2' I."""
+        blocks = [b for b in axis_blocks(self.f_n.coupling, len(self.z_n))
+                  if len(b) > 1 and self.axis not in b]
+        if not blocks:
+            return None
+        H_star = self.f_n.hessian(self.z_n)
+        at = {a: k for k, a in enumerate(self.gauss)}
+        Q = np.diag(np.full(len(self.gauss), self.prec))
+        matrix = False
+        for b, H in zip(blocks, _block_hessians(spec, consts, N, blocks)):
+            h_star = gauss_block(H_star, b)
+            bound = -h_star - np.diag(_row_bounds(H, h_star))
+            try:
+                np.linalg.cholesky(bound)
+            except np.linalg.LinAlgError:
+                continue  # not positive definite: the block keeps N F2'
+            idx = np.array([at[a] for a in b])
+            Q[np.ix_(idx, idx)] = N * (bound / consts.safety_factor)
+            matrix = True
+        return np.linalg.cholesky(Q).T if matrix else None
+
+    def log_labelled(self, z: np.ndarray, cell: Optional[np.ndarray]) -> np.ndarray:
         """log E' at box-frame draws (k, m) from the component ``cell``: the
-        cell's constant, or the core (-inf off nb) where ``cell`` is -1."""
-        if cell.max() < 0:
+        cell's constant, or the core (-inf off nb) where ``cell`` is -1 or
+        ``cell`` is None (every draw from the core)."""
+        if cell is None:
             return self._log_core(z)
-        core = cell < 0
+        core = np.flatnonzero(cell < 0)
+        cells = np.flatnonzero(cell >= 0)
         log_e = np.empty(len(z))
-        log_e[core] = self._log_core(z[core])
-        log_e[~core] = self.log_top[cell[~core]]
+        log_e[core] = self._log_core(z.take(core, axis=0))
+        log_e[cells] = self.log_top.take(cell.take(cells))
         return log_e
 
     def _log_core(self, z: np.ndarray) -> np.ndarray:
         """log of the core density at box-frame points (k, m), -inf off nb."""
         d = np.subtract(z, self.z_n)
         g = d if self.axis is None else d[:, self.gauss]
+        if self.root is not None:
+            g = g @ self.root.T  # each row U d
         log_e = np.einsum("ki,ki->k", g, g)
-        log_e *= -0.5 * self.prec
+        log_e *= -0.5 * self.prec if self.root is None else -0.5
         if self.axis is not None:
             t = d[:, self.axis]
             t *= self.rate * self.sign
@@ -569,42 +682,53 @@ class _Envelope:
         top[self.geometry.cells] = self.log_top
         return np.logaddexp(self._log_core(z), top[idx])
 
-    def propose(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def propose(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """k draws from the mixture of mass M and each one's complement cell
-        index, -1 for a core draw.  The random streams are consumed in a
-        fixed order: the component pick, the in-cell uniforms, the
-        exponential draws, then the normal draws.  When no pick reaches a
-        cell the core draws are written straight into the output."""
+        index, -1 for a core draw, or None for the indices when every draw
+        is from the core.  The random streams are consumed in a fixed order:
+        the component pick, the in-cell uniforms, the exponential draws,
+        then the normal draws.  When no pick reaches a cell the core draws
+        are written straight into the output; otherwise each piece's rows
+        are gathered and scattered by index, where a boolean row mask costs
+        several times as much."""
         m = len(self.z_n)
         pick = rng.random(k)
         out = np.empty((k, m))
-        cell = np.full(k, -1)
         if pick.max() < self.cum[0]:
             self._draw_core(rng, out)
-            return out, cell
-        cells = pick >= self.cum[0]
-        c = cell[cells] = np.minimum(
-            np.searchsorted(self.cum[1:], pick[cells], side="right"), len(self.cum) - 2)
-        out[cells] = self.cell_lower[c] + self.cell_width[c] * rng.random((len(c), m))
+            return out, None
+        in_cell = pick >= self.cum[0]
+        cells = np.flatnonzero(in_cell)
+        c = np.minimum(np.searchsorted(self.cum[1:], pick.take(cells), side="right"),
+                       len(self.cum) - 2)
+        cell = np.full(k, -1)
+        cell[cells] = c
+        u = rng.random((len(c), m))
+        out[cells] = self.cell_lower.take(c, axis=0) + self.cell_width.take(c, axis=0) * u
         core = np.empty((k - len(c), m))
         self._draw_core(rng, core)
-        out[~cells] = core
+        out[np.flatnonzero(~in_cell)] = core
         return out, cell
 
     def _draw_core(self, rng: np.random.Generator, core: np.ndarray) -> None:
         """Fill ``core`` (k, m) with draws from the core: x*(N) plus, on the
         exponential axis, sign times the exponential draws, then on the
-        Gaussian axes the normal draws over sqrt(prec)."""
-        root = math.sqrt(self.prec)
+        Gaussian axes the normal draws over sqrt(prec), or U^-1 times them."""
         if self.axis is None:
-            rng.standard_normal(out=core)
-            core /= root
+            if self.root is None:
+                rng.standard_normal(out=core)
+                core /= math.sqrt(self.prec)
+            else:
+                np.matmul(rng.standard_normal(core.shape), self.unroot, out=core)
             core += self.z_n
             return
         core[:, self.axis] = self.sign * rng.exponential(1.0 / self.rate, size=len(core))
         core[:, self.axis] += self.z_n[self.axis]
         normal = rng.standard_normal(size=(len(core), len(self.gauss)))
-        normal /= root
+        if self.root is None:
+            normal /= math.sqrt(self.prec)
+        else:
+            normal = normal @ self.unroot
         normal += self.z_n[self.gauss]
         core[:, self.gauss] = normal
 

@@ -581,6 +581,17 @@ class ProblemSpec:
         return self.sigma is None or self.epsilon.decay_class == "zero"
 
     @property
+    def curvature_same_at_every_n(self) -> bool:
+        """True when the Hessian and third tensor of f(., N) are the same
+        at every N: f(., N) is, or every term of sigma in the box frame has
+        total degree <= 1 and no exp factor, so the product rule leaves no
+        sigma term in a second or third derivative."""
+        return self.f_same_at_every_n or all(
+            rate is None and sum(e for _, e in powers) <= 1
+            for _, powers, rate in self.sigma_box.terms
+        )
+
+    @property
     def z_star(self) -> np.ndarray:
         return self.domain.to_box(self.maximum.x_star)
 

@@ -1,8 +1,12 @@
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from certlap import (
@@ -776,7 +780,8 @@ class TestEnvelopeConstruction:
 
     def test_core_draws_without_cells(self, specs, consts_cache):
         """With no complement cells every proposal is z_n + normal / sqrt(prec),
-        drawn after the k component picks of the same stream."""
+        drawn after the k component picks of the same stream, and no label
+        array is returned."""
         from certlap.gibbs import _Envelope
 
         env = _Envelope(specs["gauss3d"], consts_cache("gauss3d"), 100)
@@ -784,7 +789,7 @@ class TestEnvelopeConstruction:
         rng = np.random.default_rng(7)
         rng.uniform(size=5000)
         assert np.array_equal(z, env.z_n + rng.standard_normal(size=(5000, 3)) / math.sqrt(env.prec))
-        assert np.all(cell == -1)
+        assert cell is None
 
 
 class TestEnvelopeGeometry:
@@ -797,7 +802,8 @@ class TestEnvelopeGeometry:
     ])
     def test_draws_follow_the_stream_order(self, name, N, in_cells, specs, consts_cache):
         """The picks, the in-cell uniforms, the exponentials, then the
-        normals, each core draw built as x*(N) plus its offsets."""
+        normals, each core draw built as x*(N) plus its offsets: the normals
+        over sqrt(prec), or U^-1 times them on cub2d's matrix core."""
         from certlap.gibbs import _Envelope
 
         spec, consts = _spec_and_consts(name, specs, consts_cache)
@@ -817,10 +823,17 @@ class TestEnvelopeGeometry:
         if env.axis is not None:
             core[:, env.axis] += env.sign * rng.exponential(1.0 / env.rate, size=len(core))
         normal = rng.standard_normal(size=(len(core), len(env.gauss)))
-        core[:, env.gauss] += normal / math.sqrt(env.prec)
+        assert (env.root is not None) == (name == "cub2d")
+        if env.root is None:
+            core[:, env.gauss] += normal / math.sqrt(env.prec)
+        else:
+            core[:, env.gauss] += normal @ np.linalg.inv(env.root).T
         want[~drawn] = core
         assert np.array_equal(z, want)
-        assert np.array_equal(cell[drawn], c) and np.all(cell[~drawn] == -1)
+        if in_cells:
+            assert np.array_equal(cell[drawn], c) and np.all(cell[~drawn] == -1)
+        else:
+            assert cell is None
 
     def test_geometry_is_shared_across_n(self, specs, consts_cache):
         from certlap.gibbs import _Envelope
@@ -953,3 +966,220 @@ class TestAcceptedDrawsToKs:
                 assert digest(batch.draws) == digest(want)
                 assert batch.proposed == proposed
                 assert blocks > 1 or name != "cubic1d"
+
+
+def _masked_proposals(env, seed, k, draw_core):
+    """The proposals of ``_Envelope.propose`` built with boolean row masks,
+    every label -1 for a core draw: the picks, the in-cell uniforms, then
+    ``draw_core(rng, n)``, the n core rows."""
+    rng = np.random.default_rng(seed)
+    m = len(env.z_n)
+    pick = rng.random(k)
+    out = np.empty((k, m))
+    cell = np.full(k, -1)
+    cells = pick >= env.cum[0]
+    c = cell[cells] = np.minimum(
+        np.searchsorted(env.cum[1:], pick[cells], side="right"), len(env.cum) - 2)
+    out[cells] = env.cell_lower[c] + env.cell_width[c] * rng.random((len(c), m))
+    out[~cells] = draw_core(rng, k - len(c))
+    return out, cell
+
+
+def _f2_prime_core(env, prec):
+    """Core rows by the F2' rule: x*(N) plus sign times the exponential
+    draws on the exponential axis and the normals over sqrt(prec) on the
+    Gaussian axes."""
+    def draw(rng, n):
+        core = np.empty((n, len(env.z_n)))
+        core[:] = env.z_n
+        if env.axis is not None:
+            core[:, env.axis] += env.sign * rng.exponential(1.0 / env.rate, size=n)
+        core[:, env.gauss] += rng.standard_normal((n, len(env.gauss))) / math.sqrt(prec)
+        return core
+
+    return draw
+
+
+@st.composite
+def _coupled_cubics(draw):
+    """A 2-D or 3-D inline problem on [-1, 1]^m: -a_i x_i^2 + c_i x_i^3 on
+    each axis, b x_i x_j and e x_i^2 x_j on each coupled pair, with
+    sigma = x_1 and epsilon = N^-0.75.  Every pair is coupled, or in 3-D
+    the third axis may be left a block of its own, so that the core is
+    N P on the first two axes and N F2' on the third.  The ranges keep
+    the Hessian diagonally dominant and negative on the classified
+    neighborhood [-1/2, 1/2]^m, and K - diag Delta positive definite."""
+    m = draw(st.sampled_from([2, 3]))
+    pairs = list(itertools.combinations(range(m), 2))
+    if m == 3 and draw(st.booleans()):
+        pairs = [(0, 1)]
+    coef = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
+
+    def unit(*axes):
+        powers = [0] * m
+        for i in axes:
+            powers[i] += 1
+        return tuple(powers)
+
+    terms = []
+    for i in range(m):
+        terms += [(-draw(coef(0.75, 1.5)), unit(i, i)), (draw(coef(-0.2, 0.2)), unit(i, i, i))]
+    for i, j in pairs:
+        b = draw(coef(0.02, 0.2)) * draw(st.sampled_from([-1.0, 1.0]))  # nonzero: coupled
+        terms += [(b, unit(i, j)), (draw(coef(-0.1, 0.1)), unit(i, i, j))]
+    return {
+        "name": f"coupled{m}d",
+        "domain": {"lower": [-1.0] * m, "upper": [1.0] * m},
+        "f": _poly(*terms),
+        "sigma": _poly((1.0, unit(0))),
+        "epsilon": {"class": "power", "exponent": -0.75},
+        "classify_grid_res": 16,
+    }
+
+
+class TestMatrixCore:
+    """The core's precision N P on a coupling block of several Gaussian
+    axes, P = (K - diag Delta) / safety factor from the local curvature and
+    the Gershgorin row bounds Delta; N F2' on blocks of one axis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_coupled_cubics(), st.sampled_from([1.0, 1.1]), st.integers(0, 2**32 - 1))
+    def test_core_dominates_on_coupled_cubics(self, cfg, safety, seed):
+        """N (f_N - f_N*) - log core <= 1e-9 at random neighborhood points.
+        f is cubic, so D is linear and each row bound is convex: its largest
+        value on the neighborhood is at a corner, a grid node, and the bound
+        holds with no safety factor."""
+        from certlap.gibbs import _Envelope
+
+        spec = problem_from_config(cfg)
+        consts = estimate_constants(spec, grid_res=16, n_sweep=(25, 400, 1600),
+                                    safety_factor=safety)
+        nb = spec.maximum.neighborhood
+        pts = np.random.default_rng(seed).uniform(nb.lower, nb.upper, (2000, spec.dimension))
+        for n in (25, 400, 1600):
+            env = _Envelope(spec, consts, n)
+            assert env.root is not None
+            gap = n * (field_values(env.f_n, pts) - env.f_star) - env._log_core(pts)
+            assert float(np.max(gap)) <= 1e-9
+
+    @pytest.mark.parametrize("N", [25, 100, 400])
+    def test_zero_row_bounds_are_caught(self, N, monkeypatch):
+        """With Delta set to 0 the core is K / safety factor, which cub2d's
+        cubic term exceeds: the exceedance guard must fire."""
+        import certlap.gibbs
+
+        spec = problem_from_config(INLINE["cub2d"])
+        consts = estimate_constants(spec, n_sweep=SWEEP)
+        monkeypatch.setattr(certlap.gibbs, "_row_bounds", lambda H, h: np.zeros(len(h)))
+        with pytest.raises(EnvelopeFailureError, match="exceeded"):
+            sample(gibbs_measure(spec, N), 20_000, seed=1, consts=consts)
+
+    @pytest.mark.parametrize("name, floor", [("quad2d", 0.85), ("cub2d", 0.5)])
+    def test_acceptance_floors(self, name, floor):
+        spec = problem_from_config(INLINE[name])
+        consts = estimate_constants(spec, n_sweep=SWEEP)
+        for n in (100, 400, 1600):
+            batch = sample(gibbs_measure(spec, n), 20_000, seed=1, consts=consts)
+            assert batch.acceptance_rate >= floor, n
+
+    @pytest.mark.parametrize("name", ["gauss3d", "iso2d", "boundary3d", "bnd2d", "cubic1d"])
+    def test_one_axis_blocks_keep_the_f2_prime_core(self, name, specs, consts_cache, monkeypatch):
+        """No Hessian grid is taken, prec is N F2', and the proposals are
+        those of the F2' rule, bit for bit."""
+        import certlap.gibbs
+        from certlap.gibbs import _Envelope
+
+        monkeypatch.setattr(certlap.gibbs, "_block_hessians",
+                            lambda *a: pytest.fail("a Hessian grid on a one-axis block"))
+        spec, consts = _spec_and_consts(name, specs, consts_cache)
+        for n in (25, 1600):
+            env = _Envelope(spec, consts, n)
+            prec = n * consts.F2_prime if env.gauss else 1.0
+            assert env.root is None and env.prec == prec
+            z, cell = env.propose(np.random.default_rng(3), 5000)
+            want, want_cell = _masked_proposals(env, 3, 5000, _f2_prime_core(env, prec))
+            assert np.array_equal(z, want)
+            assert np.array_equal(cell, want_cell) if cell is not None else np.all(want_cell < 0)
+
+    @pytest.mark.parametrize("name", ["cub2d", "bnd2d"])
+    def test_mixed_blocks_match_the_mask_construction(self, name, specs, consts_cache):
+        """A block whose picks reach a cell, gathered and scattered by
+        index, against the boolean row masks: the same proposals, labels and
+        log E'."""
+        from certlap.gibbs import _Envelope
+
+        spec, consts = _spec_and_consts(name, specs, consts_cache)
+        env = _Envelope(spec, consts, 25)
+
+        def draw_core(rng, n):
+            core = np.empty((n, spec.dimension))
+            env._draw_core(rng, core)
+            return core
+
+        z, cell = env.propose(np.random.default_rng(9), 20_000)
+        want, want_cell = _masked_proposals(env, 9, 20_000, draw_core)
+        assert np.any(want_cell >= 0) and np.any(want_cell < 0)
+        assert np.array_equal(z, want) and np.array_equal(cell, want_cell)
+        core = want_cell < 0
+        log_e = np.empty(len(want))
+        log_e[core] = env._log_core(want[core])
+        log_e[~core] = env.log_top[want_cell[~core]]
+        assert np.array_equal(env.log_labelled(z, cell), log_e)
+
+    def test_boundary_tangent_block(self):
+        """A boundary maximum whose two tangent axes are coupled: the
+        tangent block takes the matrix core, which with the inward rate
+        dominates on a grid over the neighborhood (the domain) at every
+        sweep N, and the draws match the oracle's box probabilities."""
+        from certlap.gibbs import _Envelope
+
+        box = {"lower": [0.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]}
+        spec = problem_from_config({
+            "name": "bndcoupled3d",
+            "domain": box,
+            "neighborhood": box,
+            "f": _poly((-1.0, (1, 0, 0)), (-0.5, (0, 2, 0)), (-1.0, (0, 0, 2)),
+                       (0.3, (0, 1, 1)), (0.15, (0, 3, 0))),
+            "sigma": _poly((0.2, (0, 1, 0))),
+            "epsilon": {"class": "power", "exponent": -0.75},
+            "classify_grid_res": 16,
+        })
+        consts = estimate_constants(spec, grid_res=32, n_sweep=SWEEP)
+        pts = spec.domain.grid_points(40)
+        for n in SWEEP:
+            env = _Envelope(spec, consts, n)
+            assert env.axis == 0 and env.root is not None
+            gap = n * (field_values(env.f_n, pts) - env.f_star) - env.log_envelope(pts)
+            assert float(np.max(gap)) <= 1e-9
+        m = gibbs_measure(spec, 100)
+        b = sample(m, 20_000, seed=2, consts=consts)
+        z_n = spec.z_star_of_N(100)
+        for lo, hi in (([0.0, -1.0, -1.0], [0.01, z_n[1], 1.0]),
+                       ([0.0, z_n[1] - 0.1, z_n[2] - 0.1], [1.0, z_n[1] + 0.05, z_n[2] + 0.1])):
+            p = measure_of(m, BoxDomain(lo, hi))
+            emp = float(np.mean(np.all((b.draws >= lo) & (b.draws <= hi), axis=1)))
+            assert abs(emp - p) <= 5 * math.sqrt(p * (1 - p) / b.count)
+
+    def test_hessian_grid_once_per_run(self, monkeypatch):
+        """One Hessian grid per run where the curvature is the same at every
+        N (quad2d, sigma = x), one per N where it is not (sigma = x^2), and
+        none kept once the run's spec is gone."""
+        import gc
+
+        import certlap.gibbs
+        from certlap.cli import run_checks
+        from certlap.config import RunConfig
+
+        calls = []
+        real = certlap.gibbs.hessians_on
+        monkeypatch.setattr(certlap.gibbs, "hessians_on",
+                            lambda f, pts: calls.append(len(pts)) or real(f, pts))
+        quadsig = dict(INLINE["quad2d"], name="quadsig2d", sigma=_poly((1.0, (2, 0))))
+        for problem, grids in ((INLINE["quad2d"], 1), (quadsig, len(SWEEP))):
+            calls.clear()
+            status, _ = run_checks(RunConfig(problem=problem, checks=("fluctuations", "sampler"),
+                                             sample_count=2000, seed=1))
+            assert status == 0
+            assert calls == [65 * 65] * grids
+            gc.collect()
+            assert len(certlap.gibbs._BLOCK_HESSIANS) == 0
