@@ -10,10 +10,11 @@ plotdata  convert a report.json into log-log columns for external plotting.
 
 Exit status: 0 all soundness assertions passed; 1 at least one failed;
 2 configuration/parse error, nothing written: an unreadable config file, an
-unknown problem or check, a malformed inline problem (domain, field and its
-numeric values, neighborhood inside the domain, epsilon a definition with a
-negative exponent, classify_grid_res at least 8), or a run setting out of
-range (N-sweep not increasing or not above the problem's n_zero,
+unknown problem or check, a malformed inline problem (domain of dimension
+at most 4, field and its numeric values, neighborhood inside the domain,
+epsilon a definition with a negative exponent, classify_grid_res at least
+8), a run setting that does not parse (a non-integer N in --n-sweep), or
+one out of range (N-sweep not increasing or not above the problem's n_zero,
 grid_res < 16, safety_factor < 1, tol < 1e-14, sample_count < 1, or
 sample_count < 100 with the fluctuations check);
 3 an assumption violation (a certified constant or structural hypothesis
@@ -147,7 +148,7 @@ def _check_laplace(spec, consts, config, sweep, measure, batch) -> tuple[dict, b
 
 
 def _check_constants(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
-    audit = audit_constants(spec, consts, n_points=1000, seed=config.seed)
+    audit = audit_constants(spec, consts, seed=config.seed)
     return audit, audit["ok"]
 
 
@@ -269,9 +270,9 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
     return report["status"], report
 
 
-def _sampler_audit(meas, batch, seed: int, n_boxes: int = 10) -> dict:
-    """Empirical box probabilities vs the quadrature measure, within five
-    standard errors."""
+def _sampler_audit(meas, batch, seed: int) -> dict:
+    """Empirical box probabilities vs the quadrature measure on ten random
+    boxes, within five standard errors."""
     spec = meas.spec
     rng = np.random.default_rng([seed, 104729])
     z = spec.domain.to_box(batch.draws)
@@ -280,7 +281,7 @@ def _sampler_audit(meas, batch, seed: int, n_boxes: int = 10) -> dict:
     ok = True
     sd = np.maximum(np.std(z, axis=0), 1e-3 * spec.domain.edges)
     z_star = spec.z_star_of_N(meas.N)
-    for _ in range(n_boxes):
+    for _ in range(10):
         half = rng.uniform(0.5, 3.0, size=spec.dimension) * sd
         center = z_star + rng.uniform(-1.0, 1.0, size=spec.dimension) * sd
         lo = np.maximum(spec.domain.lower, center - half)
@@ -430,25 +431,23 @@ _RUN_FIELD_TYPES = {
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run's RunConfig: the config file's settings, overridden by the
+    flags given.  ``run_checks`` validates it before anything is written."""
     merged = dict(load_json(args.config)) if args.config else {}
-    for key in ("problem", "grid_res", "tol", "safety_factor", "seed", "sample_count",
-                "ks_threshold", "output_path"):
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
-    if args.n_sweep is not None:
-        merged["n_sweep"] = [int(t) for t in args.n_sweep.split(",") if t.strip()]
-    if args.checks is not None:
-        merged["checks"] = [t.strip() for t in args.checks.split(",") if t.strip()]
+    flags = {k: getattr(args, k) for k in ("problem", *_RUN_FIELD_TYPES)
+             if getattr(args, k) is not None}
+    merged.update(flags)
     merged.setdefault("output_path", os.environ.get("CERTLAP_OUTPUT_DIR", "."))
     if "problem" not in merged:
         raise ConfigError("a problem is required (--problem or config file)")
     try:
+        for key in ("n_sweep", "checks"):  # comma-separated lists as flags
+            if key in flags:
+                merged[key] = [t.strip() for t in flags[key].split(",") if t.strip()]
         given = {k: conv(merged[k]) for k, conv in _RUN_FIELD_TYPES.items() if k in merged}
-        cfg = RunConfig(problem=merged["problem"], **given)
+        return RunConfig(problem=merged["problem"], **given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
-    cfg.validate()
-    return cfg
 
 
 def main(argv=None) -> int:

@@ -57,9 +57,14 @@ from typing import Optional
 
 import numpy as np
 
-from .derivatives import field_values, gradients_on, hessians_on, third_norms_on
+from .derivatives import gradients_on, hessians_on, third_norms_on
 from .errors import AssumptionViolationError, DefinitenessError, FieldEvaluationError
 from .problems import ProblemSpec, axis_blocks, gauss_block, limit_axes, read_axes
+
+# audit_constants draws this many neighbourhood points, and up to as many
+# complement points, and allows each check this multiplicative slack
+_AUDIT_POINTS = 1000
+_AUDIT_SLACK = 1.0001
 
 
 @dataclass(frozen=True)
@@ -163,8 +168,8 @@ def _combine(exts) -> dict:
 def _complement_drop(spec: ProblemSpec, N: int, f_n, out_pts):
     """(f(x*(N)) - f, |x - x*(N)|) at the complement points."""
     z_n = spec.z_star_of_N(N)
-    f_star = float(field_values(f_n, z_n))
-    return f_star - field_values(f_n, out_pts), np.linalg.norm(out_pts - z_n, axis=1)
+    f_star = float(f_n.evaluate(z_n))
+    return f_star - f_n.evaluate(out_pts), np.linalg.norm(out_pts - z_n, axis=1)
 
 
 def estimate_constants(
@@ -218,7 +223,7 @@ def estimate_constants(
     )
     g_box = spec.g_box
     g_axes = read_axes(g_box.coupling, m)
-    g_abs = np.abs(field_values(g_box, box.grid_points(grid_res, g_axes)))
+    g_abs = np.abs(g_box.evaluate(box.grid_points(grid_res, g_axes)))
     _check_finite(g_abs, "g")
     G = float(np.max(g_abs))
     g_grads = gradients_on(g_box, nb.grid_points(grid_res, g_axes))
@@ -311,18 +316,12 @@ def estimate_constants(
     )
 
 
-def audit_constants(
-    spec: ProblemSpec,
-    report: ConstantsReport,
-    n_points: int = 1000,
-    seed: int = 0,
-    slack: float = 1.0001,
-) -> dict:
+def audit_constants(spec: ProblemSpec, report: ConstantsReport, seed: int = 0) -> dict:
     """Random-point soundness audit of every report field.
 
     Draws points in the neighborhood (and the complement for the gap-type
     constants) and checks the pointwise inequalities each certified constant
-    claims, with multiplicative tolerance ``slack``, at every N of the
+    claims, with multiplicative tolerance 1.0001, at every N of the
     report's sweep.  Returns a dict with ``ok`` and any failures, labelled
     by constant and N.
 
@@ -336,10 +335,10 @@ def audit_constants(
     m = box.dimension
     axis, gauss, _ = limit_axes(spec)
 
-    pts = rng.uniform(nb.lower, nb.upper, size=(n_points, m))
-    om = rng.uniform(box.lower, box.upper, size=(4 * n_points, m))
+    pts = rng.uniform(nb.lower, nb.upper, size=(_AUDIT_POINTS, m))
+    om = rng.uniform(box.lower, box.upper, size=(4 * _AUDIT_POINTS, m))
     inside = nb.contains_rows(om, tol=1e-12)
-    out_pts = om[~inside][:n_points]
+    out_pts = om[~inside][:_AUDIT_POINTS]
 
     failures: list[str] = []
 
@@ -348,41 +347,41 @@ def audit_constants(
             failures.append(label)
 
     g_box = spec.g_box
-    check(float(np.max(np.abs(field_values(g_box, om)))) <= report.G * slack, "G")
+    check(float(np.max(np.abs(g_box.evaluate(om)))) <= report.G * _AUDIT_SLACK, "G")
     gg = gradients_on(g_box, pts)
-    check(float(np.max(np.linalg.norm(gg, axis=-1))) <= report.G1 * slack, "G1")
+    check(float(np.max(np.linalg.norm(gg, axis=-1))) <= report.G1 * _AUDIT_SLACK, "G1")
 
     f_sweep, curvature_sweep = _n_sweeps(spec, report.n_sweep)
     for N in report.n_sweep:
         f_n = spec.f_of_box(N)
         if N in curvature_sweep:
             ext = _combine([_curvature_extremes(f_n, pts, gauss)])
-        check(ext["F2"] <= report.F2 * slack, f"F2@N={N}")
-        check(ext["F3"] <= report.F3 * slack + 1e-12, f"F3@N={N}")
-        check(ext["F2_prime"] >= report.F2_prime / slack, f"F2_prime@N={N}")
-        check(ext["lambda"] >= report.lambda_det / slack, f"lambda@N={N}")
-        check(ext["Lambda"] <= report.Lambda_det * slack, f"Lambda@N={N}")
+        check(ext["F2"] <= report.F2 * _AUDIT_SLACK, f"F2@N={N}")
+        check(ext["F3"] <= report.F3 * _AUDIT_SLACK + 1e-12, f"F3@N={N}")
+        check(ext["F2_prime"] >= report.F2_prime / _AUDIT_SLACK, f"F2_prime@N={N}")
+        check(ext["lambda"] >= report.lambda_det / _AUDIT_SLACK, f"lambda@N={N}")
+        check(ext["Lambda"] <= report.Lambda_det * _AUDIT_SLACK, f"Lambda@N={N}")
         if N in f_sweep:
             slope = None if axis is None else _least_slope(f_n, pts, axis)
             if len(out_pts):
                 drop, d = _complement_drop(spec, N, f_n, out_pts)
         if axis is not None:
-            check(slope >= report.F1_prime / slack, f"F1_prime@N={N}")
+            check(slope >= report.F1_prime / _AUDIT_SLACK, f"F1_prime@N={N}")
 
         if len(out_pts):
             check(
-                bool(np.all(drop >= report.F2_prime_Omega * d**2 / slack)),
+                bool(np.all(drop >= report.F2_prime_Omega * d**2 / _AUDIT_SLACK)),
                 f"F2_prime_Omega@N={N}",
             )
             if axis is not None:
                 check(
-                    bool(np.all(drop >= report.F1_prime_Omega * d / slack)),
+                    bool(np.all(drop >= report.F1_prime_Omega * d / _AUDIT_SLACK)),
                     f"F1_prime_Omega@N={N}",
                 )
 
     return {
         "ok": not failures,
         "failures": failures,
-        "n_points": n_points,
+        "n_points": _AUDIT_POINTS,
         "problem": spec.name,
     }

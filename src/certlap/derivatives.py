@@ -1,6 +1,6 @@
-"""Field evaluation on batches of points, the derivative handles of a
-term-list field on grids of points, and the norm machinery the remainder
-constants are built from.
+"""The derivative handles of a term-list field on grids of points, and the
+norm machinery the remainder constants are built from.  A field's values
+come from ``ScalarField.evaluate`` itself.
 
 Every field is a term list, so its gradient, Hessian and third tensor are
 exact: the product rule on the terms (``problems._term_handles``).  The
@@ -11,31 +11,12 @@ Everything in this module is a pure function, safe for concurrent use.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import FieldEvaluationError
-
 if TYPE_CHECKING:
     from .problems import ScalarField
-
-
-def field_values(fld: Union[ScalarField, Callable], pts: np.ndarray) -> np.ndarray:
-    """Evaluate a field, or a plain callable, on points of shape (..., m);
-    returns shape (...).
-
-    The evaluator must honour the batch contract of ScalarField; a result
-    of any other shape raises FieldEvaluationError."""
-    pts = np.asarray(pts, dtype=float)
-    evaluate = getattr(fld, "evaluate", fld)
-    out = np.asarray(evaluate(pts), dtype=float)
-    if out.shape != pts.shape[:-1]:
-        raise FieldEvaluationError(
-            f"field {getattr(fld, 'name', 'callable')!r} returned shape {out.shape} for "
-            f"points of shape {pts.shape}; evaluate must map (..., m) to (...)"
-        )
-    return out
 
 
 def gradients_on(fld: ScalarField, pts: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import ConstantsReport
-from .derivatives import field_values, gradients_on, hessians_on
+from .derivatives import gradients_on, hessians_on
 from .errors import (
     AssumptionViolationError,
     DomainError,
@@ -281,23 +281,21 @@ def fluctuation_sweep(spec: ProblemSpec, n_sweep, xi, tol: float = 1e-10) -> dic
 # ---------------------------------------------------------------------------
 
 def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> list[dict]:
-    """Per-N check of |x*(N) - x*| <= eps(N) |D sigma(x*)| / F2_prime."""
+    """Per-N check of |x*(N) - x*| <= eps(N) |D sigma(x*)| / F2_prime, with
+    x*(N) the maximizer ``classify_maximum`` solved (``spec.z_star_of_N``)."""
     if spec.sigma is None:
         raise ValueError("drift check needs a nonzero sigma perturbation")
     if all(float(spec.epsilon.evaluate(int(n))) == 0.0 for n in n_sweep):
         raise ValueError("drift check needs epsilon > 0 somewhere on the sweep")
-    box = spec.domain
     nb = spec.maximum.neighborhood
     z_star = spec.z_star
-    axis, gauss, _ = limit_axes(spec)
-    fixed = None if axis is None else {axis: z_star[axis]}
+    _, gauss, _ = limit_axes(spec)
     dsig_norm = float(np.linalg.norm(spec.sigma_box.gradient(z_star)[gauss]))
 
     rows = []
     for N in n_sweep:
         N = int(N)
-        f_n = spec.f_of_box(N)
-        z_n, _ = locate_maximum(f_n, box, z_star, fixed_axes=fixed)
+        z_n = spec.z_star_of_N(N)
         if not nb.contains_z(z_n, tol=1e-9):
             raise AssumptionViolationError(
                 "maximizer_drift", f"x*(N) left the certified neighborhood at N={N}"
@@ -349,10 +347,10 @@ def tilted_maximizer_check(
         sqrtN = math.sqrt(N)
         f_n = spec.f_of_box(N)
         z_n = spec.z_star_of_N(N)
-        f_star_n = float(field_values(f_n, z_n))
+        f_star_n = float(f_n.evaluate(z_n))
         z_t = _check_tilt_inside(spec, N, xi_box / sqrtN, "tilted estimates")
         # tilt value relative to x*: f~ = f + xi.(x - x*)/sqrt(N)
-        f_tilde_val = float(np.asarray(f_n.evaluate(z_t))) + float(
+        f_tilde_val = float(f_n.evaluate(z_t)) + float(
             xi_box @ (z_t - z_star)
         ) / sqrtN
         drift_pred = Sigma @ xi_box / sqrtN
@@ -570,7 +568,7 @@ class _Envelope:
         self.axis, self.gauss, self.sign = limit_axes(spec)
         self.z_n = spec.z_star_of_N(N)
         self.f_n = f_n = spec.f_of_box(N)
-        self.f_star = float(field_values(f_n, self.z_n))
+        self.f_star = float(f_n.evaluate(self.z_n))
 
         # core: precision N F2' on the Gaussian axes (a one-dimensional
         # boundary problem has none, and F2' = inf), or U'U on the coupled
@@ -593,7 +591,7 @@ class _Envelope:
         self.breaks, self.cell_lower, self.cell_width = geo.breaks, geo.cell_lower, geo.cell_width
         self.log_top = np.empty(0)
         if len(geo.nodes):
-            vals = field_values(f_n, geo.nodes) - self.f_star
+            vals = f_n.evaluate(geo.nodes) - self.f_star
             # the squares one column at a time, added in np.linalg.norm's
             # order (its reduction over a last axis of m entries costs
             # several times as much); the largest norm is the root of the
@@ -663,13 +661,7 @@ class _Envelope:
             t = d[:, self.axis]
             t *= self.rate * self.sign
             log_e -= t
-        # one column at a time: numpy's any(axis=1) over (k, m) costs
-        # several times as much
-        off = np.zeros(len(z), dtype=bool)
-        for i, (lo, up) in enumerate(zip(self.nb.lower, self.nb.upper)):
-            off |= z[:, i] < lo
-            off |= z[:, i] > up
-        log_e[off] = -np.inf
+        log_e[~self.nb.contains_rows(z)] = -np.inf
         return log_e
 
     def log_envelope(self, z: np.ndarray) -> np.ndarray:
@@ -768,7 +760,7 @@ def sample(measure: GibbsMeasure, count: int, seed: int, consts: ConstantsReport
             keep = np.flatnonzero(read)
             z, u, log_e = z.take(keep, axis=0), u.take(keep), log_e.take(keep)
         if len(z):
-            log_ratio = field_values(env.f_n, z)
+            log_ratio = env.f_n.evaluate(z)
             log_ratio -= env.f_star
             log_ratio *= N
             log_ratio -= log_e

@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .problems import (
     CLASSIFY_MIN_GRID_RES,
     INTERIOR,
+    MAX_DIMENSION,
     UNIT_WEIGHT,
     BoxDomain,
     EpsilonSchedule,
@@ -87,6 +88,9 @@ def problem_from_definition(
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain: {exc}") from exc
     m = box.dimension
+    if m > MAX_DIMENSION:
+        # refused before classification, whose grid has 65^m points
+        raise ConfigError(f"bad domain: dimension {m} above {MAX_DIMENSION} is unsupported")
     if "f" not in cfg:
         raise ConfigError("inline problem needs an 'f' field definition")
     f = field_from_config(cfg["f"], m)

@@ -141,7 +141,7 @@ def _local_model(spec: ProblemSpec, N: int):
         )
     axis, gauss, s = limit_axes(spec)
     f_n = spec.f_of_box(N)
-    fval = float(np.asarray(f_n.evaluate(z_n)))
+    fval = float(f_n.evaluate(z_n))
     poly = (2.0 * math.pi / N) ** (len(gauss) / 2.0)
     scale = 1.0
     if axis is not None:
@@ -155,7 +155,7 @@ def _local_model(spec: ProblemSpec, N: int):
         raise DegenerateHessianError(
             "Hessian block on the Gaussian axes is numerically singular at the maximizer"
         )
-    gval = float(np.asarray(spec.g_box.evaluate(z_n)))
+    gval = float(spec.g_box.evaluate(z_n))
     return N * fval, poly, gval / (scale * math.sqrt(det)), gval
 
 
@@ -302,40 +302,23 @@ def approximate(spec: ProblemSpec, consts: ConstantsReport, N: int) -> LaplaceRe
     return approx_boundary_md(spec, consts, N)
 
 
-def gaussian_tail_bound(
-    m: int,
-    k: int,
-    a: float,
-    N: int,
-    radius_mode: str = "cube_root_N",
-    R: Optional[float] = None,
-) -> float:
+def gaussian_tail_bound(m: int, k: int, a: float, N: int, R: float) -> float:
     """Upper bound on the integral of |x|^k exp(-a N |x|^2) outside the ball
-    of radius R (mode "fixed") or radius N^{-1/3} (mode "cube_root_N").
+    of radius R.
 
     Derived from the radial reduction: with c = a N R^2 and s = k + m,
 
         bound = pi^{m/2} / Gamma(m/2) * (a N)^{-s/2} * J_bound * exp(-c),
         J_bound = Gamma(s - 1) + (1 + sqrt(c))^{s - 2}        for s >= 2,
         J_bound = min(Gamma(1/2), c^{-1/2})                   for s = 1.
-
-    The cube-root mode is exactly the fixed mode at R = N^{-1/3}.
     """
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
-    if a <= 0 or N < 1:
-        raise ValueError("need a > 0 and N >= 1")
-    if radius_mode == "cube_root_N":
-        R_eff = float(N) ** (-1.0 / 3.0)
-    elif radius_mode == "fixed":
-        if R is None or R <= 0:
-            raise ValueError("fixed mode needs R > 0")
-        R_eff = float(R)
-    else:
-        raise ValueError(f"unknown radius_mode {radius_mode!r}")
+    if a <= 0 or N < 1 or R <= 0:
+        raise ValueError("need a > 0, N >= 1 and R > 0")
 
     aN = a * float(N)
-    c = aN * R_eff**2
+    c = aN * float(R)**2
     s = k + m
     front = math.pi ** (m / 2.0) / math.gamma(m / 2.0) * aN ** (-s / 2.0)
     if s >= 2:

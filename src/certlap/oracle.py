@@ -20,12 +20,11 @@ Where the integrand factorises, so does each tensor sum (the product rule,
 Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984,
 §5.6).  The axes are split into blocks: the coupling of f(., N) and of the
 log weight (``ScalarField.coupling``), joined, plus one block holding every
-axis a non-constant weight reads.  A plain-callable log weight couples
-every axis.  The unit weight g = 1 is never evaluated: multiplying by 1.0
-is exact.  Each block is summed on its own, with the other axes
-pinned at the centre, and Q_n, Q_{n-2} and the |integrand| sum are products
-over blocks, so the refinement path is the one the full tensor sum would
-take.  A block sum that recurs within one call (a line probe's own axis at
+axis a non-constant weight reads.  The unit weight g = 1 is never
+evaluated: multiplying by 1.0 is exact.  Each block is summed on its own,
+with the other axes pinned at the centre, and Q_n, Q_{n-2} and the
+|integrand| sum are products over blocks, so the refinement path is the one
+the full tensor sum would take.  A block sum that recurs within one call (a line probe's own axis at
 the panel depths already summed, a block with every axis pinned) is reused,
 not evaluated again; the products are formed in the same order, so the
 value is the same bit for bit.  ``evaluations`` counts the nodes of every
@@ -43,8 +42,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import QuadratureBudgetError, UnsupportedDimensionError
-from .derivatives import field_values
 from .problems import (
+    MAX_DIMENSION,
     BoxDomain,
     ProblemSpec,
     ScalarField,
@@ -164,7 +163,7 @@ def integrate(
     N: int,
     tol: float = 1e-10,
     weight: Optional[ScalarField] = None,
-    log_weight: Optional[ScalarField | Callable] = None,
+    log_weight: Optional[ScalarField] = None,
     domain: Optional[BoxDomain] = None,
     center: Optional[np.ndarray] = None,
 ) -> OracleValue:
@@ -172,17 +171,14 @@ def integrate(
 
     ``weight`` replaces the problem's g (multiplicative); ``log_weight`` is
     added inside the exponent (used for exponential tilts, where a
-    multiplicative weight would overflow).  ``log_weight`` is a ScalarField
-    or a plain callable that only evaluates; either must map points of
-    shape (..., m) to values of shape (...).
+    multiplicative weight would overflow).
 
     The axes are split into blocks that nothing couples: the coupling of
     f(., N) joined with that of the log weight, plus one block holding every
-    axis a non-constant weight reads (a plain-callable log weight couples
-    every axis; an axis nothing reads is a block of its own).  Each
-    panel sum is the product over blocks of the tensor sum over the block's
-    axes, with the other axes pinned at the centre, and the weight applied
-    in one block; with one block it is the full tensor sum.
+    axis a non-constant weight reads (an axis nothing reads is a block of
+    its own).  Each panel sum is the product over blocks of the tensor sum
+    over the block's axes, with the other axes pinned at the centre, and the
+    weight applied in one block; with one block it is the full tensor sum.
 
     From panel depth 4 on every axis, each panel set is evaluated with
     Gauss orders n and n - 2; converged when |Q_n - Q_{n-2}| <= tol * A_n,
@@ -206,8 +202,8 @@ def integrate(
     """
     N = int(N)
     m = spec.dimension
-    if m > 4:
-        raise UnsupportedDimensionError("oracle integration supports m <= 4")
+    if m > MAX_DIMENSION:
+        raise UnsupportedDimensionError(f"oracle integration supports m <= {MAX_DIMENSION}")
     if tol < 1e-14:
         raise ValueError("tol must be at least 1e-14")
     box = domain if domain is not None else spec.domain
@@ -217,25 +213,22 @@ def integrate(
         center = spec.z_star_of_N(N)
     c = box.clip(np.asarray(center, dtype=float))
 
-    lw_coupling = () if log_weight is None else getattr(log_weight, "coupling", None)
+    lw_coupling = () if log_weight is None else log_weight.coupling
     blocks, w_block = _blocks(m, f_box, lw_coupling, w_box)
     if _is_unit(w_box):
         w_block = None  # multiplying by 1.0 is exact: the weight is never read
-    f_peak = float(np.asarray(f_box.evaluate(c)))
-    lw_peak = float(field_values(log_weight, c)) if log_weight is not None else 0.0
+    f_peak = float(f_box.evaluate(c))
+    lw_peak = float(log_weight.evaluate(c)) if log_weight is not None else 0.0
     log_offset = N * f_peak + lw_peak
 
     def exponent(pts):
         # np.subtract makes the one fresh array the rest works in: a field
         # may return a view of pts
-        e = np.subtract(field_values(f_box, pts), f_peak)
+        e = np.subtract(f_box.evaluate(pts), f_peak)
         e *= N
         if log_weight is not None:
-            e += np.subtract(field_values(log_weight, pts), lw_peak)
+            e += np.subtract(log_weight.evaluate(pts), lw_peak)
         return e
-
-    def wfn(pts):
-        return field_values(w_box, pts)
 
     sums = {}  # the block sums formed so far in this call
 
@@ -256,7 +249,7 @@ def integrate(
                     for i in range(m)
                 ]
                 sums[key] = _tensor_sum([x[0] for x in axes], [x[1] for x in axes],
-                                        exponent, wfn if k == w_block else None)
+                                        exponent, w_box.evaluate if k == w_block else None)
             s, a, n = sums[key]
             total, scale, evals = total * s, scale * a, evals + n
         return total, scale, evals

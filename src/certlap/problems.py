@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .derivatives import field_values
 from .errors import (
     AmbiguousMaximumError,
     DefinitenessError,
@@ -33,7 +32,9 @@ _GRAD_TOL = 1e-8
 _TIE_TOL = 1e-10
 # the coarsest classification grid, per axis
 CLASSIFY_MIN_GRID_RES = 8
-
+# the largest dimension the quadrature oracle, and so every check but the
+# constants audit, supports
+MAX_DIMENSION = 4
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -622,7 +623,6 @@ def locate_maximum(
     box: BoxDomain,
     start,
     fixed_axes: Optional[dict[int, float]] = None,
-    gtol: float = 1e-12,
 ):
     """Maximize a field over a box (box frame), optionally with some
     coordinates pinned (used for face-restricted maxima), by projected Newton
@@ -631,7 +631,7 @@ def locate_maximum(
     points out of.  The others take a Newton step where -H is positive
     definite on them, capped at a quarter of the smallest edge, and stop after
     one shorter than 1e-9 of that cap (the error left is of order its square);
-    elsewhere a gradient step, until the gradient is within ``gtol``.  Armijo
+    elsewhere a gradient step, until the gradient is within 1e-12.  Armijo
     backtracking runs along the projection arc; a full step that loses only
     round-off is taken.  Derivatives come from the field's handles.
 
@@ -641,7 +641,7 @@ def locate_maximum(
     z[list(fixed_axes)] = list(fixed_axes.values())
     pinned = np.zeros(box.dimension, dtype=bool)
     pinned[list(fixed_axes)] = True
-    cap, f = 0.25 * float(np.min(box.edges)), float(field_values(fld, z))
+    cap, f = 0.25 * float(np.min(box.edges)), float(fld.evaluate(z))
     lower, upper = box.lower + 1e-13 * box.edges, box.upper - 1e-13 * box.edges
     for _ in range(200):
         g = fld.gradient(z)
@@ -653,7 +653,7 @@ def locate_maximum(
             np.linalg.cholesky(K)
             newton, d_free = True, np.linalg.solve(K, g[free])
         except np.linalg.LinAlgError:
-            if np.max(np.abs(g[free])) <= gtol:
+            if np.max(np.abs(g[free])) <= 1e-12:
                 break
             newton, d_free = False, g[free]
         d = np.zeros_like(z)
@@ -661,7 +661,7 @@ def locate_maximum(
         slack = 1e-13 * max(1.0, abs(f))  # the round-off a full step may lose
         for k in range(41):
             z_t = box.clip(z + 0.5**k * d)
-            f_t, rise = float(field_values(fld, z_t)), float(g @ (z_t - z))
+            f_t, rise = float(fld.evaluate(z_t)), float(g @ (z_t - z))
             if (rise > 0 and f_t - f >= 1e-4 * rise) or (k == 0 and f_t >= f - slack):
                 break
         else:
@@ -743,7 +743,6 @@ def default_n_zero(
     neighborhood: BoxDomain,
     kind: str,
     z_star_of_N: Callable[[int], np.ndarray],
-    n_max: int = 10**9,
 ) -> int:
     """Smallest admissible threshold: the first N whose window fits inside
     the neighborhood, minus one (so that N > n_zero admits it).  The window
@@ -756,8 +755,8 @@ def default_n_zero(
     hi = 1
     while not fits(hi):
         hi *= 2
-        if hi > n_max:
-            raise DomainError(f"no N <= {n_max} fits the window inside the neighborhood")
+        if hi > 10**9:
+            raise DomainError(f"no N <= {10**9} fits the window inside the neighborhood")
     lo = hi // 2  # lo does not fit (or hi == 1)
     while hi - lo > 1 and lo >= 1:
         mid = (lo + hi) // 2
@@ -791,7 +790,7 @@ def classify_maximum(
     fld = spec.f_limit_box
     axes = box.grid_axes(grid_res)
     pts = box.grid_points(grid_res)
-    vals = field_values(fld, pts)
+    vals = fld.evaluate(pts)
     if not np.all(np.isfinite(vals)):
         raise FieldEvaluationError("non-finite field value on the classification grid")
     shape = tuple(len(a) for a in axes)
@@ -907,7 +906,7 @@ def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, side) -> None:
         if not nb.contains_z(z_n, tol=1e-9):
             raise AmbiguousMaximumError(f"maximizer at N={n} escapes the neighborhood")
         f_n = spec.f_of_box(n)
-        scale = max(1.0, abs(float(np.asarray(f_n.evaluate(z_n)))))
+        scale = max(1.0, abs(float(f_n.evaluate(z_n))))
         _check_signature(f_n, z_n, box, scale, info.boundary_axis, side, f"the N={n} maximizer")
 
 

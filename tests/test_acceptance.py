@@ -105,17 +105,12 @@ def test_criterion_4_tail_lemma_dominance():
         a = float(rng.uniform(0.5, 4.0))
         N = int(rng.integers(1, 10_001))
         R = float(rng.uniform(0.2, 2.0))
-        bound = gaussian_tail_bound(m, k, a, N, "fixed", R=R)
+        bound = gaussian_tail_bound(m, k, a, N, R)
         true = tail_integral(m, k, a, N, R, tol=1e-11).value
         if true > 0:
             worst = min(worst, bound / true)
         ok &= bound >= true * (1 - 1e-9)
-    for n in (3, 64, 729, 10_000):
-        fixed = gaussian_tail_bound(2, 2, 1.3, n, "fixed", R=float(n) ** (-1 / 3))
-        cube = gaussian_tail_bound(2, 2, 1.3, n, "cube_root_N")
-        ok &= abs(fixed / cube - 1.0) <= 1e-12
-    announce(4, ok, f"tail bound dominates 50 random oracle tails (min ratio {worst:.3f}); "
-                    "fixed mode at R=N^(-1/3) equals cube-root mode to 1e-12")
+    announce(4, ok, f"tail bound dominates 50 random oracle tails (min ratio {worst:.3f})")
 
 
 def test_criterion_5_lln(specs):
@@ -225,7 +220,7 @@ def test_criterion_11_constants_soundness(specs, consts_cache):
     failures = []
     for name, spec in specs.items():
         rep = consts_cache(name, grid_res=64)
-        audit = audit_constants(spec, rep, n_points=1000, seed=11)
+        audit = audit_constants(spec, rep, seed=11)
         if not audit["ok"]:
             failures.append((name, audit["failures"]))
     announce(

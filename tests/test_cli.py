@@ -394,8 +394,15 @@ def _inline_demo(**extra):
     ([], _inline_demo(neighborhood={"lower": [-2.0], "upper": [0.5]})),
     ([], _inline_demo(epsilon={"class": "power"})),
     ([], _inline_demo(epsilon={"class": "power", "exponent": 0.5})),
+    (["--n-sweep", "25,abc"], None),
+    # refused before classification, whose grid would have 65^5 points
+    ([], {"domain": {"lower": [-1.0] * 5, "upper": [1.0] * 5},
+          "f": {"type": "polynomial",
+                "terms": [{"coeff": -0.5, "powers": [2 if j == i else 0 for j in range(5)]}
+                          for i in range(5)]}}),
 ], ids=["grid_res", "safety_factor", "tol", "n_zero", "sample_count", "nb_no_lower",
-        "nb_outside", "eps_no_exponent", "eps_exponent_positive"])
+        "nb_outside", "eps_no_exponent", "eps_exponent_positive", "n_sweep_not_int",
+        "dimension_5"])
 def test_bad_setting_is_config_error(tmp_path, capsys, flags, problem):
     args = ["run", "--problem", "gauss1d"]
     if problem is not None:

@@ -7,19 +7,13 @@ from hypothesis import strategies as st
 
 from certlap import polynomial_field
 from certlap.catalog import catalog
-from certlap.derivatives import field_values, third_norms_on
-from certlap.errors import FieldEvaluationError
+from certlap.derivatives import third_norms_on
 
 
 class TestFieldValues:
     def test_batch_shape(self):
         f = polynomial_field([(1.0, (1, 1))])
-        assert field_values(f, np.ones((4, 3, 2))).shape == (4, 3)
-
-    def test_pointwise_callable_is_refused(self):
-        # a callable written for single points silently sums over a batch
-        with pytest.raises(FieldEvaluationError):
-            field_values(lambda x: float(np.sum(np.asarray(x) ** 2)), np.zeros((5, 2)))
+        assert f.evaluate(np.ones((4, 3, 2))).shape == (4, 3)
 
 
 class TestTensorBound:
@@ -106,7 +100,7 @@ class TestFdConsistency:
                 continue
 
             def values(x, f=f):
-                return float(field_values(f, x))
+                return float(f.evaluate(x))
 
             for p in pts:
                 grad, hess = _central(values, p, h)

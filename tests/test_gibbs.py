@@ -28,9 +28,8 @@ from certlap import (
 )
 from certlap import approximate, integrate
 from certlap.config import problem_from_config
-from certlap.derivatives import field_values
 from certlap.gibbs import MgfReport, fluctuation_verdict
-from certlap.problems import limit_axes
+from certlap.problems import ScalarField, limit_axes
 from certlap.errors import (
     DomainError,
     EnvelopeFailureError,
@@ -195,10 +194,12 @@ class TestDrift:
     def test_constant_sigma_no_drift(self):
         from dataclasses import replace
 
-        from certlap import constant_field, power_epsilon
+        from certlap import classify_maximum, constant_field, power_epsilon
 
-        spec = get_problem("gauss1d")
-        spec = replace(spec, sigma=constant_field(2.0), epsilon=power_epsilon(-0.75))
+        base = get_problem("gauss1d")
+        spec = replace(base, sigma=constant_field(2.0), epsilon=power_epsilon(-0.75))
+        # x*(N) is the one the spec's classification solved
+        spec = replace(spec, maximum=classify_maximum(spec, neighborhood=base.maximum.neighborhood))
         c = estimate_constants(spec, grid_res=32, n_sweep=(25, 100))
         rows = maximum_drift_check(spec, c, (25, 100))
         for row in rows:
@@ -210,7 +211,7 @@ class TestDrift:
         # eps / F2_prime
         from dataclasses import replace
 
-        from certlap import polynomial_field, power_epsilon
+        from certlap import classify_maximum, polynomial_field, power_epsilon
 
         base = get_problem("mixed2d")
         spec = replace(
@@ -219,6 +220,7 @@ class TestDrift:
             epsilon=power_epsilon(-0.75),
             exact_integral=None,
         )
+        spec = replace(spec, maximum=classify_maximum(spec, neighborhood=base.maximum.neighborhood))
         c = estimate_constants(spec, grid_res=32, n_sweep=(25, 100, 400))
         rows = maximum_drift_check(spec, c, (25, 100, 400))
         for row in rows:
@@ -516,7 +518,7 @@ class TestEnvelope:
         pts = spec.domain.grid_points(self.SAMPLE_GRID[spec.dimension])
         for n in SWEEP:
             env = _Envelope(spec, consts, n)
-            gap = n * (field_values(env.f_n, pts) - env.f_star) - env.log_envelope(pts)
+            gap = n * (env.f_n.evaluate(pts) - env.f_star) - env.log_envelope(pts)
             assert float(np.max(gap)) <= 1e-9
             batch = sample(gibbs_measure(spec, n), 2000, seed=1, consts=consts)
             assert batch.acceptance_rate >= 0.05
@@ -681,15 +683,15 @@ class TestLabelledEnvelope:
         only at x*(N), for f_N*, and takes no gradient."""
         import certlap.gibbs
 
+        spec, consts = specs[name], consts_cache(name)
         evaluated = []
-        real = certlap.gibbs.field_values
-        monkeypatch.setattr(certlap.gibbs, "field_values",
+        real = ScalarField.evaluate
+        monkeypatch.setattr(ScalarField, "evaluate",
                             lambda f, pts: evaluated.append(np.shape(pts)) or real(f, pts))
         monkeypatch.setattr(certlap.gibbs, "gradients_on",
                             lambda *a: pytest.fail("gradients taken without complement cells"))
-        spec = specs[name]
         for n in SWEEP:
-            env = certlap.gibbs._Envelope(spec, consts_cache(name), n)
+            env = certlap.gibbs._Envelope(spec, consts, n)
             assert len(env.log_top) == 0 and env.log_m_cells == -math.inf
         assert evaluated == [(spec.dimension,)] * len(SWEEP)
 
@@ -754,7 +756,7 @@ def _full_grid_cells(spec, consts, N):
                        for corner in np.ndindex((2,) * m)], axis=0)
         nodes = np.stack(np.meshgrid(*breaks, indexing="ij"), axis=-1)[read]
         vals = np.full(read.shape, -math.inf)
-        vals[read] = field_values(env.f_n, nodes) - env.f_star
+        vals[read] = env.f_n.evaluate(nodes) - env.f_star
         lip = consts.safety_factor * float(np.max(np.linalg.norm(
             gradients_on(env.f_n, nodes), axis=-1)))
         top = np.max([vals[s] for s in corners], axis=0).ravel()[out]
@@ -955,7 +957,7 @@ class TestAcceptedDrawsToKs:
                     log_e = env.log_labelled(z, cell)
                     read = log_e > -np.inf
                     z, u, log_e = z[read], u[read], log_e[read]
-                    log_ratio = N * (field_values(env.f_n, z) - env.f_star) - log_e
+                    log_ratio = N * (env.f_n.evaluate(z) - env.f_star) - log_e
                     sel = z[np.log(u) <= log_ratio]
                     got.append(sel)
                     n_have += len(sel)
@@ -1059,7 +1061,7 @@ class TestMatrixCore:
         for n in (25, 400, 1600):
             env = _Envelope(spec, consts, n)
             assert env.root is not None
-            gap = n * (field_values(env.f_n, pts) - env.f_star) - env._log_core(pts)
+            gap = n * (env.f_n.evaluate(pts) - env.f_star) - env._log_core(pts)
             assert float(np.max(gap)) <= 1e-9
 
     @pytest.mark.parametrize("N", [25, 100, 400])
@@ -1149,7 +1151,7 @@ class TestMatrixCore:
         for n in SWEEP:
             env = _Envelope(spec, consts, n)
             assert env.axis == 0 and env.root is not None
-            gap = n * (field_values(env.f_n, pts) - env.f_star) - env.log_envelope(pts)
+            gap = n * (env.f_n.evaluate(pts) - env.f_star) - env.log_envelope(pts)
             assert float(np.max(gap)) <= 1e-9
         m = gibbs_measure(spec, 100)
         b = sample(m, 20_000, seed=2, consts=consts)

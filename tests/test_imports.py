@@ -52,23 +52,55 @@ def test_one_limit_frame():
     assert not hasattr(certlap.problems, "boundary_side")
 
 
+def _callers(name: str, skip: str = "") -> set[str]:
+    """The functions of the package, as module.function, that call ``name``
+    (a bare name or an attribute); a call in a nested function counts for
+    the module-level function it is nested in.  ``skip`` is a module file
+    left out."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == skip:
+            continue
+        for top in ast.parse(path.read_text()).body:
+            fns = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in fns:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    ):
+                        callers.add(f"{path.stem}.{fn.name}")
+    return callers
+
+
 def test_one_expectation_path():
     """Outside the oracle, integrate is called only by the laplace check, by
     gibbs_measure (the normaliser) and by the one expectation helper that
     every box probability and MGF goes through."""
-    callers = set()
+    assert _callers("integrate", skip="oracle.py") == {
+        "cli._check_laplace", "gibbs.gibbs_measure", "gibbs._expectation"}
+
+
+def test_one_maximizer_solve():
+    """x*(N) is solved once per N, by classify_maximum: besides it, only
+    the tilted-maximizer check runs locate_maximum, on the tilted exponent.
+    Every field is evaluated by ScalarField.evaluate: no module defines or
+    imports a second evaluator."""
+    assert _callers("locate_maximum") == {
+        "problems.classify_maximum", "gibbs._check_tilt_inside"}
+    found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "oracle.py":
-            continue
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and (
-                        getattr(node.func, "id", None) == "integrate"
-                        or getattr(node.func, "attr", None) == "integrate"
-                    ):
-                        callers.add(f"{path.stem}.{fn.name}")
-    assert callers == {"cli._check_laplace", "gibbs.gibbs_measure", "gibbs._expectation"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            found += [f"{path.name}:{node.lineno}" for n in names if n == "field_values"]
+    assert found == []
 
 
 def test_oracle_builds_no_meshgrid_copies():

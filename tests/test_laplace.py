@@ -282,19 +282,13 @@ class TestEnclosureInvariants:
 
 class TestGaussianTailBound:
     def test_known_point_dominates(self):
-        b = gaussian_tail_bound(1, 0, 1.0, 4, "fixed", R=1.0)
+        b = gaussian_tail_bound(1, 0, 1.0, 4, 1.0)
         t = tail_integral(1, 0, 1.0, 4, 1.0, tol=1e-12)
         assert b >= t.value
         assert t.value == pytest.approx(0.0041455347, rel=1e-7)
 
-    def test_cube_root_equals_fixed_substitution(self):
-        for n in (2, 17, 1000, 12345):
-            fixed = gaussian_tail_bound(2, 1, 0.7, n, "fixed", R=float(n) ** (-1 / 3))
-            cube = gaussian_tail_bound(2, 1, 0.7, n, "cube_root_N")
-            assert fixed == pytest.approx(cube, rel=1e-12)
-
     def test_monotone_to_zero(self):
-        vals = [gaussian_tail_bound(1, 0, 1.0, n) for n in (10, 100, 1000, 10000)]
+        vals = [gaussian_tail_bound(1, 0, 1.0, n, n ** (-1 / 3)) for n in (10, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-10
 
@@ -306,14 +300,12 @@ class TestGaussianTailBound:
         a = float(rng.uniform(0.5, 4.0))
         N = int(rng.integers(1, 10_001))
         R = float(rng.uniform(0.2, 2.0))
-        bound = gaussian_tail_bound(m, k, a, N, "fixed", R=R)
+        bound = gaussian_tail_bound(m, k, a, N, R)
         true = tail_integral(m, k, a, N, R, tol=1e-11)
         assert bound >= true.value * (1 - 1e-9), (m, k, a, N, R)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gaussian_tail_bound(1, 0, -1.0, 4)
+            gaussian_tail_bound(1, 0, -1.0, 4, 1.0)
         with pytest.raises(ValueError):
-            gaussian_tail_bound(1, 0, 1.0, 4, "fixed", R=0.0)
-        with pytest.raises(ValueError):
-            gaussian_tail_bound(1, 0, 1.0, 4, "nope")
+            gaussian_tail_bound(1, 0, 1.0, 4, 0.0)

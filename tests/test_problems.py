@@ -31,7 +31,7 @@ from certlap.errors import (
     NonUniqueMaximumError,
 )
 from certlap.config import problem_from_config
-from certlap.problems import UNIT_WEIGHT, add_fields, field_values, join_coupling, rotated_view
+from certlap.problems import UNIT_WEIGHT, add_fields, join_coupling, rotated_view
 
 
 def make_1d_problem(terms, lower=-1.0, upper=1.0, name="adhoc"):
@@ -230,7 +230,7 @@ class TestCoupling:
         lin = linear_field(a, at=at)
         assert lin.coupling == ((0,), (2,))
         pts = np.array([[1.0, 3.0, 2.0], [0.0, 0.0, 0.0]])
-        assert np.array_equal(field_values(lin, pts), (pts - at) @ a)
+        assert np.array_equal(lin.evaluate(pts), (pts - at) @ a)
         assert np.array_equal(lin.gradient(pts), np.tile(a, (2, 1)))
         assert float(linear_field(a).evaluate(np.array([1.0, 3.0, 2.0]))) == 0.0
 
@@ -659,7 +659,7 @@ class TestClassify:
         # trusting the classifier
         spec = get_problem("mixed2d")
         pts = spec.domain.grid_points(64)
-        vals = field_values(spec.f_limit_box, pts)
+        vals = spec.f_limit_box.evaluate(pts)
         arg = pts[np.argmax(vals)]
         assert np.allclose(arg, [0.0, 0.0], atol=1e-12)
         info = classify_maximum(spec, 64)
@@ -905,7 +905,7 @@ def _lbfgsb_then_newton(fld, box, start):
     from scipy import optimize
 
     res = optimize.minimize(
-        lambda z: -float(field_values(fld, z)), np.asarray(start, dtype=float),
+        lambda z: -float(fld.evaluate(z)), np.asarray(start, dtype=float),
         jac=lambda z: -np.asarray(fld.gradient(z), dtype=float), method="L-BFGS-B",
         bounds=list(zip(box.lower, box.upper)),
         options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-11},
