@@ -12,11 +12,12 @@ Exit status: 0 all soundness assertions passed; 1 at least one failed;
 2 configuration/parse error, nothing written: an unreadable config file, an
 unknown problem or check, a malformed inline problem (domain of dimension
 at most 4, field and its numeric values, neighborhood inside the domain,
-epsilon a definition with a negative exponent, classify_grid_res at least
-8), a run setting that does not parse (a non-integer N in --n-sweep), or
-one out of range (N-sweep not increasing or not above the problem's n_zero,
-grid_res < 16, safety_factor < 1, tol < 1e-14, sample_count < 1, or
-sample_count < 100 with the fluctuations check);
+epsilon a definition with a negative exponent and a nonnegative scale,
+classify_grid_res at least 8), a run setting that does not parse (a
+non-integer N in --n-sweep), or one out of range (N-sweep not increasing or
+not above the problem's n_zero, grid_res < 16, safety_factor < 1,
+tol < 1e-14, sample_count < 1, or sample_count < 100 with the fluctuations
+check);
 3 an assumption violation (a certified constant or structural hypothesis
 failed, named in the message); 4 numerical budget exhaustion.
 

@@ -73,7 +73,6 @@ from .problems import (
     UNIT_WEIGHT,
     BoxDomain,
     ProblemSpec,
-    add_fields,
     axis_blocks,
     gauss_block,
     limit_axes,
@@ -152,14 +151,13 @@ def _limit_rate(spec: ProblemSpec, axis: int) -> float:
 def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, what: str):
     """The tilted exponent must still peak strictly inside the certified
     neighborhood; returns the tilted maximizer (box frame)."""
-    f_n = spec.f_of_box(N)
-    tilted = add_fields(f_n, linear_field(tilt_gradient, name="tilt"), 1.0, name="tilted")
     z0 = spec.z_star_of_N(N)
     axis, _, _ = limit_axes(spec)
     fixed = None
     if axis is not None and abs(tilt_gradient[axis]) < 1e-15:
         fixed = {axis: z0[axis]}
-    z_t, _ = locate_maximum(tilted, spec.domain, z0, fixed_axes=fixed)
+    z_t, _ = locate_maximum(spec.f_of_box(N), spec.domain, z0, fixed_axes=fixed,
+                            tilt=tilt_gradient)
     if not spec.maximum.neighborhood.contains_z(z_t, tol=1e-9 * np.min(spec.domain.edges)):
         raise TiltTooLargeError(
             f"{what}: tilted maximizer {z_t} leaves the certified neighborhood"
@@ -282,7 +280,7 @@ def fluctuation_sweep(spec: ProblemSpec, n_sweep, xi, tol: float = 1e-10) -> dic
 
 def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> list[dict]:
     """Per-N check of |x*(N) - x*| <= eps(N) |D sigma(x*)| / F2_prime, with
-    x*(N) the maximizer ``classify_maximum`` solved (``spec.z_star_of_N``)."""
+    x*(N) the maximizer of the spec's own f(., N) (``spec.z_star_of_N``)."""
     if spec.sigma is None:
         raise ValueError("drift check needs a nonzero sigma perturbation")
     if all(float(spec.epsilon.evaluate(int(n))) == 0.0 for n in n_sweep):

@@ -115,27 +115,16 @@ def problem_from_definition(
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad neighborhood: {exc}") from exc
 
+    centre = box.to_ambient(0.5 * (box.lower + box.upper))
     draft = ProblemSpec(
         name=cfg.get("name", "inline"),
-        dimension=m,
         domain=box,
         f_limit=f,
         g=g,
-        maximum=_placeholder_maximum(box),
+        maximum=MaximumInfo(INTERIOR, centre, box),  # replaced once classified
         sigma=sigma,
         epsilon=eps,
-        n_zero=1,
         exact_integral=exact_integral,
     )
     info = classify_maximum(draft, grid_res=grid_res, neighborhood=nb)
-    return replace(draft, maximum=info, n_zero=max(info.n_zero, n_zero))
-
-
-def _placeholder_maximum(box: BoxDomain):
-    center = 0.5 * (box.lower + box.upper)
-    return MaximumInfo(
-        kind=INTERIOR,
-        x_star=box.to_ambient(center),
-        x_star_of_N=lambda n: box.to_ambient(center),
-        neighborhood=BoxDomain(box.lower, box.upper, box.rotation),
-    )
+    return replace(draft, maximum=replace(info, n_zero=max(info.n_zero, n_zero)))

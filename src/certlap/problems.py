@@ -8,7 +8,6 @@ deterministic regardless of the caller's worker count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -472,7 +471,7 @@ def rotated_view(fld: ScalarField, rotation: np.ndarray) -> ScalarField:
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Decay schedule of the exponent perturbation; evaluate(N) >= 0 and
-    tends to zero on every sweep we certify."""
+    nonincreasing in N for every schedule the constructors below build."""
 
     evaluate: Callable[[int], float]
     decay_class: str = "generic"  # zero | o_one_over_sqrtN | generic
@@ -481,25 +480,18 @@ class EpsilonSchedule:
         if self.decay_class not in ("zero", "o_one_over_sqrtN", "generic"):
             raise ValueError(f"unknown decay_class {self.decay_class!r}")
 
-    def validate_on(self, sweep) -> None:
-        vals = [float(self.evaluate(int(n))) for n in sweep]
-        if any(v < 0 for v in vals):
-            raise ValueError("epsilon must be nonnegative")
-        if any(b > a + 1e-15 for a, b in zip(vals, vals[1:])):
-            raise ValueError("epsilon must be nonincreasing on the sweep")
-        if self.decay_class == "o_one_over_sqrtN":
-            scaled = [v * math.sqrt(n) for v, n in zip(vals, sweep)]
-            if any(b > a + 1e-15 for a, b in zip(scaled, scaled[1:])):
-                raise ValueError("epsilon * sqrt(N) must be nonincreasing on the sweep")
-
 
 def zero_epsilon() -> EpsilonSchedule:
     return EpsilonSchedule(lambda n: 0.0, "zero")
 
 
 def power_epsilon(exponent: float, scale: float = 1.0) -> EpsilonSchedule:
-    if exponent >= 0:
-        raise ValueError("epsilon exponent must be negative")
+    """eps(N) = scale * N ** exponent, nonnegative and nonincreasing: the
+    exponent must be negative and the scale nonnegative (NaN is neither)."""
+    if not exponent < 0:
+        raise ValueError("epsilon exponent must be a negative number")
+    if not scale >= 0:
+        raise ValueError("epsilon scale must be a nonnegative number")
     cls = "o_one_over_sqrtN" if exponent < -0.5 else "generic"
 
     def ev(n):
@@ -510,13 +502,15 @@ def power_epsilon(exponent: float, scale: float = 1.0) -> EpsilonSchedule:
 
 @dataclass(frozen=True)
 class MaximumInfo:
+    """The classified limit maximum, as plain data: x*(N) is derived from
+    the spec's own f(., N) (``ProblemSpec.z_star_of_N``), not stored."""
+
     kind: str
     x_star: np.ndarray
-    x_star_of_N: Callable[[int], np.ndarray]
     neighborhood: BoxDomain
     boundary_axis: Optional[int] = None
     # the least threshold whose window fits the neighborhood around x*(N)
-    # (default_n_zero), as classify_maximum found it
+    # (default_n_zero), raised to an inline definition's n_zero if larger
     n_zero: int = 1
 
     def __post_init__(self):
@@ -530,29 +524,25 @@ class MaximumInfo:
 @dataclass(frozen=True)
 class ProblemSpec:
     """One Laplace problem: integral of g(x) exp(N f(x, N)) over the domain,
-    with f(x, N) = f_limit(x) + epsilon(N) * sigma(x)."""
+    with f(x, N) = f_limit(x) + epsilon(N) * sigma(x).  The dimension is
+    the domain's, n_zero the maximum's, and x*(N) derived from f(., N)."""
 
     name: str
-    dimension: int
     domain: BoxDomain
     f_limit: ScalarField
     g: ScalarField
     maximum: MaximumInfo
     sigma: Optional[ScalarField] = None
     epsilon: EpsilonSchedule = field(default_factory=zero_epsilon)
-    n_zero: int = 1
     exact_integral: Optional[Callable[[int], float]] = None
 
-    # (inputs, (f_limit_box, sigma_box, g_box), {N: f(., N)}): the fields in
-    # the box frame, taken through the rotation once, and one f(., N) per N.
-    # A dataclasses.replace copy whose inputs are the same objects keeps them.
+    # (inputs, (f_limit_box, sigma_box, g_box), cache): the fields in the
+    # box frame, taken through the rotation once, and a cache of f(., N) by
+    # N and of x*(N) by (N, start, axis).  A dataclasses.replace copy whose
+    # inputs are the same objects keeps them.
     _frame: tuple = field(default=(None,) * 3, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dimension != self.domain.dimension:
-            raise ValueError("dimension mismatch with domain")
-        if self.n_zero < 1:
-            raise ValueError("n_zero must be a positive integer")
         if not self.domain.contains_box(self.maximum.neighborhood):
             raise ValueError("neighborhood must be contained in the domain")
         inputs = (self.name, self.domain, self.f_limit, self.sigma, self.g, self.epsilon)
@@ -562,6 +552,14 @@ class ProblemSpec:
             sigma_box = None if self.sigma is None else rotated_view(self.sigma, R)
             fields = (rotated_view(self.f_limit, R), sigma_box, rotated_view(self.g, R))
             object.__setattr__(self, "_frame", (inputs, fields, {}))
+
+    @property
+    def dimension(self) -> int:
+        return self.domain.dimension
+
+    @property
+    def n_zero(self) -> int:
+        return self.maximum.n_zero
 
     @property
     def f_limit_box(self) -> ScalarField:
@@ -597,7 +595,8 @@ class ProblemSpec:
         return self.domain.to_box(self.maximum.x_star)
 
     def z_star_of_N(self, N: int) -> np.ndarray:
-        return self.domain.to_box(self.maximum.x_star_of_N(int(N)))
+        """x*(N), box frame: a fresh copy of the cached ``_maximizer_of_n``."""
+        return _maximizer_of_n(self, N, self.z_star, self.maximum.boundary_axis).copy()
 
     def f_of_box(self, N: int) -> ScalarField:
         """f(., N) = f_limit + epsilon(N) * sigma in the box frame, at any N
@@ -623,6 +622,7 @@ def locate_maximum(
     box: BoxDomain,
     start,
     fixed_axes: Optional[dict[int, float]] = None,
+    tilt=None,
 ):
     """Maximize a field over a box (box frame), optionally with some
     coordinates pinned (used for face-restricted maxima), by projected Newton
@@ -635,16 +635,31 @@ def locate_maximum(
     backtracking runs along the projection arc; a full step that loses only
     round-off is taken.  Derivatives come from the field's handles.
 
+    With a vector ``tilt`` t the maximized function is f + t . x: each
+    nonzero t_i x_i is added after f's value in axis order, and t to f's
+    gradient, which is how the term list of ``add_fields(f,
+    linear_field(t), 1.0)`` sums, bit for bit, with no field built.
+
     Returns (z, value)."""
+    t = [] if tilt is None else [(int(i), float(tilt[i])) for i in np.flatnonzero(tilt)]
+
+    def value(z):
+        v = float(fld.evaluate(z))
+        for i, ti in t:
+            v += float(z[i]) * ti
+        return v
+
     fixed_axes = fixed_axes or {}
     z = np.asarray(start, dtype=float).copy()
     z[list(fixed_axes)] = list(fixed_axes.values())
     pinned = np.zeros(box.dimension, dtype=bool)
     pinned[list(fixed_axes)] = True
-    cap, f = 0.25 * float(np.min(box.edges)), float(fld.evaluate(z))
+    cap, f = 0.25 * float(np.min(box.edges)), value(z)
     lower, upper = box.lower + 1e-13 * box.edges, box.upper - 1e-13 * box.edges
     for _ in range(200):
         g = fld.gradient(z)
+        for i, ti in t:
+            g[i] += ti
         free = ~(pinned | (z <= lower) & (g < 0) | (z >= upper) & (g > 0))
         if not np.any(g[free]):
             break
@@ -661,7 +676,7 @@ def locate_maximum(
         slack = 1e-13 * max(1.0, abs(f))  # the round-off a full step may lose
         for k in range(41):
             z_t = box.clip(z + 0.5**k * d)
-            f_t, rise = float(fld.evaluate(z_t)), float(g @ (z_t - z))
+            f_t, rise = value(z_t), float(g @ (z_t - z))
             if (rise > 0 and f_t - f >= 1e-4 * rise) or (k == 0 and f_t >= f - slack):
                 break
         else:
@@ -670,6 +685,19 @@ def locate_maximum(
         if moved <= (1e-9 * cap if newton else 0.0):
             break
     return z, f
+
+
+def _maximizer_of_n(spec: ProblemSpec, N: int, start: np.ndarray, axis: Optional[int]):
+    """x*(N), box frame: ``start`` when f(., N) is the same at every N, else
+    f(., N)'s maximizer solved from ``start`` with ``axis`` (if any) pinned,
+    cached read-only next to f(., N) in the spec's frame."""
+    if spec.f_same_at_every_n:
+        return start
+    cache, key = spec._frame[2], (int(N), start.tobytes(), axis)
+    if key not in cache:  # two threads may both solve it; it is the same
+        fixed = None if axis is None else {axis: start[axis]}
+        cache[key] = _freeze(locate_maximum(spec.f_of_box(N), spec.domain, start, fixed)[0])
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +804,9 @@ def classify_maximum(
 ) -> MaximumInfo:
     """Locate and classify the limit maximizer of f over the domain and
     package it with ``neighborhood`` (default: ``default_neighborhood``) and
-    the least threshold whose window fits it.  x*(N) is the limit maximizer
-    itself when f(., N) is the same at every N, and otherwise solved once
-    per N.
+    the least threshold whose window fits it.  x*(N) is solved as the
+    finished spec derives it (``_maximizer_of_n`` from its z_star), into
+    ``spec``'s cache, which a copy with the same fields shares.
 
     Raises AmbiguousMaximumError when the maximizer hugs a face but neither
     the interior nor the boundary criteria hold, and NonUniqueMaximumError
@@ -822,26 +850,14 @@ def classify_maximum(
 
     def make_info(kind, z_at, axis=None, side=None):
         nb = default_neighborhood(box, z_at, axis, side) if neighborhood is None else neighborhood
-        fixed = {axis: z_at[axis]} if kind == BOUNDARY else None
-        z0 = np.array(z_at)
-        x_star = _freeze(box.to_ambient(z_at))
+        x_star = box.to_ambient(z_at)
+        start = box.to_box(x_star)  # the z_star the finished spec reads
 
-        @functools.cache  # one solve per N; the result is read-only
-        def x_star_of_N(N):
-            if spec.f_same_at_every_n:
-                return x_star
-            zn, _ = locate_maximum(spec.f_of_box(int(N)), box, z0, fixed_axes=fixed)
-            return _freeze(box.to_ambient(zn))
+        def z_of_n(n):
+            return _maximizer_of_n(spec, n, start, axis)
 
-        info = MaximumInfo(
-            kind=kind,
-            x_star=x_star,
-            x_star_of_N=x_star_of_N,
-            neighborhood=nb,
-            boundary_axis=axis,
-            n_zero=default_n_zero(box, nb, kind, lambda n: box.to_box(x_star_of_N(n))),
-        )
-        _verify_per_n(spec, info, side)
+        info = MaximumInfo(kind, x_star, nb, axis, default_n_zero(box, nb, kind, z_of_n))
+        _verify_per_n(spec, info, z_of_n, side)
         return info
 
     if not near:
@@ -895,14 +911,14 @@ def _check_signature(fld, z, box, scale, axis=None, side=None, where="the maximi
         )
 
 
-def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, side) -> None:
+def _verify_per_n(spec: ProblemSpec, info: MaximumInfo, z_of_n, side) -> None:
     """Spot-check the classified maximum at sample N beyond its threshold:
-    the drifting maximizer stays in the neighborhood and keeps the
-    kind-specific derivative signature."""
+    the drifting maximizer ``z_of_n(N)`` (box frame) stays in the
+    neighborhood and keeps the kind-specific derivative signature."""
     box = spec.domain
     nb = info.neighborhood
     for n in (info.n_zero + 1, 4 * (info.n_zero + 1)):
-        z_n = box.to_box(info.x_star_of_N(n))
+        z_n = z_of_n(n)
         if not nb.contains_z(z_n, tol=1e-9):
             raise AmbiguousMaximumError(f"maximizer at N={n} escapes the neighborhood")
         f_n = spec.f_of_box(n)
@@ -942,31 +958,18 @@ def rotate_problem(spec: ProblemSpec, R) -> ProblemSpec:
     pulled back, so the box frame (and classification) is unchanged."""
     R = np.asarray(R, dtype=float)
     dom = BoxDomain(spec.domain.lower, spec.domain.upper, R @ spec.domain.rotation)
-    Rt = R.T
-
-    def pull(fld: ScalarField) -> ScalarField:
-        return rotated_view(fld, Rt)
-
-    old_max = spec.maximum
-    new_max = MaximumInfo(
-        kind=old_max.kind,
-        x_star=old_max.x_star @ R.T,
-        x_star_of_N=lambda n: old_max.x_star_of_N(n) @ R.T,
-        neighborhood=BoxDomain(
-            old_max.neighborhood.lower, old_max.neighborhood.upper, dom.rotation
-        ),
-        boundary_axis=old_max.boundary_axis,
-        n_zero=old_max.n_zero,
-    )
+    nb = spec.maximum.neighborhood
     return ProblemSpec(
         name=spec.name + "_rotated",
-        dimension=spec.dimension,
         domain=dom,
-        f_limit=pull(spec.f_limit),
-        g=pull(spec.g),
-        maximum=new_max,
-        sigma=None if spec.sigma is None else pull(spec.sigma),
+        f_limit=rotated_view(spec.f_limit, R.T),
+        g=rotated_view(spec.g, R.T),
+        maximum=replace(
+            spec.maximum,
+            x_star=spec.maximum.x_star @ R.T,
+            neighborhood=BoxDomain(nb.lower, nb.upper, dom.rotation),
+        ),
+        sigma=None if spec.sigma is None else rotated_view(spec.sigma, R.T),
         epsilon=spec.epsilon,
-        n_zero=spec.n_zero,
         exact_integral=spec.exact_integral,
     )

@@ -394,6 +394,11 @@ def _inline_demo(**extra):
     ([], _inline_demo(neighborhood={"lower": [-2.0], "upper": [0.5]})),
     ([], _inline_demo(epsilon={"class": "power"})),
     ([], _inline_demo(epsilon={"class": "power", "exponent": 0.5})),
+    # eps(N) must stay nonnegative and nonincreasing, and NaN fails both tests
+    ([], _inline_demo(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+                      epsilon={"class": "power", "exponent": -0.75, "scale": -1.0})),
+    ([], _inline_demo(epsilon={"class": "power", "exponent": float("nan")})),
+    ([], _inline_demo(epsilon={"class": "power", "exponent": -0.75, "scale": float("nan")})),
     (["--n-sweep", "25,abc"], None),
     # refused before classification, whose grid would have 65^5 points
     ([], {"domain": {"lower": [-1.0] * 5, "upper": [1.0] * 5},
@@ -401,7 +406,8 @@ def _inline_demo(**extra):
                 "terms": [{"coeff": -0.5, "powers": [2 if j == i else 0 for j in range(5)]}
                           for i in range(5)]}}),
 ], ids=["grid_res", "safety_factor", "tol", "n_zero", "sample_count", "nb_no_lower",
-        "nb_outside", "eps_no_exponent", "eps_exponent_positive", "n_sweep_not_int",
+        "nb_outside", "eps_no_exponent", "eps_exponent_positive", "eps_scale_negative",
+        "eps_exponent_nan", "eps_scale_nan", "n_sweep_not_int",
         "dimension_5"])
 def test_bad_setting_is_config_error(tmp_path, capsys, flags, problem):
     args = ["run", "--problem", "gauss1d"]

@@ -174,12 +174,11 @@ class TestEstimate:
     def test_definiteness_error(self):
         box = BoxDomain([-1.0], [1.0])
         spec = ProblemSpec(
-            name="flat", dimension=1, domain=box,
+            name="flat", domain=box,
             f_limit=polynomial_field([(-0.25, (4,))]),  # degenerate at 0
             g=constant_field(1.0),
             maximum=MaximumInfo(
                 kind=INTERIOR, x_star=np.zeros(1),
-                x_star_of_N=lambda n: np.zeros(1),
                 neighborhood=BoxDomain([-0.5], [0.5]),
             ),
         )
@@ -223,11 +222,10 @@ class TestRefinement:
             [(-0.5, (2,))] + [(float(c) * 0.05, (3,)) for c in coeffs]
         )
         spec = ProblemSpec(
-            name="randcubic", dimension=1, domain=box, f_limit=f,
+            name="randcubic", domain=box, f_limit=f,
             g=constant_field(1.0),
             maximum=MaximumInfo(
                 kind=INTERIOR, x_star=np.zeros(1),
-                x_star_of_N=lambda n: np.zeros(1),
                 neighborhood=BoxDomain([-0.5], [0.5]),
             ),
         )
@@ -381,9 +379,9 @@ def _separable_problems(draw, cross=False):
     if draw(st.booleans()):
         sigma = polynomial_field([(draw(st.floats(-1.0, 1.0)), power(j, draw(st.integers(1, 2))))])
     zero = np.zeros(m)
-    info = (MaximumInfo(BOUNDARY, zero, lambda n: zero, nb, boundary_axis=0) if boundary
-            else MaximumInfo(INTERIOR, zero, lambda n: zero, nb))
-    spec = ProblemSpec("separable", m, box, polynomial_field(terms), g, info, sigma=sigma,
+    info = (MaximumInfo(BOUNDARY, zero, nb, boundary_axis=0) if boundary
+            else MaximumInfo(INTERIOR, zero, nb))
+    spec = ProblemSpec("separable", box, polynomial_field(terms), g, info, sigma=sigma,
                        **({"epsilon": power_epsilon(-0.75)} if sigma else {}))
     return spec
 
@@ -437,9 +435,8 @@ class TestBlockExtremes:
         f = polynomial_field([(-0.5, (0, 2))])
         assert f.coupling == ((1,),)
         x_star = np.array([0.0 if kind == BOUNDARY else 0.5, 0.0])
-        info = MaximumInfo(kind, x_star, lambda n: x_star, box,
-                           boundary_axis=0 if kind == BOUNDARY else None)
-        spec = ProblemSpec("unread", 2, box, f, constant_field(1.0), info)
+        info = MaximumInfo(kind, x_star, box, boundary_axis=0 if kind == BOUNDARY else None)
+        spec = ProblemSpec("unread", box, f, constant_field(1.0), info)
         split = _outcome(spec, grid_res=16, n_sweep=(25,))
         assert split[0] is error
         assert split == _outcome(_drop_coupling(spec), grid_res=16, n_sweep=(25,))

@@ -194,12 +194,10 @@ class TestDrift:
     def test_constant_sigma_no_drift(self):
         from dataclasses import replace
 
-        from certlap import classify_maximum, constant_field, power_epsilon
+        from certlap import constant_field, power_epsilon
 
-        base = get_problem("gauss1d")
-        spec = replace(base, sigma=constant_field(2.0), epsilon=power_epsilon(-0.75))
-        # x*(N) is the one the spec's classification solved
-        spec = replace(spec, maximum=classify_maximum(spec, neighborhood=base.maximum.neighborhood))
+        spec = replace(get_problem("gauss1d"), sigma=constant_field(2.0),
+                       epsilon=power_epsilon(-0.75))
         c = estimate_constants(spec, grid_res=32, n_sweep=(25, 100))
         rows = maximum_drift_check(spec, c, (25, 100))
         for row in rows:
@@ -208,19 +206,18 @@ class TestDrift:
 
     def test_boundary_tangential_drift(self):
         # mixed2d + sigma = x2: drift only along the face, bounded by
-        # eps / F2_prime
+        # eps / F2_prime.  The copy is built by replace alone: it keeps
+        # mixed2d's maximum, and x*(N) comes from its own f(., N)
         from dataclasses import replace
 
-        from certlap import classify_maximum, polynomial_field, power_epsilon
+        from certlap import polynomial_field, power_epsilon
 
-        base = get_problem("mixed2d")
         spec = replace(
-            base,
+            get_problem("mixed2d"),
             sigma=polynomial_field([(1.0, (0, 1))]),
             epsilon=power_epsilon(-0.75),
             exact_integral=None,
         )
-        spec = replace(spec, maximum=classify_maximum(spec, neighborhood=base.maximum.neighborhood))
         c = estimate_constants(spec, grid_res=32, n_sweep=(25, 100, 400))
         rows = maximum_drift_check(spec, c, (25, 100, 400))
         for row in rows:

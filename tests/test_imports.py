@@ -83,12 +83,16 @@ def test_one_expectation_path():
 
 
 def test_one_maximizer_solve():
-    """x*(N) is solved once per N, by classify_maximum: besides it, only
-    the tilted-maximizer check runs locate_maximum, on the tilted exponent.
+    """x*(N) is derived from the spec's own f(., N) by one solver: besides
+    it, only classify_maximum (the limit maximizer) and the tilted-maximizer
+    check (on f(., N)'s own handles, with the tilt) run locate_maximum.  No
+    module stores x*(N) as state, and only f(., N)'s assembly adds fields.
     Every field is evaluated by ScalarField.evaluate: no module defines or
     imports a second evaluator."""
     assert _callers("locate_maximum") == {
-        "problems.classify_maximum", "gibbs._check_tilt_inside"}
+        "problems.classify_maximum", "problems._maximizer_of_n", "gibbs._check_tilt_inside"}
+    assert _callers("add_fields") == {"problems.f_of_box"}
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "x_star_of_N" in p.read_text()] == []
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

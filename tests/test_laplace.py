@@ -212,11 +212,10 @@ class TestBoundaryMd:
         box = BoxDomain([-1.0, 0.0], [1.0, 1.0])
         f = polynomial_field([(-0.5, (2, 0)), (-1.0, (0, 1))])
         spec = ProblemSpec(
-            name="mixed2d_swapped", dimension=2, domain=box, f_limit=f,
+            name="mixed2d_swapped", domain=box, f_limit=f,
             g=constant_field(1.0),
             maximum=MaximumInfo(
                 kind=BOUNDARY, x_star=np.zeros(2),
-                x_star_of_N=lambda n: np.zeros(2),
                 neighborhood=box, boundary_axis=1,
             ),
         )

@@ -87,8 +87,10 @@ class TestIntegrate:
         assert v.value == pytest.approx((1 - math.exp(-1.0)) / 50.0, rel=1e-11)
 
     def test_dimension_cap(self):
-        spec = get_problem("gauss1d")
-        object.__setattr__(spec, "dimension", 5)
+        box = BoxDomain([-1.0] * 5, [1.0] * 5)
+        f = polynomial_field([(-0.5, tuple(2 if j == i else 0 for j in range(5)))
+                              for i in range(5)])
+        spec = ProblemSpec("gauss5d", box, f, UNIT_WEIGHT, MaximumInfo(INTERIOR, np.zeros(5), box))
         with pytest.raises(UnsupportedDimensionError):
             integrate(spec, 10)
 
@@ -380,9 +382,8 @@ class TestBlockProduct:
     def test_matches_the_full_tensor_product(self, case):
         # the same integrand with its blocks and as one opaque block
         f, box, centre, domain, tilt, n = case
-        m = centre.size
-        info = MaximumInfo(INTERIOR, centre, lambda _: centre, box)
-        spec = ProblemSpec("separable", m, box, f, UNIT_WEIGHT, info)
+        info = MaximumInfo(INTERIOR, centre, box)
+        spec = ProblemSpec("separable", box, f, UNIT_WEIGHT, info)
         kw = dict(domain=domain, center=centre)
         split = _integrate_or_best(spec, n, log_weight=tilt, **kw)
         whole = _integrate_or_best(
