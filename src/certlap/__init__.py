@@ -48,9 +48,7 @@ from .problems import (
     linear_field,
     locate_maximum,
     polynomial_field,
-    power_epsilon,
     rotate_problem,
-    zero_epsilon,
 )
 
 __version__ = "0.1.0"

@@ -17,9 +17,8 @@ from .grammar import problem_from_definition
 from .problems import ProblemSpec
 
 
-def _poly(name: str, *terms) -> dict:
-    return {"type": "polynomial", "name": name,
-            "terms": [{"coeff": c, "powers": list(p)} for c, p in terms]}
+def _poly(*terms) -> dict:
+    return {"type": "polynomial", "terms": [{"coeff": c, "powers": list(p)} for c, p in terms]}
 
 
 def _box(lower, upper) -> dict:
@@ -42,8 +41,8 @@ def _drifting(exponent: float, half_width: float):
     x*(N) = eps(N)."""
     definition = {
         "domain": _box([-1.0], [1.0]),
-        "f": _poly("neg_half_square", (-0.5, (2,))),
-        "sigma": _poly("identity", (1.0, (1,))),
+        "f": _poly((-0.5, (2,))),
+        "sigma": _poly((1.0, (1,))),
         "epsilon": {"class": "power", "exponent": exponent},
         "neighborhood": _box([-half_width], [half_width]),
     }
@@ -55,24 +54,24 @@ def _drifting(exponent: float, half_width: float):
     return definition, exact
 
 
-_GAUSS = [_poly("neg_half_square", *[(-0.5, tuple(2 if i == j else 0 for i in range(m)))
-                                     for j in range(m)]) for m in (1, 2, 3)]
+_GAUSS = [_poly(*[(-0.5, tuple(2 if i == j else 0 for i in range(m))) for j in range(m)])
+          for m in (1, 2, 3)]
 _CUBE = [_box([-1.0] * m, [1.0] * m) for m in (1, 2, 3)]
 _HALF = _box([0.0, -1.0], [1.0, 1.0])  # the x1 = 0 face is the maximizing one
-_MIXED = _poly("mixed", (-1.0, (1, 0)), (-0.5, (0, 2)))
+_MIXED = _poly((-1.0, (1, 0)), (-0.5, (0, 2)))
 
 # name: (definition, closed form of the integral or None)
 _ENTRIES = {
     "gauss1d": ({"domain": _CUBE[0], "f": _GAUSS[0], "neighborhood": _box([-0.5], [0.5])},
                 lambda n: _segment_gauss(n, -1.0, 1.0)),
     # the whole domain certifies |f'| = 1
-    "exp1d": ({"domain": _box([0.0], [1.0]), "f": _poly("neg_x", (-1.0, (1,))),
+    "exp1d": ({"domain": _box([0.0], [1.0]), "f": _poly((-1.0, (1,))),
                "neighborhood": _box([0.0], [1.0])}, _face),
     # non-quadratic interior problem: the nonzero third derivative at the
     # maximizer drives the constant part of the interior remainder bound
-    "cubic1d": ({"domain": _CUBE[0], "f": _poly("cubic_well", (-0.5, (2,)), (-1.0 / 6.0, (3,))),
+    "cubic1d": ({"domain": _CUBE[0], "f": _poly((-0.5, (2,)), (-1.0 / 6.0, (3,))),
                  "neighborhood": _box([-0.9], [0.9])}, None),
-    "quartic1d": ({"domain": _CUBE[0], "f": _poly("quartic_well", (-0.5, (2,)), (-0.25, (4,))),
+    "quartic1d": ({"domain": _CUBE[0], "f": _poly((-0.5, (2,)), (-0.25, (4,))),
                    "neighborhood": _CUBE[0]}, None),
     "iso2d": ({"domain": _CUBE[1], "f": _GAUSS[1], "neighborhood": _CUBE[1]},
               lambda n: _segment_gauss(n, -1.0, 1.0) ** 2),
@@ -86,13 +85,13 @@ _ENTRIES = {
     # certified-error rate for the boundary case; the odd part of g
     # integrates to zero over the symmetric x2 range
     "tilt2d": ({"domain": _HALF, "f": _MIXED, "neighborhood": _HALF,
-                "g": _poly("one_plus_2y", (1.0, (0, 0)), (2.0, (0, 1)))},
+                "g": _poly((1.0, (0, 0)), (2.0, (0, 1)))},
                lambda n: _face(n) * _segment_gauss(n, -1.0, 1.0)),
     "gauss3d": ({"domain": _CUBE[2], "f": _GAUSS[2], "neighborhood": _CUBE[2],
                  "classify_grid_res": 16},
                 lambda n: _segment_gauss(n, -1.0, 1.0) ** 3),
     "boundary3d": ({"domain": _box([0.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
-                    "f": _poly("mixed3", (-1.0, (1, 0, 0)), (-0.5, (0, 2, 0)), (-0.5, (0, 0, 2))),
+                    "f": _poly((-1.0, (1, 0, 0)), (-0.5, (0, 2, 0)), (-0.5, (0, 0, 2))),
                     "neighborhood": _box([0.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
                     "classify_grid_res": 16},
                    lambda n: _face(n) * _segment_gauss(n, -1.0, 1.0) ** 2),

@@ -10,10 +10,13 @@ plotdata  convert a report.json into log-log columns for external plotting.
 
 Exit status: 0 all soundness assertions passed; 1 at least one failed;
 2 configuration/parse error, nothing written: an unreadable config file, an
-unknown problem or check, a malformed inline problem (domain of dimension
-at most 4, field and its numeric values, neighborhood inside the domain,
-epsilon a definition with a negative exponent and a nonnegative scale,
-classify_grid_res at least 8), a run setting that does not parse (a
+unknown problem or check, a key that a run config or an inline definition
+does not have, a malformed inline problem (domain of dimension at most 4,
+field and its numeric values, polynomial powers nonnegative integers,
+neighborhood inside the domain, epsilon a definition with a negative
+exponent and a nonnegative scale, classify_grid_res at least 8), an integer
+setting (an N of the sweep, grid_res, seed, sample_count, classify_grid_res,
+n_zero) that is not a JSON integer, a run setting that does not parse (a
 non-integer N in --n-sweep), or one out of range (N-sweep not increasing or
 not above the problem's n_zero, grid_res < 16, safety_factor < 1,
 tol < 1e-14, sample_count < 1, or sample_count < 100 with the fluctuations
@@ -21,10 +24,14 @@ check);
 3 an assumption violation (a certified constant or structural hypothesis
 failed, named in the message); 4 numerical budget exhaustion.
 
-Flags mirror RunConfig fields one-to-one in kebab case; ``--config FILE``
-(JSON) overrides built-in defaults, and explicit flags override the file.
-The environment variable CERTLAP_OUTPUT_DIR supplies the default output
-directory.
+``run`` takes ten flags: ``--config FILE`` (JSON) and one per RunConfig
+field in kebab case, ``--problem``, ``--n-sweep``, ``--grid-res``,
+``--tol``, ``--safety-factor``, ``--seed``, ``--checks``,
+``--output-path`` and ``--sample-count``.  The file overrides built-in
+defaults, and explicit flags override the file.  The environment variable
+CERTLAP_OUTPUT_DIR supplies the default output directory.  The KS
+threshold of the fluctuations check is the constant
+``gibbs.KS_THRESHOLD``.
 
 Problem config grammar (JSON)
 -----------------------------
@@ -45,11 +52,12 @@ or an inline definition::
         "neighborhood": {"lower": [-0.5], "upper": [0.5]}  # optional
     }}
 
-Field types: ``polynomial`` (terms with ``coeff`` and per-axis integer
-``powers``), ``exponential`` (``scale * exp(linear . x + offset)``),
-``constant``.  Two more optional keys: ``classify_grid_res`` (the
-classification grid per axis, default 64, at least 8) and ``n_zero`` (a
-floor for the admissible threshold).  The maximum is classified
+Each field is a definition with a ``type``: ``polynomial`` (terms with
+``coeff`` and per-axis nonnegative integer ``powers``), ``exponential``
+(``scale * exp(linear . x + offset)``), ``constant``.  Two more optional
+keys: ``classify_grid_res`` (the classification grid per axis, default 64,
+at least 8) and ``n_zero`` (a floor for the admissible threshold); a
+definition has no other key.  The maximum is classified
 automatically, on the given neighborhood when there is one.  Every catalog
 entry is such a definition (``certlap.catalog``), so each is a template for
 an inline problem.
@@ -90,6 +98,7 @@ from .errors import (
     ToolkitError,
 )
 from .gibbs import (
+    KS_THRESHOLD,
     RESIDUAL_FLOOR,
     empirical_limit_test,
     fluctuation_verdict,
@@ -100,6 +109,7 @@ from .gibbs import (
     sample,
     tilted_maximizer_check,
 )
+from .grammar import json_int
 from .laplace import approximate
 from .oracle import integrate
 from .problems import INTERIOR, UNIT_WEIGHT, BoxDomain, limit_axes
@@ -185,7 +195,7 @@ def _check_fluctuations(spec, consts, config, sweep, measure, batch) -> tuple[di
         ks = empirical_limit_test(draws)
         entry["ks"] = ks
         entry["acceptance_rate"] = draws.acceptance_rate
-        ks_all_ok &= ks["max_ks"] <= config.ks_threshold
+        ks_all_ok &= ks["max_ks"] <= KS_THRESHOLD
         out.append(entry)
     verdict = fluctuation_verdict(reports)
     # a flagged hypothesis violation is a detection, not a failure; residuals
@@ -240,6 +250,7 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
             **settings,
             "problem": config.problem if isinstance(config.problem, str) else "inline",
             "n_sweep": list(sweep),
+            "ks_threshold": KS_THRESHOLD,
         },
         "problem": spec.name,
         "n_zero": spec.n_zero,
@@ -406,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--checks", help=f"comma-separated subset of {','.join(KNOWN_CHECKS)}")
     runp.add_argument("--output-path", help="output directory (default: CERTLAP_OUTPUT_DIR or .)")
     runp.add_argument("--sample-count", type=int)
-    runp.add_argument("--ks-threshold", type=float)
 
     sub.add_parser("list", help="list catalog problems")
 
@@ -416,35 +426,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# coercions for the RunConfig fields a config file or flag may set; the
-# dataclass supplies the defaults of the others
+# coercions for the RunConfig fields besides the problem, the settings a
+# config file or flag may give; an integer one must be an integer, which a
+# flag gives as a decimal string
 _RUN_FIELD_TYPES = {
-    "n_sweep": lambda v: tuple(int(n) for n in v),
-    "grid_res": int,
+    "n_sweep": lambda v: tuple(json_int(n, "each N of n_sweep") for n in v),
+    "grid_res": lambda v: json_int(v, "grid_res"),
     "tol": float,
     "safety_factor": float,
-    "seed": int,
+    "seed": lambda v: json_int(v, "seed"),
     "checks": tuple,
     "output_path": str,
-    "sample_count": int,
-    "ks_threshold": float,
+    "sample_count": lambda v: json_int(v, "sample_count"),
 }
 
 
 def _config_from_args(args) -> RunConfig:
     """The run's RunConfig: the config file's settings, overridden by the
     flags given.  ``run_checks`` validates it before anything is written."""
-    merged = dict(load_json(args.config)) if args.config else {}
-    flags = {k: getattr(args, k) for k in ("problem", *_RUN_FIELD_TYPES)
-             if getattr(args, k) is not None}
+    merged = load_json(args.config) if args.config else {}
+    known = ("problem", *_RUN_FIELD_TYPES)
+    unknown = sorted(set(merged) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown run settings {unknown}; known: {list(known)}")
+    flags = {k: getattr(args, k) for k in known if getattr(args, k) is not None}
     merged.update(flags)
     merged.setdefault("output_path", os.environ.get("CERTLAP_OUTPUT_DIR", "."))
     if "problem" not in merged:
         raise ConfigError("a problem is required (--problem or config file)")
     try:
-        for key in ("n_sweep", "checks"):  # comma-separated lists as flags
-            if key in flags:
-                merged[key] = [t.strip() for t in flags[key].split(",") if t.strip()]
+        # comma-separated lists as flags
+        if "n_sweep" in flags:
+            merged["n_sweep"] = [int(t) for t in flags["n_sweep"].split(",") if t.strip()]
+        if "checks" in flags:
+            merged["checks"] = [t.strip() for t in flags["checks"].split(",") if t.strip()]
         given = {k: conv(merged[k]) for k, conv in _RUN_FIELD_TYPES.items() if k in merged}
         return RunConfig(problem=merged["problem"], **given)
     except (TypeError, ValueError) as exc:

@@ -35,7 +35,6 @@ class RunConfig:
     checks: tuple[str, ...] = ("laplace",)
     output_path: str = "."
     sample_count: int = 100_000
-    ks_threshold: float = 0.02
 
     def validate(self) -> None:
         if not self.n_sweep or any(
@@ -60,8 +59,8 @@ class RunConfig:
 
 
 def problem_from_config(cfg) -> ProblemSpec:
-    """Resolve a problem: a bare string (or {"catalog": name}) picks a
-    catalog entry; a dict with domain/f defines one inline, classified
+    """Resolve a problem: a string picks a catalog entry; a dict is an
+    inline definition (``grammar.DEFINITION_KEYS``), its maximum classified
     automatically."""
     if isinstance(cfg, str):
         try:
@@ -72,17 +71,18 @@ def problem_from_config(cfg) -> ProblemSpec:
             ) from exc
     if not isinstance(cfg, dict):
         raise ConfigError("problem must be a catalog name or an inline definition")
-    if "catalog" in cfg:
-        return problem_from_config(cfg["catalog"])
     return problem_from_definition(cfg)
 
 
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path!r} must hold a JSON object")
+    return cfg
 
 
 def strict_json(obj):

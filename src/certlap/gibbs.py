@@ -165,15 +165,6 @@ def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, wha
     return z_t
 
 
-def _eps_sqrt_n_violated(spec: ProblemSpec, N: int) -> bool:
-    """True when eps(N) sqrt(N) is not decaying at N (checked on N, 4N, 16N)."""
-    eps = spec.epsilon
-    vals = [float(eps.evaluate(n)) * math.sqrt(n) for n in (N, 4 * N, 16 * N)]
-    if all(v == 0.0 for v in vals):
-        return False
-    return not (vals[0] >= vals[1] >= vals[2] and vals[2] < vals[0])
-
-
 def mgf_X(measure: GibbsMeasure, xi) -> MgfReport:
     """MGF of the identity vector under the Gibbs measure, as a quadrature
     ratio, against the constant-limit prediction exp(xi . x*)."""
@@ -182,9 +173,9 @@ def mgf_X(measure: GibbsMeasure, xi) -> MgfReport:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     xi_box = spec.domain.to_box(xi)
     z_t = _check_tilt_inside(spec, N, xi_box / N, "mgf_X")
-    mgf = _expectation(measure, linear_field(xi_box, name="tilt"), center=z_t)
+    mgf = _expectation(measure, linear_field(xi_box), center=z_t)
     pred = math.exp(float(xi @ spec.maximum.x_star))
-    eps_n = float(spec.epsilon.evaluate(N))
+    eps_n = spec.epsilon.evaluate(N)
     return MgfReport(
         xi=xi,
         N=N,
@@ -210,8 +201,9 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
         raise ValueError("xi must have the problem dimension")
     xi_box = spec.domain.to_box(xi)
     sqrtN = math.sqrt(N)
-    violated = _eps_sqrt_n_violated(spec, N)
-    eps_n = float(spec.epsilon.evaluate(N))
+    # the CLT needs eps(N) sqrt(N) -> 0
+    violated = spec.epsilon.scale > 0 and spec.epsilon.exponent >= -0.5
+    eps_n = spec.epsilon.evaluate(N)
     expected = max(1.0 / sqrtN, eps_n * sqrtN)
     z_star = spec.z_star
     axis, gauss, s = limit_axes(spec)
@@ -236,7 +228,7 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
     tilt = sqrtN * xi_gauss
     if axis is not None:
         tilt[axis] = N * xi1 * s
-    mgf = _expectation(measure, linear_field(tilt, at=z_star, name="tilt"), center=z_t)
+    mgf = _expectation(measure, linear_field(tilt, at=z_star), center=z_t)
     xi_hat = xi_box[gauss]
     pred = math.exp(0.5 * float(xi_hat @ _limit_covariance(spec) @ xi_hat))
     kind = "fluctuation_interior"
@@ -281,10 +273,8 @@ def fluctuation_sweep(spec: ProblemSpec, n_sweep, xi, tol: float = 1e-10) -> dic
 def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> list[dict]:
     """Per-N check of |x*(N) - x*| <= eps(N) |D sigma(x*)| / F2_prime, with
     x*(N) the maximizer of the spec's own f(., N) (``spec.z_star_of_N``)."""
-    if spec.sigma is None:
-        raise ValueError("drift check needs a nonzero sigma perturbation")
-    if all(float(spec.epsilon.evaluate(int(n))) == 0.0 for n in n_sweep):
-        raise ValueError("drift check needs epsilon > 0 somewhere on the sweep")
+    if spec.f_same_at_every_n:
+        raise ValueError("drift check needs a sigma perturbation and an epsilon scale > 0")
     nb = spec.maximum.neighborhood
     z_star = spec.z_star
     _, gauss, _ = limit_axes(spec)
@@ -299,7 +289,7 @@ def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> 
                 "maximizer_drift", f"x*(N) left the certified neighborhood at N={N}"
             )
         drift = float(np.linalg.norm((z_n - z_star)[gauss]))
-        bound = float(spec.epsilon.evaluate(N)) * dsig_norm / consts.F2_prime
+        bound = spec.epsilon.evaluate(N) * dsig_norm / consts.F2_prime
         rows.append(
             {
                 "N": N,
@@ -330,8 +320,7 @@ def tilted_maximizer_check(
         raise TheoremMismatchError("tilted-maximizer estimates require an interior maximum")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     sweep = [int(n) for n in n_sweep]
-    eps_scaled = [float(spec.epsilon.evaluate(n)) * math.sqrt(n) for n in sweep]
-    if any(b > a + 1e-12 for a, b in zip(eps_scaled, eps_scaled[1:])):
+    if spec.epsilon.scale > 0 and spec.epsilon.exponent > -0.5:
         raise AssumptionViolationError(
             "epsilon_sqrtN", "eps(N) sqrt(N) must be nonincreasing on the sweep"
         )
@@ -354,7 +343,7 @@ def tilted_maximizer_check(
         drift_pred = Sigma @ xi_box / sqrtN
         s1 = float(np.linalg.norm(z_t - z_n - drift_pred)) * N
         quad = 0.5 * float(xi_box @ Sigma @ xi_box) / N
-        eps_n = float(spec.epsilon.evaluate(N))
+        eps_n = spec.epsilon.evaluate(N)
         scale2 = N**1.5 if eps_n == 0.0 else min(N**1.5, sqrtN / eps_n)
         s2 = abs(f_tilde_val - f_star_n - quad) * scale2
         H_n = f_n.hessian(z_n)
@@ -992,6 +981,9 @@ def _whiten(Y: np.ndarray, K: np.ndarray) -> np.ndarray:
 # the fewest draws a KS test reads; RunConfig.validate rejects a smaller
 # sample_count when the fluctuations check runs
 KS_MIN_SAMPLES = 100
+# the bound on every marginal's KS statistic that the fluctuations check
+# passes; run reports record it as config.ks_threshold
+KS_THRESHOLD = 0.02
 
 
 def empirical_limit_test(batch: SampleBatch) -> dict:

@@ -26,16 +26,24 @@ from .problems import (
     constant_field,
     exponential_field,
     polynomial_field,
-    power_epsilon,
-    zero_epsilon,
 )
+
+# the keys an inline definition may have
+DEFINITION_KEYS = ("name", "domain", "f", "g", "sigma", "epsilon", "neighborhood",
+                   "classify_grid_res", "n_zero")
+
+
+def json_int(value, what: str) -> int:
+    """``value`` when it is an integer (a bool is not one); otherwise a
+    ConfigError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def field_from_config(cfg, dimension: int) -> ScalarField:
     if cfg is None:
         return UNIT_WEIGHT
-    if isinstance(cfg, (int, float)):
-        return constant_field(float(cfg))
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError(f"field definition needs a 'type': {cfg!r}")
     kind = cfg["type"]
@@ -43,19 +51,16 @@ def field_from_config(cfg, dimension: int) -> ScalarField:
         if kind == "constant":
             return constant_field(float(cfg.get("value", 1.0)))
         if kind == "polynomial":
-            terms = [(float(t["coeff"]), tuple(int(e) for e in t["powers"]))
-                     for t in cfg["terms"]]
+            terms = [(float(t["coeff"]), tuple(t["powers"])) for t in cfg["terms"]]
             if any(len(p) != dimension for _, p in terms):
                 raise ConfigError("polynomial powers must match the problem dimension")
-            return polynomial_field(terms, name=cfg.get("name", "poly"))
+            return polynomial_field(terms)
         if kind == "exponential":
             lin = [float(v) for v in cfg.get("linear", [])]
             if len(lin) != dimension:
                 raise ConfigError("exponential linear coefficients must match the dimension")
-            return exponential_field(
-                float(cfg.get("scale", 1.0)), lin, float(cfg.get("offset", 0.0)),
-                name=cfg.get("name", "exp"),
-            )
+            scale, offset = float(cfg.get("scale", 1.0)), float(cfg.get("offset", 0.0))
+            return exponential_field(scale, lin, offset)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} field: {exc}") from exc
     raise ConfigError(f"unknown field type {kind!r}")
@@ -63,15 +68,15 @@ def field_from_config(cfg, dimension: int) -> ScalarField:
 
 def epsilon_from_config(cfg) -> EpsilonSchedule:
     if cfg is None:
-        return zero_epsilon()
+        return EpsilonSchedule()
     if not isinstance(cfg, dict):
         raise ConfigError(f"epsilon must be a definition with a 'class': {cfg!r}")
     kind = cfg.get("class", "zero")
     if kind == "zero":
-        return zero_epsilon()
+        return EpsilonSchedule()
     if kind == "power":
         try:
-            return power_epsilon(float(cfg["exponent"]), float(cfg.get("scale", 1.0)))
+            return EpsilonSchedule(float(cfg.get("scale", 1.0)), float(cfg["exponent"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad epsilon: {exc}") from exc
     raise ConfigError(f"unknown epsilon class {kind!r}")
@@ -82,6 +87,9 @@ def problem_from_definition(
 ) -> ProblemSpec:
     """Build an inline definition, its maximum classified automatically;
     ``exact_integral`` is a closed form of the integral, when one is known."""
+    unknown = sorted(set(cfg) - set(DEFINITION_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown inline problem keys {unknown}; known: {list(DEFINITION_KEYS)}")
     try:
         dom_cfg = cfg["domain"]
         box = BoxDomain(dom_cfg["lower"], dom_cfg["upper"], dom_cfg.get("rotation"))
@@ -97,11 +105,8 @@ def problem_from_definition(
     g = field_from_config(cfg.get("g"), m)
     sigma = field_from_config(cfg["sigma"], m) if "sigma" in cfg else None
     eps = epsilon_from_config(cfg.get("epsilon"))
-    try:
-        grid_res = int(cfg.get("classify_grid_res", 64))
-        n_zero = int(cfg.get("n_zero", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad inline setting: {exc}") from exc
+    grid_res = json_int(cfg.get("classify_grid_res", 64), "classify_grid_res")
+    n_zero = json_int(cfg.get("n_zero", 1), "n_zero")
     if grid_res < CLASSIFY_MIN_GRID_RES:
         raise ConfigError(
             f"classify_grid_res must be at least {CLASSIFY_MIN_GRID_RES}, not {grid_res}")

@@ -205,7 +205,6 @@ class ScalarField:
     """
 
     terms: tuple
-    name: str = ""
     coupling: Coupling = None
     # (terms, handles), rebuilt only when the terms are not the ones the
     # handles were derived from
@@ -375,7 +374,7 @@ def _term_handles(terms: tuple) -> tuple:
     return derivative(1), derivative(2), derivative(3)
 
 
-def _term_field(terms, name: str = "") -> ScalarField:
+def _term_field(terms) -> ScalarField:
     """The field sum(c * prod(x_i ** e_i) * exp(rate . x)) of a term list.
 
     A term is (c, powers, rate): ``powers`` the sorted (axis, e >= 1) pairs,
@@ -384,53 +383,57 @@ def _term_field(terms, name: str = "") -> ScalarField:
     the supports of the nonzero terms."""
     terms = tuple(terms)
     supports = tuple(_support(t) for t in terms if t[0] != 0.0)
-    return ScalarField(terms, name, join_coupling(supports))
+    return ScalarField(terms, join_coupling(supports))
 
 
-def constant_field(c: float, name: str = "const") -> ScalarField:
-    return _term_field([(float(c), (), None)], name)
+def constant_field(c: float) -> ScalarField:
+    return _term_field([(float(c), (), None)])
 
 
 # the weight g = 1; the laplace check reuses Z(N) for a problem whose g is it
 UNIT_WEIGHT = constant_field(1.0)
 
 
-def polynomial_field(terms, name: str = "poly") -> ScalarField:
+def polynomial_field(terms) -> ScalarField:
     """Multivariate polynomial sum(c * prod(x_i ** e_i)); ``terms`` is a
-    list of (coeff, powers) pairs with one power per axis."""
-    terms = [(float(c), tuple(int(e) for e in p)) for c, p in terms]
+    list of (coeff, powers) pairs with one power per axis, each a
+    nonnegative integer (2.0 is one, 2.5, -1 and True are not)."""
+    terms = [(float(c), tuple(p)) for c, p in terms]
     if not terms:
         raise ValueError("polynomial needs at least one term")
     if any(len(p) != len(terms[0][1]) for _, p in terms):
         raise ValueError("all power tuples must have the same length")
+    bad = [e for _, p in terms for e in p
+           if isinstance(e, bool) or not (e >= 0 and float(e).is_integer())]
+    if bad:
+        raise ValueError(f"a power must be a nonnegative integer, not {bad[0]!r}")
     return _term_field(
-        [(c, tuple((i, e) for i, e in enumerate(p) if e), None) for c, p in terms], name
+        [(c, tuple((i, int(e)) for i, e in enumerate(p) if e), None) for c, p in terms]
     )
 
 
-def linear_field(a, at=None, name: str = "linear") -> ScalarField:
+def linear_field(a, at=None) -> ScalarField:
     """The degree-1 polynomial field x -> a . (x - at) (``at`` defaults to
     the origin): one term per nonzero a_i, and the constant -a . at."""
     a = np.asarray(a, dtype=float)
     terms = [(float(a[i]), ((int(i), 1),), None) for i in np.flatnonzero(a)]
     if at is not None:
         terms.append((-float(a @ np.asarray(at, dtype=float)), (), None))
-    return _term_field(terms, name)
+    return _term_field(terms)
 
 
-def exponential_field(scale: float, linear, offset: float = 0.0, name: str = "exp") -> ScalarField:
+def exponential_field(scale: float, linear, offset: float = 0.0) -> ScalarField:
     """scale * exp(linear . x + offset), one term with c = scale * e^offset."""
-    return _term_field([(scale * math.exp(offset), (), _freeze(linear))], name)
+    return _term_field([(scale * math.exp(offset), (), _freeze(linear))])
 
 
-def add_fields(f1: ScalarField, f2: Optional[ScalarField], w2: float, name: str = "") -> ScalarField:
-    """f1 + w2 * f2: the concatenated term list, the second scaled by w2."""
+def add_fields(f1: ScalarField, f2: Optional[ScalarField], w2: float) -> ScalarField:
+    """f1 + w2 * f2: the concatenated term list, the second scaled by w2;
+    f1 itself when there is nothing to add."""
     if f2 is None or w2 == 0.0:
-        return replace(f1, name=name or f1.name)
+        return f1
     terms = f1.terms + tuple((w2 * c, powers, rate) for c, powers, rate in f2.terms)
-    return ScalarField(
-        terms, name or f"{f1.name}+{w2}*{f2.name}", join_coupling(f1.coupling, f2.coupling)
-    )
+    return ScalarField(terms, join_coupling(f1.coupling, f2.coupling))
 
 
 def _rotate_terms(terms, R: np.ndarray) -> list:
@@ -465,39 +468,27 @@ def rotated_view(fld: ScalarField, rotation: np.ndarray) -> ScalarField:
     R = np.asarray(rotation, dtype=float)
     if np.array_equal(R, np.eye(R.shape[0])):
         return fld
-    return _term_field(_rotate_terms(fld.terms, R), f"{fld.name}@box")
+    return _term_field(_rotate_terms(fld.terms, R))
 
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Decay schedule of the exponent perturbation; evaluate(N) >= 0 and
-    nonincreasing in N for every schedule the constructors below build."""
+    """eps(N) = scale * N ** exponent (default 0), nonnegative and
+    nonincreasing: the exponent must be negative and the scale nonnegative
+    (NaN is neither).  Every decay order a theorem assumes is read from
+    them."""
 
-    evaluate: Callable[[int], float]
-    decay_class: str = "generic"  # zero | o_one_over_sqrtN | generic
+    scale: float = 0.0
+    exponent: float = -1.0
 
     def __post_init__(self):
-        if self.decay_class not in ("zero", "o_one_over_sqrtN", "generic"):
-            raise ValueError(f"unknown decay_class {self.decay_class!r}")
+        if not self.exponent < 0:
+            raise ValueError("epsilon exponent must be a negative number")
+        if not self.scale >= 0:
+            raise ValueError("epsilon scale must be a nonnegative number")
 
-
-def zero_epsilon() -> EpsilonSchedule:
-    return EpsilonSchedule(lambda n: 0.0, "zero")
-
-
-def power_epsilon(exponent: float, scale: float = 1.0) -> EpsilonSchedule:
-    """eps(N) = scale * N ** exponent, nonnegative and nonincreasing: the
-    exponent must be negative and the scale nonnegative (NaN is neither)."""
-    if not exponent < 0:
-        raise ValueError("epsilon exponent must be a negative number")
-    if not scale >= 0:
-        raise ValueError("epsilon scale must be a nonnegative number")
-    cls = "o_one_over_sqrtN" if exponent < -0.5 else "generic"
-
-    def ev(n):
-        return scale * float(n) ** exponent
-
-    return EpsilonSchedule(ev, cls)
+    def evaluate(self, n) -> float:
+        return self.scale * float(n) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -533,7 +524,7 @@ class ProblemSpec:
     g: ScalarField
     maximum: MaximumInfo
     sigma: Optional[ScalarField] = None
-    epsilon: EpsilonSchedule = field(default_factory=zero_epsilon)
+    epsilon: EpsilonSchedule = EpsilonSchedule()
     exact_integral: Optional[Callable[[int], float]] = None
 
     # (inputs, (f_limit_box, sigma_box, g_box), cache): the fields in the
@@ -576,8 +567,8 @@ class ProblemSpec:
     @property
     def f_same_at_every_n(self) -> bool:
         """True when f(., N) is f_limit at every N: sigma is absent or
-        epsilon is of class zero."""
-        return self.sigma is None or self.epsilon.decay_class == "zero"
+        epsilon's scale is 0."""
+        return self.sigma is None or self.epsilon.scale == 0
 
     @property
     def curvature_same_at_every_n(self) -> bool:
@@ -607,8 +598,7 @@ class ProblemSpec:
         cache = self._frame[2]
         f = cache.get(N)
         if f is None:
-            eps = float(self.epsilon.evaluate(N))
-            f = add_fields(self.f_limit_box, self.sigma_box, eps, name=f"{self.name}:f(N={N})")
+            f = add_fields(self.f_limit_box, self.sigma_box, self.epsilon.evaluate(N))
             cache[N] = f
         return f
 
@@ -744,23 +734,14 @@ def window_radius(kind: str, N: int) -> float:
     return n ** (-1.0 / 3.0) if kind == INTERIOR else n ** (-0.5)
 
 
-def window_fits(
-    neighborhood: BoxDomain,
-    z_star_N: np.ndarray,
-    kind: str,
-    N: int,
-    domain: Optional[BoxDomain] = None,
-) -> bool:
+def window_fits(neighborhood: BoxDomain, z_star_N, kind: str, N: int, domain: BoxDomain) -> bool:
     """Ball of the window radius around z*(N), intersected with the domain,
     must fit inside the neighborhood box."""
     r = window_radius(kind, N)
     z = np.asarray(z_star_N, dtype=float)
     for i in range(neighborhood.dimension):
-        lo_need = z[i] - r
-        up_need = z[i] + r
-        if domain is not None:
-            lo_need = max(lo_need, domain.lower[i])
-            up_need = min(up_need, domain.upper[i])
+        lo_need = max(z[i] - r, domain.lower[i])
+        up_need = min(z[i] + r, domain.upper[i])
         if lo_need < neighborhood.lower[i] - 1e-12 or up_need > neighborhood.upper[i] + 1e-12:
             return False
     return True

@@ -384,42 +384,98 @@ def _inline_demo(**extra):
     }
 
 
-@pytest.mark.parametrize("flags, problem", [
+def _inline_file(**extra):
+    return {"problem": _inline_demo(**extra)}
+
+
+def _poly_1d(*terms):
+    return {"type": "polynomial", "terms": [{"coeff": c, "powers": [e]} for c, e in terms]}
+
+
+@pytest.mark.parametrize("flags, config", [
     (["--grid-res", "8"], None),
     (["--safety-factor", "0.5"], None),
     (["--tol", "1e-20"], None),
     (["--n-sweep", "1,2"], None),  # gauss1d has n_zero = 7
     (["--sample-count", "0", "--checks", "sampler"], None),
-    ([], _inline_demo(neighborhood={"upper": [0.5]})),
-    ([], _inline_demo(neighborhood={"lower": [-2.0], "upper": [0.5]})),
-    ([], _inline_demo(epsilon={"class": "power"})),
-    ([], _inline_demo(epsilon={"class": "power", "exponent": 0.5})),
+    ([], _inline_file(neighborhood={"upper": [0.5]})),
+    ([], _inline_file(neighborhood={"lower": [-2.0], "upper": [0.5]})),
+    ([], _inline_file(epsilon={"class": "power"})),
+    ([], _inline_file(epsilon={"class": "power", "exponent": 0.5})),
     # eps(N) must stay nonnegative and nonincreasing, and NaN fails both tests
-    ([], _inline_demo(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+    ([], _inline_file(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
                       epsilon={"class": "power", "exponent": -0.75, "scale": -1.0})),
-    ([], _inline_demo(epsilon={"class": "power", "exponent": float("nan")})),
-    ([], _inline_demo(epsilon={"class": "power", "exponent": -0.75, "scale": float("nan")})),
+    ([], _inline_file(epsilon={"class": "power", "exponent": float("nan")})),
+    ([], _inline_file(epsilon={"class": "power", "exponent": -0.75, "scale": float("nan")})),
     (["--n-sweep", "25,abc"], None),
     # refused before classification, whose grid would have 65^5 points
-    ([], {"domain": {"lower": [-1.0] * 5, "upper": [1.0] * 5},
-          "f": {"type": "polynomial",
-                "terms": [{"coeff": -0.5, "powers": [2 if j == i else 0 for j in range(5)]}
-                          for i in range(5)]}}),
+    ([], {"problem": {
+        "domain": {"lower": [-1.0] * 5, "upper": [1.0] * 5},
+        "f": {"type": "polynomial",
+              "terms": [{"coeff": -0.5, "powers": [2 if j == i else 0 for j in range(5)]}
+                        for i in range(5)]}}}),
+    # a power is a nonnegative integer: -x - 1/x on [0.5, 2] and x^2.5 are refused,
+    # not read as other polynomials
+    ([], _inline_file(domain={"lower": [0.5], "upper": [2.0]},
+                      f=_poly_1d((-1.0, 1), (-1.0, -1)))),
+    ([], _inline_file(f=_poly_1d((-0.5, 2.5)))),
+    # an integer setting is a JSON integer, not a decimal, a bool or a string
+    ([], {"problem": "gauss1d", "n_sweep": [25.9, 100.2]}),
+    ([], {"problem": "gauss1d", "grid_res": 16.7}),
+    ([], {"problem": "gauss1d", "seed": True}),
+    ([], {"problem": "gauss1d", "n_sweep": "59"}),
+    ([], _inline_file(classify_grid_res=16.5)),
+    ([], _inline_file(n_zero=2.5)),
+    # a field is a definition with a type, not a bare number
+    ([], _inline_file(g=2.0)),
 ], ids=["grid_res", "safety_factor", "tol", "n_zero", "sample_count", "nb_no_lower",
         "nb_outside", "eps_no_exponent", "eps_exponent_positive", "eps_scale_negative",
         "eps_exponent_nan", "eps_scale_nan", "n_sweep_not_int",
-        "dimension_5"])
-def test_bad_setting_is_config_error(tmp_path, capsys, flags, problem):
+        "dimension_5", "power_negative", "power_fractional", "n_sweep_decimal",
+        "grid_res_decimal", "seed_bool", "n_sweep_string", "classify_grid_res_decimal",
+        "n_zero_decimal", "field_bare_number"])
+def test_bad_setting_is_config_error(tmp_path, capsys, flags, config):
     args = ["run", "--problem", "gauss1d"]
-    if problem is not None:
+    if config is not None:
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"problem": problem}))
+        cfg_path.write_text(json.dumps(config))
         args = ["run", "--config", str(cfg_path)]
     out = tmp_path / "out"
     code = main(args + flags + ["--output-path", str(out)])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"problem": "gauss1d", "n-sweep": [400, 1600]}, "n-sweep"),
+    ({"problem": "gauss1d", "ks_threshold": 0.05}, "ks_threshold"),
+    (_inline_file(neighbourhood={"lower": [-0.9], "upper": [0.9]}), "neighbourhood"),
+    ({"problem": {"catalog": "gauss1d"}}, "catalog"),
+], ids=["run_config", "ks_threshold", "inline", "catalog_form"])
+def test_unknown_key_is_config_error(tmp_path, capsys, config, key):
+    """A key that a run config or an inline definition does not have is
+    refused and named, not ignored."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--output-path", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and repr(key) in err
+    assert not (out / "report.json").exists()
+
+
+def test_run_settings_are_the_run_config_fields():
+    """A config file or flag may set every RunConfig field and nothing else;
+    the KS threshold is a constant, still recorded in the report."""
+    import dataclasses
+
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert fields == ["problem", *certlap.cli._RUN_FIELD_TYPES]
+    assert len(fields) == 9
+    assert certlap.gibbs.KS_THRESHOLD == 0.02
+    _, report = run_checks(RunConfig(problem="gauss1d", n_sweep=(25, 100)))
+    assert report["config"]["ks_threshold"] == 0.02
 
 
 def _key_paths(obj, prefix=""):

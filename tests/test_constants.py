@@ -24,7 +24,7 @@ from certlap import (
 import certlap.constants
 from certlap.config import problem_from_config, strict_json
 from certlap.errors import AssumptionViolationError, DefinitenessError, ToolkitError
-from certlap.problems import UNIT_WEIGHT, power_epsilon
+from certlap.problems import UNIT_WEIGHT, EpsilonSchedule
 
 SWEEP = (25, 100, 400, 1600)
 
@@ -382,7 +382,7 @@ def _separable_problems(draw, cross=False):
     info = (MaximumInfo(BOUNDARY, zero, nb, boundary_axis=0) if boundary
             else MaximumInfo(INTERIOR, zero, nb))
     spec = ProblemSpec("separable", box, polynomial_field(terms), g, info, sigma=sigma,
-                       **({"epsilon": power_epsilon(-0.75)} if sigma else {}))
+                       **({"epsilon": EpsilonSchedule(1.0, -0.75)} if sigma else {}))
     return spec
 
 

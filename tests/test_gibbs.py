@@ -11,6 +11,7 @@ from scipy.special import erf
 
 from certlap import (
     BoxDomain,
+    EpsilonSchedule,
     catalog,
     empirical_limit_test,
     estimate_constants,
@@ -31,6 +32,7 @@ from certlap.config import problem_from_config
 from certlap.gibbs import MgfReport, fluctuation_verdict
 from certlap.problems import ScalarField, limit_axes
 from certlap.errors import (
+    AssumptionViolationError,
     DomainError,
     EnvelopeFailureError,
     InsufficientSampleError,
@@ -194,10 +196,10 @@ class TestDrift:
     def test_constant_sigma_no_drift(self):
         from dataclasses import replace
 
-        from certlap import constant_field, power_epsilon
+        from certlap import EpsilonSchedule, constant_field
 
         spec = replace(get_problem("gauss1d"), sigma=constant_field(2.0),
-                       epsilon=power_epsilon(-0.75))
+                       epsilon=EpsilonSchedule(1.0, -0.75))
         c = estimate_constants(spec, grid_res=32, n_sweep=(25, 100))
         rows = maximum_drift_check(spec, c, (25, 100))
         for row in rows:
@@ -210,12 +212,12 @@ class TestDrift:
         # mixed2d's maximum, and x*(N) comes from its own f(., N)
         from dataclasses import replace
 
-        from certlap import polynomial_field, power_epsilon
+        from certlap import EpsilonSchedule, polynomial_field
 
         spec = replace(
             get_problem("mixed2d"),
             sigma=polynomial_field([(1.0, (0, 1))]),
-            epsilon=power_epsilon(-0.75),
+            epsilon=EpsilonSchedule(1.0, -0.75),
             exact_integral=None,
         )
         c = estimate_constants(spec, grid_res=32, n_sweep=(25, 100, 400))
@@ -235,6 +237,31 @@ class TestDrift:
                 continue
             rows = maximum_drift_check(spec, consts_cache(name), SWEEP)
             assert all(row["ok"] for row in rows), name
+
+
+class TestEpsilonRules:
+    """Each decay order a theorem assumes is read from eps's exponent: the
+    CLT needs eps(N) sqrt(N) -> 0 (exponent below -1/2), the tilted
+    estimates eps(N) sqrt(N) nonincreasing (exponent at most -1/2), on a
+    sweep of one N too."""
+
+    @pytest.mark.parametrize("scale, exponent, flagged, raises", [
+        (1.0, -0.5, True, False),
+        (1.0, -0.25, True, True),
+        (0.0, -0.25, False, False),
+    ])
+    def test_flag_and_violation(self, specs, consts_cache, scale, exponent, flagged, raises):
+        spec = dataclasses.replace(specs["drift1d"], epsilon=EpsilonSchedule(scale, exponent))
+        assert mgf_Y(gibbs_measure(spec, 100), [1.0]).hypothesis_violated is flagged
+        consts = consts_cache("drift1d")
+        for sweep in ((100,), (100, 400)):
+            if raises:
+                with pytest.raises(AssumptionViolationError,
+                                   match=r"eps\(N\) sqrt\(N\) must be nonincreasing"):
+                    tilted_maximizer_check(spec, consts, [1.0], sweep)
+            else:
+                rows = tilted_maximizer_check(spec, consts, [1.0], sweep)
+                assert [r["N"] for r in rows] == list(sweep)
 
 
 class TestTiltedEstimates:

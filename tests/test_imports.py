@@ -3,6 +3,7 @@ graph of the package is visible at the top of each file, and numpy is the
 only third-party package it reaches."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -139,9 +140,23 @@ def test_no_difference_stencil():
                       if n in ("_D1", "_D2") or "stencil" in n.lower()]
     assert found == []
     with pytest.raises(TypeError):
-        certlap.ScalarField(lambda p: -np.sum(p * p, axis=-1), name="bare")
+        certlap.ScalarField(lambda p: -np.sum(p * p, axis=-1))
     with pytest.raises(TypeError):
         certlap.ScalarField(evaluate=lambda p: -np.sum(p * p, axis=-1))
+
+
+def test_epsilon_and_fields_are_plain_data():
+    """eps is (scale, exponent) data that every decay rule reads, with no
+    tag or probe beside it, and a field is its term list and coupling: it
+    carries no name."""
+    gone = ("decay_class", "zero_epsilon", "power_epsilon", "_eps_sqrt_n_violated")
+    found = [f"{p.name}: {n}" for p in sorted(SRC.glob("*.py")) for n in gone
+             if n in p.read_text()]
+    assert found == []
+    fields = [f.name for f in dataclasses.fields(certlap.EpsilonSchedule)]
+    assert fields == ["scale", "exponent"]
+    fields = [f.name for f in dataclasses.fields(certlap.ScalarField)]
+    assert fields == ["terms", "coupling", "_derived"]
 
 
 def _fresh_python(code: str) -> str:

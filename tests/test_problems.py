@@ -133,7 +133,7 @@ class TestAssembleF:
     """f(x, N) = f_limit + epsilon(N) * sigma, assembled by spec.f_of_box."""
 
     def test_linear_perturbation_at_zero(self):
-        spec = _drifting(lambda n: 1.0 / n)
+        spec = _drifting(EpsilonSchedule(1.0, -1.0))
         f = spec.f_of_box(100)
         assert f.evaluate(np.zeros(1)) == pytest.approx(0.0, abs=1e-15)
         assert f.gradient(np.zeros(1))[0] == pytest.approx(0.01, abs=1e-15)
@@ -145,12 +145,27 @@ class TestAssembleF:
         assert f.evaluate(x) == spec.f_limit.evaluate(x)
 
     def test_direct_substitution(self):
-        spec = _drifting(lambda n: 1.0 / n, n_zero=2)
+        spec = _drifting(EpsilonSchedule(1.0, -1.0), n_zero=2)
         f = spec.f_of_box(4)
         assert float(f.evaluate(np.array([1.0]))) == pytest.approx(-0.25, abs=1e-15)
 
+    def test_epsilon_is_validated_data(self):
+        """eps(N) = scale * N ** exponent, eps = 0 by default; a schedule
+        that could grow or go negative cannot be built."""
+        assert EpsilonSchedule() == EpsilonSchedule(0.0, -1.0)
+        assert EpsilonSchedule().evaluate(25) == 0.0
+        assert EpsilonSchedule(2.0, -0.75).evaluate(16) == 2.0 * 16.0 ** -0.75
+        for scale, exponent in ((1.0, 0.0), (1.0, 0.5), (-1.0, -0.5),
+                                (float("nan"), -0.5), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="epsilon"):
+                EpsilonSchedule(scale, exponent)
+        # with scale 0, f(., N) is f_limit at every N and x*(N) is x*
+        spec = _drifting(EpsilonSchedule(0.0, -0.25))
+        assert spec.f_same_at_every_n and spec.f_of_box(100) is spec.f_limit_box
+        assert not _drifting(EpsilonSchedule(1.0, -0.25)).f_same_at_every_n
+
     def test_one_field_per_n(self):
-        spec = _drifting(lambda n: 1.0 / n)
+        spec = _drifting(EpsilonSchedule(1.0, -1.0))
         assert spec.f_of_box(100) is spec.f_of_box(100.0)
         assert spec.f_of_box(100) is not spec.f_of_box(101)
 
@@ -189,7 +204,7 @@ class TestAssembleF:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-1.0, 1.0), st.integers(20, 10_000))
     def test_assembly_linearity(self, x, n):
-        spec = _drifting(lambda n: n ** -0.75)
+        spec = _drifting(EpsilonSchedule(1.0, -0.75))
         f = spec.f_of_box(n)
         pt = np.array([x])
         eps = n ** -0.75
@@ -234,7 +249,7 @@ class TestCoupling:
         assert float(linear_field(a).evaluate(np.array([1.0, 3.0, 2.0]))) == 0.0
 
     def test_assemble_f_passes_it_through(self):
-        spec = _drifting(lambda n: 1.0 / n)
+        spec = _drifting(EpsilonSchedule(1.0, -1.0))
         assert spec.f_of_box(100).coupling == ((0,),)
 
     def test_rotation_takes_the_coupling_of_its_terms(self):
@@ -273,6 +288,17 @@ class TestPolynomialDerivatives:
         T = f.third_tensor(pts)
         assert T.shape == (4, 5, 3, 3, 3) and not np.any(T)
         assert np.array_equal(f.hessian(pts)[..., 1, 2], np.full((4, 5), 0.1))
+
+    def test_powers_are_nonnegative_integers(self):
+        """A power that is not a nonnegative integer is refused, not read
+        as another one: x^-1 was x^2 to the batch evaluator, x to the point
+        evaluator and -1 to the gradient, and int() took 2.5 to 2."""
+        for power in (-1, 2.5, -1.0, float("nan"), True):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                polynomial_field([(1.0, (1,)), (1.0, (power,))])
+        f = polynomial_field([(1.0, (2.0, np.int64(1)))])
+        assert f.terms == ((1.0, ((0, 2), (1, 1)), None),)
+        assert all(isinstance(e, int) for _, powers, _ in f.terms for _, e in powers)
 
 
 def _derivative_terms(terms, idx):
@@ -563,43 +589,43 @@ class TestRotatedTerms:
 
 # The catalog as it was written by hand before its entries became inline
 # definitions: name -> (kind, boundary_axis, x*, neighbourhood lower and
-# upper, n_zero, decay class, epsilon(N) over SWEEP (None: zero), exact
-# integral over SWEEP (None: no closed form)).  A drifting entry's x*(N) is
-# epsilon(N); every other entry's is x*.
+# upper, n_zero, epsilon's (scale, exponent), epsilon(N) over SWEEP (None:
+# zero), exact integral over SWEEP (None: no closed form)).  A drifting
+# entry's x*(N) is epsilon(N); every other entry's is x*.
 SWEEP = (25, 100, 400, 1600)
 HAND_WRITTEN = {
-    "gauss1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 7, "zero", None,
+    "gauss1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 7, (0.0, -1.0), None,
                 [0.5013253675146261, 0.25066282746310004, 0.12533141373155002,
                  0.06266570686577501]),
-    "exp1d": (BOUNDARY, 0, [0.0], [0.0], [1.0], 1, "zero", None,
+    "exp1d": (BOUNDARY, 0, [0.0], [0.0], [1.0], 1, (0.0, -1.0), None,
               [0.03999999999944449, 0.01, 0.0025, 0.000625]),
-    "cubic1d": (INTERIOR, None, [0.0], [-0.9], [0.9], 1, "zero", None, None),
-    "quartic1d": (INTERIOR, None, [0.0], [-1.0], [1.0], 1, "zero", None, None),
-    "iso2d": (INTERIOR, None, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], 1, "zero", None,
+    "cubic1d": (INTERIOR, None, [0.0], [-0.9], [0.9], 1, (0.0, -1.0), None, None),
+    "quartic1d": (INTERIOR, None, [0.0], [-1.0], [1.0], 1, (0.0, -1.0), None, None),
+    "iso2d": (INTERIOR, None, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], 1, (0.0, -1.0), None,
               [0.2513271241136749, 0.06283185307179585, 0.015707963267948963,
                0.003926990816987241]),
-    "mixed2d": (BOUNDARY, 0, [0.0, 0.0], [0.0, -1.0], [1.0, 1.0], 1, "zero", None,
+    "mixed2d": (BOUNDARY, 0, [0.0, 0.0], [0.0, -1.0], [1.0, 1.0], 1, (0.0, -1.0), None,
                 [0.02005301470030655, 0.0025066282746310006, 0.00031332853432887507,
                  3.9166066791109384e-05]),
-    "tilt2d": (BOUNDARY, 0, [0.0, 0.0], [0.0, -1.0], [1.0, 1.0], 1, "zero", None,
+    "tilt2d": (BOUNDARY, 0, [0.0, 0.0], [0.0, -1.0], [1.0, 1.0], 1, (0.0, -1.0), None,
                [0.02005301470030655, 0.0025066282746310006, 0.00031332853432887507,
                 3.9166066791109384e-05]),
-    "gauss3d": (INTERIOR, None, [0.0] * 3, [-1.0] * 3, [1.0] * 3, 1, "zero", None,
+    "gauss3d": (INTERIOR, None, [0.0] * 3, [-1.0] * 3, [1.0] * 3, 1, (0.0, -1.0), None,
                 [0.12599666286268213, 0.015749609945722418, 0.0019687012432153023,
                  0.0002460876554019128]),
-    "boundary3d": (BOUNDARY, 0, [0.0] * 3, [0.0, -1.0, -1.0], [1.0] * 3, 1, "zero", None,
+    "boundary3d": (BOUNDARY, 0, [0.0] * 3, [0.0, -1.0, -1.0], [1.0] * 3, 1, (0.0, -1.0), None,
                    [0.01005308496440738, 0.0006283185307179585, 3.926990816987241e-05,
                     2.4543692606170254e-06]),
-    "drift1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 13, "o_one_over_sqrtN",
+    "drift1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 13, (1.0, -1.0),
                 [1.0 / n for n in SWEEP],
                 [0.5114526482319859, 0.25191928011443526, 0.12548817595469217,
                  0.06268529295933829]),
-    "eps1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 17, "o_one_over_sqrtN",
+    "eps1d": (INTERIOR, None, [0.0], [-0.5], [0.5], 17, (1.0, -0.75),
               [0.08944271909999159, 0.03162277660168379, 0.011180339887498949,
                0.003952847075210474],
               [0.5540490535634502, 0.26351458544784734, 0.12850419357566126,
                0.06345394442284576]),
-    "viol1d": (INTERIOR, None, [0.0], [-0.85], [0.85], 19, "generic",
+    "viol1d": (INTERIOR, None, [0.0], [-0.85], [0.85], 19, (1.0, -0.25),
                [0.4472135954999579, 0.31622776601683794, 0.22360679774997896,
                 0.15811388300841897],
                [6.089957264414628, 37.201662093233104, 2760.6080975727555,
@@ -622,7 +648,7 @@ def _drifting(eps, n_zero=19):
         name="drifting", domain=box,
         f_limit=polynomial_field([(-0.5, (2,))]),
         sigma=polynomial_field([(1.0, (1,))]),
-        epsilon=EpsilonSchedule(eps, "generic"),
+        epsilon=eps,
         g=constant_field(1.0), maximum=info,
     )
 
@@ -828,14 +854,14 @@ class TestCatalog:
     def test_entry_matches_the_hand_written_values(self, name):
         """The classified entry is bit for bit the hand-written one: an
         independent reference for the classification of every entry."""
-        kind, axis, x_star, lower, upper, n_zero, decay, eps, exact = HAND_WRITTEN[name]
+        kind, axis, x_star, lower, upper, n_zero, schedule, eps, exact = HAND_WRITTEN[name]
         spec = get_problem(name)
         info = spec.maximum
         assert (info.kind, info.boundary_axis, spec.n_zero) == (kind, axis, n_zero)
         assert _bits(info.x_star) == _bits(x_star)
         assert _bits(info.neighborhood.lower) == _bits(lower)
         assert _bits(info.neighborhood.upper) == _bits(upper)
-        assert spec.epsilon.decay_class == decay
+        assert (spec.epsilon.scale, spec.epsilon.exponent) == schedule
         assert (spec.g is UNIT_WEIGHT) == (name != "tilt2d")
         assert (spec.exact_integral is None) == (exact is None)
         for i, n in enumerate(SWEEP):
