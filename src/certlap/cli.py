@@ -10,13 +10,15 @@ plotdata  convert a report.json into log-log columns for external plotting.
 
 Exit status: 0 all soundness assertions passed; 1 at least one failed;
 2 configuration/parse error, nothing written: an unreadable config file, an
-unknown problem or check, a key that a run config or an inline definition
-does not have, a malformed inline problem (domain of dimension at most 4,
-field and its numeric values, polynomial powers nonnegative integers,
-neighborhood inside the domain, epsilon a definition with a negative
-exponent and a nonnegative scale, classify_grid_res at least 8), an integer
-setting (an N of the sweep, grid_res, seed, sample_count, classify_grid_res,
-n_zero) that is not a JSON integer, a run setting that does not parse (a
+unknown problem or check, a key that a run config, an inline definition,
+a field definition, a polynomial term or epsilon does not have, a malformed
+inline problem (domain of dimension at most 4, field and its numeric
+values, polynomial powers nonnegative integers, neighborhood inside the
+domain, epsilon a definition with a negative exponent and a nonnegative
+scale, classify_grid_res at least 8), an integer setting (an N of the
+sweep, grid_res, seed, sample_count, classify_grid_res, n_zero) that is not
+a JSON integer, a float setting (tol, safety_factor) that is not a JSON
+number (a bool or a string is neither), a run setting that does not parse (a
 non-integer N in --n-sweep), or one out of range (N-sweep not increasing or
 not above the problem's n_zero, grid_res < 16, safety_factor < 1,
 tol < 1e-14, sample_count < 1, or sample_count < 100 with the fluctuations
@@ -57,10 +59,13 @@ Each field is a definition with a ``type``: ``polynomial`` (terms with
 (``scale * exp(linear . x + offset)``), ``constant``.  Two more optional
 keys: ``classify_grid_res`` (the classification grid per axis, default 64,
 at least 8) and ``n_zero`` (a floor for the admissible threshold); a
-definition has no other key.  The maximum is classified
-automatically, on the given neighborhood when there is one.  Every catalog
-entry is such a definition (``certlap.catalog``), so each is a template for
-an inline problem.
+definition has no other key, and a field, polynomial term or epsilon
+definition none but its own (``type`` and ``value``; ``type`` and
+``terms``, each ``coeff`` and ``powers``; ``type``, ``linear``, ``scale``
+and ``offset``; ``class``, ``scale`` and ``exponent``).  The maximum is
+classified automatically, on the given neighborhood when there is one.
+Every catalog entry is such a definition (``certlap.catalog``), so each is
+a template for an inline problem.
 
 Report schema
 -------------
@@ -109,7 +114,7 @@ from .gibbs import (
     sample,
     tilted_maximizer_check,
 )
-from .grammar import json_int
+from .grammar import json_float, json_int
 from .laplace import approximate
 from .oracle import integrate
 from .problems import INTERIOR, UNIT_WEIGHT, BoxDomain, limit_axes
@@ -208,7 +213,7 @@ def _check_fluctuations(spec, consts, config, sweep, measure, batch) -> tuple[di
 def _check_preposition1(spec, consts, config, sweep, measure, batch) -> tuple[dict, bool]:
     if spec.maximum.kind != INTERIOR:
         return {"skipped": "boundary maximum"}, True
-    tbl = tilted_maximizer_check(spec, consts, np.ones(spec.dimension), sweep)
+    tbl = tilted_maximizer_check(spec, np.ones(spec.dimension), sweep)
     first = tbl[0]
     ok = all(
         r[k] <= 3.0 * first[k] + 1e-9
@@ -432,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _RUN_FIELD_TYPES = {
     "n_sweep": lambda v: tuple(json_int(n, "each N of n_sweep") for n in v),
     "grid_res": lambda v: json_int(v, "grid_res"),
-    "tol": float,
-    "safety_factor": float,
+    "tol": lambda v: json_float(v, "tol"),
+    "safety_factor": lambda v: json_float(v, "safety_factor"),
     "seed": lambda v: json_int(v, "seed"),
     "checks": tuple,
     "output_path": str,

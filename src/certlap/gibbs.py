@@ -305,9 +305,7 @@ def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> 
 # tilted-maximizer estimates
 # ---------------------------------------------------------------------------
 
-def tilted_maximizer_check(
-    spec: ProblemSpec, consts: ConstantsReport, xi, n_sweep
-) -> list[dict]:
+def tilted_maximizer_check(spec: ProblemSpec, xi, n_sweep) -> list[dict]:
     """Per-N bounded-ratio statistics for the tilted exponent
     f~(x, N) = f(x, N) + xi . (x - x*) / sqrt(N) at an interior maximum:
 

@@ -41,16 +41,45 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_float(value, what: str) -> float:
+    """``value`` as a float when it is a number, integer or decimal (a bool
+    is not one); otherwise a ConfigError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
+# the keys a definition of each field kind, a polynomial term and epsilon may have
+_FIELD_KEYS = {
+    "constant": ("type", "value"),
+    "polynomial": ("type", "terms"),
+    "exponential": ("type", "linear", "scale", "offset"),
+}
+_TERM_KEYS = ("coeff", "powers")
+_EPSILON_KEYS = ("class", "scale", "exponent")
+
+
+def _refuse_unknown(cfg: dict, known, what: str) -> None:
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; known: {list(known)}")
+
+
 def field_from_config(cfg, dimension: int) -> ScalarField:
     if cfg is None:
         return UNIT_WEIGHT
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError(f"field definition needs a 'type': {cfg!r}")
     kind = cfg["type"]
+    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
+        raise ConfigError(f"unknown field type {kind!r}")
+    _refuse_unknown(cfg, _FIELD_KEYS[kind], f"{kind} field")
     try:
         if kind == "constant":
             return constant_field(float(cfg.get("value", 1.0)))
         if kind == "polynomial":
+            for t in cfg["terms"]:
+                _refuse_unknown(t, _TERM_KEYS, "polynomial term")
             terms = [(float(t["coeff"]), tuple(t["powers"])) for t in cfg["terms"]]
             if any(len(p) != dimension for _, p in terms):
                 raise ConfigError("polynomial powers must match the problem dimension")
@@ -63,7 +92,6 @@ def field_from_config(cfg, dimension: int) -> ScalarField:
             return exponential_field(scale, lin, offset)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} field: {exc}") from exc
-    raise ConfigError(f"unknown field type {kind!r}")
 
 
 def epsilon_from_config(cfg) -> EpsilonSchedule:
@@ -71,6 +99,7 @@ def epsilon_from_config(cfg) -> EpsilonSchedule:
         return EpsilonSchedule()
     if not isinstance(cfg, dict):
         raise ConfigError(f"epsilon must be a definition with a 'class': {cfg!r}")
+    _refuse_unknown(cfg, _EPSILON_KEYS, "epsilon")
     kind = cfg.get("class", "zero")
     if kind == "zero":
         return EpsilonSchedule()

@@ -187,12 +187,10 @@ def test_criterion_8_maximizer_drift(specs, consts_cache):
     )
 
 
-def test_criterion_9_tilted_estimates(specs, consts_cache):
-    rows = tilted_maximizer_check(specs["gauss1d"], consts_cache("gauss1d"), [1.0], SWEEP)
+def test_criterion_9_tilted_estimates(specs):
+    rows = tilted_maximizer_check(specs["gauss1d"], [1.0], SWEEP)
     exact_ok = all(row["stat_drift"] / row["N"] <= 1e-8 for row in rows)
-    rows_q = tilted_maximizer_check(
-        specs["quartic1d"], consts_cache("quartic1d"), [1.0], SWEEP
-    )
+    rows_q = tilted_maximizer_check(specs["quartic1d"], [1.0], SWEEP)
     first = rows_q[0]
     bounded_ok = all(
         row[k] <= 3.0 * first[k] + 1e-9

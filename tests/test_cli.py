@@ -428,12 +428,21 @@ def _poly_1d(*terms):
     ([], _inline_file(n_zero=2.5)),
     # a field is a definition with a type, not a bare number
     ([], _inline_file(g=2.0)),
+    # a float setting is a JSON number, not a bool or a string
+    ([], {"problem": "gauss1d", "tol": True}),
+    ([], {"problem": "gauss1d", "tol": "1e-10"}),
+    ([], {"problem": "gauss1d", "safety_factor": True}),
+    # a key that a field or epsilon definition does not have is refused, not dropped
+    ([], _inline_file(g={"type": "exponential", "linear": [0.3], "offest": 5.0})),
+    ([], _inline_file(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+                      epsilon={"class": "power", "exponent": -0.75, "scael": 0.5})),
 ], ids=["grid_res", "safety_factor", "tol", "n_zero", "sample_count", "nb_no_lower",
         "nb_outside", "eps_no_exponent", "eps_exponent_positive", "eps_scale_negative",
         "eps_exponent_nan", "eps_scale_nan", "n_sweep_not_int",
         "dimension_5", "power_negative", "power_fractional", "n_sweep_decimal",
         "grid_res_decimal", "seed_bool", "n_sweep_string", "classify_grid_res_decimal",
-        "n_zero_decimal", "field_bare_number"])
+        "n_zero_decimal", "field_bare_number", "tol_bool", "tol_string",
+        "safety_factor_bool", "field_key_typo", "epsilon_key_typo"])
 def test_bad_setting_is_config_error(tmp_path, capsys, flags, config):
     args = ["run", "--problem", "gauss1d"]
     if config is not None:
@@ -452,10 +461,15 @@ def test_bad_setting_is_config_error(tmp_path, capsys, flags, config):
     ({"problem": "gauss1d", "ks_threshold": 0.05}, "ks_threshold"),
     (_inline_file(neighbourhood={"lower": [-0.9], "upper": [0.9]}), "neighbourhood"),
     ({"problem": {"catalog": "gauss1d"}}, "catalog"),
-], ids=["run_config", "ks_threshold", "inline", "catalog_form"])
+    # a field's "name" is no longer read
+    (_inline_file(g={"type": "constant", "value": 2.0, "name": "two"}), "name"),
+    (_inline_file(f={"type": "polynomial", "terms": [{"coeff": -0.5, "power": [2]}]}), "power"),
+    (_inline_file(epsilon={"class": "power", "exponent": -0.75, "rate": 1.0}), "rate"),
+], ids=["run_config", "ks_threshold", "inline", "catalog_form", "field", "polynomial_term",
+        "epsilon"])
 def test_unknown_key_is_config_error(tmp_path, capsys, config, key):
-    """A key that a run config or an inline definition does not have is
-    refused and named, not ignored."""
+    """A key that a run config, an inline definition, a field, a polynomial
+    term or epsilon does not have is refused and named, not ignored."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"

@@ -250,48 +250,45 @@ class TestEpsilonRules:
         (1.0, -0.25, True, True),
         (0.0, -0.25, False, False),
     ])
-    def test_flag_and_violation(self, specs, consts_cache, scale, exponent, flagged, raises):
+    def test_flag_and_violation(self, specs, scale, exponent, flagged, raises):
         spec = dataclasses.replace(specs["drift1d"], epsilon=EpsilonSchedule(scale, exponent))
         assert mgf_Y(gibbs_measure(spec, 100), [1.0]).hypothesis_violated is flagged
-        consts = consts_cache("drift1d")
         for sweep in ((100,), (100, 400)):
             if raises:
                 with pytest.raises(AssumptionViolationError,
                                    match=r"eps\(N\) sqrt\(N\) must be nonincreasing"):
-                    tilted_maximizer_check(spec, consts, [1.0], sweep)
+                    tilted_maximizer_check(spec, [1.0], sweep)
             else:
-                rows = tilted_maximizer_check(spec, consts, [1.0], sweep)
+                rows = tilted_maximizer_check(spec, [1.0], sweep)
                 assert [r["N"] for r in rows] == list(sweep)
 
 
 class TestTiltedEstimates:
-    def test_gauss1d_quadratic_exactness(self, specs, consts_cache):
-        rows = tilted_maximizer_check(specs["gauss1d"], consts_cache("gauss1d"), [1.0], SWEEP)
+    def test_gauss1d_quadratic_exactness(self, specs):
+        rows = tilted_maximizer_check(specs["gauss1d"], [1.0], SWEEP)
         for row in rows:
             # estimate (drift of the tilted maximizer) is exact: residual 0
             assert row["stat_drift"] / row["N"] <= 1e-8
             assert row["stat_det"] <= 1e-6
 
-    def test_quartic_bounded_ratios(self, specs, consts_cache):
-        rows = tilted_maximizer_check(
-            specs["quartic1d"], consts_cache("quartic1d"), [1.0], SWEEP
-        )
+    def test_quartic_bounded_ratios(self, specs):
+        rows = tilted_maximizer_check(specs["quartic1d"], [1.0], SWEEP)
         first = rows[0]
         for row in rows[1:]:
             for key in ("stat_drift", "stat_value", "stat_det"):
                 assert row[key] <= 3.0 * first[key] + 1e-9
 
-    def test_cubic_statistics_settle_to_constants(self, specs, consts_cache):
+    def test_cubic_statistics_settle_to_constants(self, specs):
         # nonzero third derivative: the scaled statistics approach nonzero
         # constants (xi^2/2, ~xi^3, xi/2)
-        rows = tilted_maximizer_check(specs["cubic1d"], consts_cache("cubic1d"), [1.0], SWEEP)
+        rows = tilted_maximizer_check(specs["cubic1d"], [1.0], SWEEP)
         last = rows[-1]
         assert last["stat_drift"] == pytest.approx(0.5, rel=0.15)
         assert last["stat_det"] == pytest.approx(0.5, rel=0.15)
 
-    def test_interior_only(self, specs, consts_cache):
+    def test_interior_only(self, specs):
         with pytest.raises(TheoremMismatchError):
-            tilted_maximizer_check(specs["exp1d"], consts_cache("exp1d"), [1.0], SWEEP)
+            tilted_maximizer_check(specs["exp1d"], [1.0], SWEEP)
 
 
 class TestSampler:

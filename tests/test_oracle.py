@@ -327,6 +327,66 @@ class TestFourDimensions:
         assert v.depths == (4, 4, 4, 4) and v.order == 12
 
 
+def _inline_2d(name, lower, f_terms):
+    # the benchmark's inline problems: g = exp(0.3 x - 0.2 y), sigma = x,
+    # epsilon(N) = N^-0.75
+    return problem_from_config({
+        "name": name,
+        "domain": {"lower": lower, "upper": [1.0, 1.0]},
+        "f": {"type": "polynomial",
+              "terms": [{"coeff": c, "powers": list(p)} for c, p in f_terms]},
+        "g": {"type": "exponential", "linear": [0.3, -0.2]},
+        "sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+        "epsilon": {"class": "power", "exponent": -0.75},
+    })
+
+
+def _quad2d():
+    return _inline_2d("quad2d", [-1.0, -1.0], [(-0.5, (2, 0)), (-1.0, (0, 2)), (0.1, (1, 1))])
+
+
+def _two_dimensional_problems():
+    return [
+        _quad2d(),
+        _inline_2d("cub2d", [-1.0, -1.0],
+                   [(-0.5, (2, 0)), (-1.0, (0, 2)), (0.2, (3, 0)), (0.1, (1, 1))]),
+        _inline_2d("bnd2d", [0.0, -1.0], [(-1.0, (1, 0)), (-0.3, (2, 0)), (-0.5, (0, 2))]),
+        get_problem("iso2d"), get_problem("mixed2d"), get_problem("tilt2d"),
+    ]
+
+
+class TestTwoDimensionOrder:
+    """2-D calls start from the order pair 12/10 on depth-4 panels, a coupled
+    2-D block included, and may raise the order up to 24."""
+
+    def test_values_match_a_high_order_reference(self, monkeypatch):
+        specs = _two_dimensional_problems()
+        got = {(s.name, n): integrate(s, n, tol=1e-10) for s in specs for n in (25, 100, 400, 1600)}
+        monkeypatch.setitem(oracle._GAUSS_ORDER, 2, 32)
+        for s in specs:
+            for n in (25, 100, 400, 1600):
+                v, ref = got[(s.name, n)], integrate(s, n, tol=1e-13)
+                assert v.converged and ref.converged
+                assert abs(v.log_abs_value - ref.log_abs_value) <= 5e-14, (s.name, n)
+
+    def test_coupled_block_converges_at_the_starting_panels(self):
+        # f couples x and y, and g reads both: one block of 10 panels per
+        # axis, 12 and 10 nodes a panel
+        v = integrate(_quad2d(), 400, tol=1e-10)
+        assert v.converged
+        assert v.depths == (4, 4) and v.order == 12
+        assert v.evaluations == 120**2 + 100**2
+
+    def test_coupled_block_raises_the_order(self):
+        # below the 12/10 pair's floor: y deepens, then 14/12 on the same
+        # panels converges, well under the 2-D ceiling 2 * 12
+        v = integrate(_quad2d(), 25, tol=1e-14)
+        assert v.converged
+        assert v.rel_error_estimate <= 1e-14
+        assert v.depths == (4, 6) and v.order == 14
+        assert v.order < 2 * oracle._GAUSS_ORDER[2]
+
+
 @st.composite
 def _separable_integrals(draw):
     """A random exponent that is a sum of polynomials of disjoint axis
