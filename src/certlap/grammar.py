@@ -76,20 +76,21 @@ def field_from_config(cfg, dimension: int) -> ScalarField:
     _refuse_unknown(cfg, _FIELD_KEYS[kind], f"{kind} field")
     try:
         if kind == "constant":
-            return constant_field(float(cfg.get("value", 1.0)))
+            return constant_field(json_float(cfg.get("value", 1.0), "constant value"))
         if kind == "polynomial":
             for t in cfg["terms"]:
                 _refuse_unknown(t, _TERM_KEYS, "polynomial term")
-            terms = [(float(t["coeff"]), tuple(t["powers"])) for t in cfg["terms"]]
+            terms = [(json_float(t["coeff"], "polynomial coeff"), tuple(t["powers"]))
+                     for t in cfg["terms"]]
             if any(len(p) != dimension for _, p in terms):
                 raise ConfigError("polynomial powers must match the problem dimension")
             return polynomial_field(terms)
         if kind == "exponential":
-            lin = [float(v) for v in cfg.get("linear", [])]
+            lin = [json_float(v, "exponential linear entry") for v in cfg.get("linear", [])]
             if len(lin) != dimension:
                 raise ConfigError("exponential linear coefficients must match the dimension")
-            scale, offset = float(cfg.get("scale", 1.0)), float(cfg.get("offset", 0.0))
-            return exponential_field(scale, lin, offset)
+            return exponential_field(json_float(cfg.get("scale", 1.0), "exponential scale"),
+                                     lin, json_float(cfg.get("offset", 0.0), "exponential offset"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} field: {exc}") from exc
 
@@ -102,10 +103,17 @@ def epsilon_from_config(cfg) -> EpsilonSchedule:
     _refuse_unknown(cfg, _EPSILON_KEYS, "epsilon")
     kind = cfg.get("class", "zero")
     if kind == "zero":
+        # a scale or exponent belongs to the power class: read with the zero
+        # class (explicit or defaulted) it would be dropped without a word
+        given = sorted(set(cfg) & {"scale", "exponent"})
+        if given:
+            raise ConfigError(f"epsilon keys {given} need \"class\": \"power\"; "
+                              "the zero class takes none")
         return EpsilonSchedule()
     if kind == "power":
         try:
-            return EpsilonSchedule(float(cfg.get("scale", 1.0)), float(cfg["exponent"]))
+            return EpsilonSchedule(json_float(cfg.get("scale", 1.0), "epsilon scale"),
+                                   json_float(cfg["exponent"], "epsilon exponent"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad epsilon: {exc}") from exc
     raise ConfigError(f"unknown epsilon class {kind!r}")

@@ -21,10 +21,15 @@ Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984,
 §5.6).  The axes are split into blocks: the coupling of f(., N) and of the
 log weight (``ScalarField.coupling``), joined, plus one block holding every
 axis a non-constant weight reads.  The unit weight g = 1 is never
-evaluated: multiplying by 1.0 is exact.  Each block is summed on its own,
-with the other axes pinned at the centre, and Q_n, Q_{n-2} and the
-|integrand| sum are products over blocks, so the refinement path is the one
-the full tensor sum would take.  A block sum that recurs within one call (a line probe's own axis at
+evaluated: multiplying by 1.0 is exact.  Each block is summed on its own
+axes, from the terms that read them: block B's exponent is N (f_B(x_B) -
+f_B(c_B)) + (l_B(x_B) - l_B(c_B)), where f_B and l_B are the terms of
+f(., N) and of the log weight whose support lies in B (the terms that read
+no axis cancel) and c_B is the centre on B; the weight's block evaluates
+the weight's terms on its axes.  The block exponents sum to the full one,
+so Q_n, Q_{n-2} and the |integrand| sum are products over blocks, and the
+refinement path is the one the full tensor sum would take.  A block sum
+that recurs within one call (a line probe's own axis at
 the panel depths already summed, a block with every axis pinned) is reused,
 not evaluated again; the products are formed in the same order, so the
 value is the same bit for bit.  ``evaluations`` counts the nodes of every
@@ -48,6 +53,7 @@ from .problems import (
     ProblemSpec,
     ScalarField,
     axis_blocks,
+    block_field,
     join_coupling,
     read_axes,
     rotated_view,
@@ -90,21 +96,23 @@ def _leggauss(order: int):
 
 def _axis_nodes(lo: float, hi: float, center: float, depth: int, order: int):
     """Panel breakpoints dyadically accumulating toward ``center``; returns
-    flat node and weight arrays for one axis."""
-    c = min(max(center, lo), hi)
-    steps = 0.5 ** np.arange(1, depth + 1)
-    breaks = np.empty(2 * depth + 3)
-    breaks[0], breaks[depth + 1], breaks[-1] = lo, c, hi
-    breaks[1:depth + 1] = c - (c - lo) * steps
-    breaks[depth + 2:-1] = c + (hi - c) * steps[::-1]
+    flat node and weight arrays for one axis.  The breaks, panel midpoints
+    and half-widths are Python floats, which round as float64 does."""
+    lo, hi = float(lo), float(hi)
+    c = min(max(float(center), lo), hi)
+    breaks = [lo, *(c - (c - lo) * 0.5 ** k for k in range(1, depth + 1)), c,
+              *(c + (hi - c) * 0.5 ** k for k in range(depth, 0, -1)), hi]
     # rounding is monotone, so the breaks are sorted; the panels of zero
     # width (c at lo or hi, or two breaks that round together) are dropped
-    a, b = breaks[:-1], breaks[1:]
-    wide = b > a
-    a, b = a[wide], b[wide]
-    half = (0.5 * (b - a))[:, None]
+    mids, half = [], []
+    for a, b in zip(breaks, breaks[1:]):
+        if b > a:
+            mids.append(0.5 * (a + b))
+            half.append(0.5 * (b - a))
     xs, ws = _leggauss(order)
-    return ((0.5 * (a + b))[:, None] + half * xs).ravel(), (half * ws).ravel()
+    half = np.array(half)
+    nodes = np.array(mids)[:, None] + np.multiply.outer(half, xs)
+    return nodes.ravel(), np.multiply.outer(half, ws).ravel()
 
 
 def _tensor_sum(
@@ -154,15 +162,40 @@ def _is_unit(weight: ScalarField) -> bool:
     return c == 1.0 and not powers and rate is None
 
 
-def _blocks(m: int, f: ScalarField, lw_coupling, weight: ScalarField):
+@lru_cache(maxsize=256)
+def _blocks(m: int, f_coupling, lw_coupling, w_coupling):
     """The sorted axis blocks the integrand factorises over, and the index of
     the block the weight is applied in.  The couplings of f and of the log
     weight are joined with one block of every axis the weight reads (the
     weight multiplies the integrand); an axis nothing reads is a block of
     its own."""
-    w_axes = read_axes(weight.coupling, m)
-    blocks = axis_blocks(join_coupling(f.coupling, lw_coupling, (w_axes,)), m)
+    w_axes = read_axes(w_coupling, m)
+    blocks = tuple(axis_blocks(join_coupling(f_coupling, lw_coupling, (w_axes,)), m))
     return blocks, next(k for k, b in enumerate(blocks) if set(w_axes) <= set(b))
+
+
+def _block_exponent(N: int, block, c: np.ndarray, f: ScalarField,
+                    log_weight: Optional[ScalarField]):
+    """The exponent N (f_B(x) - f_B(c_B)) + (l_B(x) - l_B(c_B)) of one block
+    B, on points of its own axes: f_B and l_B are the terms of f and of the
+    log weight that read B's axes (``block_field``), and c_B the centre's
+    coordinates on B.  The terms that read no axis cancel."""
+    c = c[list(block)]
+    f = block_field(f, block)
+    log_weight = None if log_weight is None else block_field(log_weight, block)
+    f_peak = float(f.evaluate(c))
+    lw_peak = float(log_weight.evaluate(c)) if log_weight is not None else 0.0
+
+    def exponent(pts):
+        # np.subtract makes the one fresh array the rest works in: a field
+        # may return a view of pts
+        e = np.subtract(f.evaluate(pts), f_peak)
+        e *= N
+        if log_weight is not None:
+            e += np.subtract(log_weight.evaluate(pts), lw_peak)
+        return e
+
+    return exponent
 
 
 def integrate(
@@ -184,8 +217,9 @@ def integrate(
     f(., N) joined with that of the log weight, plus one block holding every
     axis a non-constant weight reads (an axis nothing reads is a block of
     its own).  Each panel sum is the product over blocks of the tensor sum
-    over the block's axes, with the other axes pinned at the centre, and the
-    weight applied in one block; with one block it is the full tensor sum.
+    on the block's own axes, from the terms that read them (a line probe
+    pins the block's other axes at the centre), and the weight applied in
+    one block; with one block it is the full tensor sum.
 
     From panel depth 4 on every axis, each panel set is evaluated with
     Gauss orders n and n - 2; converged when |Q_n - Q_{n-2}| <= tol * A_n,
@@ -215,27 +249,27 @@ def integrate(
         raise ValueError("tol must be at least 1e-14")
     box = domain if domain is not None else spec.domain
     f_box = spec.f_of_box(N)
-    w_box = spec.g_box if weight is None else rotated_view(weight, box.rotation)
+    w_box = spec.g_box if weight is None else (
+        weight if box.identity_frame else rotated_view(weight, box.rotation))
     if center is None:
         center = spec.z_star_of_N(N)
     c = box.clip(np.asarray(center, dtype=float))
 
     lw_coupling = () if log_weight is None else log_weight.coupling
-    blocks, w_block = _blocks(m, f_box, lw_coupling, w_box)
+    blocks, w_block = _blocks(m, f_box.coupling, lw_coupling, w_box.coupling)
     if _is_unit(w_box):
         w_block = None  # multiplying by 1.0 is exact: the weight is never read
     f_peak = float(f_box.evaluate(c))
     lw_peak = float(log_weight.evaluate(c)) if log_weight is not None else 0.0
     log_offset = N * f_peak + lw_peak
 
-    def exponent(pts):
-        # np.subtract makes the one fresh array the rest works in: a field
-        # may return a view of pts
-        e = np.subtract(f_box.evaluate(pts), f_peak)
-        e *= N
-        if log_weight is not None:
-            e += np.subtract(log_weight.evaluate(pts), lw_peak)
-        return e
+    # per block: its own exponent, and in the weight's block the weight's
+    # terms on the block's axes
+    parts = [
+        (block, _block_exponent(N, block, c, f_box, log_weight),
+         block_field(w_box, block, constants=True).evaluate if k == w_block else None)
+        for k, block in enumerate(blocks)
+    ]
 
     sums = {}  # the block sums formed so far in this call
 
@@ -246,17 +280,17 @@ def integrate(
         a pinned axis) and, unless every axis is pinned, the order, so one
         formed before in this call is reused, evaluations and all."""
         total, scale, evals = 1.0, 1.0, 0
-        for k, block in enumerate(blocks):
+        for k, (block, exponent, weight_fn) in enumerate(parts):
             levels = tuple(depths[i] if line in (None, i) else -1 for i in block)
             key = (k, order if max(levels) >= 0 else None, levels)
             if key not in sums:
                 axes = [
                     _axis_nodes(box.lower[i], box.upper[i], c[i], depths[i], order)
-                    if i in block and line in (None, i) else (c[i:i + 1], np.ones(1))
-                    for i in range(m)
+                    if line in (None, i) else (c[i:i + 1], np.ones(1))
+                    for i in block
                 ]
                 sums[key] = _tensor_sum([x[0] for x in axes], [x[1] for x in axes],
-                                        exponent, w_box.evaluate if k == w_block else None)
+                                        exponent, weight_fn)
             s, a, n = sums[key]
             total, scale, evals = total * s, scale * a, evals + n
         return total, scale, evals

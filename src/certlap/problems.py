@@ -81,6 +81,11 @@ class BoxDomain:
         return self.lower.size
 
     @property
+    def identity_frame(self) -> bool:
+        """True when the rotation is the identity: box frame is ambient frame."""
+        return self._identity
+
+    @property
     def edges(self) -> np.ndarray:
         return self.upper - self.lower
 
@@ -112,7 +117,11 @@ class BoxDomain:
         return inside
 
     def contains_box(self, other: "BoxDomain", tol: float = 1e-12) -> bool:
-        if not np.allclose(other.rotation, self.rotation, atol=1e-14):
+        """True when ``other`` lies in this box (to ``tol``) in the same frame:
+        rotations that agree entrywise to 1e-14, with no relative slack.  The
+        same rotation object, or two identity frames, need no comparison."""
+        same = other.rotation is self.rotation or self._identity and other._identity
+        if not (same or np.allclose(other.rotation, self.rotation, rtol=0.0, atol=1e-14)):
             return False
         return bool(
             np.all(other.lower >= self.lower - tol)
@@ -206,15 +215,15 @@ class ScalarField:
 
     terms: tuple
     coupling: Coupling = None
-    # (terms, handles), rebuilt only when the terms are not the ones the
-    # handles were derived from
-    _derived: tuple = field(default=(None, None), repr=False, compare=False)
+    # (terms, handles, block fields by (block, constants)), rebuilt only
+    # when the terms are not the ones the handles were derived from
+    _derived: tuple = field(default=(None, None, None), repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.terms, tuple):
             raise TypeError(f"a ScalarField needs a tuple of terms, not {type(self.terms)}")
         if self._derived[0] is not self.terms:
-            object.__setattr__(self, "_derived", (self.terms, _term_handles(self.terms)))
+            object.__setattr__(self, "_derived", (self.terms, _term_handles(self.terms), {}))
 
     def evaluate(self, pts):
         return _eval_terms(self.terms, pts)
@@ -332,6 +341,27 @@ def _support(term) -> tuple[int, ...]:
     if rate is not None:
         read.update(int(i) for i in np.flatnonzero(rate))
     return tuple(sorted(read))
+
+
+def block_field(fld: ScalarField, block, constants: bool = False) -> ScalarField:
+    """The field of ``fld``'s nonzero terms whose support lies in the sorted
+    axes ``block``, in their order, re-indexed to the block's own axes: a
+    power's axis becomes its position in the block, an exp factor's rate
+    its entries on the block.  A term that reads no axis is kept only with
+    ``constants``.  Built once per field, block and ``constants``; two
+    threads may both build it, and it is the same."""
+    cache, key = fld._derived[2], (tuple(block), constants)
+    if key not in cache:
+        pos = {i: k for k, i in enumerate(block)}
+        terms = []
+        for c, powers, rate in fld.terms:
+            support = _support((c, powers, rate))
+            if c == 0.0 or not (support or constants) or not pos.keys() >= set(support):
+                continue
+            terms.append((c, tuple((pos[i], e) for i, e in powers),
+                          None if rate is None else _freeze(rate[list(block)])))
+        cache[key] = ScalarField(tuple(terms))
+    return cache[key]
 
 
 def _term_handles(terms: tuple) -> tuple:

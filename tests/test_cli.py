@@ -436,13 +436,34 @@ def _poly_1d(*terms):
     ([], _inline_file(g={"type": "exponential", "linear": [0.3], "offest": 5.0})),
     ([], _inline_file(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
                       epsilon={"class": "power", "exponent": -0.75, "scael": 0.5})),
+    # a scale or exponent with the zero class, explicit or defaulted, is refused, not dropped
+    ([], _inline_file(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+                      epsilon={"exponent": -0.75})),
+    ([], _inline_file(epsilon={"class": "zero", "exponent": -0.75, "scale": 2.0})),
+    ([], _inline_file(epsilon={"scale": 0.0})),
+    # a number in a field or epsilon definition is a JSON number, not a bool or a string
+    ([], _inline_file(f={"type": "polynomial", "terms": [{"coeff": True, "powers": [2]}]})),
+    ([], _inline_file(f=_poly_1d(("-0.5", 2)))),
+    ([], _inline_file(g={"type": "constant", "value": "2.5"})),
+    ([], _inline_file(g={"type": "constant", "value": True})),
+    ([], _inline_file(g={"type": "exponential", "linear": [True]})),
+    ([], _inline_file(g={"type": "exponential", "linear": ["0.3"]})),
+    ([], _inline_file(g={"type": "exponential", "linear": [0.3], "scale": True})),
+    ([], _inline_file(g={"type": "exponential", "linear": [0.3], "offset": "1.0"})),
+    ([], _inline_file(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+                      epsilon={"class": "power", "exponent": "-0.75"})),
+    ([], _inline_file(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+                      epsilon={"class": "power", "exponent": -0.75, "scale": True})),
 ], ids=["grid_res", "safety_factor", "tol", "n_zero", "sample_count", "nb_no_lower",
         "nb_outside", "eps_no_exponent", "eps_exponent_positive", "eps_scale_negative",
         "eps_exponent_nan", "eps_scale_nan", "n_sweep_not_int",
         "dimension_5", "power_negative", "power_fractional", "n_sweep_decimal",
         "grid_res_decimal", "seed_bool", "n_sweep_string", "classify_grid_res_decimal",
         "n_zero_decimal", "field_bare_number", "tol_bool", "tol_string",
-        "safety_factor_bool", "field_key_typo", "epsilon_key_typo"])
+        "safety_factor_bool", "field_key_typo", "epsilon_key_typo", "eps_no_class_exponent",
+        "eps_zero_class_keys", "eps_no_class_scale", "coeff_bool", "coeff_string",
+        "value_string", "value_bool", "linear_bool", "linear_string", "scale_bool",
+        "offset_string", "eps_exponent_string", "eps_scale_bool"])
 def test_bad_setting_is_config_error(tmp_path, capsys, flags, config):
     args = ["run", "--problem", "gauss1d"]
     if config is not None:

@@ -685,3 +685,94 @@ class TestBlockSumReuse:
         v = integrate(_opaque(get_problem("boundary3d")), 1600, tol=1e-10)
         assert len(calls) == 14
         assert v.depths == (8, 4, 4) and v.order == 12
+
+
+def _node_lists(monkeypatch):
+    """Record the number of axes each tensor sum the oracle forms receives."""
+    widths = []
+    real = oracle._tensor_sum
+
+    def recording(nodes, weights, exponent, weight_fn):
+        widths.append(len(nodes))
+        return real(nodes, weights, exponent, weight_fn)
+
+    monkeypatch.setattr(oracle, "_tensor_sum", recording)
+    return widths
+
+
+def _x_squared(m: int) -> ProblemSpec:
+    # f = -x_0^2 on [-1, 1]^m: every axis but the first is read by no term
+    box = BoxDomain([-1.0] * m, [1.0] * m)
+    f = polynomial_field([(-1.0, (2,) + (0,) * (m - 1))])
+    return ProblemSpec(f"x2_{m}d", box, f, UNIT_WEIGHT, MaximumInfo(INTERIOR, np.zeros(m), box))
+
+
+class TestOwnAxes:
+    """Each block sum reads only its own block: its tensor sum receives the
+    block's axes alone, and its exponent the terms that read them."""
+
+    @pytest.mark.parametrize("name", ["gauss3d", "boundary3d"])
+    def test_one_axis_blocks_get_one_axis_node_lists(self, name, monkeypatch):
+        from certlap.gibbs import gibbs_measure, measure_of, mgf_X
+
+        spec = get_problem(name)
+        widths = _node_lists(monkeypatch)
+        for s, width in ((spec, 1), (_opaque(spec), 3)):
+            widths.clear()
+            measure = gibbs_measure(s, 400)
+            inner = BoxDomain(spec.domain.lower, 0.5 * (spec.domain.lower + spec.domain.upper))
+            measure_of(measure, inner)
+            mgf_X(measure, [0.1, 0.0, -0.1])
+            integrate(s, 1600)
+            assert widths and set(widths) == {width}
+
+    def test_unread_axis_evaluates_no_term(self, monkeypatch):
+        from certlap import problems
+
+        evaluated, per_sum = [], []
+        real_eval, real_sum = problems._eval_terms, oracle._tensor_sum
+
+        def recording_eval(terms, pts):
+            evaluated.append((terms, np.shape(pts)[-1]))
+            return real_eval(terms, pts)
+
+        def recording_sum(nodes, weights, exponent, weight_fn):
+            evaluated.clear()
+            out = real_sum(nodes, weights, exponent, weight_fn)
+            per_sum.append(list(evaluated))
+            return out
+
+        monkeypatch.setattr(problems, "_eval_terms", recording_eval)
+        monkeypatch.setattr(oracle, "_tensor_sum", recording_sum)
+        x_term = ((-1.0, ((0, 2),), None),)
+        for n in (25, 100, 400, 1600):
+            per_sum.clear()
+            plane = integrate(_x_squared(2), n, tol=1e-14)
+            # each sum evaluates f's one term on the x block, or no term on
+            # the y block, on points of one axis
+            assert {tuple(calls) for calls in per_sum} == {((x_term, 1),), (((), 1),)}
+            line = integrate(_x_squared(1), n, tol=1e-14)
+            assert plane.converged and line.converged
+            assert abs(plane.value - 2.0 * line.value) <= 1e-15 * plane.value
+
+    @pytest.mark.parametrize("n", [25, 100, 400, 1600])
+    def test_constant_term_and_tilt_at_an_off_centre_point(self, n):
+        # the deterministic twin of TestBlockProduct: a constant in f and a
+        # tilt a . (x - c) with a constant term, about a centre off the
+        # origin.  e^(N 0.7) overflows at N = 1600, so the log values are
+        # compared
+        box = BoxDomain([-1.0, -1.0, 0.0], [1.0, 1.0, 1.0])
+        f = polynomial_field([
+            (0.7, (0, 0, 0)), (-1.0, (2, 0, 0)), (-0.3, (4, 0, 0)), (0.1, (3, 0, 0)),
+            (-0.5, (0, 2, 0)), (0.05, (0, 1, 1)), (-0.8, (0, 0, 2)), (-1.5, (0, 0, 1))])
+        centre = np.array([0.04, -0.07, 0.0])
+        spec = ProblemSpec("tilted", box, f, UNIT_WEIGHT, MaximumInfo(INTERIOR, centre, box))
+        tilt = linear_field([1.5, -2.0, 0.5], at=centre)
+        kw = dict(center=centre, domain=BoxDomain([-0.6, -1.0, 0.0], [0.9, 0.5, 0.8]))
+        split = integrate(spec, n, log_weight=tilt, **kw)
+        whole = integrate(_opaque(spec), n, log_weight=dataclasses.replace(tilt, coupling=None),
+                          **kw)
+        assert split.converged and whole.converged
+        assert abs(split.log_abs_value - whole.log_abs_value) <= 1e-13
+        assert (split.depths, split.order) == (whole.depths, whole.order)
+        assert split.evaluations < whole.evaluations

@@ -1052,3 +1052,74 @@ class TestLocateMaximum:
         z_ref = _lbfgsb_then_newton(f, box, start)
         np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-12)
         assert value >= float(f.evaluate(z_ref)) - 1e-13
+
+
+def _frame_rule(outer, inner, tol=1e-12):
+    """``contains_box`` without its fast paths: the rotations compared
+    entrywise, then the bounds."""
+    return bool(np.allclose(inner.rotation, outer.rotation, rtol=0.0, atol=1e-14)
+                and np.all(inner.lower >= outer.lower - tol)
+                and np.all(inner.upper <= outer.upper + tol))
+
+
+def _turn(th):
+    return np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+
+
+class TestContainsBox:
+    """A box lies in another only in the same frame.  The same rotation
+    object, or two identity frames, skip the entrywise comparison and give
+    its answer."""
+
+    def test_rotation_off_by_1e10_is_refused(self):
+        outer = BoxDomain([-1.0, -1.0], [1.0, 1.0], _turn(0.3))
+        for R in (_turn(0.3 + 1e-10), _turn(1e-10)):
+            inner = BoxDomain([-0.5, -0.5], [0.5, 0.5], R)
+            assert not outer.contains_box(inner)
+        assert not BoxDomain([-1.0, -1.0], [1.0, 1.0]).contains_box(inner)
+        # an equal rotation, a copy or the same object, is the same frame
+        assert outer.contains_box(BoxDomain([-0.5, -0.5], [0.5, 0.5], _turn(0.3)))
+        assert outer.contains_box(BoxDomain([-0.5, -0.5], [0.5, 0.5], outer.rotation))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_fast_paths_match_the_entrywise_rule(self, m):
+        rng = np.random.default_rng(m)
+        turns = [None, np.eye(m), np.linalg.qr(rng.normal(size=(m, m)))[0]]
+        turns.append(turns[-1] + 1e-15)  # within the 1e-14 tolerance
+        for _ in range(200):
+            lo = rng.uniform(-2.0, -0.5, m)
+            outer = BoxDomain(lo, lo + rng.uniform(1.0, 3.0, m), turns[rng.integers(4)])
+            inner_lo = rng.uniform(-2.2, 0.0, m)
+            share = rng.random() < 0.5  # the outer box's own rotation object
+            R = outer.rotation if share else turns[rng.integers(4)]
+            inner = BoxDomain(inner_lo, inner_lo + rng.uniform(0.1, 2.0, m), R)
+            assert outer.contains_box(inner) == _frame_rule(outer, inner)
+
+
+class TestBlockField:
+    """``block_field`` keeps the terms whose support lies in a block, in
+    their order, on the block's own axes."""
+
+    def test_terms_reindexed_to_the_block(self):
+        f = add_fields(
+            polynomial_field([(-1.0, (2, 0, 0)), (0.7, (0, 0, 0)), (0.3, (0, 1, 1)),
+                              (0.0, (1, 1, 0)), (-0.2, (0, 0, 3))]),
+            exponential_field(2.0, [0.0, 0.5, -0.25]), 1.0)
+        tail = f.terms[-1]
+        yz = certlap.problems.block_field(f, (1, 2))
+        assert yz.terms[:2] == ((0.3, ((0, 1), (1, 1)), None), (-0.2, ((1, 3),), None))
+        assert yz.terms[2][0] == tail[0] and np.array_equal(yz.terms[2][2], [0.5, -0.25])
+        # the zero term and the constant are dropped; with constants, the
+        # constant is kept in its place
+        assert certlap.problems.block_field(f, (0,)).terms == ((-1.0, ((0, 2),), None),)
+        assert certlap.problems.block_field(f, (0,), constants=True).terms == (
+            (-1.0, ((0, 2),), None), (0.7, (), None))
+        assert certlap.problems.block_field(f, (0, 1)).terms == ((-1.0, ((0, 2),), None),)
+
+    def test_blocks_sum_to_the_field_less_its_constants(self):
+        f = polynomial_field([(-1.0, (2, 0, 0)), (0.7, (0, 0, 0)), (0.3, (0, 1, 1)),
+                              (-0.2, (0, 0, 3)), (0.1, (1, 0, 0))])
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 3))
+        parts = [certlap.problems.block_field(f, b).evaluate(pts[:, list(b)])
+                 for b in ((0,), (1, 2))]
+        assert np.allclose(parts[0] + parts[1] + 0.7, f.evaluate(pts), rtol=0.0, atol=1e-15)
