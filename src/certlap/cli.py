@@ -278,10 +278,18 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
     )
 
     passed = True
-    for name in KNOWN_CHECKS:
-        if name in config.checks:
-            report["checks"][name], ok = CHECKS[name](spec, consts, config, sweep, measure, batch)
-            passed &= ok
+    try:
+        for name in KNOWN_CHECKS:
+            if name in config.checks:
+                report["checks"][name], ok = CHECKS[name](
+                    spec, consts, config, sweep, measure, batch)
+                passed &= ok
+    finally:
+        # an error raised by a check keeps this frame alive in its traceback
+        # as long as the error is held: the run's measures and batches end
+        # with the run, not with the error
+        measure.cache_clear()
+        batch.cache_clear()
     report["passed"] = bool(passed)
     report["status"] = 0 if passed else 1
     return report["status"], report
@@ -296,7 +304,10 @@ def _sampler_audit(meas, batch, seed: int) -> dict:
     n = batch.count
     rows = []
     ok = True
+    # the spread from the row-major draws, whose axis-0 summation order sets
+    # the boxes' last bits; membership from one contiguous row per axis
     sd = np.maximum(np.std(z, axis=0), 1e-3 * spec.domain.edges)
+    cols = np.ascontiguousarray(z.T)
     z_star = spec.z_star_of_N(meas.N)
     for _ in range(10):
         half = rng.uniform(0.5, 3.0, size=spec.dimension) * sd
@@ -307,7 +318,7 @@ def _sampler_audit(meas, batch, seed: int) -> dict:
             continue
         box = BoxDomain(lo, hi, spec.domain.rotation)
         p = measure_of(meas, box)
-        emp = float(np.mean(box.contains_rows(z)))
+        emp = float(np.mean(box.contains_columns(cols)))
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         good = abs(emp - p) <= 5.0 * se + 1e-9
         ok &= good
@@ -347,8 +358,9 @@ def write_outputs(report: dict, out_dir: str) -> tuple[str, str]:
     report_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "convergence.csv")
     with open(report_path, "w") as fh:
-        json.dump(strict_json(report), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        # one write, where json.dump writes once per encoder chunk
+        text = json.dumps(strict_json(report), indent=2, sort_keys=True, allow_nan=False)
+        fh.write(text + "\n")
     per_n = _per_n_columns(report.get("checks", {}))
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)

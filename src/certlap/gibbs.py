@@ -563,8 +563,11 @@ class _Envelope:
         if self.root is None:
             self.log_m_core = 0.5 * len(self.gauss) * math.log(2.0 * math.pi / self.prec)
         else:
-            # each row of a normal draw times unroot is U^-1 times that row
-            self.unroot = np.linalg.inv(self.root).T
+            # each row of a normal draw times unroot is U^-1 times that row,
+            # each row of d times root_t is U d.  Both are C-contiguous: on a
+            # transposed operand matmul leaves BLAS for a slower loop
+            self.unroot = np.ascontiguousarray(np.linalg.inv(self.root).T)
+            self.root_t = np.ascontiguousarray(self.root.T)
             self.log_m_core = (0.5 * len(self.gauss) * math.log(2.0 * math.pi)
                                - float(np.sum(np.log(np.diagonal(self.root)))))
         if self.axis is not None:
@@ -639,7 +642,7 @@ class _Envelope:
         d = np.subtract(z, self.z_n)
         g = d if self.axis is None else d[:, self.gauss]
         if self.root is not None:
-            g = g @ self.root.T  # each row U d
+            g = g @ self.root_t  # each row U d
         log_e = np.einsum("ki,ki->k", g, g)
         log_e *= -0.5 * self.prec if self.root is None else -0.5
         if self.axis is not None:
@@ -973,7 +976,7 @@ def _whiten(Y: np.ndarray, K: np.ndarray) -> np.ndarray:
     one right-hand side per row and costs several times as much.  On a
     diagonal K, L^-1 is diag(1 / L_jj), and both multiply column j by it."""
     L = np.linalg.cholesky(np.linalg.inv(K))
-    return Y @ np.linalg.inv(L).T
+    return Y @ np.ascontiguousarray(np.linalg.inv(L).T)
 
 
 # the fewest draws a KS test reads; RunConfig.validate rejects a smaller

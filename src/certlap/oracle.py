@@ -34,7 +34,13 @@ the panel depths already summed, a block with every axis pinned) is reused,
 not evaluated again; the products are formed in the same order, so the
 value is the same bit for bit.  ``evaluations`` counts the nodes of every
 block sum on the refinement path, reused or not: sum_B prod_{i in B} n_i
-per panel sum in place of prod_i n_i.
+per panel sum in place of prod_i n_i.  A one-axis block sum is one dot
+product of its weights and values, evaluated on the (n, 1) column of its
+nodes.  The panel nodes and weights of each (axis, clipped centre
+coordinate, depth, order) on the problem's own domain are built once per
+spec, so once per run, and kept read-only beside f(., N) and x*(N): Z(N)
+shares its centre with the g-integral, and a tilted MGF centre differs
+from x*(N) only on its tilted axis.
 """
 
 from __future__ import annotations
@@ -73,6 +79,10 @@ MAX_PANEL_DEPTH = 40
 # integrand and the same one as one block take the same path.
 _GAUSS_ORDER = {1: 32, 2: 12, 3: 12, 4: 12}
 _CHUNK = 2_000_000  # max tensor nodes evaluated at once
+# the most panel node lists one spec keeps for its own domain: a bound for a
+# long-lived spec, far above the 2-48 a catalog or workload run keeps (each
+# list is 120-5,248 nodes)
+_MAX_STORED_AXES = 512
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,18 @@ def _axis_nodes(lo: float, hi: float, center: float, depth: int, order: int):
     return nodes.ravel(), np.multiply.outer(half, ws).ravel()
 
 
+def _panel_store(spec: ProblemSpec, box: BoxDomain) -> dict:
+    """Where ``integrate`` keeps its ``_axis_nodes`` arrays, keyed by (axis,
+    clipped centre coordinate, depth, order).  On the spec's own domain it
+    is a store in the spec's cache beside f(., N) and x*(N), kept as long
+    as the spec (a run's), since Z(N), the MGFs and the probability sums
+    of one N build the same nodes; a sub-box's nodes are kept for the call
+    only, as ``measure_of``'s audit boxes do not repeat."""
+    if box is not spec.domain:
+        return {}
+    return spec._frame[2].setdefault("panel_nodes", {})
+
+
 def _tensor_sum(
     axes_nodes, axes_weights, exponent: Callable[[np.ndarray], np.ndarray],
     weight_fn: Optional[Callable[[np.ndarray], np.ndarray]],
@@ -126,7 +148,21 @@ def _tensor_sum(
     (block, n_1, ..., n_{m-1}, m) point buffer, filled by broadcasting each
     axis's nodes.  The quadrature weights are contracted one axis at a time:
     the outer product of the trailing axes' weights, built once, with ``@``,
-    then the first axis with ``np.dot``."""
+    then the first axis with ``np.dot``.
+
+    One axis of at most _CHUNK nodes is one block with no trailing weights:
+    the exponent is evaluated on the (n, 1) column view of the nodes and the
+    sums are one ``np.dot`` each, the value the general path forms (its
+    trailing weight is 1.0, which is exact, and its fsum has one term)."""
+    if len(axes_nodes) == 1 and len(axes_nodes[0]) <= _CHUNK:
+        pts, w = axes_nodes[0][:, None], axes_weights[0]
+        vals = np.exp(exponent(pts))
+        if weight_fn is not None:
+            vals *= weight_fn(pts)
+        total = float(np.dot(w, vals))
+        if weight_fn is not None and vals.min() < 0:  # exp is never negative
+            return total, float(np.dot(w, np.abs(vals))), len(w)
+        return total, total, len(w)
     m = len(axes_nodes)
     trailing = tuple(len(a) for a in axes_nodes[1:])
     inner = math.prod(trailing)
@@ -236,10 +272,13 @@ def integrate(
     not smooth), the call raises QuadratureBudgetError.  The value returned
     is Q_n, and |Q_n - Q_{n-2}| is its error estimate (an over-estimate: it
     is the error of Q_{n-2}).  A block sum formed once in the call is
-    reused wherever it recurs, not evaluated again.  ``evaluations`` counts
-    the nodes of every block sum on the refinement path, reused or not;
-    ``depths`` and ``order`` are the panel depths and Gauss order n the call
-    ended at.
+    reused wherever it recurs, not evaluated again, and a one-axis block
+    sum is one flat dot product.  On the spec's own domain the panel nodes
+    of each (axis, clipped centre coordinate, depth, order) are kept on the
+    spec (``_panel_store``) and built once for all its calls; a sub-box's
+    are built per call.  ``evaluations`` counts the nodes of every block sum
+    on the refinement path, reused or not; ``depths`` and ``order`` are the
+    panel depths and Gauss order n the call ended at.
     """
     N = int(N)
     m = spec.dimension
@@ -272,6 +311,18 @@ def integrate(
     ]
 
     sums = {}  # the block sums formed so far in this call
+    store = _panel_store(spec, box)
+
+    def nodes(i: int, depth: int, order: int):
+        key = (i, float(c[i]), depth, order)
+        got = store.get(key)
+        if got is None:
+            got = _axis_nodes(box.lower[i], box.upper[i], c[i], depth, order)
+            for a in got:
+                a.flags.writeable = False
+            if len(store) < _MAX_STORED_AXES:
+                store[key] = got
+        return got
 
     def panel_sum(depths, order: int, line: Optional[int] = None):
         """The order-``order`` sums on the panels of ``depths``, as products
@@ -285,7 +336,7 @@ def integrate(
             key = (k, order if max(levels) >= 0 else None, levels)
             if key not in sums:
                 axes = [
-                    _axis_nodes(box.lower[i], box.upper[i], c[i], depths[i], order)
+                    nodes(i, depths[i], order)
                     if line in (None, i) else (c[i:i + 1], np.ones(1))
                     for i in block
                 ]

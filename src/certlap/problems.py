@@ -108,12 +108,17 @@ class BoxDomain:
         lower - tol <= z <= upper + tol; tested one column at a time, which
         is several times faster than ``np.all(..., axis=1)`` over a
         row-major batch."""
-        z = np.asarray(z, dtype=float)
+        return self.contains_columns(np.asarray(z, dtype=float).T, tol)
+
+    def contains_columns(self, cols, tol: float = 0.0) -> np.ndarray:
+        """``contains_rows`` of the points whose coordinates on axis i are
+        ``cols[i]``: on a contiguous (m, n) copy each test reads one run of
+        memory, where a column of a row-major batch is strided."""
         lo, up = self.lower - tol, self.upper + tol
-        inside = np.ones(len(z), dtype=bool)
+        inside = np.ones(len(cols[0]), dtype=bool)
         for i in range(self.dimension):
-            inside &= z[:, i] >= lo[i]
-            inside &= z[:, i] <= up[i]
+            inside &= cols[i] >= lo[i]
+            inside &= cols[i] <= up[i]
         return inside
 
     def contains_box(self, other: "BoxDomain", tol: float = 1e-12) -> bool:
@@ -559,8 +564,9 @@ class ProblemSpec:
 
     # (inputs, (f_limit_box, sigma_box, g_box), cache): the fields in the
     # box frame, taken through the rotation once, and a cache of f(., N) by
-    # N and of x*(N) by (N, start, axis).  A dataclasses.replace copy whose
-    # inputs are the same objects keeps them.
+    # N, of x*(N) by (N, start, axis) and of the oracle's panel nodes on the
+    # domain under "panel_nodes".  A dataclasses.replace copy whose inputs
+    # are the same objects keeps them.
     _frame: tuple = field(default=(None,) * 3, repr=False, compare=False)
 
     def __post_init__(self):
@@ -680,17 +686,23 @@ def locate_maximum(
         g = fld.gradient(z)
         for i, ti in t:
             g[i] += ti
-        free = ~(pinned | (z <= lower) & (g < 0) | (z >= upper) & (g > 0))
+        out_low, out_up = ~pinned & (z <= lower) & (g < 0), ~pinned & (z >= upper) & (g > 0)
+        free = ~(pinned | out_low | out_up)
         if not np.any(g[free]):
+            # an axis held short of a bound its gradient points out of ends
+            # on the bound, where the value is higher by up to |g| 1e-13 edges
+            if np.any(out_low | out_up):
+                z_b = np.where(out_low, box.lower, np.where(out_up, box.upper, z))
+                f_b = value(z_b)
+                if f_b > f:
+                    z, f = z_b, f_b
             break
-        K = -fld.hessian(z)[free][:, free]
-        try:
-            np.linalg.cholesky(K)
-            newton, d_free = True, np.linalg.solve(K, g[free])
-        except np.linalg.LinAlgError:
+        d_free = _newton_step(-fld.hessian(z)[free][:, free], g[free])
+        newton = d_free is not None
+        if not newton:
             if np.max(np.abs(g[free])) <= 1e-12:
                 break
-            newton, d_free = False, g[free]
+            d_free = g[free]
         d = np.zeros_like(z)
         d[free] = d_free * min(1.0, cap / float(np.max(np.abs(d_free))))
         slack = 1e-13 * max(1.0, abs(f))  # the round-off a full step may lose
@@ -705,6 +717,22 @@ def locate_maximum(
         if moved <= (1e-9 * cap if newton else 0.0):
             break
     return z, f
+
+
+def _newton_step(K: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+    """K^-1 g where Cholesky passes K as positive definite, else None.  One
+    free axis takes Python floats, with the branch and the bits numpy gives
+    a 1 x 1 system (LAPACK's potrf refuses k <= 0 and passes NaN, and
+    np.linalg.solve returns g / k) at a twentieth of the cost; two or more
+    stay on LAPACK."""
+    if len(K) == 1:
+        k = float(K[0, 0])
+        return None if k <= 0.0 else np.array([float(g[0]) / k])
+    try:
+        np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(K, g)
 
 
 def _maximizer_of_n(spec: ProblemSpec, N: int, start: np.ndarray, axis: Optional[int]):

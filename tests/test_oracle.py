@@ -776,3 +776,103 @@ class TestOwnAxes:
         assert abs(split.log_abs_value - whole.log_abs_value) <= 1e-13
         assert (split.depths, split.order) == (whole.depths, whole.order)
         assert split.evaluations < whole.evaluations
+
+
+class TestOneAxisSum:
+    """A one-axis tensor sum is one dot product of the weights and the
+    values: bit for bit the blocked sum with a second axis of one node at
+    weight 1.0 that neither the exponent nor the weight reads."""
+
+    @pytest.mark.parametrize("n", [1, 120, 5248])
+    def test_equals_the_sum_with_a_unit_axis(self, n):
+        rng = np.random.default_rng(n)
+        nodes = np.sort(rng.uniform(-1.0, 1.0, n))
+        weights = rng.uniform(1e-3, 0.1, n)
+
+        def exponent(pts):
+            return -3.0 * pts[..., 0] ** 2 + 0.2 * pts[..., 0]
+
+        def changes_sign(pts):
+            return 0.3 - pts[..., 0]
+
+        def positive(pts):
+            return 1.5 + np.sin(pts[..., 0])
+
+        unit_axis = ([nodes, np.array([0.37])], [weights, np.ones(1)])
+        for w_fn in (changes_sign, positive, None):
+            one = oracle._tensor_sum([nodes], [weights], exponent, w_fn)
+            assert one == oracle._tensor_sum(*unit_axis, exponent, w_fn)
+            assert one[2] == n
+        # the |.| sum differs on a sign-changing weight, once a node has
+        # either sign
+        s, a, _ = oracle._tensor_sum([nodes], [weights], exponent, changes_sign)
+        assert a > abs(s) or n == 1
+
+
+def _node_builds(monkeypatch):
+    """Record the (lower, upper, centre, depth, order) of every panel node
+    list the oracle builds."""
+    builds = []
+    real = oracle._axis_nodes
+
+    def recording(lo, hi, center, depth, order):
+        builds.append((float(lo), float(hi), float(center), depth, order))
+        return real(lo, hi, center, depth, order)
+
+    monkeypatch.setattr(oracle, "_axis_nodes", recording)
+    return builds
+
+
+class TestPanelStore:
+    """The panel nodes of each (axis, centre coordinate, depth, order) on
+    the spec's own domain are built once per spec, kept read-only; a
+    sub-box's are built for the call."""
+
+    def test_second_call_builds_nothing_built_before(self, monkeypatch):
+        spec = get_problem("boundary3d")
+        builds = _node_builds(monkeypatch)
+        first = integrate(spec, 1600, tol=1e-10)
+        built = list(builds)
+        builds.clear()
+        # a tighter tol at the same centre goes deeper: only new panels
+        deeper = integrate(spec, 1600, tol=1e-13)
+        assert built and builds and not set(builds) & set(built)
+        assert deeper.depths != first.depths or deeper.order != first.order
+        builds.clear()
+        assert integrate(spec, 1600, tol=1e-10) == first
+        assert builds == []
+
+    def test_kept_arrays_are_read_only(self):
+        spec = get_problem("gauss3d")
+        integrate(spec, 400)
+        store = oracle._panel_store(spec, spec.domain)
+        assert store
+        for nodes, weights in store.values():
+            assert not nodes.flags.writeable and not weights.flags.writeable
+
+    def test_fresh_spec_starts_empty(self):
+        spec = get_problem("gauss3d")
+        integrate(spec, 400)
+        assert oracle._panel_store(spec, spec.domain)
+        fresh = get_problem("gauss3d")
+        assert oracle._panel_store(fresh, fresh.domain) == {}
+
+    def test_sub_box_stores_nothing(self, monkeypatch):
+        from certlap.gibbs import gibbs_measure, measure_of
+
+        spec = get_problem("gauss3d")
+        measure = gibbs_measure(spec, 400)
+        store = oracle._panel_store(spec, spec.domain)
+        kept = dict(store)
+        builds = _node_builds(monkeypatch)
+        measure_of(measure, BoxDomain([-0.5, -0.2, 0.0], [0.1, 0.3, 0.4]))
+        assert builds and store == kept
+
+    @pytest.mark.parametrize("name", ["gauss3d", "boundary3d", "mixed2d", "exp1d"])
+    def test_emptied_store_gives_the_same_value(self, name):
+        spec = get_problem(name)
+        tilt = linear_field([0.5] * spec.dimension, at=spec.z_star_of_N(100))
+        for kw in ({}, {"weight": UNIT_WEIGHT}, {"log_weight": tilt}):
+            kept = integrate(spec, 100, **kw)
+            oracle._panel_store(spec, spec.domain).clear()
+            assert integrate(spec, 100, **kw) == kept

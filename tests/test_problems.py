@@ -1123,3 +1123,76 @@ class TestBlockField:
         parts = [certlap.problems.block_field(f, b).evaluate(pts[:, list(b)])
                  for b in ((0,), (1, 2))]
         assert np.allclose(parts[0] + parts[1] + 0.7, f.evaluate(pts), rtol=0.0, atol=1e-15)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1.0, -1.0, 1e308,
+                math.inf, -math.inf, math.nan)
+
+
+def _numpy_step(K: np.ndarray, g: np.ndarray):
+    """The Newton step as LAPACK takes it: None where Cholesky refuses K."""
+    try:
+        np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        return np.linalg.solve(K, g)
+
+
+class TestNewtonStep:
+    """One free axis takes the Newton test and step on Python floats, with
+    the branch and the bits of numpy's Cholesky and solve."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(k=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64)),
+           g=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64)))
+    @example(k=0.0, g=1.0)
+    @example(k=-0.0, g=1.0)
+    @example(k=math.nan, g=1.0)
+    @example(k=math.inf, g=-2.0)
+    @example(k=5e-324, g=3.0)
+    @example(k=-2.0, g=0.5)
+    def test_one_axis_matches_numpy(self, k, g):
+        K, gv = np.array([[k]]), np.array([g])
+        expected = _numpy_step(K, gv)
+        got = certlap.problems._newton_step(K, gv)
+        if expected is None:
+            assert got is None
+            return
+        assert got is not None and got.shape == (1,) and got.dtype == np.float64
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert math.isnan(got[0]) or np.signbit(got[0]) == np.signbit(expected[0])
+
+    def test_two_axes_stay_on_lapack(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            A = rng.normal(size=(2, 2))
+            for K in (A @ A.T + 0.1 * np.eye(2), -A @ A.T):
+                g = rng.normal(size=2)
+                expected = _numpy_step(K, g)
+                got = certlap.problems._newton_step(K, g)
+                assert (got is None) == (expected is None)
+                assert got is None or np.array_equal(got, expected)
+
+
+class TestContainsColumns:
+    def test_transposed_copy_matches_rows(self):
+        rng = np.random.default_rng(5)
+        box = BoxDomain([-1.0, 0.0, -0.5], [1.0, 2.0, 0.5])
+        z = rng.uniform(-1.5, 2.5, size=(2000, 3))
+        z[::7, 1] = 2.0  # exactly on a bound
+        for tol in (0.0, 1e-12):
+            cols = np.ascontiguousarray(z.T)
+            assert np.array_equal(box.contains_columns(cols, tol), box.contains_rows(z, tol))
+
+
+class TestHeldAxisEndsOnTheBound:
+    def test_axis_held_short_of_its_bound_ends_on_it(self):
+        # f = -0.1 x^2 - x on [-0.99999, 0.99999] from 2e-13: the Newton step
+        # stops 2e-13 inside the lower bound, within the 1e-13-edge hold, where
+        # f is 1.6e-13 below its maximum on the bound
+        f = polynomial_field([(-0.1, (2,)), (-1.0, (1,)), (0.0, (3,))])
+        box = BoxDomain([-0.99999], [0.99999])
+        z, value = certlap.problems.locate_maximum(f, box, [2e-13])
+        assert z[0] == -0.99999
+        assert value == float(f.evaluate(np.array([-0.99999])))
