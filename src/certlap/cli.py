@@ -24,7 +24,12 @@ not above the problem's n_zero, grid_res < 16, safety_factor < 1,
 tol < 1e-14, sample_count < 1, or sample_count < 100 with the fluctuations
 check);
 3 an assumption violation (a certified constant or structural hypothesis
-failed, named in the message); 4 numerical budget exhaustion.
+failed, named in the message); a requested check's hypotheses that the
+spec alone decides (Proposition 1's eps(N) sqrt(N) nonincreasing, when
+preposition1 runs at an interior maximum) are checked before any check
+runs, so a problem that breaks one reports that violation, with nothing
+written, even where another check would have raised a different error
+first; 4 numerical budget exhaustion.
 
 ``run`` takes ten flags: ``--config FILE`` (JSON) and one per RunConfig
 field in kebab case, ``--problem``, ``--n-sweep``, ``--grid-res``,
@@ -111,6 +116,7 @@ from .gibbs import (
     measure_of,
     mgf_X,
     mgf_Y,
+    require_proposition1,
     sample,
     tilted_maximizer_check,
 )
@@ -264,6 +270,10 @@ def run_checks(config: RunConfig) -> tuple[int, dict]:
     }
     if sweep[0] <= spec.n_zero:
         raise ConfigError(f"every sweep N must exceed n_zero={spec.n_zero}")
+    # a requested check's hypotheses that the spec alone decides are checked
+    # before any check does work
+    if "preposition1" in config.checks and spec.maximum.kind == INTERIOR:
+        require_proposition1(spec)
     consts = estimate_constants(
         spec, grid_res=config.grid_res, n_sweep=sweep, safety_factor=config.safety_factor
     )

@@ -73,11 +73,11 @@ from .problems import (
     UNIT_WEIGHT,
     BoxDomain,
     ProblemSpec,
+    _maximizer_of_n,
     axis_blocks,
     gauss_block,
     limit_axes,
     linear_field,
-    locate_maximum,
 )
 
 # ---------------------------------------------------------------------------
@@ -150,14 +150,12 @@ def _limit_rate(spec: ProblemSpec, axis: int) -> float:
 
 def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, what: str):
     """The tilted exponent must still peak strictly inside the certified
-    neighborhood; returns the tilted maximizer (box frame)."""
-    z0 = spec.z_star_of_N(N)
+    neighborhood; returns the tilted maximizer (box frame, read-only),
+    solved from x*(N) once per N and tilt by ``problems._maximizer_of_n``."""
     axis, _, _ = limit_axes(spec)
-    fixed = None
-    if axis is not None and abs(tilt_gradient[axis]) < 1e-15:
-        fixed = {axis: z0[axis]}
-    z_t, _ = locate_maximum(spec.f_of_box(N), spec.domain, z0, fixed_axes=fixed,
-                            tilt=tilt_gradient)
+    z0 = spec.z_star_of_N(N)
+    pinned = axis if axis is not None and abs(tilt_gradient[axis]) < 1e-15 else None
+    z_t = _maximizer_of_n(spec, N, z0, pinned, tilt_gradient)
     if not spec.maximum.neighborhood.contains_z(z_t, tol=1e-9 * np.min(spec.domain.edges)):
         raise TiltTooLargeError(
             f"{what}: tilted maximizer {z_t} leaves the certified neighborhood"
@@ -201,8 +199,7 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
         raise ValueError("xi must have the problem dimension")
     xi_box = spec.domain.to_box(xi)
     sqrtN = math.sqrt(N)
-    # the CLT needs eps(N) sqrt(N) -> 0
-    violated = spec.epsilon.scale > 0 and spec.epsilon.exponent >= -0.5
+    violated = not spec.epsilon.sqrt_n_vanishes
     eps_n = spec.epsilon.evaluate(N)
     expected = max(1.0 / sqrtN, eps_n * sqrtN)
     z_star = spec.z_star
@@ -305,6 +302,17 @@ def maximum_drift_check(spec: ProblemSpec, consts: ConstantsReport, n_sweep) -> 
 # tilted-maximizer estimates
 # ---------------------------------------------------------------------------
 
+def require_proposition1(spec: ProblemSpec) -> None:
+    """Raise for Proposition 1's hypothesis that the spec alone decides,
+    "eps(N) sqrt(N) nonincreasing" (``EpsilonSchedule.sqrt_n_nonincreasing``).
+    ``cli.run_checks`` calls it before any check runs when the preposition1
+    check is requested at an interior maximum."""
+    if not spec.epsilon.sqrt_n_nonincreasing:
+        raise AssumptionViolationError(
+            "epsilon_sqrtN", "eps(N) sqrt(N) must be nonincreasing on the sweep"
+        )
+
+
 def tilted_maximizer_check(spec: ProblemSpec, xi, n_sweep) -> list[dict]:
     """Per-N bounded-ratio statistics for the tilted exponent
     f~(x, N) = f(x, N) + xi . (x - x*) / sqrt(N) at an interior maximum:
@@ -318,10 +326,7 @@ def tilted_maximizer_check(spec: ProblemSpec, xi, n_sweep) -> list[dict]:
         raise TheoremMismatchError("tilted-maximizer estimates require an interior maximum")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     sweep = [int(n) for n in n_sweep]
-    if spec.epsilon.scale > 0 and spec.epsilon.exponent > -0.5:
-        raise AssumptionViolationError(
-            "epsilon_sqrtN", "eps(N) sqrt(N) must be nonincreasing on the sweep"
-        )
+    require_proposition1(spec)
     box = spec.domain
     xi_box = box.to_box(xi)
     z_star = spec.z_star

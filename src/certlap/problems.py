@@ -525,6 +525,18 @@ class EpsilonSchedule:
     def evaluate(self, n) -> float:
         return self.scale * float(n) ** self.exponent
 
+    @property
+    def sqrt_n_nonincreasing(self) -> bool:
+        """Proposition 1's hypothesis "eps(N) sqrt(N) nonincreasing": the
+        scale is 0 or the exponent is at most -1/2."""
+        return self.scale == 0 or self.exponent <= -0.5
+
+    @property
+    def sqrt_n_vanishes(self) -> bool:
+        """The CLT's hypothesis "eps(N) sqrt(N) -> 0": the scale is 0 or the
+        exponent is below -1/2."""
+        return self.scale == 0 or self.exponent < -0.5
+
 
 @dataclass(frozen=True)
 class MaximumInfo:
@@ -564,9 +576,9 @@ class ProblemSpec:
 
     # (inputs, (f_limit_box, sigma_box, g_box), cache): the fields in the
     # box frame, taken through the rotation once, and a cache of f(., N) by
-    # N, of x*(N) by (N, start, axis) and of the oracle's panel nodes on the
-    # domain under "panel_nodes".  A dataclasses.replace copy whose inputs
-    # are the same objects keeps them.
+    # N, of its maximizers by (N, start, axis, tilt) and of the oracle's
+    # panel nodes on the domain under "panel_nodes".  A dataclasses.replace
+    # copy whose inputs are the same objects keeps them.
     _frame: tuple = field(default=(None,) * 3, repr=False, compare=False)
 
     def __post_init__(self):
@@ -666,57 +678,88 @@ def locate_maximum(
     gradient, which is how the term list of ``add_fields(f,
     linear_field(t), 1.0)`` sums, bit for bit, with no field built.
 
-    Returns (z, value)."""
+    Returns (z, value).  The masks, the step scaling, the clip and the line
+    search run on Python floats, which round as numpy's elementwise float64
+    operations do; the Cholesky test, the solve and the dot product g . (z_t -
+    z) stay on numpy, so every z is the bits of the same loop on arrays."""
     t = [] if tilt is None else [(int(i), float(tilt[i])) for i in np.flatnonzero(tilt)]
 
     def value(z):
         v = float(fld.evaluate(z))
         for i, ti in t:
-            v += float(z[i]) * ti
+            v += z[i] * ti
         return v
 
+    m = box.dimension
     fixed_axes = fixed_axes or {}
-    z = np.asarray(start, dtype=float).copy()
-    z[list(fixed_axes)] = list(fixed_axes.values())
-    pinned = np.zeros(box.dimension, dtype=bool)
-    pinned[list(fixed_axes)] = True
-    cap, f = 0.25 * float(np.min(box.edges)), value(z)
-    lower, upper = box.lower + 1e-13 * box.edges, box.upper - 1e-13 * box.edges
+    z = np.array(start, dtype=float).tolist()
+    for i, v in fixed_axes.items():
+        z[i] = float(v)
+    pinned = [i in fixed_axes for i in range(m)]
+    lo, up = box.lower.tolist(), box.upper.tolist()
+    edges = [b - a for a, b in zip(lo, up)]
+    cap, f = 0.25 * min(edges), value(z)
+    lower = [a + 1e-13 * e for a, e in zip(lo, edges)]
+    upper = [b - 1e-13 * e for b, e in zip(up, edges)]
     for _ in range(200):
-        g = fld.gradient(z)
+        g_np = fld.gradient(z)
         for i, ti in t:
-            g[i] += ti
-        out_low, out_up = ~pinned & (z <= lower) & (g < 0), ~pinned & (z >= upper) & (g > 0)
-        free = ~(pinned | out_low | out_up)
-        if not np.any(g[free]):
+            g_np[i] += ti
+        g = g_np.tolist()
+        # -1 held at the lower bound, 1 at the upper one, 0 free
+        held = [0 if pinned[i] else -1 if z[i] <= lower[i] and g[i] < 0
+                else 1 if z[i] >= upper[i] and g[i] > 0 else 0 for i in range(m)]
+        free = [i for i in range(m) if not (pinned[i] or held[i])]
+        if not any(g[i] for i in free):
             # an axis held short of a bound its gradient points out of ends
             # on the bound, where the value is higher by up to |g| 1e-13 edges
-            if np.any(out_low | out_up):
-                z_b = np.where(out_low, box.lower, np.where(out_up, box.upper, z))
+            if any(held):
+                z_b = [lo[i] if h < 0 else up[i] if h > 0 else z[i] for i, h in enumerate(held)]
                 f_b = value(z_b)
                 if f_b > f:
                     z, f = z_b, f_b
             break
-        d_free = _newton_step(-fld.hessian(z)[free][:, free], g[free])
+        H, g_free = fld.hessian(z), g_np
+        if len(free) < m:
+            H, g_free = H[free][:, free], g_np[free]
+        d_free = _newton_step(-H, g_free)
         newton = d_free is not None
-        if not newton:
-            if np.max(np.abs(g[free])) <= 1e-12:
+        if newton:
+            d_free = d_free.tolist()
+        else:
+            if all(abs(g[i]) <= 1e-12 for i in free):
                 break
-            d_free = g[free]
-        d = np.zeros_like(z)
-        d[free] = d_free * min(1.0, cap / float(np.max(np.abs(d_free))))
+            d_free = [g[i] for i in free]
+        scale = min(1.0, cap / _abs_max(d_free))
+        d = [0.0] * m
+        for i, di in zip(free, d_free):
+            d[i] = di * scale
         slack = 1e-13 * max(1.0, abs(f))  # the round-off a full step may lose
         for k in range(41):
-            z_t = box.clip(z + 0.5**k * d)
-            f_t, rise = value(z_t), float(g @ (z_t - z))
+            s = 0.5**k
+            z_t = [_clip(zi + s * di, a, b) for zi, di, a, b in zip(z, d, lo, up)]
+            step = [a - b for a, b in zip(z_t, z)]
+            f_t, rise = value(z_t), float(g_np @ np.array(step))
             if (rise > 0 and f_t - f >= 1e-4 * rise) or (k == 0 and f_t >= f - slack):
                 break
         else:
             break
-        moved, z, f = float(np.max(np.abs(z_t - z))), z_t, f_t
-        if moved <= (1e-9 * cap if newton else 0.0):
+        z, f = z_t, f_t
+        if all(abs(v) <= (1e-9 * cap if newton else 0.0) for v in step):
             break
-    return z, f
+    return np.array(z), f
+
+
+def _clip(x: float, lo: float, up: float) -> float:
+    """np.clip of one float: the max with lo, then the min with up, each
+    keeping x on a tie (so the sign of a zero) and NaN."""
+    x = x if x > lo or x != x else lo
+    return x if x < up or x != x else up
+
+
+def _abs_max(v: list) -> float:
+    """np.max(np.abs(v)) of a nonempty list of floats: NaN if any entry is."""
+    return math.nan if any(x != x for x in v) else max(map(abs, v))
 
 
 def _newton_step(K: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
@@ -735,16 +778,23 @@ def _newton_step(K: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
     return np.linalg.solve(K, g)
 
 
-def _maximizer_of_n(spec: ProblemSpec, N: int, start: np.ndarray, axis: Optional[int]):
-    """x*(N), box frame: ``start`` when f(., N) is the same at every N, else
-    f(., N)'s maximizer solved from ``start`` with ``axis`` (if any) pinned,
-    cached read-only next to f(., N) in the spec's frame."""
-    if spec.f_same_at_every_n:
+def _maximizer_of_n(spec: ProblemSpec, N: int, start: np.ndarray, axis: Optional[int],
+                    tilt: Optional[np.ndarray] = None):
+    """The maximizer of f(., N) + tilt . x (box frame) solved from ``start``
+    with ``axis`` (if any) pinned; x*(N) is the untilted one, and is
+    ``start`` itself when f(., N) is the same at every N.  Every solve of a
+    run is cached read-only next to f(., N) in the spec's frame under (N,
+    start, axis, tilt), N left out when f(., N) is the same at every N, so
+    each distinct maximizer is solved once."""
+    same = spec.f_same_at_every_n
+    if tilt is None and same:
         return start
-    cache, key = spec._frame[2], (int(N), start.tobytes(), axis)
+    key = (None if same else int(N), start.tobytes(), axis,
+           None if tilt is None else tilt.tobytes())
+    cache = spec._frame[2]
     if key not in cache:  # two threads may both solve it; it is the same
         fixed = None if axis is None else {axis: start[axis]}
-        cache[key] = _freeze(locate_maximum(spec.f_of_box(N), spec.domain, start, fixed)[0])
+        cache[key] = _freeze(locate_maximum(spec.f_of_box(N), spec.domain, start, fixed, tilt)[0])
     return cache[key]
 
 
@@ -814,10 +864,23 @@ def default_n_zero(
     """Smallest admissible threshold: the first N whose window fits inside
     the neighborhood, minus one (so that N > n_zero admits it).  The window
     radius and the maximizer drift both shrink with N, so exponential search
-    plus bisection suffices."""
+    plus bisection suffices.
+
+    A window wider than the neighborhood on an axis where the neighborhood
+    stops short of both faces of the domain fits nowhere, so such an N is
+    refused without solving x*(N): a fit there needs z - r and z + r
+    within the neighborhood's 1e-12 slack, so 2 r at most its width plus
+    that slack and the round-off of z +- r, which the margin covers."""
+    reach = math.inf
+    for i in range(neighborhood.dimension):
+        lo, up = neighborhood.lower[i], neighborhood.upper[i]
+        if domain.lower[i] < lo - 1e-12 and domain.upper[i] > up + 1e-12:
+            margin = 1e-9 * (1.0 + abs(domain.lower[i]) + abs(domain.upper[i]))
+            reach = min(reach, float(up - lo) + margin)
 
     def fits(n: int) -> bool:
-        return window_fits(neighborhood, z_star_of_N(n), kind, n, domain)
+        return (2.0 * window_radius(kind, n) <= reach
+                and window_fits(neighborhood, z_star_of_N(n), kind, n, domain))
 
     hi = 1
     while not fits(hi):

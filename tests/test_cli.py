@@ -596,3 +596,49 @@ def test_fluctuations_need_the_ks_minimum(tmp_path, capsys):
     assert not (out / "report.json").exists()
     RunConfig(problem="gauss1d", checks=("fluctuations",), sample_count=KS_MIN_SAMPLES).validate()
     RunConfig(problem="gauss1d", checks=("sampler",), sample_count=50).validate()
+
+
+class TestSpecOnlyHypotheses:
+    """A requested check's hypotheses that the spec alone decides are
+    checked before any check does work."""
+
+    def test_viol1d_raises_before_any_check_runs(self, monkeypatch):
+        from certlap.errors import AssumptionViolationError
+
+        calls = []
+
+        def refuse(name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+
+            return wrapper
+
+        for module, name in ((certlap.cli, "estimate_constants"), (certlap.cli, "gibbs_measure"),
+                             (certlap.cli, "sample"), (certlap.cli, "integrate"),
+                             (certlap.gibbs, "gibbs_measure"), (certlap.gibbs, "integrate")):
+            monkeypatch.setattr(module, name, refuse(name))
+        cfg = RunConfig(problem="viol1d", checks=KNOWN_CHECKS, sample_count=20_000, seed=1)
+        with pytest.raises(AssumptionViolationError) as err:
+            run_checks(cfg)
+        assert str(err.value) == (
+            "epsilon_sqrtN: eps(N) sqrt(N) must be nonincreasing on the sweep")
+        assert calls == []
+
+    def test_viol1d_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--problem", "viol1d", "--checks", ",".join(KNOWN_CHECKS),
+                     "--output-path", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "assumption violation: epsilon_sqrtN: eps(N) sqrt(N) must be nonincreasing "
+            "on the sweep\n")
+        assert not out.exists()
+
+    def test_viol1d_without_preposition1_still_passes(self, tmp_path):
+        code = main(["run", "--problem", "viol1d", "--checks", "laplace,lln,fluctuations",
+                     "--sample-count", "20000", "--output-path", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        # the CLT's hypothesis is flagged, not raised
+        assert report["checks"]["fluctuations"]["hypothesis_violated"]

@@ -262,6 +262,16 @@ class TestEpsilonRules:
                 rows = tilted_maximizer_check(spec, [1.0], sweep)
                 assert [r["N"] for r in rows] == list(sweep)
 
+    def test_rules_written_once_on_the_schedule(self):
+        """The two rules keep the tests the CLT flag and the tilted estimates
+        made before they moved onto EpsilonSchedule."""
+        for scale, exponent in itertools.product(
+                [0.0, -0.0, 5e-324, 0.3, 1.0, 1e300],
+                [-5e-324, -0.25, -0.5 + 2**-53, -0.5, -0.5 - 2**-53, -0.75, -1.0, -math.inf]):
+            eps = EpsilonSchedule(scale, exponent)
+            assert eps.sqrt_n_vanishes is not (scale > 0 and exponent >= -0.5)
+            assert eps.sqrt_n_nonincreasing is not (scale > 0 and exponent > -0.5)
+
 
 class TestTiltedEstimates:
     def test_gauss1d_quadratic_exactness(self, specs):
@@ -289,6 +299,31 @@ class TestTiltedEstimates:
     def test_interior_only(self, specs):
         with pytest.raises(TheoremMismatchError):
             tilted_maximizer_check(specs["exp1d"], [1.0], SWEEP)
+
+    def test_each_maximizer_solved_once_per_run(self, monkeypatch):
+        """A full-check drift1d run solves each (N, tilt, pinned axis) once:
+        in 1-D mgf_Y and Proposition 1 tilt by the same xi / sqrt(N)."""
+        import certlap.problems
+        from certlap.cli import run_checks
+        from certlap.config import KNOWN_CHECKS, RunConfig
+
+        keys = []
+        real = certlap.problems.locate_maximum
+
+        def counting(fld, box, start, fixed_axes=None, tilt=None):
+            terms = tuple((c, p, None if r is None else r.tobytes()) for c, p, r in fld.terms)
+            keys.append((terms, np.asarray(start, dtype=float).tobytes(),
+                         tuple(sorted((fixed_axes or {}).items())),
+                         None if tilt is None else np.asarray(tilt, dtype=float).tobytes()))
+            return real(fld, box, start, fixed_axes, tilt)
+
+        monkeypatch.setattr(certlap.problems, "locate_maximum", counting)
+        status, _ = run_checks(RunConfig(problem="drift1d", checks=KNOWN_CHECKS,
+                                         sample_count=20_000, seed=1))
+        assert status == 0
+        assert len(keys) == len(set(keys))
+        # mgf_X's xi / N and the shared xi / sqrt(N) at each of the four N
+        assert sum(k[3] is not None for k in keys) == 8
 
 
 class TestSampler:

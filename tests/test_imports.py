@@ -84,14 +84,15 @@ def test_one_expectation_path():
 
 
 def test_one_maximizer_solve():
-    """x*(N) is derived from the spec's own f(., N) by one solver: besides
-    it, only classify_maximum (the limit maximizer) and the tilted-maximizer
-    check (on f(., N)'s own handles, with the tilt) run locate_maximum.  No
-    module stores x*(N) as state, and only f(., N)'s assembly adds fields.
-    Every field is evaluated by ScalarField.evaluate: no module defines or
-    imports a second evaluator."""
+    """x*(N) and every tilted maximizer of f(., N) are solved by one cached
+    solver: besides it, only classify_maximum (the limit maximizer) runs
+    locate_maximum, and the tilt check reads the solver.  No module stores
+    x*(N) as state, and only f(., N)'s assembly adds fields.  Every field is
+    evaluated by ScalarField.evaluate: no module defines or imports a second
+    evaluator."""
     assert _callers("locate_maximum") == {
-        "problems.classify_maximum", "problems._maximizer_of_n", "gibbs._check_tilt_inside"}
+        "problems.classify_maximum", "problems._maximizer_of_n"}
+    assert "gibbs._check_tilt_inside" in _callers("_maximizer_of_n")
     assert _callers("add_fields") == {"problems.f_of_box"}
     assert [p.name for p in sorted(SRC.glob("*.py")) if "x_star_of_N" in p.read_text()] == []
     found = []

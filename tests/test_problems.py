@@ -28,6 +28,7 @@ from certlap import (
 )
 from certlap.errors import (
     AmbiguousMaximumError,
+    DomainError,
     NonUniqueMaximumError,
 )
 from certlap.config import problem_from_config
@@ -1196,3 +1197,190 @@ class TestHeldAxisEndsOnTheBound:
         z, value = certlap.problems.locate_maximum(f, box, [2e-13])
         assert z[0] == -0.99999
         assert value == float(f.evaluate(np.array([-0.99999])))
+
+
+def _array_loop(fld, box, start, fixed_axes=None, tilt=None):
+    """locate_maximum's loop with every mask, step and line search on numpy
+    arrays, as it was written before it moved to Python floats: the
+    reference its bits are held to."""
+    t = [] if tilt is None else [(int(i), float(tilt[i])) for i in np.flatnonzero(tilt)]
+
+    def value(z):
+        v = float(fld.evaluate(z))
+        for i, ti in t:
+            v += float(z[i]) * ti
+        return v
+
+    fixed_axes = fixed_axes or {}
+    z = np.asarray(start, dtype=float).copy()
+    z[list(fixed_axes)] = list(fixed_axes.values())
+    pinned = np.zeros(box.dimension, dtype=bool)
+    pinned[list(fixed_axes)] = True
+    cap, f = 0.25 * float(np.min(box.edges)), value(z)
+    lower, upper = box.lower + 1e-13 * box.edges, box.upper - 1e-13 * box.edges
+    for _ in range(200):
+        g = fld.gradient(z)
+        for i, ti in t:
+            g[i] += ti
+        out_low, out_up = ~pinned & (z <= lower) & (g < 0), ~pinned & (z >= upper) & (g > 0)
+        free = ~(pinned | out_low | out_up)
+        if not np.any(g[free]):
+            if np.any(out_low | out_up):
+                z_b = np.where(out_low, box.lower, np.where(out_up, box.upper, z))
+                f_b = value(z_b)
+                if f_b > f:
+                    z, f = z_b, f_b
+            break
+        d_free = certlap.problems._newton_step(-fld.hessian(z)[free][:, free], g[free])
+        newton = d_free is not None
+        if not newton:
+            if np.max(np.abs(g[free])) <= 1e-12:
+                break
+            d_free = g[free]
+        d = np.zeros_like(z)
+        d[free] = d_free * min(1.0, cap / float(np.max(np.abs(d_free))))
+        slack = 1e-13 * max(1.0, abs(f))
+        for k in range(41):
+            z_t = box.clip(z + 0.5**k * d)
+            f_t, rise = value(z_t), float(g @ (z_t - z))
+            if (rise > 0 and f_t - f >= 1e-4 * rise) or (k == 0 and f_t >= f - slack):
+                break
+        else:
+            break
+        moved, z, f = float(np.max(np.abs(z_t - z))), z_t, f_t
+        if moved <= (1e-9 * cap if newton else 0.0):
+            break
+    return z, f
+
+
+_CLIP_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, -0.5, 1.0, -1.0, 2.0, math.inf,
+                -math.inf, math.nan)
+
+
+class TestPythonFloatLoop:
+    """locate_maximum's masks, step scaling, clip and line search run on
+    Python floats, with the bits of the same loop on numpy arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(st.sampled_from(_CLIP_FLOATS), st.floats(width=64)),
+           lo=st.one_of(st.sampled_from(_CLIP_FLOATS[:-3]), st.floats(-1e3, 1e3)),
+           width=st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+    @example(x=0.0, lo=-0.0, width=0.0)
+    @example(x=-0.0, lo=0.0, width=0.0)
+    @example(x=0.0, lo=-1.0, width=1.0)  # up = -1.0 + 1.0 = 0.0
+    def test_clip_is_numpys(self, x, lo, width):
+        up = lo + width
+        got = certlap.problems._clip(x, lo, up)
+        ref = np.clip(np.array([x]), np.array([lo]), np.array([up]))[0]
+        assert _bits(got) == _bits(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64)),
+                    min_size=1, max_size=4))
+    def test_abs_max_is_numpys(self, v):
+        assert _bits(certlap.problems._abs_max(v)) == _bits(np.max(np.abs(np.array(v))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_term_lists(), st.data())
+    def test_every_solve_is_the_array_loops_bit_for_bit(self, case, data):
+        terms, start = case
+        m = start.size
+        f = certlap.problems._term_field(terms)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lower = rng.uniform(-2.5, -0.5, m)
+        box = BoxDomain(lower, lower + rng.uniform(0.5, 4.0, m))
+        start = box.clip(start)
+        tilt = None
+        if data.draw(st.booleans()):
+            tilt = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(-2.0, 2.0, m))
+        fixed = None
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, m - 1))
+            fixed = {i: start[i]}
+        with np.errstate(all="ignore"):
+            ref = _array_loop(f, box, start, fixed, tilt)
+            got = certlap.problems.locate_maximum(f, box, start, fixed, tilt)
+        assert _bits(got[0]) == _bits(ref[0]) and _bits(got[1]) == _bits(ref[1])
+
+    def test_catalog_maximizers_are_the_array_loops(self):
+        """Every x*(N) and tilted maximizer a drifting catalog problem asks
+        for at the default sweep."""
+        for name in ("drift1d", "eps1d", "viol1d"):
+            spec = get_problem(name)
+            for n in (25, 100, 400, 1600):
+                z0 = spec.z_star_of_N(n)
+                for tilt in (None, np.array([0.5 / n]), np.array([1.0 / math.sqrt(n)])):
+                    start = spec.z_star if tilt is None else z0
+                    got = certlap.problems.locate_maximum(spec.f_of_box(n), spec.domain,
+                                                          start, None, tilt)
+                    ref = _array_loop(spec.f_of_box(n), spec.domain, start, None, tilt)
+                    assert _bits(got[0]) == _bits(ref[0]) and _bits(got[1]) == _bits(ref[1])
+
+
+def _reference_n_zero(domain, neighborhood, kind, z_star_of_N):
+    """default_n_zero's search with x*(N) solved at every probe."""
+    def fits(n):
+        return certlap.problems.window_fits(neighborhood, z_star_of_N(n), kind, n, domain)
+
+    hi = 1
+    while not fits(hi):
+        hi *= 2
+        if hi > 10**9:
+            return None
+    lo = hi // 2
+    while hi - lo > 1 and lo >= 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return max(1, hi - 1)
+
+
+class TestNZeroSkip:
+    """default_n_zero refuses, without solving x*(N), an N whose window is
+    wider than the neighborhood on an axis where the neighborhood stops
+    short of both faces of the domain, and finds the same threshold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 3), kind=st.sampled_from([INTERIOR, BOUNDARY]), data=st.data())
+    def test_same_threshold_as_solving_every_probe(self, m, kind, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lower = rng.uniform(-3.0, 0.0, m)
+        domain = BoxDomain(lower, lower + rng.uniform(0.2, 3.0, m))
+        # a neighborhood inside the domain, touching a face on some axes
+        a, b = np.sort(rng.uniform(domain.lower, domain.upper, (2, m)), axis=0)
+        a = np.where(rng.random(m) < 0.3, domain.lower, a)
+        b = np.where(rng.random(m) < 0.3, domain.upper, np.maximum(b, a + 1e-3))
+        b = np.minimum(b, domain.upper)
+        nb = BoxDomain(a, b)
+        z_inf = rng.uniform(a, b)
+        drift = rng.uniform(-0.5, 0.5, m) * data.draw(st.sampled_from([0.0, 1e-3, 1.0]))
+        rate = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+
+        def z_of_n(n):
+            return domain.clip(z_inf + drift * float(n) ** -rate)
+
+        ref = _reference_n_zero(domain, nb, kind, z_of_n)
+        if ref is None:
+            with pytest.raises(DomainError):
+                certlap.problems.default_n_zero(domain, nb, kind, z_of_n)
+        else:
+            assert certlap.problems.default_n_zero(domain, nb, kind, z_of_n) == ref
+
+    def test_small_n_probes_are_not_solved(self):
+        # drift1d: f = -x^2 / 2 + N^-1 x on [-1, 1], neighborhood [-0.25, 0.25]
+        spec = get_problem("drift1d")
+        nb = spec.maximum.neighborhood
+        solved = []
+
+        def z_of_n(n):
+            solved.append(n)
+            return spec.z_star_of_N(n)
+
+        n_zero = certlap.problems.default_n_zero(spec.domain, nb, INTERIOR, z_of_n)
+        assert n_zero == spec.n_zero
+        # 2 N^-1/3 > width for every N below (2 / width)^3
+        width = float(nb.upper[0] - nb.lower[0])
+        assert solved and min(solved) > (2.0 / width) ** 3 / 2
+        assert n_zero == _reference_n_zero(spec.domain, nb, INTERIOR, spec.z_star_of_N)
