@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -448,28 +447,26 @@ def _cell_geometry(lower: tuple, nb_lower: tuple, nb_upper: tuple, upper: tuple)
     return geo
 
 
-# The Hessians on the coupled Gaussian blocks' sub-grids, where f(., N) has
-# the same curvature at every N: keyed weakly by the Hessian handle of the
-# field they were taken from, which lives as long as the spec that built it,
-# so a run takes them once and drops them with its spec.
-_BLOCK_HESSIANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _block_hessians(spec: ProblemSpec, consts: ConstantsReport, N: int, blocks) -> tuple:
     """The (n, k, k) Hessian block of f(., N) on each of ``blocks`` at the
     nodes of the block's neighborhood sub-grid, the constants grid at
     ``consts.grid_res`` (the other axes pinned at the centre).  Where the
     curvature is the same at every N they come from the field at the
-    sweep's first N, as the constants' do, and are taken once per spec."""
+    sweep's first N, as the constants' do, and are kept in the spec's cache
+    under ("block_hessians", N, blocks, grid_res), so taken once per spec;
+    elsewhere they are taken for each call."""
     nb = spec.maximum.neighborhood
     fixed = spec.curvature_same_at_every_n
-    f = spec.f_of_box(consts.n_sweep[0] if fixed else N)
-    key = (tuple(blocks), tuple(nb.lower), tuple(nb.upper), consts.grid_res)
-    kept = _BLOCK_HESSIANS.setdefault(f.hessian, {}) if fixed else {}
-    if key not in kept:
-        kept[key] = tuple(gauss_block(hessians_on(f, nb.grid_points(consts.grid_res, b)), b)
-                          for b in blocks)
-    return kept[key]
+    N = consts.n_sweep[0] if fixed else N
+    f = spec.f_of_box(N)
+
+    def build() -> tuple:
+        return tuple(gauss_block(hessians_on(f, nb.grid_points(consts.grid_res, b)), b)
+                     for b in blocks)
+
+    if not fixed:
+        return build()
+    return spec.cached(("block_hessians", N, tuple(blocks), consts.grid_res), build)
 
 
 def _row_bounds(H: np.ndarray, h_star: np.ndarray) -> np.ndarray:

@@ -38,9 +38,10 @@ per panel sum in place of prod_i n_i.  A one-axis block sum is one dot
 product of its weights and values, evaluated on the (n, 1) column of its
 nodes.  The panel nodes and weights of each (axis, clipped centre
 coordinate, depth, order) on the problem's own domain are built once per
-spec, so once per run, and kept read-only beside f(., N) and x*(N): Z(N)
-shares its centre with the g-integral, and a tilted MGF centre differs
-from x*(N) only on its tilted axis.
+spec, so once per run, and kept read-only in the spec's cache beside
+f(., N) and x*(N), which a ``dataclasses.replace`` copy does not share:
+Z(N) shares its centre with the g-integral, and a tilted MGF centre
+differs from x*(N) only on its tilted axis.
 """
 
 from __future__ import annotations
@@ -128,13 +129,13 @@ def _axis_nodes(lo: float, hi: float, center: float, depth: int, order: int):
 def _panel_store(spec: ProblemSpec, box: BoxDomain) -> dict:
     """Where ``integrate`` keeps its ``_axis_nodes`` arrays, keyed by (axis,
     clipped centre coordinate, depth, order).  On the spec's own domain it
-    is a store in the spec's cache beside f(., N) and x*(N), kept as long
-    as the spec (a run's), since Z(N), the MGFs and the probability sums
-    of one N build the same nodes; a sub-box's nodes are kept for the call
-    only, as ``measure_of``'s audit boxes do not repeat."""
+    is the spec's cached "panel_nodes" store, kept as long as the spec (a
+    run's) and never shared with a copy, since Z(N), the MGFs and the
+    probability sums of one N build the same nodes; a sub-box's nodes are
+    kept for the call only, as ``measure_of``'s audit boxes do not repeat."""
     if box is not spec.domain:
         return {}
-    return spec._frame[2].setdefault("panel_nodes", {})
+    return spec.cached("panel_nodes", dict)
 
 
 def _tensor_sum(
@@ -274,11 +275,12 @@ def integrate(
     is the error of Q_{n-2}).  A block sum formed once in the call is
     reused wherever it recurs, not evaluated again, and a one-axis block
     sum is one flat dot product.  On the spec's own domain the panel nodes
-    of each (axis, clipped centre coordinate, depth, order) are kept on the
-    spec (``_panel_store``) and built once for all its calls; a sub-box's
-    are built per call.  ``evaluations`` counts the nodes of every block sum
-    on the refinement path, reused or not; ``depths`` and ``order`` are the
-    panel depths and Gauss order n the call ended at.
+    of each (axis, clipped centre coordinate, depth, order) are kept in the
+    spec's own cache (``_panel_store``) and built once for all its calls,
+    not for a copy's; a sub-box's are built per call.  ``evaluations``
+    counts the nodes of every block sum on the refinement path, reused or
+    not; ``depths`` and ``order`` are the panel depths and Gauss order n
+    the call ended at.
     """
     N = int(N)
     m = spec.dimension

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -207,9 +207,9 @@ class ScalarField:
     ``evaluate`` takes a point of shape (m,) or a batch (..., m) and returns
     a scalar / (...) array.  ``gradient`` (..., m), ``hessian`` (..., m, m)
     and ``third_tensor`` (..., m, m, m) are derived from the terms by the
-    product rule (``_term_handles``); a ``dataclasses.replace`` copy that
-    keeps the terms keeps the handles, and so the derivative tables they
-    build.
+    product rule (``_term_handles``).  The handles, and the ``block_field``
+    views, are made in ``__post_init__`` and belong to this field alone: a
+    ``dataclasses.replace`` copy makes its own.
 
     ``coupling`` lists blocks of axes such that the field is a sum of
     functions that each read one block: the connected components of the
@@ -220,30 +220,19 @@ class ScalarField:
 
     terms: tuple
     coupling: Coupling = None
-    # (terms, handles, block fields by (block, constants)), rebuilt only
-    # when the terms are not the ones the handles were derived from
-    _derived: tuple = field(default=(None, None, None), repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.terms, tuple):
             raise TypeError(f"a ScalarField needs a tuple of terms, not {type(self.terms)}")
-        if self._derived[0] is not self.terms:
-            object.__setattr__(self, "_derived", (self.terms, _term_handles(self.terms), {}))
+        handles = _term_handles(self.terms)
+        object.__setattr__(self, "gradient", handles[0])
+        object.__setattr__(self, "hessian", handles[1])
+        object.__setattr__(self, "third_tensor", handles[2])
+        # block fields by (block, constants)
+        object.__setattr__(self, "_block_fields", {})
 
     def evaluate(self, pts):
         return _eval_terms(self.terms, pts)
-
-    @property
-    def gradient(self) -> Callable:
-        return self._derived[1][0]
-
-    @property
-    def hessian(self) -> Callable:
-        return self._derived[1][1]
-
-    @property
-    def third_tensor(self) -> Callable:
-        return self._derived[1][2]
 
 
 def _power(x: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
@@ -355,7 +344,7 @@ def block_field(fld: ScalarField, block, constants: bool = False) -> ScalarField
     its entries on the block.  A term that reads no axis is kept only with
     ``constants``.  Built once per field, block and ``constants``; two
     threads may both build it, and it is the same."""
-    cache, key = fld._derived[2], (tuple(block), constants)
+    cache, key = fld._block_fields, (tuple(block), constants)
     if key not in cache:
         pos = {i: k for k, i in enumerate(block)}
         terms = []
@@ -563,7 +552,13 @@ class MaximumInfo:
 class ProblemSpec:
     """One Laplace problem: integral of g(x) exp(N f(x, N)) over the domain,
     with f(x, N) = f_limit(x) + epsilon(N) * sigma(x).  The dimension is
-    the domain's, n_zero the maximum's, and x*(N) derived from f(., N)."""
+    the domain's, n_zero the maximum's, and x*(N) derived from f(., N).
+
+    ``__post_init__`` takes the fields into the box frame once
+    (``f_limit_box``, ``sigma_box``, ``g_box``) and makes the spec's one
+    cache, empty, for the values a run reuses (``cached``).  Neither is a
+    dataclass field, so a ``dataclasses.replace`` copy makes its own and
+    shares nothing with this spec."""
 
     name: str
     domain: BoxDomain
@@ -574,23 +569,27 @@ class ProblemSpec:
     epsilon: EpsilonSchedule = EpsilonSchedule()
     exact_integral: Optional[Callable[[int], float]] = None
 
-    # (inputs, (f_limit_box, sigma_box, g_box), cache): the fields in the
-    # box frame, taken through the rotation once, and a cache of f(., N) by
-    # N, of its maximizers by (N, start, axis, tilt) and of the oracle's
-    # panel nodes on the domain under "panel_nodes".  A dataclasses.replace
-    # copy whose inputs are the same objects keeps them.
-    _frame: tuple = field(default=(None,) * 3, repr=False, compare=False)
-
     def __post_init__(self):
         if not self.domain.contains_box(self.maximum.neighborhood):
             raise ValueError("neighborhood must be contained in the domain")
-        inputs = (self.name, self.domain, self.f_limit, self.sigma, self.g, self.epsilon)
-        old = self._frame[0]
-        if old is None or any(a is not b for a, b in zip(old, inputs)):
-            R = self.domain.rotation
-            sigma_box = None if self.sigma is None else rotated_view(self.sigma, R)
-            fields = (rotated_view(self.f_limit, R), sigma_box, rotated_view(self.g, R))
-            object.__setattr__(self, "_frame", (inputs, fields, {}))
+        R = self.domain.rotation
+        sigma_box = None if self.sigma is None else rotated_view(self.sigma, R)
+        object.__setattr__(self, "f_limit_box", rotated_view(self.f_limit, R))
+        object.__setattr__(self, "sigma_box", sigma_box)
+        object.__setattr__(self, "g_box", rotated_view(self.g, R))
+        object.__setattr__(self, "_cache", {})
+
+    def cached(self, key, build: Callable[[], object]):
+        """The value this spec keeps under ``key``, made by ``build()`` on
+        the first call and returned as it is to every later one.  The key
+        names its slot first: ("f", N) for f(., N), ("x", N, start, axis,
+        tilt) for a maximizer, "panel_nodes" for the oracle's node store and
+        ("block_hessians", N, blocks, grid_res) for the sampler's Hessian
+        grids.  Two threads may both build a value; it is the same."""
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build()
+        return got
 
     @property
     def dimension(self) -> int:
@@ -599,18 +598,6 @@ class ProblemSpec:
     @property
     def n_zero(self) -> int:
         return self.maximum.n_zero
-
-    @property
-    def f_limit_box(self) -> ScalarField:
-        return self._frame[1][0]
-
-    @property
-    def sigma_box(self) -> Optional[ScalarField]:
-        return self._frame[1][1]
-
-    @property
-    def g_box(self) -> ScalarField:
-        return self._frame[1][2]
 
     @property
     def f_same_at_every_n(self) -> bool:
@@ -640,15 +627,10 @@ class ProblemSpec:
     def f_of_box(self, N: int) -> ScalarField:
         """f(., N) = f_limit + epsilon(N) * sigma in the box frame, at any N
         (the N > n_zero gate belongs to the certified approximations).  One
-        field per N is kept, so its derivative tables are built once; two
-        threads may both build it, and it is the same field."""
+        field per N is kept, so its derivative tables are built once."""
         N = int(N)
-        cache = self._frame[2]
-        f = cache.get(N)
-        if f is None:
-            f = add_fields(self.f_limit_box, self.sigma_box, self.epsilon.evaluate(N))
-            cache[N] = f
-        return f
+        return self.cached(("f", N), lambda: add_fields(
+            self.f_limit_box, self.sigma_box, self.epsilon.evaluate(N)))
 
 
 # ---------------------------------------------------------------------------
@@ -763,39 +745,39 @@ def _abs_max(v: list) -> float:
 
 
 def _newton_step(K: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
-    """K^-1 g where Cholesky passes K as positive definite, else None.  One
-    free axis takes Python floats, with the branch and the bits numpy gives
-    a 1 x 1 system (LAPACK's potrf refuses k <= 0 and passes NaN, and
-    np.linalg.solve returns g / k) at a twentieth of the cost; two or more
-    stay on LAPACK."""
+    """K^-1 g where Cholesky passes K as positive definite and the solve
+    succeeds, else None.  One free axis takes Python floats, with the branch
+    and the bits numpy gives a 1 x 1 system (LAPACK's potrf refuses k <= 0
+    and passes NaN, and np.linalg.solve returns g / k) at a twentieth of the
+    cost; two or more stay on LAPACK.  Cholesky can pass a K that is rank
+    one up to rounding with a tiny pivot, which the LU solve then finds
+    exactly singular: that K takes a gradient step too."""
     if len(K) == 1:
         k = float(K[0, 0])
         return None if k <= 0.0 else np.array([float(g[0]) / k])
     try:
         np.linalg.cholesky(K)
+        return np.linalg.solve(K, g)
     except np.linalg.LinAlgError:
         return None
-    return np.linalg.solve(K, g)
 
 
 def _maximizer_of_n(spec: ProblemSpec, N: int, start: np.ndarray, axis: Optional[int],
                     tilt: Optional[np.ndarray] = None):
     """The maximizer of f(., N) + tilt . x (box frame) solved from ``start``
     with ``axis`` (if any) pinned; x*(N) is the untilted one, and is
-    ``start`` itself when f(., N) is the same at every N.  Every solve of a
-    run is cached read-only next to f(., N) in the spec's frame under (N,
-    start, axis, tilt), N left out when f(., N) is the same at every N, so
-    each distinct maximizer is solved once."""
+    ``start`` itself when f(., N) is the same at every N.  Every solve is
+    kept in the spec's cache under ("x", N, start, axis, tilt), N left out
+    when f(., N) is the same at every N, so each distinct maximizer is
+    solved once per spec."""
     same = spec.f_same_at_every_n
     if tilt is None and same:
         return start
-    key = (None if same else int(N), start.tobytes(), axis,
+    key = ("x", None if same else int(N), start.tobytes(), axis,
            None if tilt is None else tilt.tobytes())
-    cache = spec._frame[2]
-    if key not in cache:  # two threads may both solve it; it is the same
-        fixed = None if axis is None else {axis: start[axis]}
-        cache[key] = _freeze(locate_maximum(spec.f_of_box(N), spec.domain, start, fixed, tilt)[0])
-    return cache[key]
+    return spec.cached(key, lambda: _freeze(locate_maximum(
+        spec.f_of_box(N), spec.domain, start,
+        None if axis is None else {axis: start[axis]}, tilt)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +890,8 @@ def classify_maximum(
     package it with ``neighborhood`` (default: ``default_neighborhood``) and
     the least threshold whose window fits it.  x*(N) is solved as the
     finished spec derives it (``_maximizer_of_n`` from its z_star), into
-    ``spec``'s cache, which a copy with the same fields shares.
+    ``spec``'s own cache: a finished copy made with ``dataclasses.replace``
+    starts with an empty one and solves x*(N) again, to the same bits.
 
     Raises AmbiguousMaximumError when the maximizer hugs a face but neither
     the interior nor the boundary criteria hold, and NonUniqueMaximumError

@@ -375,6 +375,35 @@ def test_one_sample_batch_per_n(monkeypatch):
     assert sorted(calls) == [(n, 20_000) for n in cfg.n_sweep]
 
 
+def test_held_error_keeps_no_sample_batch(monkeypatch):
+    """A check that raises after the batches are drawn leaves run_checks'
+    frame in the error's traceback; holding the error must not hold the
+    run's batches."""
+    import gc
+    import weakref
+
+    refs = []
+    real = certlap.cli.sample
+
+    def drawing(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        refs.append(weakref.ref(batch))
+        return batch
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(certlap.cli, "sample", drawing)
+    monkeypatch.setattr(certlap.cli, "tilted_maximizer_check", failing)
+    cfg = RunConfig(problem="gauss1d", checks=("fluctuations", "preposition1"),
+                    sample_count=2000, seed=1)
+    with pytest.raises(RuntimeError) as held:
+        run_checks(cfg)
+    gc.collect()
+    assert held.value.__traceback__ is not None
+    assert len(refs) == len(cfg.n_sweep) and all(ref() is None for ref in refs)
+
+
 def _inline_demo(**extra):
     return {
         "name": "demo",

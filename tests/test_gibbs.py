@@ -1221,23 +1221,33 @@ class TestMatrixCore:
     def test_hessian_grid_once_per_run(self, monkeypatch):
         """One Hessian grid per run where the curvature is the same at every
         N (quad2d, sigma = x), one per N where it is not (sigma = x^2), and
-        none kept once the run's spec is gone."""
+        none kept once the run's spec, which holds them, is gone."""
         import gc
+        import weakref
 
         import certlap.gibbs
         from certlap.cli import run_checks
         from certlap.config import RunConfig
 
-        calls = []
+        calls, refs = [], []
         real = certlap.gibbs.hessians_on
         monkeypatch.setattr(certlap.gibbs, "hessians_on",
                             lambda f, pts: calls.append(len(pts)) or real(f, pts))
+        real_blocks = certlap.gibbs._block_hessians
+
+        def spy(spec, *args):
+            grids = real_blocks(spec, *args)
+            refs.extend(weakref.ref(x) for x in (spec, *grids))
+            return grids
+
+        monkeypatch.setattr(certlap.gibbs, "_block_hessians", spy)
         quadsig = dict(INLINE["quad2d"], name="quadsig2d", sigma=_poly((1.0, (2, 0))))
         for problem, grids in ((INLINE["quad2d"], 1), (quadsig, len(SWEEP))):
             calls.clear()
+            refs.clear()
             status, _ = run_checks(RunConfig(problem=problem, checks=("fluctuations", "sampler"),
                                              sample_count=2000, seed=1))
             assert status == 0
             assert calls == [65 * 65] * grids
             gc.collect()
-            assert len(certlap.gibbs._BLOCK_HESSIANS) == 0
+            assert refs and all(ref() is None for ref in refs)

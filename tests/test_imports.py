@@ -4,6 +4,7 @@ only third-party package it reaches."""
 
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 import certlap
+import certlap.gibbs
+import certlap.oracle
 
 SRC = Path(certlap.__file__).parent
 
@@ -157,7 +160,48 @@ def test_epsilon_and_fields_are_plain_data():
     fields = [f.name for f in dataclasses.fields(certlap.EpsilonSchedule)]
     assert fields == ["scale", "exponent"]
     fields = [f.name for f in dataclasses.fields(certlap.ScalarField)]
-    assert fields == ["terms", "coupling", "_derived"]
+    assert fields == ["terms", "coupling"]
+
+
+def _memo_name(node) -> str | None:
+    """``lru_cache`` or ``cache`` when the expression is that decorator,
+    bare, called or reached through ``functools``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def test_one_cache_per_spec():
+    """Every per-problem value lives in the spec's one cache, which only
+    problems.py reads, behind ProblemSpec.cached: no module imports weakref,
+    and the module-level memos are the three bounded ones of pure functions
+    of plain numbers."""
+    weak, memos, readers = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                weak += [path.name for a in node.names if a.name.split(".")[0] == "weakref"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "weakref":
+                weak.append(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr in ("_cache", "_block_fields"):
+                readers.append(path.name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                memos += [node.name for d in node.decorator_list if _memo_name(d)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                memos += [f"{path.name}:{node.lineno}" for n in ast.walk(node.value)
+                          if isinstance(n, ast.Call) and _memo_name(n)]
+    assert weak == []
+    assert sorted(memos) == ["_blocks", "_cell_geometry", "_leggauss"]
+    assert set(readers) == {"problems.py"}
+    for module, fn in ((certlap.oracle, "_panel_store"), (certlap.gibbs, "_block_hessians")):
+        source = ast.parse(inspect.getsource(getattr(module, fn)))
+        assert any(isinstance(n, ast.Attribute) and n.attr == "cached" for n in ast.walk(source))
+    spec = certlap.get_problem("gauss1d")
+    spec.f_of_box(100)
+    assert dataclasses.replace(spec)._cache == {}
 
 
 def _fresh_python(code: str) -> str:

@@ -170,10 +170,10 @@ class TestAssembleF:
         assert spec.f_of_box(100) is spec.f_of_box(100.0)
         assert spec.f_of_box(100) is not spec.f_of_box(101)
 
-    def test_inline_problem_keeps_the_draft_fields(self, monkeypatch):
+    def test_inline_problem_shares_no_cache_with_the_draft(self, monkeypatch):
         # problem_from_config classifies a draft spec and returns a copy with
-        # the maximum filled in: the copy reuses the draft's box-frame fields
-        # and every f(., N) the classification built
+        # the maximum filled in: the copy starts with an empty cache of its
+        # own and derives the same f(., N) and x*(N) as the draft did
         drafts = []
         real = certlap.grammar.classify_maximum
         monkeypatch.setattr(certlap.grammar, "classify_maximum",
@@ -192,14 +192,23 @@ class TestAssembleF:
         })
         (draft,) = drafts
         assert spec is not draft and spec.maximum is not draft.maximum
+        assert spec._cache == {} and draft._cache
         for name in ("f_limit_box", "sigma_box", "g_box"):
-            assert getattr(spec, name) is getattr(draft, name)
+            mine, drafts_own = getattr(spec, name), getattr(draft, name)
+            assert mine is not drafts_own and _term_bits(mine) == _term_bits(drafts_own)
         assert spec.f_limit_box is not spec.f_limit  # taken through the rotation
-        # the classification solved x*(N) at N = n_zero + 1
-        assert draft.f_of_box(spec.n_zero + 1) is spec.f_of_box(spec.n_zero + 1)
-        assert draft.f_of_box(400) is spec.f_of_box(400)
+        # the classification solved x*(N) at N = n_zero + 1 into the draft's
+        # cache; the finished spec solves it again, to the same bits
+        n = spec.n_zero + 1
+        key = ("x", n, spec.z_star.tobytes(), spec.maximum.boundary_axis, None)
+        assert _bits(spec.z_star_of_N(n)) == _bits(draft._cache[key])
+        assert spec.f_of_box(n) is not draft.f_of_box(n)
+        assert _term_bits(spec.f_of_box(n)) == _term_bits(draft.f_of_box(n))
+        kept = {id(v) for v in draft._cache.values()}
+        assert spec._cache and not kept & {id(v) for v in spec._cache.values()}
         # a copy with another field builds its own
         other = replace(spec, g=constant_field(2.0))
+        assert other._cache == {}
         assert other.g_box is not spec.g_box and other.f_of_box(400) is not spec.f_of_box(400)
 
     @settings(max_examples=100, deadline=None)
@@ -639,6 +648,12 @@ def _bits(values) -> list:
     return [float(v).hex() for v in np.atleast_1d(np.asarray(values, dtype=float))]
 
 
+def _term_bits(fld) -> list:
+    """A field's terms with every float as its hex form."""
+    return [(_bits(c), powers, None if rate is None else _bits(rate))
+            for c, powers, rate in fld.terms]
+
+
 def _drifting(eps, n_zero=19):
     box = BoxDomain([-1.0], [1.0])
     info = MaximumInfo(
@@ -1022,6 +1037,32 @@ class TestLocateMaximum:
         ref = self.locate(add_fields(f, linear_field(t), 1.0), box, start, fixed)
         got = self.locate(f, box, start, fixed, tilt=t)
         assert _bits(got[0]) == _bits(ref[0]) and _bits(got[1]) == _bits(ref[1])
+
+    def test_rank_one_free_block_takes_a_gradient_step(self):
+        """-H of c x_1 exp(r . x) on the free axes 0 and 2 is r r^T times a
+        scalar, rank one: Cholesky passes it on a pivot rounding left
+        positive, and the LU solve finds it exactly singular.  The step is
+        then a gradient step, and a tilt still gives the bits of the added
+        linear field."""
+        K = np.array([[0.008561298344544808, -0.008630846165807608],
+                      [-0.008630846165807608, 0.008700958959723825]])
+        g = np.array([-0.018549399829516155, 0.018700086126378756])
+        np.linalg.cholesky(K)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(K, g)
+        assert certlap.problems._newton_step(K, g) is None
+        rate = np.array([0.46154045, 0.0, -0.46528978])
+        f = certlap.problems._term_field([(-0.14553945247744202, ((1, 1),), rate)])
+        box = BoxDomain([-2.0] * 3, [2.0] * 3)
+        start = np.array([0.96167068, 0.37108397, 0.30091855])
+        fixed = {1: start[1]}
+        z, _ = self.locate(f, box, start, fixed)
+        np.testing.assert_array_equal(z, [-2.0, start[1], 2.0])
+        t = np.array([0.885953, 0.101417, 0.0])
+        ref = self.locate(add_fields(f, linear_field(t), 1.0), box, start, fixed)
+        got = self.locate(f, box, start, fixed, tilt=t)
+        assert _bits(got[0]) == _bits(ref[0]) and _bits(got[1]) == _bits(ref[1])
+        np.testing.assert_array_equal(got[0], [2.0, start[1], 2.0])
 
     @settings(max_examples=60, deadline=None)
     @given(
