@@ -11,14 +11,14 @@ depend on how a caller partitions the work.
 The neighborhood extremes are taken block by block over the coupling of
 f(., N) (``ScalarField.coupling``, with every axis no block reads a block of
 its own).  f is a sum of functions of one block each, so its Hessian and
-third tensor are block diagonal and each block's entries depend on that
-block's coordinates only.  The eigenvalues of a block-diagonal matrix are
-those of its blocks, and its determinant is the product of theirs (Horn &
-Johnson, *Matrix Analysis*, 2nd ed., 2013, §0.9).  The neighborhood grid is
-the product of its blocks' sub-grids, and each pointwise quantity is
-monotone in each block's term, so its extreme over the grid is a
-combination of per-block extremes, each taken on the block's own nodes with
-the other axes pinned at the neighborhood centre: F2, the top eigenvalue
+third tensor are block diagonal, each block's entries those of the block's
+own field (``problems.block_field``) on the block's coordinates.  The
+eigenvalues of a block-diagonal matrix are those of its blocks, and its
+determinant is the product of theirs (Horn & Johnson, *Matrix Analysis*,
+2nd ed., 2013, §0.9).  The neighborhood grid is the product of its blocks'
+sub-grids, and each pointwise quantity is monotone in each block's term, so
+its extreme over the grid is a combination of per-block extremes, each
+taken on the block's own sub-grid: F2, the top eigenvalue
 and F2_prime are the max / min over blocks, lambda and Lambda the products
 of the blocks' least / largest |det| (exp of the summed log |det|, as
 ``np.linalg.det`` forms a determinant), F3 the root of the sum of the
@@ -32,8 +32,8 @@ adds them axis by axis, and LAPACK reduces a block whose axes are not
 consecutive in another order.
 
 A field whose coupling is None is one block: the full grid.  G and G1
-are taken on the axes g reads.  The complement gap and ``audit_constants``
-stay pointwise.
+are taken likewise on the axes g reads.  The complement gap and
+``audit_constants`` stay pointwise.
 
 f(., N) = f + eps(N) sigma is taken at each N of the sweep only where it
 can change with N.  It is the same field at every N when sigma is None or
@@ -59,7 +59,7 @@ import numpy as np
 
 from .derivatives import gradients_on, hessians_on, third_norms_on
 from .errors import AssumptionViolationError, DefinitenessError, FieldEvaluationError
-from .problems import ProblemSpec, axis_blocks, gauss_block, limit_axes, read_axes
+from .problems import ProblemSpec, axis_blocks, block_field, gauss_block, limit_axes, read_axes
 
 # audit_constants draws this many neighbourhood points, and up to as many
 # complement points, and allows each check this multiplicative slack
@@ -94,23 +94,21 @@ def _check_finite(arr, what):
         raise FieldEvaluationError(f"non-finite {what} on the constants grid")
 
 
-def _curvature_extremes(f_n, pts, gauss, axes=None) -> dict:
+def _curvature_extremes(fld, pts, gauss) -> dict:
     """Extremes over ``pts`` of the pointwise quantities behind the
-    curvature constants, on the block ``axes`` (default every axis) of
-    the Hessian and third tensor, keyed by constant name: ``top``, the
-    largest eigenvalue on the block's Gaussian axes, and ``log_lambda`` /
-    ``log_Lambda``, the least / largest log |det| there.  A block with no
-    Gaussian axis (the exponential axis alone, or a one-dimensional
-    boundary problem) has determinant 1 and no such eigenvalues."""
-    axes = list(range(pts.shape[-1])) if axes is None else list(axes)
-    H = hessians_on(f_n, pts)
+    curvature constants of ``fld``, keyed by constant name: ``top``, the
+    largest eigenvalue on the Gaussian axes ``gauss`` (positions among
+    ``fld``'s axes), and ``log_lambda`` / ``log_Lambda``, the least /
+    largest log |det| there.  A field with no Gaussian axis (the
+    exponential axis alone, or a one-dimensional boundary problem) has
+    determinant 1 and no such eigenvalues."""
+    H = hessians_on(fld, pts)
     _check_finite(H, "Hessian")
-    H = gauss_block(H, axes)
     eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
-    T = third_norms_on(f_n, pts, axes)
+    T = third_norms_on(fld, pts)
     _check_finite(T, "third tensor")
-    Hg = gauss_block(H, [k for k, i in enumerate(axes) if i in gauss])
-    # on a block of Gaussian axes only, Hg is H itself
+    Hg = gauss_block(H, gauss)
+    # on Gaussian axes only, Hg is H itself
     eig_g = eigs if Hg is H else np.linalg.eigvalsh(0.5 * (Hg + np.swapaxes(Hg, -1, -2)))
     # |det| = exp(log |det|), as np.linalg.det forms it
     log_dets = np.linalg.slogdet(Hg)[1]
@@ -186,13 +184,13 @@ def estimate_constants(
     the exponential axis; the full Hessian norm backs F2 in both cases.
 
     The neighborhood extremes are taken on each block of the coupling of
-    f(., N): on the block's axes the nodes are the neighborhood grid's, and
-    the other axes are pinned at its centre.  Entries across blocks vanish
-    identically and the node set is the full grid's, so combining the
-    blocks' extremes (module docstring) is exact.  A field whose coupling
-    is None is one block, the full grid.  G (on the domain grid) and G1 (on
-    the neighborhood grid) are taken on the axes g reads, the other axes
-    pinned at the centre: one point for a constant g.  The complement
+    f(., N) by the block's own field (``block_field``) on its sub-grid of
+    the neighborhood grid.  Entries across blocks vanish identically and
+    the node set is the full grid's, so combining the blocks' extremes
+    (module docstring) is exact.  A field whose coupling is None is one
+    block, the full grid.  G (on the domain grid) and G1 (on the
+    neighborhood grid) are taken likewise on the axes g reads: one point,
+    of no coordinates, for a constant g.  The complement
     gap is taken at every domain node outside the neighborhood, and the
     full domain grid is built only when there is such a node.
 
@@ -221,12 +219,12 @@ def estimate_constants(
         np.any((nodes < nb.lower[i] - 1e-12) | (nodes > nb.upper[i] + 1e-12))
         for i, nodes in enumerate(box.grid_axes(grid_res))
     )
-    g_box = spec.g_box
-    g_axes = read_axes(g_box.coupling, m)
-    g_abs = np.abs(g_box.evaluate(box.grid_points(grid_res, g_axes)))
+    g_axes = read_axes(spec.g_box.coupling, m)
+    g_b = block_field(spec.g_box, g_axes, constants=True)
+    g_abs = np.abs(g_b.evaluate(box.grid_points(grid_res, g_axes)))
     _check_finite(g_abs, "g")
     G = float(np.max(g_abs))
-    g_grads = gradients_on(g_box, nb.grid_points(grid_res, g_axes))
+    g_grads = gradients_on(g_b, nb.grid_points(grid_res, g_axes))
     _check_finite(g_grads, "grad g")
     G1 = float(np.max(np.linalg.norm(g_grads, axis=-1)))
 
@@ -240,11 +238,11 @@ def estimate_constants(
         f_n = spec.f_of_box(N)
         exts = []
         for b in axis_blocks(f_n.coupling, m):
-            pts = nb.grid_points(grid_res, b)
-            if N in curvature_sweep:
-                exts.append(_curvature_extremes(f_n, pts, gauss, b))
+            f_b, pts = block_field(f_n, b), nb.grid_points(grid_res, b)
+            if N in curvature_sweep:  # the Gaussian axes as positions in b
+                exts.append(_curvature_extremes(f_b, pts, [b.index(i) for i in b if i in gauss]))
             if axis in b:
-                F1p = min(F1p, _least_slope(f_n, pts, axis))
+                F1p = min(F1p, _least_slope(f_b, pts, b.index(axis)))
         if not exts:
             continue  # the first N's curvature is this N's
         ext = _combine(exts)

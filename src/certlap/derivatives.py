@@ -27,15 +27,10 @@ def hessians_on(fld: ScalarField, pts: np.ndarray) -> np.ndarray:
     return np.asarray(fld.hessian(pts), dtype=float)
 
 
-def third_norms_on(fld: ScalarField, pts: np.ndarray, axes=None) -> np.ndarray:
-    """Frobenius norms of the third tensors at ``pts``, restricted to the
-    entries on ``axes`` (default every axis).  The squares are summed one
-    index at a time, the last first, so where only the (i, i, i) entries
-    are nonzero the squared norm is the sum of their squares in axis
+def third_norms_on(fld: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the third tensors at ``pts``.  The squares are
+    summed one index at a time, the last first, so where only the (i, i, i)
+    entries are nonzero the squared norm is the sum of their squares in axis
     order."""
     T = np.asarray(fld.third_tensor(pts), dtype=float)
-    if axes is not None and len(axes) < T.shape[-1]:
-        idx = np.asarray(axes, dtype=np.intp)
-        T = T[..., idx[:, None, None], idx[:, None], idx]
     return np.sqrt(np.sum(np.sum(np.sum(T * T, axis=-1), axis=-1), axis=-1))
-

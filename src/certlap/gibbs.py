@@ -22,14 +22,13 @@ at a boundary maximum) on the neighborhood, one constant per cell off it.
 On a coupling block of several Gaussian axes the core is a matrix Gaussian
 from the local curvature at x*(N), less Gershgorin row bounds on how much
 the Hessian can rise over the neighborhood.
-Each proposal is labelled with the piece that drew it and read against
-that piece alone; the mass of the pieces gives the predicted acceptance,
-which sizes the proposal blocks, and every draw read is checked against E'.
-The cells are geometry, fixed by the domain and the neighborhood and built
-once for every N of a sweep; only their bounds are values of N.  A block
-whose picks all fall to the core (at large N the core holds nearly all the
-mass) is drawn and read with no labels gathered or scattered, and gives the
-same draws.
+Each proposal is read against the piece that drew it alone, as it is
+drawn; the mass of the pieces gives the predicted acceptance, which sizes
+the proposal blocks, and every draw read is checked against E'.  The cells
+are geometry, fixed by the domain and the neighborhood and built once for
+every N of a sweep; only their bounds are values of N.  A block whose picks
+all fall to the core (at large N the core holds nearly all the mass) is
+drawn and read with nothing scattered, and gives the same draws.
 
 ``mgf_Y`` tests the N -> infinity law.  The draws are tested against the
 law at finite N instead: ``empirical_limit_test`` rescales them about
@@ -74,6 +73,7 @@ from .problems import (
     ProblemSpec,
     _maximizer_of_n,
     axis_blocks,
+    block_field,
     gauss_block,
     limit_axes,
     linear_field,
@@ -162,13 +162,21 @@ def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, wha
     return z_t
 
 
+def _tilt_vector(spec: ProblemSpec, xi) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, xi in the box frame): ``xi`` as a float vector, which must have
+    the problem dimension."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.shape != (spec.dimension,):
+        raise ValueError("xi must have the problem dimension")
+    return xi, spec.domain.to_box(xi)
+
+
 def mgf_X(measure: GibbsMeasure, xi) -> MgfReport:
     """MGF of the identity vector under the Gibbs measure, as a quadrature
     ratio, against the constant-limit prediction exp(xi . x*)."""
     spec = measure.spec
     N = measure.N
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    xi_box = spec.domain.to_box(xi)
+    xi, xi_box = _tilt_vector(spec, xi)
     z_t = _check_tilt_inside(spec, N, xi_box / N, "mgf_X")
     mgf = _expectation(measure, linear_field(xi_box), center=z_t)
     pred = math.exp(float(xi @ spec.maximum.x_star))
@@ -192,11 +200,7 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
     the factor rate / (rate - xi_1)."""
     spec = measure.spec
     N = measure.N
-    m = spec.dimension
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.size != m:
-        raise ValueError("xi must have the problem dimension")
-    xi_box = spec.domain.to_box(xi)
+    xi, xi_box = _tilt_vector(spec, xi)
     sqrtN = math.sqrt(N)
     violated = not spec.epsilon.sqrt_n_vanishes
     eps_n = spec.epsilon.evaluate(N)
@@ -323,11 +327,9 @@ def tilted_maximizer_check(spec: ProblemSpec, xi, n_sweep) -> list[dict]:
     with Sigma = (-D^2 f(x*))^{-1}."""
     if spec.maximum.kind != INTERIOR:
         raise TheoremMismatchError("tilted-maximizer estimates require an interior maximum")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     sweep = [int(n) for n in n_sweep]
     require_proposition1(spec)
-    box = spec.domain
-    xi_box = box.to_box(xi)
+    _, xi_box = _tilt_vector(spec, xi)
     z_star = spec.z_star
     Sigma = _limit_covariance(spec)
 
@@ -448,24 +450,21 @@ def _cell_geometry(lower: tuple, nb_lower: tuple, nb_upper: tuple, upper: tuple)
 
 
 def _block_hessians(spec: ProblemSpec, consts: ConstantsReport, N: int, blocks) -> tuple:
-    """The (n, k, k) Hessian block of f(., N) on each of ``blocks`` at the
-    nodes of the block's neighborhood sub-grid, the constants grid at
-    ``consts.grid_res`` (the other axes pinned at the centre).  Where the
-    curvature is the same at every N they come from the field at the
-    sweep's first N, as the constants' do, and are kept in the spec's cache
-    under ("block_hessians", N, blocks, grid_res), so taken once per spec;
-    elsewhere they are taken for each call."""
+    """The (n, k, k) Hessians of f(., N) on each of ``blocks``
+    (``block_field``, on the block's own axes) at the nodes of the block's
+    neighborhood sub-grid, the constants grid at ``consts.grid_res``.  Where
+    the curvature is the same at every N they come from the field at the
+    sweep's first N, as the constants' do.  They are kept in the spec's
+    cache under ("block_hessians", N, blocks, grid_res), N that first N or
+    else the call's own, so taken once per spec and N."""
     nb = spec.maximum.neighborhood
-    fixed = spec.curvature_same_at_every_n
-    N = consts.n_sweep[0] if fixed else N
+    N = consts.n_sweep[0] if spec.curvature_same_at_every_n else N
     f = spec.f_of_box(N)
 
     def build() -> tuple:
-        return tuple(gauss_block(hessians_on(f, nb.grid_points(consts.grid_res, b)), b)
+        return tuple(hessians_on(block_field(f, b), nb.grid_points(consts.grid_res, b))
                      for b in blocks)
 
-    if not fixed:
-        return build()
     return spec.cached(("block_hessians", N, tuple(blocks), consts.grid_res), build)
 
 
@@ -538,15 +537,15 @@ class _Envelope:
     covers the domain.
 
     Proposals come from the mixture of the core over R^m and the cells, of
-    mass M, labelled with the component that drew them (composition-
-    rejection, Devroye 1986, II.3).  A cell draw is read against its cell's
-    constant, a core draw against the core, and a core draw off nb is
-    rejected unread.  The accepted density is then proportional to
-    [core 1_nb + sum_c exp(N B_c) 1_c] t / E' = t, t the target: exact
-    wherever E' dominates, which ``sample`` checks at every draw it reads.
-    The acceptance probability is Z(N) exp(-N f_N*) / M.  Once N is large
-    the core holds nearly all of M, and a block whose picks all fall to the
-    core is drawn and read with no labels gathered or scattered."""
+    mass M, each read against the component that drew it as ``propose``
+    draws it (composition-rejection, Devroye 1986, II.3): a cell draw
+    against its cell's constant, a core draw against the core, and a core
+    draw off nb is rejected unread.  The accepted density is then
+    proportional to [core 1_nb + sum_c exp(N B_c) 1_c] t / E' = t, t the
+    target: exact wherever E' dominates, which ``sample`` checks at every
+    draw it reads.  The acceptance probability is Z(N) exp(-N f_N*) / M.
+    Once N is large the core holds nearly all of M, and a block whose picks
+    all fall to the core is drawn and read with nothing scattered."""
 
     def __init__(self, spec: ProblemSpec, consts: ConstantsReport, N: int):
         N = int(N)
@@ -626,19 +625,6 @@ class _Envelope:
             matrix = True
         return np.linalg.cholesky(Q).T if matrix else None
 
-    def log_labelled(self, z: np.ndarray, cell: Optional[np.ndarray]) -> np.ndarray:
-        """log E' at box-frame draws (k, m) from the component ``cell``: the
-        cell's constant, or the core (-inf off nb) where ``cell`` is -1 or
-        ``cell`` is None (every draw from the core)."""
-        if cell is None:
-            return self._log_core(z)
-        core = np.flatnonzero(cell < 0)
-        cells = np.flatnonzero(cell >= 0)
-        log_e = np.empty(len(z))
-        log_e[core] = self._log_core(z.take(core, axis=0))
-        log_e[cells] = self.log_top.take(cell.take(cells))
-        return log_e
-
     def _log_core(self, z: np.ndarray) -> np.ndarray:
         """log of the core density at box-frame points (k, m), -inf off nb."""
         d = np.subtract(z, self.z_n)
@@ -664,33 +650,35 @@ class _Envelope:
         top[self.geometry.cells] = self.log_top
         return np.logaddexp(self._log_core(z), top[idx])
 
-    def propose(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """k draws from the mixture of mass M and each one's complement cell
-        index, -1 for a core draw, or None for the indices when every draw
-        is from the core.  The random streams are consumed in a fixed order:
-        the component pick, the in-cell uniforms, the exponential draws,
-        then the normal draws.  When no pick reaches a cell the core draws
-        are written straight into the output; otherwise each piece's rows
-        are gathered and scattered by index, where a boolean row mask costs
-        several times as much."""
+    def propose(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k draws from the mixture of mass M, and log E' at each as read
+        against the piece that drew it: a cell draw its cell's constant, a
+        core draw the core (-inf off nb).  The random streams are consumed
+        in a fixed order: the component pick, the in-cell uniforms, the
+        exponential draws, then the normal draws.  When no pick reaches a
+        cell the core draws are written straight into the output; otherwise
+        the core's draws are read before they are scattered by index into
+        it, where a boolean row mask costs several times as much."""
         m = len(self.z_n)
         pick = rng.random(k)
         out = np.empty((k, m))
         if pick.max() < self.cum[0]:
             self._draw_core(rng, out)
-            return out, None
+            return out, self._log_core(out)
         in_cell = pick >= self.cum[0]
         cells = np.flatnonzero(in_cell)
         c = np.minimum(np.searchsorted(self.cum[1:], pick.take(cells), side="right"),
                        len(self.cum) - 2)
-        cell = np.full(k, -1)
-        cell[cells] = c
         u = rng.random((len(c), m))
         out[cells] = self.cell_lower.take(c, axis=0) + self.cell_width.take(c, axis=0) * u
         core = np.empty((k - len(c), m))
         self._draw_core(rng, core)
-        out[np.flatnonzero(~in_cell)] = core
-        return out, cell
+        log_e = np.empty(k)
+        log_e[cells] = self.log_top.take(c)
+        rows = np.flatnonzero(~in_cell)
+        out[rows] = core
+        log_e[rows] = self._log_core(core)
+        return out, log_e
 
     def _draw_core(self, rng: np.random.Generator, core: np.ndarray) -> None:
         """Fill ``core`` (k, m) with draws from the core: x*(N) plus, on the
@@ -741,9 +729,8 @@ def sample(measure: GibbsMeasure, count: int, seed: int, consts: ConstantsReport
     proposed = 0
     while (need := count - n_have) > 0:
         k = min(_BLOCK, math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p_hat)) + 1.0) / p_hat))
-        z, cell = env.propose(rng, k)
+        z, log_e = env.propose(rng, k)
         u = rng.random(k)
-        log_e = env.log_labelled(z, cell)
         read = log_e > -np.inf
         proposed += k
         if not read.all():

@@ -8,6 +8,7 @@ catalog entry, which is such a definition.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from typing import Callable, Optional
 
@@ -42,11 +43,22 @@ def json_int(value, what: str) -> int:
 
 
 def json_float(value, what: str) -> float:
-    """``value`` as a float when it is a number, integer or decimal (a bool
-    is not one); otherwise a ConfigError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, not {value!r}")
+    """``value`` as a float when it is a finite number, integer or decimal,
+    within the float range (a bool is not one, nor JSON's ``Infinity`` or
+    ``NaN``, which fail the comparison); otherwise a ConfigError naming
+    ``what``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, not {value!r}")
     return float(value)
+
+
+def _json_floats(values, what: str):
+    """A list of numbers, or of such lists (a rotation's rows), each number
+    through ``json_float``."""
+    if isinstance(values, (list, tuple)):
+        return [_json_floats(v, what) for v in values]
+    return json_float(values, what)
 
 
 # the keys a definition of each field kind, a polynomial term and epsilon may have
@@ -129,7 +141,9 @@ def problem_from_definition(
         raise ConfigError(f"unknown inline problem keys {unknown}; known: {list(DEFINITION_KEYS)}")
     try:
         dom_cfg = cfg["domain"]
-        box = BoxDomain(dom_cfg["lower"], dom_cfg["upper"], dom_cfg.get("rotation"))
+        lower, upper = (_json_floats(dom_cfg[k], f"domain {k} entry") for k in ("lower", "upper"))
+        rot = dom_cfg.get("rotation")
+        box = BoxDomain(lower, upper, None if rot is None else _json_floats(rot, "rotation entry"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain: {exc}") from exc
     m = box.dimension
@@ -151,7 +165,8 @@ def problem_from_definition(
     if "neighborhood" in cfg:
         try:
             nb_cfg = cfg["neighborhood"]
-            nb = BoxDomain(nb_cfg["lower"], nb_cfg["upper"], box.rotation)
+            nb = BoxDomain(*(_json_floats(nb_cfg[k], f"neighborhood {k} entry")
+                             for k in ("lower", "upper")), box.rotation)
             if not box.contains_box(nb):
                 raise ValueError("it must lie in the domain")
         except (KeyError, TypeError, ValueError) as exc:

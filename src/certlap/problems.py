@@ -143,14 +143,14 @@ class BoxDomain:
 
     def grid_points(self, grid_res: int, axes=None) -> np.ndarray:
         """The ``grid_axes`` nodes on ``axes`` (default every axis), in
-        row-major order, with the other coordinates pinned at the centre."""
+        row-major order, one column per axis of ``axes`` in that order: a
+        block's own coordinates.  No axes give one point of shape (1, 0)."""
         nodes = self.grid_axes(grid_res)
         axes = range(self.dimension) if axes is None else axes
         mesh = np.meshgrid(*(nodes[i] for i in axes), indexing="ij")
-        pts = np.empty((mesh[0].size if mesh else 1, self.dimension))
-        pts[:] = 0.5 * (self.lower + self.upper)
-        for i, coord in zip(axes, mesh):
-            pts[:, i] = coord.reshape(-1)
+        pts = np.empty((mesh[0].size if mesh else 1, len(mesh)))
+        for k, coord in enumerate(mesh):
+            pts[:, k] = coord.reshape(-1)
         return pts
 
     def clip(self, z):

@@ -483,6 +483,11 @@ def _poly_1d(*terms):
                       epsilon={"class": "power", "exponent": "-0.75"})),
     ([], _inline_file(sigma={"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
                       epsilon={"class": "power", "exponent": -0.75, "scale": True})),
+    # a float setting is a finite number: JSON's Infinity, or inf as a flag, is refused
+    ([], {"problem": "gauss1d", "tol": float("inf")}),
+    (["--tol", "inf"], None),
+    ([], {"problem": "gauss1d", "safety_factor": float("inf")}),
+    ([], {"problem": "gauss1d", "tol": 10 ** 400}),  # an integer beyond the float range
 ], ids=["grid_res", "safety_factor", "tol", "n_zero", "sample_count", "nb_no_lower",
         "nb_outside", "eps_no_exponent", "eps_exponent_positive", "eps_scale_negative",
         "eps_exponent_nan", "eps_scale_nan", "n_sweep_not_int",
@@ -492,7 +497,8 @@ def _poly_1d(*terms):
         "safety_factor_bool", "field_key_typo", "epsilon_key_typo", "eps_no_class_exponent",
         "eps_zero_class_keys", "eps_no_class_scale", "coeff_bool", "coeff_string",
         "value_string", "value_bool", "linear_bool", "linear_string", "scale_bool",
-        "offset_string", "eps_exponent_string", "eps_scale_bool"])
+        "offset_string", "eps_exponent_string", "eps_scale_bool", "tol_infinity",
+        "tol_flag_inf", "safety_factor_infinity", "tol_beyond_float_range"])
 def test_bad_setting_is_config_error(tmp_path, capsys, flags, config):
     args = ["run", "--problem", "gauss1d"]
     if config is not None:
@@ -601,7 +607,19 @@ def test_report_schema(tmp_path, problem, kind):
     {"classify_grid_res": 4},
     {"g": {"type": "constant", "value": "one"}},
     {"g": {"type": "exponential", "linear": ["x"]}},
-], ids=["eps_not_a_dict", "classify_grid_res", "constant_value", "exponential_linear"])
+    # every number of a definition is a finite JSON number: a domain, neighborhood or
+    # rotation entry too, and neither Infinity nor NaN anywhere
+    {"domain": {"lower": ["-1"], "upper": [True]}},
+    {"domain": {"lower": [-math.inf], "upper": [1.0]}},
+    {"domain": {"lower": [-1.0], "upper": [1.0], "rotation": [["1"]]}},
+    {"neighborhood": {"lower": [-0.5], "upper": [math.nan]}},
+    {"f": {"type": "polynomial", "terms": [{"coeff": -0.5, "powers": [2]},
+                                           {"coeff": math.nan, "powers": [1]}]}},
+    {"sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1]}]},
+     "epsilon": {"class": "power", "exponent": -0.75, "scale": math.inf}},
+], ids=["eps_not_a_dict", "classify_grid_res", "constant_value", "exponential_linear",
+        "domain_string_and_bool", "domain_infinity", "rotation_string", "neighborhood_nan",
+        "coeff_nan", "eps_scale_infinity"])
 def test_malformed_inline_is_config_error(tmp_path, capsys, extra):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"problem": _inline_demo(**extra)}))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -184,6 +185,20 @@ class TestMgfY:
         assert bad["flagged"]
         assert bad["hypothesis_violated"]
         assert bad["residual_nondecaying"]
+
+
+@pytest.mark.parametrize("xi", [[0.5], [0.5, 0.0, 0.0], [[0.5, 0.0]]],
+                         ids=["short", "long", "matrix"])
+@pytest.mark.parametrize("check", ["mgf_X", "mgf_Y", "tilted_maximizer_check"])
+def test_xi_of_the_wrong_size(specs, check, xi):
+    """A tilt xi that is not a vector of the problem dimension (2 on iso2d)
+    is refused by name before any maximizer is solved or integral taken."""
+    spec = specs["iso2d"]
+    with pytest.raises(ValueError, match="xi must have the problem dimension"):
+        if check == "tilted_maximizer_check":
+            tilted_maximizer_check(spec, xi, SWEEP)
+        else:
+            {"mgf_X": mgf_X, "mgf_Y": mgf_Y}[check](gibbs_measure(spec, 100), xi)
 
 
 class TestDrift:
@@ -690,6 +705,25 @@ def _spec_and_consts(name, specs, consts_cache):
     return specs[name], consts_cache(name)
 
 
+def _core_picks(env, rng, k):
+    """Which of the k rows of ``env.propose(rng, k)`` the core draws: its
+    component picks, the first k uniforms of a copy of ``rng``, below the
+    core's share of the mass."""
+    return copy.deepcopy(rng).random(k) < env.cum[0]
+
+
+def _assert_reads(env, z, log_e, core):
+    """``propose``'s log E' at its draws ``z`` is ``log_envelope``'s, read
+    by position, at every draw that is read (a cell draw, or a core draw in
+    nb), and -inf at every core draw off nb, which is rejected unread."""
+    nb = env.nb
+    in_nb = np.all((z >= nb.lower) & (z <= nb.upper), axis=1)
+    read = ~core | in_nb
+    assert log_e.shape == (len(z),)
+    assert np.array_equal(log_e[read], env.log_envelope(z)[read])
+    assert np.all(log_e[~read] == -np.inf)
+
+
 class TestLabelledEnvelope:
     """The piecewise envelope: the core on the closed neighborhood, one
     constant per complement cell, each proposal read against the piece that
@@ -720,18 +754,19 @@ class TestLabelledEnvelope:
 
     @pytest.mark.parametrize("name", ["gauss1d", "cubic1d", "cub2d", "bnd2d"])
     def test_labels_agree_with_positions(self, name, specs, consts_cache):
+        """The log E' that ``propose`` reads at each draw, against the piece
+        that drew it, is the envelope read by position, on a block with
+        both cell draws and core draws in nb."""
         from certlap.gibbs import _Envelope
 
         spec, consts = _spec_and_consts(name, specs, consts_cache)
         nb = spec.maximum.neighborhood
         env = _Envelope(spec, consts, 25)
-        z, cell = env.propose(np.random.default_rng(5), 20_000)
-        labelled = env.log_labelled(z, cell)
+        core = _core_picks(env, np.random.default_rng(5), 20_000)
+        z, log_e = env.propose(np.random.default_rng(5), 20_000)
         in_nb = np.all((z >= nb.lower) & (z <= nb.upper), axis=1)
-        read = (cell >= 0) | in_nb
-        assert np.any(cell >= 0) and np.any((cell < 0) & in_nb)
-        assert np.array_equal(labelled[read], env.log_envelope(z)[read])
-        assert np.all(labelled[~read] == -np.inf)
+        assert np.any(~core) and np.any(core & in_nb)
+        _assert_reads(env, z, log_e, core)
 
     @pytest.mark.parametrize("name", ["gauss3d", "boundary3d"])
     def test_no_field_work_without_complement_cells(self, name, specs, consts_cache, monkeypatch):
@@ -838,16 +873,17 @@ class TestEnvelopeConstruction:
 
     def test_core_draws_without_cells(self, specs, consts_cache):
         """With no complement cells every proposal is z_n + normal / sqrt(prec),
-        drawn after the k component picks of the same stream, and no label
-        array is returned."""
+        drawn after the k component picks of the same stream, and each is
+        read against the core alone: the core density in nb, -inf off it."""
         from certlap.gibbs import _Envelope
 
         env = _Envelope(specs["gauss3d"], consts_cache("gauss3d"), 100)
-        z, cell = env.propose(np.random.default_rng(7), 5000)
+        z, log_e = env.propose(np.random.default_rng(7), 5000)
         rng = np.random.default_rng(7)
         rng.uniform(size=5000)
         assert np.array_equal(z, env.z_n + rng.standard_normal(size=(5000, 3)) / math.sqrt(env.prec))
-        assert cell is None
+        assert np.array_equal(log_e, env._log_core(z))
+        _assert_reads(env, z, log_e, np.ones(5000, dtype=bool))
 
 
 class TestEnvelopeGeometry:
@@ -867,7 +903,7 @@ class TestEnvelopeGeometry:
         spec, consts = _spec_and_consts(name, specs, consts_cache)
         m, k = spec.dimension, 5000
         env = _Envelope(spec, consts, N)
-        z, cell = env.propose(np.random.default_rng(7), k)
+        z, log_e = env.propose(np.random.default_rng(7), k)
 
         rng = np.random.default_rng(7)
         pick = rng.uniform(size=k)
@@ -889,9 +925,8 @@ class TestEnvelopeGeometry:
         want[~drawn] = core
         assert np.array_equal(z, want)
         if in_cells:
-            assert np.array_equal(cell[drawn], c) and np.all(cell[~drawn] == -1)
-        else:
-            assert cell is None
+            assert np.array_equal(log_e[drawn], env.log_top[c])
+        _assert_reads(env, z, log_e, ~drawn)
 
     def test_geometry_is_shared_across_n(self, specs, consts_cache):
         from certlap.gibbs import _Envelope
@@ -1008,9 +1043,10 @@ class TestAcceptedDrawsToKs:
                 while (need := count - n_have) > 0:
                     k = min(_BLOCK, math.ceil(
                         (need + 4.0 * math.sqrt(need * (1.0 - p_hat)) + 1.0) / p_hat))
-                    z, cell = env.propose(rng, k)
+                    core = _core_picks(env, rng, k)
+                    z, log_e = env.propose(rng, k)
+                    _assert_reads(env, z, log_e, core)
                     u = rng.uniform(size=k)
-                    log_e = env.log_labelled(z, cell)
                     read = log_e > -np.inf
                     z, u, log_e = z[read], u[read], log_e[read]
                     log_ratio = N * (env.f_n.evaluate(z) - env.f_star) - log_e
@@ -1154,16 +1190,17 @@ class TestMatrixCore:
             env = _Envelope(spec, consts, n)
             prec = n * consts.F2_prime if env.gauss else 1.0
             assert env.root is None and env.prec == prec
-            z, cell = env.propose(np.random.default_rng(3), 5000)
+            z, log_e = env.propose(np.random.default_rng(3), 5000)
             want, want_cell = _masked_proposals(env, 3, 5000, _f2_prime_core(env, prec))
             assert np.array_equal(z, want)
-            assert np.array_equal(cell, want_cell) if cell is not None else np.all(want_cell < 0)
+            assert np.array_equal(log_e[want_cell >= 0], env.log_top[want_cell[want_cell >= 0]])
+            _assert_reads(env, z, log_e, want_cell < 0)
 
     @pytest.mark.parametrize("name", ["cub2d", "bnd2d"])
     def test_mixed_blocks_match_the_mask_construction(self, name, specs, consts_cache):
         """A block whose picks reach a cell, gathered and scattered by
-        index, against the boolean row masks: the same proposals, labels and
-        log E'."""
+        index, against the boolean row masks: the same proposals and log E',
+        each draw's read against the piece that drew it."""
         from certlap.gibbs import _Envelope
 
         spec, consts = _spec_and_consts(name, specs, consts_cache)
@@ -1174,15 +1211,16 @@ class TestMatrixCore:
             env._draw_core(rng, core)
             return core
 
-        z, cell = env.propose(np.random.default_rng(9), 20_000)
+        z, log_e = env.propose(np.random.default_rng(9), 20_000)
         want, want_cell = _masked_proposals(env, 9, 20_000, draw_core)
         assert np.any(want_cell >= 0) and np.any(want_cell < 0)
-        assert np.array_equal(z, want) and np.array_equal(cell, want_cell)
+        assert np.array_equal(z, want)
         core = want_cell < 0
-        log_e = np.empty(len(want))
-        log_e[core] = env._log_core(want[core])
-        log_e[~core] = env.log_top[want_cell[~core]]
-        assert np.array_equal(env.log_labelled(z, cell), log_e)
+        want_log_e = np.empty(len(want))
+        want_log_e[core] = env._log_core(want[core])
+        want_log_e[~core] = env.log_top[want_cell[~core]]
+        assert np.array_equal(log_e, want_log_e)
+        _assert_reads(env, z, log_e, core)
 
     def test_boundary_tangent_block(self):
         """A boundary maximum whose two tangent axes are coupled: the

@@ -112,6 +112,22 @@ def test_one_maximizer_solve():
     assert found == []
 
 
+def test_one_block_evaluation():
+    """Every layer evaluates a coupling block as a field of its own, on the
+    block's own axes (``problems.block_field``): the constants' extremes,
+    the sampler's Hessian grids and the oracle's block sums.  No derivative
+    or extreme is sliced to a block out of a full-width grid, and the
+    sampler reads each proposal's envelope as it draws it, with no label
+    array read back."""
+    assert _callers("block_field") == {
+        "constants.estimate_constants", "gibbs._block_hessians",
+        "oracle._block_exponent", "oracle.integrate"}
+    assert "gibbs._block_hessians" not in _callers("gauss_block")
+    assert list(inspect.signature(certlap.derivatives.third_norms_on).parameters) == ["fld", "pts"]
+    assert "axes" not in inspect.signature(certlap.constants._curvature_extremes).parameters
+    assert not hasattr(certlap.gibbs._Envelope, "log_labelled")
+
+
 def test_oracle_builds_no_meshgrid_copies():
     """The oracle fills one point buffer by broadcasting each axis's nodes:
     it calls neither np.meshgrid nor np.stack."""

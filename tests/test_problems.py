@@ -99,19 +99,19 @@ class TestBoxDomain:
         assert set(np.round(coarse, 12)).issubset(set(np.round(fine, 12)))
 
     def test_grid_points_on_some_axes(self):
+        """The nodes on some axes are the full grid's columns of those
+        axes, in the order given, with no column for any other axis."""
         box = BoxDomain([0.0, -1.0, 2.0], [1.0, 1.0, 4.0])
         nodes = box.grid_axes(4)
         full = box.grid_points(4)
         mesh = np.meshgrid(*nodes, indexing="ij")
         assert np.array_equal(full, np.stack([m.reshape(-1) for m in mesh], axis=-1))
-        # the other axes sit at the centre (0.5, 0.0, 3.0)
         line = box.grid_points(4, axes=(1,))
-        assert np.array_equal(line[:, 1], nodes[1])
-        assert np.all(line[:, [0, 2]] == [0.5, 3.0])
+        assert line.shape == (5, 1) and np.array_equal(line[:, 0], nodes[1])
         plane = box.grid_points(4, axes=(0, 2))
-        assert plane.shape == (25, 3) and np.all(plane[:, 1] == 0.0)
-        assert np.array_equal(plane[:, [0, 2]], full[full[:, 1] == nodes[1][2]][:, [0, 2]])
-        assert np.array_equal(box.grid_points(4, axes=()), [[0.5, 0.0, 3.0]])
+        assert plane.shape == (25, 2)
+        assert np.array_equal(plane, full[full[:, 1] == nodes[1][2]][:, [0, 2]])
+        assert box.grid_points(4, axes=()).shape == (1, 0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_contains_rows_matches_the_row_reduction(self, m):
