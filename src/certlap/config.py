@@ -78,7 +78,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r} must hold a JSON object")

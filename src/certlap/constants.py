@@ -163,11 +163,10 @@ def _combine(exts) -> dict:
     }
 
 
-def _complement_drop(spec: ProblemSpec, N: int, f_n, out_pts):
-    """(f(x*(N)) - f, |x - x*(N)|) at the complement points."""
-    z_n = spec.z_star_of_N(N)
-    f_star = float(f_n.evaluate(z_n))
-    return f_star - f_n.evaluate(out_pts), np.linalg.norm(out_pts - z_n, axis=1)
+def _complement_drop(spec: ProblemSpec, N: int, out_pts):
+    """(f(x*(N)) - f, |x - x*(N)|) at the complement points, f = f(., N)."""
+    peak, f_n = spec.peak(N), spec.f_of_box(N)
+    return peak.value - f_n.evaluate(out_pts), np.linalg.norm(out_pts - peak.z, axis=1)
 
 
 def estimate_constants(
@@ -262,7 +261,7 @@ def estimate_constants(
         inside = nb.contains_rows(om_pts, tol=1e-12)
         out_pts = om_pts[~inside]
         for N in f_sweep:
-            drop, dists = _complement_drop(spec, N, spec.f_of_box(N), out_pts)
+            drop, dists = _complement_drop(spec, N, out_pts)
             _check_finite(drop, "f on the complement grid")
             # min(f* - f_out) == f* - max(f_out): rounding is monotone
             gap, dmax = float(np.min(drop)), float(np.max(dists))
@@ -362,7 +361,7 @@ def audit_constants(spec: ProblemSpec, report: ConstantsReport, seed: int = 0) -
         if N in f_sweep:
             slope = None if axis is None else _least_slope(f_n, pts, axis)
             if len(out_pts):
-                drop, d = _complement_drop(spec, N, f_n, out_pts)
+                drop, d = _complement_drop(spec, N, out_pts)
         if axis is not None:
             check(slope >= report.F1_prime / _AUDIT_SLACK, f"F1_prime@N={N}")
 

@@ -138,13 +138,7 @@ class MgfReport:
 def _limit_covariance(spec: ProblemSpec) -> np.ndarray:
     """(-D^2 f_limit(x*))^{-1} on the Gaussian axes, box frame."""
     _, gauss, _ = limit_axes(spec)
-    H = gauss_block(spec.f_limit_box.hessian(spec.z_star), gauss)
-    return np.linalg.inv(-H)
-
-
-def _limit_rate(spec: ProblemSpec, axis: int) -> float:
-    g = spec.f_limit_box.gradient(spec.z_star)
-    return abs(float(g[axis]))
+    return np.linalg.inv(-gauss_block(spec.peak().hessian, gauss))
 
 
 def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, what: str):
@@ -152,13 +146,10 @@ def _check_tilt_inside(spec: ProblemSpec, N: int, tilt_gradient: np.ndarray, wha
     neighborhood; returns the tilted maximizer (box frame, read-only),
     solved from x*(N) once per N and tilt by ``problems._maximizer_of_n``."""
     axis, _, _ = limit_axes(spec)
-    z0 = spec.z_star_of_N(N)
     pinned = axis if axis is not None and abs(tilt_gradient[axis]) < 1e-15 else None
-    z_t = _maximizer_of_n(spec, N, z0, pinned, tilt_gradient)
+    z_t = _maximizer_of_n(spec, N, spec.z_star_of_N(N), pinned, tilt_gradient)
     if not spec.maximum.neighborhood.contains_z(z_t, tol=1e-9 * np.min(spec.domain.edges)):
-        raise TiltTooLargeError(
-            f"{what}: tilted maximizer {z_t} leaves the certified neighborhood"
-        )
+        raise TiltTooLargeError(f"{what}: tilted maximizer {z_t} leaves the certified neighborhood")
     return z_t
 
 
@@ -211,7 +202,7 @@ def mgf_Y(measure: GibbsMeasure, xi) -> MgfReport:
     xi_gauss = xi_box.copy()  # the Gaussian tilt, zero on the exponential axis
     tilt_grad = xi_box / sqrtN
     if axis is not None:
-        rate = _limit_rate(spec, axis)
+        rate = abs(float(spec.peak().gradient[axis]))
         xi1 = float(xi_box[axis])
         if abs(xi1) >= rate * (1.0 - 1e-3):
             raise MgfPoleError(
@@ -336,23 +327,18 @@ def tilted_maximizer_check(spec: ProblemSpec, xi, n_sweep) -> list[dict]:
     rows = []
     for N in sweep:
         sqrtN = math.sqrt(N)
-        f_n = spec.f_of_box(N)
-        z_n = spec.z_star_of_N(N)
-        f_star_n = float(f_n.evaluate(z_n))
+        f_n, peak = spec.f_of_box(N), spec.peak(N)
         z_t = _check_tilt_inside(spec, N, xi_box / sqrtN, "tilted estimates")
         # tilt value relative to x*: f~ = f + xi.(x - x*)/sqrt(N)
-        f_tilde_val = float(f_n.evaluate(z_t)) + float(
-            xi_box @ (z_t - z_star)
-        ) / sqrtN
+        f_tilde_val = float(f_n.evaluate(z_t)) + float(xi_box @ (z_t - z_star)) / sqrtN
         drift_pred = Sigma @ xi_box / sqrtN
-        s1 = float(np.linalg.norm(z_t - z_n - drift_pred)) * N
+        s1 = float(np.linalg.norm(z_t - peak.z - drift_pred)) * N
         quad = 0.5 * float(xi_box @ Sigma @ xi_box) / N
         eps_n = spec.epsilon.evaluate(N)
         scale2 = N**1.5 if eps_n == 0.0 else min(N**1.5, sqrtN / eps_n)
-        s2 = abs(f_tilde_val - f_star_n - quad) * scale2
-        H_n = f_n.hessian(z_n)
+        s2 = abs(f_tilde_val - peak.value - quad) * scale2
         H_t = f_n.hessian(z_t)  # tilt is linear: same Hessian field
-        ratio = math.sqrt(abs(np.linalg.det(H_n)) / abs(np.linalg.det(H_t)))
+        ratio = math.sqrt(abs(np.linalg.det(peak.hessian)) / abs(np.linalg.det(H_t)))
         s3 = abs(ratio - 1.0) * sqrtN
         rows.append({"N": N, "stat_drift": s1, "stat_value": s2, "stat_det": s3})
     return rows
@@ -552,9 +538,9 @@ class _Envelope:
         box, nb = spec.domain, spec.maximum.neighborhood
         self.nb = nb
         self.axis, self.gauss, self.sign = limit_axes(spec)
-        self.z_n = spec.z_star_of_N(N)
+        peak = spec.peak(N)
+        self.z_n, self.f_star = peak.z, peak.value
         self.f_n = f_n = spec.f_of_box(N)
-        self.f_star = float(f_n.evaluate(self.z_n))
 
         # core: precision N F2' on the Gaussian axes (a one-dimensional
         # boundary problem has none, and F2' = inf), or U'U on the coupled
@@ -609,7 +595,7 @@ class _Envelope:
                   if len(b) > 1 and self.axis not in b]
         if not blocks:
             return None
-        H_star = self.f_n.hessian(self.z_n)
+        H_star = spec.peak(N).hessian
         at = {a: k for k, a in enumerate(self.gauss)}
         Q = np.diag(np.full(len(self.gauss), self.prec))
         matrix = False
@@ -991,14 +977,13 @@ def empirical_limit_test(batch: SampleBatch) -> dict:
         raise InsufficientSampleError(f"need at least {KS_MIN_SAMPLES} samples")
     spec, N, n = batch.spec, batch.N, batch.count
     Y = transform_to_fluctuations(batch)
-    z_n = spec.z_star_of_N(N)
-    f_n = spec.f_of_box(N)
-    K = -f_n.hessian(z_n)
+    peak = spec.peak(N)
+    K = -peak.hessian
     axis, gauss, _ = limit_axes(spec)
     K_ss = gauss_block(K, gauss)
     stats = []
     if axis is not None:
-        a = abs(float(f_n.gradient(z_n)[axis]))
+        a = abs(float(peak.gradient[axis]))
         if not a > 0.0:
             raise ValueError("the boundary law needs a positive slope at x*(N)")
         k_ts = K[axis, gauss]

@@ -136,11 +136,10 @@ def problem_from_definition(
 ) -> ProblemSpec:
     """Build an inline definition, its maximum classified automatically;
     ``exact_integral`` is a closed form of the integral, when one is known."""
-    unknown = sorted(set(cfg) - set(DEFINITION_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown inline problem keys {unknown}; known: {list(DEFINITION_KEYS)}")
+    _refuse_unknown(cfg, DEFINITION_KEYS, "inline problem")
     try:
         dom_cfg = cfg["domain"]
+        _refuse_unknown(dom_cfg, ("lower", "upper", "rotation"), "domain")
         lower, upper = (_json_floats(dom_cfg[k], f"domain {k} entry") for k in ("lower", "upper"))
         rot = dom_cfg.get("rotation")
         box = BoxDomain(lower, upper, None if rot is None else _json_floats(rot, "rotation entry"))
@@ -165,6 +164,7 @@ def problem_from_definition(
     if "neighborhood" in cfg:
         try:
             nb_cfg = cfg["neighborhood"]
+            _refuse_unknown(nb_cfg, ("lower", "upper"), "neighborhood")
             nb = BoxDomain(*(_json_floats(nb_cfg[k], f"neighborhood {k} entry")
                              for k in ("lower", "upper")), box.rotation)
             if not box.contains_box(nb):

@@ -126,37 +126,36 @@ def _result(theorem, N, exp_arg, poly, gterm, omega, rem_poly):
 
 
 def _local_model(spec: ProblemSpec, N: int):
-    """Leading-term ingredients at the maximizer z*(N), in the frame of
-    ``limit_axes``: (N f(z*(N), N), poly, gterm, g(z*(N))) with leading term
+    """Leading-term ingredients at the maximizer z*(N), read from
+    ``spec.peak(N)`` in the frame of ``limit_axes``:
+    (N f(z*(N), N), poly, gterm, g(z*(N))) with leading term
     exp(N f) * poly * gterm, where poly = (2 pi / N)^{k/2} over the k
     Gaussian axes, times 1/N for an exponential axis, and
     gterm = g / sqrt(|det H|), H the Hessian block on the Gaussian axes,
     divided by |f'| the inward derivative along an exponential axis."""
     if N <= spec.n_zero:
         raise SweepRangeError(f"N={N} must exceed n_zero={spec.n_zero}")
-    z_n = spec.z_star_of_N(N)
-    if not window_fits(spec.maximum.neighborhood, z_n, spec.maximum.kind, N, spec.domain):
+    peak = spec.peak(N)
+    if not window_fits(spec.maximum.neighborhood, peak.z, spec.maximum.kind, N, spec.domain):
         raise SweepRangeError(
             f"shrinking window at N={N} does not fit inside the certified neighborhood"
         )
     axis, gauss, s = limit_axes(spec)
-    f_n = spec.f_of_box(N)
-    fval = float(f_n.evaluate(z_n))
     poly = (2.0 * math.pi / N) ** (len(gauss) / 2.0)
     scale = 1.0
     if axis is not None:
-        inward = s * f_n.gradient(z_n)[axis]
+        inward = s * peak.gradient[axis]
         if abs(inward) < 1e-14:
             raise DegenerateHessianError("inward first derivative vanishes at the maximizer")
         poly = (1.0 / N) * poly
         scale = abs(inward)
-    det = abs(float(np.linalg.det(gauss_block(f_n.hessian(z_n), gauss))))
+    det = abs(float(np.linalg.det(gauss_block(peak.hessian, gauss))))
     if det < 1e-300:
         raise DegenerateHessianError(
             "Hessian block on the Gaussian axes is numerically singular at the maximizer"
         )
-    gval = float(spec.g_box.evaluate(z_n))
-    return N * fval, poly, gval / (scale * math.sqrt(det)), gval
+    gval = float(spec.g_box.evaluate(peak.z))
+    return N * peak.value, poly, gval / (scale * math.sqrt(det)), gval
 
 
 def _omega_interior(m: int, N: int, c: ConstantsReport, g_star_abs: float) -> float:
@@ -182,14 +181,15 @@ def _omega_interior(m: int, N: int, c: ConstantsReport, g_star_abs: float) -> fl
     return taylor + window_tail
 
 
-def _omega_1d_boundary(N: int, c: ConstantsReport, g_star_abs: float) -> float:
+def _omega_1d_boundary(N: int, c: ConstantsReport, g_star_abs: float, G: float, G1: float) -> float:
+    """T1's remainder constant for |g(x*)| = g_star_abs, |g| <= G and |g'| <= G1."""
     if c.F1_prime is None or c.F1_prime_Omega is None:
         raise MissingConstantError("boundary constants F1_prime/F1_prime_Omega are required")
     sqrtN = math.sqrt(N)
     return (
         g_star_abs * c.F2 / c.F1_prime**3 * math.exp(0.5 * c.F2)
-        + c.G1 / c.F1_prime**2
-        + c.G / c.F1_prime_Omega * N * math.exp(-sqrtN * c.F1_prime_Omega)
+        + G1 / c.F1_prime**2
+        + G / c.F1_prime_Omega * N * math.exp(-sqrtN * c.F1_prime_Omega)
         + g_star_abs / c.F1_prime * N * math.exp(-sqrtN * c.F1_prime)
     )
 
@@ -204,7 +204,7 @@ def approx_1d_boundary(spec: ProblemSpec, consts: ConstantsReport, N: int) -> La
         raise TheoremMismatchError("approx_1d_boundary requires a boundary maximum")
     N = int(N)
     exp_arg, poly, gterm, gval = _local_model(spec, N)
-    omega = _omega_1d_boundary(N, consts, abs(gval))
+    omega = _omega_1d_boundary(N, consts, abs(gval), consts.G, consts.G1)
     return _result(T1, N, exp_arg, poly, gterm, omega, 1.0 / N**2)
 
 
@@ -245,31 +245,23 @@ def approx_boundary_md(spec: ProblemSpec, consts: ConstantsReport, N: int) -> La
     one-dimensional boundary bound along the ridge with the interior bound
     across it, plus a fixed-radius tail for the domain complement."""
     if spec.dimension < 2:
-        raise TheoremMismatchError(
-            "one-dimensional boundary problems use approx_1d_boundary"
-        )
+        raise TheoremMismatchError("one-dimensional boundary problems use approx_1d_boundary")
     if spec.maximum.kind != BOUNDARY:
         raise TheoremMismatchError("approx_boundary_md requires a boundary maximum")
     c = consts
-    if c.F1_prime is None or c.F1_prime_Omega is None:
-        raise MissingConstantError("boundary constants F1_prime/F1_prime_Omega are required")
     N = int(N)
     m = spec.dimension
     exp_arg, poly, gterm, gval = _local_model(spec, N)
 
     sqrtN = math.sqrt(N)
     sqrt_lam = math.sqrt(c.lambda_det)
+    omega_b2 = _omega_1d_boundary(N, c, 1.0, 1.0, 0.0)  # the ridge: T1's at g = 1; checks F1
     omega_b1 = (
         abs(gval) * c.F2 / (sqrt_lam * c.F1_prime**3) * math.exp(0.5 * c.F2)
         + (1.0 / c.F1_prime**2)
         * (c.G1 / sqrt_lam + m * c.G * c.F3 / (c.lambda_det**1.5 * c.F2_prime))
         + c.G / (sqrt_lam * c.F1_prime_Omega) * N * math.exp(-sqrtN * c.F1_prime_Omega)
         + abs(gval) / (sqrt_lam * c.F1_prime) * N * math.exp(-sqrtN * c.F1_prime)
-    )
-    omega_b2 = (
-        c.F2 / c.F1_prime**3 * math.exp(0.5 * c.F2)
-        + (1.0 / c.F1_prime_Omega) * N * math.exp(-sqrtN * c.F1_prime_Omega)
-        + (1.0 / c.F1_prime) * N * math.exp(-sqrtN * c.F1_prime)
     )
     omega_i = _omega_interior(m - 1, N, c, abs(gval))
 

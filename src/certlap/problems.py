@@ -549,6 +549,17 @@ class MaximumInfo:
 
 
 @dataclass(frozen=True)
+class Peak:
+    """An exponent's local model at its maximiser z, box frame
+    (``ProblemSpec.peak``): value, gradient and Hessian, arrays read-only."""
+
+    z: np.ndarray
+    value: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """One Laplace problem: integral of g(x) exp(N f(x, N)) over the domain,
     with f(x, N) = f_limit(x) + epsilon(N) * sigma(x).  The dimension is
@@ -583,9 +594,10 @@ class ProblemSpec:
         """The value this spec keeps under ``key``, made by ``build()`` on
         the first call and returned as it is to every later one.  The key
         names its slot first: ("f", N) for f(., N), ("x", N, start, axis,
-        tilt) for a maximizer, "panel_nodes" for the oracle's node store and
-        ("block_hessians", N, blocks, grid_res) for the sampler's Hessian
-        grids.  Two threads may both build a value; it is the same."""
+        tilt) for a maximizer, ("peak", N) for ``peak(N)``, "panel_nodes" for
+        the oracle's node store and ("block_hessians", N, blocks, grid_res)
+        for the sampler's Hessian grids.  Two threads may both build a
+        value; it is the same."""
         got = self._cache.get(key)
         if got is None:
             got = self._cache[key] = build()
@@ -631,6 +643,17 @@ class ProblemSpec:
         N = int(N)
         return self.cached(("f", N), lambda: add_fields(
             self.f_limit_box, self.sigma_box, self.epsilon.evaluate(N)))
+
+    def peak(self, N: Optional[int] = None) -> Peak:
+        """f(., N) at x*(N) with its gradient and Hessian there, built once
+        per N: the one local model every layer reads.  With no N it is the
+        N -> infinity model, f_limit at x*, that the limit laws read."""
+        def build() -> Peak:
+            f = self.f_limit_box if N is None else self.f_of_box(N)
+            z = _freeze(self.z_star if N is None else self.z_star_of_N(N))
+            return Peak(z, float(f.evaluate(z)), _freeze(f.gradient(z)), _freeze(f.hessian(z)))
+
+        return self.cached(("peak", None if N is None else int(N)), build)
 
 
 # ---------------------------------------------------------------------------

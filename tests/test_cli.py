@@ -521,17 +521,37 @@ def test_bad_setting_is_config_error(tmp_path, capsys, flags, config):
     (_inline_file(g={"type": "constant", "value": 2.0, "name": "two"}), "name"),
     (_inline_file(f={"type": "polynomial", "terms": [{"coeff": -0.5, "power": [2]}]}), "power"),
     (_inline_file(epsilon={"class": "power", "exponent": -0.75, "rate": 1.0}), "rate"),
+    # a misspelt rotation would otherwise build the identity frame
+    (_inline_file(domain={"lower": [-1.0], "upper": [1.0], "rotaton": [[-1.0]]}), "rotaton"),
+    (_inline_file(neighborhood={"lower": [-0.9], "upper": [0.9], "centre": [0.0]}), "centre"),
 ], ids=["run_config", "ks_threshold", "inline", "catalog_form", "field", "polynomial_term",
-        "epsilon"])
+        "epsilon", "domain", "neighborhood"])
 def test_unknown_key_is_config_error(tmp_path, capsys, config, key):
-    """A key that a run config, an inline definition, a field, a polynomial
-    term or epsilon does not have is refused and named, not ignored."""
+    """A key that a run config, an inline definition, its domain or
+    neighborhood, a field, a polynomial term or epsilon does not have is
+    refused and named, not ignored."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--output-path", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and repr(key) in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"problem": "gauss1d", "seed": ' + "1" * 5000 + "}",
+    '{"problem": "gauss1d", "seed": 1',
+], ids=["seed_of_5000_digits", "unterminated"])
+def test_unparsable_config_is_config_error(tmp_path, capsys, text):
+    """Every ValueError json.load raises, an integer past Python's digit
+    limit as well as malformed JSON, is a config error: status 2 and
+    nothing written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--output-path", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -769,19 +769,20 @@ class TestLabelledEnvelope:
         _assert_reads(env, z, log_e, core)
 
     @pytest.mark.parametrize("name", ["gauss3d", "boundary3d"])
-    def test_no_field_work_without_complement_cells(self, name, specs, consts_cache, monkeypatch):
+    def test_no_field_work_without_complement_cells(self, name, consts_cache, monkeypatch):
         """Where the neighborhood covers the domain the envelope evaluates f
-        only at x*(N), for f_N*, and takes no gradient."""
+        only at x*(N), for f_N*, and takes no gradient.  Each envelope is
+        built on a fresh spec, whose cache holds no ``peak(N)`` yet."""
         import certlap.gibbs
 
-        spec, consts = specs[name], consts_cache(name)
+        fresh, consts = [get_problem(name) for _ in SWEEP], consts_cache(name)
         evaluated = []
         real = ScalarField.evaluate
         monkeypatch.setattr(ScalarField, "evaluate",
                             lambda f, pts: evaluated.append(np.shape(pts)) or real(f, pts))
         monkeypatch.setattr(certlap.gibbs, "gradients_on",
                             lambda *a: pytest.fail("gradients taken without complement cells"))
-        for n in SWEEP:
+        for spec, n in zip(fresh, SWEEP):
             env = certlap.gibbs._Envelope(spec, consts, n)
             assert len(env.log_top) == 0 and env.log_m_cells == -math.inf
         assert evaluated == [(spec.dimension,)] * len(SWEEP)

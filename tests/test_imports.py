@@ -112,6 +112,21 @@ def test_one_maximizer_solve():
     assert found == []
 
 
+def test_one_peak_model():
+    """f(., N) at x*(N), its gradient and its Hessian there are formed once,
+    by ProblemSpec.peak, and every layer reads them from it.  Besides it,
+    a gradient or Hessian is taken only on grids (the derivatives module),
+    by the maximizer's own solve and classification, at the tilted maximizer
+    and of sigma for the drift bound."""
+    assert _callers("hessian") == {
+        "derivatives.hessians_on", "gibbs.tilted_maximizer_check", "problems._check_signature",
+        "problems.locate_maximum", "problems.peak"}
+    assert _callers("gradient") == {
+        "derivatives.gradients_on", "gibbs.maximum_drift_check", "problems._check_signature",
+        "problems.classify_maximum", "problems.locate_maximum", "problems.peak"}
+    assert not hasattr(certlap.gibbs, "_limit_rate")
+
+
 def test_one_block_evaluation():
     """Every layer evaluates a coupling block as a field of its own, on the
     block's own axes (``problems.block_field``): the constants' extremes,

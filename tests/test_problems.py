@@ -597,6 +597,50 @@ class TestRotatedTerms:
             assert np.all(err <= tol)
 
 
+def _inline2d(name, lower, terms):
+    """One of the benchmark's inline problems on [lower, (1, 1)]: g = exp(0.3 x
+    - 0.2 y), sigma = x and eps(N) = N^-0.75."""
+    poly = [{"coeff": c, "powers": list(p)} for c, p in terms]
+    return {"name": name, "domain": {"lower": lower, "upper": [1.0, 1.0]},
+            "f": {"type": "polynomial", "terms": poly},
+            "g": {"type": "exponential", "linear": [0.3, -0.2]},
+            "sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+            "epsilon": {"class": "power", "exponent": -0.75}}
+
+
+# a tilted quadratic, a cubic and a boundary maximum
+INLINE2D = [
+    _inline2d("quad2d", [-1.0, -1.0], [(-0.5, (2, 0)), (-1.0, (0, 2)), (0.1, (1, 1))]),
+    _inline2d("cub2d", [-1.0, -1.0],
+              [(-0.5, (2, 0)), (-1.0, (0, 2)), (0.2, (3, 0)), (0.1, (1, 1))]),
+    _inline2d("bnd2d", [0.0, -1.0], [(-1.0, (1, 0)), (-0.3, (2, 0)), (-0.5, (0, 2))]),
+]
+
+
+@pytest.mark.parametrize("problem", catalog_names() + INLINE2D,
+                         ids=catalog_names() + [p["name"] for p in INLINE2D])
+def test_peak_is_f_at_x_star_of_n(problem):
+    """peak(N) is f(., N), its gradient and its Hessian at x*(N), bit for bit
+    as evaluated directly, and peak() the same of f_limit at x*; each array
+    is read-only, each model built once per N, and a replaced copy of the
+    spec starts without them."""
+    spec = problem_from_config(problem)
+    for N in SWEEP + (None,):
+        peak = spec.peak(N)
+        f = spec.f_limit_box if N is None else spec.f_of_box(N)
+        z = spec.z_star if N is None else spec.z_star_of_N(N)
+        assert peak.z.tobytes() == z.tobytes()
+        assert np.float64(peak.value).tobytes() == np.float64(f.evaluate(z)).tobytes()
+        assert peak.gradient.tobytes() == f.gradient(z).tobytes()
+        assert peak.hessian.tobytes() == f.hessian(z).tobytes()
+        assert peak.hessian.shape == (spec.dimension,) * 2
+        assert not any(a.flags.writeable for a in (peak.z, peak.gradient, peak.hessian))
+        assert spec.peak(N) is peak
+    copy = replace(spec)
+    assert copy._cache == {}
+    assert copy.peak(SWEEP[-1]) is not spec.peak(SWEEP[-1])
+
+
 # The catalog as it was written by hand before its entries became inline
 # definitions: name -> (kind, boundary_axis, x*, neighbourhood lower and
 # upper, n_zero, epsilon's (scale, exponent), epsilon(N) over SWEEP (None:
