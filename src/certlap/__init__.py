@@ -26,9 +26,6 @@ from .gibbs import (
 )
 from .laplace import (
     LaplaceResult,
-    approx_1d_boundary,
-    approx_boundary_md,
-    approx_interior,
     approximate,
     gaussian_tail_bound,
 )

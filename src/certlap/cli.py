@@ -21,8 +21,10 @@ a JSON integer, a float setting (tol, safety_factor) that is not a JSON
 number (a bool or a string is neither), a run setting that does not parse (a
 non-integer N in --n-sweep), or one out of range (N-sweep not increasing or
 not above the problem's n_zero, grid_res < 16, safety_factor < 1,
-tol < 1e-14, sample_count < 1, or sample_count < 100 with the fluctuations
-check);
+tol < 1e-14, sample_count < 1, seed < 0, or sample_count < 100 with the
+fluctuations check), or, for plotdata, a malformed report (not UTF-8
+JSON, no checks object, or a row without a number it reads), which
+writes no CSV;
 3 an assumption violation (a certified constant or structural hypothesis
 failed, named in the message); a requested check's hypotheses that the
 spec alone decides (Proposition 1's eps(N) sqrt(N) nonincreasing, when
@@ -383,15 +385,9 @@ def write_outputs(report: dict, out_dir: str) -> tuple[str, str]:
 
 def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> str:
     """log-log columns (natural logarithm) for external plotting; empty
-    report produces a header-only CSV."""
-    try:
-        with open(report_path) as fh:
-            report = json.load(fh)
-        checks = report["checks"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"malformed report {report_path!r}: {exc}") from exc
-    if out_path is None:
-        out_path = os.path.join(os.path.dirname(report_path) or ".", "plotdata.csv")
+    report produces a header-only CSV.  Every row is formed before the
+    output is opened, so a malformed report is a ConfigError that writes
+    nothing."""
 
     def _log(v):
         if v is None:
@@ -402,20 +398,28 @@ def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> 
     def _rel(v, ref):
         return v / abs(ref) if v is not None and ref else None
 
-    per_n = _per_n_columns(checks)
+    try:
+        with open(report_path) as fh:
+            per_n = _per_n_columns(json.load(fh)["checks"])
+        rows = [
+            [
+                _fmt(math.log(n)),
+                _log(_rel(d.get("abs_error"), d.get("oracle"))),
+                _log(_rel(d.get("remainder_magnitude"), d.get("leading"))),
+                _log(d.get("mgf_x_residual")),
+                _log(d.get("mgf_y_residual")),
+            ]
+            for n, d in sorted(per_n.items())
+        ]
+    except (OSError, ValueError, TypeError, LookupError, AttributeError, ArithmeticError,
+            RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ConfigError(f"malformed report {report_path!r}: {exc}") from exc
+    if out_path is None:
+        out_path = os.path.join(os.path.dirname(report_path) or ".", "plotdata.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PLOT_HEADER)
-        for n in sorted(per_n):
-            d = per_n[n]
-            oracle, leading = d.get("oracle"), d.get("leading")
-            writer.writerow([
-                _fmt(math.log(n)),
-                _log(_rel(d.get("abs_error"), oracle)),
-                _log(_rel(d.get("remainder_magnitude"), leading)),
-                _log(d.get("mgf_x_residual")),
-                _log(d.get("mgf_y_residual")),
-            ])
+        writer.writerows(rows)
     return out_path
 
 

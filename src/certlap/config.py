@@ -48,7 +48,7 @@ class RunConfig:
             raise ConfigError("at least one check is required")
         for what, value, least in (("grid_res", self.grid_res, 16), ("tol", self.tol, 1e-14),
                                    ("safety_factor", self.safety_factor, 1.0),
-                                   ("sample_count", self.sample_count, 1)):
+                                   ("sample_count", self.sample_count, 1), ("seed", self.seed, 0)):
             if not value >= least:
                 raise ConfigError(f"{what} must be at least {least:g}, not {value!r}")
         if "fluctuations" in self.checks and self.sample_count < KS_MIN_SAMPLES:

@@ -23,10 +23,8 @@ from .errors import (
     DegenerateHessianError,
     MissingConstantError,
     SweepRangeError,
-    TheoremMismatchError,
 )
 from .problems import (
-    BOUNDARY,
     INTERIOR,
     ProblemSpec,
     gauss_block,
@@ -194,32 +192,6 @@ def _omega_1d_boundary(N: int, c: ConstantsReport, g_star_abs: float, G: float, 
     )
 
 
-def approx_1d_boundary(spec: ProblemSpec, consts: ConstantsReport, N: int) -> LaplaceResult:
-    """One-dimensional boundary maximum: leading term
-    exp(N f(x*, N)) g(x*) / (N |f'(x*, N)|) with remainder
-    exp(N f(x*, N)) * omega / N^2."""
-    if spec.dimension != 1:
-        raise TheoremMismatchError("approx_1d_boundary requires a one-dimensional problem")
-    if spec.maximum.kind != BOUNDARY:
-        raise TheoremMismatchError("approx_1d_boundary requires a boundary maximum")
-    N = int(N)
-    exp_arg, poly, gterm, gval = _local_model(spec, N)
-    omega = _omega_1d_boundary(N, consts, abs(gval), consts.G, consts.G1)
-    return _result(T1, N, exp_arg, poly, gterm, omega, 1.0 / N**2)
-
-
-def approx_interior(spec: ProblemSpec, consts: ConstantsReport, N: int) -> LaplaceResult:
-    """Interior maximum in any dimension: leading term
-    exp(N f) (2 pi / N)^{m/2} g / sqrt(|det H|) with remainder
-    exp(N f) (2 pi / N)^{m/2} * omega / sqrt(N)."""
-    if spec.maximum.kind != INTERIOR:
-        raise TheoremMismatchError("approx_interior requires an interior maximum")
-    N = int(N)
-    exp_arg, poly, gterm, gval = _local_model(spec, N)
-    omega = _omega_interior(spec.dimension, N, consts, abs(gval))
-    return _result(T2, N, exp_arg, poly, gterm, omega, poly / math.sqrt(N))
-
-
 def _complement_distance(spec: ProblemSpec) -> Optional[float]:
     """Distance from the maximizer to the domain-minus-neighborhood region:
     the nearest neighborhood face that is interior to the domain (None when
@@ -237,33 +209,22 @@ def _complement_distance(spec: ProblemSpec) -> Optional[float]:
     return best
 
 
-def approx_boundary_md(spec: ProblemSpec, consts: ConstantsReport, N: int) -> LaplaceResult:
-    """Boundary maximum in dimension m >= 2 (face orthogonal to the boundary
-    axis): leading term
-    exp(N f) (1/N) (2 pi / N)^{(m-1)/2} g / (|f'| sqrt(|det tangent H|)),
-    f' the inward orthogonal derivative.  The remainder composes the
-    one-dimensional boundary bound along the ridge with the interior bound
-    across it, plus a fixed-radius tail for the domain complement."""
-    if spec.dimension < 2:
-        raise TheoremMismatchError("one-dimensional boundary problems use approx_1d_boundary")
-    if spec.maximum.kind != BOUNDARY:
-        raise TheoremMismatchError("approx_boundary_md requires a boundary maximum")
-    c = consts
-    N = int(N)
+def _omega_boundary_md(spec: ProblemSpec, c: ConstantsReport, N: int, g_star_abs: float) -> float:
+    """T3's remainder constant, boundary maximum in dimension m >= 2: the
+    one-dimensional boundary bound along the ridge composed with the interior
+    bound across it, plus a fixed-radius tail for the domain complement."""
     m = spec.dimension
-    exp_arg, poly, gterm, gval = _local_model(spec, N)
-
     sqrtN = math.sqrt(N)
     sqrt_lam = math.sqrt(c.lambda_det)
     omega_b2 = _omega_1d_boundary(N, c, 1.0, 1.0, 0.0)  # the ridge: T1's at g = 1; checks F1
     omega_b1 = (
-        abs(gval) * c.F2 / (sqrt_lam * c.F1_prime**3) * math.exp(0.5 * c.F2)
+        g_star_abs * c.F2 / (sqrt_lam * c.F1_prime**3) * math.exp(0.5 * c.F2)
         + (1.0 / c.F1_prime**2)
         * (c.G1 / sqrt_lam + m * c.G * c.F3 / (c.lambda_det**1.5 * c.F2_prime))
         + c.G / (sqrt_lam * c.F1_prime_Omega) * N * math.exp(-sqrtN * c.F1_prime_Omega)
-        + abs(gval) / (sqrt_lam * c.F1_prime) * N * math.exp(-sqrtN * c.F1_prime)
+        + g_star_abs / (sqrt_lam * c.F1_prime) * N * math.exp(-sqrtN * c.F1_prime)
     )
-    omega_i = _omega_interior(m - 1, N, c, abs(gval))
+    omega_i = _omega_interior(m - 1, N, c, g_star_abs)
 
     R = _complement_distance(spec)
     if R is None:
@@ -281,17 +242,27 @@ def approx_boundary_md(spec: ProblemSpec, consts: ConstantsReport, N: int) -> La
             * c.G
             * math.exp(-N * c.F2_prime_Omega * R**2)
         )
-    omega = omega_b1 / sqrtN + omega_i * (1.0 / c.F1_prime + omega_b2 / N) + outer_tail
-    return _result(T3, N, exp_arg, poly, gterm, omega, poly / sqrtN)
+    return omega_b1 / sqrtN + omega_i * (1.0 / c.F1_prime + omega_b2 / N) + outer_tail
 
 
 def approximate(spec: ProblemSpec, consts: ConstantsReport, N: int) -> LaplaceResult:
-    """Dispatch to the approximation matching the problem's maximum type."""
+    """Leading term exp(N f) * poly * gterm (see ``_local_model``) with the
+    remainder of the theorem that fits the maximum:
+
+    - T2, interior, any dimension m: exp(N f) (2 pi / N)^{m/2} * omega / sqrt(N);
+    - T1, boundary, m = 1: exp(N f(x*, N)) * omega / N^2;
+    - T3, boundary, m >= 2 (face orthogonal to the boundary axis):
+      exp(N f) (1/N) (2 pi / N)^{(m-1)/2} * omega / sqrt(N)."""
+    N = int(N)
+    exp_arg, poly, gterm, gval = _local_model(spec, N)
     if spec.maximum.kind == INTERIOR:
-        return approx_interior(spec, consts, N)
+        omega = _omega_interior(spec.dimension, N, consts, abs(gval))
+        return _result(T2, N, exp_arg, poly, gterm, omega, poly / math.sqrt(N))
     if spec.dimension == 1:
-        return approx_1d_boundary(spec, consts, N)
-    return approx_boundary_md(spec, consts, N)
+        omega = _omega_1d_boundary(N, consts, abs(gval), consts.G, consts.G1)
+        return _result(T1, N, exp_arg, poly, gterm, omega, 1.0 / N**2)
+    omega = _omega_boundary_md(spec, consts, N, abs(gval))
+    return _result(T3, N, exp_arg, poly, gterm, omega, poly / math.sqrt(N))
 
 
 def gaussian_tail_bound(m: int, k: int, a: float, N: int, R: float) -> float:

@@ -346,10 +346,23 @@ class TestPlotdata:
         slope = np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]
         assert slope < -5.0
 
-    def test_malformed_report(self, tmp_path):
+    @pytest.mark.parametrize("document", [
+        b"{not json",
+        b"[]",
+        b'{"checks": []}',
+        json.dumps({"checks": {"laplace": {"rows": [
+            {"N": 25, "leading": 0.1, "remainder_magnitude": 0.01, "bound_ok": True}]}}}).encode(),
+        b'{"checks": {}, "problem": "\xff"}',
+        b'{"checks": {}, "seed": ' + b"9" * 5000 + b"}",
+        json.dumps({"checks": {"lln": {"rows": [{"N": 25, "residual": "a"}]}}}).encode(),
+    ], ids=["not_json", "top_level_list", "checks_list", "laplace_row_without_oracle",
+            "not_utf8", "int_5000_digits", "residual_string"])
+    def test_malformed_report(self, tmp_path, capsys, document):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(document)
         assert main(["plotdata", str(bad)]) == 2
+        assert "malformed report" in capsys.readouterr().err
+        assert not (tmp_path / "plotdata.csv").exists()
 
     def test_empty_report_header_only(self, tmp_path):
         empty = tmp_path / "empty.json"
@@ -488,6 +501,9 @@ def _poly_1d(*terms):
     (["--tol", "inf"], None),
     ([], {"problem": "gauss1d", "safety_factor": float("inf")}),
     ([], {"problem": "gauss1d", "tol": 10 ** 400}),  # an integer beyond the float range
+    # a negative seed is refused whatever checks run, not left to the random generator
+    (["--seed", "-1", "--checks", "constants"], None),
+    ([], {"problem": "gauss1d", "seed": -1, "checks": ["constants"]}),
 ], ids=["grid_res", "safety_factor", "tol", "n_zero", "sample_count", "nb_no_lower",
         "nb_outside", "eps_no_exponent", "eps_exponent_positive", "eps_scale_negative",
         "eps_exponent_nan", "eps_scale_nan", "n_sweep_not_int",
@@ -498,7 +514,8 @@ def _poly_1d(*terms):
         "eps_zero_class_keys", "eps_no_class_scale", "coeff_bool", "coeff_string",
         "value_string", "value_bool", "linear_bool", "linear_string", "scale_bool",
         "offset_string", "eps_exponent_string", "eps_scale_bool", "tol_infinity",
-        "tol_flag_inf", "safety_factor_infinity", "tol_beyond_float_range"])
+        "tol_flag_inf", "safety_factor_infinity", "tol_beyond_float_range",
+        "seed_negative_flag", "seed_negative_config"])
 def test_bad_setting_is_config_error(tmp_path, capsys, flags, config):
     args = ["run", "--problem", "gauss1d"]
     if config is not None:

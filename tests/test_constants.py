@@ -25,6 +25,7 @@ import certlap.constants
 from certlap.config import problem_from_config, strict_json
 from certlap.errors import AssumptionViolationError, DefinitenessError, ToolkitError
 from certlap.problems import UNIT_WEIGHT, EpsilonSchedule
+from workloads_inline import INLINE
 
 SWEEP = (25, 100, 400, 1600)
 
@@ -53,7 +54,7 @@ QUAD_SIGMA = {
 
 
 def _n_problem(name):
-    inline = {p["name"]: p for p in INLINE + [QUAD_SIGMA]}
+    inline = dict(INLINE, quadsig2d=QUAD_SIGMA)
     return problem_from_config(inline[name]) if name in inline else get_problem(name)
 
 
@@ -308,31 +309,7 @@ def _outcome(spec, **kw):
         return type(exc), str(exc)
 
 
-def _poly(*terms):
-    return {"type": "polynomial", "terms": [{"coeff": c, "powers": list(p)} for c, p in terms]}
-
-
-def _inline(name, lower, upper, f):
-    return {
-        "name": name,
-        "domain": {"lower": lower, "upper": upper},
-        "f": f,
-        "g": {"type": "exponential", "linear": [0.3, -0.2]},
-        "sigma": _poly((1.0, (1, 0))),
-        "epsilon": {"class": "power", "exponent": -0.75},
-    }
-
-
-# the benchmark's inline problems: a tilted quadratic, a cubic and a boundary maximum
-INLINE = [
-    _inline("quad2d", [-1.0, -1.0], [1.0, 1.0],
-            _poly((-0.5, (2, 0)), (-1.0, (0, 2)), (0.1, (1, 1)))),
-    _inline("cub2d", [-1.0, -1.0], [1.0, 1.0],
-            _poly((-0.5, (2, 0)), (-1.0, (0, 2)), (0.2, (3, 0)), (0.1, (1, 1)))),
-    _inline("bnd2d", [0.0, -1.0], [1.0, 1.0],
-            _poly((-1.0, (1, 0)), (-0.3, (2, 0)), (-0.5, (0, 2)))),
-]
-EQUIVALENCE_PROBLEMS = [s.name for s in catalog()] + INLINE
+EQUIVALENCE_PROBLEMS = [s.name for s in catalog()] + list(INLINE.values())
 
 
 @st.composite

@@ -41,6 +41,7 @@ from certlap.errors import (
     TheoremMismatchError,
     TiltTooLargeError,
 )
+from workloads_inline import INLINE
 
 SWEEP = (25, 100, 400, 1600)
 
@@ -483,28 +484,6 @@ class TestUpperFace:
 
 def _poly(*terms):
     return {"type": "polynomial", "terms": [{"coeff": c, "powers": list(p)} for c, p in terms]}
-
-
-def _inline(name, lower, upper, f):
-    return {
-        "name": name,
-        "domain": {"lower": lower, "upper": upper},
-        "f": f,
-        "g": {"type": "exponential", "linear": [0.3, -0.2]},
-        "sigma": _poly((1.0, (1, 0))),
-        "epsilon": {"class": "power", "exponent": -0.75},
-    }
-
-
-# the benchmark's inline problems: a tilted quadratic, a cubic and a boundary maximum
-INLINE = {
-    "quad2d": _inline("quad2d", [-1.0, -1.0], [1.0, 1.0],
-                      _poly((-0.5, (2, 0)), (-1.0, (0, 2)), (0.1, (1, 1)))),
-    "cub2d": _inline("cub2d", [-1.0, -1.0], [1.0, 1.0],
-                     _poly((-0.5, (2, 0)), (-1.0, (0, 2)), (0.2, (3, 0)), (0.1, (1, 1)))),
-    "bnd2d": _inline("bnd2d", [0.0, -1.0], [1.0, 1.0],
-                     _poly((-1.0, (1, 0)), (-0.3, (2, 0)), (-0.5, (0, 2)))),
-}
 
 
 def _scaled(batch, factor):

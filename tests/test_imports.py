@@ -127,6 +127,16 @@ def test_one_peak_model():
     assert not hasattr(certlap.gibbs, "_limit_rate")
 
 
+def test_one_laplace_entry():
+    """laplace.approximate is the one way to a Laplace approximation: it
+    reads the local model once and picks T1, T2 or T3 from the maximum, and
+    no per-theorem function remains beside it."""
+    for module in (certlap, certlap.laplace):
+        assert [n for n in dir(module) if n.startswith("approx_")] == []
+    assert _callers("_local_model") == {"laplace.approximate"}
+    assert _callers("_result") == {"laplace.approximate"}
+
+
 def test_one_block_evaluation():
     """Every layer evaluates a coupling block as a field of its own, on the
     block's own axes (``problems.block_field``): the constants' extremes,

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from certlap import (
-    approx_1d_boundary,
-    approx_boundary_md,
-    approx_interior,
+    INTERIOR,
     approximate,
+    catalog,
     estimate_constants,
     gaussian_tail_bound,
     integrate,
     tail_integral,
 )
 from certlap.config import problem_from_config
-from certlap.errors import SweepRangeError, TheoremMismatchError
+from certlap.errors import SweepRangeError
+from workloads_inline import INLINE
 
 SWEEP = (25, 100, 400, 1600)
 
@@ -51,7 +51,7 @@ class TestOverflow:
 class TestBoundary1d:
     def test_exp1d_n10(self, specs, consts_cache):
         spec, c = specs["exp1d"], consts_cache("exp1d")
-        r = approx_1d_boundary(spec, c, 10)
+        r = approximate(spec, c, 10)
         assert r.theorem == "T1"
         assert r.leading == pytest.approx(0.1, rel=1e-14)
         exact = (1 - math.exp(-10)) / 10
@@ -61,7 +61,7 @@ class TestBoundary1d:
 
     def test_exp1d_n100_error_deep_inside(self, specs, consts_cache):
         spec, c = specs["exp1d"], consts_cache("exp1d")
-        r = approx_1d_boundary(spec, c, 100)
+        r = approximate(spec, c, 100)
         assert r.leading == pytest.approx(0.01, rel=1e-14)
         assert math.exp(-100) / 100 <= 1e-6 * r.remainder_magnitude
 
@@ -75,7 +75,7 @@ class TestBoundary1d:
             specs["exp1d"], g=polynomial_field([(1.0, (0,)), (1.0, (1,))]), exact_integral=None
         )
         c = estimate_constants(spec, grid_res=64, n_sweep=SWEEP)
-        r = approx_1d_boundary(spec, c, 25)
+        r = approximate(spec, c, 25)
         assert r.leading == pytest.approx(1.0 / 25.0, rel=1e-14)
         o = integrate(spec, 25, tol=1e-12)
         assert r.contains(o.value, slack=r.oracle_slack(o))
@@ -91,7 +91,7 @@ class TestBoundary1d:
             exact_integral=None,
         )
         c = estimate_constants(spec, grid_res=32, n_sweep=(25,))
-        r = approx_1d_boundary(spec, c, 25)
+        r = approximate(spec, c, 25)
         assert r.leading == pytest.approx(-1.0 / 25.0, rel=1e-14)
         assert r.leading_sign == -1.0
         o = integrate(spec, 25, tol=1e-12)
@@ -99,18 +99,14 @@ class TestBoundary1d:
         assert r.contains(o.value, slack=r.oracle_slack(o))
 
     def test_dispatch_errors(self, specs, consts_cache):
-        with pytest.raises(TheoremMismatchError):
-            approx_1d_boundary(specs["gauss1d"], consts_cache("gauss1d"), 100)
-        with pytest.raises(TheoremMismatchError):
-            approx_1d_boundary(specs["mixed2d"], consts_cache("mixed2d"), 100)
         with pytest.raises(SweepRangeError):
-            approx_1d_boundary(specs["exp1d"], consts_cache("exp1d"), 1)
+            approximate(specs["exp1d"], consts_cache("exp1d"), 1)
 
 
 class TestInterior:
     def test_gauss1d_n100(self, specs, consts_cache):
         spec, c = specs["gauss1d"], consts_cache("gauss1d")
-        r = approx_interior(spec, c, 100)
+        r = approximate(spec, c, 100)
         assert r.theorem == "T2"
         assert r.leading == pytest.approx(math.sqrt(2 * math.pi / 100), rel=1e-13)
         assert r.leading == pytest.approx(0.2506628, rel=1e-6)
@@ -118,7 +114,7 @@ class TestInterior:
         assert abs(o.value - r.leading) <= r.remainder_magnitude
 
     def test_iso2d_n64(self, specs, consts_cache):
-        r = approx_interior(specs["iso2d"], consts_cache("iso2d"), 64)
+        r = approximate(specs["iso2d"], consts_cache("iso2d"), 64)
         assert r.leading == pytest.approx(2 * math.pi / 64, rel=1e-13)
         assert r.leading == pytest.approx(0.0981748, rel=1e-6)
 
@@ -126,18 +122,14 @@ class TestInterior:
         # x*(N) = 1/N and f(x*(N), N) = 1/(2 N^2) shift the prefactor
         spec, c = specs["drift1d"], consts_cache("drift1d")
         n = 100
-        r = approx_interior(spec, c, n)
+        r = approximate(spec, c, n)
         expected = math.exp(n * 1.0 / (2 * n * n)) * math.sqrt(2 * math.pi / n)
         assert r.leading == pytest.approx(expected, rel=1e-12)
 
     def test_window_precondition(self, specs, consts_cache):
         # gauss1d neighborhood half-width 0.5: N^{-1/3} <= 0.5 needs N >= 8
         with pytest.raises(SweepRangeError):
-            approx_interior(specs["gauss1d"], consts_cache("gauss1d"), 7 + 0)
-
-    def test_mismatch(self, specs, consts_cache):
-        with pytest.raises(TheoremMismatchError):
-            approx_interior(specs["exp1d"], consts_cache("exp1d"), 100)
+            approximate(specs["gauss1d"], consts_cache("gauss1d"), 7 + 0)
 
     def test_degenerate_hessian(self, specs, consts_cache):
         # flat-curvature maximizer supplied by hand: the leading term has no
@@ -152,13 +144,13 @@ class TestInterior:
             exact_integral=None,
         )
         with pytest.raises(DegenerateHessianError):
-            approx_interior(spec, consts_cache("quartic1d"), 100)
+            approximate(spec, consts_cache("quartic1d"), 100)
 
 
 class TestBoundaryMd:
     def test_mixed2d_n100(self, specs, consts_cache):
         spec, c = specs["mixed2d"], consts_cache("mixed2d")
-        r = approx_boundary_md(spec, c, 100)
+        r = approximate(spec, c, 100)
         assert r.theorem == "T3"
         assert r.leading == pytest.approx(0.01 * math.sqrt(2 * math.pi / 100), rel=1e-13)
         assert r.leading == pytest.approx(2.5066e-3, rel=1e-4)
@@ -166,21 +158,17 @@ class TestBoundaryMd:
         assert r.contains(o.value, slack=r.oracle_slack(o))
 
     def test_boundary3d_n100(self, specs, consts_cache):
-        r = approx_boundary_md(specs["boundary3d"], consts_cache("boundary3d"), 100)
+        r = approximate(specs["boundary3d"], consts_cache("boundary3d"), 100)
         assert r.leading == pytest.approx((1 / 100) * (2 * math.pi / 100), rel=1e-12)
 
     def test_remainder_rate_two_point(self, specs, consts_cache):
         # on a problem whose remainder constant has settled, quadrupling N
         # halves the certified relative remainder (the 1/sqrt(N) scale)
         spec, c = specs["tilt2d"], consts_cache("tilt2d")
-        r100 = approx_boundary_md(spec, c, 100)
-        r400 = approx_boundary_md(spec, c, 400)
+        r100 = approximate(spec, c, 100)
+        r400 = approximate(spec, c, 400)
         ratio = r400.relative_remainder / r100.relative_remainder
         assert 0.35 <= ratio <= 0.65
-
-    def test_use_t1_error(self, specs, consts_cache):
-        with pytest.raises(TheoremMismatchError):
-            approx_boundary_md(specs["exp1d"], consts_cache("exp1d"), 100)
 
     def test_rotated_problem_end_to_end(self, specs):
         # physically rotated copy: same certified constants and enclosure
@@ -192,7 +180,7 @@ class TestBoundaryMd:
         R = np.array([[_m.cos(th), -_m.sin(th)], [_m.sin(th), _m.cos(th)]])
         spec = rotate_problem(specs["mixed2d"], R)
         c = estimate_constants(spec, grid_res=32, n_sweep=(100,))
-        r = approx_boundary_md(spec, c, 100)
+        r = approximate(spec, c, 100)
         assert r.leading == pytest.approx(0.01 * math.sqrt(2 * math.pi / 100), rel=1e-10)
         o = integrate(spec, 100, tol=1e-11)
         assert o.value == pytest.approx(specs["mixed2d"].exact_integral(100), rel=1e-9)
@@ -220,10 +208,26 @@ class TestBoundaryMd:
             ),
         )
         c = estimate_constants(spec, grid_res=32, n_sweep=(100,))
-        r = approx_boundary_md(spec, c, 100)
+        r = approximate(spec, c, 100)
         assert r.leading == pytest.approx(0.01 * math.sqrt(2 * math.pi / 100), rel=1e-12)
         o = integrate(spec, 100, tol=1e-11)
         assert r.contains(o.value, slack=r.oracle_slack(o))
+
+
+@pytest.mark.parametrize("name", [s.name for s in catalog()] + list(INLINE))
+def test_approximate_picks_the_theorem(specs, consts_cache, name):
+    """T2 at an interior maximum, T1 at a one-dimensional boundary maximum
+    and T3 at a boundary maximum in two or more dimensions."""
+    if name in INLINE:
+        spec = problem_from_config(INLINE[name])
+        c = estimate_constants(spec, n_sweep=(100,))
+    else:
+        spec, c = specs[name], consts_cache(name)
+    if spec.maximum.kind == INTERIOR:
+        expected = "T2"
+    else:
+        expected = "T1" if spec.dimension == 1 else "T3"
+    assert approximate(spec, c, 100).theorem == expected
 
 
 class TestEnclosureInvariants:

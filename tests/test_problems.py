@@ -33,6 +33,7 @@ from certlap.errors import (
 )
 from certlap.config import problem_from_config
 from certlap.problems import UNIT_WEIGHT, add_fields, join_coupling, rotated_view
+from workloads_inline import INLINE
 
 
 def make_1d_problem(terms, lower=-1.0, upper=1.0, name="adhoc"):
@@ -597,28 +598,8 @@ class TestRotatedTerms:
             assert np.all(err <= tol)
 
 
-def _inline2d(name, lower, terms):
-    """One of the benchmark's inline problems on [lower, (1, 1)]: g = exp(0.3 x
-    - 0.2 y), sigma = x and eps(N) = N^-0.75."""
-    poly = [{"coeff": c, "powers": list(p)} for c, p in terms]
-    return {"name": name, "domain": {"lower": lower, "upper": [1.0, 1.0]},
-            "f": {"type": "polynomial", "terms": poly},
-            "g": {"type": "exponential", "linear": [0.3, -0.2]},
-            "sigma": {"type": "polynomial", "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
-            "epsilon": {"class": "power", "exponent": -0.75}}
-
-
-# a tilted quadratic, a cubic and a boundary maximum
-INLINE2D = [
-    _inline2d("quad2d", [-1.0, -1.0], [(-0.5, (2, 0)), (-1.0, (0, 2)), (0.1, (1, 1))]),
-    _inline2d("cub2d", [-1.0, -1.0],
-              [(-0.5, (2, 0)), (-1.0, (0, 2)), (0.2, (3, 0)), (0.1, (1, 1))]),
-    _inline2d("bnd2d", [0.0, -1.0], [(-1.0, (1, 0)), (-0.3, (2, 0)), (-0.5, (0, 2))]),
-]
-
-
-@pytest.mark.parametrize("problem", catalog_names() + INLINE2D,
-                         ids=catalog_names() + [p["name"] for p in INLINE2D])
+@pytest.mark.parametrize("problem", catalog_names() + list(INLINE.values()),
+                         ids=catalog_names() + list(INLINE))
 def test_peak_is_f_at_x_star_of_n(problem):
     """peak(N) is f(., N), its gradient and its Hessian at x*(N), bit for bit
     as evaluated directly, and peak() the same of f_limit at x*; each array
