@@ -22,8 +22,11 @@ number (a bool or a string is neither), a run setting that does not parse (a
 non-integer N in --n-sweep), or one out of range (N-sweep not increasing or
 not above the problem's n_zero, grid_res < 16, safety_factor < 1,
 tol < 1e-14, sample_count < 1, seed < 0, or sample_count < 100 with the
-fluctuations check), or, for plotdata, a malformed report (not UTF-8
-JSON, no checks object, or a row without a number it reads), which
+fluctuations check), an output_path that is not a nonempty string free of
+NUL or whose directory cannot be made (its nearest existing ancestor is not
+a writable directory), checked before any work, or, for plotdata, a
+malformed report (not UTF-8 JSON, no checks object, or a row without a
+number it reads) or an output whose directory does not exist, which
 writes no CSV;
 3 an assumption violation (a certified constant or structural hypothesis
 failed, named in the message); a requested check's hypotheses that the
@@ -100,7 +103,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .catalog import catalog
-from .config import KNOWN_CHECKS, RunConfig, load_json, problem_from_config, strict_json
+from .config import (KNOWN_CHECKS, RunConfig, load_json, problem_from_config, strict_json,
+                     writable_dir)
 from .constants import audit_constants, estimate_constants
 from .errors import (
     AssumptionViolationError,
@@ -387,7 +391,13 @@ def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> 
     """log-log columns (natural logarithm) for external plotting; empty
     report produces a header-only CSV.  Every row is formed before the
     output is opened, so a malformed report is a ConfigError that writes
-    nothing."""
+    nothing; so is an output whose directory is not an existing writable
+    directory."""
+    if out_path is None:
+        out_path = os.path.join(os.path.dirname(report_path) or ".", "plotdata.csv")
+    if not writable_dir(os.path.dirname(out_path) or ".") or os.path.isdir(out_path):
+        raise ConfigError(f"cannot write plotdata to {out_path!r}: its directory does not "
+                          "exist or is not writable, or it is a directory")
 
     def _log(v):
         if v is None:
@@ -414,8 +424,6 @@ def emit_convergence_plotdata(report_path: str, out_path: str | None = None) -> 
     except (OSError, ValueError, TypeError, LookupError, AttributeError, ArithmeticError,
             RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"malformed report {report_path!r}: {exc}") from exc
-    if out_path is None:
-        out_path = os.path.join(os.path.dirname(report_path) or ".", "plotdata.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PLOT_HEADER)
@@ -467,7 +475,7 @@ _RUN_FIELD_TYPES = {
     "safety_factor": lambda v: json_float(v, "safety_factor"),
     "seed": lambda v: json_int(v, "seed"),
     "checks": tuple,
-    "output_path": str,
+    "output_path": lambda v: v,  # RunConfig.validate checks it
     "sample_count": lambda v: json_int(v, "sample_count"),
 }
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,22 @@ class RunConfig:
                 f"the fluctuations check needs sample_count at least {KS_MIN_SAMPLES}, "
                 f"not {self.sample_count!r}"
             )
+        out = self.output_path
+        if not isinstance(out, str) or not out or "\0" in out:
+            raise ConfigError(f"output_path must be a nonempty string without NUL, not {out!r}")
+        # the directory can be made when its nearest existing ancestor is a
+        # directory the run may write in
+        base = os.path.abspath(out)
+        while not os.path.lexists(base):
+            base = os.path.dirname(base)
+        if not writable_dir(base):
+            raise ConfigError(f"output_path {out!r} cannot be made: "
+                              f"{base!r} is not a writable directory")
+
+
+def writable_dir(path: str) -> bool:
+    """Whether ``path`` is an existing directory this process may write in."""
+    return os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)
 
 
 def problem_from_config(cfg) -> ProblemSpec:

@@ -18,17 +18,14 @@ term only when there is one.
 
 The sampler rejects against ``_Envelope``, a piecewise bound on
 exp(N (f_N - f_N*)): a core from the certified curvature (and inward slope
-at a boundary maximum) on the neighborhood, one constant per cell off it.
-On a coupling block of several Gaussian axes the core is a matrix Gaussian
-from the local curvature at x*(N), less Gershgorin row bounds on how much
-the Hessian can rise over the neighborhood.
-Each proposal is read against the piece that drew it alone, as it is
-drawn; the mass of the pieces gives the predicted acceptance, which sizes
-the proposal blocks, and every draw read is checked against E'.  The cells
-are geometry, fixed by the domain and the neighborhood and built once for
-every N of a sweep; only their bounds are values of N.  A block whose picks
-all fall to the core (at large N the core holds nearly all the mass) is
-drawn and read with nothing scattered, and gives the same draws.
+at a boundary maximum) on the neighborhood, one tangent plane per cell off
+it, proved where f is a polynomial of degree at most 3.  On a coupling
+block of several Gaussian axes the core is a matrix Gaussian from the
+local curvature at x*(N), less Gershgorin row bounds on how much the
+Hessian can rise over the neighborhood.  Each proposal is read against the
+piece that drew it, as it is drawn; the mass of the pieces gives the
+predicted acceptance, which sizes the proposal blocks, and every draw read
+is checked against E'.
 
 ``mgf_Y`` tests the N -> infinity law.  The draws are tested against the
 law at finite N instead: ``empirical_limit_test`` rescales them about
@@ -47,7 +44,6 @@ Sign conventions (the source formulas leave two ambiguous):
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -364,75 +360,22 @@ class SampleBatch:
 # proposals drawn at once: bounds the sampler's temporaries, as
 # oracle._CHUNK bounds the quadrature's
 _BLOCK = 1 << 16
-# complement cells over the domain, about _CELLS ** (1/m) per edge
-_CELLS = 1 << 14
+# the most product cells the envelope builds over the domain
+_MESH_CELLS = 1 << 16
+# the least in-cell rate |s|: a cell flat along an axis draws uniformly on it
+_FLAT = 1e-200
 
 
-def _cell_breaks(lo: float, nb_lo: float, nb_up: float, up: float, n: int) -> np.ndarray:
-    """Cell walls along one axis: the neighborhood's faces plus about n
-    equal cells over the domain edge, so no cell straddles a face."""
-    h = (up - lo) / n
-    parts = [np.linspace(a, b, max(1, math.ceil((b - a) / h)) + 1)[:-1]
-             for a, b in ((lo, nb_lo), (nb_lo, nb_up), (nb_up, up)) if b - a > 1e-12 * (up - lo)]
-    return np.append(np.concatenate(parts), up)
-
-
-@dataclass(frozen=True)
-class _CellGeometry:
-    """The part of the envelope fixed by the domain and the neighborhood
-    alone, shared by every N: the cell walls per axis, the complement
-    cells' axis indices (C order), lower corners, widths, diagonals and
-    log volumes, the grid nodes that are some complement cell's corner,
-    and for each corner of each cell its row in ``nodes``."""
-    breaks: tuple
-    shape: tuple
-    cells: tuple
-    cell_lower: np.ndarray
-    cell_width: np.ndarray
-    diagonal: np.ndarray
-    log_volume: np.ndarray
-    nodes: np.ndarray
-    corner_rows: np.ndarray
-
-
-@functools.lru_cache(maxsize=1)
-def _cell_geometry(lower: tuple, nb_lower: tuple, nb_upper: tuple, upper: tuple) -> _CellGeometry:
-    """The complement cells of the neighborhood [nb_lower, nb_upper] in the
-    domain [lower, upper].  A sweep builds one envelope per N on the same
-    bounds, so the last geometry is kept; its arrays are read-only."""
-    m = len(lower)
-    n = round(_CELLS ** (1.0 / m))
-    breaks = tuple(_cell_breaks(*b, n) for b in zip(lower, nb_lower, nb_upper, upper))
-    lows = [b[:-1] for b in breaks]
-    widths = [np.diff(b) for b in breaks]
-    mid = [a + 0.5 * w for a, w in zip(lows, widths)]
-    inside = [(c > lo) & (c < up) for c, lo, up in zip(mid, nb_lower, nb_upper)]
-    cells = tuple(np.empty((m, 0), dtype=np.intp))
-    if not all(ins.all() for ins in inside):
-        cells = np.nonzero(~functools.reduce(np.logical_and.outer, inside))
-    cell_width = np.stack([w[i] for w, i in zip(widths, cells)], axis=-1)
-    # the nodes at each corner of every complement cell, numbered in C order
-    corners = [tuple(i + c for i, c in zip(cells, corner)) for corner in np.ndindex((2,) * m)]
-    row = np.zeros(tuple(len(b) for b in breaks), dtype=np.intp)
-    for corner in corners:
-        row[corner] = 1
-    at = np.nonzero(row)
-    row[at] = np.arange(len(at[0]))
-    geo = _CellGeometry(
-        breaks=breaks,
-        shape=tuple(len(b) - 1 for b in breaks),
-        cells=cells,
-        cell_lower=np.stack([a[i] for a, i in zip(lows, cells)], axis=-1),
-        cell_width=cell_width,
-        diagonal=np.linalg.norm(cell_width, axis=1),
-        log_volume=np.sum(np.log(cell_width), axis=1),
-        nodes=np.stack([b[i] for b, i in zip(breaks, at)], axis=-1),
-        corner_rows=np.array([row[corner] for corner in corners]),
-    )
-    for a in (*breaks, *cells, geo.cell_lower, cell_width, geo.diagonal, geo.log_volume,
-              geo.nodes, geo.corner_rows):
-        a.flags.writeable = False
-    return geo
+def _walls(lo: float, nb_lo: float, nb_up: float, up: float, z: float, sigma: float):
+    """Cell walls along one axis: the domain's and the neighborhood's
+    faces, walls 0.5 sigma apart within 6 sigma of z and, beyond those,
+    widths doubling from sigma out to the faces."""
+    steps = [0.5 * k for k in range(1, 13)]
+    while steps[-1] < max(z - lo, up - z) / sigma:
+        steps.append(2.0 * steps[-1] - 5.0)  # 6, 7, 9, 13, 21: widths 1, 2, 4, 8
+    offsets = sigma * np.array(steps)
+    walls = np.concatenate(([lo, nb_lo, nb_up, up, z], z - offsets, z + offsets))
+    return np.unique(walls[(walls >= lo) & (walls <= up)])
 
 
 def _block_hessians(spec: ProblemSpec, consts: ConstantsReport, N: int, blocks) -> tuple:
@@ -505,42 +448,38 @@ class _Envelope:
     (2 pi)^(k/2) / det U.  When no block takes P (every block has one
     Gaussian axis, as in every catalog problem) U is None and the core is
     N F2' I, drawn and read by division by sqrt(N F2').
-    The domain is split into cells whose walls include nb's faces.  A
-    complement cell c (midpoint outside nb) carries exp(N B_c), B_c bounding
-    f_N - f_N* on c: the largest value at its corners plus L times its
-    half-diagonal, L the gradient norm's maximum over the complement corners
-    times the safety factor (grid + safety, like the report constants).
-    So E' = core 1_nb + sum_c exp(N B_c) 1_c.
 
-    The cells are geometry: they depend only on the domain and nb, so
-    ``_cell_geometry`` builds them once for all N of a sweep.  They are
-    never listed whole.  A cell lies in nb when its midpoint does along
-    every axis, so the complement is the negated outer product of one
-    inside mask per axis, and ``np.nonzero`` gives its cells' axis indices
-    in C order.  Each corner of those cells is a grid node found by index.
-    The values depend on N: f and its gradient are evaluated once per node
-    that is some complement cell's corner, and nothing is evaluated when nb
-    covers the domain.
+    Off nb, E' is one tangent plane per complement cell (Gilks & Wild,
+    *Applied Statistics* 41, 1992): ``_walls`` splits each axis, and a cell
+    C whose midpoint lies outside nb, of centre c, half-widths w and
+    g = grad f_N(c), has by Taylor's theorem with the Lagrange remainder
+      f_N - f_N* <= a_C + g . (x - c),  a_C = f_N(c) - f_N* + lambda_C |w|^2 / 2,
+    lambda_C = max(0, the largest lambda_max(D^2 f_N) at C's 2^m corners).
+    That is proved where D^2 f_N is affine (f of degree at most 3), as
+    lambda_max(D^2 f_N) is then convex; elsewhere it is not certified, and
+    the exceedance guard of ``sample`` is the check.  Each cell's term
+    exp(N (a_C + g . (x - c))) 1_C is a product of truncated exponentials,
+    of closed-form mass.  Where nb covers the domain there are no cells.
 
     Proposals come from the mixture of the core over R^m and the cells, of
     mass M, each read against the component that drew it as ``propose``
     draws it (composition-rejection, Devroye 1986, II.3): a cell draw
-    against its cell's constant, a core draw against the core, and a core
+    against its cell's plane, a core draw against the core, and a core
     draw off nb is rejected unread.  The accepted density is then
-    proportional to [core 1_nb + sum_c exp(N B_c) 1_c] t / E' = t, t the
-    target: exact wherever E' dominates, which ``sample`` checks at every
-    draw it reads.  The acceptance probability is Z(N) exp(-N f_N*) / M.
-    Once N is large the core holds nearly all of M, and a block whose picks
-    all fall to the core is drawn and read with nothing scattered."""
+    proportional to E' t / E' = t, t the target: exact wherever E'
+    dominates, which ``sample`` checks at every draw it reads.  The
+    acceptance probability is Z(N) exp(-N f_N*) / M.  Once N is large the
+    core holds nearly all of M, and a block whose picks all fall to the
+    core is drawn and read with nothing scattered."""
 
     def __init__(self, spec: ProblemSpec, consts: ConstantsReport, N: int):
-        N = int(N)
-        box, nb = spec.domain, spec.maximum.neighborhood
-        self.nb = nb
+        self.N = N = int(N)
+        box, self.nb = spec.domain, spec.maximum.neighborhood
         self.axis, self.gauss, self.sign = limit_axes(spec)
         peak = spec.peak(N)
         self.z_n, self.f_star = peak.z, peak.value
         self.f_n = f_n = spec.f_of_box(N)
+        self.walls, self.cells = self._complement(box, self.nb, peak)
 
         # core: precision N F2' on the Gaussian axes (a one-dimensional
         # boundary problem has none, and F2' = inf), or U'U on the coupled
@@ -561,28 +500,52 @@ class _Envelope:
             self.rate = N * consts.F1_prime
             self.log_m_core -= math.log(self.rate)
 
-        self.geometry = geo = _cell_geometry(
-            *(tuple(b) for b in (box.lower, nb.lower, nb.upper, box.upper)))
-        self.breaks, self.cell_lower, self.cell_width = geo.breaks, geo.cell_lower, geo.cell_width
-        self.log_top = np.empty(0)
-        if len(geo.nodes):
-            vals = f_n.evaluate(geo.nodes) - self.f_star
-            # the squares one column at a time, added in np.linalg.norm's
-            # order (its reduction over a last axis of m entries costs
-            # several times as much); the largest norm is the root of the
-            # largest square
-            grad = gradients_on(f_n, geo.nodes)
-            sq = grad[:, 0] * grad[:, 0]
-            for i in range(1, grad.shape[1]):
-                sq += grad[:, i] * grad[:, i]
-            lip = consts.safety_factor * math.sqrt(float(np.max(sq)))
-            top = np.max(vals[geo.corner_rows], axis=0)
-            self.log_top = N * (top + lip * 0.5 * geo.diagonal)
-        log_m_cells = self.log_top + geo.log_volume
+        # per complement cell: c, w, g and a_C; for its draws the corner
+        # where the plane is highest, s = N g and expm1(-2 |s| w)
+        m = len(self.z_n)
+        lower, upper = (np.stack([w[i + k] for w, i in zip(self.walls, self.cells)], axis=-1)
+                        for k in (0, 1))
+        self.centre, self.half = 0.5 * (lower + upper), 0.5 * (upper - lower)
+        self.top, self.grad, log_m_cells = np.empty(0), np.empty((0, m)), np.empty(0)
+        if len(self.centre):
+            self.grad = gradients_on(f_n, self.centre)
+            corners = np.concatenate([np.where(b, upper, lower) for b in np.ndindex((2,) * m)])
+            lam = np.linalg.eigvalsh(hessians_on(f_n, corners))[:, -1].reshape(2**m, -1)
+            lam = np.maximum(np.max(lam, axis=0), 0.0)
+            self.top = f_n.evaluate(self.centre) - self.f_star
+            self.top += 0.5 * lam * np.sum(self.half * self.half, axis=1)
+            rate = np.maximum(np.abs(N * self.grad), _FLAT)
+            self.slope = np.copysign(rate, self.grad)
+            self.high = self.centre + np.copysign(self.half, self.grad)
+            self.shrink = np.expm1(-2.0 * rate * self.half)
+            log_m_cells = N * self.top + np.sum(rate * self.half + np.log(-self.shrink / rate), 1)
         self.log_m_cells = float(np.logaddexp.reduce(log_m_cells, initial=-math.inf))
         self.log_m = float(np.logaddexp(self.log_m_core, self.log_m_cells))
         # component 0 is the core, component j >= 1 the complement cell j - 1
         self.cum = np.cumsum(np.exp(np.append(self.log_m_core, log_m_cells) - self.log_m))
+
+    def _complement(self, box: BoxDomain, nb: BoxDomain, peak) -> tuple:
+        """The walls per axis, sigma_i (N K_ii)^(-1/2) or, on the exponential
+        axis, 1 / (N |d_i f_N|), and the complement cells' indices in C
+        order; one cell, the domain, where nb covers it.  Above _MESH_CELLS
+        cells, an EnvelopeFailureError before any field work on them."""
+        m, N = len(self.z_n), self.N
+        if np.all(nb.lower <= box.lower) and np.all(nb.upper >= box.upper):
+            return (tuple(np.array(b) for b in zip(box.lower, box.upper)),
+                    tuple(np.empty((m, 0), dtype=np.intp)))
+        sigma = [1.0 / (N * abs(float(peak.gradient[i]))) if i == self.axis
+                 else 1.0 / math.sqrt(-N * float(peak.hessian[i, i])) for i in range(m)]
+        walls = tuple(_walls(*b) for b in zip(box.lower, nb.lower, nb.upper, box.upper,
+                                              self.z_n, sigma))
+        mesh = math.prod(len(w) - 1 for w in walls)
+        if mesh > _MESH_CELLS:
+            raise EnvelopeFailureError(
+                f"{mesh} envelope cells at N={N}, above the {_MESH_CELLS} the sampler builds")
+        inside = np.ones((), dtype=bool)
+        for w, lo, up in zip(walls, nb.lower, nb.upper):
+            mid = 0.5 * (w[:-1] + w[1:])
+            inside = np.logical_and.outer(inside, (mid > lo) & (mid < up))
+        return walls, np.nonzero(~inside)
 
     def _core_root(self, spec: ProblemSpec, consts: ConstantsReport,
                    N: int) -> Optional[np.ndarray]:
@@ -626,25 +589,38 @@ class _Envelope:
         log_e[~self.nb.contains_rows(z)] = -np.inf
         return log_e
 
+    def _log_cells(self, j: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """log E' = N (a_C + g . (x - c)) at points x (k, m) of the
+        complement cells j: the one form ``propose`` and ``log_envelope``
+        both read."""
+        tilt = np.einsum("ki,ki->k", x - self.centre.take(j, axis=0), self.grad.take(j, axis=0))
+        return self.N * (self.top.take(j) + tilt)
+
     def log_envelope(self, z: np.ndarray) -> np.ndarray:
         """log E' at box-frame points (k, m), read by position."""
         idx = tuple(
-            np.clip(np.searchsorted(b, z[:, i], side="right") - 1, 0, len(b) - 2)
-            for i, b in enumerate(self.breaks)
+            np.clip(np.searchsorted(w, z[:, i], side="right") - 1, 0, len(w) - 2)
+            for i, w in enumerate(self.walls)
         )
-        top = np.full(self.geometry.shape, -np.inf)
-        top[self.geometry.cells] = self.log_top
-        return np.logaddexp(self._log_core(z), top[idx])
+        number = np.full(tuple(len(w) - 1 for w in self.walls), -1)
+        number[self.cells] = np.arange(len(self.top))
+        j = number[idx]
+        at = np.flatnonzero(j >= 0)
+        log_e = self._log_core(z)
+        log_e[at] = np.logaddexp(log_e[at], self._log_cells(j[at], z[at]))
+        return log_e
 
     def propose(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k draws from the mixture of mass M, and log E' at each as read
-        against the piece that drew it: a cell draw its cell's constant, a
-        core draw the core (-inf off nb).  The random streams are consumed
-        in a fixed order: the component pick, the in-cell uniforms, the
-        exponential draws, then the normal draws.  When no pick reaches a
-        cell the core draws are written straight into the output; otherwise
-        the core's draws are read before they are scattered by index into
-        it, where a boolean row mask costs several times as much."""
+        against the piece that drew it: a cell draw its cell's plane, a core
+        draw the core (-inf off nb).  The random streams are consumed in a
+        fixed order: the component pick, the in-cell uniforms u in [0, 1),
+        the exponential draws, then the normal draws.  A cell draw is its
+        highest corner plus log1p(u expm1(-2 |s| w)) / s on each axis, finite
+        since u < 1.  When no pick reaches a cell the core draws are written
+        straight into the output; otherwise the core's draws are read before
+        they are scattered by index into it, where a boolean row mask costs
+        several times as much."""
         m = len(self.z_n)
         pick = rng.random(k)
         out = np.empty((k, m))
@@ -655,12 +631,16 @@ class _Envelope:
         cells = np.flatnonzero(in_cell)
         c = np.minimum(np.searchsorted(self.cum[1:], pick.take(cells), side="right"),
                        len(self.cum) - 2)
-        u = rng.random((len(c), m))
-        out[cells] = self.cell_lower.take(c, axis=0) + self.cell_width.take(c, axis=0) * u
+        x = rng.random((len(c), m))
+        x *= self.shrink.take(c, axis=0)
+        np.log1p(x, out=x)
+        x /= self.slope.take(c, axis=0)
+        x += self.high.take(c, axis=0)
+        out[cells] = x
         core = np.empty((k - len(c), m))
         self._draw_core(rng, core)
         log_e = np.empty(k)
-        log_e[cells] = self.log_top.take(c)
+        log_e[cells] = self._log_cells(c, x)
         rows = np.flatnonzero(~in_cell)
         out[rows] = core
         log_e[rows] = self._log_core(core)

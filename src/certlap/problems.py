@@ -813,31 +813,18 @@ def default_neighborhood(
     boundary_axis: Optional[int] = None,
     boundary_side: Optional[int] = None,
 ) -> BoxDomain:
-    """Half-width min(0.25 * edge, distance from the maximizer to the nearest
-    non-maximizing face), anchored at the face for boundary problems."""
-    z_star = np.asarray(z_star, dtype=float)
-    m = domain.dimension
-    dists = []
-    for j in range(m):
-        for side, bound in ((0, domain.lower[j]), (1, domain.upper[j])):
-            if boundary_axis is not None and j == boundary_axis and side == boundary_side:
-                continue
-            dists.append(abs(z_star[j] - bound))
-    d = min(dists)
-    lo = np.array(domain.lower)
-    up = np.array(domain.upper)
-    out_lo, out_up = np.empty(m), np.empty(m)
-    for i in range(m):
-        hw = min(0.25 * (up[i] - lo[i]), d)
-        if boundary_axis is not None and i == boundary_axis:
-            if boundary_side == 0:
-                out_lo[i], out_up[i] = lo[i], min(up[i], lo[i] + hw)
-            else:
-                out_lo[i], out_up[i] = max(lo[i], up[i] - hw), up[i]
-        else:
-            out_lo[i] = max(lo[i], z_star[i] - hw)
-            out_up[i] = min(up[i], z_star[i] + hw)
-    return BoxDomain(out_lo, out_up, domain.rotation)
+    """[max(lower, z - hw), min(upper, z + hw)] on every axis, with
+    hw = min(0.25 * edge, d) and d the distance from the maximizer to the
+    nearest face but the maximizing one (``boundary_side`` of
+    ``boundary_axis``).  A boundary maximizer lies on its face, so there the
+    box is anchored at the face."""
+    z = np.asarray(z_star, dtype=float)
+    lo, up = domain.lower, domain.upper
+    dists = np.abs([z - lo, up - z])
+    if boundary_axis is not None:
+        dists[boundary_side, boundary_axis] = np.inf
+    hw = np.minimum(0.25 * (up - lo), np.min(dists))
+    return BoxDomain(np.maximum(lo, z - hw), np.minimum(up, z + hw), domain.rotation)
 
 
 def window_radius(kind: str, N: int) -> float:

@@ -572,6 +572,49 @@ def test_unparsable_config_is_config_error(tmp_path, capsys, text):
     assert not (out / "report.json").exists()
 
 
+def _output_in_a_file(tmp_path):
+    (tmp_path / "afile").write_text("kept\n")
+    out = tmp_path / "afile" / "sub"
+    return ["run", "--problem", "gauss1d", "--checks", "laplace", "--output-path", str(out)]
+
+
+def _plotdata_to_a_missing_directory(tmp_path):
+    (tmp_path / "ok.json").write_text(json.dumps({"checks": {}}))
+    return ["plotdata", str(tmp_path / "ok.json"), "--output",
+            str(tmp_path / "missing_dir" / "x.csv")]
+
+
+def _output_path_a_number(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"problem": "gauss1d", "checks": ["laplace"], "output_path": 5}))
+    return ["run", "--config", str(tmp_path / "cfg.json")]
+
+
+def _output_path_with_nul(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"problem": "gauss1d", "checks": ["laplace"], "output_path": "a\u0000b"}))
+    return ["run", "--config", str(tmp_path / "cfg.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    _output_in_a_file, _plotdata_to_a_missing_directory, _output_path_a_number,
+    _output_path_with_nul,
+], ids=["run_output_inside_a_file", "plotdata_missing_directory", "output_path_a_number",
+        "output_path_with_nul"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    """An output path that is not a string, or whose directory cannot be
+    made (a run) or does not exist (plotdata), is a config error before any
+    work: status 2, and nothing written, not even a directory."""
+    monkeypatch.chdir(tmp_path)
+    args = argv(tmp_path)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    monkeypatch.setattr(certlap.cli, "estimate_constants",
+                        lambda *a, **k: pytest.fail("a run with no output did work"))
+    assert main(args) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
 def test_run_settings_are_the_run_config_fields():
     """A config file or flag may set every RunConfig field and nothing else;
     the KS threshold is a constant, still recorded in the report."""

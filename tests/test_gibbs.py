@@ -615,6 +615,102 @@ class TestEnvelope:
             sample(gibbs_measure(spec, 100), 1000, seed=1, consts=loose)
 
 
+def _plane_gap(env, top, res=9):
+    """The largest N (f_N - f_N*) less the cell's plane, N (top + g . (x - c)),
+    over a res^m grid in each complement cell, faces and corners included;
+    with top = env.top the plane is ``_log_cells``."""
+    n, m = env.centre.shape
+    offsets = np.array(list(itertools.product(np.linspace(-1.0, 1.0, res), repeat=m)))
+    j = np.repeat(np.arange(n), len(offsets))
+    x = env.centre[j] + np.tile(offsets, (n, 1)) * env.half[j]
+    plane = env.N * (top[j] + np.sum(env.grad[j] * (x - env.centre[j]), axis=1))
+    if top is env.top:
+        assert np.allclose(plane, env._log_cells(j, x), rtol=1e-13, atol=1e-12)
+    return float(np.max(env.N * (env.f_n.evaluate(x) - env.f_star) - plane))
+
+
+# a 3-D boundary problem with a small classified neighborhood,
+# [0, 0.25] x [-0.5, 0.5]^2, and a coupled cubic tangent block
+BND3D = {
+    "name": "bnd3d",
+    "domain": {"lower": [0.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]},
+    "f": _poly((-1.0, (1, 0, 0)), (-0.5, (0, 2, 0)), (-1.0, (0, 0, 2)), (0.3, (0, 1, 1)),
+               (0.15, (0, 3, 0))),
+    "sigma": _poly((1.0, (0, 1, 0))),
+    "epsilon": {"class": "power", "exponent": -0.75},
+}
+
+
+class TestTangentPlaneCells:
+    """Each complement cell's bound a_C + g . (x - c), a_C = f_N(c) - f_N* +
+    lambda_C |w|^2 / 2, with lambda_C from the Hessian's largest eigenvalue
+    at the cell's corners."""
+
+    @pytest.mark.parametrize("N", [25, 1600])
+    @pytest.mark.parametrize("name", ["gauss1d", "cubic1d", "quad2d", "cub2d", "bnd2d"])
+    def test_planes_bound_f_in_each_cell(self, name, N, specs, consts_cache):
+        from certlap.gibbs import _Envelope
+
+        env = _Envelope(*_spec_and_consts(name, specs, consts_cache), N)
+        assert len(env.top) and _plane_gap(env, env.top) <= 1e-9
+
+    @pytest.mark.parametrize("N", [25, 1600])
+    def test_the_curvature_term_is_needed(self, N, specs, consts_cache):
+        """Without lambda_C |w|^2 / 2 the tangent plane fails on cub2d,
+        whose f_xx = -1 + 1.2 x is positive for x > 0.83."""
+        from certlap.gibbs import _Envelope
+
+        env = _Envelope(*_spec_and_consts("cub2d", specs, consts_cache), N)
+        plane = env.f_n.evaluate(env.centre) - env.f_star
+        assert np.any(env.top > plane)
+        assert _plane_gap(env, plane) > 1e-3
+
+    def test_small_neighborhood_in_3d(self):
+        """BND3D, whose small neighborhood leaves most of the domain to the
+        cells (uniform cells with a Lipschitz bound could not bound it beyond
+        N = 25), runs every check at seeds 1-6.  The sampler audit
+        passes, and every flag but the KS one, which reads the N = 25 skew,
+        holds."""
+        from certlap.cli import run_checks
+        from certlap.config import KNOWN_CHECKS, RunConfig
+
+        for seed in range(1, 7):
+            status, report = run_checks(RunConfig(problem=BND3D, checks=KNOWN_CHECKS,
+                                                  sample_count=20_000, seed=seed))
+            checks = report["checks"]
+            assert status in (0, 1) and checks["sampler"]["ok"]
+            assert checks["laplace"]["all_bounds_ok"] and checks["constants"]["ok"]
+            assert checks["lln"]["residual_nonincreasing"]
+            assert not checks["fluctuations"]["flagged"]
+            assert all(r["acceptance_rate"] >= 0.5 for r in checks["fluctuations"]["rows"])
+
+    def test_cell_count_is_capped_before_field_work(self, monkeypatch):
+        """A 4-D problem of two coupled 2-D blocks needs 360,000 cells at
+        N = 25: a named EnvelopeFailureError, raised before f or its
+        gradient is taken on any cell."""
+        import certlap.gibbs
+
+        four = {
+            "name": "blocks4d",
+            "domain": {"lower": [-1.0] * 4, "upper": [1.0] * 4},
+            "f": _poly((-0.5, (2, 0, 0, 0)), (-1.0, (0, 2, 0, 0)), (0.1, (1, 1, 0, 0)),
+                       (0.2, (3, 0, 0, 0)), (-0.5, (0, 0, 2, 0)), (-1.0, (0, 0, 0, 2)),
+                       (0.1, (0, 0, 1, 1))),
+            "classify_grid_res": 16,
+        }
+        spec = problem_from_config(four)
+        consts = estimate_constants(spec, grid_res=16, n_sweep=(25,))
+        measure = gibbs_measure(spec, 25)
+        spec.peak(25)
+        monkeypatch.setattr(certlap.gibbs, "gradients_on",
+                            lambda *a: pytest.fail("a gradient taken on the cells"))
+        real = ScalarField.evaluate
+        monkeypatch.setattr(ScalarField, "evaluate", lambda f, pts: pytest.fail(
+            "f evaluated on the cells") if len(np.shape(pts)) > 1 else real(f, pts))
+        with pytest.raises(EnvelopeFailureError, match=r"360000 envelope cells at N=25"):
+            sample(measure, 1000, seed=1, consts=consts)
+
+
 def _mp_reference(fn, xs):
     """fn at each float of xs, in mpmath at 40 digits, rounded to float."""
     import mpmath
@@ -705,8 +801,8 @@ def _assert_reads(env, z, log_e, core):
 
 class TestLabelledEnvelope:
     """The piecewise envelope: the core on the closed neighborhood, one
-    constant per complement cell, each proposal read against the piece that
-    drew it."""
+    tangent plane per complement cell, each proposal read against the piece
+    that drew it."""
 
     @pytest.mark.parametrize("name, N", [("gauss1d", 25), ("cub2d", 25), ("bnd2d", 100)])
     def test_sampler_vs_oracle_across_faces(self, name, N, specs, consts_cache):
@@ -750,8 +846,9 @@ class TestLabelledEnvelope:
     @pytest.mark.parametrize("name", ["gauss3d", "boundary3d"])
     def test_no_field_work_without_complement_cells(self, name, consts_cache, monkeypatch):
         """Where the neighborhood covers the domain the envelope evaluates f
-        only at x*(N), for f_N*, and takes no gradient.  Each envelope is
-        built on a fresh spec, whose cache holds no ``peak(N)`` yet."""
+        only at x*(N), for f_N*, and takes no gradient or Hessian.  Each
+        envelope is built on a fresh spec, whose cache holds no ``peak(N)``
+        yet."""
         import certlap.gibbs
 
         fresh, consts = [get_problem(name) for _ in SWEEP], consts_cache(name)
@@ -759,24 +856,42 @@ class TestLabelledEnvelope:
         real = ScalarField.evaluate
         monkeypatch.setattr(ScalarField, "evaluate",
                             lambda f, pts: evaluated.append(np.shape(pts)) or real(f, pts))
-        monkeypatch.setattr(certlap.gibbs, "gradients_on",
-                            lambda *a: pytest.fail("gradients taken without complement cells"))
+        for handle in ("gradients_on", "hessians_on"):
+            monkeypatch.setattr(certlap.gibbs, handle,
+                                lambda *a: pytest.fail("field work without complement cells"))
         for spec, n in zip(fresh, SWEEP):
             env = certlap.gibbs._Envelope(spec, consts, n)
-            assert len(env.log_top) == 0 and env.log_m_cells == -math.inf
+            assert len(env.top) == 0 and env.log_m_cells == -math.inf
+            assert [len(w) for w in env.walls] == [2] * spec.dimension
         assert evaluated == [(spec.dimension,)] * len(SWEEP)
 
     def test_only_complement_corners_are_read(self, specs, consts_cache, monkeypatch):
+        """f and its gradient are taken once each, at the complement cells'
+        centres, and the Hessian once, at each cell's 2^m corners."""
         import certlap.gibbs
 
-        evaluated = []
-        real = certlap.gibbs.gradients_on
-        monkeypatch.setattr(certlap.gibbs, "gradients_on",
-                            lambda f, pts, *a: evaluated.append(len(pts)) or real(f, pts, *a))
-        env = certlap.gibbs._Envelope(specs["gauss1d"], consts_cache("gauss1d"), 25)
-        n_out = len(env.log_top)
-        # two runs of complement cells, one beyond each face
-        assert evaluated == [n_out + 2] and n_out + 2 < len(env.breaks[0])
+        real = {k: getattr(certlap.gibbs, k) for k in ("gradients_on", "hessians_on")}
+        real["evaluate"] = ScalarField.evaluate
+        for name in ("gauss1d", "bnd2d"):
+            spec, consts = _spec_and_consts(name, specs, consts_cache)
+            spec.peak(25)
+            calls = {k: [] for k in real}
+            for k in ("gradients_on", "hessians_on"):
+                monkeypatch.setattr(certlap.gibbs, k, lambda f, pts, k=k: calls[k].append(
+                    np.array(pts)) or real[k](f, pts))
+            monkeypatch.setattr(ScalarField, "evaluate", lambda f, pts: calls["evaluate"].append(
+                np.array(pts)) or real["evaluate"](f, pts))
+            env = certlap.gibbs._Envelope(spec, consts, 25)
+            monkeypatch.undo()
+            m, n = spec.dimension, len(env.top)
+            assert 0 < n < math.prod(len(w) - 1 for w in env.walls)
+            for k in ("evaluate", "gradients_on"):
+                assert len(calls[k]) == 1 and np.array_equal(calls[k][0], env.centre), k
+            [corners] = calls["hessians_on"]
+            assert corners.shape == (2**m * n, m)
+            for k, bits in enumerate(np.ndindex((2,) * m)):
+                want = env.centre + np.where(bits, 1.0, -1.0) * env.half
+                assert np.allclose(corners[k * n:(k + 1) * n], want, rtol=0.0, atol=1e-15)
 
     def test_block_sizing_wastes_few_proposals(self, specs, consts_cache):
         b = sample(gibbs_measure(specs["gauss1d"], 100), 20_000, seed=1,
@@ -784,7 +899,7 @@ class TestLabelledEnvelope:
         assert b.acceptance_rate >= 0.9
 
     def test_guard_covers_cell_draws(self, specs, consts_cache, monkeypatch):
-        """Cell constants lowered by 2 (in log) no longer dominate: the
+        """Cell planes lowered by 2/N, 2 in log E', no longer dominate: the
         exceedance guard must see it at a cell draw."""
         import certlap.gibbs
 
@@ -792,7 +907,7 @@ class TestLabelledEnvelope:
 
         def lowered(env, *a):
             real(env, *a)
-            env.log_top = env.log_top - 2.0
+            env.top = env.top - 2.0 / env.N
 
         monkeypatch.setattr(certlap.gibbs._Envelope, "__init__", lowered)
         with pytest.raises(EnvelopeFailureError, match="exceeded"):
@@ -800,43 +915,58 @@ class TestLabelledEnvelope:
                    consts=consts_cache("gauss1d"))
 
 
+def _reference_walls(lo, nb_lo, nb_up, up, z, sigma):
+    """The cell walls along one axis by the rule written out: the faces,
+    z, z +- 0.5 k sigma for k = 1..12 and, past 6 sigma, z +- (5 + 2^j) sigma
+    for j = 1, 2, ... up to the first offset that reaches the farther face."""
+    reach = max(z - lo, up - z) / sigma
+    steps = [0.5 * k for k in range(1, 13)]
+    j = 1
+    while reach > 6.0 and steps[-1] < reach:
+        steps.append(5.0 + 2.0**j)
+        j += 1
+    walls = {lo, nb_lo, nb_up, up, z} | {z + d * sigma * t for t in steps for d in (-1.0, 1.0)}
+    return np.array(sorted(w for w in walls if lo <= w <= up))
+
+
 def _full_grid_cells(spec, consts, N):
-    """The complement cells, their constants and the component masses built
-    on the full cell grid: every cell's lower corner and width by meshgrid,
-    the complement told by the midpoints, and each complement cell's corner
-    values read through one padded full-grid mask per corner.  The reference
-    for ``_Envelope``'s per-axis construction."""
-    from certlap.gibbs import _CELLS, _Envelope, _cell_breaks
-    from certlap.derivatives import gradients_on
+    """The complement cells, their planes and the component masses built
+    on the full cell grid: every cell's corners by meshgrid, the complement
+    told by the midpoints, lambda_C from a loop over each cell's corners and
+    each cell's mass from sinh in 40-digit arithmetic.  The reference for
+    ``_Envelope``'s per-axis construction."""
+    import mpmath
+
+    from certlap.gibbs import _Envelope
 
     env = _Envelope(spec, consts, N)
     box, nb, m = spec.domain, spec.maximum.neighborhood, spec.dimension
-    n = round(_CELLS ** (1.0 / m))
-    breaks = [_cell_breaks(*b, n) for b in zip(box.lower, nb.lower, nb.upper, box.upper)]
-    shape = tuple(len(b) - 1 for b in breaks)
-    lower, width = (
-        np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-        for axes in ([b[:-1] for b in breaks], [np.diff(b) for b in breaks])
-    )
-    mid = lower + 0.5 * width
+    peak, axis = spec.peak(N), limit_axes(spec)[0]
+    sigma = [1.0 / (N * abs(peak.gradient[i])) if i == axis
+             else 1.0 / math.sqrt(N * -peak.hessian[i, i]) for i in range(m)]
+    walls = [_reference_walls(*b) for b in zip(box.lower, nb.lower, nb.upper, box.upper,
+                                                peak.z, sigma)]
+    lower, upper = (np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+                    for axes in ([w[:-1] for w in walls], [w[1:] for w in walls]))
+    mid = 0.5 * (lower + upper)
     out = ~np.all((mid > nb.lower) & (mid < nb.upper), axis=1)
-    log_top = np.empty(0)
-    if np.any(out):
-        corners = [tuple(map(slice, c, np.add(c, shape))) for c in np.ndindex((2,) * m)]
-        read = np.any([np.pad(out.reshape(shape), [(c, 1 - c) for c in corner])
-                       for corner in np.ndindex((2,) * m)], axis=0)
-        nodes = np.stack(np.meshgrid(*breaks, indexing="ij"), axis=-1)[read]
-        vals = np.full(read.shape, -math.inf)
-        vals[read] = env.f_n.evaluate(nodes) - env.f_star
-        lip = consts.safety_factor * float(np.max(np.linalg.norm(
-            gradients_on(env.f_n, nodes), axis=-1)))
-        top = np.max([vals[s] for s in corners], axis=0).ravel()[out]
-        log_top = N * (top + lip * 0.5 * np.linalg.norm(width[out], axis=1))
-    log_m_cells = log_top + np.sum(np.log(width[out]), axis=1)
+    lower, upper = lower[out], upper[out]
+    centre, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    top, log_m_cells = [], []
+    with mpmath.workdps(40):
+        for lo, up, c, w in zip(lower, upper, centre, half):
+            lam = max(np.linalg.eigvalsh(env.f_n.hessian(np.array(corner)))[-1]
+                      for corner in itertools.product(*zip(lo, up)))
+            top.append(float(env.f_n.evaluate(c)) - env.f_star + 0.5 * max(lam, 0.0) * w @ w)
+            log_mass = N * mpmath.mpf(top[-1])
+            for s, h in zip(N * env.f_n.gradient(c), w):
+                log_mass += (mpmath.log(2 * h) if s == 0.0
+                             else mpmath.log(2 * mpmath.sinh(abs(s) * h) / abs(s)))
+            log_m_cells.append(float(log_mass))
     log_m = float(np.logaddexp(env.log_m_core,
                                np.logaddexp.reduce(log_m_cells, initial=-math.inf)))
     cum = np.cumsum(np.exp(np.append(env.log_m_core, log_m_cells) - log_m))
-    return env, {"cell_lower": lower[out], "cell_width": width[out], "log_top": log_top,
+    return env, {"walls": walls, "centre": centre, "half": half, "top": np.array(top),
                  "cum": cum}
 
 
@@ -844,12 +974,20 @@ class TestEnvelopeConstruction:
     @pytest.mark.parametrize("N", [25, 1600])
     @pytest.mark.parametrize("name", ["cub2d", "cubic1d", "bnd2d", "gauss3d"])
     def test_matches_the_full_grid_construction(self, name, N, specs, consts_cache):
+        """The walls, each complement cell's centre and half-widths bit for
+        bit, and a_C and the cumulative masses to round-off."""
         spec, consts = _spec_and_consts(name, specs, consts_cache)
         env, ref = _full_grid_cells(spec, consts, N)
-        assert (len(ref["log_top"]) == 0) == (name == "gauss3d")
-        for key, want in ref.items():
-            got = getattr(env, key)
-            assert got.shape == want.shape and np.array_equal(got, want), key
+        assert (len(ref["top"]) == 0) == (name == "gauss3d")
+        if name == "gauss3d":  # the neighborhood covers the domain: no walls inside it
+            assert len(env.top) == 0 and np.array_equal(env.cum, [1.0])
+            return
+        for got, want in zip(env.walls, ref["walls"]):
+            assert np.array_equal(got, want)
+        for key in ("centre", "half"):
+            assert np.array_equal(getattr(env, key), ref[key]), key
+        assert np.allclose(env.top, ref["top"], rtol=1e-12, atol=1e-14)
+        assert np.allclose(env.cum, ref["cum"], rtol=1e-10, atol=1e-14)
 
     def test_core_draws_without_cells(self, specs, consts_cache):
         """With no complement cells every proposal is z_n + normal / sqrt(prec),
@@ -867,16 +1005,17 @@ class TestEnvelopeConstruction:
 
 
 class TestEnvelopeGeometry:
-    """The cells are built once per domain and neighborhood and shared by
-    every N; the draws follow the documented stream order whether or not a
-    pick lands in a cell."""
+    """The draws follow the documented stream order whether or not a pick
+    lands in a cell, and each cell draw lies in its cell."""
 
     @pytest.mark.parametrize("name, N, in_cells", [
         ("cub2d", 1600, False), ("cub2d", 25, True), ("bnd2d", 1600, False), ("bnd2d", 25, True),
     ])
     def test_draws_follow_the_stream_order(self, name, N, in_cells, specs, consts_cache):
         """The picks, the in-cell uniforms, the exponentials, then the
-        normals, each core draw built as x*(N) plus its offsets: the normals
+        normals.  Each cell draw inverts the CDF of exp(N g . t) on its cell
+        along each axis, t = sign(g) (w + log1p(u expm1(-2 |s| w)) / |s|)
+        with s = N g; each core draw is x*(N) plus its offsets: the normals
         over sqrt(prec), or U^-1 times them on cub2d's matrix core."""
         from certlap.gibbs import _Envelope
 
@@ -888,10 +1027,11 @@ class TestEnvelopeGeometry:
         rng = np.random.default_rng(7)
         pick = rng.uniform(size=k)
         drawn = pick >= env.cum[0]
-        assert len(env.log_top) and drawn.any() == in_cells
+        assert len(env.top) and drawn.any() == in_cells
         c = np.minimum(np.searchsorted(env.cum[1:], pick[drawn], side="right"), len(env.cum) - 2)
         want = np.empty((k, m))
-        want[drawn] = env.cell_lower[c] + env.cell_width[c] * rng.uniform(size=(len(c), m))
+        u = rng.uniform(size=(len(c), m))
+        want[drawn] = _cell_draws(env, c, u)
         core = np.empty((k - len(c), m))
         core[:] = env.z_n
         if env.axis is not None:
@@ -905,26 +1045,11 @@ class TestEnvelopeGeometry:
         want[~drawn] = core
         assert np.array_equal(z, want)
         if in_cells:
-            assert np.array_equal(log_e[drawn], env.log_top[c])
+            g, x = env.f_n.gradient(env.centre[c]), z[drawn]
+            want_log_e = N * (env.top[c] + np.sum(g * (x - env.centre[c]), axis=1))
+            assert np.allclose(log_e[drawn], want_log_e, rtol=1e-13, atol=1e-12)
+            assert np.all(np.abs(x - env.centre[c]) <= env.half[c] * (1 + 1e-12))
         _assert_reads(env, z, log_e, ~drawn)
-
-    def test_geometry_is_shared_across_n(self, specs, consts_cache):
-        from certlap.gibbs import _Envelope
-
-        spec, consts = _spec_and_consts("cub2d", specs, consts_cache)
-        first = _Envelope(spec, consts, 25)
-        assert _Envelope(spec, consts, 1600).geometry is first.geometry
-        assert not first.cell_lower.flags.writeable
-
-        nb = spec.maximum.neighborhood
-        narrow = dataclasses.replace(spec, maximum=dataclasses.replace(
-            spec.maximum, neighborhood=BoxDomain(nb.lower / 2.0, nb.upper / 2.0)))
-        other = _Envelope(narrow, consts, 25)
-        assert other.geometry is not first.geometry
-        assert len(other.cell_lower) > len(first.cell_lower)
-        again = _Envelope(spec, consts, 25)
-        for key in ("cell_lower", "cell_width", "log_top", "cum"):
-            assert np.array_equal(getattr(again, key), getattr(first, key)), key
 
 
 class TestInPlaceSpecialFunctions:
@@ -1042,6 +1167,21 @@ class TestAcceptedDrawsToKs:
                 assert blocks > 1 or name != "cubic1d"
 
 
+def _cell_draws(env, c, u):
+    """The in-cell draws of the cells c from uniforms u (len(c), m): along
+    each axis t = sign(g) (w + log1p(u expm1(-2 |s| w)) / |s|), s = N g with
+    |s| floored at 1e-200, and x = c + t; to round-off, ``propose``'s."""
+    if not len(c):
+        return np.empty((0, len(env.z_n)))
+    g, w = env.grad[c], env.half[c]
+    rate = np.maximum(np.abs(env.N * g), 1e-200)
+    t = w + np.log1p(u * np.expm1(-2.0 * rate * w)) / rate
+    x = env.centre[c] + np.where(g < 0, -t, t)
+    draws = env.high[c] + np.log1p(u * env.shrink[c]) / env.slope[c]
+    assert np.allclose(draws, x, rtol=1e-13, atol=1e-13)
+    return draws
+
+
 def _masked_proposals(env, seed, k, draw_core):
     """The proposals of ``_Envelope.propose`` built with boolean row masks,
     every label -1 for a core draw: the picks, the in-cell uniforms, then
@@ -1054,7 +1194,7 @@ def _masked_proposals(env, seed, k, draw_core):
     cells = pick >= env.cum[0]
     c = cell[cells] = np.minimum(
         np.searchsorted(env.cum[1:], pick[cells], side="right"), len(env.cum) - 2)
-    out[cells] = env.cell_lower[c] + env.cell_width[c] * rng.random((len(c), m))
+    out[cells] = _cell_draws(env, c, rng.random((len(c), m)))
     out[~cells] = draw_core(rng, k - len(c))
     return out, cell
 
@@ -1173,7 +1313,8 @@ class TestMatrixCore:
             z, log_e = env.propose(np.random.default_rng(3), 5000)
             want, want_cell = _masked_proposals(env, 3, 5000, _f2_prime_core(env, prec))
             assert np.array_equal(z, want)
-            assert np.array_equal(log_e[want_cell >= 0], env.log_top[want_cell[want_cell >= 0]])
+            cell = want_cell >= 0
+            assert np.array_equal(log_e[cell], env._log_cells(want_cell[cell], want[cell]))
             _assert_reads(env, z, log_e, want_cell < 0)
 
     @pytest.mark.parametrize("name", ["cub2d", "bnd2d"])
@@ -1198,7 +1339,7 @@ class TestMatrixCore:
         core = want_cell < 0
         want_log_e = np.empty(len(want))
         want_log_e[core] = env._log_core(want[core])
-        want_log_e[~core] = env.log_top[want_cell[~core]]
+        want_log_e[~core] = env._log_cells(want_cell[~core], want[~core])
         assert np.array_equal(log_e, want_log_e)
         _assert_reads(env, z, log_e, core)
 
@@ -1239,7 +1380,9 @@ class TestMatrixCore:
     def test_hessian_grid_once_per_run(self, monkeypatch):
         """One Hessian grid per run where the curvature is the same at every
         N (quad2d, sigma = x), one per N where it is not (sigma = x^2), and
-        none kept once the run's spec, which holds them, is gone."""
+        none kept once the run's spec, which holds them, is gone.  Besides
+        the grids, each N's envelope takes the Hessian once at its complement
+        cells' four corners each."""
         import gc
         import weakref
 
@@ -1264,8 +1407,9 @@ class TestMatrixCore:
             calls.clear()
             refs.clear()
             status, _ = run_checks(RunConfig(problem=problem, checks=("fluctuations", "sampler"),
-                                             sample_count=2000, seed=1))
+                                             sample_count=20_000, seed=1))
             assert status == 0
-            assert calls == [65 * 65] * grids
+            assert calls.count(65 * 65) == grids and len(calls) == grids + len(SWEEP)
+            assert all(n % 4 == 0 for n in calls if n != 65 * 65)
             gc.collect()
             assert refs and all(ref() is None for ref in refs)

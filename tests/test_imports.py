@@ -216,8 +216,8 @@ def _memo_name(node) -> str | None:
 def test_one_cache_per_spec():
     """Every per-problem value lives in the spec's one cache, which only
     problems.py reads, behind ProblemSpec.cached: no module imports weakref,
-    and the module-level memos are the three bounded ones of pure functions
-    of plain numbers."""
+    and the module-level memos are the two bounded ones of pure functions of
+    plain numbers."""
     weak, memos, readers = [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -235,7 +235,7 @@ def test_one_cache_per_spec():
                 memos += [f"{path.name}:{node.lineno}" for n in ast.walk(node.value)
                           if isinstance(n, ast.Call) and _memo_name(n)]
     assert weak == []
-    assert sorted(memos) == ["_blocks", "_cell_geometry", "_leggauss"]
+    assert sorted(memos) == ["_blocks", "_leggauss"]
     assert set(readers) == {"problems.py"}
     for module, fn in ((certlap.oracle, "_panel_store"), (certlap.gibbs, "_block_hessians")):
         source = ast.parse(inspect.getsource(getattr(module, fn)))

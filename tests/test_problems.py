@@ -1450,3 +1450,59 @@ class TestNZeroSkip:
         width = float(nb.upper[0] - nb.lower[0])
         assert solved and min(solved) > (2.0 / width) ** 3 / 2
         assert n_zero == _reference_n_zero(spec.domain, nb, INTERIOR, spec.z_star_of_N)
+
+
+def _per_axis_neighborhood(domain, z_star, boundary_axis=None, boundary_side=None):
+    """The default neighborhood by the per-axis loop it had before it was
+    one clip rule: the reference for ``default_neighborhood``."""
+    z_star = np.asarray(z_star, dtype=float)
+    m = domain.dimension
+    dists = []
+    for j in range(m):
+        for side, bound in ((0, domain.lower[j]), (1, domain.upper[j])):
+            if boundary_axis is not None and j == boundary_axis and side == boundary_side:
+                continue
+            dists.append(abs(z_star[j] - bound))
+    d = min(dists)
+    lo, up = np.array(domain.lower), np.array(domain.upper)
+    out_lo, out_up = np.empty(m), np.empty(m)
+    for i in range(m):
+        hw = min(0.25 * (up[i] - lo[i]), d)
+        if boundary_axis is not None and i == boundary_axis:
+            if boundary_side == 0:
+                out_lo[i], out_up[i] = lo[i], min(up[i], lo[i] + hw)
+            else:
+                out_lo[i], out_up[i] = max(lo[i], up[i] - hw), up[i]
+        else:
+            out_lo[i] = max(lo[i], z_star[i] - hw)
+            out_up[i] = min(up[i], z_star[i] + hw)
+    return out_lo, out_up
+
+
+@st.composite
+def _maximizers(draw):
+    """A box of 1-4 axes, a point off its faces and, half the time, a
+    maximizing face with the point moved onto it, its coordinate the face
+    value exactly, as ``classify_maximum`` leaves it."""
+    m = draw(st.integers(1, 4))
+    lower = np.array([draw(st.floats(-10.0, 10.0)) for _ in range(m)])
+    edges = np.array([draw(st.floats(1e-3, 20.0)) for _ in range(m)])
+    upper = lower + edges
+    z = lower + edges * np.array([draw(st.floats(0.01, 0.99)) for _ in range(m)])
+    axis = side = None
+    if draw(st.booleans()):
+        axis, side = draw(st.integers(0, m - 1)), draw(st.integers(0, 1))
+        z[axis] = (lower, upper)[side][axis]
+    return BoxDomain(lower, upper), z, axis, side
+
+
+@settings(max_examples=300, deadline=None)
+@given(_maximizers())
+def test_default_neighborhood_is_one_clip_rule(case):
+    """The one clip rule gives the per-axis loop's box bit for bit."""
+    from certlap import default_neighborhood
+
+    domain, z, axis, side = case
+    nb = default_neighborhood(domain, z, axis, side)
+    want_lo, want_up = _per_axis_neighborhood(domain, z, axis, side)
+    assert np.array_equal(nb.lower, want_lo) and np.array_equal(nb.upper, want_up)
